@@ -17,6 +17,7 @@ from hedcex.counterexample import (
     verify_product_coloring,
 )
 from hedcex.families import complete_graph, cycle_graph
+from hedcex.graphs import graph_sha256
 from hedcex.solver import SearchBudget
 from oracles import collision_free
 
@@ -117,6 +118,24 @@ def test_c7_build_counts(c7_report):
 def test_c5_wide_build_counts(c5_wide_build):
     assert c5_wide_build.g.n == 54186
     assert c5_wide_build.h.n == 165 and c5_wide_build.h.edge_count == 648
+
+
+# Certificates pin the host by these digests, so they must survive any change
+# of graph representation.
+HOST_PINS = {
+    "c5_refined": ("d3965243aff8c5692659b570f51e6c2f169d2ffddd660c7dead5b52ec84fc60b", 36015),
+    "c7": ("aa35fa2974489b519a6608b39a6fae5868694e6bd71e61a982e996dd132a1701", 437500),
+    "c5_wide": ("957d172cca1db53129f5145f564d155fb10b7cbb1b8daee99597ee37cf19d905", 428415),
+}
+
+
+def test_host_hashes_and_edge_counts_pinned(c5_report, c7_report, c5_wide_build):
+    builds = {"c5_refined": c5_report.build, "c7": c7_report.build, "c5_wide": c5_wide_build}
+    for variant, (sha, edges) in HOST_PINS.items():
+        g = builds[variant].g
+        assert g.edge_count == edges, variant
+        assert builds[variant].g_hash == sha, variant
+        assert graph_sha256(g) == sha, variant
 
 
 def test_h_edges_are_exponential_edges(c5_report):
