@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .families import OmegaGraph, n_shells, omega_tuples
-from .graphs import Graph, edge_arrays, graph_sha256, iter_bits, new_graph
+from .graphs import Graph, edge_arrays, graph_sha256, new_graph
 from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -195,10 +195,6 @@ def exp_adjacent(g: Graph, c: int, f: FunctionVertex, w: FunctionVertex) -> bool
     return True
 
 
-def _indices(mask: int) -> np.ndarray:
-    return np.fromiter(iter_bits(mask), dtype=np.int64)
-
-
 def _two_valued(n: int, outside: int, inside: int, region: np.ndarray) -> np.ndarray:
     table = np.full(n, outside, dtype=np.int8)
     table[region] = inside
@@ -208,17 +204,18 @@ def _two_valued(n: int, outside: int, inside: int, region: np.ndarray) -> np.nda
 def _selector_valued(
     n: int,
     outside: int,
-    region_mask: int,
-    selector_shells: list[tuple[int, int]],
+    region: np.ndarray,
+    selector_shells: list[tuple[int, np.ndarray]],
 ) -> np.ndarray:
     """Outside color off the region; on it, the value attached to the least
     selector shell containing the vertex.  ``selector_shells`` is a list of
-    (value, mask) in selector order; later entries are written first so the
-    least one wins.  Region vertices left uncovered keep the outside color.
+    (value, boolean shell) in selector order; later entries are written first
+    so the least one wins.  Region vertices left uncovered keep the outside
+    color.
     """
     table = np.full(n, outside, dtype=np.int8)
-    for value, mask in reversed(selector_shells):
-        table[_indices(mask & region_mask)] = value
+    for value, shell in reversed(selector_shells):
+        table[shell & region] = value
     return table
 
 
@@ -238,23 +235,21 @@ def build_special_family(
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
-    a_q = gamma.alpha_mask(q)
-    shells = n_shells(g, a_q, params.d)
+    shells = n_shells(g, gamma.class_set(q), params.d)
     sel = q if params.reading == "q" else 1
     sel_shells = [
-        (None, n_shells(g, gamma.class_mask(sel, b), params.d)[params.d])
-        for b in range(1, k + 1)
+        n_shells(g, gamma.class_set(sel, b), params.d)[params.d] for b in range(1, k + 1)
     ]
 
     def h(d: int, i: int, j: int) -> FunctionVertex:
         return FunctionVertex(
             label=f"h(q={q},d={d},i={i},j={j})",
             role=("h", q, d, i, j),
-            table=_two_valued(g.n, i, j, _indices(shells[d])),
+            table=_two_valued(g.n, i, j, shells[d]),
         )
 
     def gv(i: int, value_of_b) -> FunctionVertex:
-        pairs = [(value_of_b(b), sel_shells[b - 1][1]) for b in range(1, k + 1)]
+        pairs = [(value_of_b(b), sel_shells[b - 1]) for b in range(1, k + 1)]
         return FunctionVertex(
             label=f"g(q={q},d={params.d},i={i})",
             role=("g", q, params.d, i),
@@ -473,7 +468,7 @@ def build_counterexample(
         FunctionVertex(
             label="f",
             role=("f",),
-            table=np.array([gamma.alpha(v) for v in range(g.n)], dtype=np.int8),
+            table=gamma.pair_array[:, 0].astype(np.int8),
         )
     )
     for q in range(1, params.n + 1):

@@ -17,18 +17,25 @@ Conventions used throughout:
 The two omega forms are isomorphic on complete graphs; the tests enumerate
 that correspondence, which is why both constructions stay in the package.
 
-Products and powers build bitset rows directly and are written for the small
-cross-validation sizes; the big adjoint graphs are built only through
-``omega_tuples``, whose edge enumeration is constructive per vertex instead
-of all-pairs.
+Representation boundary: products, powers and ``omega_sets`` build bitset
+rows directly and are written for the small cross-validation sizes.  The big
+adjoint graphs are built only through ``omega_tuples``, which enumerates
+tuples and edges as numpy arrays, and their vertex sets are swept by
+``n_shells`` as boolean arrays over the edge arrays, linear in |V| + |E| per
+step.  The shell functions also accept and return Python-int bitmasks,
+converted at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
-from .graphs import Graph, iter_bits, new_graph
+import numpy as np
+
+from .graphs import Graph, edge_arrays, iter_bits, mask_from, new_graph, vertex_flags
 
 __all__ = [
     "complete_graph",
@@ -108,36 +115,38 @@ def _walk_step(g: Graph, frontier: int) -> int:
     return out
 
 
-def n_exact(g: Graph, members: int, d: int) -> int:
+def n_exact(g: Graph, members, d: int):
     """Endpoints of walks of length exactly ``d`` starting inside ``members``."""
-    if d < 0:
-        raise ValueError("walk length must be nonnegative")
-    frontier = members
-    for _ in range(d):
-        frontier = _walk_step(g, frontier)
-    return frontier
+    return n_shells(g, members, d)[d]
 
 
-def n_shells(g: Graph, members: int, d: int) -> list[int]:
+def n_shells(g: Graph, members, d: int) -> list:
     """All of ``n_exact(g, members, t)`` for t in 0..d, computed in one sweep.
 
+    ``members`` is a bitmask or a boolean array over V(g), and the shells
+    come back in the same form.  Each step is one frontier sweep over the
+    edge arrays, in both orientations, so its cost is linear in |V| + |E|.
     The deep-region builds ask for every shell of the same seed set, so a
     single pass beats d separate restarts.
     """
     if d < 0:
         raise ValueError("walk length must be nonnegative")
-    shells = [members]
+    frontier = vertex_flags(g, members)
+    eu, ev = edge_arrays(g)
+    shells = [frontier]
     for _ in range(d):
-        shells.append(_walk_step(g, shells[-1]))
-    return shells
+        frontier = np.zeros(g.n, dtype=bool)
+        frontier[ev[shells[-1][eu]]] = True
+        frontier[eu[shells[-1][ev]]] = True
+        shells.append(frontier)
+    if isinstance(members, np.ndarray):
+        return shells
+    return [mask_from(np.flatnonzero(s)) for s in shells]
 
 
-def n_upto(g: Graph, members: int, d: int) -> int:
+def n_upto(g: Graph, members, d: int):
     """Union of ``n_exact`` over all lengths ``0..d``."""
-    acc = 0
-    for shell in n_shells(g, members, d):
-        acc |= shell
-    return acc
+    return reduce(or_, n_shells(g, members, d))
 
 
 def gamma_power(g: Graph, d: int) -> Graph:
@@ -201,6 +210,22 @@ def omega_vertex_count(n: int, d: int) -> int:
     return n * ((d + 1) ** (n - 1) - d ** (n - 1))
 
 
+def _omega_digits(n: int, d: int) -> np.ndarray:
+    """The valid tuples as rows of a (vertices, n) int8 array, in
+    lexicographic order, checked against the closed-form count."""
+    if n < 2 or d < 1:
+        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
+    digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1).T
+    valid = ((digits == 0).sum(axis=1) == 1) & (digits == 1).any(axis=1)
+    digits = digits[valid]
+    expect = omega_vertex_count(n, d)
+    if len(digits) != expect:
+        raise RuntimeError(
+            f"tuple enumeration produced {len(digits)} vertices, formula says {expect}"
+        )
+    return digits
+
+
 def omega_tuple_vertices(n: int, d: int) -> list[tuple[int, ...]]:
     """All valid tuples in lexicographic order.
 
@@ -208,38 +233,16 @@ def omega_tuple_vertices(n: int, d: int) -> list[tuple[int, ...]]:
     lexicographic order pins vertex indices, keeping every downstream label,
     coloring and certificate reproducible.
     """
-    if n < 2 or d < 1:
-        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
-    verts = [
-        x
-        for x in product(range(d + 2), repeat=n)
-        if x.count(0) == 1 and 1 in x
-    ]
-    expect = omega_vertex_count(n, d)
-    if len(verts) != expect:
-        raise RuntimeError(
-            f"tuple enumeration produced {len(verts)} vertices, formula says {expect}"
-        )
-    return verts
+    return list(map(tuple, _omega_digits(n, d).tolist()))
 
 
-def _tuple_partner_options(x: tuple[int, ...], zero_at: int, d: int) -> list[list[int]]:
-    # Coordinate menus for a neighbor whose unique 0 sits at zero_at
-    # (which requires x[zero_at] == 1).  Everywhere else 0 is excluded,
-    # so every generated tuple is a valid vertex.
-    opts: list[list[int]] = []
-    for j, xj in enumerate(x):
-        if j == zero_at:
-            opts.append([0])
-        elif xj == 0:
-            opts.append([1])
-        elif xj == d + 1:
-            opts.append([d, d + 1])
-        elif xj == 1:
-            opts.append([2])
-        else:
-            opts.append([xj - 1, xj + 1])
-    return opts
+def _tuple_partner_menus(xj: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # Coordinate menus (low, high) for a neighbor off the new zero's
+    # position: 0 -> 1, 1 -> 2, d+1 -> {d, d+1}, otherwise one step either
+    # way.  0 is never offered, so every generated tuple is a valid vertex.
+    low = np.where(xj == 0, 1, np.where(xj == 1, 2, np.where(xj == d + 1, d, xj - 1)))
+    high = np.where(xj == 0, 1, np.where(xj == 1, 2, np.minimum(xj + 1, d + 1)))
+    return low, high
 
 
 @dataclass
@@ -265,24 +268,40 @@ class OmegaGraph:
 def omega_tuples(n: int, d: int) -> OmegaGraph:
     """Build the tuple adjoint of K_n at half width d.
 
-    Edges come from a per-vertex constructive enumeration: for each tuple and
-    each coordinate holding a 1, walk every coordinate one step up or down
-    (or hold at d+1).  Every tuple generated that way is a valid neighbor, so
-    total work is proportional to the number of edges, not to the square of
-    the order.
+    Tuples are coded as base-(d+2) integers, so lexicographic order is
+    numeric order.  Edges come from a constructive enumeration, vectorized
+    over all vertices at once: for each coordinate holding a 1 (the
+    neighbor's zero), every other coordinate takes each value on its menu,
+    one step up or down (or holds at d+1).  Every tuple generated that way is
+    a valid neighbor, so total work is proportional to the number of edges,
+    not to the square of the order.
     """
-    verts = omega_tuple_vertices(n, d)
-    index = {t: i for i, t in enumerate(verts)}
-    edges: list[tuple[int, int]] = []
-    for ix, x in enumerate(verts):
-        for zero_at, xi in enumerate(x):
-            if xi != 1:
+    digits = _omega_digits(n, d)
+    weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = digits.astype(np.int64) @ weights
+    sources, targets = [], []
+    for zero_at in range(n):
+        src = np.flatnonzero(digits[:, zero_at] == 1)
+        code = np.zeros(src.size, dtype=np.int64)
+        for j in range(n):
+            if j == zero_at:
                 continue
-            for y in product(*_tuple_partner_options(x, zero_at, d)):
-                iy = index[y]
-                if iy > ix:
-                    edges.append((ix, iy))
-    g = new_graph(len(verts), edges, f"omega({n},{d})")
+            low, high = _tuple_partner_menus(digits[src, j].astype(np.int64), d)
+            reps = 1 + (low != high)
+            take_high = np.zeros(int(reps.sum()), dtype=bool)
+            take_high[np.cumsum(reps)[reps == 2] - 1] = True
+            src, code = np.repeat(src, reps), np.repeat(code, reps)
+            code += np.where(take_high, np.repeat(high, reps), np.repeat(low, reps)) * weights[j]
+        dst = np.searchsorted(codes, code)
+        if not np.array_equal(codes[np.minimum(dst, codes.size - 1)], code):
+            raise RuntimeError("tuple adjoint enumeration left the vertex set")
+        keep = dst > src
+        sources.append(src[keep].astype(np.int32))
+        targets.append(dst[keep].astype(np.int32))
+    edges = np.column_stack((np.concatenate(sources), np.concatenate(targets)))
+    g = new_graph(len(digits), edges, f"omega({n},{d})")
+    verts = list(map(tuple, digits.tolist()))
+    index = {t: i for i, t in enumerate(verts)}
     return OmegaGraph(graph=g, tuples=verts, n=n, d=d, index=index)
 
 

@@ -1,15 +1,22 @@
-"""Loopy undirected graphs on dense integer vertices, stored as bitset rows.
+"""Loopy undirected graphs on dense integer vertices, at two scales.
 
-Row ``adj[v]`` is a Python int whose bit ``u`` is set iff ``uv`` is an edge;
-bit ``v`` itself marks a loop.  Arbitrary-precision ints make row operations
-word-parallel, which the walk sweeps and independence checks elsewhere in the
-package lean on.  Graphs are treated as immutable once built; no function here
-mutates a published instance, so instances can be shared freely between
-threads.
+Every graph keeps bitset rows: ``adj[v]`` is a Python int whose bit ``u`` is
+set iff ``uv`` is an edge; bit ``v`` itself marks a loop.  The exact searches,
+the isomorphism test, walk powers and products run on those rows, where
+word-parallel row algebra over a few hundred vertices is the cheapest form.
 
-Vertex sets are plain ints used as bitmasks over ``0..n-1``.  Any labels
-(tuples, subsets) live in side tables kept by the callers; this module only
-ever sees dense integers.
+Vertex sets on host-scale graphs (tens of thousands of vertices) are numpy
+arrays instead: a boolean membership array over ``0..n-1``, or an ascending
+index array, checked against the edge list held as the two int32 endpoint
+arrays of ``edge_arrays``.  Shell sweeps, independence checks, function
+tables and hashing all run that way, in time linear in |V| + |E|.  Where a
+public function takes or returns a Python-int bitmask, ``mask_indices`` and
+``mask_from`` convert at the boundary, each linear in the mask's width.
+
+Graphs are treated as immutable once built; the edge arrays and the hash are
+computed once per instance and cached on it, so instances can be shared
+freely between threads.  Any labels (tuples, subsets) live in side tables
+kept by the callers; this module only ever sees dense integers.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ __all__ = [
     "Graph",
     "new_graph",
     "mask_from",
+    "mask_indices",
+    "vertex_flags",
     "iter_bits",
     "neighbors",
     "is_independent",
@@ -34,17 +43,49 @@ __all__ = [
     "edge_arrays",
 ]
 
+# Edges per slice when a host-scale edge list is streamed as Python objects
+# or text; bounds the transient memory of ``edges()`` and the hash.
+_CHUNK = 1 << 14
+
+# Bytes of packed rows assembled at a time while building bitset rows.
+_ROW_BLOCK = 1 << 20
+
+
+def mask_indices(mask: int) -> np.ndarray:
+    """Set bit positions of ``mask``, ascending, as an int64 array.
+
+    Linear in the mask's width: one ``to_bytes`` and one ``unpackbits``.
+    """
+    if mask < 0:
+        raise ValueError("vertex masks are nonnegative")
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
 
 def mask_from(vertices: Iterable[int]) -> int:
-    """Bitmask with one bit per listed vertex."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    """Bitmask with one bit per listed vertex (an iterable or an index array).
+
+    Linear in the largest index: one ``packbits`` and one ``from_bytes``.
+    """
+    if isinstance(vertices, np.ndarray):
+        idx = vertices.astype(np.int64, copy=False).ravel()
+    else:
+        idx = np.fromiter(vertices, dtype=np.int64)
+    if idx.size == 0:
+        return 0
+    if idx.min() < 0:
+        raise ValueError("vertex indices are nonnegative")
+    bits = np.zeros(int(idx.max()) + 1, dtype=np.uint8)
+    bits[idx] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """Yield the set bit positions of ``mask`` in ascending order.
+
+    One big-int step per set bit, so it suits the sparse rows the searches
+    walk; a wide vertex set goes through ``mask_indices`` instead.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -54,14 +95,15 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``."""
 
-    __slots__ = ("n", "adj", "label", "_m", "_earrays")
+    __slots__ = ("n", "adj", "label", "_m", "_earrays", "_sha")
 
     def __init__(self, n: int, adj: list[int], label: str | None = None):
         self.n = n
         self.adj = adj
         self.label = label
         self._m: int | None = None
-        self._earrays = None
+        self._earrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._sha: str | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -88,10 +130,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u <= v``, ascending."""
-        for u in range(self.n):
-            row = self.adj[u] >> u  # keep v >= u only
-            for off in iter_bits(row):
-                yield (u, u + off)
+        eu, ev = edge_arrays(self)
+        for lo in range(0, eu.size, _CHUNK):
+            yield from zip(eu[lo : lo + _CHUNK].tolist(), ev[lo : lo + _CHUNK].tolist())
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,21 +149,79 @@ class Graph:
         return f"<Graph{tag} n={self.n} m={self.edge_count}>"
 
 
-def new_graph(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
-    """Build a graph from an edge list.
+def _rows_from_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> list[int]:
+    """Bitset rows of the symmetric closure of a canonical edge list.
+
+    Arcs are sorted by (source, target) and OR-ed into packed bytes, one
+    block of rows at a time, so the cost is linear in the rows' total width
+    plus the edge count, and the transient buffer stays near ``_ROW_BLOCK``.
+    """
+    inner = eu != ev
+    src = np.concatenate((eu, ev[inner]))
+    dst = np.concatenate((ev, eu[inner]))
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    del order
+    counts = np.bincount(src, minlength=n)
+    width = np.zeros(n, dtype=np.int64)
+    filled = counts > 0
+    width[filled] = (dst[np.cumsum(counts)[filled] - 1] >> 3) + 1
+    offsets = np.concatenate(([0], np.cumsum(width)))
+
+    byte = dst >> 3
+    first = np.ones(src.size, dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (byte[1:] != byte[:-1])
+    starts = np.flatnonzero(first)
+    bits = np.left_shift(1, (dst & 7).astype(np.uint8))
+    values = np.bitwise_or.reduceat(bits, starts) if starts.size else bits
+    where = offsets[src[starts]] + byte[starts]
+    del src, dst, byte, first, starts, bits
+
+    rows: list[int] = []
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + _ROW_BLOCK, "right")) - 1)
+        hi = min(hi, n)
+        base = int(offsets[lo])
+        buf = np.zeros(int(offsets[hi]) - base, dtype=np.uint8)
+        a, b = np.searchsorted(where, (base, offsets[hi]))
+        buf[where[a:b] - base] = values[a:b]
+        view = memoryview(buf)
+        cuts = (offsets[lo : hi + 1] - base).tolist()
+        rows.extend(int.from_bytes(view[x:y], "little") for x, y in zip(cuts, cuts[1:]))
+        lo = hi
+    return rows
+
+
+def new_graph(
+    n: int,
+    edges: Iterable[tuple[int, int]] | np.ndarray,
+    label: str | None = None,
+) -> Graph:
+    """Build a graph from an edge list: an iterable of pairs or an (m, 2) array.
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
-    loops.  Raises ValueError on an endpoint outside ``0..n-1``.
+    loops.  Raises ValueError on an endpoint outside ``0..n-1``.  The
+    canonical edge arrays (ascending, ``u <= v``) are cached on the result.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    adj = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, adj, label)
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be pairs of vertices")
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if outside.size:
+        u, v = pairs[outside[0]].tolist()
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    eu = (keys // max(n, 1)).astype(np.int32)
+    ev = (keys % max(n, 1)).astype(np.int32)
+    g = Graph(n, _rows_from_edges(n, eu, ev), label)
+    g._earrays = (eu, ev)
+    g._m = int(keys.size)
+    return g
 
 
 def neighbors(g: Graph, v: int) -> int:
@@ -130,12 +229,28 @@ def neighbors(g: Graph, v: int) -> int:
     return g.adj[v]
 
 
-def is_independent(g: Graph, members: int) -> bool:
-    """True iff no edge, loops included, joins two vertices of ``members``."""
-    for v in iter_bits(members):
-        if g.adj[v] & members:
-            return False
-    return True
+def vertex_flags(g: Graph, members) -> np.ndarray:
+    """Boolean membership array over V(g).
+
+    ``members`` is a bitmask, converted here, or already such an array,
+    returned as it is.
+    """
+    if isinstance(members, np.ndarray):
+        return members
+    flags = np.zeros(g.n, dtype=bool)
+    flags[mask_indices(members)] = True
+    return flags
+
+
+def is_independent(g: Graph, members) -> bool:
+    """True iff no edge, loops included, joins two vertices of ``members``.
+
+    ``members`` is a bitmask or a boolean array over V(g); either way the
+    check is one gather over the edge arrays.
+    """
+    inside = vertex_flags(g, members)
+    eu, ev = edge_arrays(g)
+    return not (inside[eu] & inside[ev]).any()
 
 
 def induced_subgraph(g: Graph, members: int) -> tuple[Graph, dict[int, int]]:
@@ -157,12 +272,15 @@ def induced_subgraph(g: Graph, members: int) -> tuple[Graph, dict[int, int]]:
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays ``(eu, ev)`` listing every edge once, loops included.
 
-    Cached on the graph; used by the bulk adjacency checks that compare
-    function tables along every edge at once.
+    Ascending by ``(u, v)`` with ``u <= v``, int32.  Graphs from ``new_graph``
+    carry them from construction; for graphs built from rows they are read
+    off the rows once and cached.
     """
     if g._earrays is None:
-        eu = np.fromiter((u for u, _ in g.edges()), dtype=np.int32, count=g.edge_count)
-        ev = np.fromiter((v for _, v in g.edges()), dtype=np.int32, count=g.edge_count)
+        heads = [mask_indices(row >> u) + u for u, row in enumerate(g.adj)]
+        sizes = [h.size for h in heads]
+        eu = np.repeat(np.arange(g.n, dtype=np.int32), sizes)
+        ev = np.concatenate(heads).astype(np.int32) if heads else np.zeros(0, np.int32)
         g._earrays = (eu, ev)
     return g._earrays
 
@@ -320,6 +438,19 @@ def parse_dimacs(text: str) -> Graph:
     return new_graph(n, edges)
 
 
+def _dimacs_lines(g: Graph) -> Iterator[str]:
+    """The canonical DIMACS body in text chunks: the problem line, then the
+    sorted ``e`` lines, ``_CHUNK`` edges at a time."""
+    yield f"p edge {g.n} {g.edge_count}\n"
+    eu, ev = edge_arrays(g)
+    for lo in range(0, eu.size, _CHUNK):
+        ends = np.empty((min(_CHUNK, eu.size - lo), 2), dtype=np.int64)
+        ends[:, 0] = eu[lo : lo + _CHUNK]
+        ends[:, 1] = ev[lo : lo + _CHUNK]
+        ends += 1
+        yield ("e %d %d\n" * len(ends)) % tuple(ends.ravel().tolist())
+
+
 def emit_dimacs(g: Graph, *, comment: str | None = None) -> str:
     """Canonical DIMACS emission: sorted ``e`` lines, 1-based, ``u <= v``.
 
@@ -329,16 +460,23 @@ def emit_dimacs(g: Graph, *, comment: str | None = None) -> str:
     out = []
     if comment is not None:
         for piece in comment.splitlines() or [""]:
-            out.append(f"c {piece}".rstrip())
-    out.append(f"p edge {g.n} {g.edge_count}")
-    for u, v in g.edges():
-        out.append(f"e {u + 1} {v + 1}")
-    return "\n".join(out) + "\n"
+            out.append(f"c {piece}".rstrip() + "\n")
+    out.extend(_dimacs_lines(g))
+    return "".join(out)
 
 
 def graph_sha256(g: Graph) -> str:
-    """SHA-256 of the canonical DIMACS emission (no comments)."""
-    return hashlib.sha256(emit_dimacs(g).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical DIMACS emission (no comments).
+
+    The text is hashed as it streams, never held whole, and the digest is
+    cached on the instance.
+    """
+    if g._sha is None:
+        digest = hashlib.sha256()
+        for text in _dimacs_lines(g):
+            digest.update(text.encode("ascii"))
+        g._sha = digest.hexdigest()
+    return g._sha
 
 
 def emit_dot(g: Graph, labels: list[str] | None = None) -> str:

@@ -3,7 +3,9 @@
 A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
 keeps its exact-distance-d neighborhood independent.  Four equivalent tests
 are exposed (``check_wide``); the cheap one, condition 2, is the production
-path on the large adjoint graphs.  ``zero_position_coloring`` produces the
+path on the large adjoint graphs, where each color class is a boolean array
+read off ``WideColoring.pair_array`` and its shell is checked by one gather
+over the edge arrays.  ``zero_position_coloring`` produces the
 canonical wide coloring of an omega graph over a complete base, and
 ``adjunction_holds`` cross-checks "gamma_d G maps to H iff G maps to
 omega_d H" exhaustively at small scale.
@@ -14,7 +16,10 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from .families import OmegaGraph, gamma_power, n_shells, omega_sets, omega_tuples
 from .graphs import Graph, graph_sha256, is_independent, mask_from
@@ -66,19 +71,33 @@ class WideColoring:
     def beta(self, v: int) -> int:
         return self.pairs[v][1]
 
+    @cached_property
+    def pair_array(self) -> np.ndarray:
+        """Read-only (vertices, 2) int array of the pairs."""
+        arr = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        arr.flags.writeable = False
+        return arr
+
+    def class_set(self, a: int, b: int | None = None) -> np.ndarray:
+        """Boolean membership array of class (a, b), or of every class with
+        first coordinate a when ``b`` is None."""
+        members = self.pair_array[:, 0] == a
+        if b is not None:
+            members &= self.pair_array[:, 1] == b
+        return members
+
     def class_mask(self, a: int, b: int) -> int:
-        return mask_from(v for v, p in enumerate(self.pairs) if p == (a, b))
+        return mask_from(np.flatnonzero(self.class_set(a, b)))
 
     def alpha_mask(self, a: int) -> int:
-        return mask_from(v for v, p in enumerate(self.pairs) if p[0] == a)
+        return mask_from(np.flatnonzero(self.class_set(a)))
 
     def class_masks(self) -> list[tuple[tuple[int, int], int]]:
-        buckets: dict[tuple[int, int], int] = {
-            (a, b): 0 for a in range(1, self.n + 1) for b in range(1, self.k + 1)
-        }
-        for v, p in enumerate(self.pairs):
-            buckets[p] |= 1 << v
-        return sorted(buckets.items())
+        return [
+            ((a, b), self.class_mask(a, b))
+            for a in range(1, self.n + 1)
+            for b in range(1, self.k + 1)
+        ]
 
     def to_json(self) -> str:
         doc = {
@@ -125,24 +144,20 @@ def _condition_one(g: Graph, wc: WideColoring) -> bool:
     return verify_coloring(power, flat, wc.n * wc.k)
 
 
-def _condition_on_class(g: Graph, members: int, d: int, condition: int) -> bool:
+def _condition_on_class(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
     shells = n_shells(g, members, d)
     if condition == 2:
         return is_independent(g, shells[d])
     if condition == 3:
         return all(is_independent(g, s) for s in shells)
-    even = odd = 0
-    for t, s in enumerate(shells):
-        if t % 2 == 0:
-            even |= s
-        else:
-            odd |= s
+    even = np.logical_or.reduce(shells[0::2])
+    odd = np.logical_or.reduce(shells[1::2] or [np.zeros(g.n, dtype=bool)])
     # The equivalent bipartiteness statement: split the reach-<=d region by
     # walk-length parity and demand a genuine bipartition.  Checking abstract
     # 2-colorability of that region instead would accept colorings the other
     # conditions reject (a 4-path with both endpoints in one class already
     # separates them at d=1), so the fixed parity split is the faithful test.
-    return even & odd == 0 and is_independent(g, even) and is_independent(g, odd)
+    return not (even & odd).any() and is_independent(g, even) and is_independent(g, odd)
 
 
 def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int = 1) -> bool:
@@ -152,12 +167,12 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
         raise ValueError("condition must be 1, 2, 3 or 4")
     if condition == 1:
         return _condition_one(g, wc)
-    masks = [m for _, m in wc.class_masks()]
+    classes = [wc.class_set(a, b) for a in range(1, wc.n + 1) for b in range(1, wc.k + 1)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda m: _condition_on_class(g, m, wc.d, condition), masks)
+            results = pool.map(lambda m: _condition_on_class(g, m, wc.d, condition), classes)
             return all(results)
-    return all(_condition_on_class(g, m, wc.d, condition) for m in masks)
+    return all(_condition_on_class(g, m, wc.d, condition) for m in classes)
 
 
 def zero_position_coloring(

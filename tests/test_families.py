@@ -22,6 +22,8 @@ from hedcex.families import (
     omega_vertex_count,
     tensor_product,
 )
+import numpy as np
+
 from hedcex.graphs import is_isomorphic, mask_from
 from oracles import exact_shell, walk_matrix
 
@@ -92,10 +94,12 @@ def test_shells_match_oracle():
         d = rng.randint(0, 4)
         shells = n_shells(g, members, d)
         assert len(shells) == d + 1
+        flags = n_shells(g, np.array([members >> v & 1 for v in range(g.n)], dtype=bool), d)
         acc = 0
         for i, shell in enumerate(shells):
             assert shell == exact_shell(g, members, i)
             assert shell == n_exact(g, members, i)
+            assert shell == mask_from(np.flatnonzero(flags[i]))
             acc |= shell
         assert acc == n_upto(g, members, d)
 

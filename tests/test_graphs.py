@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from conftest import random_graph
+from hedcex import graphs
 from hedcex.graphs import (
+    Graph,
+    edge_arrays,
     emit_dimacs,
     emit_dot,
     graph_sha256,
@@ -14,15 +19,40 @@ from hedcex.graphs import (
     is_isomorphic,
     iter_bits,
     mask_from,
+    mask_indices,
     new_graph,
     parse_dimacs,
 )
+
+
+def random_loopy_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return new_graph(n, [(u, v) for u in range(n) for v in range(u, n) if rng.random() < p])
 
 
 def test_mask_round_trip():
     assert mask_from([0, 3, 5]) == 0b101001
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[], [0], [1 << 16], [3, 65535, 65536, 131071], list(range(0, 1 << 17, 977))],
+)
+def test_mask_boundary_round_trip(indices):
+    mask = sum(1 << v for v in indices)
+    assert mask_from(indices) == mask
+    assert mask_from(np.array(indices, dtype=np.int64)) == mask
+    assert mask_indices(mask).tolist() == indices
+    assert mask_from(mask_indices(mask)) == mask
+    assert list(iter_bits(mask)) == indices
+
+
+def test_mask_boundary_rejects_negatives():
+    with pytest.raises(ValueError):
+        mask_indices(-1)
+    with pytest.raises(ValueError):
+        mask_from([2, -1])
 
 
 def test_new_graph_basics():
@@ -91,6 +121,47 @@ def test_sha_ignores_edge_order():
     assert graph_sha256(a) == graph_sha256(b)
     c = new_graph(4, [(0, 1), (1, 2), (0, 3)])
     assert graph_sha256(a) != graph_sha256(c)
+
+
+def test_dimacs_and_sha_pinned_on_a_loopy_graph():
+    g = new_graph(5, [(4, 1), (0, 0), (1, 3), (3, 3), (0, 1), (2, 4), (1, 0)])
+    body = "p edge 5 6\ne 1 1\ne 1 2\ne 2 4\ne 2 5\ne 3 5\ne 4 4\n"
+    assert emit_dimacs(g) == body
+    assert emit_dimacs(g, comment="loopy\nfive") == "c loopy\nc five\n" + body
+    sha = "5b6f8fe620b02df1b483c06fc824bba74307f0ab2f44c5237a99270f454b138b"
+    assert graph_sha256(g) == sha
+    assert graph_sha256(Graph(g.n, list(g.adj))) == sha
+
+
+def test_rows_match_the_bitwise_build(monkeypatch):
+    # A tiny row block makes every graph span many blocks.
+    monkeypatch.setattr(graphs, "_ROW_BLOCK", 3)
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(0, 90)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        assert new_graph(n, edges).adj == rows
+
+
+@given(st.integers(0, 40), st.data())
+def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    g = random_loopy_graph(rng, n, 0.3)
+    expect = [(u, v) for u in range(n) for v in range(u, n) if g.has_edge(u, v)]
+    assert g.edge_count == len(expect)
+    for h in (g, Graph(n, list(g.adj))):  # cached at construction, and read off rows
+        assert list(h.edges()) == expect
+        eu, ev = edge_arrays(h)
+        assert list(zip(eu.tolist(), ev.tolist())) == expect
+    members = mask_from(v for v in range(n) if rng.random() < 0.3)
+    flags = np.zeros(n, dtype=bool)
+    flags[list(iter_bits(members))] = True
+    brute = not any(members >> u & 1 and members >> v & 1 for u, v in expect)
+    assert is_independent(g, members) == is_independent(g, flags) == brute
 
 
 def test_dot_output_mentions_labels():
