@@ -236,6 +236,8 @@ def vertex_flags(g: Graph, members) -> np.ndarray:
     returned as it is.
     """
     if isinstance(members, np.ndarray):
+        if members.dtype != bool or members.shape != (g.n,):
+            raise ValueError(f"vertex set arrays are boolean of shape ({g.n},)")
         return members
     flags = np.zeros(g.n, dtype=bool)
     flags[mask_indices(members)] = True

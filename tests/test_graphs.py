@@ -48,11 +48,15 @@ def test_mask_boundary_round_trip(indices):
     assert list(iter_bits(mask)) == indices
 
 
-def test_mask_boundary_rejects_negatives():
+def test_boundary_rejects_bad_vertex_sets():
     with pytest.raises(ValueError):
         mask_indices(-1)
     with pytest.raises(ValueError):
         mask_from([2, -1])
+    g = new_graph(3, [(0, 1)])
+    for bad in (np.array([0, 1]), np.zeros(2, dtype=bool), np.zeros((3, 1), dtype=bool)):
+        with pytest.raises(ValueError):
+            is_independent(g, bad)
 
 
 def test_new_graph_basics():
