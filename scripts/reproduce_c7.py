@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Rebuild and verify the 7-coloring counterexample over the 16472-vertex
-host, then drop the artifacts into a directory.  Expect a couple of minutes
-single-threaded; --threads 4 brings it well under one.
+host, then drop the artifacts into a directory.  Expect a few seconds;
+--threads is accepted for compatibility, and the pipeline does not use it.
 """
 
 import argparse

@@ -15,6 +15,7 @@ from .counterexample import (
     VARIANTS,
     build_counterexample,
     build_special_family,
+    collision_matrix,
     exp_adjacent,
     parameter_check,
     params_for,

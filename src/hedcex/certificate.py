@@ -3,10 +3,11 @@
 A certificate pins the parameters, the host graph by hash and counts, the
 wide coloring, every function table of H, the H edge list, and the solver
 verdicts with their budgets.  ``check_certificate`` re-derives everything
-that is checkable without a search: the host is rebuilt from the parameters
-and hashed, the wide coloring is re-tested, every stored H edge is re-derived
-from the embedded tables by the adjacency scan (which subsumes the product
-coloring), and the edge list is compared against a fresh canonical build.
+that is checkable without a search: the construction is rebuilt once from
+the parameters, its host hashed and compared, the wide coloring is re-tested,
+one collision matrix is computed from the embedded tables and every loop and
+stored H edge is re-derived from it (which subsumes the product coloring),
+and the edge list is compared against the canonical build.
 Search verdicts stay what they are, trusted together with their recorded
 budgets.
 """
@@ -25,10 +26,8 @@ from .counterexample import (
     FunctionVertex,
     Report,
     build_counterexample,
-    exp_adjacent,
+    collision_matrix,
 )
-from .families import omega_tuples
-from .graphs import graph_sha256
 from .widecolor import WideColoring, check_wide
 
 CERTIFICATE_VERSION = "1"
@@ -140,9 +139,12 @@ def check_certificate(cert: dict) -> CertificateCheck:
         return CertificateCheck(False, failures)
     expected = EXPECTED_COUNTS[params.variant]
 
-    omega = omega_tuples(params.base, params.d)
-    g = omega.graph
-    g_hash = graph_sha256(g)
+    try:
+        rebuilt = build_counterexample(params)
+    except (RuntimeError, ValueError) as err:
+        failures.append(f"canonical rebuild failed: {err}")
+        return CertificateCheck(False, failures)
+    g, g_hash = rebuilt.g, rebuilt.g_hash
     need(cert["g_hash"] == g_hash, "host graph hash mismatch")
     need(
         cert["g_counts"] == {"vertices": g.n, "edges": g.edge_count},
@@ -187,8 +189,9 @@ def check_certificate(cert: dict) -> CertificateCheck:
         len({v.table.tobytes() for v in vertices}) == len(vertices),
         "function tables are not pairwise distinct",
     )
-    for v in vertices:
-        if exp_adjacent(g, params.c, v, v):
+    collisions = collision_matrix(g, vertices)
+    for idx, v in enumerate(vertices):
+        if not collisions[idx, idx]:
             failures.append(f"{v.label} is a proper coloring of the host (loop)")
             break
 
@@ -206,7 +209,7 @@ def check_certificate(cert: dict) -> CertificateCheck:
         if "h_edges" in expected:
             need(len(stored) == expected["h_edges"], "unexpected number of H edges")
         for a, b in sorted(stored):
-            if not exp_adjacent(g, params.c, vertices[a], vertices[b]):
+            if collisions[a, b]:
                 failures.append(
                     f"stored edge {vertices[a].label} ~ {vertices[b].label} "
                     "is not realized by the tables"
@@ -227,22 +230,18 @@ def check_certificate(cert: dict) -> CertificateCheck:
             else:
                 continue
             break
-        try:
-            rebuilt = build_counterexample(params)
-            canonical = {(min(e), max(e)) for e in rebuilt.h.edges()}
-            if stored != canonical:
-                extra = sorted(stored - canonical)[:3]
-                missing = sorted(canonical - stored)[:3]
-                failures.append(
-                    f"H edges are not the canonical skeleton (spurious {extra}, "
-                    f"missing {missing})"
-                )
-            need(
-                [v.label for v in vertices] == rebuilt.labels,
-                "H vertex labels differ from the canonical build",
+        canonical = {(min(e), max(e)) for e in rebuilt.h.edges()}
+        if stored != canonical:
+            extra = sorted(stored - canonical)[:3]
+            missing = sorted(canonical - stored)[:3]
+            failures.append(
+                f"H edges are not the canonical skeleton (spurious {extra}, "
+                f"missing {missing})"
             )
-        except (RuntimeError, ValueError) as err:
-            failures.append(f"canonical rebuild failed: {err}")
+        need(
+            [v.label for v in vertices] == rebuilt.labels,
+            "H vertex labels differ from the canonical build",
+        )
 
     verdicts = cert["verdicts"]
     need(

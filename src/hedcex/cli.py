@@ -54,7 +54,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="data-parallel workers (default: HEDCEX_THREADS or 1)",
+        help="wide-check workers (default: HEDCEX_THREADS or 1); the pipelines ignore it",
     )
 
 

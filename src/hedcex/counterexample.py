@@ -13,7 +13,9 @@ and returns a machine-readable report.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Unused since the build reads adjacency off one matrix; kept because
+# perfbench/test_perfbench.py asserts this binding until that test drops it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +47,9 @@ CHI_G_ATTRIBUTION = (
 )
 
 _CHUNK = 1 << 18
+
+# Class pairs per float32 product in ``collision_matrix``.
+_PAIR_CHUNK = 1 << 12
 
 
 # -- parameters ---------------------------------------------------------------
@@ -177,22 +182,72 @@ class FunctionVertex:
         return f"FunctionVertex({self.label})"
 
 
-def exp_adjacent(g: Graph, c: int, f: FunctionVertex, w: FunctionVertex) -> bool:
-    """Adjacency in the exponential graph: no color collision across any edge.
-
-    Both orientations of every edge are enforced; f == w answers the loop
-    question (true exactly when the table is a proper c-coloring of g).
-    """
-    ft, wt = f.table, w.table
+def _first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
+    """Position in ``edge_arrays(g)`` of the first edge u-v with ft(u) = wt(v)
+    or ft(v) = wt(u), or None when the two tables never collide."""
     if ft.shape[0] != g.n or wt.shape[0] != g.n:
         raise ValueError("function table does not match the host vertex set")
     eu, ev = edge_arrays(g)
     for lo in range(0, eu.size, _CHUNK):
         u = eu[lo : lo + _CHUNK]
         v = ev[lo : lo + _CHUNK]
-        if ((ft[u] == wt[v]) | (ft[v] == wt[u])).any():
-            return False
-    return True
+        bad = (ft[u] == wt[v]) | (ft[v] == wt[u])
+        if bad.any():
+            return lo + int(np.flatnonzero(bad)[0])
+    return None
+
+
+def exp_adjacent(g: Graph, c: int, f: FunctionVertex, w: FunctionVertex) -> bool:
+    """Adjacency in the exponential graph: no color collision across any edge.
+
+    Both orientations of every edge are enforced; f == w answers the loop
+    question (true exactly when the table is a proper c-coloring of g).  One
+    full scan of E(G) per call: the reference that ``collision_matrix`` is
+    tested against, not what the pipeline runs.
+    """
+    return _first_collision(g, f.table, w.table) is None
+
+
+def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
+    """Every exponential-graph adjacency among ``vertices`` at once.
+
+    Entry [a, b] of the returned (m, m) boolean matrix is True iff some edge
+    u-v of g has a(u) = b(v) in either orientation, so a and b are adjacent
+    exactly where it is False and the diagonal is the loop check.
+
+    Host vertices with the same column of tables are interchangeable here,
+    so the question is asked of a quotient: K column classes, and the P
+    distinct class pairs that host edges realize.  For each color x the
+    class-pair incidences of x are one float32 product per chunk of
+    ``_PAIR_CHUNK`` pairs; its sums never exceed the chunk length, so they
+    are exact, and the chunking keeps the transient memory flat.
+    """
+    m = len(vertices)
+    hit = np.zeros((m, m), dtype=bool)
+    if any(v.table.shape != (g.n,) for v in vertices):
+        raise ValueError("function table does not match the host vertex set")
+    eu, ev = edge_arrays(g)
+    if m == 0 or eu.size == 0:
+        return hit
+    cols = np.stack([v.table for v in vertices], axis=1)
+    _, first, cls = np.unique(
+        cols.view(np.dtype((np.void, m * cols.itemsize))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    q = np.ascontiguousarray(cols[first].T)
+    del cols, first
+    k = q.shape[1]
+    codes = np.unique(cls[eu].astype(np.int64) * k + cls[ev])
+    del cls
+    pa, pb = codes // k, codes % k
+    for x in np.unique(q):
+        flags = (q == x).astype(np.float32)
+        for lo in range(0, codes.size, _PAIR_CHUNK):
+            left = flags[:, pa[lo : lo + _PAIR_CHUNK]]
+            right = flags[:, pb[lo : lo + _PAIR_CHUNK]]
+            hit |= (left @ right.T) > 0
+    return hit | hit.T
 
 
 def _two_valued(n: int, outside: int, inside: int, region: np.ndarray) -> np.ndarray:
@@ -301,6 +356,8 @@ class BuildResult:
     vertices: list[FunctionVertex]
     h: Graph
     g_hash: str
+    #: ``collision_matrix(g, vertices)``: True where two tables collide.
+    collisions: np.ndarray
     issues: list[str] = field(default_factory=list)
 
     @property
@@ -329,9 +386,9 @@ def _skeleton_edges(
     the g's sharing its q and one deepest-level h whose inside value equals
     its own outside value and whose outside value avoids im(g).
 
-    H is deliberately a spanning subgraph of what exp_adjacent would induce
-    on these functions; the build verifies each listed edge against the
-    exponential graph, and extra induced adjacencies are never needed.
+    H is deliberately a spanning subgraph of what the exponential graph
+    induces on these functions; the build verifies each listed edge against
+    the collision matrix, and extra induced adjacencies are never needed.
     """
     c = params.c
     edges: set[tuple[int, int]] = set()
@@ -393,29 +450,6 @@ def _skeleton_edges(
     return sorted(edges)
 
 
-def _first_unreal_edge(
-    g: Graph,
-    c: int,
-    vertices: list[FunctionVertex],
-    edges: list[tuple[int, int]],
-    threads: int,
-) -> tuple[int, int] | None:
-    """First listed H edge that fails the exponential-graph adjacency scan."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(
-                pool.map(lambda e: exp_adjacent(g, c, vertices[e[0]], vertices[e[1]]), edges)
-            )
-        for edge, ok in zip(edges, flags):
-            if not ok:
-                return edge
-        return None
-    for a, b in edges:
-        if not exp_adjacent(g, c, vertices[a], vertices[b]):
-            return a, b
-    return None
-
-
 def build_counterexample(
     params: CounterexampleParams,
     *,
@@ -429,7 +463,9 @@ def build_counterexample(
     edge real in the exponential graph, vertex and edge counts where pinned)
     are asserted; ``strict=False`` records failures in ``issues`` instead of
     raising, which the reading comparison uses to probe a variant without
-    committing to it.
+    committing to it.  Loops and H edges are read off one collision matrix,
+    which the result keeps for the verification items.  ``threads`` is
+    accepted for the callers that pass it; the build no longer uses it.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
@@ -480,14 +516,12 @@ def build_counterexample(
     )
     distinct = len({v.table.tobytes() for v in vertices})
     check(distinct == len(vertices), f"only {distinct} of {len(vertices)} tables are distinct")
-    for v in vertices:
-        check(
-            not exp_adjacent(g, params.c, v, v),
-            f"{v.label} is a proper coloring of the host (loop)",
-        )
+    collisions = collision_matrix(g, vertices)
+    for idx, v in enumerate(vertices):
+        check(collisions[idx, idx], f"{v.label} is a proper coloring of the host (loop)")
 
     edges = _skeleton_edges(params, vertices)
-    unreal = _first_unreal_edge(g, params.c, vertices, edges, threads)
+    unreal = next((e for e in edges if collisions[e]), None)
     check(
         unreal is None,
         "H edge is not an edge of the exponential graph: "
@@ -507,6 +541,7 @@ def build_counterexample(
         vertices=vertices,
         h=h,
         g_hash=graph_sha256(g),
+        collisions=collisions,
         issues=issues,
     )
 
@@ -523,19 +558,17 @@ def product_coloring_violation(
     """First ((H edge), (G edge)) on which the pair coloring collides, if any.
 
     The product coloring sends (v, w) to w's value at v; it is proper on the
-    tensor product exactly when every H edge passes the full two-orientation
-    scan over E(G).  The product itself is never materialized.
+    tensor product exactly when no H edge joins two colliding tables.  The
+    first colliding H edge is read off ``collision_matrix``; only that pair
+    is scanned over E(G) for the witness.  The product itself is never
+    materialized.
     """
-    eu, ev = edge_arrays(g)
+    collisions = collision_matrix(g, vertices)
     for a, b in h.edges():
-        ft, wt = vertices[a].table, vertices[b].table
-        for lo in range(0, eu.size, _CHUNK):
-            u = eu[lo : lo + _CHUNK]
-            v = ev[lo : lo + _CHUNK]
-            bad = (ft[u] == wt[v]) | (ft[v] == wt[u])
-            if bad.any():
-                at = int(np.flatnonzero(bad)[0]) + lo
-                return (a, b), (int(eu[at]), int(ev[at]))
+        if collisions[a, b]:
+            at = _first_collision(g, vertices[a].table, vertices[b].table)
+            eu, ev = edge_arrays(g)
+            return (a, b), (int(eu[at]), int(ev[at]))
     return None
 
 
@@ -554,15 +587,14 @@ def chain_check(
     depths: range = range(1, 5),
 ) -> tuple[bool, int, tuple[str, str] | None]:
     """Exponential-graph adjacency between consecutive h levels whenever
-    i != i', j != j' and i != j'.  Checked against the adjacency scan itself,
-    not against H, since H keeps only one predecessor per vertex.  Returns
+    i != i', j != j' and i != j'.  Read off the build's collision matrix,
+    not off H, since H keeps only one predecessor per vertex.  Returns
     (all hold, pairs checked, first failing label pair).
     """
     by_depth: dict[int, list[int]] = {}
     for idx, v in enumerate(build.vertices):
         if v.role[:2] == ("h", q):
             by_depth.setdefault(v.role[2], []).append(idx)
-    g, c = build.g, build.params.c
     checked = 0
     for d in depths:
         for a in by_depth.get(d, ()):
@@ -572,7 +604,7 @@ def chain_check(
                 if i == i2 or j == j2 or i == j2:
                     continue
                 checked += 1
-                if not exp_adjacent(g, c, build.vertices[a], build.vertices[b]):
+                if build.collisions[a, b]:
                     return False, checked, (build.vertices[a].label, build.vertices[b].label)
     return True, checked, None
 
@@ -671,7 +703,9 @@ def verify_counterexample(
     c-colorable, the product coloring, and the lemma-level edge facts.  The
     host's own chromatic excess is budgeted separately: a completed search
     upgrades it to machine-checked, an exhausted one defers to the published
-    identity for omega graphs over complete bases.
+    identity for omega graphs over complete bases.  Every adjacency item is
+    read off the build's collision matrix; ``threads`` is passed to the
+    build, which no longer uses it.
     """
     items: list[ReportItem] = []
     budgets = {"search": _budget_dict(budget), "chi_g": _budget_dict(chi_g_budget)}
@@ -743,7 +777,10 @@ def verify_counterexample(
             ReportItem("chi_h", None, {"colors": c, "nodes": chi_h.nodes, "reason": chi_h.reason})
         )
 
-    witness = product_coloring_violation(g, build.vertices, h, c)
+    collisions = build.collisions
+    witness = None
+    if any(collisions[e] for e in h.edges()):
+        witness = product_coloring_violation(g, build.vertices, h, c)
     checks = 2 * h.edge_count * g.edge_count
     if witness is None:
         items.append(ReportItem("product_coloring", True, {"ordered_checks": checks}))
@@ -775,8 +812,8 @@ def verify_counterexample(
         for i in range(1, c + 1):
             if idx == i - 1:
                 continue
-            expect_edge = i not in image
-            if exp_adjacent(g, c, build.vertices[i - 1], w) != expect_edge:
+            adjacent = not collisions[i - 1, idx]
+            if adjacent != (i not in image):
                 bad_const = (i, w.label)
                 break
         if bad_const:
@@ -793,11 +830,7 @@ def verify_counterexample(
     level_one = [
         idx for idx, v in enumerate(build.vertices) if v.role[0] == "h" and v.role[2] == 1
     ]
-    missing = [
-        build.vertices[i].label
-        for i in level_one
-        if not exp_adjacent(g, c, build.vertices[f_idx], build.vertices[i])
-    ]
+    missing = [build.vertices[i].label for i in level_one if collisions[f_idx, i]]
     items.append(
         ReportItem(
             "h1_adjacent_f",
@@ -811,7 +844,7 @@ def verify_counterexample(
         g_idx = build.index_of(("g", q))
         for x in range(len(g_idx)):
             for y in range(x + 1, len(g_idx)):
-                if not exp_adjacent(g, c, build.vertices[g_idx[x]], build.vertices[g_idx[y]]):
+                if collisions[g_idx[x], g_idx[y]]:
                     bad_clique = (build.vertices[g_idx[x]].label, build.vertices[g_idx[y]].label)
         if bad_clique:
             break

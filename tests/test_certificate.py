@@ -136,3 +136,13 @@ def test_bad_parameters_fail(c5_cert):
     chk = check_certificate(bad)
     assert not chk
     assert any("parameters" in f for f in chk.failures)
+
+
+def test_collision_on_a_stored_edge_is_named(c5_report, c5_cert):
+    bad = copy.deepcopy(c5_cert)
+    u, v = next(iter(c5_report.build.g.edges()))
+    # const(1) takes const(2)'s color at u, so the two collide across u-v
+    bad["h"][0]["table"][u] = bad["h"][1]["table"][v]
+    chk = check_certificate(bad)
+    assert not chk
+    assert "stored edge const(1) ~ const(2) is not realized by the tables" in chk.failures

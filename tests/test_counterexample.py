@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hedcex.counterexample import (
     CHI_G_ATTRIBUTION,
@@ -7,6 +9,7 @@ from hedcex.counterexample import (
     FunctionVertex,
     build_counterexample,
     chain_check,
+    collision_matrix,
     exp_adjacent,
     parameter_check,
     params_for,
@@ -17,7 +20,7 @@ from hedcex.counterexample import (
     verify_product_coloring,
 )
 from hedcex.families import complete_graph, cycle_graph
-from hedcex.graphs import graph_sha256
+from hedcex.graphs import graph_sha256, new_graph
 from hedcex.solver import SearchBudget
 from oracles import collision_free
 
@@ -99,6 +102,44 @@ def test_const_vs_const_adjacency():
     assert not exp_adjacent(g, 3, c1, fv("c1b", [1] * 5))
 
 
+@st.composite
+def tables_on_a_loopy_graph(draw):
+    """A graph on 1-12 vertices, loops allowed and possibly edgeless, with
+    tables over [c] that repeat host columns and include constants."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 4))
+    slots = [(u, v) for u in range(n) for v in range(u, n)]
+    edges = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    rows = draw(
+        st.lists(st.lists(st.integers(1, c), min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+    for x in draw(st.lists(st.integers(1, c), max_size=2)):
+        rows.append([x] * n)
+    t = np.array(rows, dtype=np.int8)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        t[:, dst] = t[:, src]
+    return new_graph(n, edges), c, [fv(str(i), row) for i, row in enumerate(t)]
+
+
+@given(tables_on_a_loopy_graph())
+def test_collision_matrix_matches_oracle(case):
+    g, c, vertices = case
+    hit = collision_matrix(g, vertices)
+    assert hit.shape == (len(vertices), len(vertices)) and hit.dtype == bool
+    for a, f in enumerate(vertices):
+        for b, w in enumerate(vertices):
+            assert hit[a, b] == (not collision_free(g, c, f.table, w.table))
+
+
+def test_collision_matrix_on_an_edgeless_host():
+    g = new_graph(4, [])
+    vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
+    assert not collision_matrix(g, vertices).any()
+    assert collision_matrix(g, []).shape == (0, 0)
+    with pytest.raises(ValueError):
+        collision_matrix(g, [fv("short", [1, 2])])
+
+
 # -- builds -------------------------------------------------------------------
 
 
@@ -136,6 +177,28 @@ def test_host_hashes_and_edge_counts_pinned(c5_report, c7_report, c5_wide_build)
         assert g.edge_count == edges, variant
         assert builds[variant].g_hash == sha, variant
         assert graph_sha256(g) == sha, variant
+
+
+# Unordered pairs of distinct H vertices the exponential graph joins, under
+# the q reading; no table is a proper coloring of its host.
+ADJACENT_PAIRS = {"c5_refined": 153, "c7": 252, "c5_wide": 4273}
+
+
+def test_collision_matrix_counts_pinned(c5_report, c7_report, c5_wide_build):
+    builds = {"c5_refined": c5_report.build, "c7": c7_report.build, "c5_wide": c5_wide_build}
+    for variant, pairs in ADJACENT_PAIRS.items():
+        hit = builds[variant].collisions
+        assert np.array_equal(hit, hit.T), variant
+        assert np.diag(hit).all(), variant
+        assert int((~hit[np.triu_indices(len(hit), 1)]).sum()) == pairs, variant
+
+
+def test_collision_matrix_matches_scan_on_refined(c5_report):
+    build = c5_report.build
+    hit = build.collisions
+    for a, f in enumerate(build.vertices):
+        for b, w in enumerate(build.vertices[a:], start=a):
+            assert hit[a, b] == (not exp_adjacent(build.g, 5, f, w))
 
 
 def test_h_edges_are_exponential_edges(c5_report):
@@ -183,7 +246,10 @@ def test_build_rejects_wrong_vertex_budget():
     # here through the reading probe instead of monkeypatching
     out = reading_comparison(bad)
     assert out["matching"] == ["q"]
-    assert "issues" in out["readings"]["literal"]
+    assert out["readings"]["literal"]["issues"] == [
+        "H edge is not an edge of the exponential graph: "
+        "h(q=2,d=2,i=4,j=5) ~ g(q=2,d=3,i=5)"
+    ]
 
 
 def test_product_coloring_and_corruption(c5_report):
