@@ -9,7 +9,10 @@ one collision matrix is computed from the embedded tables and every loop and
 stored H edge is re-derived from it (which subsumes the product coloring),
 and the edge list is compared against the canonical build.
 Search verdicts stay what they are, trusted together with their recorded
-budgets.
+budgets.  ``collision_matrix`` is the same kernel the build uses, so the
+check trusts it too; the tests hold it to ``oracles.collision_free`` on
+small graphs and to the one-pair scan ``exp_adjacent`` on the refined
+certificate's loops and stored edges.
 """
 
 from __future__ import annotations

@@ -246,7 +246,7 @@ def _cmd_adjunction(args) -> int:
 def _cmd_build(args) -> int:
     params = cex.params_for(args.variant, reading=args.reading)
     try:
-        build = cex.build_counterexample(params, threads=_threads(args))
+        build = cex.build_counterexample(params)
     except (RuntimeError, ValueError) as err:
         _emit(args, {"variant": args.variant, "error": str(err)}, f"build failed: {err}")
         return EXIT_FAILED
@@ -291,7 +291,6 @@ def _cmd_verify(args) -> int:
         params,
         _budget(args),
         chi_g_budget=chi_g_budget,
-        threads=_threads(args),
     )
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))

@@ -454,7 +454,6 @@ def build_counterexample(
     params: CounterexampleParams,
     *,
     strict: bool = True,
-    threads: int = 1,
 ) -> BuildResult:
     """Assemble the pair (G, H): host omega graph, wide coloring, and the
     skeleton subgraph of the exponential graph on the named functions.
@@ -464,8 +463,7 @@ def build_counterexample(
     are asserted; ``strict=False`` records failures in ``issues`` instead of
     raising, which the reading comparison uses to probe a variant without
     committing to it.  Loops and H edges are read off one collision matrix,
-    which the result keeps for the verification items.  ``threads`` is
-    accepted for the callers that pass it; the build no longer uses it.
+    which the result keeps for the verification items.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
@@ -550,35 +548,27 @@ def build_counterexample(
 
 
 def product_coloring_violation(
-    g: Graph,
-    vertices: list[FunctionVertex],
-    h: Graph,
-    c: int,
+    build: BuildResult,
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """First ((H edge), (G edge)) on which the pair coloring collides, if any.
 
     The product coloring sends (v, w) to w's value at v; it is proper on the
     tensor product exactly when no H edge joins two colliding tables.  The
-    first colliding H edge is read off ``collision_matrix``; only that pair
-    is scanned over E(G) for the witness.  The product itself is never
-    materialized.
+    first colliding H edge is read off the build's collision matrix; only
+    that pair is scanned over E(G) for the witness.  The product itself is
+    never materialized.
     """
-    collisions = collision_matrix(g, vertices)
-    for a, b in h.edges():
-        if collisions[a, b]:
-            at = _first_collision(g, vertices[a].table, vertices[b].table)
-            eu, ev = edge_arrays(g)
-            return (a, b), (int(eu[at]), int(ev[at]))
-    return None
+    edge = next((e for e in build.h.edges() if build.collisions[e]), None)
+    if edge is None:
+        return None
+    a, b = edge
+    at = _first_collision(build.g, build.vertices[a].table, build.vertices[b].table)
+    eu, ev = edge_arrays(build.g)
+    return edge, (int(eu[at]), int(ev[at]))
 
 
-def verify_product_coloring(
-    g: Graph,
-    vertices: list[FunctionVertex],
-    h: Graph,
-    c: int,
-) -> bool:
-    return product_coloring_violation(g, vertices, h, c) is None
+def verify_product_coloring(build: BuildResult) -> bool:
+    return product_coloring_violation(build) is None
 
 
 def chain_check(
@@ -704,8 +694,8 @@ def verify_counterexample(
     host's own chromatic excess is budgeted separately: a completed search
     upgrades it to machine-checked, an exhausted one defers to the published
     identity for omega graphs over complete bases.  Every adjacency item is
-    read off the build's collision matrix; ``threads`` is passed to the
-    build, which no longer uses it.
+    read off the build's collision matrix.  ``threads`` is accepted for the
+    callers that pass it and is ignored: no step of the pipeline uses a pool.
     """
     items: list[ReportItem] = []
     budgets = {"search": _budget_dict(budget), "chi_g": _budget_dict(chi_g_budget)}
@@ -727,7 +717,7 @@ def verify_counterexample(
     )
 
     try:
-        build = build_counterexample(params, threads=threads)
+        build = build_counterexample(params)
     except (RuntimeError, ValueError) as err:
         items.append(ReportItem("build", False, {"error": str(err)}))
         return Report(params, FAILED, items, budgets=budgets)
@@ -778,9 +768,7 @@ def verify_counterexample(
         )
 
     collisions = build.collisions
-    witness = None
-    if any(collisions[e] for e in h.edges()):
-        witness = product_coloring_violation(g, build.vertices, h, c)
+    witness = product_coloring_violation(build)
     checks = 2 * h.edge_count * g.edge_count
     if witness is None:
         items.append(ReportItem("product_coloring", True, {"ordered_checks": checks}))

@@ -45,4 +45,4 @@ def c7_report():
 
 @pytest.fixture(scope="session")
 def c5_wide_build():
-    return build_counterexample(params_for("c5_wide"), threads=4)
+    return build_counterexample(params_for("c5_wide"))

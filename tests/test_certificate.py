@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from hedcex.certificate import (
@@ -9,7 +10,7 @@ from hedcex.certificate import (
     check_certificate,
     emit_certificate,
 )
-from hedcex.counterexample import params_for, verify_counterexample
+from hedcex.counterexample import FunctionVertex, exp_adjacent, params_for, verify_counterexample
 from hedcex.solver import SearchBudget
 
 
@@ -146,3 +147,19 @@ def test_collision_on_a_stored_edge_is_named(c5_report, c5_cert):
     chk = check_certificate(bad)
     assert not chk
     assert "stored edge const(1) ~ const(2) is not realized by the tables" in chk.failures
+
+
+def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
+    # check_certificate reads loops and stored edges off collision_matrix;
+    # re-derive each of them here with the independent one-pair scan
+    g = c5_report.build.g
+    c = c5_cert["params"]["c"]
+    vertices = [
+        FunctionVertex(e["label"], ("cert",), np.asarray(e["table"], dtype=np.int8))
+        for e in c5_cert["h"]
+    ]
+    assert c5_cert["h_edges"]
+    for a, b in c5_cert["h_edges"]:
+        assert exp_adjacent(g, c, vertices[a], vertices[b])
+    for v in vertices:
+        assert not exp_adjacent(g, c, v, v)

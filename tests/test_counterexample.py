@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -254,7 +256,7 @@ def test_build_rejects_wrong_vertex_budget():
 
 def test_product_coloring_and_corruption(c5_report):
     build = c5_report.build
-    assert verify_product_coloring(build.g, build.vertices, build.h, 5)
+    assert verify_product_coloring(build)
     # corrupt one table: f's value at vertex 0 set to collide across the
     # first host edge incident to 0
     u = next(iter(build.g.edges()))
@@ -266,9 +268,14 @@ def test_product_coloring_and_corruption(c5_report):
     vertices[a].table.flags.writeable = True
     vertices[a].table[u[0]] = vertices[b].table[u[1]]
     vertices[a].table.flags.writeable = False
-    witness = product_coloring_violation(build.g, vertices, build.h, 5)
+    corrupt = replace(build, vertices=vertices, collisions=collision_matrix(build.g, vertices))
+    witness = product_coloring_violation(corrupt)
     assert witness is not None
     assert witness[0] == (a, b)
+    x, y = witness[1]
+    ta, tb = vertices[a].table, vertices[b].table
+    assert ta[x] == tb[y] or ta[y] == tb[x]
+    assert not exp_adjacent(build.g, 5, vertices[a], vertices[b])
 
 
 def test_verify_pass_end_to_end(c5_report):
