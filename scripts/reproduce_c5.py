@@ -2,8 +2,10 @@
 """Rebuild and verify the 5-coloring counterexample, then drop the artifacts
 (report, certificate, H as DIMACS and DOT, wide coloring) into a directory.
 
-The refined variant takes a few seconds; the 6-wide variant rebuilds the
-54186-vertex host and takes a few minutes.
+The refined variant takes a few seconds.  The 6-wide variant rebuilds the
+54186-vertex host in seconds, but at the default budget its chi(H) search
+spends all 100M nodes without a verdict: the run ends INCOMPLETE (exit 1)
+after about 450 s on a 2-vCPU machine.  ``--budget-nodes`` caps that search.
 """
 
 import argparse

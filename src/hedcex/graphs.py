@@ -1,22 +1,28 @@
 """Loopy undirected graphs on dense integer vertices, at two scales.
 
-Every graph keeps bitset rows: ``adj[v]`` is a Python int whose bit ``u`` is
-set iff ``uv`` is an edge; bit ``v`` itself marks a loop.  The exact searches,
-the isomorphism test, walk powers and products run on those rows, where
-word-parallel row algebra over a few hundred vertices is the cheapest form.
-
-Vertex sets on host-scale graphs (tens of thousands of vertices) are numpy
-arrays instead: a boolean membership array over ``0..n-1``, or an ascending
-index array, checked against the edge list held as the two int32 endpoint
-arrays of ``edge_arrays``.  Shell sweeps, independence checks, function
-tables and hashing all run that way, in time linear in |V| + |E|.  Where a
-public function takes or returns a Python-int bitmask, ``mask_indices`` and
+A graph is its canonical edge list: the two int32 endpoint arrays of
+``edge_arrays`` (ascending, ``u <= v``, a loop as ``(v, v)``).  Vertex sets on
+host-scale graphs (tens of thousands of vertices) are numpy arrays over it: a
+boolean membership array over ``0..n-1``, or an ascending index array.  Shell
+sweeps, independence checks, function tables, hashing and the coloring
+search all run that way, in time linear in |V| + |E|.  Where a public
+function takes or returns a Python-int bitmask, ``mask_indices`` and
 ``mask_from`` convert at the boundary, each linear in the mask's width.
 
-Graphs are treated as immutable once built; the edge arrays and the hash are
-computed once per instance and cached on it, so instances can be shared
-freely between threads.  Any labels (tuples, subsets) live in side tables
-kept by the callers; this module only ever sees dense integers.
+Bitset rows are for small graphs: ``adj[v]`` is a Python int whose bit ``u``
+is set iff ``uv`` is an edge; bit ``v`` itself marks a loop.  The
+isomorphism test, walk powers, products and homomorphism targets use
+them, where word-parallel row algebra over a few hundred vertices is the
+cheapest form.  Graphs from ``new_graph`` build their rows only on first use
+of ``adj``, so a host that is only swept, hashed and colored never holds
+them (on the 54k-vertex c5_wide host they would take about 200 MB).
+
+Graphs are treated as immutable once built; the edge arrays, the rows and
+the hash are computed once per instance and cached on it, so instances can
+be shared freely between threads.  Two threads that both find a cache empty
+may both fill it; the results are equal and either one is kept.  Any labels
+(tuples, subsets) live in side tables kept by the callers; this module only
+ever sees dense integers.
 """
 
 from __future__ import annotations
@@ -95,15 +101,24 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``."""
 
-    __slots__ = ("n", "adj", "label", "_m", "_earrays", "_sha")
+    __slots__ = ("n", "_adj", "label", "_m", "_earrays", "_sha")
 
-    def __init__(self, n: int, adj: list[int], label: str | None = None):
+    def __init__(self, n: int, adj: list[int] | None, label: str | None = None):
+        """``adj`` holds the bitset rows, or None when the edge arrays are
+        set instead (as ``new_graph`` does) and the rows wait for first use."""
         self.n = n
-        self.adj = adj
+        self._adj = adj
         self.label = label
         self._m: int | None = None
         self._earrays: tuple[np.ndarray, np.ndarray] | None = None
         self._sha: str | None = None
+
+    @property
+    def adj(self) -> list[int]:
+        """Bitset rows, built from the edge arrays on first use."""
+        if self._adj is None:
+            self._adj = _rows_from_edges(self.n, *self._earrays)
+        return self._adj
 
     # -- basic queries ----------------------------------------------------
 
@@ -114,18 +129,17 @@ class Graph:
         return self.adj[v].bit_count()
 
     def has_loop(self) -> bool:
-        return any(row >> v & 1 for v, row in enumerate(self.adj))
+        return self.loops() > 0
 
     def loops(self) -> int:
-        return sum(row >> v & 1 for v, row in enumerate(self.adj))
+        eu, ev = edge_arrays(self)
+        return int(np.count_nonzero(eu == ev))
 
     @property
     def edge_count(self) -> int:
         """Number of edges; a loop counts once."""
         if self._m is None:
-            total = sum(row.bit_count() for row in self.adj)
-            nloops = self.loops()
-            self._m = (total - nloops) // 2 + nloops
+            self._m = int(edge_arrays(self)[0].size)
         return self._m
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -202,7 +216,8 @@ def new_graph(
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
     loops.  Raises ValueError on an endpoint outside ``0..n-1``.  The
-    canonical edge arrays (ascending, ``u <= v``) are cached on the result.
+    canonical edge arrays (ascending, ``u <= v``) are cached on the result;
+    its bitset rows are built on first use of ``adj``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -218,7 +233,7 @@ def new_graph(
     keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
     eu = (keys // max(n, 1)).astype(np.int32)
     ev = (keys % max(n, 1)).astype(np.int32)
-    g = Graph(n, _rows_from_edges(n, eu, ev), label)
+    g = Graph(n, None, label)
     g._earrays = (eu, ev)
     g._m = int(keys.size)
     return g

@@ -4,28 +4,37 @@ Every search answers ``some`` (witness found), ``none`` (exhaustive proof of
 nonexistence) or ``exhausted`` (budget hit first).  ``exhausted`` is never
 collapsed into ``none``; callers must treat it as "no verdict".
 
-Colorability runs saturation-guided backtracking: branch on the uncolored
-vertex seeing the most distinct neighbor colors, ties broken by lowest
-vertex index, candidate colors tried ascending and capped at one fresh color
-beyond those already in use (interchangeable-color symmetry).  A maximal
-greedy clique is pre-colored first unless the budget disables it.  With
-identical inputs and budgets the transcript (verdict, node count, witness)
-is identical run to run.
+Colorability is DSATUR (Brelaz 1979) backtracking on int32 neighbor arrays:
+the edge arrays are turned once per search into CSR form (``ptr``/``dst``),
+so a search over a host with tens of thousands of vertices never needs the
+graph's bitset rows.  It branches on the uncolored vertex seeing the most
+distinct neighbor colors, ties broken by lowest vertex index (kept in one
+lazily cleaned heap per saturation level), tries candidate colors ascending
+and capped at one fresh color beyond those already in use
+(interchangeable-color symmetry).  A maximal greedy clique is pre-colored
+first unless the budget disables it.  With identical inputs and budgets the
+transcript (verdict, node count, witness, reason) is identical run to run.
 
 Homomorphism search maps source vertices in a fixed connectivity-aware order
-with forward-checked target domains held as bitmasks.  Coloring is the
-special case of a complete target, which the tests cross-check.
+over the same neighbor arrays, with forward-checked target domains held as
+bitmasks over the target's bitset rows, so the target must be small.
+Coloring is the special case of a complete target, which the tests
+cross-check.
+
+Both searches keep their own explicit stack, so search depth is bounded by
+memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .graphs import Graph, edge_arrays, iter_bits
+from .graphs import Graph, edge_arrays
 
 __all__ = [
     "SOME",
@@ -112,16 +121,38 @@ class _Meter:
             raise _BudgetHit("time")
 
 
+def _neighbor_arrays(g: Graph) -> tuple[array, array]:
+    """Symmetric adjacency of ``g`` in CSR form: the neighbors of ``v`` are
+    ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a loop listed once."""
+    eu, ev = edge_arrays(g)
+    inner = eu != ev
+    # reversed arcs first: a stable sort by source then leaves each row's
+    # smaller neighbors (from the reversed half) before its larger ones
+    src = np.concatenate((ev[inner], eu))
+    dst = np.concatenate((eu[inner], ev))
+    order = np.argsort(src, kind="stable")
+    ptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=g.n), out=ptr[1:])
+    return array("i", ptr.tobytes()), array("i", dst[order].tobytes())
+
+
+def _clique_from(ptr: array, dst: array) -> list[int]:
+    # a vertex joins iff every member so far is its neighbor, tracked as a
+    # per-vertex count of adjacent members
+    degree = np.diff(np.frombuffer(ptr, dtype=np.int32))
+    touching = [0] * degree.size
+    clique: list[int] = []
+    for v in np.argsort(-degree, kind="stable").tolist():
+        if touching[v] == len(clique):
+            clique.append(v)
+            for u in dst[ptr[v] : ptr[v + 1]]:
+                touching[u] += 1
+    return clique
+
+
 def greedy_clique(g: Graph) -> list[int]:
     """Maximal clique grown greedily by descending degree, ties low index."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    clique: list[int] = []
-    mask = 0
-    for v in order:
-        if mask & ~g.adj[v] == 0:
-            clique.append(v)
-            mask |= 1 << v
-    return clique
+    return _clique_from(*_neighbor_arrays(g))
 
 
 def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
@@ -169,77 +200,90 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     if c == 0:
         return ColoringResult(NONE, c, None, 0, reason="no-colors")
 
+    ptr, dst = _neighbor_arrays(g)
+    clique: list[int] = []
+    if budget.use_clique:
+        clique = _clique_from(ptr, dst)
+        if len(clique) > c:
+            return ColoringResult(NONE, c, None, 0, reason="clique")
+
     meter = _Meter(budget)
     color = [0] * g.n
-    forbid = [0] * g.n
-    score = np.zeros(g.n, dtype=np.int32)  # -1 once colored, else saturation
-    uncolored = (1 << g.n) - 1
+    forbid = [0] * g.n  # bit k set iff a colored neighbor has color k
+    sat = [0] * g.n  # popcount of forbid
+    # buckets[s] holds every uncolored vertex of saturation s, plus stale
+    # entries that pick() discards when they surface; range(n) is a heap
+    buckets: list[list[int]] = [list(range(g.n))] + [[] for _ in range(c)]
     trail: list[int] = []
 
+    def pick() -> int:
+        # highest saturation, lowest index: np.argmax over the saturations
+        for s in range(c, -1, -1):
+            heap = buckets[s]
+            while heap:
+                v = heap[0]
+                if not color[v] and sat[v] == s:
+                    return v
+                heappop(heap)
+        return -1
+
     def assign(v: int, col: int) -> int:
-        nonlocal uncolored
         meter.tick()
         color[v] = col
-        score[v] = -1
-        uncolored ^= 1 << v
         bit = 1 << col
         mark = len(trail)
-        for u in iter_bits(g.adj[v] & uncolored):
-            if not forbid[u] & bit:
+        for u in dst[ptr[v] : ptr[v + 1]]:
+            if not color[u] and not forbid[u] & bit:
                 forbid[u] |= bit
-                score[u] += 1
+                s = sat[u] + 1
+                sat[u] = s
+                heappush(buckets[s], u)
                 trail.append(u)
         return mark
 
     def retract(v: int, mark: int) -> None:
-        nonlocal uncolored
-        col = color[v]
-        bit = 1 << col
-        while len(trail) > mark:
-            u = trail.pop()
+        bit = 1 << color[v]
+        for u in trail[mark:]:
             forbid[u] ^= bit
-            score[u] -= 1
+            s = sat[u] - 1
+            sat[u] = s
+            heappush(buckets[s], u)
+        del trail[mark:]
         color[v] = 0
-        uncolored |= 1 << v
-        score[v] = forbid[v].bit_count()
+        heappush(buckets[sat[v]], v)
 
-    clique: list[int] = []
-    if budget.use_clique:
-        clique = greedy_clique(g)
-        if len(clique) > c:
-            return ColoringResult(NONE, c, None, 0, reason="clique")
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 500))
-
-    def solve(used: int) -> bool:
-        v = int(np.argmax(score))
-        if score[v] < 0:
-            return True
-        cap = min(c, used + 1)
-        avail = ~forbid[v] & ((1 << (cap + 1)) - 2)  # color bits 1..cap
-        for col in iter_bits(avail):
-            mark = assign(v, col)
-            if solve(max(used, col)):
-                return True
-            retract(v, mark)
-        return False
-
+    # one frame per branching vertex: [vertex, untried colors, used, mark]
+    stack: list[list[int]] = []
     try:
         for i, v in enumerate(clique):
             assign(v, i + 1)
-        found = solve(len(clique))
+        used = len(clique)
+        while (v := pick()) >= 0:
+            cap = min(c, used + 1)
+            stack.append([v, ~forbid[v] & ((1 << (cap + 1)) - 2), used, -1])  # bits 1..cap
+            while stack:
+                frame = stack[-1]
+                v, avail, used, mark = frame
+                if mark >= 0:
+                    retract(v, mark)
+                if not avail:
+                    stack.pop()
+                    continue
+                low = avail & -avail
+                frame[1] = avail ^ low
+                col = low.bit_length() - 1
+                frame[3] = assign(v, col)
+                used = max(used, col)
+                break
+            else:
+                return ColoringResult(NONE, c, None, meter.nodes, reason="search")
     except _BudgetHit as hit:
         return ColoringResult(EXHAUSTED, c, None, meter.nodes, reason=hit.which)
-    finally:
-        sys.setrecursionlimit(old_limit)
 
-    if found:
-        witness = list(color)
-        if not verify_coloring(g, witness, c):  # defensive; scan is independent
-            raise RuntimeError("search produced an improper coloring")
-        return ColoringResult(SOME, c, witness, meter.nodes)
-    return ColoringResult(NONE, c, None, meter.nodes, reason="search")
+    witness = list(color)
+    if not verify_coloring(g, witness, c):  # defensive; scan is independent
+        raise RuntimeError("search produced an improper coloring")
+    return ColoringResult(SOME, c, witness, meter.nodes)
 
 
 def chromatic_number(
@@ -275,24 +319,28 @@ def chromatic_number(
     return ChromaticResult("none_in_range", None, None, total, transcript)
 
 
-def _hom_order(g: Graph) -> list[int]:
+def _hom_order(ptr: array, dst: array) -> list[int]:
     # max degree first, then greedily the vertex with most ordered neighbors
     # (ties: higher degree, then lower index); keeps propagation connected.
-    if g.n == 0:
-        return []
-    pool = set(range(g.n))
-    first = max(pool, key=lambda v: (g.degree(v), -v))
-    order = [first]
-    pool.discard(first)
-    placed = 1 << first
-    while pool:
-        nxt = max(
-            pool,
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
-        )
-        order.append(nxt)
-        pool.discard(nxt)
-        placed |= 1 << nxt
+    # Counts only grow, so a heap of (-count, -degree, v) whose stale entries
+    # are skipped yields the maximum each time.
+    n = len(ptr) - 1
+    degree = [ptr[v + 1] - ptr[v] for v in range(n)]
+    placed = [0] * n  # ordered neighbors of each vertex
+    done = [False] * n
+    heap = [(0, -degree[v], v) for v in range(n)]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        count, _, v = heappop(heap)
+        if done[v] or -count != placed[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for u in dst[ptr[v] : ptr[v + 1]]:
+            if not done[u]:
+                placed[u] += 1
+                heappush(heap, (-placed[u], -degree[u], u))
     return order
 
 
@@ -308,54 +356,63 @@ def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget = DEFAULT_BUDGET)
     for t in range(h.n):
         if h.has_edge(t, t):
             looped |= 1 << t
-    dom = [looped if g.has_edge(v, v) else full for v in range(g.n)]
+    dom = [full] * g.n
+    eu, ev = edge_arrays(g)
+    for v in eu[eu == ev].tolist():
+        dom[v] = looped
     if any(d == 0 for d in dom):
         return HomResult(NONE, None, 0, reason="loop-unmatchable")
 
-    order = _hom_order(g)
-    pos = {v: i for i, v in enumerate(order)}
+    ptr, dst = _neighbor_arrays(g)
+    order = _hom_order(ptr, dst)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     mapping = [-1] * g.n
     meter = _Meter(budget)
+    # per depth p: targets still to try for order[p], and the domains its
+    # current target narrowed, to restore before the next one
+    untried = [0] * g.n
+    saved: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 500))
-
-    def solve(p: int) -> bool:
-        if p == len(order):
-            return True
-        v = order[p]
-        for t in iter_bits(dom[v]):
+    try:
+        p = 0
+        untried[0] = dom[order[0]]
+        while p >= 0:
+            v = order[p]
+            for u, d in saved[p]:
+                dom[u] = d
+            saved[p].clear()
+            if not untried[p]:
+                p -= 1
+                continue
+            low = untried[p] & -untried[p]
+            untried[p] ^= low
+            t = low.bit_length() - 1
             meter.tick()
             mapping[v] = t
-            saved: list[tuple[int, int]] = []
             ok = True
-            for u in iter_bits(g.adj[v]):
+            for u in dst[ptr[v] : ptr[v + 1]]:
                 if pos[u] <= p:
                     continue
                 nd = dom[u] & h.adj[t]
                 if nd != dom[u]:
-                    saved.append((u, dom[u]))
+                    saved[p].append((u, dom[u]))
                     dom[u] = nd
                     if nd == 0:
                         ok = False
                         break
-            if ok and solve(p + 1):
-                return True
-            for u, d in saved:
-                dom[u] = d
-            mapping[v] = -1
-        return False
-
-    try:
-        found = solve(0)
+            if ok:
+                p += 1
+                if p == g.n:
+                    break
+                untried[p] = dom[order[p]]
     except _BudgetHit as hit:
         return HomResult(EXHAUSTED, None, meter.nodes, reason=hit.which)
-    finally:
-        sys.setrecursionlimit(old_limit)
 
-    if found:
-        out = list(mapping)
-        if not verify_homomorphism(g, h, out):
-            raise RuntimeError("search produced a non-homomorphism")
-        return HomResult(SOME, out, meter.nodes)
-    return HomResult(NONE, None, meter.nodes, reason="search")
+    if p < 0:
+        return HomResult(NONE, None, meter.nodes, reason="search")
+    out = list(mapping)
+    if not verify_homomorphism(g, h, out):
+        raise RuntimeError("search produced a non-homomorphism")
+    return HomResult(SOME, out, meter.nodes)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .families import OmegaGraph, gamma_power, n_shells, omega_sets, omega_tuples
-from .graphs import Graph, graph_sha256, is_independent, mask_from
+from .graphs import Graph, edge_arrays, graph_sha256, is_independent, mask_from
 from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -129,9 +129,10 @@ def _validate(g: Graph, wc: WideColoring) -> None:
     for a, b in wc.pairs:
         if not (1 <= a <= wc.n and 1 <= b <= wc.k):
             raise ValueError(f"pair ({a},{b}) out of range")
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise ValueError(f"vertex {v} is isolated")
+    eu, ev = edge_arrays(g)
+    isolated = np.flatnonzero(np.bincount(np.concatenate((eu, ev)), minlength=g.n) == 0)
+    if isolated.size:
+        raise ValueError(f"vertex {isolated[0]} is isolated")
     if wc.graph_sha is not None and wc.graph_sha != graph_sha256(g):
         raise ValueError("coloring was built for a different graph")
 

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from hedcex import graphs
 from hedcex.certificate import (
     CERTIFICATE_VERSION,
     certificate_from_json,
@@ -163,3 +164,15 @@ def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
         assert exp_adjacent(g, c, vertices[a], vertices[b])
     for v in vertices:
         assert not exp_adjacent(g, c, v, v)
+
+
+def test_verify_and_round_trip_build_no_bitset_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bitset rows built")
+
+    monkeypatch.setattr(graphs, "_rows_from_edges", refuse)
+    report = verify_counterexample(params_for("c5_refined"))
+    assert report.status == "PASS"
+    text = certificate_to_json(emit_certificate(report))
+    assert check_certificate(certificate_from_json(text))
+    assert report.build.g._adj is None and report.build.h._adj is None

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
@@ -19,7 +20,13 @@ from hedcex.solver import (
     verify_coloring,
     verify_homomorphism,
 )
-from oracles import brute_coloring, brute_homomorphism
+from oracles import (
+    brute_coloring,
+    brute_homomorphism,
+    reference_coloring,
+    reference_greedy_clique,
+    reference_homomorphism,
+)
 
 
 def test_verify_coloring_rules():
@@ -145,3 +152,96 @@ def test_coloring_vs_clique_lower_bound(seed):
     assert res.status == "value"
     assert res.value >= len(greedy_clique(g))
     assert verify_coloring(g, res.assignment, res.value)
+
+
+def _loopy_graph(seed: int, n: int, p: float, loop_p: float):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges += [(v, v) for v in range(n) if rng.random() < loop_p]
+    return new_graph(n, edges)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**30),
+    st.integers(0, 14),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+    st.sampled_from([0.0, 0.0, 0.1]),
+    st.integers(1, 5),
+    st.integers(1, 10_000),
+    st.booleans(),
+)
+def test_coloring_transcript_matches_reference(seed, n, p, loop_p, c, limit, use_clique):
+    g = _loopy_graph(seed, n, p, loop_p)
+    budget = SearchBudget(node_limit=limit, use_clique=use_clique)
+    ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, budget)
+    assert (ours.status, ours.nodes, ours.assignment, ours.reason) == (
+        ref.status,
+        ref.nodes,
+        ref.assignment,
+        ref.reason,
+    )
+    assert greedy_clique(g) == reference_greedy_clique(g)
+
+
+def test_coloring_transcript_matches_reference_on_larger_graphs():
+    # deep backtracking over sparse graphs revisits vertices whose heap
+    # entries went stale, which graphs of a dozen vertices rarely do
+    rng = random.Random(11)
+    for _ in range(40):
+        g = _loopy_graph(rng.randrange(2**30), rng.randint(20, 90), rng.choice([0.05, 0.1, 0.2]), 0.0)
+        c = rng.randint(2, 6)
+        budget = SearchBudget(node_limit=rng.choice([50, 2_000]), use_clique=rng.random() < 0.7)
+        ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, budget)
+        assert (ours.status, ours.nodes, ours.assignment, ours.reason) == (
+            ref.status,
+            ref.nodes,
+            ref.assignment,
+            ref.reason,
+        )
+
+
+@given(
+    st.integers(0, 2**30),
+    st.integers(0, 9),
+    st.integers(0, 6),
+    st.sampled_from([0.0, 0.15]),
+    st.integers(1, 1_000),
+)
+def test_homomorphism_transcript_matches_reference(seed, n, m, loop_p, limit):
+    g = _loopy_graph(seed, n, 0.4, loop_p)
+    h = _loopy_graph(seed + 1, m, 0.5, loop_p)
+    budget = SearchBudget(node_limit=limit)
+    ours, ref = find_homomorphism(g, h, budget), reference_homomorphism(g, h, budget)
+    assert (ours.status, ours.nodes, ours.mapping, ours.reason) == (
+        ref.status,
+        ref.nodes,
+        ref.mapping,
+        ref.reason,
+    )
+
+
+def test_search_transcripts_pinned(c5_report, c7_report):
+    for report, nodes in ((c5_report, 10_829), (c7_report, 114_029)):
+        assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
+        chi_g = report.item("chi_g").detail
+        assert (chi_g["status"], chi_g["nodes"], chi_g["reason"]) == (
+            "external_theorem",
+            100_001,
+            "nodes",
+        )
+
+
+def test_searches_never_touch_the_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 20_000
+    path = new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    col = find_coloring(path, 2)
+    assert col.status == SOME and col.nodes == n
+    assert verify_coloring(path, col.assignment, 2)
+    hom = find_homomorphism(path, complete_graph(2))
+    assert hom.status == SOME and verify_homomorphism(path, complete_graph(2), hom.mapping)
+    assert path._adj is None  # the path's bitset rows were never built
