@@ -25,14 +25,13 @@ def main() -> int:
     ap.add_argument("--variant", choices=("c5_refined", "c5_wide"), default="c5_refined")
     ap.add_argument("--reading", choices=("q", "literal"), default="q")
     ap.add_argument("--out", type=Path, default=Path("artifacts"))
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--budget-nodes", type=int, default=100_000_000)
     args = ap.parse_args()
 
     params = params_for(args.variant, reading=args.reading)
     budget = SearchBudget(node_limit=args.budget_nodes)
     t0 = time.time()
-    report = verify_counterexample(params, budget, threads=args.threads)
+    report = verify_counterexample(params, budget)
     elapsed = time.time() - t0
 
     for item in report.items:

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Rebuild and verify the 7-coloring counterexample over the 16472-vertex
-host, then drop the artifacts into a directory.  Expect a few seconds;
---threads is accepted for compatibility, and the pipeline does not use it.
+host, then drop the artifacts into a directory.  Expect a few seconds.
 """
 
 import argparse
@@ -19,14 +18,13 @@ from hedcex.solver import SearchBudget
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("artifacts"))
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--budget-nodes", type=int, default=100_000_000)
     args = ap.parse_args()
 
     params = params_for("c7")
     budget = SearchBudget(node_limit=args.budget_nodes)
     t0 = time.time()
-    report = verify_counterexample(params, budget, threads=args.threads)
+    report = verify_counterexample(params, budget)
     elapsed = time.time() - t0
 
     for item in report.items:

@@ -28,7 +28,6 @@ from .families import (
     gamma_power,
     kneser_graph,
     lex_product,
-    make_family,
     n_exact,
     n_shells,
     n_upto,
@@ -46,7 +45,6 @@ from .graphs import (
     induced_subgraph,
     is_independent,
     is_isomorphic,
-    neighbors,
     new_graph,
     parse_dimacs,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import certificate as certmod
@@ -37,35 +36,16 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("HEDCEX_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
     p.add_argument("--budget-nodes", type=int, default=100_000_000, metavar="N")
     p.add_argument("--budget-secs", type=float, default=600.0, metavar="S")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="wide-check workers (default: HEDCEX_THREADS or 1); the pipelines ignore it",
-    )
 
 
 def _budget(args) -> SearchBudget:
     if args.budget_nodes < 1 or args.budget_secs <= 0:
         raise SystemExit(EXIT_USAGE)
     return SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
-
-
-def _threads(args) -> int:
-    return args.threads if args.threads and args.threads > 0 else _default_threads()
 
 
 def _load_graph(path: str) -> Graph:
@@ -213,7 +193,7 @@ def _cmd_wide_check(args) -> int:
         g = _load_graph(args.graph)
         with open(args.gamma, "r", encoding="utf-8") as fh:
             wc = WideColoring.from_json(fh.read())
-    ok = check_wide(g, wc, condition=args.condition, threads=_threads(args))
+    ok = check_wide(g, wc, condition=args.condition)
     doc = {
         "wide": ok,
         "condition": args.condition,
@@ -285,13 +265,11 @@ def _cmd_verify(args) -> int:
         _emit(args, doc, human)
         return EXIT_OK if res.ok else EXIT_FAILED
 
-    params = cex.params_for(args.variant, reading=args.reading)
+    if args.chi_g_nodes < 0 or args.chi_g_secs <= 0:
+        raise SystemExit(EXIT_USAGE)
     chi_g_budget = SearchBudget(node_limit=args.chi_g_nodes, time_limit=args.chi_g_secs)
-    report = cex.verify_counterexample(
-        params,
-        _budget(args),
-        chi_g_budget=chi_g_budget,
-    )
+    params = cex.params_for(args.variant, reading=args.reading)
+    report = cex.verify_counterexample(params, _budget(args), chi_g_budget=chi_g_budget)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -382,7 +360,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--variant", choices=sorted(cex.VARIANTS), required=True)
     pc.add_argument("--reading", choices=["q", "literal"], default="q")
     pc.add_argument("--cert", help="write a certificate here on PASS")
-    pc.add_argument("--chi-g-nodes", type=int, default=cex.DEFAULT_CHI_G_BUDGET.node_limit)
+    pc.add_argument(
+        "--chi-g-nodes",
+        type=int,
+        default=cex.DEFAULT_CHI_G_BUDGET.node_limit,
+        metavar="N",
+        help="node budget for the chi(G) > c search (default 0: attribute it)",
+    )
     pc.add_argument("--chi-g-secs", type=float, default=cex.DEFAULT_CHI_G_BUDGET.time_limit)
     _common_flags(pc)
     pc.set_defaults(handler=_cmd_verify)

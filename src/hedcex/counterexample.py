@@ -13,8 +13,7 @@ and returns a machine-readable report.
 
 from __future__ import annotations
 
-# Unused since the build reads adjacency off one matrix; kept because
-# perfbench/test_perfbench.py asserts this binding until that test drops it.
+# Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 
@@ -646,7 +645,9 @@ def _budget_dict(budget: SearchBudget) -> dict:
     return {"nodes": budget.node_limit, "secs": budget.time_limit}
 
 
-DEFAULT_CHI_G_BUDGET = SearchBudget(node_limit=100_000, time_limit=600.0)
+#: No budget decides chi(G) > c on the shipped hosts, so the search is off by
+#: default (it stops at its first node); a positive node limit opts in.
+DEFAULT_CHI_G_BUDGET = SearchBudget(node_limit=0, time_limit=600.0)
 
 
 def reading_comparison(params: CounterexampleParams, build: BuildResult | None = None) -> dict:
@@ -700,11 +701,11 @@ def verify_counterexample(
 
     Mandatory: parameter inequalities, structural counts, wideness, H not
     c-colorable, the product coloring, and the lemma-level edge facts.  The
-    host's own chromatic excess is budgeted separately: a completed search
-    upgrades it to machine-checked, an exhausted one defers to the published
-    identity for omega graphs over complete bases.  Every adjacency item is
-    read off the build's collision matrix.  ``threads`` is accepted for the
-    callers that pass it and is ignored: no step of the pipeline uses a pool.
+    host's own chromatic excess is budgeted separately (off by default): a
+    completed search upgrades it to machine-checked, an exhausted one defers
+    to the published identity for omega graphs over complete bases.  Every
+    adjacency item is read off the build's collision matrix.  ``threads`` is
+    ignored; kept because perfbench/worker.py passes it.
     """
     items: list[ReportItem] = []
     budgets = {"search": _budget_dict(budget), "chi_g": _budget_dict(chi_g_budget)}
@@ -798,7 +799,7 @@ def verify_counterexample(
         ReportItem(
             "h_edges_real",
             True,
-            {"count": h.edge_count, "note": "each H edge re-derived by the adjacency scan"},
+            {"count": h.edge_count, "note": "each H edge read off the build's collision matrix"},
         )
     )
 

@@ -42,7 +42,6 @@ __all__ = [
     "cycle_graph",
     "kneser_graph",
     "kneser_subsets",
-    "make_family",
     "gamma_power",
     "n_exact",
     "n_upto",
@@ -90,19 +89,6 @@ def kneser_graph(c: int, k: int) -> Graph:
         if not (sets[i] & sets[j])
     ]
     return new_graph(len(subs), edges, f"KG({c},{k})")
-
-
-def make_family(kind: str, **params) -> Graph:
-    """Dispatch table used by the CLI; returns the bare graph."""
-    if kind == "complete":
-        return complete_graph(params["n"])
-    if kind == "cycle":
-        return cycle_graph(params["n"])
-    if kind == "kneser":
-        return kneser_graph(params["c"], params["k"])
-    if kind == "omega":
-        return omega_tuples(params["n"], params["d"]).graph
-    raise ValueError(f"unknown family {kind!r}")
 
 
 # -- walk neighborhoods and powers ----------------------------------------

@@ -18,9 +18,7 @@ of ``adj``, so a host that is only swept, hashed and colored never holds
 them (on the 54k-vertex c5_wide host they would take about 200 MB).
 
 Graphs are treated as immutable once built; the edge arrays, the rows and
-the hash are computed once per instance and cached on it, so instances can
-be shared freely between threads.  Two threads that both find a cache empty
-may both fill it; the results are equal and either one is kept.  Any labels
+the hash are computed once per instance and cached on it.  Any labels
 (tuples, subsets) live in side tables kept by the callers; this module only
 ever sees dense integers.
 """
@@ -39,7 +37,6 @@ __all__ = [
     "mask_indices",
     "vertex_flags",
     "iter_bits",
-    "neighbors",
     "is_independent",
     "induced_subgraph",
     "is_isomorphic",
@@ -237,11 +234,6 @@ def new_graph(
     g._earrays = (eu, ev)
     g._m = int(keys.size)
     return g
-
-
-def neighbors(g: Graph, v: int) -> int:
-    """Neighborhood of ``v`` as a bitmask (contains ``v`` iff ``v`` is looped)."""
-    return g.adj[v]
 
 
 def vertex_flags(g: Graph, members) -> np.ndarray:

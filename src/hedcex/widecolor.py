@@ -14,7 +14,6 @@ omega_d H" exhaustively at small scale.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -22,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .families import OmegaGraph, gamma_power, n_shells, omega_sets, omega_tuples
-from .graphs import Graph, edge_arrays, graph_sha256, is_independent, mask_from
+from .graphs import Graph, edge_arrays, graph_sha256, is_independent
 from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -55,8 +54,7 @@ class WideColoring:
     """A vertex -> (a, b) coloring claimed to be d-wide on its host graph.
 
     ``graph_sha`` pins the host; ``None`` means "trust the caller" (handy for
-    throwaway colorings in property tests).  ``alpha``/``beta`` read off the
-    two projections.
+    throwaway colorings in property tests).
     """
 
     n: int
@@ -64,12 +62,6 @@ class WideColoring:
     d: int
     pairs: tuple[tuple[int, int], ...]
     graph_sha: str | None = None
-
-    def alpha(self, v: int) -> int:
-        return self.pairs[v][0]
-
-    def beta(self, v: int) -> int:
-        return self.pairs[v][1]
 
     @cached_property
     def pair_array(self) -> np.ndarray:
@@ -85,19 +77,6 @@ class WideColoring:
         if b is not None:
             members &= self.pair_array[:, 1] == b
         return members
-
-    def class_mask(self, a: int, b: int) -> int:
-        return mask_from(np.flatnonzero(self.class_set(a, b)))
-
-    def alpha_mask(self, a: int) -> int:
-        return mask_from(np.flatnonzero(self.class_set(a)))
-
-    def class_masks(self) -> list[tuple[tuple[int, int], int]]:
-        return [
-            ((a, b), self.class_mask(a, b))
-            for a in range(1, self.n + 1)
-            for b in range(1, self.k + 1)
-        ]
 
     def to_json(self) -> str:
         doc = {
@@ -161,6 +140,7 @@ def _condition_on_class(g: Graph, members: np.ndarray, d: int, condition: int) -
     return not (even & odd).any() and is_independent(g, even) and is_independent(g, odd)
 
 
+# ``threads`` is ignored; kept because perfbench/test_perfbench.py passes it.
 def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int = 1) -> bool:
     """Evaluate one of the four equivalent wideness conditions."""
     _validate(g, wc)
@@ -168,12 +148,11 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
         raise ValueError("condition must be 1, 2, 3 or 4")
     if condition == 1:
         return _condition_one(g, wc)
-    classes = [wc.class_set(a, b) for a in range(1, wc.n + 1) for b in range(1, wc.k + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda m: _condition_on_class(g, m, wc.d, condition), classes)
-            return all(results)
-    return all(_condition_on_class(g, m, wc.d, condition) for m in classes)
+    return all(
+        _condition_on_class(g, wc.class_set(a, b), wc.d, condition)
+        for a in range(1, wc.n + 1)
+        for b in range(1, wc.k + 1)
+    )
 
 
 def zero_position_coloring(

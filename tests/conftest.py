@@ -35,12 +35,12 @@ def omega82():
 
 @pytest.fixture(scope="session")
 def c5_report():
-    return verify_counterexample(params_for("c5_refined"), threads=4)
+    return verify_counterexample(params_for("c5_refined"))
 
 
 @pytest.fixture(scope="session")
 def c7_report():
-    return verify_counterexample(params_for("c7"), threads=4)
+    return verify_counterexample(params_for("c7"))
 
 
 @pytest.fixture(scope="session")

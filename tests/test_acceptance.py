@@ -99,8 +99,8 @@ def test_criterion_06_wide_colorings(omega63, omega82):
     ok = (
         wc6.d == 3
         and wc8.d == 2
-        and check_wide(omega63.graph, wc6, condition=2, threads=4)
-        and check_wide(omega82.graph, wc8, condition=2, threads=4)
+        and check_wide(omega63.graph, wc6, condition=2)
+        and check_wide(omega82.graph, wc8, condition=2)
     )
     announce(6, "zero-position colorings wide", ok, "6 classes at d=3, 8 at d=2")
 
@@ -242,9 +242,7 @@ def test_criterion_10_host_excess_attribution(c5_report, monkeypatch):
         return real(g, c, budget) if budget is not None else real(g, c)
 
     monkeypatch.setattr(cex, "find_coloring", resolved)
-    upgraded_report = verify_counterexample(
-        params_for("c5_refined"), compare_readings=False, threads=4
-    )
+    upgraded_report = verify_counterexample(params_for("c5_refined"), compare_readings=False)
     up = upgraded_report.item("chi_g")
     upgraded = (
         upgraded_report.status == "PASS"

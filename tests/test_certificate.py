@@ -25,7 +25,6 @@ def test_emit_requires_pass():
         params_for("c5_refined"),
         budget=SearchBudget(node_limit=10),
         compare_readings=False,
-        threads=4,
     )
     assert report.status == "INCOMPLETE"
     with pytest.raises(ValueError):

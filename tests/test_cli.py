@@ -138,7 +138,7 @@ def test_build_and_verify_certificate(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "verify", "counterexample", "--variant", "c5_refined",
-        "--cert", str(cert), "--threads", "4",
+        "--cert", str(cert),
     )
     assert code == 0
     assert "verify c5_refined: PASS" in out
@@ -173,10 +173,18 @@ def test_verify_literal_reading_fails(capsys):
     code, out, _ = run(
         capsys,
         "verify", "counterexample", "--variant", "c5_refined",
-        "--reading", "literal", "--threads", "4",
+        "--reading", "literal",
     )
     assert code == 1
     assert "FAILED" in out
+
+
+def test_verify_flag_usage_errors():
+    verify = ("verify", "counterexample", "--variant", "c5_refined")
+    for extra in (("--chi-g-nodes", "-5"), ("--chi-g-secs", "0"), ("--threads", "4")):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verify, *extra])
+        assert exit_info.value.code == 2
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,6 @@ from hedcex.families import (
     gamma_power,
     kneser_graph,
     lex_product,
-    make_family,
     n_exact,
     n_shells,
     n_upto,
@@ -55,14 +54,6 @@ def test_kneser_counts_general():
     g = kneser_graph(6, 2)
     assert g.n == math.comb(6, 2)
     assert g.edge_count == math.comb(6, 2) * math.comb(4, 2) // 2
-
-
-def test_make_family_dispatch():
-    assert make_family("complete", n=4).edge_count == 6
-    assert make_family("cycle", n=7).n == 7
-    assert make_family("kneser", c=5, k=2).n == 10
-    with pytest.raises(ValueError):
-        make_family("nonsense")
 
 
 def test_gamma_power_square_of_cycle():

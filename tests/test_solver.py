@@ -224,12 +224,9 @@ def test_homomorphism_transcript_matches_reference(seed, n, m, loop_p, limit):
 def test_search_transcripts_pinned(c5_report, c7_report):
     for report, nodes in ((c5_report, 10_829), (c7_report, 114_029)):
         assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
-        chi_g = report.item("chi_g").detail
-        assert (chi_g["status"], chi_g["nodes"], chi_g["reason"]) == (
-            "external_theorem",
-            100_001,
-            "nodes",
-        )
+        budget = SearchBudget(node_limit=100_000)
+        host = find_coloring(report.build.g, report.params.c, budget)
+        assert (host.status, host.nodes, host.reason) == (EXHAUSTED, 100_001, "nodes")
 
 
 def test_searches_never_touch_the_recursion_limit(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,17 +100,17 @@ def test_zero_position_split_classes():
     assert wc.n == 2 and wc.k == 2
     assert check_wide(om.graph, wc, condition=3)
     # merged alpha classes are unions of the fine classes
-    assert wc.alpha_mask(1) == wc.class_mask(1, 1) | wc.class_mask(1, 2)
+    assert np.array_equal(wc.class_set(1), wc.class_set(1, 1) | wc.class_set(1, 2))
 
 
-def test_class_masks_partition():
+def test_class_sets_partition():
     om = omega_tuples(3, 2)
     wc = zero_position_coloring(om, 3, 1)
-    union = 0
-    for _, mask in wc.class_masks():
-        assert union & mask == 0
-        union |= mask
-    assert union == (1 << om.graph.n) - 1
+    cover = np.zeros(om.graph.n, dtype=np.int64)
+    for a in range(1, wc.n + 1):
+        for b in range(1, wc.k + 1):
+            cover += wc.class_set(a, b)
+    assert (cover == 1).all()
 
 
 @given(st.integers(0, 2**30))
