@@ -36,15 +36,40 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
+def _at_least(minimum: int):
+    """Flag type: an integer no smaller than ``minimum``.  A bad value goes
+    through the parser's error, which names the flag and exits 2."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _seconds(text: str) -> float:
+    """Flag type: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
-    p.add_argument("--budget-nodes", type=int, default=100_000_000, metavar="N")
-    p.add_argument("--budget-secs", type=float, default=600.0, metavar="S")
+    p.add_argument("--budget-nodes", type=_at_least(1), default=100_000_000, metavar="N")
+    p.add_argument("--budget-secs", type=_seconds, default=600.0, metavar="S")
 
 
 def _budget(args) -> SearchBudget:
-    if args.budget_nodes < 1 or args.budget_secs <= 0:
-        raise SystemExit(EXIT_USAGE)
     return SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
 
 
@@ -265,8 +290,6 @@ def _cmd_verify(args) -> int:
         _emit(args, doc, human)
         return EXIT_OK if res.ok else EXIT_FAILED
 
-    if args.chi_g_nodes < 0 or args.chi_g_secs <= 0:
-        raise SystemExit(EXIT_USAGE)
     chi_g_budget = SearchBudget(node_limit=args.chi_g_nodes, time_limit=args.chi_g_secs)
     params = cex.params_for(args.variant, reading=args.reading)
     report = cex.verify_counterexample(params, _budget(args), chi_g_budget=chi_g_budget)
@@ -362,12 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cert", help="write a certificate here on PASS")
     pc.add_argument(
         "--chi-g-nodes",
-        type=int,
+        type=_at_least(0),
         default=cex.DEFAULT_CHI_G_BUDGET.node_limit,
         metavar="N",
         help="node budget for the chi(G) > c search (default 0: attribute it)",
     )
-    pc.add_argument("--chi-g-secs", type=float, default=cex.DEFAULT_CHI_G_BUDGET.time_limit)
+    pc.add_argument(
+        "--chi-g-secs", type=_seconds, default=cex.DEFAULT_CHI_G_BUDGET.time_limit, metavar="S"
+    )
     _common_flags(pc)
     pc.set_defaults(handler=_cmd_verify)
 

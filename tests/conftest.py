@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hedcex.counterexample import build_counterexample, params_for, verify_counterexample
+from hedcex.counterexample import params_for, verify_counterexample
 from hedcex.families import omega_tuples
 from hedcex.graphs import new_graph
 
@@ -44,5 +44,10 @@ def c7_report():
 
 
 @pytest.fixture(scope="session")
-def c5_wide_build():
-    return build_counterexample(params_for("c5_wide"))
+def c5_wide_report():
+    return verify_counterexample(params_for("c5_wide"))
+
+
+@pytest.fixture(scope="session")
+def c5_wide_build(c5_wide_report):
+    return c5_wide_report.build

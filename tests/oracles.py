@@ -2,10 +2,11 @@
 
 Everything here favors being obviously right over being usable at scale:
 plain backtracking with no ordering heuristics, dense numpy walk matrices,
-and quadratic scans.  The exceptions are ``reference_coloring`` and
-``reference_homomorphism``, the recursive bitset-row searches whose exact
-transcripts (verdict, node count, witness, reason) the iterative
-``find_coloring`` and ``find_homomorphism`` must reproduce.
+and quadratic scans.  The exceptions are ``reference_coloring``, a recursive
+DSATUR on bitset rows whose verdicts ``find_coloring`` must match, and
+``reference_homomorphism``, the recursive bitset-row search whose exact
+transcript (verdict, node count, witness, reason) the iterative
+``find_homomorphism`` must reproduce.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class _Stop(Exception):
 
 
 def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) -> ColoringResult:
-    """Recursive DSATUR on bitset rows: the transcript ``find_coloring`` keeps.
+    """Recursive DSATUR on bitset rows, with no propagation or components.
 
     Branches on the uncolored vertex of highest saturation (``np.argmax``
     over a score of -1 once colored, so ties go to the lowest index), tries

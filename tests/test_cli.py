@@ -179,12 +179,21 @@ def test_verify_literal_reading_fails(capsys):
     assert "FAILED" in out
 
 
-def test_verify_flag_usage_errors():
+def test_verify_flag_usage_errors(capsys):
     verify = ("verify", "counterexample", "--variant", "c5_refined")
-    for extra in (("--chi-g-nodes", "-5"), ("--chi-g-secs", "0"), ("--threads", "4")):
+    for flag, value in (
+        ("--chi-g-nodes", "-5"),
+        ("--chi-g-secs", "0"),
+        ("--budget-nodes", "0"),
+        ("--budget-secs", "nan"),
+        ("--budget-nodes", "many"),
+        ("--threads", "4"),
+    ):
         with pytest.raises(SystemExit) as exit_info:
-            main([*verify, *extra])
+            main([*verify, flag, value])
         assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err.splitlines()[-1], err
 
 
 def test_usage_errors(capsys):

@@ -304,6 +304,12 @@ def test_verify_c7_pass(c7_report):
     assert c7_report.item("product_coloring").detail["ordered_checks"] == 2 * 168 * 437500
 
 
+def test_verify_c5_wide_pass(c5_wide_report):
+    # chi(H) > 5 on the 165-vertex H is decided at the default budget
+    assert c5_wide_report.status == "PASS"
+    assert all(item.ok is True for item in c5_wide_report.items)
+
+
 def test_verify_rejects_bad_parameters():
     bad = CounterexampleParams("c5_refined", k=2, c=5, n=2, d=3)
     report = verify_counterexample(bad)
@@ -332,14 +338,14 @@ def test_chi_h_budget_exhaustion_is_incomplete(c5_report):
 
 
 def test_chi_g_exhaustion_cites_the_identity(c5_report, c7_report):
-    # the default chi(G) budget stops the search at its first node
+    # the default chi(G) budget of zero nodes stops the search before it starts
     for report in (c5_report, c7_report):
         item = report.item("chi_g")
         assert item.ok is True
         assert item.detail == {
             "colors": report.params.c,
             "status": "external_theorem",
-            "nodes": 1,
+            "nodes": 0,
             "reason": "nodes",
             "attribution": CHI_G_ATTRIBUTION,
         }

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from hedcex import solver
 from hedcex.families import complete_graph, cycle_graph, kneser_graph
 from hedcex.graphs import new_graph
 from hedcex.solver import (
@@ -161,6 +162,10 @@ def _loopy_graph(seed: int, n: int, p: float, loop_p: float):
     return new_graph(n, edges)
 
 
+def _transcript(res):
+    return res.status, res.nodes, res.assignment, res.reason
+
+
 @settings(max_examples=300)
 @given(
     st.integers(0, 2**30),
@@ -171,34 +176,97 @@ def _loopy_graph(seed: int, n: int, p: float, loop_p: float):
     st.integers(1, 10_000),
     st.booleans(),
 )
-def test_coloring_transcript_matches_reference(seed, n, p, loop_p, c, limit, use_clique):
+def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit, use_clique):
     g = _loopy_graph(seed, n, p, loop_p)
-    budget = SearchBudget(node_limit=limit, use_clique=use_clique)
-    ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, budget)
-    assert (ours.status, ours.nodes, ours.assignment, ours.reason) == (
-        ref.status,
-        ref.nodes,
-        ref.assignment,
-        ref.reason,
-    )
+    full = find_coloring(g, c, SearchBudget(use_clique=use_clique))
+    assert full.status == reference_coloring(g, c).status
+    if n <= 9:  # plain backtracking is exponential in n
+        assert (full.status == SOME) == (brute_coloring(g, c) is not None)
+    if full.status == SOME:
+        assert verify_coloring(g, full.assignment, c)
+    # a smaller budget cuts the same search short, and only then says exhausted
+    ours = find_coloring(g, c, SearchBudget(node_limit=limit, use_clique=use_clique))
+    if full.nodes > limit:
+        assert (ours.status, ours.nodes, ours.reason) == (EXHAUSTED, limit + 1, "nodes")
+    else:
+        assert _transcript(ours) == _transcript(full)
+    again = find_coloring(g, c, SearchBudget(node_limit=limit, use_clique=use_clique))
+    assert _transcript(again) == _transcript(ours)
     assert greedy_clique(g) == reference_greedy_clique(g)
 
 
-def test_coloring_transcript_matches_reference_on_larger_graphs():
-    # deep backtracking over sparse graphs revisits vertices whose heap
-    # entries went stale, which graphs of a dozen vertices rarely do
+@pytest.mark.parametrize(
+    "split_limit", [0, 8, solver.SPLIT_LIMIT], ids=["no-split", "split-below-8", "default"]
+)
+def test_coloring_verdicts_match_reference_on_larger_graphs(monkeypatch, split_limit):
+    # deep searches over sparse graphs split into many components; a split
+    # limit below the graph's order leaves some subproblems disconnected
+    monkeypatch.setattr(solver, "SPLIT_LIMIT", split_limit)
     rng = random.Random(11)
     for _ in range(40):
         g = _loopy_graph(rng.randrange(2**30), rng.randint(20, 90), rng.choice([0.05, 0.1, 0.2]), 0.0)
         c = rng.randint(2, 6)
-        budget = SearchBudget(node_limit=rng.choice([50, 2_000]), use_clique=rng.random() < 0.7)
-        ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, budget)
-        assert (ours.status, ours.nodes, ours.assignment, ours.reason) == (
-            ref.status,
-            ref.nodes,
-            ref.assignment,
-            ref.reason,
-        )
+        budget = SearchBudget(node_limit=1_000_000, use_clique=rng.random() < 0.7)
+        ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, SearchBudget(node_limit=200_000))
+        assert ours.status != EXHAUSTED
+        if ref.status != EXHAUSTED:
+            assert ours.status == ref.status
+        if ours.status == SOME:
+            assert verify_coloring(g, ours.assignment, c)
+        assert _transcript(find_coloring(g, c, budget)) == _transcript(ours)
+
+
+def _mycielski(g):
+    """Mycielski's construction: triangle-free in, triangle-free out, and
+    the chromatic number goes up by one."""
+    n = g.n
+    edges = []
+    for u, v in g.edges():
+        edges += [(u, v), (u + n, v), (u, v + n)]
+    edges += [(v + n, 2 * n) for v in range(n)]
+    return new_graph(2 * n + 1, edges)
+
+
+def _disjoint_union(*graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(u + base, v + base) for u, v in h.edges()]
+        base += h.n
+    return new_graph(base, edges)
+
+
+@pytest.mark.parametrize("use_clique", [True, False])
+def test_only_the_last_component_has_no_coloring(use_clique):
+    # the Groetzsch graph is triangle-free with chi = 4, so the clique bound
+    # cannot refute it and the search must reach the last component
+    groetzsch = _mycielski(cycle_graph(5))
+    rng = random.Random(5)
+    easy = [cycle_graph(9), kneser_graph(5, 2), cycle_graph(4)]
+    easy += [random_graph(rng, 12, 0.25) for _ in range(3)]
+    budget = SearchBudget(use_clique=use_clique)
+    colorable = [h for h in easy if find_coloring(h, 3).status == SOME]
+    assert len(colorable) >= 4
+    g = _disjoint_union(*colorable, groetzsch)
+    res = find_coloring(g, 3, budget)
+    assert (res.status, res.reason) == (NONE, "search")
+    # plain DSATUR would re-color the earlier components on every backtrack
+    assert reference_coloring(groetzsch, 3).status == NONE
+    assert verify_coloring(g, find_coloring(g, 4, budget).assignment, 4)
+    alone = _disjoint_union(*colorable)
+    res = find_coloring(alone, 3, budget)
+    assert res.status == SOME and verify_coloring(alone, res.assignment, 3)
+
+
+def test_zero_node_budget_does_no_work(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a zero-node search built neighbor arrays")
+
+    monkeypatch.setattr(solver, "_neighbor_arrays", refuse)
+    res = find_coloring(complete_graph(7), 5, SearchBudget(node_limit=0))
+    assert (res.status, res.nodes, res.reason) == (EXHAUSTED, 0, "nodes")
+    # loops and empty graphs are still decided before the budget matters
+    assert find_coloring(new_graph(1, [(0, 0)]), 3, SearchBudget(node_limit=0)).status == NONE
+    assert find_coloring(new_graph(0, []), 3, SearchBudget(node_limit=0)).status == SOME
 
 
 @given(
@@ -221,9 +289,10 @@ def test_homomorphism_transcript_matches_reference(seed, n, m, loop_p, limit):
     )
 
 
-def test_search_transcripts_pinned(c5_report, c7_report):
-    for report, nodes in ((c5_report, 10_829), (c7_report, 114_029)):
+def test_search_transcripts_pinned(c5_report, c7_report, c5_wide_report):
+    for report, nodes in ((c5_report, 66), (c7_report, 473), (c5_wide_report, 366)):
         assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
+    for report in (c5_report, c7_report):
         budget = SearchBudget(node_limit=100_000)
         host = find_coloring(report.build.g, report.params.c, budget)
         assert (host.status, host.nodes, host.reason) == (EXHAUSTED, 100_001, "nodes")
