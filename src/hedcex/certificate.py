@@ -65,12 +65,9 @@ def emit_certificate(report: Report) -> dict:
             "n": gamma.n,
             "k": gamma.k,
             "d": gamma.d,
-            "pairs": [list(p) for p in gamma.pairs],
+            "pairs": gamma.pair_array.tolist(),
         },
-        "h": [
-            {"label": v.label, "table": [int(x) for x in v.table]}
-            for v in build.vertices
-        ],
+        "h": [{"label": v.label, "table": v.table.tolist()} for v in build.vertices],
         "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
         "verdicts": {
             "chi_h": {"status": "none", "colors": params.c, "nodes": chi_h.detail["nodes"]},
@@ -91,7 +88,14 @@ def emit_certificate(report: Report) -> dict:
 
 
 def certificate_to_json(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=1)
+    """Compact JSON text of a certificate, keys sorted.
+
+    No indentation: ``indent`` would force the standard library's pure-Python
+    encoder and put every table entry on a line of its own.  Whitespace is
+    not part of the format, so ``certificate_from_json`` reads indented
+    certificates too.
+    """
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"))
 
 
 def certificate_from_json(text: str) -> dict:

@@ -16,11 +16,12 @@ from __future__ import annotations
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .families import OmegaGraph, n_shells, omega_tuples
-from .graphs import Graph, edge_arrays, graph_sha256, new_graph
+from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, is_independent, new_graph
 from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -29,7 +30,7 @@ from .solver import (
     SearchBudget,
     find_coloring,
 )
-from .widecolor import WideColoring, zero_position_coloring
+from .widecolor import WideColoring, _zero_position
 
 PASS = "PASS"
 FAILED = "FAILED"
@@ -46,9 +47,6 @@ CHI_G_ATTRIBUTION = (
 )
 
 _CHUNK = 1 << 18
-
-# Class pairs per float32 product in ``collision_matrix``.
-_PAIR_CHUNK = 1 << 12
 
 
 # -- parameters ---------------------------------------------------------------
@@ -173,9 +171,10 @@ class FunctionVertex:
     def __post_init__(self):
         self.table.flags.writeable = False
 
-    @property
+    @cached_property
     def image(self) -> frozenset[int]:
-        return frozenset(int(x) for x in np.unique(self.table))
+        """The colors the table takes, counted once per vertex."""
+        return frozenset(np.flatnonzero(np.bincount(self.table)).tolist())
 
     def __repr__(self) -> str:
         return f"FunctionVertex({self.label})"
@@ -215,11 +214,14 @@ def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
     exactly where it is False and the diagonal is the loop check.
 
     Host vertices with the same column of tables are interchangeable here,
-    so the question is asked of a quotient: K column classes, and the P
-    distinct class pairs that host edges realize.  For each color x the
-    class-pair incidences of x are one float32 product per chunk of
-    ``_PAIR_CHUNK`` pairs; its sums never exceed the chunk length, so they
-    are exact, and the chunking keeps the transient memory flat.
+    so the question is asked of a quotient: K column classes, and the
+    distinct class pairs that host edges realize, sorted by source class.
+    For each color x, the functions taking x on a class are a bit-packed row
+    of that class; OR-ing the rows of each source class's partners gives the
+    functions that take x next to it, and one (m x A) by (A x m) float32
+    product over the A source classes finds every (a, b) with a = x at a
+    source and b = x at a partner.  Its sums never exceed A, so they are
+    exact.
     """
     m = len(vertices)
     hit = np.zeros((m, m), dtype=bool)
@@ -234,18 +236,19 @@ def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
         return_index=True,
         return_inverse=True,
     )
-    q = np.ascontiguousarray(cols[first].T)
+    q = cols[first]
     del cols, first
-    k = q.shape[1]
-    codes = np.unique(cls[eu].astype(np.int64) * k + cls[ev])
+    k = q.shape[0]
+    codes = _unique_sorted(cls[eu].astype(np.int64) * k + cls[ev])
     del cls
     pa, pb = codes // k, codes % k
-    for x in np.unique(q):
-        flags = (q == x).astype(np.float32)
-        for lo in range(0, codes.size, _PAIR_CHUNK):
-            left = flags[:, pa[lo : lo + _PAIR_CHUNK]]
-            right = flags[:, pb[lo : lo + _PAIR_CHUNK]]
-            hit |= (left @ right.T) > 0
+    starts = np.flatnonzero(np.concatenate(([True], pa[1:] != pa[:-1])))
+    sources = pa[starts]
+    for x in _unique_sorted(q):
+        flags = q == x
+        partners = np.bitwise_or.reduceat(np.packbits(flags, axis=1)[pb], starts, axis=0)
+        near = np.unpackbits(partners, axis=1, count=m).astype(np.float32)
+        hit |= (flags[sources].T.astype(np.float32) @ near) > 0
     return hit | hit.T
 
 
@@ -275,25 +278,30 @@ def _selector_valued(
 
 def build_special_family(
     g: Graph,
-    gamma: WideColoring,
+    class_shells: dict[tuple[int, int], list[np.ndarray]],
     params: CounterexampleParams,
     q: int,
 ) -> list[FunctionVertex]:
     """The named non-constant functions attached to one value q of the
     special function's color.
 
-    Every h is two-valued (an outside color, another on one exact-distance
-    shell of the class with first coordinate q); every g replaces the shell
-    values by a per-subclass selector.  The index sets follow the variant.
+    ``class_shells`` maps each class (a, b) of the wide coloring to its
+    exact-distance shells at depths 0..d, as ``n_shells`` gives them.  Every
+    h is two-valued (an outside color, another on one exact-distance shell
+    of the class with first coordinate q); every g replaces the shell values
+    by a per-subclass selector.  The index sets follow the variant.
     """
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
-    shells = n_shells(g, gamma.class_set(q), params.d)
-    sel = q if params.reading == "q" else 1
-    sel_shells = [
-        n_shells(g, gamma.class_set(sel, b), params.d)[params.d] for b in range(1, k + 1)
+    # Walks from a union of seeds end where walks from some seed end, so the
+    # shells of class q are the unions of its k subclasses' shells.
+    shells = [
+        np.logical_or.reduce([class_shells[q, b][t] for b in range(1, k + 1)])
+        for t in range(params.d + 1)
     ]
+    sel = q if params.reading == "q" else 1
+    sel_shells = [class_shells[sel, b][params.d] for b in range(1, k + 1)]
 
     def h(d: int, i: int, j: int) -> FunctionVertex:
         return FunctionVertex(
@@ -357,6 +365,8 @@ class BuildResult:
     g_hash: str
     #: ``collision_matrix(g, vertices)``: True where two tables collide.
     collisions: np.ndarray
+    #: Classes of ``gamma`` whose exact-distance-d shell the build checked.
+    classes_checked: int
     issues: list[str] = field(default_factory=list)
 
     @property
@@ -468,7 +478,7 @@ def build_counterexample(
     expected = EXPECTED_COUNTS[params.variant]
     omega = omega_tuples(params.base, params.d)
     g = omega.graph
-    gamma = zero_position_coloring(omega, params.n, params.k)
+    gamma = _zero_position(omega, params.n, params.k)
 
     issues: list[str] = []
 
@@ -489,6 +499,16 @@ def build_counterexample(
             f"host has {g.edge_count} edges, expected {expected['g_edges']}",
         )
 
+    # One sweep per class of the wide coloring: its d-shell is checked here
+    # and every shell feeds the special families.
+    class_shells = {
+        (a, b): n_shells(g, gamma.class_set(a, b), params.d)
+        for a in range(1, params.n + 1)
+        for b in range(1, params.k + 1)
+    }
+    narrow = [ab for ab, shells in class_shells.items() if not is_independent(g, shells[params.d])]
+    check(not narrow, f"zero-position coloring is not {params.d}-wide on classes {narrow}")
+
     vertices = [
         FunctionVertex(
             label=f"const({i})",
@@ -505,7 +525,7 @@ def build_counterexample(
         )
     )
     for q in range(1, params.n + 1):
-        vertices.extend(build_special_family(g, gamma, params, q))
+        vertices.extend(build_special_family(g, class_shells, params, q))
 
     check(
         len(vertices) == expected["h_vertices"],
@@ -539,6 +559,7 @@ def build_counterexample(
         h=h,
         g_hash=graph_sha256(g),
         collisions=collisions,
+        classes_checked=len(class_shells),
         issues=issues,
     )
 
@@ -755,7 +776,7 @@ def verify_counterexample(
                 "condition": 2,
                 "d": params.d,
                 "classes": params.n * params.k,
-                "note": "asserted during construction",
+                "classes_checked": build.classes_checked,
             },
         )
     )

@@ -22,8 +22,10 @@ rows directly and are written for the small cross-validation sizes.  The big
 adjoint graphs are built only through ``omega_tuples``, which enumerates
 tuples and edges as numpy arrays, and their vertex sets are swept by
 ``n_shells`` as boolean arrays over the edge arrays, linear in |V| + |E| per
-step.  The shell functions also accept and return Python-int bitmasks,
-converted at the boundary.
+step.  One sweep gives every shell of the same seed set, and the shells of a
+union of seeds are the unions of their shells, so a counterexample build
+sweeps each color class of its wide coloring once.  The shell functions
+also accept and return Python-int bitmasks, converted at the boundary.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def n_shells(g: Graph, members, d: int) -> list:
     ``members`` is a bitmask or a boolean array over V(g), and the shells
     come back in the same form.  Each step is one frontier sweep over the
     edge arrays, in both orientations, so its cost is linear in |V| + |E|.
-    The deep-region builds ask for every shell of the same seed set, so a
-    single pass beats d separate restarts.
+    The counterexample build asks for every shell of the same seed set, so a
+    single pass beats d separate restarts; it sweeps each class of its wide
+    coloring once and takes a union of classes' shells as the union's shells.
     """
     if d < 0:
         raise ValueError("walk length must be nonnegative")

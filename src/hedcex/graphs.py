@@ -204,6 +204,18 @@ def _rows_from_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> list[int]:
     return rows
 
 
+def _unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending, as ``np.unique`` gives them.
+
+    One sort and one comparison of neighbours keep the first of each run,
+    with no hash table; ``keys`` itself is left as it was.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def new_graph(
     n: int,
     edges: Iterable[tuple[int, int]] | np.ndarray,
@@ -227,7 +239,7 @@ def new_graph(
     if outside.size:
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    keys = _unique_sorted(pairs.min(axis=1) * n + pairs.max(axis=1))
     eu = (keys // max(n, 1)).astype(np.int32)
     ev = (keys % max(n, 1)).astype(np.int32)
     g = Graph(n, None, label)

@@ -4,9 +4,12 @@ A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
 keeps its exact-distance-d neighborhood independent.  Four equivalent tests
 are exposed (``check_wide``); the cheap one, condition 2, is the production
 path on the large adjoint graphs, where each color class is a boolean array
-read off ``WideColoring.pair_array`` and its shell is checked by one gather
-over the edge arrays.  ``zero_position_coloring`` produces the
-canonical wide coloring of an omega graph over a complete base, and
+read off ``WideColoring.pair_array``, swept once by ``n_shells``, and its
+d-shell is checked by one gather over the edge arrays.
+``zero_position_coloring`` produces the canonical wide coloring of an omega
+graph over a complete base and checks it that way.  The counterexample build
+makes the same coloring but sweeps the classes itself, since it keeps every
+shell for its function tables, and checks condition 2 on those sweeps.
 ``adjunction_holds`` cross-checks "gamma_d G maps to H iff G maps to
 omega_d H" exhaustively at small scale.
 """
@@ -155,6 +158,26 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
     )
 
 
+def _zero_position(
+    omega: OmegaGraph,
+    n: int,
+    k: int,
+    pairing: Callable[[int], tuple[int, int]] | None = None,
+) -> WideColoring:
+    """The zero-position coloring of ``omega``, its wideness not yet checked.
+
+    The default pairing is applied to every zero position at once.
+    """
+    if n * k != omega.n:
+        raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
+    if pairing is None:
+        zero = np.array(omega.zero_positions(), dtype=np.int64)
+        pairs = tuple(zip((zero // k + 1).tolist(), (zero % k + 1).tolist()))
+    else:
+        pairs = tuple(pairing(p + 1) for p in omega.zero_positions())
+    return WideColoring(n=n, k=k, d=omega.d, pairs=pairs, graph_sha=graph_sha256(omega.graph))
+
+
 def zero_position_coloring(
     omega: OmegaGraph,
     n: int,
@@ -164,14 +187,11 @@ def zero_position_coloring(
     """Color each tuple vertex by the position of its unique zero.
 
     The position (an element of the base [n*k]) is split into a pair via
-    ``pairing``.  Wideness at half-width ``omega.d`` is a construction
-    invariant, so condition 2 is asserted here rather than assumed.
+    ``pairing``, ``default_pairing`` unless given.  Wideness at half-width
+    ``omega.d`` is a construction invariant, so condition 2 is asserted here
+    rather than assumed.
     """
-    if n * k != omega.n:
-        raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    split = pairing if pairing is not None else (lambda a: default_pairing(a, k))
-    pairs = tuple(split(p + 1) for p in omega.zero_positions())
-    wc = WideColoring(n=n, k=k, d=omega.d, pairs=pairs, graph_sha=graph_sha256(omega.graph))
+    wc = _zero_position(omega, n, k, pairing)
     if not check_wide(omega.graph, wc, condition=2):
         raise RuntimeError(
             "zero-position coloring failed the wideness check; "

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ def test_round_trip_verifies(c5_cert):
     back = certificate_from_json(text)
     assert back == c5_cert
     assert check_certificate(back)
+
+
+def test_json_is_compact_and_indented_certificates_still_check(c5_cert):
+    text = certificate_to_json(c5_cert)
+    assert "\n" not in text
+    # certificates used to be written with indent=1; whitespace is not part
+    # of the format, so those still parse to the same document and check
+    indented = json.dumps(c5_cert, sort_keys=True, indent=1)
+    assert certificate_from_json(indented) == certificate_from_json(text)
+    assert check_certificate(certificate_from_json(indented))
 
 
 def test_json_shape(c5_cert):

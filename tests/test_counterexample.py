@@ -21,7 +21,8 @@ from hedcex.counterexample import (
     verify_counterexample,
     verify_product_coloring,
 )
-from hedcex.families import complete_graph, cycle_graph
+from hedcex import counterexample, families, widecolor
+from hedcex.families import complete_graph, cycle_graph, n_shells
 from hedcex.graphs import graph_sha256, new_graph
 from hedcex.solver import SearchBudget
 from oracles import collision_free
@@ -107,13 +108,14 @@ def test_const_vs_const_adjacency():
 @st.composite
 def tables_on_a_loopy_graph(draw):
     """A graph on 1-12 vertices, loops allowed and possibly edgeless, with
-    tables over [c] that repeat host columns and include constants."""
+    up to 20 tables over [c] that repeat host columns and include constants
+    (more than 8 tables span more than one byte of a packed row)."""
     n = draw(st.integers(1, 12))
-    c = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 6))
     slots = [(u, v) for u in range(n) for v in range(u, n)]
     edges = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
     rows = draw(
-        st.lists(st.lists(st.integers(1, c), min_size=n, max_size=n), min_size=1, max_size=6)
+        st.lists(st.lists(st.integers(1, c), min_size=n, max_size=n), min_size=1, max_size=18)
     )
     for x in draw(st.lists(st.integers(1, c), max_size=2)):
         rows.append([x] * n)
@@ -131,6 +133,12 @@ def test_collision_matrix_matches_oracle(case):
     for a, f in enumerate(vertices):
         for b, w in enumerate(vertices):
             assert hit[a, b] == (not collision_free(g, c, f.table, w.table))
+
+
+@given(st.integers(0, 2**30), st.integers(1, 7), st.integers(1, 60))
+def test_image_matches_unique(seed, c, n):
+    table = np.random.default_rng(seed).integers(1, c + 1, size=n)
+    assert fv("t", table).image == set(np.unique(table).tolist())
 
 
 def test_collision_matrix_on_an_edgeless_host():
@@ -201,6 +209,43 @@ def test_collision_matrix_matches_scan_on_refined(c5_report):
     for a, f in enumerate(build.vertices):
         for b, w in enumerate(build.vertices[a:], start=a):
             assert hit[a, b] == (not exp_adjacent(build.g, 5, f, w))
+
+
+@pytest.mark.parametrize("variant,classes", [("c5_refined", 6), ("c7", 8), ("c5_wide", 6)])
+def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
+    seeds = []
+
+    def counting(g, members, d):
+        seeds.append(np.flatnonzero(members).tobytes())
+        return n_shells(g, members, d)
+
+    for mod in (families, widecolor, counterexample):
+        monkeypatch.setattr(mod, "n_shells", counting)
+    build = build_counterexample(params_for(variant))
+    assert len(seeds) == len(set(seeds)) == classes == build.classes_checked
+
+
+def test_build_shells_of_q_are_its_class_shells(c5_report):
+    build = c5_report.build
+    d = build.params.d
+    for q in range(1, build.params.n + 1):
+        shells = n_shells(build.g, build.gamma.class_set(q), d)
+        for v in build.vertices:
+            if v.role[:2] == ("h", q):
+                _, _, depth, i, j = v.role
+                assert np.array_equal(v.table, np.where(shells[depth], j, i)), v.label
+            elif v.role[:2] == ("g", q):
+                assert (v.table[~shells[d]] == v.role[3]).all(), v.label
+
+
+def test_wide_coloring_item_counts_checked_classes(c5_report, c7_report, c5_wide_report):
+    for report, classes in ((c5_report, 6), (c7_report, 8), (c5_wide_report, 6)):
+        assert report.item("wide_coloring").detail == {
+            "condition": 2,
+            "d": report.params.d,
+            "classes": classes,
+            "classes_checked": classes,
+        }
 
 
 def test_h_edges_are_exponential_edges(c5_report):

@@ -74,6 +74,17 @@ def test_duplicate_edges_collapse():
     assert g.edge_count == 1
 
 
+@given(st.integers(1, 30), st.data())
+def test_new_graph_matches_a_set_oracle(n, data):
+    # repeated pairs, both orientations, loops and the empty list
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        eu, ev = edge_arrays(new_graph(n, edges))
+        assert eu.dtype == ev.dtype == np.int32
+        assert list(zip(eu.tolist(), ev.tolist())) == expect
+
+
 def test_edge_bounds_checked():
     with pytest.raises(ValueError):
         new_graph(2, [(0, 2)])
