@@ -5,8 +5,9 @@
 Both variants reach PASS in a few seconds: the 6-wide one spends most of
 its time building the 54186-vertex host, and its chi(H) search refuses a
 5-coloring of the 165-vertex H in a few hundred nodes.  Its certificate
-carries every function table and is about 64 MB of JSON.  ``--budget-nodes``
-caps the chi(H) search; a run that hits the cap ends INCOMPLETE (exit 1).
+pins every function table by its SHA-256 digest and is about 23 KB of JSON.
+``--budget-nodes`` caps the chi(H) search; a run that hits the cap ends
+INCOMPLETE (exit 1).
 """
 
 import argparse

@@ -1,22 +1,26 @@
 """Self-contained JSON certificates for the counterexample pairs.
 
 A certificate pins the parameters, the host graph by hash and counts, the
-wide coloring, every function table of H, the H edge list, and the solver
-verdicts with their budgets.  ``check_certificate`` re-derives everything
-that is checkable without a search: the construction is rebuilt once from
-the parameters, its host hashed and compared, the wide coloring is re-tested,
-one collision matrix is computed from the embedded tables and every loop and
-stored H edge is re-derived from it (which subsumes the product coloring),
-and the edge list is compared against the canonical build.
-Search verdicts stay what they are, trusted together with their recorded
-budgets.  ``collision_matrix`` is the same kernel the build uses, so the
-check trusts it too; the tests hold it to ``oracles.collision_free`` on
-small graphs and to the one-pair scan ``exp_adjacent`` on the refined
-certificate's loops and stored edges.
+wide coloring and every function table of H by digest, the H edge list, and
+the solver verdicts with their budgets.  A digest is the SHA-256 of the
+values as int8 bytes in vertex order: a function table's values for an H
+vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then of
+vertex 1, ...) for gamma.
+
+``check_certificate`` rebuilds the construction strictly from the
+parameters, once.  The strict build asserts the pinned counts, wideness,
+pairwise distinct tables, no loops, and that every H edge is an edge of the
+exponential graph (which is the product coloring).  The checker then
+compares the certificate with that rebuild: host hash and counts, the wide
+coloring's shape, host pin and digest, the H labels, each table digest, and
+the edge list against the canonical skeleton.  Search verdicts stay what
+they are, trusted together with their recorded budgets.  A certificate of
+any other version is refused, with a message naming its version.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -25,15 +29,36 @@ import numpy as np
 from .counterexample import (
     EXPECTED_COUNTS,
     PASS,
+    BuildResult,
     CounterexampleParams,
-    FunctionVertex,
     Report,
     build_counterexample,
-    collision_matrix,
 )
-from .widecolor import WideColoring, check_wide
 
-CERTIFICATE_VERSION = "1"
+CERTIFICATE_VERSION = "2"
+
+
+def _sha256(values: np.ndarray) -> str:
+    """SHA-256 of ``values`` as int8 bytes, row-major."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.int8).tobytes()).hexdigest()
+
+
+def _pinned(build: BuildResult) -> dict:
+    """The certificate fields a build determines: host, gamma, H."""
+    gamma = build.gamma
+    return {
+        "g_hash": build.g_hash,
+        "g_counts": {"vertices": build.g.n, "edges": build.g.edge_count},
+        "gamma": {
+            "graph_sha256": gamma.graph_sha,
+            "n": gamma.n,
+            "k": gamma.k,
+            "d": gamma.d,
+            "pairs_sha256": _sha256(gamma.pair_array),
+        },
+        "h": [{"label": v.label, "sha256": _sha256(v.table)} for v in build.vertices],
+        "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
+    }
 
 
 def emit_certificate(report: Report) -> dict:
@@ -42,12 +67,10 @@ def emit_certificate(report: Report) -> dict:
         raise ValueError(f"only PASS reports are certifiable, got {report.status}")
     if report.build is None:
         raise ValueError("report carries no build to certify")
-    build = report.build
     params = report.params
     chi_h = report.item("chi_h")
     product = report.item("product_coloring")
     chi_g = report.item("chi_g")
-    gamma = build.gamma
     return {
         "version": CERTIFICATE_VERSION,
         "params": {
@@ -58,17 +81,7 @@ def emit_certificate(report: Report) -> dict:
             "d": params.d,
             "reading": params.reading,
         },
-        "g_hash": build.g_hash,
-        "g_counts": {"vertices": build.g.n, "edges": build.g.edge_count},
-        "gamma": {
-            "graph_sha256": gamma.graph_sha,
-            "n": gamma.n,
-            "k": gamma.k,
-            "d": gamma.d,
-            "pairs": gamma.pair_array.tolist(),
-        },
-        "h": [{"label": v.label, "table": v.table.tolist()} for v in build.vertices],
-        "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
+        **_pinned(report.build),
         "verdicts": {
             "chi_h": {"status": "none", "colors": params.c, "nodes": chi_h.detail["nodes"]},
             "product": {"ok": True, "ordered_checks": product.detail["ordered_checks"]},
@@ -90,10 +103,8 @@ def emit_certificate(report: Report) -> dict:
 def certificate_to_json(cert: dict) -> str:
     """Compact JSON text of a certificate, keys sorted.
 
-    No indentation: ``indent`` would force the standard library's pure-Python
-    encoder and put every table entry on a line of its own.  Whitespace is
-    not part of the format, so ``certificate_from_json`` reads indented
-    certificates too.
+    Whitespace is not part of the format, so ``certificate_from_json`` reads
+    indented certificates too.
     """
     return json.dumps(cert, sort_keys=True, separators=(",", ":"))
 
@@ -115,15 +126,14 @@ class CertificateCheck:
 
 
 def check_certificate(cert: dict) -> CertificateCheck:
-    """Re-verify every embedded witness of a certificate.
+    """Check a certificate against the canonical build of its parameters.
 
-    Fails on: missing fields, unknown version, parameter violations, host
-    hash or count mismatch, a wide coloring that is not wide, malformed or
-    colliding function tables, a stored H edge the tables do not actually
-    realize in the exponential graph (this subsumes the product coloring),
-    a const edge out of step with a table's image, an edge list that is not
-    the canonical skeleton, a looped table, or verdict fields that do not
-    belong to a passing run.
+    Fails on: missing fields, a version other than ``CERTIFICATE_VERSION``,
+    parameter violations, verdict fields that do not belong to a passing
+    run, a malformed, duplicated, out-of-range or miscounted edge list, a
+    rebuild that fails its own checks, and any difference from the rebuild
+    in the host hash or counts, the wide coloring, the H labels, a table
+    digest or the edge list.
     """
     failures: list[str] = []
 
@@ -135,7 +145,11 @@ def check_certificate(cert: dict) -> CertificateCheck:
     required = ["version", "params", "g_hash", "g_counts", "gamma", "h", "h_edges", "verdicts"]
     if not need(all(key in cert for key in required), "missing required fields"):
         return CertificateCheck(False, failures)
-    if not need(cert["version"] == CERTIFICATE_VERSION, "unsupported certificate version"):
+    if not need(
+        cert["version"] == CERTIFICATE_VERSION,
+        f"unsupported certificate version {cert['version']!r}; "
+        f"this checker reads version {CERTIFICATE_VERSION!r}",
+    ):
         return CertificateCheck(False, failures)
 
     try:
@@ -146,98 +160,77 @@ def check_certificate(cert: dict) -> CertificateCheck:
         return CertificateCheck(False, failures)
     expected = EXPECTED_COUNTS[params.variant]
 
-    try:
-        rebuilt = build_counterexample(params)
-    except (RuntimeError, ValueError) as err:
-        failures.append(f"canonical rebuild failed: {err}")
-        return CertificateCheck(False, failures)
-    g, g_hash = rebuilt.g, rebuilt.g_hash
-    need(cert["g_hash"] == g_hash, "host graph hash mismatch")
-    need(
-        cert["g_counts"] == {"vertices": g.n, "edges": g.edge_count},
-        "host graph counts mismatch",
-    )
-
-    try:
-        gd = cert["gamma"]
-        gamma = WideColoring(
-            n=int(gd["n"]),
-            k=int(gd["k"]),
-            d=int(gd["d"]),
-            pairs=tuple((int(a), int(b)) for a, b in gd["pairs"]),
-            graph_sha=gd.get("graph_sha256"),
-        )
-        if need(gamma.graph_sha == g_hash, "wide coloring pinned to a different graph"):
+    verdicts = cert["verdicts"]
+    names = ("chi_h", "product", "chi_g")
+    if not (isinstance(verdicts, dict) and set(names) <= set(verdicts)):
+        failures.append("missing verdicts")
+    else:
+        loose = [name for name in names if not isinstance(verdicts[name], dict)]
+        if need(not loose, f"verdict is not a JSON object: {', '.join(loose)}"):
+            need(verdicts["chi_h"].get("status") == "none", "chi_h verdict is not a refusal")
+            need(verdicts["product"].get("ok") is True, "product verdict is not positive")
             need(
-                gamma.n == params.n and gamma.k == params.k and gamma.d == params.d,
-                "wide coloring shape differs from the parameters",
+                verdicts["chi_g"].get("status") in ("machine_checked", "external_theorem"),
+                "chi_g verdict has an unknown status",
             )
-            need(check_wide(g, gamma, condition=2), "wide coloring fails its independence check")
-    except (KeyError, TypeError, ValueError) as err:
-        failures.append(f"bad wide coloring: {err}")
-
-    vertices: list[FunctionVertex] = []
-    try:
-        for entry in cert["h"]:
-            table = np.asarray(entry["table"], dtype=np.int8)
-            if table.shape != (g.n,) or table.min() < 1 or table.max() > params.c:
-                raise ValueError(f"table of {entry['label']!r} is not a function into [c]")
-            vertices.append(FunctionVertex(entry["label"], ("cert",), table))
-    except (KeyError, TypeError, ValueError) as err:
-        failures.append(f"bad function table: {err}")
-        return CertificateCheck(False, failures)
-
-    need(len(vertices) == expected["h_vertices"], "unexpected number of H vertices")
-    need(
-        len({v.label for v in vertices}) == len(vertices),
-        "duplicate H vertex labels",
-    )
-    need(
-        len({v.table.tobytes() for v in vertices}) == len(vertices),
-        "function tables are not pairwise distinct",
-    )
-    collisions = collision_matrix(g, vertices)
-    for idx, v in enumerate(vertices):
-        if not collisions[idx, idx]:
-            failures.append(f"{v.label} is a proper coloring of the host (loop)")
-            break
 
     try:
         stored = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in cert["h_edges"]}
     except (TypeError, ValueError):
         stored = None
-    if need(stored is not None, "malformed H edge list"):
+    m = expected["h_vertices"]
+    edges_ok = need(stored is not None, "malformed H edge list") and need(
+        all(0 <= a < m and 0 <= b < m and a != b for a, b in stored),
+        "H edge endpoint out of range",
+    )
+    if edges_ok:
         need(len(stored) == len(cert["h_edges"]), "duplicate H edges")
-        if not need(
-            all(0 <= a < len(vertices) and 0 <= b < len(vertices) and a != b for a, b in stored),
-            "H edge endpoint out of range",
-        ):
-            return CertificateCheck(False, failures)
         if "h_edges" in expected:
             need(len(stored) == expected["h_edges"], "unexpected number of H edges")
-        for a, b in sorted(stored):
-            if collisions[a, b]:
-                failures.append(
-                    f"stored edge {vertices[a].label} ~ {vertices[b].label} "
-                    "is not realized by the tables"
-                )
-                break
-        # const edges are forced by table images alone, so they are checkable
-        # without trusting the edge list: const(i) ~ w exactly when i misses
-        # im(w).
-        for idx in range(params.c, len(vertices)):
-            image = vertices[idx].image
-            for i in range(1, params.c + 1):
-                has = (i - 1, idx) in stored
-                if has != (i not in image):
-                    failures.append(
-                        f"const({i}) edge out of step with the image of {vertices[idx].label}"
-                    )
-                    break
-            else:
-                continue
-            break
-        canonical = {(min(e), max(e)) for e in rebuilt.h.edges()}
+
+    try:
+        rebuilt = build_counterexample(params)
+    except (RuntimeError, ValueError) as err:
+        failures.append(f"canonical rebuild failed: {err}")
+        return CertificateCheck(False, failures)
+    canon = _pinned(rebuilt)
+    need(cert["g_hash"] == canon["g_hash"], "host graph hash mismatch")
+    need(cert["g_counts"] == canon["g_counts"], "host graph counts mismatch")
+
+    gamma, want = cert["gamma"], canon["gamma"]
+    if need(
+        isinstance(gamma, dict) and set(want) <= set(gamma),
+        "bad wide coloring: fields missing",
+    ):
+        need(
+            [gamma[key] for key in ("n", "k", "d")] == [want[key] for key in ("n", "k", "d")],
+            "wide coloring shape differs from the parameters",
+        )
+        need(
+            gamma["graph_sha256"] == want["graph_sha256"],
+            "wide coloring pinned to a different graph",
+        )
+        need(
+            gamma["pairs_sha256"] == want["pairs_sha256"],
+            "wide coloring differs from the canonical zero-position coloring",
+        )
+
+    try:
+        labels = [entry["label"] for entry in cert["h"]]
+        digests = [entry["sha256"] for entry in cert["h"]]
+    except (KeyError, TypeError) as err:
+        failures.append(f"malformed H vertex list: {err!r}")
+    else:
+        if need(len(labels) == m, "unexpected number of H vertices"):
+            need(labels == rebuilt.labels, "H vertex labels differ from the canonical build")
+            bad = next(
+                (entry["label"] for entry, got in zip(canon["h"], digests) if got != entry["sha256"]),
+                None,
+            )
+            need(bad is None, f"function table of {bad} differs from the canonical build")
+
+    if edges_ok:
+        canonical = {tuple(e) for e in canon["h_edges"]}
         if stored != canonical:
             extra = sorted(stored - canonical)[:3]
             missing = sorted(canonical - stored)[:3]
@@ -245,22 +238,5 @@ def check_certificate(cert: dict) -> CertificateCheck:
                 f"H edges are not the canonical skeleton (spurious {extra}, "
                 f"missing {missing})"
             )
-        need(
-            [v.label for v in vertices] == rebuilt.labels,
-            "H vertex labels differ from the canonical build",
-        )
-
-    verdicts = cert["verdicts"]
-    need(
-        isinstance(verdicts, dict) and {"chi_h", "product", "chi_g"} <= set(verdicts),
-        "missing verdicts",
-    )
-    if not failures:
-        need(verdicts["chi_h"].get("status") == "none", "chi_h verdict is not a refusal")
-        need(verdicts["product"].get("ok") is True, "product verdict is not positive")
-        need(
-            verdicts["chi_g"].get("status") in ("machine_checked", "external_theorem"),
-            "chi_g verdict has an unknown status",
-        )
 
     return CertificateCheck(not failures, failures)

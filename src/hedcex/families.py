@@ -236,22 +236,22 @@ def _tuple_partner_menus(xj: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
 
 @dataclass
 class OmegaGraph:
-    """Tuple adjoint graph plus its vertex label table.
+    """Tuple adjoint graph plus its vertex tuples.
 
     ``n`` is the complete base's order (also the color count of the
     zero-position coloring) and ``d`` the half width: the graph is the right
-    adjoint of the (2d+1)-walk power at K_n.
+    adjoint of the (2d+1)-walk power at K_n.  ``digits`` holds the tuples as
+    the rows of a (vertices, n) int8 array, in vertex order.
     """
 
     graph: Graph
-    tuples: list[tuple[int, ...]]
+    digits: np.ndarray = field(repr=False)
     n: int
     d: int
-    index: dict[tuple[int, ...], int] = field(repr=False)
 
-    def zero_positions(self) -> list[int]:
+    def zero_positions(self) -> np.ndarray:
         """0-based position of the unique 0 in each tuple."""
-        return [t.index(0) for t in self.tuples]
+        return np.argmax(self.digits == 0, axis=1)
 
 
 def omega_tuples(n: int, d: int) -> OmegaGraph:
@@ -289,9 +289,7 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         targets.append(dst[keep].astype(np.int32))
     edges = np.column_stack((np.concatenate(sources), np.concatenate(targets)))
     g = new_graph(len(digits), edges, f"omega({n},{d})")
-    verts = list(map(tuple, digits.tolist()))
-    index = {t: i for i, t in enumerate(verts)}
-    return OmegaGraph(graph=g, tuples=verts, n=n, d=d, index=index)
+    return OmegaGraph(graph=g, digits=digits, n=n, d=d)
 
 
 # -- adjoint graphs, set tuple form ------------------------------------------

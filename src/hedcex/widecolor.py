@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -158,40 +157,27 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
     )
 
 
-def _zero_position(
-    omega: OmegaGraph,
-    n: int,
-    k: int,
-    pairing: Callable[[int], tuple[int, int]] | None = None,
-) -> WideColoring:
+def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """The zero-position coloring of ``omega``, its wideness not yet checked.
 
-    The default pairing is applied to every zero position at once.
+    ``default_pairing`` is applied to every zero position at once.
     """
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    if pairing is None:
-        zero = np.array(omega.zero_positions(), dtype=np.int64)
-        pairs = tuple(zip((zero // k + 1).tolist(), (zero % k + 1).tolist()))
-    else:
-        pairs = tuple(pairing(p + 1) for p in omega.zero_positions())
+    zero = omega.zero_positions()
+    pairs = tuple(zip((zero // k + 1).tolist(), (zero % k + 1).tolist()))
     return WideColoring(n=n, k=k, d=omega.d, pairs=pairs, graph_sha=graph_sha256(omega.graph))
 
 
-def zero_position_coloring(
-    omega: OmegaGraph,
-    n: int,
-    k: int,
-    pairing: Callable[[int], tuple[int, int]] | None = None,
-) -> WideColoring:
+def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """Color each tuple vertex by the position of its unique zero.
 
-    The position (an element of the base [n*k]) is split into a pair via
-    ``pairing``, ``default_pairing`` unless given.  Wideness at half-width
-    ``omega.d`` is a construction invariant, so condition 2 is asserted here
-    rather than assumed.
+    The position (an element of the base [n*k]) is split into a pair by
+    ``default_pairing``.  Wideness at half-width ``omega.d`` is a
+    construction invariant, so condition 2 is asserted here rather than
+    assumed.
     """
-    wc = _zero_position(omega, n, k, pairing)
+    wc = _zero_position(omega, n, k)
     if not check_wide(omega.graph, wc, condition=2):
         raise RuntimeError(
             "zero-position coloring failed the wideness check; "

@@ -198,7 +198,7 @@ def _suite_set_vs_tuple() -> tuple[int, int]:
             tup = omega_tuples(m, d)
             st = omega_sets(complete_graph(m), d)
             index = {c: i for i, c in enumerate(st.tuples)}
-            perm = [index.get(_chain_of(x, d)) for x in tup.tuples]
+            perm = [index.get(_chain_of(x, d)) for x in omega_tuple_vertices(m, d)]
             bijective = None not in perm and sorted(perm) == list(range(st.graph.n))
             for v in range(tup.graph.n):
                 good = bijective and {

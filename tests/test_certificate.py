@@ -1,9 +1,10 @@
 import copy
 import json
+import sys
 
-import numpy as np
 import pytest
 
+from hedcex import counterexample as cex
 from hedcex import graphs
 from hedcex.certificate import (
     CERTIFICATE_VERSION,
@@ -12,7 +13,7 @@ from hedcex.certificate import (
     check_certificate,
     emit_certificate,
 )
-from hedcex.counterexample import FunctionVertex, exp_adjacent, params_for, verify_counterexample
+from hedcex.counterexample import exp_adjacent, params_for, verify_counterexample
 from hedcex.solver import SearchBudget
 
 
@@ -73,9 +74,14 @@ def test_missing_field_fails(c5_cert):
 
 
 def test_wrong_version_fails(c5_cert):
-    bad = copy.deepcopy(c5_cert)
-    bad["version"] = "0"
-    assert not check_certificate(bad)
+    # version 1 carried the tables themselves; it is refused like any other
+    for version in ("0", "1"):
+        bad = copy.deepcopy(c5_cert)
+        bad["version"] = version
+        chk = check_certificate(bad)
+        assert chk.failures == [
+            f"unsupported certificate version '{version}'; this checker reads version '2'"
+        ]
 
 
 def test_flipped_edge_fails(c5_cert):
@@ -103,19 +109,36 @@ def test_dropped_edge_fails(c5_cert):
     assert any("number of H edges" in f for f in chk.failures)
 
 
+def _flip(digest: str) -> str:
+    return ("0" if digest[0] != "0" else "1") + digest[1:]
+
+
 def test_corrupt_gamma_fails(c5_cert):
-    bad = copy.deepcopy(c5_cert)
-    bad["gamma"]["pairs"][3] = [1, 1] if bad["gamma"]["pairs"][3] != [1, 1] else [2, 1]
-    chk = check_certificate(bad)
-    assert not chk
-    assert any("wide" in f for f in chk.failures)
+    for key, message in (
+        ("pairs_sha256", "wide coloring differs from the canonical zero-position coloring"),
+        ("graph_sha256", "wide coloring pinned to a different graph"),
+        ("d", "wide coloring shape differs from the parameters"),
+        (None, "bad wide coloring: fields missing"),
+    ):
+        bad = copy.deepcopy(c5_cert)
+        gamma = bad["gamma"]
+        if key is None:
+            del gamma["pairs_sha256"]
+        elif key == "d":
+            gamma["d"] += 1
+        else:
+            gamma[key] = _flip(gamma[key])
+        chk = check_certificate(bad)
+        assert chk.failures == [message]
 
 
 def test_corrupt_table_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
-    table = bad["h"][6]["table"]
-    table[17] = table[17] % 5 + 1
-    assert not check_certificate(bad)
+    bad["h"][6]["sha256"] = _flip(bad["h"][6]["sha256"])
+    chk = check_certificate(bad)
+    assert not chk
+    label = c5_cert["h"][6]["label"]
+    assert chk.failures == [f"function table of {label} differs from the canonical build"]
 
 
 def test_wrong_host_hash_fails(c5_cert):
@@ -126,20 +149,31 @@ def test_wrong_host_hash_fails(c5_cert):
     assert any("hash" in f for f in chk.failures)
 
 
-def test_table_out_of_range_fails(c5_cert):
+def test_malformed_h_entry_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
-    bad["h"][0]["table"][0] = 6
+    del bad["h"][0]["sha256"]
     chk = check_certificate(bad)
     assert not chk
-    assert any("function" in f for f in chk.failures)
+    assert any("malformed H vertex list" in f for f in chk.failures)
+    bad["h"] = "tables"
+    assert not check_certificate(bad)
 
 
 def test_duplicate_tables_fail(c5_cert):
     bad = copy.deepcopy(c5_cert)
-    bad["h"][1]["table"] = list(bad["h"][0]["table"])
+    bad["h"][8]["sha256"] = bad["h"][7]["sha256"]
     chk = check_certificate(bad)
     assert not chk
-    assert any("distinct" in f for f in chk.failures)
+    label = c5_cert["h"][8]["label"]
+    assert chk.failures == [f"function table of {label} differs from the canonical build"]
+
+
+def test_relabelled_vertices_fail(c5_cert):
+    bad = copy.deepcopy(c5_cert)
+    bad["h"][5], bad["h"][6] = bad["h"][6], bad["h"][5]
+    chk = check_certificate(bad)
+    assert not chk
+    assert "H vertex labels differ from the canonical build" in chk.failures
 
 
 def test_bad_parameters_fail(c5_cert):
@@ -150,30 +184,68 @@ def test_bad_parameters_fail(c5_cert):
     assert any("parameters" in f for f in chk.failures)
 
 
-def test_collision_on_a_stored_edge_is_named(c5_report, c5_cert):
-    bad = copy.deepcopy(c5_cert)
-    u, v = next(iter(c5_report.build.g.edges()))
-    # const(1) takes const(2)'s color at u, so the two collide across u-v
-    bad["h"][0]["table"][u] = bad["h"][1]["table"][v]
-    chk = check_certificate(bad)
+def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
+    # the rebuild refuses an H edge whose tables collide; f takes the value 1,
+    # so const(1) ~ f is not an edge of the exponential graph
+    skeleton = cex._skeleton_edges
+    f_idx = c5_cert["params"]["c"]
+    monkeypatch.setattr(
+        cex, "_skeleton_edges", lambda params, vertices: [(0, f_idx)] + skeleton(params, vertices)
+    )
+    chk = check_certificate(c5_cert)
     assert not chk
-    assert "stored edge const(1) ~ const(2) is not realized by the tables" in chk.failures
+    assert chk.failures == [
+        "canonical rebuild failed: H edge is not an edge of the exponential graph: const(1) ~ f"
+    ]
 
 
 def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
-    # check_certificate reads loops and stored edges off collision_matrix;
-    # re-derive each of them here with the independent one-pair scan
-    g = c5_report.build.g
-    c = c5_cert["params"]["c"]
-    vertices = [
-        FunctionVertex(e["label"], ("cert",), np.asarray(e["table"], dtype=np.int8))
-        for e in c5_cert["h"]
-    ]
+    # the build reads loops and H edges off collision_matrix, and the
+    # certificate's tables are the build's by digest; re-derive each loop and
+    # stored edge with the independent one-pair scan
+    build = c5_report.build
+    g, c, vertices = build.g, c5_cert["params"]["c"], build.vertices
+    assert [e["label"] for e in c5_cert["h"]] == build.labels
     assert c5_cert["h_edges"]
     for a, b in c5_cert["h_edges"]:
         assert exp_adjacent(g, c, vertices[a], vertices[b])
     for v in vertices:
         assert not exp_adjacent(g, c, v, v)
+
+
+def test_certificates_of_every_variant_are_small_and_check(c5_cert, c7_report, c5_wide_report):
+    for cert, limit in (
+        (c5_cert, 8 * 1024),
+        (emit_certificate(c7_report), 8 * 1024),
+        (emit_certificate(c5_wide_report), 32 * 1024),
+    ):
+        text = certificate_to_json(cert)
+        assert len(text.encode()) < limit
+        assert check_certificate(certificate_from_json(text))
+
+
+def test_check_sweeps_and_scans_only_inside_the_rebuild(monkeypatch, c5_cert):
+    # count calls through every binding of the two kernels in the package, so
+    # a second sweep or matrix anywhere on the check path shows up
+    calls = {"n_shells": 0, "collision_matrix": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("hedcex")]
+    for name in calls:
+        inner = getattr(cex, name)
+        wrapper = counted(name, inner)
+        for mod in modules:
+            if getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, wrapper)
+    assert check_certificate(c5_cert)
+    # one sweep per class of the 3 x 2 wide coloring, one collision matrix
+    assert calls == {"n_shells": 6, "collision_matrix": 1}
 
 
 def test_verify_and_round_trip_build_no_bitset_rows(monkeypatch):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hedcex.certificate import certificate_to_json, emit_certificate
 from hedcex.cli import main
 from hedcex.graphs import parse_dimacs
 
@@ -152,6 +153,25 @@ def test_build_and_verify_certificate(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "certificate", "--cert", str(cert))
     assert code == 1
+
+    doc = json.loads(cert.read_text())
+    doc["version"] = "1"
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "certificate", "--cert", str(cert))
+    assert code == 1
+    assert "unsupported certificate version '1'" in out
+
+
+@pytest.mark.parametrize("name", ["chi_h", "product", "chi_g"])
+def test_verdict_that_is_not_an_object_is_a_failure_line(tmp_path, capsys, c5_report, name):
+    doc = emit_certificate(c5_report)
+    doc["verdicts"][name] = "none"
+    cert = tmp_path / "bad.cert.json"
+    cert.write_text(certificate_to_json(doc))
+    code, out, err = run(capsys, "verify", "certificate", "--cert", str(cert))
+    assert code == 1
+    assert f"  - verdict is not a JSON object: {name}" in out
+    assert "Traceback" not in err
 
 
 def test_build_artifacts(tmp_path, capsys):

@@ -120,11 +120,13 @@ def test_omega_formula_matches_enumeration():
 
 def test_omega_tuples_validity():
     om = omega_tuples(4, 2)
-    for t in om.tuples:
+    tuples = omega_tuple_vertices(4, 2)
+    assert om.digits.tolist() == [list(t) for t in tuples]
+    for t in tuples:
         assert t.count(0) == 1 and 1 in t and max(t) <= 3
     # edges satisfy the coordinate rule, both ways
     for a, b in om.graph.edges():
-        x, y = om.tuples[a], om.tuples[b]
+        x, y = tuples[a], tuples[b]
         assert all(
             abs(xi - yi) == 1 or (xi == yi == 3) for xi, yi in zip(x, y)
         )
@@ -146,6 +148,7 @@ def test_omega_is_triangle_free():
 def test_zero_positions_are_proper():
     om = omega_tuples(5, 2)
     zp = om.zero_positions()
+    assert zp.tolist() == [t.index(0) for t in omega_tuple_vertices(5, 2)]
     for u, v in om.graph.edges():
         assert zp[u] != zp[v]
 
@@ -171,7 +174,7 @@ def test_set_form_equals_tuple_form(m, d):
     tup = omega_tuples(m, d)
     st_ = omega_sets(complete_graph(m), d)
     index = {c: i for i, c in enumerate(st_.tuples)}
-    perm = [index[_chain_of(x, d)] for x in tup.tuples]
+    perm = [index[_chain_of(x, d)] for x in omega_tuple_vertices(m, d)]
     assert sorted(perm) == list(range(st_.graph.n))
     mapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in tup.graph.edges()}
     stored = {(min(a, b), max(a, b)) for a, b in st_.graph.edges()}
