@@ -54,7 +54,7 @@ def _pinned(build: BuildResult) -> dict:
             "n": gamma.n,
             "k": gamma.k,
             "d": gamma.d,
-            "pairs_sha256": _sha256(gamma.pair_array),
+            "pairs_sha256": _sha256(gamma.pairs),
         },
         "h": [{"label": v.label, "sha256": _sha256(v.table)} for v in build.vertices],
         "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),

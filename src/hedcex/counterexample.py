@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, n_shells, omega_tuples
-from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, is_independent, new_graph
+from .families import OmegaGraph, omega_tuples, shell_bits
+from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, new_graph
 from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -230,7 +230,9 @@ def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
     eu, ev = edge_arrays(g)
     if m == 0 or eu.size == 0:
         return hit
-    cols = np.stack([v.table for v in vertices], axis=1)
+    # stacked row-wise (m contiguous copies), then transposed into one
+    # contiguous (n, m) array: a strided stack along axis 1 is slower
+    cols = np.ascontiguousarray(np.stack([v.table for v in vertices]).T)
     _, first, cls = np.unique(
         cols.view(np.dtype((np.void, m * cols.itemsize))).ravel(),
         return_index=True,
@@ -278,30 +280,32 @@ def _selector_valued(
 
 def build_special_family(
     g: Graph,
-    class_shells: dict[tuple[int, int], list[np.ndarray]],
+    class_shells: list[np.ndarray],
     params: CounterexampleParams,
     q: int,
 ) -> list[FunctionVertex]:
     """The named non-constant functions attached to one value q of the
     special function's color.
 
-    ``class_shells`` maps each class (a, b) of the wide coloring to its
-    exact-distance shells at depths 0..d, as ``n_shells`` gives them.  Every
-    h is two-valued (an outside color, another on one exact-distance shell
-    of the class with first coordinate q); every g replaces the shell values
-    by a per-subclass selector.  The index sets follow the variant.
+    ``class_shells`` holds the exact-distance shells of every class of the
+    wide coloring at depths 0..d, as ``shell_bits`` gives them: bit
+    ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in the depth-t
+    shell of class (a, b).  Every h is two-valued (an outside color, another
+    on one exact-distance shell of the class with first coordinate q); every
+    g replaces the shell values by a per-subclass selector.  The index sets
+    follow the variant.
     """
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
     # Walks from a union of seeds end where walks from some seed end, so the
-    # shells of class q are the unions of its k subclasses' shells.
-    shells = [
-        np.logical_or.reduce([class_shells[q, b][t] for b in range(1, k + 1)])
-        for t in range(params.d + 1)
-    ]
+    # shells of class q are read off the bits of its k subclasses at once.
+    q_bits = ((1 << k) - 1) << ((q - 1) * k)
+    shells = [(bits & q_bits) != 0 for bits in class_shells]
     sel = q if params.reading == "q" else 1
-    sel_shells = [class_shells[sel, b][params.d] for b in range(1, k + 1)]
+    sel_shells = [
+        (class_shells[params.d] & (1 << ((sel - 1) * k + b - 1))) != 0 for b in range(1, k + 1)
+    ]
 
     def h(d: int, i: int, j: int) -> FunctionVertex:
         return FunctionVertex(
@@ -471,8 +475,11 @@ def build_counterexample(
     edge real in the exponential graph, vertex and edge counts where pinned)
     are asserted; ``strict=False`` records failures in ``issues`` instead of
     raising, which the reading comparison uses to probe a variant without
-    committing to it.  Loops and H edges are read off one collision matrix,
-    which the result keeps for the verification items.
+    committing to it.  The host is swept once for all classes of the wide
+    coloring, one bit per class (``shell_bits``); wideness is one AND of
+    the depth-d bits over the edge arrays, and a narrow class is named.
+    Loops and H edges are read off one collision matrix, which the result
+    keeps for the verification items.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
@@ -499,14 +506,22 @@ def build_counterexample(
             f"host has {g.edge_count} edges, expected {expected['g_edges']}",
         )
 
-    # One sweep per class of the wide coloring: its d-shell is checked here
-    # and every shell feeds the special families.
-    class_shells = {
-        (a, b): n_shells(g, gamma.class_set(a, b), params.d)
+    # One sweep for every class of the wide coloring, one bit per class:
+    # each class's d-shell is checked here and every shell feeds the special
+    # families.
+    classes = params.n * params.k
+    bits = np.min_scalar_type(1 << (classes - 1))
+    bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
+    class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), params.d)
+    eu, ev = edge_arrays(g)
+    top = class_shells[params.d]
+    narrow_bits = int(np.bitwise_or.reduce(top[eu] & top[ev]))
+    narrow = [
+        (a, b)
         for a in range(1, params.n + 1)
         for b in range(1, params.k + 1)
-    }
-    narrow = [ab for ab, shells in class_shells.items() if not is_independent(g, shells[params.d])]
+        if (narrow_bits >> ((a - 1) * params.k + b - 1)) & 1
+    ]
     check(not narrow, f"zero-position coloring is not {params.d}-wide on classes {narrow}")
 
     vertices = [
@@ -521,7 +536,7 @@ def build_counterexample(
         FunctionVertex(
             label="f",
             role=("f",),
-            table=gamma.pair_array[:, 0].astype(np.int8),
+            table=gamma.pairs[:, 0].copy(),
         )
     )
     for q in range(1, params.n + 1):
@@ -559,7 +574,7 @@ def build_counterexample(
         h=h,
         g_hash=graph_sha256(g),
         collisions=collisions,
-        classes_checked=len(class_shells),
+        classes_checked=classes,
         issues=issues,
     )
 

@@ -20,12 +20,14 @@ that correspondence, which is why both constructions stay in the package.
 Representation boundary: products, powers and ``omega_sets`` build bitset
 rows directly and are written for the small cross-validation sizes.  The big
 adjoint graphs are built only through ``omega_tuples``, which enumerates
-tuples and edges as numpy arrays, and their vertex sets are swept by
-``n_shells`` as boolean arrays over the edge arrays, linear in |V| + |E| per
-step.  One sweep gives every shell of the same seed set, and the shells of a
-union of seeds are the unions of their shells, so a counterexample build
-sweeps each color class of its wide coloring once.  The shell functions
-also accept and return Python-int bitmasks, converted at the boundary.
+tuples and edges as numpy arrays (each generated neighbor tuple is located
+by a lookup table over the whole code space), and their vertex sets are
+swept by ``shell_bits`` over the graph's CSR neighbor arrays, linear in
+|V| + |E| per step.  One sweep gives every shell of up to one set per bit of
+its seed array, and the shells of a union of seeds are the unions of their
+shells, so a counterexample build sweeps all color classes of its wide
+coloring at once, one bit per class.  ``n_shells`` is the one-set case, in
+boolean arrays or Python-int bitmasks, converted at the boundary.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from operator import or_
 
 import numpy as np
 
-from .graphs import Graph, edge_arrays, iter_bits, mask_from, new_graph, vertex_flags
+from .graphs import Graph, iter_bits, mask_from, neighbor_arrays, new_graph, vertex_flags
 
 __all__ = [
     "complete_graph",
@@ -46,7 +48,9 @@ __all__ = [
     "kneser_subsets",
     "gamma_power",
     "n_exact",
+    "n_shells",
     "n_upto",
+    "shell_bits",
     "lex_product",
     "tensor_product",
     "OmegaGraph",
@@ -108,26 +112,42 @@ def n_exact(g: Graph, members, d: int):
     return n_shells(g, members, d)[d]
 
 
+def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
+    """The shells of several vertex sets at depths 0..d, in one sweep.
+
+    ``seeds`` is an unsigned integer array over V(g) with one bit per set:
+    bit j of ``seeds[v]`` says v is in set j.  Entry t of the result has the
+    same form for the endpoints of walks of length exactly t, so bit j of
+    ``shells[t][v]`` says some such walk joins set j to v.  A step is one
+    gather and one ``bitwise_or.reduceat`` over the rows of
+    ``neighbor_arrays(g)``, linear in |V| + |E| whatever the number of sets;
+    a vertex with no neighbor ends no walk of positive length, so it stays 0.
+    """
+    if d < 0:
+        raise ValueError("walk length must be nonnegative")
+    ptr, dst = neighbor_arrays(g)
+    rows = np.flatnonzero(ptr[1:] != ptr[:-1])
+    # reduceat gives a[i] for an empty segment, so only rows with a neighbor
+    # are reduced; each one's segment then ends where the next one starts
+    starts = ptr[rows].astype(np.intp)
+    shells = [seeds]
+    for _ in range(d):
+        step = np.zeros_like(seeds)
+        if rows.size:
+            step[rows] = np.bitwise_or.reduceat(shells[-1][dst], starts)
+        shells.append(step)
+    return shells
+
+
 def n_shells(g: Graph, members, d: int) -> list:
     """All of ``n_exact(g, members, t)`` for t in 0..d, computed in one sweep.
 
     ``members`` is a bitmask or a boolean array over V(g), and the shells
-    come back in the same form.  Each step is one frontier sweep over the
-    edge arrays, in both orientations, so its cost is linear in |V| + |E|.
-    The counterexample build asks for every shell of the same seed set, so a
-    single pass beats d separate restarts; it sweeps each class of its wide
-    coloring once and takes a union of classes' shells as the union's shells.
+    come back in the same form.  This is the one-set case of ``shell_bits``:
+    the membership flags are its seed bits.
     """
-    if d < 0:
-        raise ValueError("walk length must be nonnegative")
-    frontier = vertex_flags(g, members)
-    eu, ev = edge_arrays(g)
-    shells = [frontier]
-    for _ in range(d):
-        frontier = np.zeros(g.n, dtype=bool)
-        frontier[ev[shells[-1][eu]]] = True
-        frontier[eu[shells[-1][ev]]] = True
-        shells.append(frontier)
+    flags = vertex_flags(g, members)
+    shells = [s.view(bool) for s in shell_bits(g, flags.view(np.uint8), d)]
     if isinstance(members, np.ndarray):
         return shells
     return [mask_from(np.flatnonzero(s)) for s in shells]
@@ -142,8 +162,8 @@ def gamma_power(g: Graph, d: int) -> Graph:
     """Graph power joining endpoints of walks of length exactly ``d``.
 
     Computed as d-1 boolean row products, so cost grows with density; the
-    pipelines never call this on the big adjoint graphs (they sweep
-    ``n_exact`` per color class instead).
+    pipelines never call this on the big adjoint graphs (they sweep the
+    color classes' shells with ``shell_bits`` instead).
     """
     if d < 1:
         raise ValueError("power must be >= 1")
@@ -258,16 +278,20 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     """Build the tuple adjoint of K_n at half width d.
 
     Tuples are coded as base-(d+2) integers, so lexicographic order is
-    numeric order.  Edges come from a constructive enumeration, vectorized
-    over all vertices at once: for each coordinate holding a 1 (the
-    neighbor's zero), every other coordinate takes each value on its menu,
-    one step up or down (or holds at d+1).  Every tuple generated that way is
-    a valid neighbor, so total work is proportional to the number of edges,
-    not to the square of the order.
+    numeric order, and a dense int32 table over all (d+2)^n codes maps each
+    code to its vertex (-1 for a code that is not a valid tuple).  Edges
+    come from a constructive enumeration, vectorized over all vertices at
+    once: for each coordinate holding a 1 (the neighbor's zero), every other
+    coordinate takes each value on its menu, one step up or down (or holds
+    at d+1).  Every tuple generated that way is a valid neighbor, so total
+    work is proportional to the number of edges, not to the square of the
+    order.
     """
     digits = _omega_digits(n, d)
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = digits.astype(np.int64) @ weights
+    # vertex index of every code in the (d+2)^n code space, -1 off the set
+    index = np.full((d + 2) ** n, -1, dtype=np.int32)
+    index[digits.astype(np.int64) @ weights] = np.arange(len(digits), dtype=np.int32)
     sources, targets = [], []
     for zero_at in range(n):
         src = np.flatnonzero(digits[:, zero_at] == 1)
@@ -281,13 +305,15 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
             take_high[np.cumsum(reps)[reps == 2] - 1] = True
             src, code = np.repeat(src, reps), np.repeat(code, reps)
             code += np.where(take_high, np.repeat(high, reps), np.repeat(low, reps)) * weights[j]
-        dst = np.searchsorted(codes, code)
-        if not np.array_equal(codes[np.minimum(dst, codes.size - 1)], code):
+        dst = index[code]
+        if (dst < 0).any():
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
         keep = dst > src
         sources.append(src[keep].astype(np.int32))
-        targets.append(dst[keep].astype(np.int32))
+        targets.append(dst[keep])
+    del index
     edges = np.column_stack((np.concatenate(sources), np.concatenate(targets)))
+    del sources, targets
     g = new_graph(len(digits), edges, f"omega({n},{d})")
     return OmegaGraph(graph=g, digits=digits, n=n, d=d)
 

@@ -17,8 +17,9 @@ cheapest form.  Graphs from ``new_graph`` build their rows only on first use
 of ``adj``, so a host that is only swept, hashed and colored never holds
 them (on the 54k-vertex c5_wide host they would take about 200 MB).
 
-Graphs are treated as immutable once built; the edge arrays, the rows and
-the hash are computed once per instance and cached on it.  Any labels
+Graphs are treated as immutable once built; the edge arrays, the CSR
+neighbor arrays of ``neighbor_arrays``, the rows and the hash are computed
+once per instance and cached on it.  Any labels
 (tuples, subsets) live in side tables kept by the callers; this module only
 ever sees dense integers.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "emit_dimacs",
     "graph_sha256",
     "edge_arrays",
+    "neighbor_arrays",
 ]
 
 # Edges per slice when a host-scale edge list is streamed as Python objects
@@ -98,7 +100,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``."""
 
-    __slots__ = ("n", "_adj", "label", "_m", "_earrays", "_sha")
+    __slots__ = ("n", "_adj", "label", "_m", "_earrays", "_csr", "_sha")
 
     def __init__(self, n: int, adj: list[int] | None, label: str | None = None):
         """``adj`` holds the bitset rows, or None when the edge arrays are
@@ -108,6 +110,7 @@ class Graph:
         self.label = label
         self._m: int | None = None
         self._earrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._sha: str | None = None
 
     @property
@@ -230,16 +233,23 @@ def new_graph(
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    # a signed integer array is read as it is (the hosts pass int32 edges)
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.dtype.kind != "i":
+        pairs = pairs.astype(np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertices")
-    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-    if outside.size:
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    keys = _unique_sorted(pairs.min(axis=1) * n + pairs.max(axis=1))
+    # built in place, so at most one edge-sized temporary is alive at a time
+    keys = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+    keys *= n
+    keys += np.maximum(pairs[:, 0], pairs[:, 1])
+    keys = _unique_sorted(keys)
     eu = (keys // max(n, 1)).astype(np.int32)
     ev = (keys % max(n, 1)).astype(np.int32)
     g = Graph(n, None, label)
@@ -304,6 +314,29 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         ev = np.concatenate(heads).astype(np.int32) if heads else np.zeros(0, np.int32)
         g._earrays = (eu, ev)
     return g._earrays
+
+
+def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form.
+
+    The neighbors of ``v`` are ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a
+    loop listed once; both arrays are int32.  Computed once per instance and
+    cached on it.
+    """
+    if g._csr is None:
+        eu, ev = edge_arrays(g)
+        inner = eu != ev
+        # one int64 key per arc, source in the high half, sorted in place:
+        # a single arc-sized int64 array, where an argsort would need the
+        # sources, the targets and an int64 permutation at once
+        keys = np.concatenate((ev[inner], eu)).astype(np.int64)
+        keys <<= 32
+        keys |= np.concatenate((eu[inner], ev))
+        keys.sort()
+        ptr = np.searchsorted(keys, np.arange(g.n + 1, dtype=np.int64) << 32).astype(np.int32)
+        keys &= 0xFFFFFFFF
+        g._csr = (ptr, keys.astype(np.int32))
+    return g._csr
 
 
 # -- isomorphism ----------------------------------------------------------

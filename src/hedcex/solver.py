@@ -5,7 +5,7 @@ nonexistence) or ``exhausted`` (budget hit first).  ``exhausted`` is never
 collapsed into ``none``; callers must treat it as "no verdict".
 
 Colorability is backtracking with forward checking on int32 neighbor arrays:
-the edge arrays are turned once per search into CSR form (``ptr``/``dst``),
+the graph's cached CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``),
 so a search over a host with tens of thousands of vertices never needs the
 graph's bitset rows.  Every vertex keeps a domain bitmask; coloring a vertex
 removes its color from its uncolored neighbors' domains, an empty domain
@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .graphs import Graph, edge_arrays
+from .graphs import Graph, edge_arrays, neighbor_arrays
 
 __all__ = [
     "SOME",
@@ -136,18 +136,10 @@ class _Meter:
 
 
 def _neighbor_arrays(g: Graph) -> tuple[array, array]:
-    """Symmetric adjacency of ``g`` in CSR form: the neighbors of ``v`` are
-    ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a loop listed once."""
-    eu, ev = edge_arrays(g)
-    inner = eu != ev
-    # reversed arcs first: a stable sort by source then leaves each row's
-    # smaller neighbors (from the reversed half) before its larger ones
-    src = np.concatenate((ev[inner], eu))
-    dst = np.concatenate((eu[inner], ev))
-    order = np.argsort(src, kind="stable")
-    ptr = np.zeros(g.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=g.n), out=ptr[1:])
-    return array("i", ptr.tobytes()), array("i", dst[order].tobytes())
+    """``neighbor_arrays(g)`` as int32 ``array`` objects, whose items index
+    faster from Python than numpy scalars do."""
+    ptr, dst = neighbor_arrays(g)
+    return array("i", ptr.tobytes()), array("i", dst.tobytes())
 
 
 def _clique_from(ptr: array, dst: array) -> list[int]:

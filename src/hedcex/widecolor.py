@@ -1,15 +1,17 @@
 """Wide colorings and the power/adjoint correspondence.
 
 A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
-keeps its exact-distance-d neighborhood independent.  Four equivalent tests
+keeps its exact-distance-d neighborhood independent.  ``WideColoring`` holds
+the pairs as one read-only (vertices, 2) int8 array.  Four equivalent tests
 are exposed (``check_wide``); the cheap one, condition 2, is the production
 path on the large adjoint graphs, where each color class is a boolean array
-read off ``WideColoring.pair_array``, swept once by ``n_shells``, and its
-d-shell is checked by one gather over the edge arrays.
-``zero_position_coloring`` produces the canonical wide coloring of an omega
-graph over a complete base and checks it that way.  The counterexample build
-makes the same coloring but sweeps the classes itself, since it keeps every
-shell for its function tables, and checks condition 2 on those sweeps.
+read off the pairs, swept by ``n_shells``, and its d-shell is checked by one
+gather over the edge arrays.  ``zero_position_coloring`` produces the
+canonical wide coloring of an omega graph over a complete base and checks it
+that way.  The counterexample build makes the same coloring but sweeps it
+itself: it gives every class one bit and sweeps all classes at once with
+``shell_bits``, keeps every shell for its function tables, and checks
+condition 2 for all classes with one AND over the edge arrays.
 ``adjunction_holds`` cross-checks "gamma_d G maps to H iff G maps to
 omega_d H" exhaustively at small scale.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,33 +52,44 @@ def pair_to_color(pair: tuple[int, int], k: int) -> int:
     return (i - 1) * k + b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WideColoring:
     """A vertex -> (a, b) coloring claimed to be d-wide on its host graph.
 
-    ``graph_sha`` pins the host; ``None`` means "trust the caller" (handy for
-    throwaway colorings in property tests).
+    ``pairs`` is given as any sequence of (a, b) pairs and held as one
+    read-only (vertices, 2) int8 array.  ``graph_sha`` pins the host;
+    ``None`` means "trust the caller" (handy for throwaway colorings in
+    property tests).
     """
 
     n: int
     k: int
     d: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     graph_sha: str | None = None
 
-    @cached_property
-    def pair_array(self) -> np.ndarray:
-        """Read-only (vertices, 2) int array of the pairs."""
-        arr = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
-        arr.flags.writeable = False
-        return arr
+    def __post_init__(self):
+        wide = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        if wide.size and (wide.min() < -128 or wide.max() > 127):
+            raise ValueError("pair values do not fit the int8 pair array")
+        pairs = wide.astype(np.int8)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, WideColoring)
+            and (self.n, self.k, self.d, self.graph_sha)
+            == (other.n, other.k, other.d, other.graph_sha)
+            and np.array_equal(self.pairs, other.pairs)
+        )
 
     def class_set(self, a: int, b: int | None = None) -> np.ndarray:
         """Boolean membership array of class (a, b), or of every class with
         first coordinate a when ``b`` is None."""
-        members = self.pair_array[:, 0] == a
+        members = self.pairs[:, 0] == a
         if b is not None:
-            members &= self.pair_array[:, 1] == b
+            members &= self.pairs[:, 1] == b
         return members
 
     def to_json(self) -> str:
@@ -86,7 +98,7 @@ class WideColoring:
             "n": self.n,
             "k": self.k,
             "d": self.d,
-            "pairs": [list(p) for p in self.pairs],
+            "pairs": self.pairs.tolist(),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -97,7 +109,7 @@ class WideColoring:
             n=int(doc["n"]),
             k=int(doc["k"]),
             d=int(doc["d"]),
-            pairs=tuple((int(a), int(b)) for a, b in doc["pairs"]),
+            pairs=doc["pairs"],
             graph_sha=doc.get("graph_sha256"),
         )
 
@@ -107,9 +119,11 @@ def _validate(g: Graph, wc: WideColoring) -> None:
         raise ValueError("coloring does not cover the vertex set")
     if wc.n < 1 or wc.k < 1 or wc.d < 0:
         raise ValueError("bad wide-coloring parameters")
-    for a, b in wc.pairs:
-        if not (1 <= a <= wc.n and 1 <= b <= wc.k):
-            raise ValueError(f"pair ({a},{b}) out of range")
+    a, b = wc.pairs[:, 0], wc.pairs[:, 1]
+    outside = np.flatnonzero((a < 1) | (a > wc.n) | (b < 1) | (b > wc.k))
+    if outside.size:
+        a, b = wc.pairs[outside[0]].tolist()
+        raise ValueError(f"pair ({a},{b}) out of range")
     eu, ev = edge_arrays(g)
     isolated = np.flatnonzero(np.bincount(np.concatenate((eu, ev)), minlength=g.n) == 0)
     if isolated.size:
@@ -122,7 +136,7 @@ def _condition_one(g: Graph, wc: WideColoring) -> bool:
     if g.n > 4096:
         raise ValueError("condition 1 materializes the odd power; graph too large")
     power = gamma_power(g, 2 * wc.d + 1)
-    flat = [pair_to_color(p, wc.k) for p in wc.pairs]
+    flat = [pair_to_color(p, wc.k) for p in wc.pairs.tolist()]
     return verify_coloring(power, flat, wc.n * wc.k)
 
 
@@ -165,7 +179,7 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
     zero = omega.zero_positions()
-    pairs = tuple(zip((zero // k + 1).tolist(), (zero % k + 1).tolist()))
+    pairs = np.column_stack((zero // k + 1, zero % k + 1))
     return WideColoring(n=n, k=k, d=omega.d, pairs=pairs, graph_sha=graph_sha256(omega.graph))
 
 

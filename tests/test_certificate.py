@@ -227,7 +227,7 @@ def test_certificates_of_every_variant_are_small_and_check(c5_cert, c7_report, c
 def test_check_sweeps_and_scans_only_inside_the_rebuild(monkeypatch, c5_cert):
     # count calls through every binding of the two kernels in the package, so
     # a second sweep or matrix anywhere on the check path shows up
-    calls = {"n_shells": 0, "collision_matrix": 0}
+    calls = {"shell_bits": 0, "collision_matrix": 0}
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -244,8 +244,8 @@ def test_check_sweeps_and_scans_only_inside_the_rebuild(monkeypatch, c5_cert):
             if getattr(mod, name, None) is inner:
                 monkeypatch.setattr(mod, name, wrapper)
     assert check_certificate(c5_cert)
-    # one sweep per class of the 3 x 2 wide coloring, one collision matrix
-    assert calls == {"n_shells": 6, "collision_matrix": 1}
+    # one sweep for all six classes of the 3 x 2 wide coloring, one matrix
+    assert calls == {"shell_bits": 1, "collision_matrix": 1}
 
 
 def test_verify_and_round_trip_build_no_bitset_rows(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -232,3 +233,22 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "p edge 3 3" in proc.stdout
+
+
+# SHA-256 of the stdout of ``hedcex verify counterexample --variant V --json``.
+VERIFY_JSON_SHA256 = {
+    "c5_refined": "f2fef0ca47d34e6ddcd72b32ed89e067daef1688b06e55983c2fe867da612d0d",
+    "c7": "62439e1c91ba208782be2a664e5b62171e9ef32712c16bdb3bc82691871467d0",
+    "c5_wide": "d9dbb0a235b4b3f0397ed5d7507f09534ec188126ac7e9fb069347bd5dd20ec3",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_stdout_is_pinned(variant):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hedcex", "verify", "counterexample", "--variant", variant, "--json"],
+        capture_output=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_JSON_SHA256[variant]

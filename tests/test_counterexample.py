@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,9 @@ from hedcex.counterexample import (
     verify_counterexample,
     verify_product_coloring,
 )
-from hedcex import counterexample, families, widecolor
-from hedcex.families import complete_graph, cycle_graph, n_shells
-from hedcex.graphs import graph_sha256, new_graph
+from hedcex import counterexample, families
+from hedcex.families import complete_graph, cycle_graph, n_shells, shell_bits
+from hedcex.graphs import graph_sha256, is_independent, new_graph
 from hedcex.solver import SearchBudget
 from oracles import collision_free
 
@@ -215,14 +216,45 @@ def test_collision_matrix_matches_scan_on_refined(c5_report):
 def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
     seeds = []
 
-    def counting(g, members, d):
-        seeds.append(np.flatnonzero(members).tobytes())
-        return n_shells(g, members, d)
+    def counting(g, bits, d):
+        seeds.append(bits)
+        return shell_bits(g, bits, d)
 
-    for mod in (families, widecolor, counterexample):
-        monkeypatch.setattr(mod, "n_shells", counting)
+    # n_shells sweeps through families.shell_bits, so this sees every sweep
+    for mod in (families, counterexample):
+        monkeypatch.setattr(mod, "shell_bits", counting)
     build = build_counterexample(params_for(variant))
-    assert len(seeds) == len(set(seeds)) == classes == build.classes_checked
+    # one sweep for the whole build, each vertex seeded with its class's bit
+    (seed,) = seeds
+    assert np.unique(seed).tolist() == [1 << j for j in range(classes)]
+    assert build.classes_checked == classes
+
+
+def test_a_narrow_class_is_named(monkeypatch):
+    zero_position = counterexample._zero_position
+
+    def corrupted(omega, n, k):
+        # vertex 0 (class (1, 1)) moved into class (3, 2)
+        wc = zero_position(omega, n, k)
+        pairs = wc.pairs.copy()
+        pairs[0] = (3, 2)
+        return replace(wc, pairs=pairs)
+
+    monkeypatch.setattr(counterexample, "_zero_position", corrupted)
+    params = params_for("c5_refined")
+    build = build_counterexample(params, strict=False)
+    # the per-class reference: only the enlarged class loses wideness
+    narrow = [
+        (a, b)
+        for a in range(1, 4)
+        for b in range(1, 3)
+        if not is_independent(build.g, n_shells(build.g, build.gamma.class_set(a, b), 3)[3])
+    ]
+    assert narrow == [(3, 2)]
+    message = "zero-position coloring is not 3-wide on classes [(3, 2)]"
+    assert message in build.issues
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build_counterexample(params)
 
 
 def test_build_shells_of_q_are_its_class_shells(c5_report):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from hedcex import families
 from hedcex.families import (
     complete_graph,
     cycle_graph,
@@ -19,11 +20,12 @@ from hedcex.families import (
     omega_tuple_vertices,
     omega_tuples,
     omega_vertex_count,
+    shell_bits,
     tensor_product,
 )
 import numpy as np
 
-from hedcex.graphs import is_isomorphic, mask_from
+from hedcex.graphs import edge_arrays, graph_sha256, is_isomorphic, mask_from, new_graph
 from oracles import exact_shell, walk_matrix
 
 
@@ -95,6 +97,42 @@ def test_shells_match_oracle():
         assert acc == n_upto(g, members, d)
 
 
+@st.composite
+def swept_graphs(draw):
+    """A random graph with at least one loop, one isolated vertex and one
+    vertex whose only edges go to lower indices, seed bits for up to 12
+    vertex sets, and a walk length."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    loop = draw(vertex)
+    edges.append((loop, loop))
+    lower = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    # vertex n is isolated; vertex n + 1 joins only lower vertices
+    edges.extend((n + 1, u) for u in lower)
+    sets = draw(st.integers(1, 12))
+    dtype = np.min_scalar_type((1 << sets) - 1)
+    seeds = draw(st.lists(st.integers(0, (1 << sets) - 1), min_size=n + 2, max_size=n + 2))
+    return new_graph(n + 2, edges), np.array(seeds, dtype=dtype), sets, draw(st.integers(0, 4))
+
+
+@given(swept_graphs())
+def test_shell_bits_equals_one_sweep_per_set(case):
+    g, seeds, sets, d = case
+    shells = shell_bits(g, seeds, d)
+    assert len(shells) == d + 1
+    assert all(s.dtype == seeds.dtype and s.shape == (g.n,) for s in shells)
+    isolated = g.n - 2
+    assert all(s[isolated] == 0 for s in shells[1:])
+    for j in range(sets):
+        members = (seeds >> j & 1).astype(bool)
+        per_set = n_shells(g, members, d)
+        for t in range(d + 1):
+            got = (shells[t] >> j & 1).astype(bool)
+            assert np.array_equal(got, per_set[t]), (j, t)
+            assert mask_from(np.flatnonzero(got)) == exact_shell(g, mask_from(np.flatnonzero(members)), t)
+
+
 def test_lex_product_blow_up():
     g = lex_product(cycle_graph(5), complete_graph(2))
     assert g.n == 10
@@ -137,6 +175,49 @@ def test_omega_pinned_counts():
     assert omega_tuples(6, 3).graph.edge_count == 36015
     assert omega_tuples(8, 2).graph.n == 16472
     assert omega_vertex_count(6, 6) == 54186
+
+
+# (vertices, edges, host SHA-256) of omega_tuples(n, d): small cases, then
+# the hosts of c5_refined, c7 and c5_wide.
+OMEGA_PINS = {
+    (2, 1): (2, 1, "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d"),
+    (3, 1): (9, 9, "a6d17c3b191089f985865bdedd6b6726b254ed96a5b8c6bb708c96930be848e1"),
+    (3, 2): (15, 15, "217dc0a15e2b5cd5518d5621c7b63cd30216dfe76d5a4ed1839b3c908d9678d8"),
+    (4, 1): (28, 54, "f7b7b2333d7c4bc5a7d36e2c859a5e455320d5a761d3535bcebde49cbff0ed47"),
+    (4, 2): (76, 150, "2f4c7e1ed10c1479990133c746536e0b1174f8f9f72c940102310c080a8095de"),
+    (5, 2): (325, 1250, "0df7513b82027ac9a34d972d3a8c2797959cea5714ba2e26cda200522dfb3ce5"),
+    (5, 3): (875, 3430, "faceb4f831d1e571e8647a6de98f8866ff608cc58c7b0d8f5c7ae5ed8a11f440"),
+    (6, 3): (4686, 36015, "d3965243aff8c5692659b570f51e6c2f169d2ffddd660c7dead5b52ec84fc60b"),
+    (8, 2): (16472, 437500, "aa35fa2974489b519a6608b39a6fae5868694e6bd71e61a982e996dd132a1701"),
+    (6, 6): (54186, 428415, "957d172cca1db53129f5145f564d155fb10b7cbb1b8daee99597ee37cf19d905"),
+}
+
+
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_omega_tuples_pinned(n, d):
+    g = omega_tuples(n, d).graph
+    assert (g.n, g.edge_count, graph_sha256(g)) == OMEGA_PINS[n, d]
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
+def test_omega_edge_arrays_match_the_definition(n, d):
+    om = omega_tuples(n, d)
+    x = om.digits.astype(np.int64)
+    step = np.abs(x[:, None, :] - x[None, :, :]) == 1
+    top = (x[:, None, :] == d + 1) & (x[None, :, :] == d + 1)
+    eu, ev = np.nonzero(np.triu((step | top).all(axis=2)))
+    got_u, got_v = edge_arrays(om.graph)
+    assert np.array_equal(got_u, eu) and np.array_equal(got_v, ev)
+
+
+def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
+    # a menu offering 0 generates tuples with two zeros, which the lookup
+    # table maps to -1
+    monkeypatch.setattr(
+        families, "_tuple_partner_menus", lambda xj, d: (np.zeros_like(xj), np.zeros_like(xj))
+    )
+    with pytest.raises(RuntimeError, match="left the vertex set"):
+        omega_tuples(3, 1)
 
 
 def test_omega_is_triangle_free():

@@ -20,6 +20,7 @@ from hedcex.graphs import (
     iter_bits,
     mask_from,
     mask_indices,
+    neighbor_arrays,
     new_graph,
     parse_dimacs,
 )
@@ -79,7 +80,8 @@ def test_new_graph_matches_a_set_oracle(n, data):
     # repeated pairs, both orientations, loops and the empty list
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+    arrays = [np.array(pairs, dtype=dtype).reshape(-1, 2) for dtype in (np.int64, np.int32)]
+    for edges in (pairs, *arrays):
         eu, ev = edge_arrays(new_graph(n, edges))
         assert eu.dtype == ev.dtype == np.int32
         assert list(zip(eu.tolist(), ev.tolist())) == expect
@@ -88,6 +90,8 @@ def test_new_graph_matches_a_set_oracle(n, data):
 def test_edge_bounds_checked():
     with pytest.raises(ValueError):
         new_graph(2, [(0, 2)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\)"):
+        new_graph(2, np.array([[0, 1], [-1, 0]], dtype=np.int32))
     with pytest.raises(ValueError):
         new_graph(-1, [])
 
@@ -172,6 +176,10 @@ def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
         assert list(h.edges()) == expect
         eu, ev = edge_arrays(h)
         assert list(zip(eu.tolist(), ev.tolist())) == expect
+        ptr, dst = neighbor_arrays(h)
+        assert ptr.dtype == dst.dtype == np.int32
+        rows = [dst[ptr[v] : ptr[v + 1]].tolist() for v in range(n)]
+        assert rows == [list(iter_bits(row)) for row in g.adj]
     members = mask_from(v for v in range(n) if rng.random() < 0.3)
     flags = np.zeros(n, dtype=bool)
     flags[list(iter_bits(members))] = True
