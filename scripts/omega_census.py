@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Census of the odd-walk adjoints of complete graphs: closed-form vertex
 counts against the explicit tuple construction, edge counts, and (for the
-small rows) the chromatic number, which should always equal the base size.
+small rows) the chromatic number, which should always equal the base size m.
+The zero-position coloring gives chi <= m by a linear scan; one exhaustive
+refusal of an (m-1)-coloring gives chi >= m.
 """
 
 import argparse
 import sys
 
 from hedcex.families import omega_tuples, omega_vertex_count
-from hedcex.solver import SearchBudget, chromatic_number
+from hedcex.solver import EXHAUSTED, NONE, SearchBudget, find_coloring, verify_coloring
 
 
 def main() -> int:
@@ -32,11 +34,12 @@ def main() -> int:
             g = omega.graph
             chi = "-"
             if g.n <= args.chi_max_vertices:
-                r = chromatic_number(g, budget=SearchBudget(node_limit=2_000_000))
-                chi = str(r.value) if r.status == "value" else "?"
-                if r.status == "value" and r.value != m:
-                    print(f"unexpected chromatic number for base {m}, width {d}: {r.value}")
+                upper = verify_coloring(g, (omega.zero_positions() + 1).tolist(), m)
+                lower = find_coloring(g, m - 1, SearchBudget(node_limit=2_000_000)).status
+                if not upper or lower not in (NONE, EXHAUSTED):
+                    print(f"unexpected chromatic number for base {m}, width {d}")
                     return 1
+                chi = str(m) if lower == NONE else "?"
             print(f"{m:>4} {2 * d + 1:>4} {count:>8} {g.n:>8} {g.edge_count:>9} {chi:>4}")
     return 0
 

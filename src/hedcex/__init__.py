@@ -14,55 +14,13 @@ from .counterexample import (
     Report,
     VARIANTS,
     build_counterexample,
-    build_special_family,
     collision_matrix,
-    exp_adjacent,
-    parameter_check,
     params_for,
     verify_counterexample,
-    verify_product_coloring,
 )
-from .families import (
-    complete_graph,
-    cycle_graph,
-    gamma_power,
-    kneser_graph,
-    lex_product,
-    n_exact,
-    n_shells,
-    n_upto,
-    omega_sets,
-    omega_tuple_vertices,
-    omega_tuples,
-    omega_vertex_count,
-    tensor_product,
-)
-from .graphs import (
-    Graph,
-    emit_dimacs,
-    emit_dot,
-    graph_sha256,
-    induced_subgraph,
-    is_independent,
-    is_isomorphic,
-    new_graph,
-    parse_dimacs,
-)
-from .solver import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    chromatic_number,
-    find_coloring,
-    find_homomorphism,
-    verify_coloring,
-    verify_homomorphism,
-)
-from .widecolor import (
-    WideColoring,
-    adjunction_holds,
-    check_wide,
-    default_pairing,
-    zero_position_coloring,
-)
+from .families import n_shells, omega_tuples, omega_vertex_count
+from .graphs import Graph, emit_dimacs, emit_dot, graph_sha256, new_graph, parse_dimacs
+from .solver import DEFAULT_BUDGET, SearchBudget, find_coloring, verify_coloring
+from .widecolor import WideColoring, check_wide, zero_position_coloring
 
 __version__ = "0.1.0"

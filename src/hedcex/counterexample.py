@@ -22,14 +22,7 @@ import numpy as np
 
 from .families import OmegaGraph, omega_tuples, shell_bits
 from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, new_graph
-from .solver import (
-    DEFAULT_BUDGET,
-    EXHAUSTED,
-    NONE,
-    SOME,
-    SearchBudget,
-    find_coloring,
-)
+from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
 
 PASS = "PASS"
@@ -182,7 +175,11 @@ class FunctionVertex:
 
 def _first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
     """Position in ``edge_arrays(g)`` of the first edge u-v with ft(u) = wt(v)
-    or ft(v) = wt(u), or None when the two tables never collide."""
+    or ft(v) = wt(u), or None when the two tables never collide.
+
+    One full scan of E(G) for one pair of tables: it finds the product
+    coloring's witness, and the tests check ``collision_matrix`` against it.
+    """
     if ft.shape[0] != g.n or wt.shape[0] != g.n:
         raise ValueError("function table does not match the host vertex set")
     eu, ev = edge_arrays(g)
@@ -193,17 +190,6 @@ def _first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
         if bad.any():
             return lo + int(np.flatnonzero(bad)[0])
     return None
-
-
-def exp_adjacent(g: Graph, c: int, f: FunctionVertex, w: FunctionVertex) -> bool:
-    """Adjacency in the exponential graph: no color collision across any edge.
-
-    Both orientations of every edge are enforced; f == w answers the loop
-    question (true exactly when the table is a proper c-coloring of g).  One
-    full scan of E(G) per call: the reference that ``collision_matrix`` is
-    tested against, not what the pipeline runs.
-    """
-    return _first_collision(g, f.table, w.table) is None
 
 
 def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
@@ -602,10 +588,6 @@ def product_coloring_violation(
     return edge, (int(eu[at]), int(ev[at]))
 
 
-def verify_product_coloring(build: BuildResult) -> bool:
-    return product_coloring_violation(build) is None
-
-
 def chain_check(
     build: BuildResult,
     q: int,
@@ -731,7 +713,6 @@ def verify_counterexample(
     *,
     chi_g_budget: SearchBudget = DEFAULT_CHI_G_BUDGET,
     threads: int = 1,
-    compare_readings: bool = True,
 ) -> Report:
     """Run the whole pipeline and grade every claim.
 
@@ -901,7 +882,7 @@ def verify_counterexample(
             )
         )
 
-    if params.variant == "c5_refined" and compare_readings:
+    if params.variant == "c5_refined":
         outcome = reading_comparison(params, build)
         items.append(
             ReportItem("reading", params.reading in outcome["matching"], outcome)

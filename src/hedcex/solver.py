@@ -6,8 +6,8 @@ collapsed into ``none``; callers must treat it as "no verdict".
 
 Colorability is backtracking with forward checking on int32 neighbor arrays:
 the graph's cached CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``),
-so a search over a host with tens of thousands of vertices never needs the
-graph's bitset rows.  Every vertex keeps a domain bitmask; coloring a vertex
+so a search scales to hosts with tens of thousands of vertices.  Every
+vertex keeps a domain bitmask; coloring a vertex
 removes its color from its uncolored neighbors' domains, an empty domain
 refutes the branch and a one-color domain is colored at once (singleton
 propagation).  A maximal greedy clique is pre-colored the same way unless
@@ -23,13 +23,7 @@ solved is never searched again.  Splitting waits until at most
 a breadth-first search per branch.  With identical inputs and budgets the
 transcript (verdict, node count, witness, reason) is identical run to run.
 
-Homomorphism search maps source vertices in a fixed connectivity-aware order
-over the same neighbor arrays, with forward-checked target domains held as
-bitmasks over the target's bitset rows, so the target must be small.
-Coloring is the special case of a complete target, which the tests
-cross-check.
-
-Both searches keep their own explicit stack, so search depth is bounded by
+The search keeps its own explicit stack, so search depth is bounded by
 memory, not by the interpreter's recursion limit.
 """
 
@@ -37,7 +31,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -50,14 +44,9 @@ __all__ = [
     "EXHAUSTED",
     "SearchBudget",
     "ColoringResult",
-    "HomResult",
-    "ChromaticResult",
     "greedy_clique",
     "find_coloring",
-    "chromatic_number",
-    "find_homomorphism",
     "verify_coloring",
-    "verify_homomorphism",
 ]
 
 SOME = "some"
@@ -94,30 +83,13 @@ class ColoringResult:
     reason: str | None = None
 
 
-@dataclass
-class HomResult:
-    status: str
-    mapping: list[int] | None
-    nodes: int
-    reason: str | None = None
-
-
-@dataclass
-class ChromaticResult:
-    status: str  # "value" | "unknown" | "none_in_range" | "no_finite"
-    value: int | None
-    assignment: list[int] | None
-    nodes: int
-    decisions: list[tuple[int, str]] = field(default_factory=list)
-
-
 class _BudgetHit(Exception):
     def __init__(self, which: str):
         self.which = which
 
 
 class _Meter:
-    """Node and wall-clock accounting shared by both searches."""
+    """Node and wall-clock accounting for one search."""
 
     __slots__ = ("nodes", "limit", "deadline", "started")
 
@@ -174,18 +146,6 @@ def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
     if eu.size == 0:
         return True
     return bool(np.all(arr[eu] != arr[ev]))
-
-
-def verify_homomorphism(g: Graph, h: Graph, mapping: list[int]) -> bool:
-    """Edge-preservation scan for a claimed map V(G) -> V(H)."""
-    if len(mapping) != g.n:
-        return False
-    if any(not (0 <= t < h.n) for t in mapping):
-        return False
-    for u, v in g.edges():
-        if not h.has_edge(mapping[u], mapping[v]):
-            return False
-    return True
 
 
 def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> ColoringResult:
@@ -440,135 +400,3 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     if not verify_coloring(g, witness, c):  # defensive; scan is independent
         raise RuntimeError("search produced an improper coloring")
     return ColoringResult(SOME, c, witness, meter.nodes)
-
-
-def chromatic_number(
-    g: Graph,
-    lo: int = 1,
-    hi: int | None = None,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> ChromaticResult:
-    """Smallest c in [lo, hi] admitting a coloring, if the range resolves.
-
-    Walks c upward, so a ``some`` at c together with ``none`` below it pins
-    the value.  Any ``exhausted`` decision stops the walk with status
-    ``unknown``; a graph with a loop reports ``no_finite``.
-    """
-    if g.has_loop():
-        return ChromaticResult("no_finite", None, None, 0)
-    if g.n == 0:
-        return ChromaticResult("value", 0, [], 0)
-    if hi is None:
-        hi = g.n
-    if not (0 <= lo <= hi):
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    total = 0
-    transcript: list[tuple[int, str]] = []
-    for c in range(lo, hi + 1):
-        res = find_coloring(g, c, budget)
-        total += res.nodes
-        transcript.append((c, res.status))
-        if res.status == SOME:
-            return ChromaticResult("value", c, res.assignment, total, transcript)
-        if res.status == EXHAUSTED:
-            return ChromaticResult("unknown", None, None, total, transcript)
-    return ChromaticResult("none_in_range", None, None, total, transcript)
-
-
-def _hom_order(ptr: array, dst: array) -> list[int]:
-    # max degree first, then greedily the vertex with most ordered neighbors
-    # (ties: higher degree, then lower index); keeps propagation connected.
-    # Counts only grow, so a heap of (-count, -degree, v) whose stale entries
-    # are skipped yields the maximum each time.
-    n = len(ptr) - 1
-    degree = [ptr[v + 1] - ptr[v] for v in range(n)]
-    placed = [0] * n  # ordered neighbors of each vertex
-    done = [False] * n
-    heap = [(0, -degree[v], v) for v in range(n)]
-    heapify(heap)
-    order: list[int] = []
-    while heap:
-        count, _, v = heappop(heap)
-        if done[v] or -count != placed[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for u in dst[ptr[v] : ptr[v + 1]]:
-            if not done[u]:
-                placed[u] += 1
-                heappush(heap, (-placed[u], -degree[u], u))
-    return order
-
-
-def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> HomResult:
-    """Search for an edge-preserving map V(G) -> V(H), within the budget."""
-    if g.n == 0:
-        return HomResult(SOME, [], 0)
-    if h.n == 0:
-        return HomResult(NONE, None, 0, reason="empty-target")
-
-    full = (1 << h.n) - 1
-    looped = 0
-    for t in range(h.n):
-        if h.has_edge(t, t):
-            looped |= 1 << t
-    dom = [full] * g.n
-    eu, ev = edge_arrays(g)
-    for v in eu[eu == ev].tolist():
-        dom[v] = looped
-    if any(d == 0 for d in dom):
-        return HomResult(NONE, None, 0, reason="loop-unmatchable")
-
-    ptr, dst = _neighbor_arrays(g)
-    order = _hom_order(ptr, dst)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    mapping = [-1] * g.n
-    meter = _Meter(budget)
-    # per depth p: targets still to try for order[p], and the domains its
-    # current target narrowed, to restore before the next one
-    untried = [0] * g.n
-    saved: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-
-    try:
-        p = 0
-        untried[0] = dom[order[0]]
-        while p >= 0:
-            v = order[p]
-            for u, d in saved[p]:
-                dom[u] = d
-            saved[p].clear()
-            if not untried[p]:
-                p -= 1
-                continue
-            low = untried[p] & -untried[p]
-            untried[p] ^= low
-            t = low.bit_length() - 1
-            meter.tick()
-            mapping[v] = t
-            ok = True
-            for u in dst[ptr[v] : ptr[v + 1]]:
-                if pos[u] <= p:
-                    continue
-                nd = dom[u] & h.adj[t]
-                if nd != dom[u]:
-                    saved[p].append((u, dom[u]))
-                    dom[u] = nd
-                    if nd == 0:
-                        ok = False
-                        break
-            if ok:
-                p += 1
-                if p == g.n:
-                    break
-                untried[p] = dom[order[p]]
-    except _BudgetHit as hit:
-        return HomResult(EXHAUSTED, None, meter.nodes, reason=hit.which)
-
-    if p < 0:
-        return HomResult(NONE, None, meter.nodes, reason="search")
-    out = list(mapping)
-    if not verify_homomorphism(g, h, out):
-        raise RuntimeError("search produced a non-homomorphism")
-    return HomResult(SOME, out, meter.nodes)

@@ -1,19 +1,18 @@
-"""Wide colorings and the power/adjoint correspondence.
+"""Wide colorings of the adjoint hosts.
 
 A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
 keeps its exact-distance-d neighborhood independent.  ``WideColoring`` holds
-the pairs as one read-only (vertices, 2) int8 array.  Four equivalent tests
-are exposed (``check_wide``); the cheap one, condition 2, is the production
-path on the large adjoint graphs, where each color class is a boolean array
-read off the pairs, swept by ``n_shells``, and its d-shell is checked by one
-gather over the edge arrays.  ``zero_position_coloring`` produces the
-canonical wide coloring of an omega graph over a complete base and checks it
-that way.  The counterexample build makes the same coloring but sweeps it
-itself: it gives every class one bit and sweeps all classes at once with
-``shell_bits``, keeps every shell for its function tables, and checks
-condition 2 for all classes with one AND over the edge arrays.
-``adjunction_holds`` cross-checks "gamma_d G maps to H iff G maps to
-omega_d H" exhaustively at small scale.
+the pairs as one read-only (vertices, 2) int8 array.  ``check_wide`` decides
+any of four equivalent conditions; each class is a boolean array read off
+the pairs and swept by ``n_shells``, in time linear in |V| + |E| per class
+and walk step, so no condition needs a graph power and hosts of any size
+are decided.  ``zero_position_coloring``
+produces the canonical wide coloring of an omega graph over a complete base
+and checks it by condition 2.  The counterexample build makes the same
+coloring but sweeps it itself: it gives every class one bit and sweeps all
+classes at once with ``shell_bits``, keeps every shell for its function
+tables, and checks condition 2 for all classes with one AND over the edge
+arrays.
 """
 
 from __future__ import annotations
@@ -23,16 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import OmegaGraph, gamma_power, n_shells, omega_sets, omega_tuples
+from .families import OmegaGraph, n_shells
 from .graphs import Graph, edge_arrays, graph_sha256, is_independent
-from .solver import (
-    DEFAULT_BUDGET,
-    EXHAUSTED,
-    SOME,
-    SearchBudget,
-    find_homomorphism,
-    verify_coloring,
-)
 
 CONDITION_NAMES = {
     1: "proper on the odd power",
@@ -40,16 +31,6 @@ CONDITION_NAMES = {
     3: "all exact neighborhoods up to d independent",
     4: "parity split of the reach-<=d region is a bipartition",
 }
-
-
-def default_pairing(a: int, k: int) -> tuple[int, int]:
-    """Bijection [n*k] -> [n] x [k]: consecutive blocks of k share a first coordinate."""
-    return (a - 1) // k + 1, (a - 1) % k + 1
-
-
-def pair_to_color(pair: tuple[int, int], k: int) -> int:
-    i, b = pair
-    return (i - 1) * k + b
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +85,21 @@ class WideColoring:
 
     @classmethod
     def from_json(cls, text: str) -> "WideColoring":
+        """Parse ``to_json`` output; ValueError names the first bad field."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("wide coloring JSON must be an object")
+        for name in ("n", "k", "d"):
+            if type(doc.get(name)) is not int:
+                raise ValueError(f"wide coloring field {name!r} must be an integer")
+        pairs = doc.get("pairs")
+        if not isinstance(pairs, list) or not all(
+            type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            for p in pairs
+        ):
+            raise ValueError("wide coloring field 'pairs' must be a list of integer pairs")
         return cls(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-            d=int(doc["d"]),
-            pairs=doc["pairs"],
-            graph_sha=doc.get("graph_sha256"),
+            n=doc["n"], k=doc["k"], d=doc["d"], pairs=pairs, graph_sha=doc.get("graph_sha256")
         )
 
 
@@ -132,15 +121,10 @@ def _validate(g: Graph, wc: WideColoring) -> None:
         raise ValueError("coloring was built for a different graph")
 
 
-def _condition_one(g: Graph, wc: WideColoring) -> bool:
-    if g.n > 4096:
-        raise ValueError("condition 1 materializes the odd power; graph too large")
-    power = gamma_power(g, 2 * wc.d + 1)
-    flat = [pair_to_color(p, wc.k) for p in wc.pairs.tolist()]
-    return verify_coloring(power, flat, wc.n * wc.k)
-
-
 def _condition_on_class(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
+    if condition == 1:
+        # no walk of length 2d+1 joins two members (or a member to itself)
+        return not (n_shells(g, members, 2 * d + 1)[-1] & members).any()
     shells = n_shells(g, members, d)
     if condition == 2:
         return is_independent(g, shells[d])
@@ -162,8 +146,6 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
     _validate(g, wc)
     if condition not in CONDITION_NAMES:
         raise ValueError("condition must be 1, 2, 3 or 4")
-    if condition == 1:
-        return _condition_one(g, wc)
     return all(
         _condition_on_class(g, wc.class_set(a, b), wc.d, condition)
         for a in range(1, wc.n + 1)
@@ -172,10 +154,7 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
 
 
 def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
-    """The zero-position coloring of ``omega``, its wideness not yet checked.
-
-    ``default_pairing`` is applied to every zero position at once.
-    """
+    """The zero-position coloring of ``omega``, its wideness not yet checked."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
     zero = omega.zero_positions()
@@ -186,8 +165,9 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
 def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """Color each tuple vertex by the position of its unique zero.
 
-    The position (an element of the base [n*k]) is split into a pair by
-    ``default_pairing``.  Wideness at half-width ``omega.d`` is a
+    The 0-based position p (an element of the base [n*k]) becomes the pair
+    (p // k + 1, p % k + 1): consecutive blocks of k positions share a first
+    coordinate.  Wideness at half-width ``omega.d`` is a
     construction invariant, so condition 2 is asserted here rather than
     assumed.
     """
@@ -198,41 +178,3 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
             "the omega construction and the checker disagree"
         )
     return wc
-
-
-def _is_complete(h: Graph) -> bool:
-    return not h.has_loop() and h.edge_count == h.n * (h.n - 1) // 2
-
-
-def adjunction_holds(
-    g: Graph,
-    h: Graph,
-    d: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> bool:
-    """True when "gamma_d g -> h" and "g -> omega_d h" answer the same way.
-
-    Exhaustive on both sides, so the guards are strict; a budget blow-up
-    raises instead of guessing.
-    """
-    if d < 1 or d % 2 == 0:
-        raise ValueError("the correspondence is stated for odd walk lengths")
-    if h.edge_count == 0:
-        raise ValueError("target needs at least one edge")
-    if g.n > 64:
-        raise ValueError("left side too large for an exhaustive check")
-    half = (d - 1) // 2
-    if half == 0:
-        right_target = h
-    elif _is_complete(h):
-        right_target = omega_tuples(h.n, half).graph
-    else:
-        right_target = omega_sets(h, half).graph
-    if right_target.n > 20000:
-        raise ValueError("adjoint graph too large for an exhaustive check")
-
-    left = find_homomorphism(gamma_power(g, d), h, budget)
-    right = find_homomorphism(g, right_target, budget)
-    if EXHAUSTED in (left.status, right.status):
-        raise RuntimeError("homomorphism search exhausted its budget")
-    return (left.status == SOME) == (right.status == SOME)

@@ -1,43 +1,95 @@
 """Slow reference implementations the tests check the fast code against.
 
 Everything here favors being obviously right over being usable at scale:
-plain backtracking with no ordering heuristics, dense numpy walk matrices,
-and quadratic scans.  The exceptions are ``reference_coloring``, a recursive
-DSATUR on bitset rows whose verdicts ``find_coloring`` must match, and
-``reference_homomorphism``, the recursive bitset-row search whose exact
-transcript (verdict, node count, witness, reason) the iterative
-``find_homomorphism`` must reproduce.
+bitset rows read off the edge list, plain backtracking with no ordering
+heuristics, dense numpy walk matrices, and quadratic scans.  The exception
+is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
+``find_coloring`` must match.  Also here: the small named graphs the tests
+use as fixtures, the set-tuple form of the adjoint (which the tuple form in
+``hedcex.families`` is checked against), and the adjunction test built on
+both.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Iterator
 
 import numpy as np
 
-from hedcex.graphs import Graph, iter_bits
-from hedcex.solver import (
-    EXHAUSTED,
-    MAX_COLORS,
-    NONE,
-    SOME,
-    ColoringResult,
-    HomResult,
-    SearchBudget,
-)
+from hedcex.families import omega_tuples
+from hedcex.graphs import Graph, new_graph
+from hedcex.solver import EXHAUSTED, MAX_COLORS, NONE, SOME, ColoringResult, SearchBudget
+
+
+def rows(g: Graph) -> list[int]:
+    """Bitset rows: bit u of ``rows(g)[v]`` is set iff uv is an edge; bit v
+    itself marks a loop."""
+    out = [0] * g.n
+    for u, v in g.edges():
+        out[u] |= 1 << v
+        out[v] |= 1 << u
+    return out
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# -- named graphs ---------------------------------------------------------------
+
+
+def complete_graph(n: int) -> Graph:
+    """K_n, loopless."""
+    return new_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)), f"K_{n}")
+
+
+def cycle_graph(n: int) -> Graph:
+    """C_n for n >= 3; C_2 degenerates to one edge and C_1 to one loop."""
+    if n < 1:
+        raise ValueError("cycle needs at least one vertex")
+    return new_graph(n, ((v, (v + 1) % n) for v in range(n)), f"C_{n}")
+
+
+def kneser_graph(c: int, k: int) -> Graph:
+    """Kneser graph KG(c, k): k-subsets of a c-set, adjacent iff disjoint."""
+    sets = [frozenset(s) for s in combinations(range(1, c + 1), k)]
+    edges = [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if not (sets[i] & sets[j])
+    ]
+    return new_graph(len(sets), edges, f"KG({c},{k})")
+
+
+def tuple_vertices(n: int, d: int) -> list[tuple[int, ...]]:
+    """The vertices of ``omega_tuples(n, d)`` in lexicographic order: tuples
+    over 0..d+1 with exactly one 0 and at least one 1."""
+    return [t for t in product(range(d + 2), repeat=n) if t.count(0) == 1 and 1 in t]
+
+
+# -- coloring -------------------------------------------------------------------
 
 
 def brute_coloring(g: Graph, c: int) -> list[int] | None:
     """First proper c-coloring in vertex order, or None."""
+    adj = rows(g)
     assignment = [0] * g.n
 
     def place(v: int) -> bool:
         if v == g.n:
             return True
         for color in range(1, c + 1):
-            if any(assignment[u] == color for u in iter_bits(g.adj[v]) if u < v):
+            if any(assignment[u] == color for u in bits(adj[v]) if u < v):
                 continue
-            if g.adj[v] >> v & 1:
+            if adj[v] >> v & 1:
                 return False  # loop
             assignment[v] = color
             if place(v + 1):
@@ -51,11 +103,12 @@ def brute_coloring(g: Graph, c: int) -> list[int] | None:
 def reference_greedy_clique(g: Graph) -> list[int]:
     """Maximal clique grown greedily by descending degree, ties low index,
     tested on bitset rows."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    adj = rows(g)
+    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
     clique: list[int] = []
     mask = 0
     for v in order:
-        if mask & ~g.adj[v] == 0:
+        if mask & ~adj[v] == 0:
             clique.append(v)
             mask |= 1 << v
     return clique
@@ -77,7 +130,8 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
     """
     if c < 0 or c > MAX_COLORS:
         raise ValueError("color count out of range")
-    if any(row >> v & 1 for v, row in enumerate(g.adj)):
+    adj = rows(g)
+    if any(row >> v & 1 for v, row in enumerate(adj)):
         return ColoringResult(NONE, c, None, 0, reason="loop")
     if g.n == 0:
         return ColoringResult(SOME, c, [], 0)
@@ -104,7 +158,7 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         uncolored ^= 1 << v
         bit = 1 << col
         mark = len(trail)
-        for u in iter_bits(g.adj[v] & uncolored):
+        for u in bits(adj[v] & uncolored):
             if not forbid[u] & bit:
                 forbid[u] |= bit
                 score[u] += 1
@@ -134,7 +188,7 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
             return True
         cap = min(c, used + 1)
         avail = ~forbid[v] & ((1 << (cap + 1)) - 2)  # color bits 1..cap
-        for col in iter_bits(avail):
+        for col in bits(avail):
             mark = assign(v, col)
             if solve(max(used, col)):
                 return True
@@ -152,53 +206,52 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
     return ColoringResult(NONE, c, None, nodes, reason="search")
 
 
-def reference_homomorphism(
-    g: Graph, h: Graph, budget: SearchBudget = SearchBudget()
-) -> HomResult:
-    """Recursive forward-checking homomorphism search on bitset rows.
+# -- homomorphisms --------------------------------------------------------------
+
+
+def reference_homomorphism(g: Graph, h: Graph) -> list[int] | None:
+    """First edge-preserving map V(G) -> V(H) found by a recursive
+    forward-checking search on bitset rows, or None.
 
     Maps vertices in the order: max degree first, then the vertex with most
     already-mapped neighbors (ties: higher degree, lower index); targets are
-    tried ascending and each try counts one node.
+    tried ascending.
     """
     if g.n == 0:
-        return HomResult(SOME, [], 0)
-    if h.n == 0:
-        return HomResult(NONE, None, 0, reason="empty-target")
-    looped = sum(1 << t for t in range(h.n) if h.has_edge(t, t))
-    dom = [looped if g.has_edge(v, v) else (1 << h.n) - 1 for v in range(g.n)]
+        return []
+    gadj, hadj = rows(g), rows(h)
+    looped = sum(1 << t for t in range(h.n) if hadj[t] >> t & 1)
+    dom = [looped if gadj[v] >> v & 1 else (1 << h.n) - 1 for v in range(g.n)]
     if 0 in dom:
-        return HomResult(NONE, None, 0, reason="loop-unmatchable")
+        return None
+
+    def degree(v: int) -> int:
+        return gadj[v].bit_count()
 
     pool = set(range(g.n))
-    order = [max(pool, key=lambda v: (g.degree(v), -v))]
+    order = [max(pool, key=lambda v: (degree(v), -v))]
     pool.discard(order[0])
     placed = 1 << order[0]
     while pool:
-        nxt = max(pool, key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v))
+        nxt = max(pool, key=lambda v: ((gadj[v] & placed).bit_count(), degree(v), -v))
         order.append(nxt)
         pool.discard(nxt)
         placed |= 1 << nxt
     pos = {v: i for i, v in enumerate(order)}
     mapping = [-1] * g.n
-    nodes = 0
 
     def solve(p: int) -> bool:
-        nonlocal nodes
         if p == len(order):
             return True
         v = order[p]
-        for t in iter_bits(dom[v]):
-            nodes += 1
-            if nodes > budget.node_limit:
-                raise _Stop("nodes")
+        for t in bits(dom[v]):
             mapping[v] = t
             saved = []
             ok = True
-            for u in iter_bits(g.adj[v]):
+            for u in bits(gadj[v]):
                 if pos[u] <= p:
                     continue
-                nd = dom[u] & h.adj[t]
+                nd = dom[u] & hadj[t]
                 if nd != dom[u]:
                     saved.append((u, dom[u]))
                     dom[u] = nd
@@ -212,17 +265,12 @@ def reference_homomorphism(
             mapping[v] = -1
         return False
 
-    try:
-        found = solve(0)
-    except _Stop as stop:
-        return HomResult(EXHAUSTED, None, nodes, reason=stop.which)
-    if found:
-        return HomResult(SOME, list(mapping), nodes)
-    return HomResult(NONE, None, nodes, reason="search")
+    return list(mapping) if solve(0) else None
 
 
 def brute_homomorphism(g: Graph, h: Graph) -> list[int] | None:
     """First edge-preserving map V(G) -> V(H) in vertex order, or None."""
+    gadj, hadj = rows(g), rows(h)
     mapping = [-1] * g.n
 
     def place(v: int) -> bool:
@@ -230,11 +278,11 @@ def brute_homomorphism(g: Graph, h: Graph) -> list[int] | None:
             return True
         for target in range(h.n):
             ok = True
-            for u in iter_bits(g.adj[v]):
-                if u == v and not (h.adj[target] >> target & 1):
+            for u in bits(gadj[v]):
+                if u == v and not (hadj[target] >> target & 1):
                     ok = False
                     break
-                if u < v and not (h.adj[mapping[u]] >> target & 1):
+                if u < v and not (hadj[mapping[u]] >> target & 1):
                     ok = False
                     break
             if ok:
@@ -245,6 +293,9 @@ def brute_homomorphism(g: Graph, h: Graph) -> list[int] | None:
         return False
 
     return mapping if place(0) else None
+
+
+# -- walks ----------------------------------------------------------------------
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -263,13 +314,14 @@ def walk_matrix(g: Graph, d: int) -> np.ndarray:
     return out
 
 
-def exact_shell(g: Graph, members: int, d: int) -> int:
-    """Bitmask of vertices reached from the member set by length-d walks."""
-    w = walk_matrix(g, d)
-    hit = np.zeros(g.n, dtype=bool)
-    for s in iter_bits(members):
-        hit |= w[s]
-    return sum(1 << v for v in np.flatnonzero(hit))
+def power_graph(g: Graph, d: int) -> Graph:
+    """The walk power: endpoints of walks of length exactly d joined."""
+    return new_graph(g.n, np.argwhere(np.triu(walk_matrix(g, d))))
+
+
+def exact_shell(g: Graph, members: np.ndarray, d: int) -> np.ndarray:
+    """Boolean array of vertices reached from ``members`` by length-d walks."""
+    return walk_matrix(g, d)[members].any(axis=0)
 
 
 def collision_free(g: Graph, c: int, t1, t2) -> bool:
@@ -278,3 +330,98 @@ def collision_free(g: Graph, c: int, t1, t2) -> bool:
         if t1[u] == t2[v] or t1[v] == t2[u]:
             return False
     return True
+
+
+# -- adjoint graphs, set tuple form ---------------------------------------------
+
+
+def _fully_adjacent(adj: list[int], a_mask: int, b_mask: int) -> bool:
+    return all(not (b_mask & ~adj[v]) for v in bits(a_mask))
+
+
+@dataclass
+class OmegaSetsGraph:
+    """Set-tuple adjoint graph; each vertex is a chain of subset bitmasks."""
+
+    graph: Graph
+    tuples: list[tuple[int, ...]]
+    base: Graph
+    d: int
+
+
+def omega_sets(h: Graph, d: int, *, max_target: int = 5, max_half_width: int = 3) -> OmegaSetsGraph:
+    """Right adjoint of the (2d+1)-walk power at an arbitrary target ``H``.
+
+    Vertices are chains ``(A_0, ..., A_d)`` of subsets of V(H): ``A_0`` a
+    singleton, ``A_1`` nonempty, ``A_i`` contained in ``A_{i+2}``, and
+    ``A_{d-1}`` fully adjacent to ``A_d``.  Chains ``A`` and ``B`` are
+    adjacent when ``A_i`` is contained in ``B_{i+1}`` and vice versa for all
+    ``i < d``, and ``A_d``, ``B_d`` are fully adjacent.
+
+    Enumeration cost is exponential in ``|V(H)| * d``, hence the size guard;
+    the tuple form covers complete targets of any size.
+    """
+    if h.n > max_target or d > max_half_width:
+        raise ValueError(
+            f"set adjoint guard: |V|={h.n} (max {max_target}), d={d} (max {max_half_width})"
+        )
+    if d < 1:
+        raise ValueError("set adjoint needs half width >= 1")
+
+    adj = rows(h)
+    all_masks = list(range(1 << h.n))
+    chains: list[tuple[int, ...]] = []
+
+    def extend(chain: tuple[int, ...]) -> None:
+        i = len(chain)
+        if i == d + 1:
+            if _fully_adjacent(adj, chain[d - 1], chain[d]):
+                chains.append(chain)
+            return
+        for m in all_masks:
+            if i == 0 and m.bit_count() != 1:
+                continue
+            if i == 1 and m == 0:
+                continue
+            if i >= 2 and (chain[i - 2] & ~m):
+                continue  # need A_{i-2} subset of A_i
+            extend(chain + (m,))
+
+    extend(())
+
+    def chain_edge(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        for i in range(d):
+            if (a[i] & ~b[i + 1]) or (b[i] & ~a[i + 1]):
+                return False
+        return _fully_adjacent(adj, a[d], b[d])
+
+    edges = [
+        (i, j)
+        for i in range(len(chains))
+        for j in range(i, len(chains))
+        if chain_edge(chains[i], chains[j])
+    ]
+    g = new_graph(len(chains), edges, f"omega_sets({h.label},{d})")
+    return OmegaSetsGraph(graph=g, tuples=chains, base=h, d=d)
+
+
+def adjunction_holds(g: Graph, h: Graph, d: int) -> bool:
+    """True when "gamma_d g -> h" and "g -> omega_d h" answer the same way.
+
+    Exhaustive on both sides; the right side's target is the tuple adjoint
+    for a complete ``h`` and the set adjoint otherwise.
+    """
+    if d < 1 or d % 2 == 0:
+        raise ValueError("the correspondence is stated for odd walk lengths")
+    if h.edge_count == 0:
+        raise ValueError("target needs at least one edge")
+    half = (d - 1) // 2
+    if half == 0:
+        right_target = h
+    elif not h.has_loop() and h.edge_count == h.n * (h.n - 1) // 2:
+        right_target = omega_tuples(h.n, half).graph
+    else:
+        right_target = omega_sets(h, half).graph
+    left = reference_homomorphism(power_graph(g, d), h)
+    right = reference_homomorphism(g, right_target)
+    return (left is None) == (right is None)

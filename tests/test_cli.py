@@ -7,83 +7,14 @@ import pytest
 
 from hedcex.certificate import certificate_to_json, emit_certificate
 from hedcex.cli import main
-from hedcex.graphs import parse_dimacs
+from hedcex.families import omega_tuples
+from hedcex.graphs import emit_dimacs
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_construct_complete(tmp_path, capsys):
-    target = tmp_path / "k4.col"
-    code, out, _ = run(capsys, "construct", "complete", "--n", "4", "-o", str(target))
-    assert code == 0
-    g = parse_dimacs(target.read_text())
-    assert g.n == 4 and g.edge_count == 6
-
-
-def test_construct_omega_json(capsys):
-    code, out, _ = run(capsys, "construct", "omega", "--n", "3", "--d", "1", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["dimacs"].startswith("p edge 9 9")
-
-
-def test_construct_needs_parameters(capsys):
-    code, out, err = run(capsys, "construct", "kneser", "--n", "5")
-    assert code == 2
-
-
-def test_construct_power_reads_graph(tmp_path, capsys):
-    src = tmp_path / "c5.col"
-    run(capsys, "construct", "cycle", "--n", "5", "-o", str(src))
-    code, out, _ = run(
-        capsys, "construct", "power", "--graph", str(src), "--d", "2", "--json"
-    )
-    assert code == 0
-    g = parse_dimacs(json.loads(out)["dimacs"])
-    # the even power of an odd cycle: 5 distance-2 chords plus 5 loops
-    assert g.n == 5 and g.edge_count == 10 and g.has_loop()
-
-
-def test_color_verdicts(tmp_path, capsys):
-    src = tmp_path / "c7.col"
-    run(capsys, "construct", "cycle", "--n", "7", "-o", str(src))
-    code, out, _ = run(capsys, "color", "--graph", str(src), "--colors", "2", "--json")
-    assert code == 0
-    assert json.loads(out)["status"] == "none"
-    code, out, _ = run(capsys, "color", "--graph", str(src), "--colors", "3", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["status"] == "some" and len(doc["assignment"]) == 7
-
-
-def test_color_budget_exhaustion_exit_code(tmp_path, capsys):
-    src = tmp_path / "kg.col"
-    run(capsys, "construct", "kneser", "--c", "8", "--k", "3", "-o", str(src))
-    code, out, _ = run(
-        capsys, "color", "--graph", str(src), "--colors", "3", "--budget-nodes", "5"
-    )
-    assert code == 3
-
-
-def test_hom_between_files(tmp_path, capsys):
-    a, b = tmp_path / "c9.col", tmp_path / "k3.col"
-    run(capsys, "construct", "cycle", "--n", "9", "-o", str(a))
-    run(capsys, "construct", "complete", "--n", "3", "-o", str(b))
-    code, out, _ = run(capsys, "hom", "--graph", str(a), "--target", str(b), "--json")
-    assert code == 0
-    assert json.loads(out)["status"] == "some"
-
-
-def test_chromatic_with_range(tmp_path, capsys):
-    src = tmp_path / "c9.col"
-    run(capsys, "construct", "cycle", "--n", "9", "-o", str(src))
-    code, out, _ = run(capsys, "chromatic", "--graph", str(src), "--json")
-    assert code == 0
-    assert json.loads(out)["value"] == 3
 
 
 def test_wide_check_zero_position(capsys):
@@ -104,7 +35,7 @@ def test_wide_check_file_mode(tmp_path, capsys):
     )
     assert code == 0
     host = tmp_path / "om.col"
-    run(capsys, "construct", "omega", "--n", "2", "--d", "2", "-o", str(host))
+    host.write_text(emit_dimacs(omega_tuples(2, 2).graph))
     code, out, _ = run(
         capsys,
         "wide-check", "--graph", str(host), "--gamma", str(gamma),
@@ -114,25 +45,26 @@ def test_wide_check_file_mode(tmp_path, capsys):
     assert json.loads(out)["wide"] is True
 
 
-def test_adjunction_cli(tmp_path, capsys):
-    a, b = tmp_path / "c7.col", tmp_path / "k3.col"
-    run(capsys, "construct", "cycle", "--n", "7", "-o", str(a))
-    run(capsys, "construct", "complete", "--n", "3", "-o", str(b))
-    code, out, _ = run(
-        capsys, "adjunction-test", "--graph", str(a), "--target", str(b),
-        "--d", "3", "--json",
-    )
-    assert code == 0
-    assert json.loads(out)["agree"] is True
-
-
-def test_adjunction_rejects_even_width(tmp_path, capsys):
-    a = tmp_path / "c7.col"
-    run(capsys, "construct", "cycle", "--n", "7", "-o", str(a))
-    code, _, _ = run(
-        capsys, "adjunction-test", "--graph", str(a), "--target", str(a), "--d", "2"
-    )
+@pytest.mark.parametrize(
+    "gamma,field",
+    [
+        ("{}", "'n'"),
+        ('{"n": null, "k": 1, "d": 2, "pairs": [[1, 1], [2, 1]]}', "'n'"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": null}', "'pairs'"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": [[1, null], [2, 1]]}', "'pairs'"),
+        ("[[1, 1], [2, 1]]", "object"),
+    ],
+    ids=["empty", "null-n", "null-pairs", "null-in-a-pair", "list"],
+)
+def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
+    host = tmp_path / "om.col"
+    host.write_text(emit_dimacs(omega_tuples(2, 2).graph))
+    bad = tmp_path / "gamma.json"
+    bad.write_text(gamma)
+    code, out, err = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(bad))
     assert code == 2
+    assert out == ""
+    assert field in err and "Traceback" not in err
 
 
 def test_build_and_verify_certificate(tmp_path, capsys):
@@ -175,21 +107,6 @@ def test_verdict_that_is_not_an_object_is_a_failure_line(tmp_path, capsys, c5_re
     assert "Traceback" not in err
 
 
-def test_build_artifacts(tmp_path, capsys):
-    h_out = tmp_path / "h.col"
-    dot = tmp_path / "h.dot"
-    code, out, _ = run(
-        capsys,
-        "build", "c5_refined", "--h-out", str(h_out), "--dot", str(dot), "--json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["h"] == {"vertices": 30, "edges": 108}
-    g = parse_dimacs(h_out.read_text())
-    assert g.n == 30 and g.edge_count == 108
-    assert "const(1)" in dot.read_text()
-
-
 def test_verify_literal_reading_fails(capsys):
     code, out, _ = run(
         capsys,
@@ -218,21 +135,24 @@ def test_verify_flag_usage_errors(capsys):
 
 
 def test_usage_errors(capsys):
-    assert run(capsys, "construct", "omega", "--n", "1", "--d", "1")[0] == 2
-    assert run(capsys, "color", "--graph", "/no/such/file", "--colors", "3")[0] == 2
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
+    assert run(capsys, "wide-check", "--n", "3", "--k", "2")[0] == 2
+    assert run(capsys, "wide-check", "--graph", "/no/such/file", "--gamma", "/no/such/file")[0] == 2
+    assert run(capsys, "verify", "certificate", "--cert", "/no/such/file")[0] == 2
+    for removed in ("construct", "color", "hom", "chromatic", "adjunction-test", "build"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([removed])
+        assert exit_info.value.code == 2
 
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(
-        [sys.executable, "-m", "hedcex", "construct", "complete", "--n", "3"],
+        [sys.executable, "-m", "hedcex", "wide-check", "--n", "3", "--k", "1", "--d", "1"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0
-    assert "p edge 3 3" in proc.stdout
+    assert proc.stdout == "wide: True (condition 2, d=1)\n"
 
 
 # SHA-256 of the stdout of ``hedcex verify counterexample --variant V --json``.

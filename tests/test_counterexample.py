@@ -12,25 +12,29 @@ from hedcex.counterexample import (
     FunctionVertex,
     build_counterexample,
     chain_check,
+    _first_collision,
     collision_matrix,
-    exp_adjacent,
     parameter_check,
     params_for,
     product_coloring_violation,
     reading_comparison,
     shifted,
     verify_counterexample,
-    verify_product_coloring,
 )
 from hedcex import counterexample, families
-from hedcex.families import complete_graph, cycle_graph, n_shells, shell_bits
+from hedcex.families import n_shells, shell_bits
 from hedcex.graphs import graph_sha256, is_independent, new_graph
 from hedcex.solver import SearchBudget
-from oracles import collision_free
+from oracles import collision_free, complete_graph, cycle_graph, rows
 
 
 def fv(label, table):
     return FunctionVertex(label, ("test",), np.asarray(table, dtype=np.int8))
+
+
+def exp_adjacent(g, f, w):
+    """Exponential-graph adjacency by the one-pair scan of E(G)."""
+    return _first_collision(g, f.table, w.table) is None
 
 
 # -- parameters ---------------------------------------------------------------
@@ -82,10 +86,10 @@ def test_exp_adjacent_on_a_path():
     g = complete_graph(2)
     a, b, c_ = fv("a", [1, 2]), fv("b", [2, 1]), fv("c", [1, 1])
     # a-b collide: a[0]=1 == b[1]=1
-    assert not exp_adjacent(g, 2, a, b)
-    assert exp_adjacent(g, 2, a, a)  # a proper coloring is a loop
-    assert not exp_adjacent(g, 2, c_, c_)  # a constant is not
-    assert exp_adjacent(g, 2, c_, fv("d", [2, 2]))
+    assert not exp_adjacent(g, a, b)
+    assert exp_adjacent(g, a, a)  # a proper coloring is a loop
+    assert not exp_adjacent(g, c_, c_)  # a constant is not
+    assert exp_adjacent(g, c_, fv("d", [2, 2]))
 
 
 def test_exp_adjacent_matches_oracle():
@@ -94,7 +98,7 @@ def test_exp_adjacent_matches_oracle():
     tables = [fv(str(i), rng.integers(1, 4, size=5)) for i in range(12)]
     for i in range(12):
         for j in range(12):
-            assert exp_adjacent(g, 3, tables[i], tables[j]) == collision_free(
+            assert exp_adjacent(g, tables[i], tables[j]) == collision_free(
                 g, 3, tables[i].table, tables[j].table
             )
 
@@ -102,8 +106,8 @@ def test_exp_adjacent_matches_oracle():
 def test_const_vs_const_adjacency():
     g = cycle_graph(5)
     c1, c2 = fv("c1", [1] * 5), fv("c2", [2] * 5)
-    assert exp_adjacent(g, 3, c1, c2)
-    assert not exp_adjacent(g, 3, c1, fv("c1b", [1] * 5))
+    assert exp_adjacent(g, c1, c2)
+    assert not exp_adjacent(g, c1, fv("c1b", [1] * 5))
 
 
 @st.composite
@@ -209,7 +213,7 @@ def test_collision_matrix_matches_scan_on_refined(c5_report):
     hit = build.collisions
     for a, f in enumerate(build.vertices):
         for b, w in enumerate(build.vertices[a:], start=a):
-            assert hit[a, b] == (not exp_adjacent(build.g, 5, f, w))
+            assert hit[a, b] == (not exp_adjacent(build.g, f, w))
 
 
 @pytest.mark.parametrize("variant,classes", [("c5_refined", 6), ("c7", 8), ("c5_wide", 6)])
@@ -283,33 +287,36 @@ def test_wide_coloring_item_counts_checked_classes(c5_report, c7_report, c5_wide
 def test_h_edges_are_exponential_edges(c5_report):
     build = c5_report.build
     for a, b in build.h.edges():
-        assert exp_adjacent(build.g, 5, build.vertices[a], build.vertices[b])
+        assert exp_adjacent(build.g, build.vertices[a], build.vertices[b])
 
 
 def test_level_one_h_meet_f(c5_report):
     build = c5_report.build
+    adj = rows(build.h)
     f_idx = 5
     for idx, v in enumerate(build.vertices):
         if v.role[0] == "h" and v.role[2] == 1:
-            assert build.h.has_edge(f_idx, idx)
+            assert adj[f_idx] >> idx & 1
 
 
 def test_g_families_are_cliques(c5_report):
     build = c5_report.build
+    adj = rows(build.h)
     for q in (1, 2, 3):
         members = build.index_of(("g", q))
         assert len(members) == 3
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                assert build.h.has_edge(a, b)
+                assert adj[a] >> b & 1
 
 
 def test_const_edges_match_images(c7_report):
     build = c7_report.build
+    adj = rows(build.h)
     for idx, w in enumerate(build.vertices[7:], start=7):
         image = w.image
         for i in range(1, 8):
-            assert build.h.has_edge(i - 1, idx) == (i not in image)
+            assert bool(adj[i - 1] >> idx & 1) == (i not in image)
 
 
 def test_chain_holds_at_every_depth(c5_wide_build):
@@ -333,7 +340,7 @@ def test_build_rejects_wrong_vertex_budget():
 
 def test_product_coloring_and_corruption(c5_report):
     build = c5_report.build
-    assert verify_product_coloring(build)
+    assert product_coloring_violation(build) is None
     # corrupt one table: f's value at vertex 0 set to collide across the
     # first host edge incident to 0
     u = next(iter(build.g.edges()))
@@ -352,7 +359,7 @@ def test_product_coloring_and_corruption(c5_report):
     x, y = witness[1]
     ta, tb = vertices[a].table, vertices[b].table
     assert ta[x] == tb[y] or ta[y] == tb[x]
-    assert not exp_adjacent(build.g, 5, vertices[a], vertices[b])
+    assert not exp_adjacent(build.g, vertices[a], vertices[b])
 
 
 def test_verify_pass_end_to_end(c5_report):
@@ -396,9 +403,7 @@ def test_verify_rejects_bad_parameters():
 
 
 def test_verify_literal_reading_fails_fast():
-    report = verify_counterexample(
-        params_for("c5_refined", reading="literal"), compare_readings=False
-    )
+    report = verify_counterexample(params_for("c5_refined", reading="literal"))
     assert report.status == "FAILED"
     assert report.item("build").ok is False
     assert "exponential graph" in report.item("build").detail["error"]
@@ -408,7 +413,6 @@ def test_chi_h_budget_exhaustion_is_incomplete(c5_report):
     report = verify_counterexample(
         params_for("c5_refined"),
         budget=SearchBudget(node_limit=10),
-        compare_readings=False,
     )
     assert report.status == "INCOMPLETE"
     assert report.item("chi_h").ok is None

@@ -7,27 +7,38 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from hedcex import solver
-from hedcex.families import complete_graph, cycle_graph, kneser_graph
 from hedcex.graphs import new_graph
 from hedcex.solver import (
     EXHAUSTED,
     NONE,
     SOME,
     SearchBudget,
-    chromatic_number,
     find_coloring,
-    find_homomorphism,
     greedy_clique,
     verify_coloring,
-    verify_homomorphism,
 )
 from oracles import (
     brute_coloring,
     brute_homomorphism,
+    complete_graph,
+    cycle_graph,
+    kneser_graph,
     reference_coloring,
     reference_greedy_clique,
     reference_homomorphism,
+    rows,
 )
+
+
+def chromatic(g, budget=SearchBudget()):
+    """Smallest c with a coloring, walking c upward with ``find_coloring``;
+    each refusal below it must be an exhaustive ``none``."""
+    for c in range(g.n + 1):
+        res = find_coloring(g, c, budget)
+        if res.status == SOME:
+            return c, res.assignment
+        assert res.status == NONE
+    return None, None
 
 
 def test_verify_coloring_rules():
@@ -36,14 +47,6 @@ def test_verify_coloring_rules():
     assert not verify_coloring(g, [1, 1, 2], 2)
     assert not verify_coloring(g, [1, 3, 1], 2)  # out of range
     assert not verify_coloring(g, [1, 2], 2)  # wrong length
-
-
-def test_verify_homomorphism_rules():
-    c5, k3 = cycle_graph(5), complete_graph(3)
-    hom = find_homomorphism(c5, k3)
-    assert hom.status == SOME
-    assert verify_homomorphism(c5, k3, hom.mapping)
-    assert not verify_homomorphism(c5, k3, [0, 0, 0, 0, 0])
 
 
 def test_find_coloring_odd_cycle():
@@ -67,21 +70,23 @@ def test_find_coloring_rejects_bad_counts():
 
 
 def test_chromatic_known_values():
-    assert chromatic_number(complete_graph(6)).value == 6
-    assert chromatic_number(cycle_graph(8)).value == 2
-    assert chromatic_number(cycle_graph(9)).value == 3
-    assert chromatic_number(new_graph(4, [])).value == 1
-    assert chromatic_number(new_graph(0, [])).value == 0
+    assert chromatic(complete_graph(6))[0] == 6
+    assert chromatic(cycle_graph(8))[0] == 2
+    assert chromatic(cycle_graph(9))[0] == 3
+    assert chromatic(new_graph(4, []))[0] == 1
+    assert chromatic(new_graph(0, []))[0] == 0
 
 
 def test_chromatic_kneser_petersen():
     # chi(KG(5,2)) = 5 - 2*2 + 2 = 3
-    assert chromatic_number(kneser_graph(5, 2)).value == 3
+    assert chromatic(kneser_graph(5, 2))[0] == 3
 
 
 def test_chromatic_loop_has_no_finite_value():
-    g = new_graph(1, [(0, 0)])
-    assert chromatic_number(g).status == "no_finite"
+    g = new_graph(2, [(0, 1), (1, 1)])
+    for c in range(0, 8):
+        res = find_coloring(g, c)
+        assert (res.status, res.nodes, res.reason) == (NONE, 0, "loop")
 
 
 def test_budget_exhaustion_reports_nodes():
@@ -91,35 +96,16 @@ def test_budget_exhaustion_reports_nodes():
     assert res.reason == "nodes"
 
 
-def test_chromatic_range_narrowing():
-    # the range is honored: the answer is the smallest value inside it
-    res = chromatic_number(cycle_graph(9), lo=4)
-    assert res.status == "value" and res.value == 4
-    res2 = chromatic_number(cycle_graph(9), lo=1, hi=2)
-    assert res2.status == "none_in_range"
-    with pytest.raises(ValueError):
-        chromatic_number(cycle_graph(9), lo=5, hi=2)
-
-
 def test_greedy_clique_is_a_clique():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 12), 0.5)
+        adj = rows(g)
         clique = greedy_clique(g)
         assert len(clique) >= 1
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
-                assert g.has_edge(u, v)
-
-
-def test_homomorphism_to_smaller_clique_fails():
-    assert find_homomorphism(complete_graph(4), complete_graph(3)).status == NONE
-
-
-def test_homomorphism_odd_cycle_gap():
-    # C5 -> C7 would retract an odd cycle onto a longer one
-    assert find_homomorphism(cycle_graph(5), cycle_graph(7)).status == NONE
-    assert find_homomorphism(cycle_graph(7), cycle_graph(5)).status == SOME
+                assert adj[u] >> v & 1
 
 
 @given(st.integers(0, 2**30), st.integers(1, 8), st.integers(1, 4))
@@ -135,24 +121,24 @@ def test_coloring_agrees_with_brute_force(seed, n, c):
 
 @given(st.integers(0, 2**30), st.integers(1, 6), st.integers(1, 5))
 def test_homomorphism_agrees_with_brute_force(seed, n, m):
+    # the forward-checking search is what the adjunction tests decide with
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.45)
     h = random_graph(rng, m, 0.5)
-    ours = find_homomorphism(g, h)
-    ref = brute_homomorphism(g, h)
-    assert (ours.status == SOME) == (ref is not None)
-    if ours.status == SOME:
-        assert verify_homomorphism(g, h, ours.mapping)
+    ours = reference_homomorphism(g, h)
+    assert (ours is None) == (brute_homomorphism(g, h) is None)
+    if ours is not None:
+        hadj = rows(h)
+        assert all(hadj[ours[u]] >> ours[v] & 1 for u, v in g.edges())
 
 
 @given(st.integers(0, 2**30))
 def test_coloring_vs_clique_lower_bound(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10), 0.5)
-    res = chromatic_number(g)
-    assert res.status == "value"
-    assert res.value >= len(greedy_clique(g))
-    assert verify_coloring(g, res.assignment, res.value)
+    value, assignment = chromatic(g)
+    assert value >= len(greedy_clique(g))
+    assert verify_coloring(g, assignment, value)
 
 
 def _loopy_graph(seed: int, n: int, p: float, loop_p: float):
@@ -269,26 +255,6 @@ def test_zero_node_budget_does_no_work(monkeypatch):
     assert find_coloring(new_graph(0, []), 3, SearchBudget(node_limit=0)).status == SOME
 
 
-@given(
-    st.integers(0, 2**30),
-    st.integers(0, 9),
-    st.integers(0, 6),
-    st.sampled_from([0.0, 0.15]),
-    st.integers(1, 1_000),
-)
-def test_homomorphism_transcript_matches_reference(seed, n, m, loop_p, limit):
-    g = _loopy_graph(seed, n, 0.4, loop_p)
-    h = _loopy_graph(seed + 1, m, 0.5, loop_p)
-    budget = SearchBudget(node_limit=limit)
-    ours, ref = find_homomorphism(g, h, budget), reference_homomorphism(g, h, budget)
-    assert (ours.status, ours.nodes, ours.mapping, ours.reason) == (
-        ref.status,
-        ref.nodes,
-        ref.mapping,
-        ref.reason,
-    )
-
-
 def test_search_transcripts_pinned(c5_report, c7_report, c5_wide_report):
     for report, nodes in ((c5_report, 66), (c7_report, 473), (c5_wide_report, 366)):
         assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
@@ -308,6 +274,3 @@ def test_searches_never_touch_the_recursion_limit(monkeypatch):
     col = find_coloring(path, 2)
     assert col.status == SOME and col.nodes == n
     assert verify_coloring(path, col.assignment, 2)
-    hom = find_homomorphism(path, complete_graph(2))
-    assert hom.status == SOME and verify_homomorphism(path, complete_graph(2), hom.mapping)
-    assert path._adj is None  # the path's bitset rows were never built

@@ -6,26 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from hedcex.families import complete_graph, cycle_graph, omega_tuples
+from hedcex.families import omega_tuples
 from hedcex.graphs import graph_sha256, new_graph
-from hedcex.widecolor import (
-    WideColoring,
-    adjunction_holds,
-    check_wide,
-    default_pairing,
-    pair_to_color,
-    zero_position_coloring,
-)
+from hedcex.widecolor import WideColoring, check_wide, zero_position_coloring
+from oracles import adjunction_holds, complete_graph, cycle_graph, rows
 
 
 def identity_coloring(g, d):
     return WideColoring(n=g.n, k=1, d=d, pairs=tuple((v + 1, 1) for v in range(g.n)))
-
-
-def test_pairing_round_trip():
-    for k in (1, 2, 3):
-        for a in range(1, 13):
-            assert pair_to_color(default_pairing(a, k), k) == a
 
 
 def test_identity_on_c7_is_2_wide():
@@ -100,9 +88,9 @@ def test_zero_position_split_classes():
     wc = zero_position_coloring(om, 2, 2)
     assert wc.n == 2 and wc.k == 2
     assert check_wide(om.graph, wc, condition=3)
-    # the vectorized pairing agrees with default_pairing at every zero position
+    # consecutive blocks of k = 2 zero positions share a first coordinate
     assert wc.pairs.tolist() == [
-        list(default_pairing(p + 1, 2)) for p in om.zero_positions().tolist()
+        [p // 2 + 1, p % 2 + 1] for p in om.zero_positions().tolist()
     ]
     # merged alpha classes are unions of the fine classes
     assert np.array_equal(wc.class_set(1), wc.class_set(1, 1) | wc.class_set(1, 2))
@@ -122,7 +110,7 @@ def test_class_sets_partition():
 def test_four_conditions_agree(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(2, 12), 0.35)
-    if any(g.adj[v] == 0 for v in range(g.n)):
+    if not all(rows(g)):
         return
     n, k = rng.choice([(2, 1), (3, 1), (2, 2), (4, 1)])
     d = rng.randint(0, 3)
@@ -132,6 +120,12 @@ def test_four_conditions_agree(seed):
     wc = WideColoring(n=n, k=k, d=d, pairs=pairs)
     answers = [check_wide(g, wc, condition) for condition in (1, 2, 3, 4)]
     assert len(set(answers)) == 1, answers
+
+
+def test_condition_one_decides_a_host_above_the_old_power_limit(omega63):
+    # 4,686 vertices: the odd power is never built, each class is swept
+    wc = zero_position_coloring(omega63, 6, 1)
+    assert check_wide(omega63.graph, wc, condition=1)
 
 
 def test_adjunction_argument_guards():
