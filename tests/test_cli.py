@@ -67,6 +67,15 @@ def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
     assert field in err and "Traceback" not in err
 
 
+def test_color_budget_exhaustion_exit_code(capsys):
+    # a chi(H) search stopped by its node budget leaves the verdict open
+    code, _, _ = run(
+        capsys,
+        "verify", "counterexample", "--variant", "c5_refined", "--budget-nodes", "10",
+    )
+    assert code == 3
+
+
 def test_build_and_verify_certificate(tmp_path, capsys):
     cert = tmp_path / "c5.cert.json"
     code, out, _ = run(

@@ -19,6 +19,7 @@ from oracles import (
     omega_sets,
     rows,
     tuple_vertices,
+    walk_matrix,
 )
 
 
@@ -49,6 +50,33 @@ def test_kneser_counts_general():
     g = kneser_graph(6, 2)
     assert g.n == math.comb(6, 2)
     assert g.edge_count == math.comb(6, 2) * math.comb(4, 2) // 2
+
+
+def power_rows(g, d):
+    """The d-th walk power read off one ``shell_bits`` sweep with a
+    singleton set per vertex: bit u of entry v says a walk of length exactly
+    d joins u and v."""
+    seeds = np.array([1 << v for v in range(g.n)], dtype=np.uint16)
+    return shell_bits(g, seeds, d)[d]
+
+
+def test_gamma_power_square_of_cycle():
+    p = power_rows(cycle_graph(6), 2)
+    # even powers of an even cycle include loops (walk out and back)
+    assert p[2] >> 0 & 1 and p[0] >> 0 & 1
+    assert not p[3] >> 0 & 1
+
+
+def test_gamma_power_matches_walk_matrix():
+    rng = random.Random(11)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(1, 10), 0.4)
+        d = rng.randint(1, 4)
+        p = power_rows(g, d)
+        w = walk_matrix(g, d)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert bool(p[v] >> u & 1) == bool(w[u, v])
 
 
 def test_shells_match_oracle():

@@ -109,6 +109,22 @@ def test_dimacs_and_sha_pinned_on_a_loopy_graph():
     assert graph_sha256(Graph(g.n, *edge_arrays(g))) == sha
 
 
+def test_rows_match_the_bitwise_build():
+    # repeated pairs, both orientations and loops, on raw edge lists
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(0, 90)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        expect = [0] * n
+        for u, v in edges:
+            expect[u] |= 1 << v
+            expect[v] |= 1 << u
+        ptr, dst = neighbor_arrays(new_graph(n, edges))
+        got = [sum(1 << u for u in dst[ptr[v] : ptr[v + 1]].tolist()) for v in range(n)]
+        assert got == expect
+        assert all(np.all(np.diff(dst[ptr[v] : ptr[v + 1]]) > 0) for v in range(n))
+
+
 @given(st.integers(0, 40), st.data())
 def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from hedcex import solver
+from hedcex.families import omega_tuples
 from hedcex.graphs import new_graph
 from hedcex.solver import (
     EXHAUSTED,
@@ -47,6 +48,15 @@ def test_verify_coloring_rules():
     assert not verify_coloring(g, [1, 1, 2], 2)
     assert not verify_coloring(g, [1, 3, 1], 2)  # out of range
     assert not verify_coloring(g, [1, 2], 2)  # wrong length
+
+
+def test_verify_homomorphism_rules():
+    # a homomorphism to K_3 is a proper 3-coloring, which verify_coloring judges
+    c5, k3 = cycle_graph(5), complete_graph(3)
+    hom = reference_homomorphism(c5, k3)
+    assert hom is not None
+    assert verify_coloring(c5, [t + 1 for t in hom], 3)
+    assert not verify_coloring(c5, [1, 1, 1, 1, 1], 3)
 
 
 def test_find_coloring_odd_cycle():
@@ -96,6 +106,17 @@ def test_budget_exhaustion_reports_nodes():
     assert res.reason == "nodes"
 
 
+def test_chromatic_range_narrowing():
+    # chi = m decided from both sides, as the census does it: a verified
+    # m-coloring bounds it above, one exhaustive (m-1)-refusal below
+    c9 = cycle_graph(9)
+    assert verify_coloring(c9, [1 + v % 2 for v in range(8)] + [3], 3)
+    assert find_coloring(c9, 2).status == NONE
+    om = omega_tuples(4, 1)
+    assert verify_coloring(om.graph, (om.zero_positions() + 1).tolist(), 4)
+    assert find_coloring(om.graph, 3).status == NONE
+
+
 def test_greedy_clique_is_a_clique():
     rng = random.Random(3)
     for _ in range(20):
@@ -106,6 +127,20 @@ def test_greedy_clique_is_a_clique():
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
                 assert adj[u] >> v & 1
+
+
+def test_homomorphism_to_smaller_clique_fails():
+    k4, k3 = complete_graph(4), complete_graph(3)
+    assert reference_homomorphism(k4, k3) is None
+    assert find_coloring(k4, 3).status == NONE
+
+
+def test_homomorphism_odd_cycle_gap():
+    # C5 -> C7 would retract an odd cycle onto a longer one
+    c5, c7 = cycle_graph(5), cycle_graph(7)
+    assert reference_homomorphism(c5, c7) is None
+    assert brute_homomorphism(c5, c7) is None
+    assert reference_homomorphism(c7, c5) is not None
 
 
 @given(st.integers(0, 2**30), st.integers(1, 8), st.integers(1, 4))

@@ -16,6 +16,19 @@ def identity_coloring(g, d):
     return WideColoring(n=g.n, k=1, d=d, pairs=tuple((v + 1, 1) for v in range(g.n)))
 
 
+def test_pairing_round_trip():
+    # position p <-> pair (a, b) = (p // k + 1, p % k + 1) is a bijection of
+    # the base [n*k] onto [n] x [k], for every shape of the same base
+    om = omega_tuples(6, 1)
+    zero = om.zero_positions()
+    for n, k in ((6, 1), (3, 2), (2, 3)):
+        wc = zero_position_coloring(om, n, k)
+        a, b = wc.pairs[:, 0].astype(int), wc.pairs[:, 1].astype(int)
+        assert (1 <= a).all() and (a <= n).all() and (1 <= b).all() and (b <= k).all()
+        assert np.array_equal((a - 1) * k + (b - 1), zero)
+        assert len({(x, y) for x, y in wc.pairs.tolist()}) == n * k
+
+
 def test_identity_on_c7_is_2_wide():
     c7 = cycle_graph(7)
     wc = identity_coloring(c7, 2)
