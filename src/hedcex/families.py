@@ -5,7 +5,9 @@
   with exactly one 0 and at least one 1, adjacent when every coordinate
   pair differs by exactly one or both sit at ``d+1``.  Tuples and edges are
   enumerated as numpy arrays, each generated neighbor tuple located by a
-  lookup table over the whole code space.
+  lookup table over the whole code space, and each edge generated once,
+  from the end whose zero comes first; the vertex and edge counts are
+  checked against their closed forms.
 * ``shell_bits(g, seeds, t)`` sweeps the host for the endpoints of walks of
   length exactly 0..t from up to one vertex set per bit of its seed array,
   over the graph's CSR neighbor arrays, linear in |V| + |E| per step.  The
@@ -28,6 +30,7 @@ __all__ = [
     "shell_bits",
     "OmegaGraph",
     "omega_vertex_count",
+    "omega_edge_count",
     "omega_tuples",
 ]
 
@@ -80,6 +83,17 @@ def omega_vertex_count(n: int, d: int) -> int:
     return n * ((d + 1) ** (n - 1) - d ** (n - 1))
 
 
+def omega_edge_count(n: int, d: int) -> int:
+    """Closed-form size of the tuple adjoint: C(n, 2) * (2d+1)^(n-2).
+
+    An edge joins tuples with zeros at two positions p < q, a 1 opposite
+    each zero, and at each of the other n - 2 coordinates one of the 2d + 1
+    value pairs in ``1..d+1`` that differ by one or both equal d+1; the 1s
+    opposite the zeros make both ends valid.
+    """
+    return n * (n - 1) // 2 * (2 * d + 1) ** (n - 2)
+
+
 def _omega_digits(n: int, d: int) -> np.ndarray:
     """The valid tuples as rows of a (vertices, n) int8 array, in
     lexicographic order, checked against the closed-form count.
@@ -130,27 +144,28 @@ class OmegaGraph:
         return np.argmax(self.digits == 0, axis=1)
 
 
-def omega_tuples(n: int, d: int) -> OmegaGraph:
-    """Build the tuple adjoint of K_n at half width d.
+def _omega_edges(digits: np.ndarray, d: int) -> np.ndarray:
+    """The edges of the tuple adjoint on the tuples ``digits``, as an
+    (edges, 2) int32 array of vertex pairs, each edge generated once.
 
     Tuples are coded as base-(d+2) integers, so lexicographic order is
     numeric order, and a dense int32 table over all (d+2)^n codes maps each
-    code to its vertex (-1 for a code that is not a valid tuple).  Edges
-    come from a constructive enumeration, vectorized over all vertices at
-    once: for each coordinate holding a 1 (the neighbor's zero), every other
-    coordinate takes each value on its menu, one step up or down (or holds
-    at d+1).  Every tuple generated that way is a valid neighbor, so total
-    work is proportional to the number of edges, not to the square of the
-    order.
+    code to its vertex (-1 for a code that is not a valid tuple).  The
+    enumeration is vectorized over all vertices at once: for each coordinate
+    holding a 1 (the neighbor's zero), every other coordinate takes each
+    value on its menu, one step up or down (or holds at d+1).  The two ends
+    of an edge have their zeros at different positions, and only the end
+    whose zero comes first generates it.
     """
-    digits = _omega_digits(n, d)
+    n = digits.shape[1]
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # vertex index of every code in the (d+2)^n code space, -1 off the set
     index = np.full((d + 2) ** n, -1, dtype=np.int32)
     index[digits.astype(np.int64) @ weights] = np.arange(len(digits), dtype=np.int32)
+    own_zero = np.argmax(digits == 0, axis=1)
     sources, targets = [], []
     for zero_at in range(n):
-        src = np.flatnonzero(digits[:, zero_at] == 1)
+        src = np.flatnonzero((digits[:, zero_at] == 1) & (own_zero < zero_at)).astype(np.int32)
         code = np.zeros(src.size, dtype=np.int64)
         for j in range(n):
             if j == zero_at:
@@ -164,11 +179,31 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         dst = index[code]
         if (dst < 0).any():
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
-        keep = dst > src
-        sources.append(src[keep].astype(np.int32))
-        targets.append(dst[keep])
-    del index
-    edges = np.column_stack((np.concatenate(sources), np.concatenate(targets)))
-    del sources, targets
+        sources.append(src)
+        targets.append(dst)
+    return np.column_stack((np.concatenate(sources), np.concatenate(targets)))
+
+
+def omega_tuples(n: int, d: int) -> OmegaGraph:
+    """Build the tuple adjoint of K_n at half width d.
+
+    The edges come from ``_omega_edges``.  Every tuple it generates is a
+    valid neighbor and every edge is generated exactly once, so total work
+    is proportional to the number of edges, not to the square of the order.
+    Both are checked: RuntimeError if the enumeration leaves the vertex set,
+    generates an edge more than once, or yields an edge count other than
+    ``omega_edge_count(n, d)``.
+    """
+    digits = _omega_digits(n, d)
+    edges = _omega_edges(digits, d)
     g = new_graph(len(digits), edges, f"omega({n},{d})")
+    if g.edge_count < len(edges):
+        raise RuntimeError(
+            f"tuple adjoint enumeration generated {len(edges) - g.edge_count} edges more than once"
+        )
+    expect = omega_edge_count(n, d)
+    if g.edge_count != expect:
+        raise RuntimeError(
+            f"tuple adjoint enumeration produced {g.edge_count} edges, formula says {expect}"
+        )
     return OmegaGraph(graph=g, digits=digits, n=n, d=d)

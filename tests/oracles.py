@@ -4,10 +4,11 @@ Everything here favors being obviously right over being usable at scale:
 bitset rows read off the edge list, plain backtracking with no ordering
 heuristics, dense numpy walk matrices, and quadratic scans.  The exception
 is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
-``find_coloring`` must match.  Also here: the small named graphs the tests
-use as fixtures, the set-tuple form of the adjoint (which the tuple form in
-``hedcex.families`` is checked against), and the adjunction test built on
-both.
+``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
+that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
+graphs the tests use as fixtures, the set-tuple form of the adjoint (which
+the tuple form in ``hedcex.families`` is checked against), and the
+adjunction test built on both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from hedcex.families import omega_tuples
-from hedcex.graphs import Graph, new_graph
+from hedcex.graphs import Graph, edge_arrays, new_graph
 from hedcex.solver import EXHAUSTED, MAX_COLORS, NONE, SOME, ColoringResult, SearchBudget
 
 
@@ -40,6 +41,14 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def reference_dimacs(g: Graph) -> str:
+    """The canonical DIMACS body (no comments) by ``%`` formatting, one
+    ``e u v`` line per edge of ``edge_arrays``, 1-based."""
+    eu, ev = edge_arrays(g)
+    ends = tuple((np.column_stack((eu, ev)).astype(np.int64) + 1).ravel().tolist())
+    return f"p edge {g.n} {g.edge_count}\n" + "e %d %d\n" * g.edge_count % ends
 
 
 # -- named graphs ---------------------------------------------------------------

@@ -9,7 +9,13 @@ import numpy as np
 
 from conftest import random_graph
 from hedcex import families
-from hedcex.families import n_shells, omega_tuples, omega_vertex_count, shell_bits
+from hedcex.families import (
+    n_shells,
+    omega_edge_count,
+    omega_tuples,
+    omega_vertex_count,
+    shell_bits,
+)
 from hedcex.graphs import edge_arrays, graph_sha256, new_graph
 from oracles import (
     complete_graph,
@@ -196,6 +202,33 @@ def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
         families, "_tuple_partner_menus", lambda xj, d: (np.zeros_like(xj), np.zeros_like(xj))
     )
     with pytest.raises(RuntimeError, match="left the vertex set"):
+        omega_tuples(3, 1)
+
+
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_omega_edge_count_formula(n, d):
+    assert omega_edge_count(n, d) == OMEGA_PINS[n, d][1]
+
+
+def test_omega_enumeration_generates_each_edge_once(monkeypatch):
+    once = families._omega_edges
+
+    def from_both_ends(digits, d):
+        edges = once(digits, d)
+        return np.vstack((edges, edges[:, ::-1]))
+
+    monkeypatch.setattr(families, "_omega_edges", from_both_ends)
+    with pytest.raises(RuntimeError, match="generated 9 edges more than once"):
+        omega_tuples(3, 1)
+
+
+def test_omega_enumeration_with_a_wrong_menu_is_caught(monkeypatch):
+    # every generated tuple is valid, but each source reaches one neighbor
+    # per zero position where the menus offer two or three
+    monkeypatch.setattr(
+        families, "_tuple_partner_menus", lambda xj, d: (np.ones_like(xj), np.ones_like(xj))
+    )
+    with pytest.raises(RuntimeError, match="produced 6 edges, formula says 9"):
         omega_tuples(3, 1)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from conftest import random_graph
+from hedcex import graphs
 from hedcex.graphs import (
     Graph,
     edge_arrays,
@@ -18,7 +20,7 @@ from hedcex.graphs import (
     new_graph,
     parse_dimacs,
 )
-from oracles import bits, rows
+from oracles import bits, reference_dimacs, rows
 
 
 def test_boundary_rejects_bad_vertex_sets():
@@ -107,6 +109,31 @@ def test_dimacs_and_sha_pinned_on_a_loopy_graph():
     sha = "5b6f8fe620b02df1b483c06fc824bba74307f0ab2f44c5237a99270f454b138b"
     assert graph_sha256(g) == sha
     assert graph_sha256(Graph(g.n, *edge_arrays(g))) == sha
+
+
+def _emitter_cases():
+    # n = 0 and 1, both sides of each digit-width boundary, loops, no edges
+    yield new_graph(0, [])
+    yield new_graph(1, [])
+    yield new_graph(1, [(0, 0)])
+    for n in (9, 10, 99, 100, 99_999, 100_000):
+        yield new_graph(n, [])
+        yield new_graph(n, [(0, 0), (0, n - 1), (n - 1, n - 1), (n // 2, n - 2)])
+        yield new_graph(n, [(v, (7 * v + 3) % n) for v in range(min(n, 500))])
+    # more edges than one chunk, with vertex numbers of every width 1..6
+    widths = np.array([[0, 9], [99, 999], [9_999, 99_999]])
+    pairs = np.random.default_rng(12).integers(0, 100_000, size=(70_000, 2))
+    yield new_graph(100_000, np.vstack((widths, pairs)))
+
+
+@pytest.mark.parametrize("g", list(_emitter_cases()), ids=repr)
+def test_dimacs_bytes_match_the_percent_formatter(g):
+    text = reference_dimacs(g)
+    assert emit_dimacs(g) == text
+    assert emit_dimacs(g, comment="note") == "c note\n" + text
+    assert graph_sha256(g) == hashlib.sha256(text.encode("ascii")).hexdigest()
+    # the problem line, then one chunk per _CHUNK edges or part of them
+    assert len(list(graphs._dimacs_lines(g))) == 1 + -(-g.edge_count // graphs._CHUNK)
 
 
 def test_rows_match_the_bitwise_build():
