@@ -7,9 +7,9 @@ values as int8 bytes in vertex order: a function table's values for an H
 vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then of
 vertex 1, ...) for gamma.
 
-``check_certificate`` rebuilds the construction strictly from the
-parameters, once.  The strict build asserts the pinned counts, wideness,
-pairwise distinct tables, no loops, and that every H edge is an edge of the
+``check_certificate`` rebuilds the construction from the parameters, once.
+The build raises on the first failed check of the pinned counts, wideness,
+pairwise distinct tables, no loops, and every H edge being an edge of the
 exponential graph (which is the product coloring).  The checker then
 compares the certificate with that rebuild: host hash and counts, the wide
 coloring's shape, host pin and digest, the H labels, each table digest, and

@@ -7,8 +7,10 @@ projection of a wide coloring, and two-valued "h" / selector-valued "g"
 functions supported on exact-distance neighborhoods of a color class.
 Together with the host (an omega graph over a complete base) they form a
 finite pair (G, H) whose tensor product is c-colorable while both factors
-need more than c colors.  ``verify_counterexample`` runs the full pipeline
-and returns a machine-readable report.
+need more than c colors.  A build is a host stage and an H stage, so the
+reading comparison builds its second H on the first build's host.
+``verify_counterexample`` runs the full pipeline and returns a
+machine-readable report.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -47,15 +48,6 @@ _CHUNK = 1 << 18
 
 _INEQUALITIES = {
     # (name, predicate) pairs; all evaluated, conjunction wins.
-    "tardif": (
-        ("c >= n+k+1", lambda k, c, n: c >= n + k + 1),
-        ("c >= 3k+2", lambda k, c, n: c >= 3 * k + 2),
-    ),
-    "tardif_cex": (
-        ("c >= n+k+1", lambda k, c, n: c >= n + k + 1),
-        ("c >= 3k+2", lambda k, c, n: c >= 3 * k + 2),
-        ("n+2k-3 >= c", lambda k, c, n: n + 2 * k - 3 >= c),
-    ),
     "c7": (
         ("c >= n+k+1", lambda k, c, n: c >= n + k + 1),
         ("n >= k+1", lambda k, c, n: n >= k + 1),
@@ -164,11 +156,6 @@ class FunctionVertex:
     def __post_init__(self):
         self.table.flags.writeable = False
 
-    @cached_property
-    def image(self) -> frozenset[int]:
-        """The colors the table takes, counted once per vertex."""
-        return frozenset(np.flatnonzero(np.bincount(self.table)).tolist())
-
     def __repr__(self) -> str:
         return f"FunctionVertex({self.label})"
 
@@ -192,30 +179,31 @@ def _first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
     return None
 
 
-def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
-    """Every exponential-graph adjacency among ``vertices`` at once.
+def _table_questions(
+    g: Graph, vertices: list[FunctionVertex]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(collisions, takes, distinct): every question the build asks of its
+    tables, read off one quotient of the host.
 
-    Entry [a, b] of the returned (m, m) boolean matrix is True iff some edge
-    u-v of g has a(u) = b(v) in either orientation, so a and b are adjacent
-    exactly where it is False and the diagonal is the loop check.
+    Host vertices with the same column of tables are interchangeable, so
+    the tables are read on K column classes, one row of ``q`` each.
+    ``collisions`` is (m, m): entry [a, b] is True iff some edge u-v of g
+    has a(u) = b(v) in either orientation, so a and b are adjacent exactly
+    where it is False and the diagonal is the loop check.  ``takes`` [x, a]
+    says table a takes the value x (rows 0 up to the largest value), and
+    ``distinct`` counts the distinct columns of ``q``, so the distinct tables.
 
-    Host vertices with the same column of tables are interchangeable here,
-    so the question is asked of a quotient: K column classes, and the
-    distinct class pairs that host edges realize, sorted by source class.
-    For each color x, the functions taking x on a class are a bit-packed row
-    of that class; OR-ing the rows of each source class's partners gives the
-    functions that take x next to it, and one (m x A) by (A x m) float32
-    product over the A source classes finds every (a, b) with a = x at a
-    source and b = x at a partner.  Its sums never exceed A, so they are
-    exact.
+    For the matrix, the distinct class pairs that host edges realize are
+    sorted by source class.  For each color x, the functions taking x on a
+    class are a bit-packed row of that class; OR-ing the rows of each source
+    class's partners gives the functions that take x next to it, and one
+    (m x A) by (A x m) float32 product over the A source classes finds every
+    (a, b) with a = x at a source and b = x at a partner.  Its sums never
+    exceed A, so they are exact.
     """
     m = len(vertices)
-    hit = np.zeros((m, m), dtype=bool)
     if any(v.table.shape != (g.n,) for v in vertices):
         raise ValueError("function table does not match the host vertex set")
-    eu, ev = edge_arrays(g)
-    if m == 0 or eu.size == 0:
-        return hit
     # stacked row-wise (m contiguous copies), then transposed into one
     # contiguous (n, m) array: a strided stack along axis 1 is slower
     cols = np.ascontiguousarray(np.stack([v.table for v in vertices]).T)
@@ -227,17 +215,29 @@ def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
     q = cols[first]
     del cols, first
     k = q.shape[0]
+    eu, ev = edge_arrays(g)
     codes = _unique_sorted(cls[eu].astype(np.int64) * k + cls[ev])
     del cls
     pa, pb = codes // k, codes % k
-    starts = np.flatnonzero(np.concatenate(([True], pa[1:] != pa[:-1])))
+    starts = np.flatnonzero(np.diff(pa, prepend=-1))
     sources = pa[starts]
+    hit = np.zeros((m, m), dtype=bool)
+    takes = np.zeros((int(q.max()) + 1, m), dtype=bool)
     for x in _unique_sorted(q):
         flags = q == x
+        takes[x] = flags.any(axis=0)
         partners = np.bitwise_or.reduceat(np.packbits(flags, axis=1)[pb], starts, axis=0)
         near = np.unpackbits(partners, axis=1, count=m).astype(np.float32)
         hit |= (flags[sources].T.astype(np.float32) @ near) > 0
-    return hit | hit.T
+    distinct = len(set(map(bytes, np.ascontiguousarray(q.T))))
+    return hit | hit.T, takes, distinct
+
+
+def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
+    """Every exponential-graph adjacency among ``vertices`` at once."""
+    if not vertices:
+        return np.zeros((0, 0), dtype=bool)
+    return _table_questions(g, vertices)[0]
 
 
 def _two_valued(n: int, outside: int, inside: int, region: np.ndarray) -> np.ndarray:
@@ -347,17 +347,25 @@ def build_special_family(
 
 @dataclass
 class BuildResult:
+    """The pair (G, H) of one variant and reading, with the host sweep its
+    tables are cut from and what the H checks read off those tables."""
+
     params: CounterexampleParams
     omega: OmegaGraph
     gamma: WideColoring
+    #: The host sweep every table is cut from: ``shell_bits`` at depths 0..d.
+    class_shells: list[np.ndarray]
     vertices: list[FunctionVertex]
     h: Graph
     g_hash: str
-    #: ``collision_matrix(g, vertices)``: True where two tables collide.
+    #: True where two tables collide (``collision_matrix(g, vertices)``).
     collisions: np.ndarray
+    #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
+    takes: np.ndarray
+    #: Number of distinct tables among ``vertices``.
+    distinct: int
     #: Classes of ``gamma`` whose exact-distance-d shell the build checked.
     classes_checked: int
-    issues: list[str] = field(default_factory=list)
 
     @property
     def g(self) -> Graph:
@@ -375,6 +383,7 @@ class BuildResult:
 def _skeleton_edges(
     params: CounterexampleParams,
     vertices: list[FunctionVertex],
+    takes: np.ndarray,
 ) -> list[tuple[int, int]]:
     """Edge list of H: exactly the adjacencies the coloring argument uses.
 
@@ -383,7 +392,8 @@ def _skeleton_edges(
     each deeper h joins one level-(d-1) predecessor whose inside value equals
     its own outside value (smallest admissible outside color); each g joins
     the g's sharing its q and one deepest-level h whose inside value equals
-    its own outside value and whose outside value avoids im(g).
+    its own outside value and whose outside value avoids im(g).  Images are
+    read off ``takes``, the build's "takes color i" array.
 
     H is deliberately a spanning subgraph of what the exponential graph
     induces on these functions; the build verifies each listed edge against
@@ -399,9 +409,8 @@ def _skeleton_edges(
         for j in range(i + 1, c):
             add(i, j)
     for idx in range(c, len(vertices)):
-        image = vertices[idx].image
         for i in range(1, c + 1):
-            if i not in image:
+            if not takes[i, idx]:
                 add(i - 1, idx)
 
     f_idx = c
@@ -436,11 +445,10 @@ def _skeleton_edges(
                 add(entries[x][1], entries[y][1])
         top = max(depth for qq, depth in hs if qq == q)
         for i, idx in entries:
-            image = vertices[idx].image
             partner = [
                 (i1, idx1)
                 for i1, j1, idx1 in hs[(q, top)]
-                if j1 == i and i1 not in image
+                if j1 == i and not takes[i1, idx]
             ]
             if not partner:
                 raise RuntimeError(f"no pinned neighbor for {vertices[idx].label}")
@@ -449,54 +457,18 @@ def _skeleton_edges(
     return sorted(edges)
 
 
-def build_counterexample(
-    params: CounterexampleParams,
-    *,
-    strict: bool = True,
-) -> BuildResult:
-    """Assemble the pair (G, H): host omega graph, wide coloring, and the
-    skeleton subgraph of the exponential graph on the named functions.
+def _host_stage(params: CounterexampleParams) -> tuple[tuple, list[str]]:
+    """((omega, gamma, class_shells), the failed host checks' messages).
 
-    Structural expectations (wideness, table distinctness, no loops, every H
-    edge real in the exponential graph, vertex and edge counts where pinned)
-    are asserted; ``strict=False`` records failures in ``issues`` instead of
-    raising, which the reading comparison uses to probe a variant without
-    committing to it.  The host is swept once for all classes of the wide
-    coloring, one bit per class (``shell_bits``); wideness is one AND of
-    the depth-d bits over the edge arrays, and a narrow class is named.
-    Loops and H edges are read off one collision matrix, which the result
-    keeps for the verification items.
+    One sweep (``shell_bits``) for every class of the wide coloring, one
+    bit per class; wideness is one AND of the depth-d bits over the edge
+    arrays, and a narrow class is named.
     """
-    params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     omega = omega_tuples(params.base, params.d)
     g = omega.graph
     gamma = _zero_position(omega, params.n, params.k)
-
-    issues: list[str] = []
-
-    def check(ok: bool, message: str) -> None:
-        if ok:
-            return
-        if strict:
-            raise RuntimeError(message)
-        issues.append(message)
-
-    check(
-        g.n == expected["g_vertices"],
-        f"host has {g.n} vertices, expected {expected['g_vertices']}",
-    )
-    if "g_edges" in expected:
-        check(
-            g.edge_count == expected["g_edges"],
-            f"host has {g.edge_count} edges, expected {expected['g_edges']}",
-        )
-
-    # One sweep for every class of the wide coloring, one bit per class:
-    # each class's d-shell is checked here and every shell feeds the special
-    # families.
-    classes = params.n * params.k
-    bits = np.min_scalar_type(1 << (classes - 1))
+    bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
     class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), params.d)
     eu, ev = edge_arrays(g)
@@ -508,61 +480,82 @@ def build_counterexample(
         for b in range(1, params.k + 1)
         if (narrow_bits >> ((a - 1) * params.k + b - 1)) & 1
     ]
-    check(not narrow, f"zero-position coloring is not {params.d}-wide on classes {narrow}")
+    checks = [
+        (
+            g.n == expected["g_vertices"],
+            f"host has {g.n} vertices, expected {expected['g_vertices']}",
+        ),
+        (
+            g.edge_count == expected.get("g_edges", g.edge_count),
+            f"host has {g.edge_count} edges, expected {expected.get('g_edges')}",
+        ),
+        (not narrow, f"zero-position coloring is not {params.d}-wide on classes {narrow}"),
+    ]
+    return (omega, gamma, class_shells), [message for ok, message in checks if not ok]
 
+
+def _h_stage(params: CounterexampleParams, host: tuple) -> tuple[BuildResult, list[str]]:
+    """(the build on ``host``, the failed H checks' messages).
+
+    Loops, H edges, images and distinctness are all read off one
+    ``_table_questions``.
+    """
+    expected = EXPECTED_COUNTS[params.variant]
+    omega, gamma, class_shells = host
+    g = omega.graph
     vertices = [
-        FunctionVertex(
-            label=f"const({i})",
-            role=("const", i),
-            table=np.full(g.n, i, dtype=np.int8),
-        )
+        FunctionVertex(f"const({i})", ("const", i), np.full(g.n, i, dtype=np.int8))
         for i in range(1, params.c + 1)
     ]
-    vertices.append(
-        FunctionVertex(
-            label="f",
-            role=("f",),
-            table=gamma.pairs[:, 0].copy(),
-        )
-    )
+    vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
     for q in range(1, params.n + 1):
         vertices.extend(build_special_family(g, class_shells, params, q))
-
-    check(
-        len(vertices) == expected["h_vertices"],
-        f"built {len(vertices)} functions, expected {expected['h_vertices']}",
-    )
-    distinct = len({v.table.tobytes() for v in vertices})
-    check(distinct == len(vertices), f"only {distinct} of {len(vertices)} tables are distinct")
-    collisions = collision_matrix(g, vertices)
-    for idx, v in enumerate(vertices):
-        check(collisions[idx, idx], f"{v.label} is a proper coloring of the host (loop)")
-
-    edges = _skeleton_edges(params, vertices)
+    m = len(vertices)
+    collisions, takes, distinct = _table_questions(g, vertices)
+    edges = _skeleton_edges(params, vertices, takes)
     unreal = next((e for e in edges if collisions[e]), None)
-    check(
-        unreal is None,
-        "H edge is not an edge of the exponential graph: "
-        + ("" if unreal is None else f"{vertices[unreal[0]].label} ~ {vertices[unreal[1]].label}"),
+    h = new_graph(m, edges, label=f"H[{params.variant}]")
+    loops = [v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]]
+    checks = [
+        (m == expected["h_vertices"], f"built {m} functions, expected {expected['h_vertices']}"),
+        (distinct == m, f"only {distinct} of {m} tables are distinct"),
+        *((False, f"{label} is a proper coloring of the host (loop)") for label in loops),
+        (
+            unreal is None,
+            "H edge is not an edge of the exponential graph: "
+            + ("" if unreal is None else " ~ ".join(vertices[x].label for x in unreal)),
+        ),
+        (
+            h.edge_count == expected.get("h_edges", h.edge_count),
+            f"H has {h.edge_count} edges, expected {expected.get('h_edges')}",
+        ),
+    ]
+    build = BuildResult(
+        params=params, omega=omega, gamma=gamma, class_shells=class_shells,
+        vertices=vertices, h=h, g_hash=graph_sha256(g), collisions=collisions,
+        takes=takes, distinct=distinct, classes_checked=params.n * params.k,
     )
-    h = new_graph(len(vertices), edges, label=f"H[{params.variant}]")
-    if "h_edges" in expected:
-        check(
-            h.edge_count == expected["h_edges"],
-            f"H has {h.edge_count} edges, expected {expected['h_edges']}",
-        )
+    return build, [message for ok, message in checks if not ok]
 
-    return BuildResult(
-        params=params,
-        omega=omega,
-        gamma=gamma,
-        vertices=vertices,
-        h=h,
-        g_hash=graph_sha256(g),
-        collisions=collisions,
-        classes_checked=classes,
-        issues=issues,
-    )
+
+def build_counterexample(params: CounterexampleParams) -> BuildResult:
+    """Assemble the pair (G, H): host omega graph, wide coloring, and the
+    skeleton subgraph of the exponential graph on the named functions.
+
+    Structural expectations (wideness, table distinctness, no loops, every H
+    edge real in the exponential graph, vertex and edge counts where pinned)
+    are checked by the host stage, then by the H stage on a host that passed;
+    the first that fails is raised as a RuntimeError.  The result keeps the
+    class shells, and the collision matrix, "takes color i" array and
+    distinct-table count that the H checks read off one quotient of the tables.
+    """
+    params.validate()
+    host, failed = _host_stage(params)
+    if not failed:
+        build, failed = _h_stage(params, host)
+    if failed:
+        raise RuntimeError(failed[0])
+    return build
 
 
 # -- verification -------------------------------------------------------------
@@ -669,38 +662,46 @@ DEFAULT_CHI_G_BUDGET = SearchBudget(node_limit=0, time_limit=600.0)
 
 
 def reading_comparison(params: CounterexampleParams, build: BuildResult | None = None) -> dict:
-    """Build under both selector readings and report which one reproduces the
-    pinned vertex/edge counts with every structural check clean.
+    """Build H under both selector readings and report which one reproduces
+    the pinned vertex/edge counts with every structural check clean.
 
-    ``build``, an already finished build under one of the readings, stands in
-    for that reading's build: a build that returned strictly has no issues
-    and the same tables as a non-strict one, so the outcome is unchanged.
+    The readings differ only in the selector of the g tables, so both share
+    one host: ``build``, an already finished build under one of the
+    readings, stands in for that reading and lends its host to the other;
+    without it one host stage serves both.  A failed host check is listed
+    among the issues of each reading.
     """
+    params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     want = (expected["h_vertices"], expected.get("h_edges"))
     outcome: dict = {"expected": {"vertices": want[0], "edges": want[1]}, "readings": {}}
+    host, host_failed = (
+        _host_stage(params)
+        if build is None
+        else ((build.omega, build.gamma, build.class_shells), [])
+    )
     matching = []
     for reading in ("q", "literal"):
         probe = replace(params, reading=reading)
         if build is not None and build.params == probe:
-            b = build
+            b, issues = build, []
         else:
             try:
-                b = build_counterexample(probe, strict=False)
+                b, failed = _h_stage(probe, host)
             except RuntimeError as err:
                 outcome["readings"][reading] = {"error": str(err)}
                 continue
+            issues = host_failed + failed
         got = (len(b.vertices), b.h.edge_count)
-        distinct = len({v.table.tobytes() for v in b.vertices})
-        entry = {"vertices": got[0], "edges": got[1], "distinct_tables": distinct}
-        if b.issues:
-            entry["issues"] = b.issues
+        entry = {"vertices": got[0], "edges": got[1], "distinct_tables": b.distinct}
+        if issues:
+            entry["issues"] = issues
         outcome["readings"][reading] = entry
         if (
             got[0] == want[0]
-            and distinct == got[0]
+            and b.distinct == got[0]
             and (want[1] is None or got[1] == want[1])
-            and not b.issues
+            and not issues
         ):
             matching.append(reading)
     outcome["matching"] = matching
@@ -721,7 +722,8 @@ def verify_counterexample(
     host's own chromatic excess is budgeted separately (off by default): a
     completed search upgrades it to machine-checked, an exhausted one defers
     to the published identity for omega graphs over complete bases.  Every
-    adjacency item is read off the build's collision matrix.  ``threads`` is
+    adjacency item is read off the build's collision matrix, and the
+    constants' against its "takes color i" array.  ``threads`` is
     ignored; kept because perfbench/worker.py passes it.
     """
     items: list[ReportItem] = []
@@ -776,7 +778,7 @@ def verify_counterexample(
             },
         )
     )
-    items.append(ReportItem("distinct_tables", True, {"count": h.n}))
+    items.append(ReportItem("distinct_tables", True, {"count": build.distinct}))
 
     chi_h = find_coloring(h, c, budget)
     if chi_h.status == NONE:
@@ -821,18 +823,12 @@ def verify_counterexample(
     )
 
     f_idx = c
-    bad_const = None
-    for idx, w in enumerate(build.vertices):
-        image = w.image
-        for i in range(1, c + 1):
-            if idx == i - 1:
-                continue
-            adjacent = not collisions[i - 1, idx]
-            if adjacent != (i not in image):
-                bad_const = (i, w.label)
-                break
-        if bad_const:
-            break
+    # const(i) is adjacent to w exactly where w misses i: a collision row of
+    # a constant against its "takes color i" row, each constant's own loop aside
+    wrong = collisions[:c] != build.takes[1:]
+    np.fill_diagonal(wrong, False)
+    first = np.argwhere(wrong.T)[:1].tolist()
+    bad_const = next(((i + 1, build.vertices[idx].label) for idx, i in first), None)
     items.append(
         ReportItem(
             "const_adjacency",

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +22,34 @@ def random_graph(rng: random.Random, n: int, p: float, label: str | None = None)
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return new_graph(n, edges, label)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` rebinds each named function of
+    ``module`` in every hedcex module that binds it, so a call through any
+    path is counted; returns the name -> calls dict."""
+
+    def install(module, *names):
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        modules = [mod for key, mod in sys.modules.items() if key.startswith("hedcex")]
+        for name in names:
+            inner = getattr(module, name)
+            wrapper = counted(name, inner)
+            for mod in modules:
+                if getattr(mod, name, None) is inner:
+                    monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -46,10 +46,6 @@ def exp_adjacent(g, f, w):
         (2, 7, 4, "c7", True),
         (2, 5, 3, "c5", True),
         (2, 4, 3, "c5", False),
-        (2, 7, 4, "tardif", False),
-        (3, 11, 7, "tardif", True),
-        (4, 14, 9, "tardif_cex", True),
-        (4, 15, 9, "tardif_cex", False),
         (1, 5, 3, "c7", False),
     ],
 )
@@ -60,6 +56,8 @@ def test_parameter_check_table(k, c, n, variant, expect):
 def test_parameter_check_rejects_garbage():
     with pytest.raises(ValueError):
         parameter_check(2, 7, 4, "nope")
+    with pytest.raises(ValueError):
+        parameter_check(3, 11, 7, "tardif")
     with pytest.raises(ValueError):
         parameter_check(0, 7, 4, "c7")
 
@@ -140,10 +138,17 @@ def test_collision_matrix_matches_oracle(case):
             assert hit[a, b] == (not collision_free(g, c, f.table, w.table))
 
 
-@given(st.integers(0, 2**30), st.integers(1, 7), st.integers(1, 60))
-def test_image_matches_unique(seed, c, n):
-    table = np.random.default_rng(seed).integers(1, c + 1, size=n)
-    assert fv("t", table).image == set(np.unique(table).tolist())
+@given(tables_on_a_loopy_graph())
+def test_image_matches_unique(case):
+    # the "takes color x" rows and the distinct count, read off the column
+    # quotient, against each table's own values and its bytes
+    g, c, vertices = case
+    _, takes, distinct = counterexample._table_questions(g, vertices)
+    top = max(int(v.table.max()) for v in vertices)
+    assert takes.shape == (top + 1, len(vertices)) and takes.dtype == bool
+    for a, v in enumerate(vertices):
+        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(v.table).tolist())
+    assert distinct == len({v.table.tobytes() for v in vertices})
 
 
 def test_collision_matrix_on_an_edgeless_host():
@@ -162,7 +167,7 @@ def test_c5_build_counts(c5_report):
     build = c5_report.build
     assert build.g.n == 4686 and build.g.edge_count == 36015
     assert build.h.n == 30 and build.h.edge_count == 108
-    assert len({v.table.tobytes() for v in build.vertices}) == 30
+    assert len({v.table.tobytes() for v in build.vertices}) == build.distinct == 30
 
 
 def test_c7_build_counts(c7_report):
@@ -234,6 +239,22 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
     assert build.classes_checked == classes
 
 
+def test_one_host_per_verify(count_calls):
+    # the reading comparison builds the other reading's H on the build's host
+    calls = count_calls(families, "omega_tuples", "shell_bits")
+    report = verify_counterexample(params_for("c5_refined"))
+    assert report.item("reading").detail["matching"] == ["q"]
+    assert calls == {"omega_tuples": 1, "shell_bits": 1}
+
+
+def test_one_host_per_reading_comparison(count_calls):
+    # without a build, one host stage serves both readings
+    calls = count_calls(families, "omega_tuples", "shell_bits")
+    out = reading_comparison(params_for("c5_refined"))
+    assert out["matching"] == ["q"]
+    assert calls == {"omega_tuples": 1, "shell_bits": 1}
+
+
 def test_a_narrow_class_is_named(monkeypatch):
     zero_position = counterexample._zero_position
 
@@ -246,19 +267,22 @@ def test_a_narrow_class_is_named(monkeypatch):
 
     monkeypatch.setattr(counterexample, "_zero_position", corrupted)
     params = params_for("c5_refined")
-    build = build_counterexample(params, strict=False)
+    (omega, gamma, _), failed = counterexample._host_stage(params)
     # the per-class reference: only the enlarged class loses wideness
     narrow = [
         (a, b)
         for a in range(1, 4)
         for b in range(1, 3)
-        if not is_independent(build.g, n_shells(build.g, build.gamma.class_set(a, b), 3)[3])
+        if not is_independent(omega.graph, n_shells(omega.graph, gamma.class_set(a, b), 3)[3])
     ]
     assert narrow == [(3, 2)]
     message = "zero-position coloring is not 3-wide on classes [(3, 2)]"
-    assert message in build.issues
+    assert failed == [message]
     with pytest.raises(RuntimeError, match=re.escape(message)):
         build_counterexample(params)
+    # the reading comparison lists the host's failure under both readings
+    readings = reading_comparison(params)["readings"]
+    assert all(readings[r]["issues"][0] == message for r in ("q", "literal"))
 
 
 def test_build_shells_of_q_are_its_class_shells(c5_report):
@@ -313,10 +337,30 @@ def test_g_families_are_cliques(c5_report):
 def test_const_edges_match_images(c7_report):
     build = c7_report.build
     adj = rows(build.h)
-    for idx, w in enumerate(build.vertices[7:], start=7):
-        image = w.image
-        for i in range(1, 8):
-            assert bool(adj[i - 1] >> idx & 1) == (i not in image)
+    assert build.takes.shape == (8, len(build.vertices))
+    for idx, w in enumerate(build.vertices):
+        image = set(np.unique(w.table).tolist())
+        assert set(np.flatnonzero(build.takes[:, idx]).tolist()) == image, w.label
+        if idx >= 7:
+            for i in range(1, 8):
+                assert bool(adj[i - 1] >> idx & 1) == (i not in image)
+
+
+def test_const_adjacency_names_a_wrong_image(monkeypatch):
+    # const(1)'s column of the "takes color i" array claims color 2; const(2)
+    # is adjacent to it, so the item names that pair
+    questions = counterexample._table_questions
+
+    def corrupted(g, vertices):
+        collisions, takes, distinct = questions(g, vertices)
+        takes = takes.copy()
+        takes[2, 0] = True
+        return collisions, takes, distinct
+
+    monkeypatch.setattr(counterexample, "_table_questions", corrupted)
+    item = verify_counterexample(params_for("c5_refined")).item("const_adjacency")
+    assert item.ok is False
+    assert item.detail["witness"] == [2, "const(1)"]
 
 
 def test_chain_holds_at_every_depth(c5_wide_build):
