@@ -5,8 +5,9 @@ certificate, ``verify certificate`` re-checks one, and ``wide-check`` grades
 a wide coloring: the zero-position coloring of an adjoint host built from
 ``--n/--k/--d``, or a stored host and coloring read from ``--graph/--gamma``.
 Exit codes: 0 success or PASS, 1 verification failed, 2 usage error, 3 a
-mandatory verdict hit its budget.  Output carries no wall-clock data, so
-identical invocations print identical bytes.
+mandatory verdict hit its node budget.  A budget is a node count and output
+carries no wall-clock data, so identical invocations print identical bytes
+on any machine.
 """
 
 from __future__ import annotations
@@ -42,17 +43,6 @@ def _at_least(minimum: int):
         return value
 
     return count
-
-
-def _seconds(text: str) -> float:
-    """Flag type: a positive number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
 
 
 def _json_flag(p: argparse.ArgumentParser) -> None:
@@ -133,10 +123,8 @@ def _cmd_verify(args) -> int:
         _emit(args, doc, human)
         return EXIT_OK if res.ok else EXIT_FAILED
 
-    chi_g_budget = SearchBudget(node_limit=args.chi_g_nodes, time_limit=args.chi_g_secs)
     params = cex.params_for(args.variant, reading=args.reading)
-    budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
-    report = cex.verify_counterexample(params, budget, chi_g_budget=chi_g_budget)
+    report = cex.verify_counterexample(params, SearchBudget(node_limit=args.budget_nodes))
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -182,20 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--budget-nodes",
         type=_at_least(1),
-        default=100_000_000,
+        default=cex.DEFAULT_BUDGET.node_limit,
         metavar="N",
         help="node budget for the chi(H) > c search",
-    )
-    pc.add_argument("--budget-secs", type=_seconds, default=600.0, metavar="S")
-    pc.add_argument(
-        "--chi-g-nodes",
-        type=_at_least(0),
-        default=cex.DEFAULT_CHI_G_BUDGET.node_limit,
-        metavar="N",
-        help="node budget for the chi(G) > c search (default 0: attribute it)",
-    )
-    pc.add_argument(
-        "--chi-g-secs", type=_seconds, default=cex.DEFAULT_CHI_G_BUDGET.time_limit, metavar="S"
     )
     _json_flag(pc)
     pc.set_defaults(handler=_cmd_verify)

@@ -1,27 +1,26 @@
-"""Exact decision searches with explicit budgets and three-valued verdicts.
+"""Exact decision searches with node budgets and three-valued verdicts.
 
 Every search answers ``some`` (witness found), ``none`` (exhaustive proof of
-nonexistence) or ``exhausted`` (budget hit first).  ``exhausted`` is never
-collapsed into ``none``; callers must treat it as "no verdict".
+nonexistence) or ``exhausted`` (node budget hit first).  ``exhausted`` is
+never collapsed into ``none``; callers must treat it as "no verdict".
 
 Colorability is backtracking with forward checking on int32 neighbor arrays:
-the graph's cached CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``),
-so a search scales to hosts with tens of thousands of vertices.  Every
-vertex keeps a domain bitmask; coloring a vertex
-removes its color from its uncolored neighbors' domains, an empty domain
-refutes the branch and a one-color domain is colored at once (singleton
-propagation).  A maximal greedy clique is pre-colored the same way unless
-the budget disables it.  The search branches on the smallest domain, ties
-broken by lowest vertex index, trying colors ascending and capped at one
-fresh color beyond those already in use (interchangeable-color symmetry),
-as DSATUR (Brelaz 1979) does.  After each branch the undecided vertices of
-the current subproblem are split into connected components, each solved on
-its own (component search as in Bayardo & Pehoushek, AAAI 2000): one
-component with no coloring refutes the branch, and a component already
-solved is never searched again.  Splitting waits until at most
-``SPLIT_LIMIT`` vertices are uncolored, so a host-scale search does not pay
-a breadth-first search per branch.  With identical inputs and budgets the
-transcript (verdict, node count, witness, reason) is identical run to run.
+the graph's cached CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``).
+The graphs searched are the H of a counterexample (at most 165 vertices)
+and the census graphs (at most 300 at its defaults).  Every vertex keeps a
+domain bitmask; coloring a vertex removes its color from its uncolored
+neighbors' domains, an empty domain refutes the branch and a one-color
+domain is colored at once (singleton propagation).  A maximal greedy clique is pre-colored the same
+way.  The search branches on the smallest domain, ties broken by lowest
+vertex index, trying colors ascending and capped at one fresh color beyond
+those already in use (interchangeable-color symmetry), as DSATUR (Brelaz
+1979) does.  After each branch the undecided vertices of the current
+subproblem are split into connected components, each solved on its own
+(component search as in Bayardo & Pehoushek, AAAI 2000): one component with
+no coloring refutes the branch, and a component already solved is never
+searched again.  The budget is a node count, so with identical inputs and
+budgets the transcript (verdict, node count, witness, reason) is identical
+run to run, on any machine.
 
 The search keeps its own explicit stack, so search depth is bounded by
 memory, not by the interpreter's recursion limit.
@@ -29,7 +28,6 @@ memory, not by the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -55,20 +53,13 @@ EXHAUSTED = "exhausted"
 
 MAX_COLORS = 62  # color sets live in machine-word bitmasks
 
-# The coloring search splits components only while at most this many
-# vertices are uncolored.  A split scans the neighbors of every seed: about
-# 1,000 arcs per branch on the c7 host, where 1% of splits find a cut, which
-# made its search five times slower; every H in the pipelines is far smaller.
-SPLIT_LIMIT = 1024
-
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one exact search; defaults fit the shipped pipelines."""
+    """The node limit of one exact search; the default fits the shipped
+    pipelines."""
 
     node_limit: int = 100_000_000
-    time_limit: float = 600.0
-    use_clique: bool = True
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -84,27 +75,7 @@ class ColoringResult:
 
 
 class _BudgetHit(Exception):
-    def __init__(self, which: str):
-        self.which = which
-
-
-class _Meter:
-    """Node and wall-clock accounting for one search."""
-
-    __slots__ = ("nodes", "limit", "deadline", "started")
-
-    def __init__(self, budget: SearchBudget):
-        self.nodes = 0
-        self.limit = budget.node_limit
-        self.started = time.perf_counter()
-        self.deadline = self.started + budget.time_limit
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise _BudgetHit("nodes")
-        if self.nodes & 1023 == 0 and time.perf_counter() > self.deadline:
-            raise _BudgetHit("time")
+    """The node count passed the budget's limit."""
 
 
 def _neighbor_arrays(g: Graph) -> tuple[array, array]:
@@ -170,16 +141,15 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         return ColoringResult(EXHAUSTED, c, None, 0, reason="nodes")
 
     ptr, dst = _neighbor_arrays(g)
-    clique: list[int] = []
-    if budget.use_clique:
-        clique = _clique_from(ptr, dst)
-        if len(clique) > c:
-            return ColoringResult(NONE, c, None, 0, reason="clique")
+    clique = _clique_from(ptr, dst)
+    if len(clique) > c:
+        return ColoringResult(NONE, c, None, 0, reason="clique")
 
     n = g.n
     shift = n.bit_length()
     low = (1 << shift) - 1
-    meter = _Meter(budget)
+    limit = budget.node_limit
+    nodes = 0
     color = [0] * n
     dom = [(1 << (c + 1)) - 2] * n  # bit k set iff color k is still allowed
     comp = [0] * n  # component of each uncolored vertex
@@ -194,16 +164,16 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     seen = [0] * n  # BFS stamp, so no per-split clearing
     owner = [0] * n  # BFS group that reached the vertex
     stamp = 0
-    left = n  # uncolored vertices
     forced: list[int] = []
     touched: list[int] = []  # uncolored neighbors of newly colored vertices
 
     def assign(v: int, col: int) -> bool:
         # color v, drop col from its uncolored neighbors' domains and queue
         # the ones left with one color; False on a wiped-out domain
-        nonlocal left
-        meter.tick()
-        left -= 1
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise _BudgetHit
         color[v] = col
         trail.append(~v)
         bit = 1 << col
@@ -241,13 +211,11 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         return top
 
     def undo(trail_mark: int, split_mark: int) -> None:
-        nonlocal left
         while len(trail) > trail_mark:
             e = trail.pop()
             if e < 0:
                 u = ~e
                 color[u] = 0
-                left += 1
             else:
                 u = e >> 6
                 dom[u] |= 1 << (e & 63)
@@ -293,8 +261,6 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         size of its smaller side.
         """
         nonlocal stamp
-        if left > SPLIT_LIMIT:
-            return []
         stamp += 1
         seeds = []
         for u in touched:
@@ -348,7 +314,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         for i, v in enumerate(clique):
             # only the last member can have been forced, and then to i + 1
             if not color[v] and not (dom[v] >> (i + 1) & 1 and propagate(v, i + 1)):
-                return ColoringResult(NONE, c, None, meter.nodes, reason="search")
+                return ColoringResult(NONE, c, None, nodes, reason="search")
         # the connected components of what the clique left, largest first
         stamp += 1
         parts = []
@@ -382,7 +348,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                 del todo[todo_mark:]
                 if not avail:
                     if parent < 0:
-                        return ColoringResult(NONE, c, None, meter.nodes, reason="search")
+                        return ColoringResult(NONE, c, None, nodes, reason="search")
                     del stack[parent + 1 :]
                     continue
                 bit = avail & -avail
@@ -393,10 +359,10 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                     todo.append((cid, here, used))
                     todo.extend((k, here, used) for k in split(cid))
                     break
-    except _BudgetHit as hit:
-        return ColoringResult(EXHAUSTED, c, None, meter.nodes, reason=hit.which)
+    except _BudgetHit:
+        return ColoringResult(EXHAUSTED, c, None, nodes, reason="nodes")
 
     witness = list(color)
     if not verify_coloring(g, witness, c):  # defensive; scan is independent
         raise RuntimeError("search produced an improper coloring")
-    return ColoringResult(SOME, c, witness, meter.nodes)
+    return ColoringResult(SOME, c, witness, nodes)

@@ -13,7 +13,6 @@ adjunction test built on both.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -124,8 +123,7 @@ def reference_greedy_clique(g: Graph) -> list[int]:
 
 
 class _Stop(Exception):
-    def __init__(self, which: str):
-        self.which = which
+    """The node count passed the budget's limit."""
 
 
 def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) -> ColoringResult:
@@ -148,7 +146,6 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         return ColoringResult(NONE, c, None, 0, reason="no-colors")
 
     nodes = 0
-    deadline = time.perf_counter() + budget.time_limit
     color = [0] * g.n
     forbid = [0] * g.n
     score = np.zeros(g.n, dtype=np.int32)  # -1 once colored, else saturation
@@ -159,9 +156,7 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         nonlocal uncolored, nodes
         nodes += 1
         if nodes > budget.node_limit:
-            raise _Stop("nodes")
-        if nodes & 1023 == 0 and time.perf_counter() > deadline:
-            raise _Stop("time")
+            raise _Stop
         color[v] = col
         score[v] = -1
         uncolored ^= 1 << v
@@ -185,11 +180,9 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         uncolored |= 1 << v
         score[v] = forbid[v].bit_count()
 
-    clique: list[int] = []
-    if budget.use_clique:
-        clique = reference_greedy_clique(g)
-        if len(clique) > c:
-            return ColoringResult(NONE, c, None, 0, reason="clique")
+    clique = reference_greedy_clique(g)
+    if len(clique) > c:
+        return ColoringResult(NONE, c, None, 0, reason="clique")
 
     def solve(used: int) -> bool:
         v = int(np.argmax(score))
@@ -208,8 +201,8 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         for i, v in enumerate(clique):
             assign(v, i + 1)
         found = solve(len(clique))
-    except _Stop as stop:
-        return ColoringResult(EXHAUSTED, c, None, nodes, reason=stop.which)
+    except _Stop:
+        return ColoringResult(EXHAUSTED, c, None, nodes, reason="nodes")
     if found:
         return ColoringResult(SOME, c, list(color), nodes)
     return ColoringResult(NONE, c, None, nodes, reason="search")

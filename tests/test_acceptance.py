@@ -11,9 +11,10 @@ import numpy as np
 
 from conftest import random_graph
 from hedcex import counterexample as cex
+from hedcex import solver
 from hedcex.counterexample import chain_check, params_for, verify_counterexample
 from hedcex.families import n_shells, omega_tuples, omega_vertex_count
-from hedcex.solver import NONE, ColoringResult, find_coloring, verify_coloring
+from hedcex.solver import NONE, find_coloring, verify_coloring
 from hedcex.widecolor import WideColoring, check_wide, zero_position_coloring
 from oracles import (
     adjunction_holds,
@@ -217,31 +218,21 @@ def test_criterion_09_property_suites():
     announce(9, "property suites (instances/failures)", ok, extra)
 
 
-def test_criterion_10_host_excess_attribution(c5_report, monkeypatch):
-    # default budget: the search exhausts and the report leans on the
-    # published identity, still passing
+def test_criterion_10_host_excess_attribution(c5_report, count_calls):
+    # chi(G) > c is attributed to the published identity, never searched:
+    # the one search a verify makes is chi(H)'s, on H
     item = c5_report.item("chi_g")
-    defaulted = (
+    attributed = (
         c5_report.status == "PASS"
         and item.ok is True
-        and item.detail["status"] == "external_theorem"
+        and item.detail
+        == {"colors": 5, "status": "external_theorem", "attribution": cex.CHI_G_ATTRIBUTION}
         and "not machine-checked" in item.detail["attribution"]
     )
-
-    # a search that does resolve must upgrade the same item
-    real = cex.find_coloring
-
-    def resolved(g, c, budget=None):
-        if g.n == 4686 and c == 5:
-            return ColoringResult(NONE, c, None, 123)
-        return real(g, c, budget) if budget is not None else real(g, c)
-
-    monkeypatch.setattr(cex, "find_coloring", resolved)
-    upgraded_report = verify_counterexample(params_for("c5_refined"))
-    up = upgraded_report.item("chi_g")
-    upgraded = (
-        upgraded_report.status == "PASS"
-        and up.ok is True
-        and up.detail["status"] == "machine_checked"
-    )
-    announce(10, "host excess attributed or machine-checked", defaulted and upgraded)
+    calls = count_calls(solver, "find_coloring")
+    report = verify_counterexample(params_for("c5_refined"))
+    one_search = calls == {"find_coloring": 1} and report.item("chi_h").detail == {
+        "colors": 5,
+        "nodes": 66,
+    }
+    announce(10, "host excess attributed, chi(H) the one search", attributed and one_search)

@@ -12,7 +12,7 @@ from hedcex.certificate import (
     emit_certificate,
 )
 from hedcex.counterexample import _first_collision, params_for, verify_counterexample
-from hedcex.solver import SearchBudget
+from hedcex.solver import DEFAULT_BUDGET, SearchBudget
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,35 @@ def test_json_shape(c5_cert):
     assert c5_cert["verdicts"]["chi_h"]["status"] == "none"
     assert c5_cert["verdicts"]["product"]["ok"] is True
     assert c5_cert["g_counts"] == {"vertices": 4686, "edges": 36015}
-    assert {"search", "chi_g"} <= set(c5_cert["budgets"])
+    assert c5_cert["verdicts"]["chi_g"] == {
+        "colors": 5,
+        "status": "external_theorem",
+        "attribution": cex.CHI_G_ATTRIBUTION,
+    }
+    assert c5_cert["budgets"] == {"search": {"nodes": DEFAULT_BUDGET.node_limit}}
+
+
+def test_certificate_in_the_previous_layout_still_checks(c5_cert):
+    # version 2 certificates used to record a chi(G) node count and budget,
+    # with wall-clock limits; the checker reads none of those fields
+    old = copy.deepcopy(c5_cert)
+    old["verdicts"]["chi_g"]["nodes"] = 0
+    old["verdicts"]["chi_g"]["attribution"] += " at this budget"
+    old["budgets"] = {
+        "search": {"nodes": DEFAULT_BUDGET.node_limit, "secs": 600.0},
+        "chi_g": {"nodes": 0, "secs": 600.0},
+    }
+    assert check_certificate(old)
+
+
+def test_machine_checked_chi_g_is_refused(c5_cert):
+    # no run searches chi(G), so a certificate claiming a search is not taken
+    # on faith
+    bad = copy.deepcopy(c5_cert)
+    bad["verdicts"]["chi_g"]["status"] = "machine_checked"
+    bad["verdicts"]["chi_g"]["nodes"] = 123
+    chk = check_certificate(bad)
+    assert chk.failures == ["chi_g verdict has an unknown status"]
 
 
 def test_not_an_object():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,35 @@ def test_verdict_that_is_not_an_object_is_a_failure_line(tmp_path, capsys, c5_re
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path,value,failure",
+    [
+        (("params", "k"), 2.0, "bad parameters: k must be an integer, got 2.0"),
+        (("params", "d"), 3.0, "bad parameters: d must be an integer, got 3.0"),
+        (("h_edges", 0), [0.5, 3], "malformed H edge list"),
+        (("h_edges", 0), "01", "malformed H edge list"),
+        (("gamma", "n"), 3.0, "wide coloring shape differs from the parameters"),
+        (("g_counts", "vertices"), 4686.0, "host graph counts mismatch"),
+    ],
+    ids=["float-k", "float-d", "float-edge-end", "string-edge", "float-gamma-n", "float-count"],
+)
+def test_mistyped_certificate_field_is_a_failure_line(
+    tmp_path, capsys, c5_report, path, value, failure
+):
+    # a value equal to the right one but of the wrong JSON type is refused by
+    # name, not coerced, and never escapes as an exception
+    doc = emit_certificate(c5_report)
+    *where, key = path
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = value
+    cert = tmp_path / "bad.cert.json"
+    cert.write_text(certificate_to_json(doc))
+    code, out, err = run(capsys, "verify", "certificate", "--cert", str(cert))
+    assert (code, out, err) == (1, f"certificate: INVALID\n  - {failure}\n", "")
+
+
 def test_verify_literal_reading_fails(capsys):
     code, out, _ = run(
         capsys,
@@ -164,11 +194,34 @@ def test_module_entry_point_smoke():
     assert proc.stdout == "wide: True (condition 2, d=1)\n"
 
 
+def test_reproduce_script_exit_codes_follow_the_cli(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
+
+    def reproduce(*argv):
+        return subprocess.run(
+            [sys.executable, str(script), "--variant", "c5_refined", "--out", str(tmp_path)]
+            + list(argv),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    proc = reproduce("--budget-nodes", "10")
+    assert proc.returncode == 3, proc.stderr
+    assert "verify c5_refined: INCOMPLETE" in proc.stdout
+    report = json.loads((tmp_path / "c5_refined.report.json").read_text())
+    assert report["status"] == "INCOMPLETE"
+    assert not (tmp_path / "c5_refined.cert.json").exists()
+    proc = reproduce("--budget-nodes", "0")
+    assert proc.returncode == 2
+    assert "--budget-nodes must be at least 1, got 0" in proc.stderr
+
+
 # SHA-256 of the stdout of ``hedcex verify counterexample --variant V --json``.
 VERIFY_JSON_SHA256 = {
-    "c5_refined": "f2fef0ca47d34e6ddcd72b32ed89e067daef1688b06e55983c2fe867da612d0d",
-    "c7": "62439e1c91ba208782be2a664e5b62171e9ef32712c16bdb3bc82691871467d0",
-    "c5_wide": "d9dbb0a235b4b3f0397ed5d7507f09534ec188126ac7e9fb069347bd5dd20ec3",
+    "c5_refined": "269af8fc8e4c82e30e6964731a853e340440c359dae2e9b5fa9b3c8324055a6b",
+    "c7": "5679665bd028bdf898c52e731c0f511209c3a11eec6bb90c0679f2052a430c48",
+    "c5_wide": "64d8ae044063a1ee59ecb616fa70ae21d39f31421deff3eafddb488167091be2",
 }
 
 

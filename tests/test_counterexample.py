@@ -24,7 +24,7 @@ from hedcex.counterexample import (
 from hedcex import counterexample, families
 from hedcex.families import n_shells, shell_bits
 from hedcex.graphs import graph_sha256, is_independent, new_graph
-from hedcex.solver import SearchBudget
+from hedcex.solver import DEFAULT_BUDGET, SearchBudget
 from oracles import collision_free, complete_graph, cycle_graph, rows
 
 
@@ -70,6 +70,23 @@ def test_params_for_pins_base():
         params_for("c9")
     with pytest.raises(ValueError):
         CounterexampleParams("c7", k=2, c=7, n=4, d=2, reading="odd").validate()
+
+
+def test_validate_requires_exact_types():
+    # 2.0 == 2, so only a type check keeps a float out of the build
+    for field, value, message in (
+        ("k", 2.0, "k must be an integer, got 2.0"),
+        ("d", 3.0, "d must be an integer, got 3.0"),
+        ("n", True, "n must be an integer, got True"),
+        ("variant", ["c5_refined"], "variant must be a string, got ['c5_refined']"),
+        ("reading", None, "reading must be a string, got None"),
+    ):
+        bad = replace(params_for("c5_refined"), **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad.validate()
+    report = verify_counterexample(replace(params_for("c5_refined"), k=2.0))
+    assert report.status == "FAILED"
+    assert report.item("parameters").detail == {"error": "k must be an integer, got 2.0"}
 
 
 def test_shifted_wraps():
@@ -462,16 +479,15 @@ def test_chi_h_budget_exhaustion_is_incomplete(c5_report):
     assert report.item("chi_h").ok is None
 
 
-def test_chi_g_exhaustion_cites_the_identity(c5_report, c7_report):
-    # the default chi(G) budget of zero nodes stops the search before it starts
-    for report in (c5_report, c7_report):
+def test_chi_g_exhaustion_cites_the_identity(c5_report, c7_report, c5_wide_report):
+    # no search decides chi(G) > c at host scale, so none is run: the item
+    # always cites the published identity
+    for report in (c5_report, c7_report, c5_wide_report):
         item = report.item("chi_g")
         assert item.ok is True
         assert item.detail == {
             "colors": report.params.c,
             "status": "external_theorem",
-            "nodes": 0,
-            "reason": "nodes",
             "attribution": CHI_G_ATTRIBUTION,
         }
 
@@ -480,5 +496,5 @@ def test_report_round_trips_to_dict(c5_report):
     doc = c5_report.to_dict()
     assert doc["status"] == "PASS"
     assert doc["params"]["variant"] == "c5_refined"
-    assert {"search", "chi_g"} <= set(doc["budgets"])
+    assert doc["budgets"] == {"search": {"nodes": DEFAULT_BUDGET.node_limit}}
     assert len(doc["items"]) == len(c5_report.items)

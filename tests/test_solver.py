@@ -195,39 +195,33 @@ def _transcript(res):
     st.sampled_from([0.0, 0.0, 0.1]),
     st.integers(1, 5),
     st.integers(1, 10_000),
-    st.booleans(),
 )
-def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit, use_clique):
+def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit):
     g = _loopy_graph(seed, n, p, loop_p)
-    full = find_coloring(g, c, SearchBudget(use_clique=use_clique))
+    full = find_coloring(g, c)
     assert full.status == reference_coloring(g, c).status
     if n <= 9:  # plain backtracking is exponential in n
         assert (full.status == SOME) == (brute_coloring(g, c) is not None)
     if full.status == SOME:
         assert verify_coloring(g, full.assignment, c)
     # a smaller budget cuts the same search short, and only then says exhausted
-    ours = find_coloring(g, c, SearchBudget(node_limit=limit, use_clique=use_clique))
+    ours = find_coloring(g, c, SearchBudget(node_limit=limit))
     if full.nodes > limit:
         assert (ours.status, ours.nodes, ours.reason) == (EXHAUSTED, limit + 1, "nodes")
     else:
         assert _transcript(ours) == _transcript(full)
-    again = find_coloring(g, c, SearchBudget(node_limit=limit, use_clique=use_clique))
+    again = find_coloring(g, c, SearchBudget(node_limit=limit))
     assert _transcript(again) == _transcript(ours)
     assert greedy_clique(g) == reference_greedy_clique(g)
 
 
-@pytest.mark.parametrize(
-    "split_limit", [0, 8, solver.SPLIT_LIMIT], ids=["no-split", "split-below-8", "default"]
-)
-def test_coloring_verdicts_match_reference_on_larger_graphs(monkeypatch, split_limit):
-    # deep searches over sparse graphs split into many components; a split
-    # limit below the graph's order leaves some subproblems disconnected
-    monkeypatch.setattr(solver, "SPLIT_LIMIT", split_limit)
+def test_coloring_verdicts_match_reference_on_larger_graphs():
+    # deep searches over sparse graphs split into many components
     rng = random.Random(11)
     for _ in range(40):
         g = _loopy_graph(rng.randrange(2**30), rng.randint(20, 90), rng.choice([0.05, 0.1, 0.2]), 0.0)
         c = rng.randint(2, 6)
-        budget = SearchBudget(node_limit=1_000_000, use_clique=rng.random() < 0.7)
+        budget = SearchBudget(node_limit=1_000_000)
         ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, SearchBudget(node_limit=200_000))
         assert ours.status != EXHAUSTED
         if ref.status != EXHAUSTED:
@@ -256,25 +250,23 @@ def _disjoint_union(*graphs):
     return new_graph(base, edges)
 
 
-@pytest.mark.parametrize("use_clique", [True, False])
-def test_only_the_last_component_has_no_coloring(use_clique):
+def test_only_the_last_component_has_no_coloring():
     # the Groetzsch graph is triangle-free with chi = 4, so the clique bound
     # cannot refute it and the search must reach the last component
     groetzsch = _mycielski(cycle_graph(5))
     rng = random.Random(5)
     easy = [cycle_graph(9), kneser_graph(5, 2), cycle_graph(4)]
     easy += [random_graph(rng, 12, 0.25) for _ in range(3)]
-    budget = SearchBudget(use_clique=use_clique)
     colorable = [h for h in easy if find_coloring(h, 3).status == SOME]
     assert len(colorable) >= 4
     g = _disjoint_union(*colorable, groetzsch)
-    res = find_coloring(g, 3, budget)
+    res = find_coloring(g, 3)
     assert (res.status, res.reason) == (NONE, "search")
     # plain DSATUR would re-color the earlier components on every backtrack
     assert reference_coloring(groetzsch, 3).status == NONE
-    assert verify_coloring(g, find_coloring(g, 4, budget).assignment, 4)
+    assert verify_coloring(g, find_coloring(g, 4).assignment, 4)
     alone = _disjoint_union(*colorable)
-    res = find_coloring(alone, 3, budget)
+    res = find_coloring(alone, 3)
     assert res.status == SOME and verify_coloring(alone, res.assignment, 3)
 
 
@@ -293,10 +285,6 @@ def test_zero_node_budget_does_no_work(monkeypatch):
 def test_search_transcripts_pinned(c5_report, c7_report, c5_wide_report):
     for report, nodes in ((c5_report, 66), (c7_report, 473), (c5_wide_report, 366)):
         assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
-    for report in (c5_report, c7_report):
-        budget = SearchBudget(node_limit=100_000)
-        host = find_coloring(report.build.g, report.params.c, budget)
-        assert (host.status, host.nodes, host.reason) == (EXHAUSTED, 100_001, "nodes")
 
 
 def test_searches_never_touch_the_recursion_limit(monkeypatch):
