@@ -215,17 +215,45 @@ def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit):
     assert greedy_clique(g) == reference_greedy_clique(g)
 
 
-def test_coloring_verdicts_match_reference_on_larger_graphs():
-    # deep searches over sparse graphs split into many components
+def _larger_graph(family: str, rng: random.Random):
+    """A graph of at least 20 vertices, and its parts when it is a disjoint
+    union of parts small enough for ``brute_coloring`` (else None).
+
+    default: sparse random graphs, which fall apart as the search colors them;
+    no-split: sparse random graphs threaded by a spanning path, so the search
+    starts on one component; split-below-8: disjoint random parts of 1 to 7
+    vertices each, so the first split leaves only small components.
+    """
+    n, p = rng.randint(20, 90), rng.choice([0.05, 0.1, 0.2])
+    if family == "default":
+        return _loopy_graph(rng.randrange(2**30), n, p, 0.0), None
+    if family == "no-split":
+        edges = [(v, v + 1) for v in range(n - 1)]
+        edges += [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < p]
+        return new_graph(n, edges), None
+    parts = []
+    while sum(h.n for h in parts) < n:
+        parts.append(random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6, 0.9])))
+    return _disjoint_union(*parts), parts
+
+
+@pytest.mark.parametrize("family", ["default", "no-split", "split-below-8"])
+def test_coloring_verdicts_match_reference_on_larger_graphs(family):
+    # deep searches over graphs the search splits into many components
     rng = random.Random(11)
     for _ in range(40):
-        g = _loopy_graph(rng.randrange(2**30), rng.randint(20, 90), rng.choice([0.05, 0.1, 0.2]), 0.0)
+        g, parts = _larger_graph(family, rng)
         c = rng.randint(2, 6)
         budget = SearchBudget(node_limit=1_000_000)
-        ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, SearchBudget(node_limit=200_000))
+        # the parts decide a union exactly, and without components the
+        # reference re-colors the earlier parts on every backtrack
+        ref_budget = SearchBudget(node_limit=200_000 if parts is None else 20_000)
+        ours, ref = find_coloring(g, c, budget), reference_coloring(g, c, ref_budget)
         assert ours.status != EXHAUSTED
         if ref.status != EXHAUSTED:
             assert ours.status == ref.status
+        if parts is not None:  # a union is colorable exactly when every part is
+            assert (ours.status == SOME) == all(brute_coloring(h, c) is not None for h in parts)
         if ours.status == SOME:
             assert verify_coloring(g, ours.assignment, c)
         assert _transcript(find_coloring(g, c, budget)) == _transcript(ours)
@@ -250,9 +278,17 @@ def _disjoint_union(*graphs):
     return new_graph(base, edges)
 
 
-def test_only_the_last_component_has_no_coloring():
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("interleave", [True, False])
+def test_only_the_last_component_has_no_coloring(interleave):
     # the Groetzsch graph is triangle-free with chi = 4, so the clique bound
-    # cannot refute it and the search must reach the last component
+    # cannot refute it and the search must reach the last component;
+    # interleaving scatters each component's vertices over the numbering
     groetzsch = _mycielski(cycle_graph(5))
     rng = random.Random(5)
     easy = [cycle_graph(9), kneser_graph(5, 2), cycle_graph(4)]
@@ -260,12 +296,14 @@ def test_only_the_last_component_has_no_coloring():
     colorable = [h for h in easy if find_coloring(h, 3).status == SOME]
     assert len(colorable) >= 4
     g = _disjoint_union(*colorable, groetzsch)
+    alone = _disjoint_union(*colorable)
+    if interleave:
+        g, alone = _shuffled(g, rng), _shuffled(alone, rng)
     res = find_coloring(g, 3)
     assert (res.status, res.reason) == (NONE, "search")
     # plain DSATUR would re-color the earlier components on every backtrack
     assert reference_coloring(groetzsch, 3).status == NONE
     assert verify_coloring(g, find_coloring(g, 4).assignment, 4)
-    alone = _disjoint_union(*colorable)
     res = find_coloring(alone, 3)
     assert res.status == SOME and verify_coloring(alone, res.assignment, 3)
 
