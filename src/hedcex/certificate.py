@@ -13,11 +13,13 @@ pairwise distinct tables, no loops, and every H edge being an edge of the
 exponential graph (which is the product coloring).  The checker then
 compares the certificate with that rebuild: host hash and counts, the wide
 coloring's shape, host pin and digest, the H labels, each table digest, and
-the edge list against the canonical skeleton.  The chi(H) verdict is
-trusted together with its recorded node count.  The chi(G) verdict is
-attributed to a published identity, and no other status is accepted.  A
-certificate of any other version is refused, with a message naming its
-version.
+the edge list against the canonical skeleton.  Both chromatic verdicts
+must be about c colors, and the product verdict must count the rebuild's
+2|E(H)||E(G)| ordered checks.  The chi(H) verdict is trusted together with
+its recorded node count, which must be a positive integer.  The chi(G)
+verdict is attributed to a published identity, and no other status is
+accepted.  A certificate of any other version is refused, with a message
+naming its version.
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ def check_certificate(cert: dict) -> CertificateCheck:
 
     Fails on: missing fields, a version other than ``CERTIFICATE_VERSION``,
     parameter violations, verdict fields that do not belong to a passing
-    run, a malformed, duplicated, out-of-range or miscounted edge list, a
-    rebuild that fails its own checks, and any difference from the rebuild
-    in the host hash or counts, the wide coloring, the H labels, a table
-    digest or the edge list.
+    run of these parameters, a malformed, duplicated, out-of-range or
+    miscounted edge list, a rebuild that fails its own checks, and any
+    difference from the rebuild in the host hash or counts, the wide
+    coloring, the H labels, a table digest or the edge list.
     """
     failures: list[str] = []
 
@@ -155,15 +157,27 @@ def check_certificate(cert: dict) -> CertificateCheck:
 
     verdicts = cert["verdicts"]
     names = ("chi_h", "product", "chi_g")
+    product = None
     if not (isinstance(verdicts, dict) and set(names) <= set(verdicts)):
         failures.append("missing verdicts")
     else:
         loose = [name for name in names if not isinstance(verdicts[name], dict)]
         if need(not loose, f"verdict is not a JSON object: {', '.join(loose)}"):
-            need(verdicts["chi_h"].get("status") == "none", "chi_h verdict is not a refusal")
-            need(verdicts["product"].get("ok") is True, "product verdict is not positive")
+            chi_h, product, chi_g = (verdicts[name] for name in names)
+            need(chi_h.get("status") == "none", "chi_h verdict is not a refusal")
+            for name, colors in (("chi_h", chi_h.get("colors")), ("chi_g", chi_g.get("colors"))):
+                need(
+                    type(colors) is int and colors == params.c,
+                    f"{name} verdict colors {colors!r} is not c = {params.c}",
+                )
+            nodes = chi_h.get("nodes")
             need(
-                verdicts["chi_g"].get("status") == "external_theorem",
+                type(nodes) is int and nodes > 0,
+                f"chi_h verdict nodes {nodes!r} is not a positive integer",
+            )
+            need(product.get("ok") is True, "product verdict is not positive")
+            need(
+                chi_g.get("status") == "external_theorem",
                 "chi_g verdict has an unknown status",
             )
 
@@ -189,6 +203,13 @@ def check_certificate(cert: dict) -> CertificateCheck:
         failures.append(f"canonical rebuild failed: {err}")
         return CertificateCheck(False, failures)
     canon = _pinned(rebuilt)
+    if product is not None:
+        checks = 2 * rebuilt.h.edge_count * rebuilt.g.edge_count
+        ordered = product.get("ordered_checks")
+        need(
+            type(ordered) is int and ordered == checks,
+            f"product verdict ordered_checks {ordered!r} is not 2|E(H)||E(G)| = {checks}",
+        )
     need(cert["g_hash"] == canon["g_hash"], "host graph hash mismatch")
     counts = cert["g_counts"]
     need(

@@ -6,8 +6,9 @@ heuristics, dense numpy walk matrices, and quadratic scans.  The exception
 is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
 ``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
 that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
-graphs the tests use as fixtures, the set-tuple form of the adjoint (which
-the tuple form in ``hedcex.families`` is checked against), and the
+graphs the tests use as fixtures, the one-pair edge scan that the
+collision matrix is checked against, the set-tuple form of the adjoint
+(which the tuple form in ``hedcex.families`` is checked against), and the
 adjunction test built on both.
 """
 
@@ -324,6 +325,17 @@ def power_graph(g: Graph, d: int) -> Graph:
 def exact_shell(g: Graph, members: np.ndarray, d: int) -> np.ndarray:
     """Boolean array of vertices reached from ``members`` by length-d walks."""
     return walk_matrix(g, d)[members].any(axis=0)
+
+
+def first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
+    """Position in ``edge_arrays(g)`` of the first edge u-v with ft(u) = wt(v)
+    or ft(v) = wt(u), or None when the two tables never collide: the
+    reference edge scan for one pair of tables."""
+    if ft.shape[0] != g.n or wt.shape[0] != g.n:
+        raise ValueError("function table does not match the host vertex set")
+    eu, ev = edge_arrays(g)
+    bad = np.flatnonzero((ft[eu] == wt[ev]) | (ft[ev] == wt[eu]))
+    return int(bad[0]) if bad.size else None
 
 
 def collision_free(g: Graph, c: int, t1, t2) -> bool:

@@ -11,8 +11,9 @@ from hedcex.certificate import (
     check_certificate,
     emit_certificate,
 )
-from hedcex.counterexample import _first_collision, params_for, verify_counterexample
+from hedcex.counterexample import params_for, verify_counterexample
 from hedcex.solver import DEFAULT_BUDGET, SearchBudget
+from oracles import first_collision
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,30 @@ def test_machine_checked_chi_g_is_refused(c5_cert):
     bad["verdicts"]["chi_g"]["nodes"] = 123
     chk = check_certificate(bad)
     assert chk.failures == ["chi_g verdict has an unknown status"]
+
+
+@pytest.mark.parametrize(
+    "verdict,key,value,failure",
+    [
+        ("chi_h", "colors", 2, "chi_h verdict colors 2 is not c = 5"),
+        ("chi_h", "nodes", -7, "chi_h verdict nodes -7 is not a positive integer"),
+        ("chi_h", "nodes", "lots", "chi_h verdict nodes 'lots' is not a positive integer"),
+        ("chi_g", "colors", 99, "chi_g verdict colors 99 is not c = 5"),
+        (
+            "product",
+            "ordered_checks",
+            "x",
+            "product verdict ordered_checks 'x' is not 2|E(H)||E(G)| = 7779240",
+        ),
+    ],
+    ids=["chi-h-colors", "negative-nodes", "string-nodes", "chi-g-colors", "string-checks"],
+)
+def test_verdict_fields_are_compared(c5_cert, verdict, key, value, failure):
+    # a verdict about another color count, a node count that is no search,
+    # or a product count other than the rebuild's is refused by name
+    bad = copy.deepcopy(c5_cert)
+    bad["verdicts"][verdict][key] = value
+    assert check_certificate(bad).failures == [failure]
 
 
 def test_not_an_object():
@@ -233,9 +258,9 @@ def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
     assert [e["label"] for e in c5_cert["h"]] == build.labels
     assert c5_cert["h_edges"]
     for a, b in c5_cert["h_edges"]:
-        assert _first_collision(g, vertices[a].table, vertices[b].table) is None
+        assert first_collision(g, vertices[a].table, vertices[b].table) is None
     for v in vertices:
-        assert _first_collision(g, v.table, v.table) is not None
+        assert first_collision(g, v.table, v.table) is not None
 
 
 def test_certificates_of_every_variant_are_small_and_check(c5_cert, c7_report, c5_wide_report):

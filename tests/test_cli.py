@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hedcex import families
 from hedcex.certificate import certificate_to_json, emit_certificate
 from hedcex.cli import main
 from hedcex.families import omega_tuples
@@ -25,6 +26,15 @@ def test_wide_check_zero_position(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["wide"] is True and doc["vertices"] == 186
+
+
+def test_wide_check_zero_mode_decides_once(count_calls, capsys):
+    # the zero-position coloring is built unchecked and swept once per class
+    # (2 x 2 classes) for the requested condition only
+    calls = count_calls(families, "n_shells")
+    code, out, _ = run(capsys, "wide-check", "--n", "2", "--k", "2", "--d", "1", "--condition", "2")
+    assert (code, out) == (0, "wide: True (condition 2, d=1)\n")
+    assert calls == {"n_shells": 4}
 
 
 def test_wide_check_file_mode(tmp_path, capsys):
@@ -126,8 +136,21 @@ def test_verdict_that_is_not_an_object_is_a_failure_line(tmp_path, capsys, c5_re
         (("h_edges", 0), "01", "malformed H edge list"),
         (("gamma", "n"), 3.0, "wide coloring shape differs from the parameters"),
         (("g_counts", "vertices"), 4686.0, "host graph counts mismatch"),
+        (
+            ("verdicts", "product", "ordered_checks"),
+            7779240.0,
+            "product verdict ordered_checks 7779240.0 is not 2|E(H)||E(G)| = 7779240",
+        ),
     ],
-    ids=["float-k", "float-d", "float-edge-end", "string-edge", "float-gamma-n", "float-count"],
+    ids=[
+        "float-k",
+        "float-d",
+        "float-edge-end",
+        "string-edge",
+        "float-gamma-n",
+        "float-count",
+        "float-checks",
+    ],
 )
 def test_mistyped_certificate_field_is_a_failure_line(
     tmp_path, capsys, c5_report, path, value, failure

@@ -12,20 +12,18 @@ from hedcex.counterexample import (
     FunctionVertex,
     build_counterexample,
     chain_check,
-    _first_collision,
     collision_matrix,
     parameter_check,
     params_for,
-    product_coloring_violation,
     reading_comparison,
     shifted,
     verify_counterexample,
 )
 from hedcex import counterexample, families
 from hedcex.families import n_shells, shell_bits
-from hedcex.graphs import graph_sha256, is_independent, new_graph
+from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SearchBudget
-from oracles import collision_free, complete_graph, cycle_graph, rows
+from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows
 
 
 def fv(label, table):
@@ -34,7 +32,7 @@ def fv(label, table):
 
 def exp_adjacent(g, f, w):
     """Exponential-graph adjacency by the one-pair scan of E(G)."""
-    return _first_collision(g, f.table, w.table) is None
+    return first_collision(g, f.table, w.table) is None
 
 
 # -- parameters ---------------------------------------------------------------
@@ -264,12 +262,12 @@ def test_one_host_per_verify(count_calls):
     assert calls == {"omega_tuples": 1, "shell_bits": 1}
 
 
-def test_one_host_per_reading_comparison(count_calls):
-    # without a build, one host stage serves both readings
+def test_one_host_per_reading_comparison(count_calls, c5_report):
+    # a finished build lends its host to the other reading
     calls = count_calls(families, "omega_tuples", "shell_bits")
-    out = reading_comparison(params_for("c5_refined"))
+    out = reading_comparison(c5_report.build)
     assert out["matching"] == ["q"]
-    assert calls == {"omega_tuples": 1, "shell_bits": 1}
+    assert calls == {"omega_tuples": 0, "shell_bits": 0}
 
 
 def test_a_narrow_class_is_named(monkeypatch):
@@ -297,9 +295,6 @@ def test_a_narrow_class_is_named(monkeypatch):
     assert failed == [message]
     with pytest.raises(RuntimeError, match=re.escape(message)):
         build_counterexample(params)
-    # the reading comparison lists the host's failure under both readings
-    readings = reading_comparison(params)["readings"]
-    assert all(readings[r]["issues"][0] == message for r in ("q", "literal"))
 
 
 def test_build_shells_of_q_are_its_class_shells(c5_report):
@@ -391,7 +386,7 @@ def test_build_rejects_wrong_vertex_budget():
     # sanity: the real parameters build; a corrupted expectation table would
     # be caught by the count check inside build_counterexample, exercised
     # here through the reading probe instead of monkeypatching
-    out = reading_comparison(bad)
+    out = reading_comparison(build_counterexample(bad))
     assert out["matching"] == ["q"]
     assert out["readings"]["literal"]["issues"] == [
         "H edge is not an edge of the exponential graph: "
@@ -399,28 +394,41 @@ def test_build_rejects_wrong_vertex_budget():
     ]
 
 
-def test_product_coloring_and_corruption(c5_report):
+def test_product_coloring_and_corruption(c5_report, monkeypatch):
+    # the product coloring is proper exactly when every H edge is an edge of
+    # the exponential graph, so a colliding H edge fails the build itself
     build = c5_report.build
-    assert product_coloring_violation(build) is None
-    # corrupt one table: f's value at vertex 0 set to collide across the
-    # first host edge incident to 0
-    u = next(iter(build.g.edges()))
-    tables = [v.table.copy() for v in build.vertices]
-    vertices = [
-        FunctionVertex(v.label, v.role, t) for v, t in zip(build.vertices, tables)
-    ]
-    a, b = next(iter(build.h.edges()))
-    vertices[a].table.flags.writeable = True
-    vertices[a].table[u[0]] = vertices[b].table[u[1]]
-    vertices[a].table.flags.writeable = False
-    corrupt = replace(build, vertices=vertices, collisions=collision_matrix(build.g, vertices))
-    witness = product_coloring_violation(corrupt)
-    assert witness is not None
-    assert witness[0] == (a, b)
-    x, y = witness[1]
-    ta, tb = vertices[a].table, vertices[b].table
-    assert ta[x] == tb[y] or ta[y] == tb[x]
-    assert not exp_adjacent(build.g, vertices[a], vertices[b])
+    g, f = build.g, build.vertices[build.params.c]
+    (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
+    assert first_collision(g, f.table, h1.table) is None
+    # a host edge u-v with f(u) = 1 puts v in h1's inside shell (value 4);
+    # h1 set to 1 at v collides with f across u-v and keeps its image {1, 4},
+    # so the skeleton keeps the edge f ~ h1
+    eu, ev = edge_arrays(g)
+    at = int(np.flatnonzero(f.table[eu] == 1)[0])
+    v = int(ev[at])
+    assert h1.table[v] == 4
+    table = h1.table.copy()
+    table[v] = 1
+    bad = FunctionVertex(h1.label, h1.role, table)
+    special = counterexample.build_special_family
+
+    def corrupted(*args):
+        return [bad if w.role == h1.role else w for w in special(*args)]
+
+    monkeypatch.setattr(counterexample, "build_special_family", corrupted)
+    message = "H edge is not an edge of the exponential graph: f ~ h(q=1,d=1,i=1,j=4)"
+    host = (build.omega, build.gamma, build.class_shells)
+    assert counterexample._h_stage(build.params, host)[1] == [message]
+    report = verify_counterexample(build.params)
+    assert [it.line() for it in report.items] == ["parameters: ok", "build: FAILED"]
+    assert report.status == "FAILED"
+    assert report.item("build").detail == {"error": message}
+    # the reference scan finds a G edge at v on which the two tables collide
+    at = first_collision(g, f.table, table)
+    x, y = int(eu[at]), int(ev[at])
+    assert v in (x, y)
+    assert f.table[x] == table[y] or f.table[y] == table[x]
 
 
 def test_verify_pass_end_to_end(c5_report):
