@@ -29,7 +29,6 @@ from hedcex.solver import DEFAULT_BUDGET, SearchBudget
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    ap.add_argument("--reading", choices=("q", "literal"), default="q")
     ap.add_argument("--out", type=Path, default=Path("artifacts"))
     ap.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.node_limit)
     args = ap.parse_args()
@@ -37,7 +36,7 @@ def main() -> int:
         ap.error(f"--budget-nodes must be at least 1, got {args.budget_nodes}")
 
     variant = args.variant
-    params = params_for(variant, reading=args.reading)
+    params = params_for(variant)
     t0 = time.perf_counter()
     report = verify_counterexample(params, SearchBudget(node_limit=args.budget_nodes))
     elapsed = time.perf_counter() - t0

@@ -7,19 +7,19 @@ projection of a wide coloring, and two-valued "h" / selector-valued "g"
 functions supported on exact-distance neighborhoods of a color class.
 Together with the host (an omega graph over a complete base) they form a
 finite pair (G, H) whose tensor product is c-colorable while both factors
-need more than c colors.  A build is a host stage and an H stage, so the
-reading comparison builds its second H on the first build's host.  The
-coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H is
-an edge of the exponential graph, so the product coloring is the H stage's
-realness check and is not scanned again.  ``verify_counterexample`` runs
-the full pipeline and returns a machine-readable report.
+need more than c colors.  ``checked_build`` returns the pair with its
+checks as named report items, each of which can fail; the coloring
+(v, f) -> f(v) of G x H is proper exactly when every edge of H is an edge
+of the exponential graph, so the product coloring is the ``h_edges_real``
+check and is not scanned again.  ``verify_counterexample`` runs the full
+pipeline and returns a machine-readable report.
 """
 
 from __future__ import annotations
 
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,9 +83,9 @@ VARIANTS = {
 }
 
 EXPECTED_COUNTS = {
-    "c7": {"g_vertices": 16472, "h_vertices": 32, "h_edges": 168},
+    "c7": {"g_vertices": 16472, "g_edges": 437500, "h_vertices": 32, "h_edges": 168},
     "c5_refined": {"g_vertices": 4686, "g_edges": 36015, "h_vertices": 30, "h_edges": 108},
-    "c5_wide": {"g_vertices": 54186, "h_vertices": 165, "h_edges": 648},
+    "c5_wide": {"g_vertices": 54186, "g_edges": 428415, "h_vertices": 165, "h_edges": 648},
 }
 
 
@@ -334,15 +334,27 @@ def build_special_family(
 
 
 @dataclass
+class ReportItem:
+    """One graded claim: its name, verdict (None when a search hit its
+    budget) and evidence; a failed check's evidence names what failed."""
+
+    name: str
+    ok: bool | None
+    detail: dict
+
+    def line(self) -> str:
+        mark = {True: "ok", False: "FAILED", None: "exhausted"}[self.ok]
+        return f"{self.name}: {mark}"
+
+
+@dataclass
 class BuildResult:
-    """The pair (G, H) of one variant and reading, with the host sweep its
-    tables are cut from and what the H checks read off those tables."""
+    """The pair (G, H) of one variant and reading, with what the H checks
+    read off its tables."""
 
     params: CounterexampleParams
     omega: OmegaGraph
     gamma: WideColoring
-    #: The host sweep every table is cut from: ``shell_bits`` at depths 0..d.
-    class_shells: list[np.ndarray]
     vertices: list[FunctionVertex]
     h: Graph
     g_hash: str
@@ -350,10 +362,6 @@ class BuildResult:
     collisions: np.ndarray
     #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
     takes: np.ndarray
-    #: Number of distinct tables among ``vertices``.
-    distinct: int
-    #: Classes of ``gamma`` whose exact-distance-d shell the build checked.
-    classes_checked: int
 
     @property
     def g(self) -> Graph:
@@ -445,55 +453,50 @@ def _skeleton_edges(
     return sorted(edges)
 
 
-def _host_stage(params: CounterexampleParams) -> tuple[tuple, list[str]]:
-    """((omega, gamma, class_shells), the failed host checks' messages).
+def _check(name: str, evidence: dict, error: object, **witness) -> ReportItem:
+    """A build check as a report item: failed exactly when ``error`` is a
+    message (not falsy), and then its evidence also carries the message and
+    ``witness``."""
+    if not error:
+        return ReportItem(name, True, evidence)
+    return ReportItem(name, False, evidence | witness | {"error": error})
 
-    One sweep (``shell_bits``) for every class of the wide coloring, one
-    bit per class; wideness is one AND of the depth-d bits over the edge
-    arrays, and a narrow class is named.
+
+def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[ReportItem]]:
+    """(the pair (G, H), its checks): the report items ``counts``,
+    ``wide_coloring``, ``distinct_tables``, ``h_edges_real`` and ``chi_g``.
+
+    One sweep (``shell_bits``) for every class of the wide coloring, one bit
+    per class; wideness is one AND of the depth-d bits over the edge arrays,
+    and a narrow class is named.  Loops, H edges, images and distinctness
+    are all read off one ``_table_questions``.  A failed check does not stop
+    the build: its item carries the ``error`` and what failed.  The coloring
+    (v, f) -> f(v) of G x H is proper exactly when every edge of H is an
+    edge of the exponential graph, so ``h_edges_real`` counts the ordered
+    checks of that coloring; a table with no collision is a proper
+    c-coloring of G, so the loop check is the evidence of ``chi_g``.
     """
+    params.validate()
     expected = EXPECTED_COUNTS[params.variant]
-    omega = omega_tuples(params.base, params.d)
+    c, d = params.c, params.d
+    omega = omega_tuples(params.base, d)
     g = omega.graph
     gamma = _zero_position(omega, params.n, params.k)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
-    class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), params.d)
+    class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), d)
     eu, ev = edge_arrays(g)
-    top = class_shells[params.d]
-    narrow_bits = int(np.bitwise_or.reduce(top[eu] & top[ev]))
+    narrow_bits = int(np.bitwise_or.reduce(class_shells[d][eu] & class_shells[d][ev]))
     narrow = [
         (a, b)
         for a in range(1, params.n + 1)
         for b in range(1, params.k + 1)
         if (narrow_bits >> ((a - 1) * params.k + b - 1)) & 1
     ]
-    checks = [
-        (
-            g.n == expected["g_vertices"],
-            f"host has {g.n} vertices, expected {expected['g_vertices']}",
-        ),
-        (
-            g.edge_count == expected.get("g_edges", g.edge_count),
-            f"host has {g.edge_count} edges, expected {expected.get('g_edges')}",
-        ),
-        (not narrow, f"zero-position coloring is not {params.d}-wide on classes {narrow}"),
-    ]
-    return (omega, gamma, class_shells), [message for ok, message in checks if not ok]
 
-
-def _h_stage(params: CounterexampleParams, host: tuple) -> tuple[BuildResult, list[str]]:
-    """(the build on ``host``, the failed H checks' messages).
-
-    Loops, H edges, images and distinctness are all read off one
-    ``_table_questions``.
-    """
-    expected = EXPECTED_COUNTS[params.variant]
-    omega, gamma, class_shells = host
-    g = omega.graph
     vertices = [
         FunctionVertex(f"const({i})", ("const", i), np.full(g.n, i, dtype=np.int8))
-        for i in range(1, params.c + 1)
+        for i in range(1, c + 1)
     ]
     vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
     for q in range(1, params.n + 1):
@@ -501,48 +504,64 @@ def _h_stage(params: CounterexampleParams, host: tuple) -> tuple[BuildResult, li
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices)
     edges = _skeleton_edges(params, vertices, takes)
-    unreal = next((e for e in edges if collisions[e]), None)
     h = new_graph(m, edges, label=f"H[{params.variant}]")
-    loops = [v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]]
+    unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
+    loop = next((v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]), None)
+
+    counts = {"g_vertices": g.n, "g_edges": g.edge_count, "h_vertices": m, "h_edges": h.edge_count}
+    miscounted = [
+        f"{key} is {n}, expected {expected[key]}" for key, n in counts.items() if n != expected[key]
+    ]
     checks = [
-        (m == expected["h_vertices"], f"built {m} functions, expected {expected['h_vertices']}"),
-        (distinct == m, f"only {distinct} of {m} tables are distinct"),
-        *((False, f"{label} is a proper coloring of the host (loop)") for label in loops),
-        (
-            unreal is None,
-            "H edge is not an edge of the exponential graph: "
-            + ("" if unreal is None else " ~ ".join(vertices[x].label for x in unreal)),
+        _check("counts", counts | {"expected": expected}, "; ".join(miscounted)),
+        _check(
+            "wide_coloring",
+            {"condition": 2, "d": d, "classes": params.n * params.k, "edges_checked": g.edge_count},
+            narrow and f"zero-position coloring is not {d}-wide on classes {narrow}",
+            narrow=[list(p) for p in narrow],
         ),
-        (
-            h.edge_count == expected.get("h_edges", h.edge_count),
-            f"H has {h.edge_count} edges, expected {expected.get('h_edges')}",
+        _check(
+            "distinct_tables",
+            {"tables": m, "count": distinct},
+            distinct < m and f"only {distinct} of {m} tables are distinct",
+        ),
+        _check(
+            "h_edges_real",
+            {"count": h.edge_count, "ordered_checks": 2 * h.edge_count * g.edge_count},
+            unreal and "H edge is not an edge of the exponential graph: " + " ~ ".join(unreal),
+            edge=unreal,
+        ),
+        _check(
+            "chi_g",
+            {
+                "colors": c,
+                "status": "external_theorem",
+                "attribution": CHI_G_ATTRIBUTION,
+                "tables_checked": m,
+            },
+            loop and f"{loop} is a proper coloring of the host (loop)",
+            loop=loop,
         ),
     ]
     build = BuildResult(
-        params=params, omega=omega, gamma=gamma, class_shells=class_shells,
-        vertices=vertices, h=h, g_hash=graph_sha256(g), collisions=collisions,
-        takes=takes, distinct=distinct, classes_checked=params.n * params.k,
+        params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
+        g_hash=graph_sha256(g), collisions=collisions, takes=takes,
     )
-    return build, [message for ok, message in checks if not ok]
+    return build, checks
 
 
 def build_counterexample(params: CounterexampleParams) -> BuildResult:
     """Assemble the pair (G, H): host omega graph, wide coloring, and the
     skeleton subgraph of the exponential graph on the named functions.
 
-    Structural expectations (wideness, table distinctness, no loops, every H
-    edge real in the exponential graph, vertex and edge counts where pinned)
-    are checked by the host stage, then by the H stage on a host that passed;
-    the first that fails is raised as a RuntimeError.  The result keeps the
-    class shells, and the collision matrix, "takes color i" array and
-    distinct-table count that the H checks read off one quotient of the tables.
+    The ``error`` of the first failed check of ``checked_build`` (pinned
+    counts, wideness, table distinctness, every H edge real in the
+    exponential graph, no loops) is raised as a RuntimeError.
     """
-    params.validate()
-    host, failed = _host_stage(params)
-    if not failed:
-        build, failed = _h_stage(params, host)
-    if failed:
-        raise RuntimeError(failed[0])
+    build, checks = checked_build(params)
+    failed = next((item for item in checks if not item.ok), None)
+    if failed is not None:
+        raise RuntimeError(failed.detail["error"])
     return build
 
 
@@ -578,17 +597,6 @@ def chain_check(
 
 
 @dataclass
-class ReportItem:
-    name: str
-    ok: bool | None
-    detail: dict
-
-    def line(self) -> str:
-        mark = {True: "ok", False: "FAILED", None: "exhausted"}[self.ok]
-        return f"{self.name}: {mark}"
-
-
-@dataclass
 class Report:
     params: CounterexampleParams
     status: str
@@ -620,47 +628,6 @@ class Report:
         }
 
 
-def reading_comparison(build: BuildResult) -> dict:
-    """Build H under both selector readings and report which ones reproduce
-    the pinned vertex/edge counts with every structural check clean.
-
-    The readings differ only in the selector of the g tables, so both share
-    one host: ``build``, a finished build, stands in for its own reading and
-    lends its host to the other.  The pinned counts and table distinctness
-    are H-stage checks, so a reading matches exactly when its H stage raised
-    nothing and failed no check.
-    """
-    params = build.params
-    expected = EXPECTED_COUNTS[params.variant]
-    outcome: dict = {
-        "expected": {"vertices": expected["h_vertices"], "edges": expected.get("h_edges")},
-        "readings": {},
-        "matching": [],
-    }
-    host = (build.omega, build.gamma, build.class_shells)
-    for reading in ("q", "literal"):
-        probe = replace(params, reading=reading)
-        if probe == params:
-            b, issues = build, []
-        else:
-            try:
-                b, issues = _h_stage(probe, host)
-            except RuntimeError as err:
-                outcome["readings"][reading] = {"error": str(err)}
-                continue
-        entry = {
-            "vertices": len(b.vertices),
-            "edges": b.h.edge_count,
-            "distinct_tables": b.distinct,
-        }
-        if issues:
-            entry["issues"] = issues
-        else:
-            outcome["matching"].append(reading)
-        outcome["readings"][reading] = entry
-    return outcome
-
-
 def verify_counterexample(
     params: CounterexampleParams,
     budget: SearchBudget = DEFAULT_BUDGET,
@@ -669,26 +636,24 @@ def verify_counterexample(
 ) -> Report:
     """Run the whole pipeline and grade every claim.
 
-    Mandatory: parameter inequalities, structural counts, wideness, H not
-    c-colorable, the product coloring (the build's check that every H edge
-    is an exponential-graph edge), and the lemma-level edge facts.  The
-    host's own chromatic excess is not searched: that item defers to the
-    published identity for omega graphs over complete bases, so chi(H) is
-    the one search a run makes.  Every adjacency item is read off the
-    build's collision matrix, and the constants' against its "takes color
-    i" array.  ``threads`` is ignored; kept because perfbench/worker.py
-    passes it.
+    Mandatory: parameter inequalities, the build's checks (counts,
+    wideness, distinct tables, every H edge an exponential-graph edge, which
+    makes the product coloring proper, and no loops), H not c-colorable,
+    and the lemma-level edge facts.  A failed check does not stop the run;
+    only an exception from the build is reported as ``build``.  The host's
+    own chromatic excess is not searched: that item defers to the published
+    identity for omega graphs over complete bases, so chi(H) is the one
+    search a run makes.  Every adjacency item is read off the build's
+    collision matrix, and the constants' against its "takes color i" array.
+    ``threads`` is ignored; kept because perfbench/worker.py passes it.
     """
     items: list[ReportItem] = []
     budgets = {"search": {"nodes": budget.node_limit}}
 
-    ok_params = True
     try:
         params.validate()
     except ValueError as err:
-        ok_params = False
         items.append(ReportItem("parameters", False, {"error": str(err)}))
-    if not ok_params:
         return Report(params, FAILED, items, budgets=budgets)
     items.append(
         ReportItem(
@@ -699,40 +664,14 @@ def verify_counterexample(
     )
 
     try:
-        build = build_counterexample(params)
+        build, checks = checked_build(params)
     except (RuntimeError, ValueError) as err:
         items.append(ReportItem("build", False, {"error": str(err)}))
         return Report(params, FAILED, items, budgets=budgets)
+    counts, wide, distinct, real, chi_g = checks
+    items += [counts, wide, distinct]
 
-    g, h, c = build.g, build.h, params.c
-    expected = EXPECTED_COUNTS[params.variant]
-    items.append(
-        ReportItem(
-            "counts",
-            True,
-            {
-                "g_vertices": g.n,
-                "g_edges": g.edge_count,
-                "h_vertices": h.n,
-                "h_edges": h.edge_count,
-                "expected": expected,
-            },
-        )
-    )
-    items.append(
-        ReportItem(
-            "wide_coloring",
-            True,
-            {
-                "condition": 2,
-                "d": params.d,
-                "classes": params.n * params.k,
-                "classes_checked": build.classes_checked,
-            },
-        )
-    )
-    items.append(ReportItem("distinct_tables", True, {"count": build.distinct}))
-
+    h, c = build.h, params.c
     chi_h = find_coloring(h, c, budget)
     if chi_h.status == NONE:
         items.append(ReportItem("chi_h", True, {"colors": c, "nodes": chi_h.nodes}))
@@ -749,19 +688,7 @@ def verify_counterexample(
             ReportItem("chi_h", None, {"colors": c, "nodes": chi_h.nodes, "reason": chi_h.reason})
         )
 
-    # (v, w) -> w(v) is proper on G x H exactly when no H edge joins two
-    # colliding tables, which the H stage checked before H was returned
-    items.append(
-        ReportItem("product_coloring", True, {"ordered_checks": 2 * h.edge_count * g.edge_count})
-    )
-
-    items.append(
-        ReportItem(
-            "h_edges_real",
-            True,
-            {"count": h.edge_count, "note": "each H edge read off the build's collision matrix"},
-        )
-    )
+    items.append(real)
 
     collisions = build.collisions
     f_idx = c
@@ -792,20 +719,22 @@ def verify_counterexample(
         )
     )
 
-    bad_clique = None
-    for q in range(1, params.n + 1):
-        g_idx = build.index_of(("g", q))
-        for x in range(len(g_idx)):
-            for y in range(x + 1, len(g_idx)):
-                if collisions[g_idx[x], g_idx[y]]:
-                    bad_clique = (build.vertices[g_idx[x]].label, build.vertices[g_idx[y]].label)
-        if bad_clique:
-            break
+    cliques = [build.index_of(("g", q)) for q in range(1, params.n + 1)]
+    bad_clique = next(
+        (
+            (build.vertices[a].label, build.vertices[b].label)
+            for members in cliques
+            for x, a in enumerate(members)
+            for b in members[x + 1 :]
+            if collisions[a, b]
+        ),
+        None,
+    )
     items.append(
         ReportItem(
             "g_clique",
             bad_clique is None,
-            {"per_q": len(build.index_of(("g", 1)))}
+            {"per_q": len(cliques[0])}
             | ({} if bad_clique is None else {"witness": list(bad_clique)}),
         )
     )
@@ -820,19 +749,7 @@ def verify_counterexample(
             )
         )
 
-    if params.variant == "c5_refined":
-        outcome = reading_comparison(build)
-        items.append(
-            ReportItem("reading", params.reading in outcome["matching"], outcome)
-        )
-
-    items.append(
-        ReportItem(
-            "chi_g",
-            True,
-            {"colors": c, "status": "external_theorem", "attribution": CHI_G_ATTRIBUTION},
-        )
-    )
+    items.append(chi_g)
 
     if any(it.ok is False for it in items):
         status = FAILED

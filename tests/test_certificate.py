@@ -236,11 +236,12 @@ def test_bad_parameters_fail(c5_cert):
 
 def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
     # the rebuild refuses an H edge whose tables collide; f takes the value 1,
-    # so const(1) ~ f is not an edge of the exponential graph
+    # so const(1) ~ f is not an edge of the exponential graph.  It replaces
+    # const(1) ~ const(2), so the H edge count still meets its pin
     skeleton = cex._skeleton_edges
     f_idx = c5_cert["params"]["c"]
     monkeypatch.setattr(
-        cex, "_skeleton_edges", lambda *args: [(0, f_idx)] + skeleton(*args)
+        cex, "_skeleton_edges", lambda *args: [(0, f_idx)] + skeleton(*args)[1:]
     )
     chk = check_certificate(c5_cert)
     assert not chk

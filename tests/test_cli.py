@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from hedcex import counterexample as cex
 from hedcex import families
 from hedcex.certificate import certificate_to_json, emit_certificate
 from hedcex.cli import main
@@ -170,13 +172,183 @@ def test_mistyped_certificate_field_is_a_failure_line(
 
 
 def test_verify_literal_reading_fails(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify", "counterexample", "--variant", "c5_refined",
-        "--reading", "literal",
-    )
+    # the literal selector reading fails one check, which names the H edge
+    # it breaks; the q reading passes
+    verify = ("verify", "counterexample", "--variant", "c5_refined", "--reading")
+    code, out, _ = run(capsys, *verify, "literal")
     assert code == 1
-    assert "FAILED" in out
+    assert [line for line in out.splitlines() if "FAILED" in line] == [
+        "h_edges_real: FAILED",
+        "verify c5_refined: FAILED",
+    ]
+    code, out, _ = run(capsys, *verify, "literal", "--json")
+    assert code == 1
+    items = {item["name"]: item for item in json.loads(out)["items"]}
+    assert items["h_edges_real"]["detail"]["edge"] == ["h(q=2,d=2,i=4,j=5)", "g(q=2,d=3,i=5)"]
+    code, out, _ = run(capsys, *verify, "q")
+    assert code == 0 and "FAILED" not in out
+
+
+def _rewire(monkeypatch, edit):
+    """Rebind the table quotient so that ``edit(collisions, takes, distinct,
+    index)`` corrupts copies of its answers; it returns the distinct count,
+    and ``index`` maps a label to its table."""
+    questions = cex._table_questions
+
+    def corrupted(g, vertices):
+        collisions, takes, distinct = questions(g, vertices)
+        collisions, takes = collisions.copy(), takes.copy()
+        index = {v.label: i for i, v in enumerate(vertices)}
+        return collisions, takes, edit(collisions, takes, distinct, index)
+
+    monkeypatch.setattr(cex, "_table_questions", corrupted)
+
+
+def _collide(*pairs, value=True):
+    """An ``edit`` that sets the collision entries of each label pair."""
+
+    def edit(collisions, takes, distinct, index):
+        for a, b in pairs:
+            collisions[index[a], index[b]] = collisions[index[b], index[a]] = value
+        return distinct
+
+    return edit
+
+
+def _unvalidated_params(monkeypatch):
+    # a bundle that skips validation, with a pairing shape that misses the base
+    def params_for(variant, reading="q"):
+        shape = cex.VARIANTS[variant] | {"n": 2}
+        return cex.CounterexampleParams(variant, reading=reading, **shape)
+
+    monkeypatch.setattr(cex, "params_for", params_for)
+
+
+def _pin_one_more_h_edge(monkeypatch):
+    pins = cex.EXPECTED_COUNTS["c5_refined"] | {"h_edges": 109}
+    monkeypatch.setitem(cex.EXPECTED_COUNTS, "c5_refined", pins)
+
+
+def _narrow_class(monkeypatch):
+    zero_position = cex._zero_position
+
+    def corrupted(omega, n, k):
+        # vertex 0 (class (1, 1)) moved into class (3, 2)
+        wc = zero_position(omega, n, k)
+        pairs = wc.pairs.copy()
+        pairs[0] = (3, 2)
+        return replace(wc, pairs=pairs)
+
+    monkeypatch.setattr(cex, "_zero_position", corrupted)
+
+
+def _drop_an_h_edge(monkeypatch):
+    skeleton = cex._skeleton_edges
+    monkeypatch.setattr(cex, "_skeleton_edges", lambda *args: skeleton(*args)[1:])
+
+
+def _flip_takes_bit(collisions, takes, distinct, index):
+    takes[2, index["const(1)"]] = True
+    return distinct
+
+
+H1, H2 = "h(q=1,d=1,i=1,j=4)", "h(q=1,d=2,i=4,j=5)"
+G4, G5 = "g(q=1,d=3,i=4)", "g(q=1,d=3,i=5)"
+
+
+# One corruption per item that can fail: item -> (variant, corruption, every
+# item it fails, part of the failed item's --json evidence).  h1_adjacent_f
+# and g_clique check H edges, so h_edges_real fails with them; a narrow class
+# also breaks a g clique.
+CORRUPTIONS = {
+    "parameters": (
+        "c5_refined",
+        _unvalidated_params,
+        {"parameters"},
+        {"error": "variant c5_refined requires {'k': 2, 'c': 5, 'n': 3, 'd': 3}, "
+         "got {'k': 2, 'c': 5, 'n': 2, 'd': 3}"},
+    ),
+    "counts": (
+        "c5_refined",
+        _pin_one_more_h_edge,
+        {"counts"},
+        {"h_edges": 108, "error": "h_edges is 108, expected 109"},
+    ),
+    "wide_coloring": (
+        "c5_refined",
+        _narrow_class,
+        {"wide_coloring", "h_edges_real", "g_clique"},
+        {"narrow": [[3, 2]]},
+    ),
+    "distinct_tables": (
+        "c5_refined",
+        lambda mp: _rewire(mp, lambda collisions, takes, distinct, index: distinct - 1),
+        {"distinct_tables"},
+        {"tables": 30, "count": 29},
+    ),
+    # without one edge, H is 5-colorable
+    "chi_h": ("c5_refined", _drop_an_h_edge, {"counts", "chi_h"}, {"colors": 5, "nodes": 35}),
+    "h_edges_real": (
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide((H1, H2))),
+        {"h_edges_real"},
+        {"edge": [H1, H2]},
+    ),
+    # const(1) claims color 2, and const(2) is adjacent to it
+    "const_adjacency": (
+        "c5_refined",
+        lambda mp: _rewire(mp, _flip_takes_bit),
+        {"const_adjacency"},
+        {"witness": [2, "const(1)"]},
+    ),
+    "h1_adjacent_f": (
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide(("f", H1))),
+        {"h1_adjacent_f", "h_edges_real"},
+        {"missing": [H1]},
+    ),
+    "g_clique": (
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide((G4, G5))),
+        {"g_clique", "h_edges_real"},
+        {"witness": [G4, G5]},
+    ),
+    # a chain pair that is not an H edge
+    "chain": (
+        "c5_wide",
+        lambda mp: _rewire(mp, _collide((H1, "h(q=1,d=2,i=5,j=2)"))),
+        {"chain"},
+        {"witness": [H1, "h(q=1,d=2,i=5,j=2)"]},
+    ),
+    # a table with no collision would be a proper coloring of the host
+    "chi_g": (
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide(("f", "f"), value=False)),
+        {"chi_g"},
+        {"loop": "f"},
+    ),
+}
+
+
+def test_corruptions_cover_every_item(c5_report, c7_report, c5_wide_report):
+    printed = {item.name for r in (c5_report, c7_report, c5_wide_report) for item in r.items}
+    assert printed == set(CORRUPTIONS)
+
+
+@pytest.mark.parametrize("item", sorted(CORRUPTIONS))
+def test_every_item_can_fail(monkeypatch, capsys, item):
+    variant, corrupt, failed, evidence = CORRUPTIONS[item]
+    corrupt(monkeypatch)
+    verify = ("verify", "counterexample", "--variant", variant)
+    code, out, err = run(capsys, *verify)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert f"{item}: FAILED" in lines
+    assert lines[-1] == f"verify {variant}: FAILED"
+    assert {line.split(":")[0] for line in lines[:-1] if line.endswith(": FAILED")} == failed
+    code, out, _ = run(capsys, *verify, "--json")
+    (detail,) = [it["detail"] for it in json.loads(out)["items"] if it["name"] == item]
+    assert {key: detail.get(key) for key in evidence} == evidence
 
 
 def test_verify_flag_usage_errors(capsys):
@@ -242,9 +414,9 @@ def test_reproduce_script_exit_codes_follow_the_cli(tmp_path):
 
 # SHA-256 of the stdout of ``hedcex verify counterexample --variant V --json``.
 VERIFY_JSON_SHA256 = {
-    "c5_refined": "269af8fc8e4c82e30e6964731a853e340440c359dae2e9b5fa9b3c8324055a6b",
-    "c7": "5679665bd028bdf898c52e731c0f511209c3a11eec6bb90c0679f2052a430c48",
-    "c5_wide": "64d8ae044063a1ee59ecb616fa70ae21d39f31421deff3eafddb488167091be2",
+    "c5_refined": "1a12e51a06548dd2631e8c7d97e2f14e68ff04e4aecfa4c8197f14792176e2d6",
+    "c7": "84daca73f95f25f6affb0c29e583da17431a0bde0ca4a65ce28f6a8eb3f4ce1f",
+    "c5_wide": "35f6b48817046f5ab2b7e709e99c42cf1ab8e2a2ed7be7825d772518435d75bd",
 }
 
 

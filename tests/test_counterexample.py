@@ -12,17 +12,17 @@ from hedcex.counterexample import (
     FunctionVertex,
     build_counterexample,
     chain_check,
+    checked_build,
     collision_matrix,
     parameter_check,
     params_for,
-    reading_comparison,
     shifted,
     verify_counterexample,
 )
 from hedcex import counterexample, families
 from hedcex.families import n_shells, shell_bits
 from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
-from hedcex.solver import DEFAULT_BUDGET, SearchBudget
+from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
 from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows
 
 
@@ -182,7 +182,8 @@ def test_c5_build_counts(c5_report):
     build = c5_report.build
     assert build.g.n == 4686 and build.g.edge_count == 36015
     assert build.h.n == 30 and build.h.edge_count == 108
-    assert len({v.table.tobytes() for v in build.vertices}) == build.distinct == 30
+    distinct = c5_report.item("distinct_tables").detail
+    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 30
 
 
 def test_c7_build_counts(c7_report):
@@ -247,27 +248,18 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
     # n_shells sweeps through families.shell_bits, so this sees every sweep
     for mod in (families, counterexample):
         monkeypatch.setattr(mod, "shell_bits", counting)
-    build = build_counterexample(params_for(variant))
+    build_counterexample(params_for(variant))
     # one sweep for the whole build, each vertex seeded with its class's bit
     (seed,) = seeds
     assert np.unique(seed).tolist() == [1 << j for j in range(classes)]
-    assert build.classes_checked == classes
 
 
 def test_one_host_per_verify(count_calls):
-    # the reading comparison builds the other reading's H on the build's host
+    # every report item is read off one host and one sweep
     calls = count_calls(families, "omega_tuples", "shell_bits")
     report = verify_counterexample(params_for("c5_refined"))
-    assert report.item("reading").detail["matching"] == ["q"]
+    assert report.status == "PASS"
     assert calls == {"omega_tuples": 1, "shell_bits": 1}
-
-
-def test_one_host_per_reading_comparison(count_calls, c5_report):
-    # a finished build lends its host to the other reading
-    calls = count_calls(families, "omega_tuples", "shell_bits")
-    out = reading_comparison(c5_report.build)
-    assert out["matching"] == ["q"]
-    assert calls == {"omega_tuples": 0, "shell_bits": 0}
 
 
 def test_a_narrow_class_is_named(monkeypatch):
@@ -282,7 +274,8 @@ def test_a_narrow_class_is_named(monkeypatch):
 
     monkeypatch.setattr(counterexample, "_zero_position", corrupted)
     params = params_for("c5_refined")
-    (omega, gamma, _), failed = counterexample._host_stage(params)
+    build, checks = checked_build(params)
+    omega, gamma = build.omega, build.gamma
     # the per-class reference: only the enlarged class loses wideness
     narrow = [
         (a, b)
@@ -292,7 +285,8 @@ def test_a_narrow_class_is_named(monkeypatch):
     ]
     assert narrow == [(3, 2)]
     message = "zero-position coloring is not 3-wide on classes [(3, 2)]"
-    assert failed == [message]
+    (wide,) = [item for item in checks if item.name == "wide_coloring"]
+    assert (wide.ok, wide.detail["narrow"], wide.detail["error"]) == (False, [[3, 2]], message)
     with pytest.raises(RuntimeError, match=re.escape(message)):
         build_counterexample(params)
 
@@ -316,7 +310,7 @@ def test_wide_coloring_item_counts_checked_classes(c5_report, c7_report, c5_wide
             "condition": 2,
             "d": report.params.d,
             "classes": classes,
-            "classes_checked": classes,
+            "edges_checked": report.build.g.edge_count,
         }
 
 
@@ -358,21 +352,24 @@ def test_const_edges_match_images(c7_report):
                 assert bool(adj[i - 1] >> idx & 1) == (i not in image)
 
 
-def test_const_adjacency_names_a_wrong_image(monkeypatch):
-    # const(1)'s column of the "takes color i" array claims color 2; const(2)
-    # is adjacent to it, so the item names that pair
-    questions = counterexample._table_questions
-
-    def corrupted(g, vertices):
-        collisions, takes, distinct = questions(g, vertices)
-        takes = takes.copy()
-        takes[2, 0] = True
-        return collisions, takes, distinct
-
-    monkeypatch.setattr(counterexample, "_table_questions", corrupted)
-    item = verify_counterexample(params_for("c5_refined")).item("const_adjacency")
-    assert item.ok is False
-    assert item.detail["witness"] == [2, "const(1)"]
+@pytest.mark.parametrize(
+    "report,order,size",
+    [("c5_report", 30, 108), ("c7_report", 32, 168)],
+    ids=["c5_refined", "c7"],
+)
+def test_h_is_critical(request, report, order, size):
+    # H keeps exactly the edges the argument walks: without any one vertex
+    # (all its edges gone) or any one edge, H is c-colorable
+    build = request.getfixturevalue(report).build
+    h, c = build.h, build.params.c
+    edges = sorted(h.edges())
+    assert (h.n, len(edges)) == (order, size)
+    smaller = [[e for e in edges if v not in e] for v in range(h.n)]
+    smaller += [edges[:i] + edges[i + 1 :] for i in range(len(edges))]
+    for kept in smaller:
+        g = new_graph(h.n, kept)
+        found = find_coloring(g, c)
+        assert found.status == SOME and verify_coloring(g, found.assignment, c)
 
 
 def test_chain_holds_at_every_depth(c5_wide_build):
@@ -381,22 +378,21 @@ def test_chain_holds_at_every_depth(c5_wide_build):
         assert ok and pairs > 0, bad
 
 
-def test_build_rejects_wrong_vertex_budget():
-    bad = CounterexampleParams("c5_refined", k=2, c=5, n=3, d=3)
-    # sanity: the real parameters build; a corrupted expectation table would
-    # be caught by the count check inside build_counterexample, exercised
-    # here through the reading probe instead of monkeypatching
-    out = reading_comparison(build_counterexample(bad))
-    assert out["matching"] == ["q"]
-    assert out["readings"]["literal"]["issues"] == [
-        "H edge is not an edge of the exponential graph: "
-        "h(q=2,d=2,i=4,j=5) ~ g(q=2,d=3,i=5)"
-    ]
+def test_build_rejects_wrong_vertex_budget(monkeypatch):
+    # a vertex pin the build does not meet fails the counts item, which names
+    # both numbers; every other check still runs and holds
+    pins = dict(counterexample.EXPECTED_COUNTS["c5_refined"], h_vertices=31)
+    monkeypatch.setitem(counterexample.EXPECTED_COUNTS, "c5_refined", pins)
+    with pytest.raises(RuntimeError, match="^h_vertices is 30, expected 31$"):
+        build_counterexample(params_for("c5_refined"))
+    report = verify_counterexample(params_for("c5_refined"))
+    assert [item.name for item in report.items if item.ok is not True] == ["counts"]
+    assert report.item("counts").detail["expected"] == pins
 
 
 def test_product_coloring_and_corruption(c5_report, monkeypatch):
     # the product coloring is proper exactly when every H edge is an edge of
-    # the exponential graph, so a colliding H edge fails the build itself
+    # the exponential graph, so a colliding H edge fails h_edges_real
     build = c5_report.build
     g, f = build.g, build.vertices[build.params.c]
     (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
@@ -418,12 +414,14 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
 
     monkeypatch.setattr(counterexample, "build_special_family", corrupted)
     message = "H edge is not an edge of the exponential graph: f ~ h(q=1,d=1,i=1,j=4)"
-    host = (build.omega, build.gamma, build.class_shells)
-    assert counterexample._h_stage(build.params, host)[1] == [message]
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build_counterexample(build.params)
     report = verify_counterexample(build.params)
-    assert [it.line() for it in report.items] == ["parameters: ok", "build: FAILED"]
     assert report.status == "FAILED"
-    assert report.item("build").detail == {"error": message}
+    # f ~ h1 is also one of the level-one adjacencies
+    assert [it.name for it in report.items if it.ok is False] == ["h_edges_real", "h1_adjacent_f"]
+    real = report.item("h_edges_real").detail
+    assert (real["edge"], real["error"]) == (["f", "h(q=1,d=1,i=1,j=4)"], message)
     # the reference scan finds a G edge at v on which the two tables collide
     at = first_collision(g, f.table, table)
     x, y = int(eu[at]), int(ev[at])
@@ -440,12 +438,10 @@ def test_verify_pass_end_to_end(c5_report):
         "wide_coloring",
         "distinct_tables",
         "chi_h",
-        "product_coloring",
         "h_edges_real",
         "const_adjacency",
         "h1_adjacent_f",
         "g_clique",
-        "reading",
         "chi_g",
     ]
     assert all(it.ok for it in c5_report.items)
@@ -454,7 +450,10 @@ def test_verify_pass_end_to_end(c5_report):
 def test_verify_c7_pass(c7_report):
     assert c7_report.status == "PASS"
     assert c7_report.item("chi_h").ok is True
-    assert c7_report.item("product_coloring").detail["ordered_checks"] == 2 * 168 * 437500
+    assert c7_report.item("h_edges_real").detail == {
+        "count": 168,
+        "ordered_checks": 2 * 168 * 437500,
+    }
 
 
 def test_verify_c5_wide_pass(c5_wide_report):
@@ -472,10 +471,13 @@ def test_verify_rejects_bad_parameters():
 
 
 def test_verify_literal_reading_fails_fast():
+    # the literal selector reading breaks one H edge and nothing else; the
+    # run goes on, so chi(H) is still refused
     report = verify_counterexample(params_for("c5_refined", reading="literal"))
     assert report.status == "FAILED"
-    assert report.item("build").ok is False
-    assert "exponential graph" in report.item("build").detail["error"]
+    assert [item.name for item in report.items if item.ok is not True] == ["h_edges_real"]
+    assert report.item("h_edges_real").detail["edge"] == ["h(q=2,d=2,i=4,j=5)", "g(q=2,d=3,i=5)"]
+    assert report.item("chi_h").detail == {"colors": 5, "nodes": 66}
 
 
 def test_chi_h_budget_exhaustion_is_incomplete(c5_report):
@@ -489,7 +491,7 @@ def test_chi_h_budget_exhaustion_is_incomplete(c5_report):
 
 def test_chi_g_exhaustion_cites_the_identity(c5_report, c7_report, c5_wide_report):
     # no search decides chi(G) > c at host scale, so none is run: the item
-    # always cites the published identity
+    # cites the published identity, with the loop check as its evidence
     for report in (c5_report, c7_report, c5_wide_report):
         item = report.item("chi_g")
         assert item.ok is True
@@ -497,6 +499,7 @@ def test_chi_g_exhaustion_cites_the_identity(c5_report, c7_report, c5_wide_repor
             "colors": report.params.c,
             "status": "external_theorem",
             "attribution": CHI_G_ATTRIBUTION,
+            "tables_checked": report.build.h.n,
         }
 
 
