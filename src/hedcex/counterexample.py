@@ -182,19 +182,26 @@ def _table_questions(
     ``distinct`` counts the distinct columns of ``q``, so the distinct tables.
 
     For the matrix, the distinct class pairs that host edges realize are
-    sorted by source class.  For each color x, the functions taking x on a
-    class are a bit-packed row of that class; OR-ing the rows of each source
+    sorted by source class.  Each color x that some table takes is visited
+    once, in turn.  The functions taking x on a class are that class's row of
+    bits, packed into whole 64-bit words; OR-ing the words of each source
     class's partners gives the functions that take x next to it, and one
     (m x A) by (A x m) float32 product over the A source classes finds every
     (a, b) with a = x at a source and b = x at a partner.  Its sums never
-    exceed A, so they are exact.
+    exceed A, so they are exact.  Values are colors 0, 1, ...; a table with
+    a negative value raises ValueError.
     """
     m = len(vertices)
     if any(v.table.shape != (g.n,) for v in vertices):
         raise ValueError("function table does not match the host vertex set")
     # stacked row-wise (m contiguous copies), then transposed into one
     # contiguous (n, m) array: a strided stack along axis 1 is slower
-    cols = np.ascontiguousarray(np.stack([v.table for v in vertices]).T)
+    rows = np.stack([v.table for v in vertices])
+    if rows.min() < 0:
+        bad = vertices[int(np.argmax(rows.min(axis=1) < 0))]
+        raise ValueError(f"function table {bad.label} takes a negative value")
+    cols = np.ascontiguousarray(rows.T)
+    del rows
     _, first, cls = np.unique(
         cols.view(np.dtype((np.void, m * cols.itemsize))).ravel(),
         return_index=True,
@@ -211,11 +218,16 @@ def _table_questions(
     sources = pa[starts]
     hit = np.zeros((m, m), dtype=bool)
     takes = np.zeros((int(q.max()) + 1, m), dtype=bool)
-    for x in _unique_sorted(q):
+    # one packed row per class, padded with 0 bits to whole 64-bit words
+    packed = np.zeros((k, -(-m // 64) * 8), dtype=np.uint8)
+    for x in range(len(takes)):
         flags = q == x
         takes[x] = flags.any(axis=0)
-        partners = np.bitwise_or.reduceat(np.packbits(flags, axis=1)[pb], starts, axis=0)
-        near = np.unpackbits(partners, axis=1, count=m).astype(np.float32)
+        if not takes[x].any():
+            continue
+        packed[:, : -(-m // 8)] = np.packbits(flags, axis=1)
+        partners = np.bitwise_or.reduceat(packed.view(np.uint64)[pb], starts, axis=0)
+        near = np.unpackbits(partners.view(np.uint8), axis=1, count=m).astype(np.float32)
         hit |= (flags[sources].T.astype(np.float32) @ near) > 0
     distinct = len(set(map(bytes, np.ascontiguousarray(q.T))))
     return hit | hit.T, takes, distinct

@@ -166,6 +166,33 @@ def test_image_matches_unique(case):
     assert distinct == len({v.table.tobytes() for v in vertices})
 
 
+@pytest.mark.parametrize("m", [70, 131])
+def test_table_questions_on_rows_of_several_words(m):
+    # more tables than one 64-bit word holds, m not a multiple of 8, and
+    # colors 0, 2 and 4 taken by no table
+    g = new_graph(7, [*cycle_graph(7).edges(), (3, 3)])
+    rng = np.random.default_rng(m)
+    t = rng.choice(np.array([1, 3, 5], dtype=np.int8), size=(m, 7))
+    t[:3] = [[1] * 7, [3] * 7, [5] * 7]
+    t[-1] = t[-2]
+    vertices = [fv(str(a), row) for a, row in enumerate(t)]
+    hit, takes, distinct = counterexample._table_questions(g, vertices)
+    assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
+    for a, f in enumerate(vertices):
+        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(f.table).tolist())
+        for b, w in enumerate(vertices):
+            assert hit[a, b] == (not collision_free(g, 5, f.table, w.table))
+    assert distinct == len({row.tobytes() for row in t})
+
+
+def test_table_questions_refuse_a_negative_value():
+    # takes[-1] would be the top color's row, so -1 has no row of its own
+    g = new_graph(3, [(0, 1), (1, 2)])
+    vertices = [fv("fine", [2, 2, 2]), fv("minus", [-1, 2, -1]), fv("also", [-1, -1, -1])]
+    with pytest.raises(ValueError, match="minus takes a negative value"):
+        counterexample._table_questions(g, vertices)
+
+
 def test_collision_matrix_on_an_edgeless_host():
     g = new_graph(4, [])
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]

@@ -20,7 +20,7 @@ from hedcex.graphs import (
     new_graph,
     parse_dimacs,
 )
-from oracles import bits, reference_dimacs, rows
+from oracles import bits, reference_dimacs, reference_parse_dimacs, rows
 
 
 def test_boundary_rejects_bad_vertex_sets():
@@ -183,6 +183,89 @@ def test_dimacs_round_trip_random(n, data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
     g = random_graph(rng, n, 0.3)
     assert sorted(parse_dimacs(emit_dimacs(g)).edges()) == sorted(g.edges())
+
+
+def test_dimacs_round_trip_on_the_c5_refined_host(omega63):
+    g = omega63.graph
+    back = parse_dimacs(emit_dimacs(g, comment="c5_refined host"))
+    assert back.n == g.n
+    for got, want in zip(edge_arrays(back), edge_arrays(g)):
+        assert np.array_equal(got, want)
+    assert graph_sha256(back) == graph_sha256(g)
+
+
+def _parsed(parse, text):
+    """(n, edge list) of the parsed text, or the ValueError's message."""
+    try:
+        g = parse(text)
+    except ValueError as error:
+        return str(error)
+    return g.n, list(g.edges())
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "missing problem line"),
+        ("c only\n\n", "missing problem line"),
+        ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
+        ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
+        ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
+        ("p edge -3 0\n", "line 1: negative vertex count"),
+        ("p edge 3 1\ne 1 2\ne 1\n", "line 3: malformed edge line 'e 1'"),
+        ("p edge 3 1\ne 1 2\ne 1 x\n", "line 3: malformed edge line 'e 1 x'"),
+        ("p edge 3 1\n\ne 0 2\n", "line 3: endpoint out of range in 'e 0 2'"),
+        ("p edge 3 1\r\ne\t2  4 \r\n", "line 2: endpoint out of range in 'e\\t2  4'"),
+        ("p edge 3 1\fe 1 2\x1ce 1 2\u2028e 1 9\n", "line 4: endpoint out of range in 'e 1 9'"),
+        ("p edge 3 1\ne 1 2\nedge 1 2\ne 1 9\n", "line 3: unknown line type 'edge 1 2'"),
+        ("p edge 3 1\ne 1 9\nx\n", "line 2: endpoint out of range in 'e 1 9'"),
+    ],
+)
+def test_dimacs_names_the_first_bad_line(text, message):
+    with pytest.raises(ValueError) as error:
+        parse_dimacs(text)
+    assert str(error.value) == message
+    assert _parsed(reference_parse_dimacs, text) == message
+
+
+def test_dimacs_reads_odd_edge_lines_as_int_does():
+    # signs, leading zeros past 18 digits, no-break spaces and non-ASCII
+    # digits leave the numpy pass and are read by the line reader
+    text = "p edge 4 9\ne +1 2\ne " + "0" * 20 + "3 4\ne 2\u00a03\ne \u0661 \u0664\n\t e 4  4\t\n"
+    assert _parsed(parse_dimacs, text) == (4, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 3)])
+    assert _parsed(reference_parse_dimacs, text) == _parsed(parse_dimacs, text)
+
+
+_DIMACS_LINES = st.one_of(
+    st.builds("e {} {}".format, st.integers(1, 5), st.integers(1, 5)),
+    st.builds(
+        "{}e{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from([" ", "\t", "  "]),
+        st.sampled_from(["0", "1", "2", "3", "4", "5", "03", "+2", "x", "1" * 19]),
+        st.sampled_from([" ", "\t "]),
+        st.sampled_from(["1", "2", "4", "6", "-1", "4 1", "00000000000000000002"]),
+        st.sampled_from(["", " ", "\t"]),
+    ),
+    st.sampled_from(["p edge 5 3", " p edge 5 0", "p edge 4", "p col 3 1", "p edge -1 0", "p"]),
+    st.sampled_from(
+        ["", " ", "c", "c e 1 2", "  cx", "e", "x 1 2", "e1 2 3", "\u00e9 1", "e 1\u00a02"]
+    ),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(_DIMACS_LINES, st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"]))
+    ),
+    st.booleans(),
+)
+def test_dimacs_parser_matches_the_line_reader(lines, with_problem):
+    # both parse the same graph, or both raise the same message
+    text = "".join(line + end for line, end in lines)
+    if with_problem:
+        text = "p edge 5 9\n" + text
+    assert _parsed(parse_dimacs, text) == _parsed(reference_parse_dimacs, text)
 
 
 @given(st.data())
