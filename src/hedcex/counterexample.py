@@ -183,13 +183,13 @@ def _table_questions(
 
     For the matrix, the distinct class pairs that host edges realize are
     sorted by source class.  Each color x that some table takes is visited
-    once, in turn.  The functions taking x on a class are that class's row of
-    bits, packed into whole 64-bit words; OR-ing the words of each source
-    class's partners gives the functions that take x next to it, and one
-    (m x A) by (A x m) float32 product over the A source classes finds every
-    (a, b) with a = x at a source and b = x at a partner.  Its sums never
-    exceed A, so they are exact.  Values are colors 0, 1, ...; a table with
-    a negative value raises ValueError.
+    once, in turn, on only the T tables that take it.  The ones taking x on
+    a class are that class's row of T bits, packed into whole 64-bit words;
+    OR-ing the words of each source class's partners gives the tables that
+    take x next to it, and one (T x A) by (A x T) float32 product over the A
+    source classes finds every (a, b) with a = x at a source and b = x at a
+    partner.  Its sums never exceed A, so they are exact.  Values are
+    colors 0, 1, ...; a table with a negative value raises ValueError.
     """
     m = len(vertices)
     if any(v.table.shape != (g.n,) for v in vertices):
@@ -218,17 +218,19 @@ def _table_questions(
     sources = pa[starts]
     hit = np.zeros((m, m), dtype=bool)
     takes = np.zeros((int(q.max()) + 1, m), dtype=bool)
-    # one packed row per class, padded with 0 bits to whole 64-bit words
-    packed = np.zeros((k, -(-m // 64) * 8), dtype=np.uint8)
     for x in range(len(takes)):
         flags = q == x
         takes[x] = flags.any(axis=0)
-        if not takes[x].any():
+        at = np.flatnonzero(takes[x])
+        if not at.size:
             continue
-        packed[:, : -(-m // 8)] = np.packbits(flags, axis=1)
+        flags = flags[:, at]
+        # one packed row per class, padded with 0 bits to whole 64-bit words
+        packed = np.zeros((k, -(-at.size // 64) * 8), dtype=np.uint8)
+        packed[:, : -(-at.size // 8)] = np.packbits(flags, axis=1)
         partners = np.bitwise_or.reduceat(packed.view(np.uint64)[pb], starts, axis=0)
-        near = np.unpackbits(partners.view(np.uint8), axis=1, count=m).astype(np.float32)
-        hit |= (flags[sources].T.astype(np.float32) @ near) > 0
+        near = np.unpackbits(partners.view(np.uint8), axis=1, count=at.size).astype(np.float32)
+        hit[np.ix_(at, at)] |= (flags[sources].T.astype(np.float32) @ near) > 0
     distinct = len(set(map(bytes, np.ascontiguousarray(q.T))))
     return hit | hit.T, takes, distinct
 

@@ -4,10 +4,12 @@
   the complete graph K_n: vertices are integer tuples in ``{0..d+1}^n``
   with exactly one 0 and at least one 1, adjacent when every coordinate
   pair differs by exactly one or both sit at ``d+1``.  Tuples and edges are
-  enumerated as numpy arrays, each generated neighbor tuple located by a
-  lookup table over the whole code space, and each edge generated once,
-  from the end whose zero comes first; the vertex and edge counts are
-  checked against their closed forms.
+  enumerated as numpy arrays.  An edge is taken literally from that
+  definition: two zero positions p < q, a 1 opposite each zero, and one of
+  the 2d + 1 allowed value pairs at every other coordinate; the codes of
+  both ends are outer sums over the coordinates, located by a lookup table
+  over the whole code space.  The vertex and edge counts are checked
+  against their closed forms.
 * ``shell_bits(g, seeds, t)`` sweeps the host for the endpoints of walks of
   length exactly 0..t from up to one vertex set per bit of its seed array,
   over the graph's CSR neighbor arrays, linear in |V| + |E| per step.  The
@@ -115,13 +117,12 @@ def _omega_digits(n: int, d: int) -> np.ndarray:
     return digits
 
 
-def _tuple_partner_menus(xj: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    # Coordinate menus (low, high) for a neighbor off the new zero's
-    # position: 0 -> 1, 1 -> 2, d+1 -> {d, d+1}, otherwise one step either
-    # way.  0 is never offered, so every generated tuple is a valid vertex.
-    low = np.where(xj == 0, 1, np.where(xj == 1, 2, np.where(xj == d + 1, d, xj - 1)))
-    high = np.where(xj == 0, 1, np.where(xj == 1, 2, np.minimum(xj + 1, d + 1)))
-    return low, high
+def _coordinate_pairs(d: int) -> np.ndarray:
+    """The 2d + 1 value pairs ``(x_j, y_j)`` that a coordinate off both
+    zeros may take on an edge x-y, as the rows of a (2d+1, 2) array:
+    ``(a, a+1)`` and ``(a+1, a)`` for a in 1..d, then ``(d+1, d+1)``."""
+    a = np.arange(1, d + 1, dtype=np.int64)
+    return np.vstack((np.column_stack((a, a + 1)), np.column_stack((a + 1, a)), [[d + 1, d + 1]]))
 
 
 @dataclass
@@ -150,38 +151,31 @@ def _omega_edges(digits: np.ndarray, d: int) -> np.ndarray:
 
     Tuples are coded as base-(d+2) integers, so lexicographic order is
     numeric order, and a dense int32 table over all (d+2)^n codes maps each
-    code to its vertex (-1 for a code that is not a valid tuple).  The
-    enumeration is vectorized over all vertices at once: for each coordinate
-    holding a 1 (the neighbor's zero), every other coordinate takes each
-    value on its menu, one step up or down (or holds at d+1).  The two ends
-    of an edge have their zeros at different positions, and only the end
-    whose zero comes first generates it.
+    code to its vertex (-1 for a code that is not a valid tuple).  The ends
+    x, y of an edge have their zeros at two positions p < q, with x_q = 1
+    and y_p = 1, and every other coordinate holds one of the pairs of
+    ``_coordinate_pairs``.  For each p < q the codes of both ends are outer
+    sums over those coordinates, so every combination of pairs is one edge.
     """
     n = digits.shape[1]
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # vertex index of every code in the (d+2)^n code space, -1 off the set
     index = np.full((d + 2) ** n, -1, dtype=np.int32)
     index[digits.astype(np.int64) @ weights] = np.arange(len(digits), dtype=np.int32)
-    own_zero = np.argmax(digits == 0, axis=1)
-    sources, targets = [], []
-    for zero_at in range(n):
-        src = np.flatnonzero((digits[:, zero_at] == 1) & (own_zero < zero_at)).astype(np.int32)
-        code = np.zeros(src.size, dtype=np.int64)
-        for j in range(n):
-            if j == zero_at:
-                continue
-            low, high = _tuple_partner_menus(digits[src, j].astype(np.int64), d)
-            reps = 1 + (low != high)
-            take_high = np.zeros(int(reps.sum()), dtype=bool)
-            take_high[np.cumsum(reps)[reps == 2] - 1] = True
-            src, code = np.repeat(src, reps), np.repeat(code, reps)
-            code += np.where(take_high, np.repeat(high, reps), np.repeat(low, reps)) * weights[j]
-        dst = index[code]
-        if (dst < 0).any():
-            raise RuntimeError("tuple adjoint enumeration left the vertex set")
-        sources.append(src)
-        targets.append(dst)
-    return np.column_stack((np.concatenate(sources), np.concatenate(targets)))
+    pairs = _coordinate_pairs(d)
+    ends = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            x, y = weights[q : q + 1], weights[p : p + 1]
+            for j in range(n):
+                if j != p and j != q:
+                    x = np.add.outer(x, pairs[:, 0] * weights[j]).ravel()
+                    y = np.add.outer(y, pairs[:, 1] * weights[j]).ravel()
+            ends.append(np.column_stack((index[x], index[y])))
+    edges = np.concatenate(ends)
+    if (edges < 0).any():
+        raise RuntimeError("tuple adjoint enumeration left the vertex set")
+    return edges
 
 
 def omega_tuples(n: int, d: int) -> OmegaGraph:

@@ -317,9 +317,9 @@ def _dimacs_lines(g: Graph) -> Iterator[bytes]:
 
     Each chunk is built in numpy.  Every row of a preset buffer holds one
     line: ``e``, a space, w digit slots, a space, w digit slots and a
-    newline.  The slots take the digit-table rows of both endpoints, and the
-    0-byte padding, the only 0 byte in the buffer, is dropped, which leaves
-    the bytes of ``%d``-formatting each 1-based endpoint.
+    newline.  The slots take the digit-table rows of both endpoints, and
+    ``bytes.translate`` deletes the 0-byte padding, the only 0 byte in the
+    buffer, which leaves the bytes of ``%d``-formatting each 1-based endpoint.
     """
     yield f"p edge {g.n} {g.edge_count}\n".encode("ascii")
     eu, ev = edge_arrays(g)
@@ -331,8 +331,7 @@ def _dimacs_lines(g: Graph) -> Iterator[bytes]:
         lines = buf[: min(_CHUNK, eu.size - lo)]
         lines[:, 2 : w + 2] = np.take(digits, eu[lo : lo + _CHUNK], axis=0)
         lines[:, w + 3 : 2 * w + 3] = np.take(digits, ev[lo : lo + _CHUNK], axis=0)
-        flat = lines.ravel()
-        yield flat.compress(flat != 0).tobytes()
+        yield lines.tobytes().translate(None, b"\0")
 
 
 def emit_dimacs(g: Graph, *, comment: str | None = None) -> str:

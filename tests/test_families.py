@@ -184,7 +184,9 @@ def test_omega_tuples_pinned(n, d):
     assert (g.n, g.edge_count, graph_sha256(g)) == OMEGA_PINS[n, d]
 
 
-@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
+@pytest.mark.parametrize(
+    "n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (5, 3), (6, 1)]
+)
 def test_omega_edge_arrays_match_the_definition(n, d):
     om = omega_tuples(n, d)
     x = om.digits.astype(np.int64)
@@ -196,11 +198,9 @@ def test_omega_edge_arrays_match_the_definition(n, d):
 
 
 def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
-    # a menu offering 0 generates tuples with two zeros, which the lookup
-    # table maps to -1
-    monkeypatch.setattr(
-        families, "_tuple_partner_menus", lambda xj, d: (np.zeros_like(xj), np.zeros_like(xj))
-    )
+    # a pair table offering 0 generates tuples with two zeros, which the
+    # lookup table maps to -1
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: np.zeros((2 * d + 1, 2), int))
     with pytest.raises(RuntimeError, match="left the vertex set"):
         omega_tuples(3, 1)
 
@@ -223,12 +223,20 @@ def test_omega_enumeration_generates_each_edge_once(monkeypatch):
 
 
 def test_omega_enumeration_with_a_wrong_menu_is_caught(monkeypatch):
-    # every generated tuple is valid, but each source reaches one neighbor
-    # per zero position where the menus offer two or three
-    monkeypatch.setattr(
-        families, "_tuple_partner_menus", lambda xj, d: (np.ones_like(xj), np.ones_like(xj))
-    )
+    # every generated tuple is valid, but a pair table lacking (d+1, d+1)
+    # gives each pair of zero positions two edges where there are three
+    pairs = families._coordinate_pairs
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: pairs(d)[:-1])
     with pytest.raises(RuntimeError, match="produced 6 edges, formula says 9"):
+        omega_tuples(3, 1)
+
+
+def test_omega_enumeration_with_a_repeated_pair_is_caught(monkeypatch):
+    # a pair table listing (1, 2) twice generates its edge at each of the
+    # three pairs of zero positions twice
+    pairs = families._coordinate_pairs
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: pairs(d)[[0, *range(2 * d + 1)]])
+    with pytest.raises(RuntimeError, match="generated 3 edges more than once"):
         omega_tuples(3, 1)
 
 
