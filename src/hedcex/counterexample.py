@@ -174,64 +174,91 @@ def _table_questions(
     tables, read off one quotient of the host.
 
     Host vertices with the same column of tables are interchangeable, so
-    the tables are read on K column classes, one row of ``q`` each.
-    ``collisions`` is (m, m): entry [a, b] is True iff some edge u-v of g
-    has a(u) = b(v) in either orientation, so a and b are adjacent exactly
-    where it is False and the diagonal is the loop check.  ``takes`` [x, a]
-    says table a takes the value x (rows 0 up to the largest value), and
-    ``distinct`` counts the distinct columns of ``q``, so the distinct tables.
+    the tables are read on K column classes, one column of the (m, K) array
+    ``qt`` each.  ``collisions`` is (m, m): entry [a, b] is True iff some
+    edge u-v of g has a(u) = b(v) in either orientation, so a and b are
+    adjacent exactly where it is False and the diagonal is the loop check.
+    ``takes`` [x, a] says table a takes the value x (rows 0 up to the
+    largest value), and ``distinct`` counts the distinct rows of ``qt``, so
+    the distinct tables.
+
+    Tables are int8 and their values are colors 0, 1, ...; a table of
+    another dtype or with a negative value raises ValueError.  The classes
+    are found on packed columns: with b the bit width of the largest value,
+    each byte holds floor(8 / b) tables, b bits apiece (two tables for
+    colors up to 7, one from b = 5 on), so for up to 7 colors ``np.unique``
+    compares rows of m / 2 bytes, rounded up.  Packing is one-to-one, so
+    the classes are those of the plain columns, and ``qt`` is read back
+    from the unpacked tables at one host vertex per class.
 
     For the matrix, the distinct class pairs that host edges realize are
-    sorted by source class.  Each color x that some table takes is visited
-    once, in turn, on only the T tables that take it.  The ones taking x on
-    a class are that class's row of T bits, packed into whole 64-bit words;
-    OR-ing the words of each source class's partners gives the tables that
-    take x next to it, and one (T x A) by (A x T) float32 product over the A
-    source classes finds every (a, b) with a = x at a source and b = x at a
-    partner.  Its sums never exceed A, so they are exact.  Values are
-    colors 0, 1, ...; a table with a negative value raises ValueError.
+    sorted by source class, coded as int32 while K^2 fits.  Each color x
+    that some table takes is visited once, in turn, on only the T tables
+    that take it.  The ones taking x on a class are that class's row of T
+    bits, packed into whole 64-bit words; OR-ing the words of each source
+    class's partners gives the tables that take x next to it, and one
+    (T x A) by (A x T) float32 product over the A source classes finds every
+    (a, b) with a = x at a source and b = x at a partner.  Its sums never
+    exceed A, so they are exact.
     """
     m = len(vertices)
-    if any(v.table.shape != (g.n,) for v in vertices):
-        raise ValueError("function table does not match the host vertex set")
-    # stacked row-wise (m contiguous copies), then transposed into one
-    # contiguous (n, m) array: a strided stack along axis 1 is slower
-    rows = np.stack([v.table for v in vertices])
-    if rows.min() < 0:
+    for v in vertices:
+        if v.table.shape != (g.n,):
+            raise ValueError("function table does not match the host vertex set")
+        if v.table.dtype != np.int8:
+            raise ValueError(f"function table {v.label} is {v.table.dtype}, not int8")
+    # zero rows up to a multiple of 8 tables, so that every packing width
+    # below finds whole bytes
+    stack = np.zeros((-(-m // 8) * 8, g.n), dtype=np.int8)
+    rows = np.stack([v.table for v in vertices], out=stack[:m])
+    top = int(stack.view(np.uint8).max())
+    if top > np.iinfo(np.int8).max:
         bad = vertices[int(np.argmax(rows.min(axis=1) < 0))]
         raise ValueError(f"function table {bad.label} takes a negative value")
-    cols = np.ascontiguousarray(rows.T)
-    del rows
+    width = max(top.bit_length(), 1)
+    per = 8 // width
+    lanes = stack.view(np.uint8)[: -(-m // per) * per].reshape(-1, per, g.n)
+    packed = lanes[:, 0].copy()
+    for j in range(1, per):
+        packed |= lanes[:, j] << (width * j)
+    del lanes
+    # packed on the rows, then transposed into one contiguous (n, bytes)
+    # array whose rows np.unique compares as single void values
+    cols = np.ascontiguousarray(packed.T)
+    del packed
     _, first, cls = np.unique(
-        cols.view(np.dtype((np.void, m * cols.itemsize))).ravel(),
+        cols.view(np.dtype((np.void, cols.shape[1]))).ravel(),
         return_index=True,
         return_inverse=True,
     )
-    q = cols[first]
-    del cols, first
-    k = q.shape[0]
+    del cols
+    qt = np.take(rows, first, axis=1)
+    del stack, rows, first
+    k = qt.shape[1]
+    cls = cls.astype(np.int32 if k * k < 1 << 31 else np.int64)
     eu, ev = edge_arrays(g)
-    codes = _unique_sorted(cls[eu].astype(np.int64) * k + cls[ev])
+    codes = _unique_sorted(np.take(cls, eu) * k + np.take(cls, ev))
     del cls
-    pa, pb = codes // k, codes % k
+    pa, pb = np.divmod(codes, k)
     starts = np.flatnonzero(np.diff(pa, prepend=-1))
     sources = pa[starts]
     hit = np.zeros((m, m), dtype=bool)
-    takes = np.zeros((int(q.max()) + 1, m), dtype=bool)
+    takes = np.zeros((top + 1, m), dtype=bool)
     for x in range(len(takes)):
-        flags = q == x
-        takes[x] = flags.any(axis=0)
+        flags = qt == x
+        takes[x] = flags.any(axis=1)
         at = np.flatnonzero(takes[x])
         if not at.size:
             continue
-        flags = flags[:, at]
-        # one packed row per class, padded with 0 bits to whole 64-bit words
-        packed = np.zeros((k, -(-at.size // 64) * 8), dtype=np.uint8)
-        packed[:, : -(-at.size // 8)] = np.packbits(flags, axis=1)
-        partners = np.bitwise_or.reduceat(packed.view(np.uint64)[pb], starts, axis=0)
+        flags = flags[at]
+        # one row of T bits per class, padded with 0 bits to whole 64-bit words
+        bits = np.zeros((k, -(-at.size // 64) * 64), dtype=bool)
+        bits[:, : at.size] = flags.T
+        packed = np.packbits(bits).view(np.uint64).reshape(k, -1)
+        partners = np.bitwise_or.reduceat(np.take(packed, pb, axis=0), starts, axis=0)
         near = np.unpackbits(partners.view(np.uint8), axis=1, count=at.size).astype(np.float32)
-        hit[np.ix_(at, at)] |= (flags[sources].T.astype(np.float32) @ near) > 0
-    distinct = len(set(map(bytes, np.ascontiguousarray(q.T))))
+        hit[np.ix_(at, at)] |= (np.take(flags, sources, axis=1).astype(np.float32) @ near) > 0
+    distinct = len(set(map(bytes, qt)))
     return hit | hit.T, takes, distinct
 
 
@@ -500,7 +527,8 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
     class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), d)
     eu, ev = edge_arrays(g)
-    narrow_bits = int(np.bitwise_or.reduce(class_shells[d][eu] & class_shells[d][ev]))
+    deep = class_shells[d]
+    narrow_bits = int(np.bitwise_or.reduce(np.take(deep, eu) & np.take(deep, ev)))
     narrow = [
         (a, b)
         for a in range(1, params.n + 1)

@@ -62,7 +62,7 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     for _ in range(d):
         step = np.zeros_like(seeds)
         if rows.size:
-            step[rows] = np.bitwise_or.reduceat(shells[-1][dst], starts)
+            step[rows] = np.bitwise_or.reduceat(np.take(shells[-1], dst), starts)
         shells.append(step)
     return shells
 

@@ -138,7 +138,7 @@ def is_independent(g: Graph, members: np.ndarray) -> bool:
     a boolean array over V(g); one gather over the edge arrays."""
     inside = vertex_flags(g, members)
     eu, ev = edge_arrays(g)
-    return not (inside[eu] & inside[ev]).any()
+    return not (np.take(inside, eu) & np.take(inside, ev)).any()
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:

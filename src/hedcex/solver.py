@@ -116,7 +116,7 @@ def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
     eu, ev = edge_arrays(g)
     if eu.size == 0:
         return True
-    return bool(np.all(arr[eu] != arr[ev]))
+    return bool(np.all(np.take(arr, eu) != np.take(arr, ev)))
 
 
 def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> ColoringResult:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -29,6 +30,23 @@ def test_emit_requires_pass():
     assert report.status == "INCOMPLETE"
     with pytest.raises(ValueError):
         emit_certificate(report)
+
+
+# SHA-256 of each certificate file as ``verify counterexample --cert`` writes it
+CERT_SHA256 = {
+    "c5_refined": "a12f4afa5f4b31f3bd7a7d94c88e4c24481ccf3f8d1847f20c43f3b40363160d",
+    "c7": "0c80e1672e69a00741e474b6a6f66411c894f0822935adf1c25362592a52ac92",
+    "c5_wide": "ff8f14fd10ecfe9cdea31fe005f467b0e2b466f581c24027971ffa175a511092",
+}
+
+
+@pytest.mark.parametrize(
+    "variant, fixture",
+    [("c5_refined", "c5_report"), ("c7", "c7_report"), ("c5_wide", "c5_wide_report")],
+)
+def test_certificate_bytes_are_pinned(variant, fixture, request):
+    text = certificate_to_json(emit_certificate(request.getfixturevalue(fixture))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[variant]
 
 
 def test_round_trip_verifies(c5_cert):

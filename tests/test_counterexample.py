@@ -185,12 +185,52 @@ def test_table_questions_on_rows_of_several_words(m):
     assert distinct == len({row.tobytes() for row in t})
 
 
+@pytest.mark.parametrize("m", [9, 12])
+@pytest.mark.parametrize("top", [1, 3, 15, 16, 127])
+def test_table_questions_at_every_packing_width(top, m):
+    # a byte of a packed column holds 8, 4, 2, 2 and 1 tables of values up
+    # to 1, 3, 15, 16 and 127; m = 9 and 12 leave 7 and 4 zero rows of
+    # padding at 8 tables per byte, 3 and 0 at 4, 1 and 0 at 2.  Host
+    # vertex 20 + j repeats the column of vertex j except in one table,
+    # where they hold 0 and the top bit alone, so a packing that drops that
+    # bit merges the two classes.
+    rng = np.random.default_rng(top * 100 + m)
+    n = 40
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < 0.02]
+    g = new_graph(n, edges + [(7, 7)])
+    t = rng.integers(0, top + 1, size=(m, n), dtype=np.int8)
+    t[0, 0] = top
+    high = 1 << (top.bit_length() - 1)
+    for j in range(n - 20):
+        a = (20 + j) % m
+        t[:, 20 + j] = t[:, j]
+        t[a, j], t[a, 20 + j] = 0, high
+    t[-1] = t[-2]
+    vertices = [fv(str(a), row) for a, row in enumerate(t)]
+    hit, takes, distinct = counterexample._table_questions(g, vertices)
+    assert takes.shape == (top + 1, m) and takes.dtype == bool
+    for a, f in enumerate(vertices):
+        assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(f.table))
+        for b, w in enumerate(vertices):
+            assert hit[a, b] == (not collision_free(g, top, f.table, w.table))
+    assert distinct == len({row.tobytes() for row in t}) == m - 1
+
+
 def test_table_questions_refuse_a_negative_value():
-    # takes[-1] would be the top color's row, so -1 has no row of its own
+    # takes[-1] would be the top color's row, so -1 has no row of its own;
+    # -128 is the byte 0x80, one above the largest value 127
     g = new_graph(3, [(0, 1), (1, 2)])
-    vertices = [fv("fine", [2, 2, 2]), fv("minus", [-1, 2, -1]), fv("also", [-1, -1, -1])]
-    with pytest.raises(ValueError, match="minus takes a negative value"):
-        counterexample._table_questions(g, vertices)
+    for low in (-1, -128):
+        vertices = [fv("fine", [127, 2, 2]), fv("minus", [low, 2, low]), fv("also", [-1] * 3)]
+        with pytest.raises(ValueError, match="minus takes a negative value"):
+            counterexample._table_questions(g, vertices)
+
+
+def test_table_questions_refuse_a_table_that_is_not_int8():
+    g = new_graph(3, [(0, 1), (1, 2)])
+    wide = FunctionVertex("wide", ("test",), np.array([1, 2, 300], dtype=np.int16))
+    with pytest.raises(ValueError, match="wide is int16, not int8"):
+        counterexample._table_questions(g, [fv("fine", [1, 2, 2]), wide])
 
 
 def test_collision_matrix_on_an_edgeless_host():
