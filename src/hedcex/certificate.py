@@ -10,7 +10,8 @@ then of vertex 1, ...) for gamma.
 ``check_certificate`` rebuilds the construction from the parameters, once.
 The build raises the first failed of its checks: the pinned counts,
 wideness, pairwise distinct tables, every H edge being an edge of the
-exponential graph (which is the product coloring), and no loops.  The
+exponential graph (which is the product coloring), the const rule, on
+c5_wide the chain between consecutive h levels, and no loops.  The
 checker then compares the certificate with that rebuild: host hash and
 counts, the wide coloring's shape, host pin and digest, the H labels, each
 table digest, and the edge list against the canonical skeleton.  Both
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,14 +79,7 @@ def emit_certificate(report: Report) -> dict:
     chi_g = report.item("chi_g")
     return {
         "version": CERTIFICATE_VERSION,
-        "params": {
-            "variant": params.variant,
-            "k": params.k,
-            "c": params.c,
-            "n": params.n,
-            "d": params.d,
-            "reading": params.reading,
-        },
+        "params": asdict(params),
         **_pinned(report.build),
         "verdicts": {
             "chi_h": {"status": "none", "colors": params.c, "nodes": chi_h.detail["nodes"]},

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -211,13 +211,13 @@ def _table_questions(
     # below finds whole bytes
     stack = np.zeros((-(-m // 8) * 8, g.n), dtype=np.int8)
     rows = np.stack([v.table for v in vertices], out=stack[:m])
-    top = int(stack.view(np.uint8).max())
+    top = int(stack.view(np.uint8).max(initial=0))
     if top > np.iinfo(np.int8).max:
         bad = vertices[int(np.argmax(rows.min(axis=1) < 0))]
         raise ValueError(f"function table {bad.label} takes a negative value")
     width = max(top.bit_length(), 1)
     per = 8 // width
-    lanes = stack.view(np.uint8)[: -(-m // per) * per].reshape(-1, per, g.n)
+    lanes = stack.view(np.uint8)[: -(-m // per) * per].reshape(-(-m // per), per, g.n)
     packed = lanes[:, 0].copy()
     for j in range(1, per):
         packed |= lanes[:, j] << (width * j)
@@ -412,10 +412,6 @@ class BuildResult:
     def labels(self) -> list[str]:
         return [v.label for v in self.vertices]
 
-    def index_of(self, role_prefix: tuple) -> list[int]:
-        m = len(role_prefix)
-        return [i for i, v in enumerate(self.vertices) if v.role[:m] == role_prefix]
-
 
 def _skeleton_edges(
     params: CounterexampleParams,
@@ -503,9 +499,38 @@ def _check(name: str, evidence: dict, error: object, **witness) -> ReportItem:
     return ReportItem(name, False, evidence | witness | {"error": error})
 
 
+def chain_check(
+    build: BuildResult,
+    q: int,
+    depths: range = range(1, 5),
+) -> tuple[bool, int, tuple[str, str] | None]:
+    """Exponential-graph adjacency between consecutive h levels whenever
+    i != i', j != j' and i != j'.  Read off the build's collision matrix,
+    not off H, since H keeps only one predecessor per vertex.  Returns
+    (all hold, pairs checked, first failing label pair).
+    """
+    by_depth: dict[int, list[int]] = {}
+    for idx, v in enumerate(build.vertices):
+        if v.role[:2] == ("h", q):
+            by_depth.setdefault(v.role[2], []).append(idx)
+    checked = 0
+    for d in depths:
+        for a in by_depth.get(d, ()):
+            _, _, _, i, j = build.vertices[a].role
+            for b in by_depth.get(d + 1, ()):
+                _, _, _, i2, j2 = build.vertices[b].role
+                if i == i2 or j == j2 or i == j2:
+                    continue
+                checked += 1
+                if build.collisions[a, b]:
+                    return False, checked, (build.vertices[a].label, build.vertices[b].label)
+    return True, checked, None
+
+
 def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[ReportItem]]:
     """(the pair (G, H), its checks): the report items ``counts``,
-    ``wide_coloring``, ``distinct_tables``, ``h_edges_real`` and ``chi_g``.
+    ``wide_coloring``, ``distinct_tables``, ``h_edges_real``,
+    ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
     One sweep (``shell_bits``) for every class of the wide coloring, one bit
     per class; wideness is one AND of the depth-d bits over the edge arrays,
@@ -514,7 +539,11 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     the build: its item carries the ``error`` and what failed.  The coloring
     (v, f) -> f(v) of G x H is proper exactly when every edge of H is an
     edge of the exponential graph, so ``h_edges_real`` counts the ordered
-    checks of that coloring; a table with no collision is a proper
+    checks of that coloring; f ~ each level-one h and the pairwise edges of
+    each g family are H edges, so that item decides them too.  The const
+    rule compares each constant's collision row with the "takes color i"
+    row, and ``chain`` (``chain_check`` at q = 1) reads pairs that are not H
+    edges off the collision matrix.  A table with no collision is a proper
     c-coloring of G, so the loop check is the evidence of ``chi_g``.
     """
     params.validate()
@@ -547,7 +576,17 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     collisions, takes, distinct = _table_questions(g, vertices)
     edges = _skeleton_edges(params, vertices, takes)
     h = new_graph(m, edges, label=f"H[{params.variant}]")
+    build = BuildResult(
+        params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
+        g_hash=graph_sha256(g), collisions=collisions, takes=takes,
+    )
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
+    # const(i) is adjacent to w exactly where w misses i: a collision row of
+    # a constant against its "takes color i" row, each constant's own loop aside
+    wrong = collisions[:c] != takes[1:]
+    np.fill_diagonal(wrong, False)
+    first = np.argwhere(wrong.T)[:1].tolist()
+    bad_const = next(([i + 1, vertices[idx].label] for idx, i in first), None)
     loop = next((v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]), None)
 
     counts = {"g_vertices": g.n, "g_edges": g.edge_count, "h_vertices": m, "h_edges": h.edge_count}
@@ -574,6 +613,24 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
             edge=unreal,
         ),
         _check(
+            "const_adjacency",
+            {"rule": "const(i) exp-adjacent to w iff i not in im(w)"},
+            bad_const and "const({0}) adjacency to {1} disagrees with its image".format(*bad_const),
+            witness=bad_const,
+        ),
+    ]
+    if params.variant == "c5_wide":
+        _, pairs, broken = chain_check(build, q=1)
+        checks.append(
+            _check(
+                "chain",
+                {"pairs": pairs},
+                broken and "consecutive h levels are not adjacent: " + " ~ ".join(broken),
+                witness=broken and list(broken),
+            )
+        )
+    checks.append(
+        _check(
             "chi_g",
             {
                 "colors": c,
@@ -583,11 +640,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
             },
             loop and f"{loop} is a proper coloring of the host (loop)",
             loop=loop,
-        ),
-    ]
-    build = BuildResult(
-        params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
-        g_hash=graph_sha256(g), collisions=collisions, takes=takes,
+        )
     )
     return build, checks
 
@@ -598,7 +651,8 @@ def build_counterexample(params: CounterexampleParams) -> BuildResult:
 
     The ``error`` of the first failed check of ``checked_build`` (pinned
     counts, wideness, table distinctness, every H edge real in the
-    exponential graph, no loops) is raised as a RuntimeError.
+    exponential graph, the const rule, on c5_wide the chain, no loops) is
+    raised as a RuntimeError.
     """
     build, checks = checked_build(params)
     failed = next((item for item in checks if not item.ok), None)
@@ -608,34 +662,6 @@ def build_counterexample(params: CounterexampleParams) -> BuildResult:
 
 
 # -- verification -------------------------------------------------------------
-
-
-def chain_check(
-    build: BuildResult,
-    q: int,
-    depths: range = range(1, 5),
-) -> tuple[bool, int, tuple[str, str] | None]:
-    """Exponential-graph adjacency between consecutive h levels whenever
-    i != i', j != j' and i != j'.  Read off the build's collision matrix,
-    not off H, since H keeps only one predecessor per vertex.  Returns
-    (all hold, pairs checked, first failing label pair).
-    """
-    by_depth: dict[int, list[int]] = {}
-    for idx, v in enumerate(build.vertices):
-        if v.role[:2] == ("h", q):
-            by_depth.setdefault(v.role[2], []).append(idx)
-    checked = 0
-    for d in depths:
-        for a in by_depth.get(d, ()):
-            _, _, _, i, j = build.vertices[a].role
-            for b in by_depth.get(d + 1, ()):
-                _, _, _, i2, j2 = build.vertices[b].role
-                if i == i2 or j == j2 or i == j2:
-                    continue
-                checked += 1
-                if build.collisions[a, b]:
-                    return False, checked, (build.vertices[a].label, build.vertices[b].label)
-    return True, checked, None
 
 
 @dataclass
@@ -654,14 +680,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "variant": self.params.variant,
-                "k": self.params.k,
-                "c": self.params.c,
-                "n": self.params.n,
-                "d": self.params.d,
-                "reading": self.params.reading,
-            },
+            "params": asdict(self.params),
             "status": self.status,
             "budgets": self.budgets,
             "items": [
@@ -678,16 +697,16 @@ def verify_counterexample(
 ) -> Report:
     """Run the whole pipeline and grade every claim.
 
-    Mandatory: parameter inequalities, the build's checks (counts,
-    wideness, distinct tables, every H edge an exponential-graph edge, which
-    makes the product coloring proper, and no loops), H not c-colorable,
-    and the lemma-level edge facts.  A failed check does not stop the run;
-    only an exception from the build is reported as ``build``.  The host's
-    own chromatic excess is not searched: that item defers to the published
-    identity for omega graphs over complete bases, so chi(H) is the one
-    search a run makes.  Every adjacency item is read off the build's
-    collision matrix, and the constants' against its "takes color i" array.
-    ``threads`` is ignored; kept because perfbench/worker.py passes it.
+    Three steps: the parameter inequalities, the checks of
+    ``checked_build`` (counts, wideness, distinct tables, every H edge an
+    exponential-graph edge, which makes the product coloring proper, the
+    const rule, on c5_wide the chain, and no loops), and the search for a
+    c-coloring of H, reported as ``chi_h`` after ``distinct_tables``.  A
+    failed check does not stop the run; only an exception from the build is
+    reported as ``build``.  The host's own chromatic excess is not searched:
+    that item defers to the published identity for omega graphs over
+    complete bases, so chi(H) is the one search a run makes.  ``threads`` is
+    ignored; kept because perfbench/worker.py passes it.
     """
     items: list[ReportItem] = []
     budgets = {"search": {"nodes": budget.node_limit}}
@@ -710,88 +729,21 @@ def verify_counterexample(
     except (RuntimeError, ValueError) as err:
         items.append(ReportItem("build", False, {"error": str(err)}))
         return Report(params, FAILED, items, budgets=budgets)
-    counts, wide, distinct, real, chi_g = checks
-    items += [counts, wide, distinct]
 
-    h, c = build.h, params.c
-    chi_h = find_coloring(h, c, budget)
+    c = params.c
+    chi_h = find_coloring(build.h, c, budget)
     if chi_h.status == NONE:
-        items.append(ReportItem("chi_h", True, {"colors": c, "nodes": chi_h.nodes}))
+        searched = ReportItem("chi_h", True, {"colors": c, "nodes": chi_h.nodes})
     elif chi_h.status == SOME:
-        items.append(
-            ReportItem(
-                "chi_h",
-                False,
-                {"colors": c, "coloring": chi_h.assignment, "nodes": chi_h.nodes},
-            )
+        searched = ReportItem(
+            "chi_h", False, {"colors": c, "coloring": chi_h.assignment, "nodes": chi_h.nodes}
         )
     else:
-        items.append(
-            ReportItem("chi_h", None, {"colors": c, "nodes": chi_h.nodes, "reason": chi_h.reason})
+        searched = ReportItem(
+            "chi_h", None, {"colors": c, "nodes": chi_h.nodes, "reason": chi_h.reason}
         )
-
-    items.append(real)
-
-    collisions = build.collisions
-    f_idx = c
-    # const(i) is adjacent to w exactly where w misses i: a collision row of
-    # a constant against its "takes color i" row, each constant's own loop aside
-    wrong = collisions[:c] != build.takes[1:]
-    np.fill_diagonal(wrong, False)
-    first = np.argwhere(wrong.T)[:1].tolist()
-    bad_const = next(((i + 1, build.vertices[idx].label) for idx, i in first), None)
-    items.append(
-        ReportItem(
-            "const_adjacency",
-            bad_const is None,
-            {"rule": "const(i) exp-adjacent to w iff i not in im(w)"}
-            | ({} if bad_const is None else {"witness": list(bad_const)}),
-        )
-    )
-
-    level_one = [
-        idx for idx, v in enumerate(build.vertices) if v.role[0] == "h" and v.role[2] == 1
-    ]
-    missing = [build.vertices[i].label for i in level_one if collisions[f_idx, i]]
-    items.append(
-        ReportItem(
-            "h1_adjacent_f",
-            not missing,
-            {"checked": len(level_one)} | ({} if not missing else {"missing": missing}),
-        )
-    )
-
-    cliques = [build.index_of(("g", q)) for q in range(1, params.n + 1)]
-    bad_clique = next(
-        (
-            (build.vertices[a].label, build.vertices[b].label)
-            for members in cliques
-            for x, a in enumerate(members)
-            for b in members[x + 1 :]
-            if collisions[a, b]
-        ),
-        None,
-    )
-    items.append(
-        ReportItem(
-            "g_clique",
-            bad_clique is None,
-            {"per_q": len(cliques[0])}
-            | ({} if bad_clique is None else {"witness": list(bad_clique)}),
-        )
-    )
-
-    if params.variant == "c5_wide":
-        ok_chain, pairs, bad = chain_check(build, q=1)
-        items.append(
-            ReportItem(
-                "chain",
-                ok_chain,
-                {"pairs": pairs} | ({} if ok_chain else {"witness": list(bad)}),
-            )
-        )
-
-    items.append(chi_g)
+    # checks[:3] is counts, wide_coloring, distinct_tables
+    items += checks[:3] + [searched] + checks[3:]
 
     if any(it.ok is False for it in items):
         status = FAILED

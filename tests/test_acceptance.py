@@ -12,7 +12,7 @@ import numpy as np
 from conftest import random_graph
 from hedcex import counterexample as cex
 from hedcex import solver
-from hedcex.counterexample import chain_check, params_for, verify_counterexample
+from hedcex.counterexample import params_for, verify_counterexample
 from hedcex.families import n_shells, omega_tuples, omega_vertex_count
 from hedcex.solver import NONE, find_coloring, verify_coloring
 from hedcex.widecolor import WideColoring, check_wide, zero_position_coloring
@@ -115,14 +115,14 @@ def test_criterion_07_desk_scale_chromatic():
     announce(7, "small adjoints have full chromatic number", ok, "chi=4 on 28, chi=3 on 15")
 
 
-def test_criterion_08_structural_lemmas(c5_report, c7_report, c5_wide_build):
-    ok_chain, pairs, bad = chain_check(c5_wide_build, q=1, depths=range(1, 5))
+def test_criterion_08_structural_lemmas(c5_report, c7_report, c5_wide_report):
+    # f ~ each level-one h and the pairwise edges of each g family are H
+    # edges, so h_edges_real decides them; chain reads the consecutive h
+    # levels, which H does not keep
+    pairs = c5_wide_report.item("chain").detail["pairs"]
     ok = (
-        c5_report.item("h1_adjacent_f").ok is True
-        and c7_report.item("h1_adjacent_f").ok is True
-        and c5_report.item("g_clique").ok is True
-        and c7_report.item("g_clique").ok is True
-        and ok_chain
+        all(r.item("h_edges_real").ok is True for r in (c5_report, c7_report, c5_wide_report))
+        and c5_wide_report.item("chain").ok is True
         and pairs >= 200
     )
     announce(8, "lemma-level edge facts", ok, f"chain pairs checked: {pairs}")

@@ -256,12 +256,13 @@ H1, H2 = "h(q=1,d=1,i=1,j=4)", "h(q=1,d=2,i=4,j=5)"
 G4, G5 = "g(q=1,d=3,i=4)", "g(q=1,d=3,i=5)"
 
 
-# One corruption per item that can fail: item -> (variant, corruption, every
-# item it fails, part of the failed item's --json evidence).  h1_adjacent_f
-# and g_clique check H edges, so h_edges_real fails with them; a narrow class
-# also breaks a g clique.
+# At least one corruption per item that can fail: case -> (item, variant,
+# corruption, every item it fails, part of the failed item's --json
+# evidence).  f ~ each level-one h and each g family's pairwise edges are H
+# edges, so h_edges_real names them; a narrow class also breaks a g family.
 CORRUPTIONS = {
     "parameters": (
+        "parameters",
         "c5_refined",
         _unvalidated_params,
         {"parameters"},
@@ -269,52 +270,62 @@ CORRUPTIONS = {
          "got {'k': 2, 'c': 5, 'n': 2, 'd': 3}"},
     ),
     "counts": (
+        "counts",
         "c5_refined",
         _pin_one_more_h_edge,
         {"counts"},
         {"h_edges": 108, "error": "h_edges is 108, expected 109"},
     ),
     "wide_coloring": (
+        "wide_coloring",
         "c5_refined",
         _narrow_class,
-        {"wide_coloring", "h_edges_real", "g_clique"},
+        {"wide_coloring", "h_edges_real"},
         {"narrow": [[3, 2]]},
     ),
     "distinct_tables": (
+        "distinct_tables",
         "c5_refined",
         lambda mp: _rewire(mp, lambda collisions, takes, distinct, index: distinct - 1),
         {"distinct_tables"},
         {"tables": 30, "count": 29},
     ),
     # without one edge, H is 5-colorable
-    "chi_h": ("c5_refined", _drop_an_h_edge, {"counts", "chi_h"}, {"colors": 5, "nodes": 35}),
+    "chi_h": (
+        "chi_h", "c5_refined", _drop_an_h_edge, {"counts", "chi_h"}, {"colors": 5, "nodes": 35}
+    ),
     "h_edges_real": (
+        "h_edges_real",
         "c5_refined",
         lambda mp: _rewire(mp, _collide((H1, H2))),
         {"h_edges_real"},
         {"edge": [H1, H2]},
     ),
+    "h_edges_real-f-h1": (
+        "h_edges_real",
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide(("f", H1))),
+        {"h_edges_real"},
+        {"edge": ["f", H1]},
+    ),
+    "h_edges_real-g4-g5": (
+        "h_edges_real",
+        "c5_refined",
+        lambda mp: _rewire(mp, _collide((G4, G5))),
+        {"h_edges_real"},
+        {"edge": [G4, G5]},
+    ),
     # const(1) claims color 2, and const(2) is adjacent to it
     "const_adjacency": (
+        "const_adjacency",
         "c5_refined",
         lambda mp: _rewire(mp, _flip_takes_bit),
         {"const_adjacency"},
         {"witness": [2, "const(1)"]},
     ),
-    "h1_adjacent_f": (
-        "c5_refined",
-        lambda mp: _rewire(mp, _collide(("f", H1))),
-        {"h1_adjacent_f", "h_edges_real"},
-        {"missing": [H1]},
-    ),
-    "g_clique": (
-        "c5_refined",
-        lambda mp: _rewire(mp, _collide((G4, G5))),
-        {"g_clique", "h_edges_real"},
-        {"witness": [G4, G5]},
-    ),
     # a chain pair that is not an H edge
     "chain": (
+        "chain",
         "c5_wide",
         lambda mp: _rewire(mp, _collide((H1, "h(q=1,d=2,i=5,j=2)"))),
         {"chain"},
@@ -322,6 +333,7 @@ CORRUPTIONS = {
     ),
     # a table with no collision would be a proper coloring of the host
     "chi_g": (
+        "chi_g",
         "c5_refined",
         lambda mp: _rewire(mp, _collide(("f", "f"), value=False)),
         {"chi_g"},
@@ -332,12 +344,12 @@ CORRUPTIONS = {
 
 def test_corruptions_cover_every_item(c5_report, c7_report, c5_wide_report):
     printed = {item.name for r in (c5_report, c7_report, c5_wide_report) for item in r.items}
-    assert printed == set(CORRUPTIONS)
+    assert printed == {case[0] for case in CORRUPTIONS.values()}
 
 
-@pytest.mark.parametrize("item", sorted(CORRUPTIONS))
-def test_every_item_can_fail(monkeypatch, capsys, item):
-    variant, corrupt, failed, evidence = CORRUPTIONS[item]
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_every_item_can_fail(monkeypatch, capsys, case):
+    item, variant, corrupt, failed, evidence = CORRUPTIONS[case]
     corrupt(monkeypatch)
     verify = ("verify", "counterexample", "--variant", variant)
     code, out, err = run(capsys, *verify)
@@ -349,6 +361,12 @@ def test_every_item_can_fail(monkeypatch, capsys, item):
     code, out, _ = run(capsys, *verify, "--json")
     (detail,) = [it["detail"] for it in json.loads(out)["items"] if it["name"] == item]
     assert {key: detail.get(key) for key in evidence} == evidence
+    if item in ("parameters", "chi_h"):
+        return  # checked by verify_counterexample, not by the build
+    # the build refuses with the same error, and so does a certificate's rebuild
+    with pytest.raises(RuntimeError) as raised:
+        cex.build_counterexample(cex.params_for(variant))
+    assert str(raised.value) == detail["error"]
 
 
 def test_verify_flag_usage_errors(capsys):
@@ -414,9 +432,9 @@ def test_reproduce_script_exit_codes_follow_the_cli(tmp_path):
 
 # SHA-256 of the stdout of ``hedcex verify counterexample --variant V --json``.
 VERIFY_JSON_SHA256 = {
-    "c5_refined": "1a12e51a06548dd2631e8c7d97e2f14e68ff04e4aecfa4c8197f14792176e2d6",
-    "c7": "84daca73f95f25f6affb0c29e583da17431a0bde0ca4a65ce28f6a8eb3f4ce1f",
-    "c5_wide": "35f6b48817046f5ab2b7e709e99c42cf1ab8e2a2ed7be7825d772518435d75bd",
+    "c5_refined": "e8f8cad4eb41f9f911d3ce749a655e7d1dd90acbdacdf0425c95950b71dca148",
+    "c7": "0d19812ff7c021448cebab79872107b1f8f9dd5ae3abfe265b2704143070cd63",
+    "c5_wide": "0e4d4acd4329ff90a42ea48e1aab1a37569026cd3a9e969af58b864007049020",
 }
 
 

@@ -238,6 +238,9 @@ def test_collision_matrix_on_an_edgeless_host():
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
     assert not collision_matrix(g, vertices).any()
     assert collision_matrix(g, []).shape == (0, 0)
+    empty = new_graph(0, [])
+    assert not collision_matrix(empty, [fv("a", []), fv("b", [])]).any()
+    assert collision_matrix(empty, [fv("a", [])]).shape == (1, 1)
     with pytest.raises(ValueError):
         collision_matrix(g, [fv("short", [1, 2])])
 
@@ -400,7 +403,7 @@ def test_g_families_are_cliques(c5_report):
     build = c5_report.build
     adj = rows(build.h)
     for q in (1, 2, 3):
-        members = build.index_of(("g", q))
+        members = [i for i, v in enumerate(build.vertices) if v.role[:2] == ("g", q)]
         assert len(members) == 3
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
@@ -485,8 +488,7 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
         build_counterexample(build.params)
     report = verify_counterexample(build.params)
     assert report.status == "FAILED"
-    # f ~ h1 is also one of the level-one adjacencies
-    assert [it.name for it in report.items if it.ok is False] == ["h_edges_real", "h1_adjacent_f"]
+    assert [it.name for it in report.items if it.ok is False] == ["h_edges_real"]
     real = report.item("h_edges_real").detail
     assert (real["edge"], real["error"]) == (["f", "h(q=1,d=1,i=1,j=4)"], message)
     # the reference scan finds a G edge at v on which the two tables collide
@@ -507,8 +509,6 @@ def test_verify_pass_end_to_end(c5_report):
         "chi_h",
         "h_edges_real",
         "const_adjacency",
-        "h1_adjacent_f",
-        "g_clique",
         "chi_g",
     ]
     assert all(it.ok for it in c5_report.items)
