@@ -96,8 +96,9 @@ class CounterexampleParams:
     ``reading`` picks the color-class selector inside the deepest g
     functions: "q" substitutes the active first coordinate, "literal" keeps
     the printed class 1 (and falls back to the outside value where that
-    leaves a vertex unselected).  Only c5_refined and c5_wide have g
-    functions whose selector the two readings can distinguish.
+    leaves a vertex unselected).  The readings differ on every variant:
+    for q != 1 the literal one changes the g tables, and each variant then
+    fails ``h_edges_real`` on one H edge.
     """
 
     variant: str
@@ -269,28 +270,30 @@ def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
     return _table_questions(g, vertices)[0]
 
 
-def _two_valued(n: int, outside: int, inside: int, region: np.ndarray) -> np.ndarray:
-    table = np.full(n, outside, dtype=np.int8)
-    table[region] = inside
-    return table
+def _two_valued(
+    outside: int | np.ndarray, inside: int | np.ndarray, region: np.ndarray
+) -> np.ndarray:
+    """The int8 table that is ``inside`` on the boolean ``region`` and
+    ``outside`` off it, each a color or an int8 table, by arithmetic on the
+    region's 0/1 bytes rather than a masked store."""
+    return outside + (inside - outside) * region.view(np.int8)
 
 
 def _selector_valued(
-    n: int,
     outside: int,
     region: np.ndarray,
     selector_shells: list[tuple[int, np.ndarray]],
 ) -> np.ndarray:
     """Outside color off the region; on it, the value attached to the least
     selector shell containing the vertex.  ``selector_shells`` is a list of
-    (value, boolean shell) in selector order; later entries are written first
-    so the least one wins.  Region vertices left uncovered keep the outside
-    color.
+    (value, boolean shell) in selector order; later entries are laid down
+    first so the least one wins.  Region vertices left uncovered keep the
+    outside color.
     """
-    table = np.full(n, outside, dtype=np.int8)
+    inside = outside
     for value, shell in reversed(selector_shells):
-        table[shell & region] = value
-    return table
+        inside = _two_valued(inside, value, shell)
+    return _two_valued(outside, inside, region)
 
 
 def build_special_family(
@@ -326,7 +329,7 @@ def build_special_family(
         return FunctionVertex(
             label=f"h(q={q},d={d},i={i},j={j})",
             role=("h", q, d, i, j),
-            table=_two_valued(g.n, i, j, shells[d]),
+            table=_two_valued(i, j, shells[d]),
         )
 
     def gv(i: int, value_of_b) -> FunctionVertex:
@@ -334,7 +337,7 @@ def build_special_family(
         return FunctionVertex(
             label=f"g(q={q},d={params.d},i={i})",
             role=("g", q, params.d, i),
-            table=_selector_valued(g.n, i, shells[params.d], pairs),
+            table=_selector_valued(i, shells[params.d], pairs),
         )
 
     out: list[FunctionVertex] = []

@@ -34,8 +34,8 @@ __all__ = [
 
 # Edges per slice when an edge list is streamed as Python tuples or as
 # DIMACS bytes; bounds the transient memory of ``edges()`` and of the line
-# buffer behind the hash (8,192 * (2w + 4) bytes for w-digit vertex numbers,
-# 128 KB at w = 6).  Larger slices hash no faster and raise the peak RSS of
+# buffer behind the hash (8,192 lines of two to four 8-byte words, 128 KB
+# at two words, as on every shipped host).  Larger slices hash no faster and raise the peak RSS of
 # a c5_refined verify, whose 36,015 host edges then fit in one slice
 # (42.0 MB at 65,536 edges per slice, 38.6 MB at 8,192).
 _CHUNK = 1 << 13
@@ -91,6 +91,37 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _pair_keys(
+    n: int, high: tuple[np.ndarray, ...], low: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, int]:
+    """The keys ``u << b | v`` of pairs of vertices of an n-vertex graph,
+    and b = (n - 1).bit_length().
+
+    The u values are the arrays ``high`` laid end to end, the v values those
+    of ``low``.  Keys compare as the pairs do.  They are uint32 when
+    2b <= 32, as on every shipped host, and uint64 otherwise; ``new_graph``
+    caps n at 2**31, so b <= 31.  Each side is cast to the key dtype as it
+    is laid end to end, with no wider copy.
+    """
+    b = max(n - 1, 0).bit_length()
+    kt = np.uint32 if 2 * b <= 32 else np.uint64
+    keys = np.concatenate(high, dtype=kt, casting="unsafe")
+    keys <<= b
+    np.bitwise_or(keys, np.concatenate(low, dtype=kt, casting="unsafe"), out=keys)
+    return keys, b
+
+
+def _low_int32(keys: np.ndarray) -> np.ndarray:
+    """``keys``, each below 2**31, as int32: a view of uint32 keys, a copy
+    of uint64 ones."""
+    return keys.view(np.int32) if keys.itemsize == 4 else keys.astype(np.int32)
+
+
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer, and False for a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def new_graph(
     n: int,
     edges: Iterable[tuple[int, int]] | np.ndarray,
@@ -99,31 +130,40 @@ def new_graph(
     """Build a graph from an edge list: an iterable of pairs or an (m, 2) array.
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
-    loops.  Raises ValueError on an endpoint outside ``0..n-1``.  The result
-    holds the canonical edge arrays (ascending, ``u <= v``).
+    loops.  Raises ValueError on more than 2**31 vertices (the endpoints
+    are int32), on a pair that is not two integers (floats, bools and
+    strings are refused, not cast) and on an endpoint outside ``0..n-1``.
+    The result holds the canonical edge arrays (ascending, ``u <= v``).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    # a signed integer array is read as it is (the hosts pass int32 edges)
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-    if pairs.dtype.kind != "i":
-        pairs = pairs.astype(np.int64)
+    if n > 1 << 31:
+        raise ValueError(f"vertex count {n} exceeds 2**31, the most int32 vertices can number")
+    listed = None if isinstance(edges, np.ndarray) else list(edges)
+    # an integer array is read as it is (the hosts pass int32 edges)
+    pairs = np.asarray(edges if listed is None else listed)
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
+        pairs = np.zeros((0, 2), dtype=np.int32)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertices")
+    if pairs.dtype.kind not in "iu":
+        listed = pairs.tolist() if listed is None else listed
+        bad = next((p for p in listed if not all(map(_is_integer, p))), None)
+        if bad is not None:
+            raise ValueError(f"edge {tuple(bad)} is not a pair of integers")
+        # integers that share no numpy integer dtype (int64 mixed with
+        # uint64, or past them) are read as floats, exact below 2**53, or
+        # as Python ints; the range check refuses any past 2**31
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    # built in place, so at most one edge-sized temporary is alive at a time
-    keys = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-    keys *= n
-    keys += np.maximum(pairs[:, 0], pairs[:, 1])
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    keys, b = _pair_keys(n, (np.minimum(lo, hi),), (np.maximum(lo, hi),))
     keys = _unique_sorted(keys)
-    eu = (keys // max(n, 1)).astype(np.int32)
-    ev = (keys % max(n, 1)).astype(np.int32)
-    return Graph(n, eu, ev, label)
+    eu = _low_int32(keys >> b)
+    keys &= (1 << b) - 1
+    return Graph(n, eu, _low_int32(keys), label)
 
 
 def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
@@ -159,16 +199,19 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g._csr is None:
         eu, ev = edge_arrays(g)
         inner = eu != ev
-        # one int64 key per arc, source in the high half, sorted in place:
-        # a single arc-sized int64 array, where an argsort would need the
-        # sources, the targets and an int64 permutation at once
-        keys = np.concatenate((ev[inner], eu)).astype(np.int64)
-        keys <<= 32
-        keys |= np.concatenate((eu[inner], ev))
+        # the arcs v -> u of the non-loop edges and u -> v of every edge,
+        # one pair key each, sorted in place: the keys are the one
+        # arc-sized array, where an argsort would need the sources, the
+        # targets and an int64 permutation at once
+        keys, b = _pair_keys(g.n, (ev[inner], eu), (eu[inner], ev))
         keys.sort()
-        ptr = np.searchsorted(keys, np.arange(g.n + 1, dtype=np.int64) << 32).astype(np.int32)
-        keys &= 0xFFFFFFFF
-        g._csr = (ptr, keys.astype(np.int32))
+        # row v starts at the first key at or above v << b, which is below
+        # 2**(2b) for every vertex, so it fits the key dtype
+        ptr = np.empty(g.n + 1, dtype=np.int32)
+        ptr[:-1] = np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b)
+        ptr[-1] = keys.size
+        keys &= (1 << b) - 1
+        g._csr = (ptr, _low_int32(keys))
     return g._csr
 
 
@@ -311,26 +354,45 @@ def _digit_table(n: int) -> np.ndarray:
     return table
 
 
+def _line_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of every ``e`` line as rows of 8-byte words, padded with
+    0 bytes: row v of the head spells ``e``, a space, the digits of v + 1
+    and a space, and row v of the tail the digits and a newline.
+
+    With w-digit vertex numbers the head takes ceil((w + 3) / 8) words and
+    the tail ceil((w + 1) / 8); w <= 10 for n <= 2**31, so each is one or
+    two words (one each for every shipped host).
+    """
+    digits = _digit_table(n)
+    w = digits.shape[1]
+    head = np.zeros((n, -(-(w + 3) // 8) * 8), dtype=np.uint8)
+    head[:, 0], head[:, 1], head[:, w + 2] = ord("e"), ord(" "), ord(" ")
+    head[:, 2 : w + 2] = digits
+    tail = np.zeros((n, -(-(w + 1) // 8) * 8), dtype=np.uint8)
+    tail[:, :w] = digits
+    tail[:, w] = ord("\n")
+    return head.view(np.uint64), tail.view(np.uint64)
+
+
 def _dimacs_lines(g: Graph) -> Iterator[bytes]:
     """The canonical DIMACS body as ASCII byte chunks: the problem line,
     then the sorted ``e`` lines, ``_CHUNK`` edges at a time.
 
-    Each chunk is built in numpy.  Every row of a preset buffer holds one
-    line: ``e``, a space, w digit slots, a space, w digit slots and a
-    newline.  The slots take the digit-table rows of both endpoints, and
+    Each chunk is built in numpy.  Every row of a preset uint64 buffer holds
+    one line: the ``_line_words`` head row of its first endpoint, then the
+    tail row of its second, each gathered with one ``np.take``.
     ``bytes.translate`` deletes the 0-byte padding, the only 0 byte in the
     buffer, which leaves the bytes of ``%d``-formatting each 1-based endpoint.
     """
     yield f"p edge {g.n} {g.edge_count}\n".encode("ascii")
     eu, ev = edge_arrays(g)
-    digits = _digit_table(g.n)
-    w = digits.shape[1]
-    buf = np.zeros((min(_CHUNK, eu.size), 2 * w + 4), dtype=np.uint8)
-    buf[:, 0], buf[:, 1], buf[:, w + 2], buf[:, -1] = ord("e"), ord(" "), ord(" "), ord("\n")
+    head, tail = _line_words(g.n)
+    h = head.shape[1]
+    buf = np.empty((min(_CHUNK, eu.size), h + tail.shape[1]), dtype=np.uint64)
     for lo in range(0, eu.size, _CHUNK):
         lines = buf[: min(_CHUNK, eu.size - lo)]
-        lines[:, 2 : w + 2] = np.take(digits, eu[lo : lo + _CHUNK], axis=0)
-        lines[:, w + 3 : 2 * w + 3] = np.take(digits, ev[lo : lo + _CHUNK], axis=0)
+        lines[:, :h] = np.take(head, eu[lo : lo + _CHUNK], axis=0)
+        lines[:, h:] = np.take(tail, ev[lo : lo + _CHUNK], axis=0)
         yield lines.tobytes().translate(None, b"\0")
 
 

@@ -58,6 +58,19 @@ def test_wide_check_file_mode(tmp_path, capsys):
     assert json.loads(out)["wide"] is True
 
 
+def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
+    gamma = tmp_path / "gamma.json"
+    code, _, _ = run(
+        capsys, "wide-check", "--n", "2", "--k", "1", "--d", "2", "--gamma-out", str(gamma)
+    )
+    assert code == 0
+    host = tmp_path / "big.col"
+    host.write_text("p edge 3000000000 1\ne 1 3000000000\n")
+    code, out, err = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma))
+    assert (code, out) == (2, "")
+    assert "vertex count 3000000000 exceeds 2**31" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "gamma,field",
     [

@@ -537,14 +537,23 @@ def test_verify_rejects_bad_parameters():
     assert len(report.items) == 1
 
 
-def test_verify_literal_reading_fails_fast():
-    # the literal selector reading breaks one H edge and nothing else; the
-    # run goes on, so chi(H) is still refused
-    report = verify_counterexample(params_for("c5_refined", reading="literal"))
+@pytest.mark.parametrize(
+    "variant,edge,chi_h",
+    [
+        ("c5_refined", ["h(q=2,d=2,i=4,j=5)", "g(q=2,d=3,i=5)"], {"colors": 5, "nodes": 66}),
+        ("c7", ["h(q=2,d=1,i=2,j=5)", "g(q=2,d=2,i=5)"], {"colors": 7, "nodes": 473}),
+        ("c5_wide", ["h(q=2,d=5,i=3,j=4)", "g(q=2,d=6,i=4)"], {"colors": 5, "nodes": 366}),
+    ],
+    ids=["c5_refined", "c7", "c5_wide"],
+)
+def test_verify_literal_reading_fails_fast(variant, edge, chi_h):
+    # on every variant the literal selector reading breaks one H edge and
+    # nothing else; the run goes on, so chi(H) is still refused
+    report = verify_counterexample(params_for(variant, reading="literal"))
     assert report.status == "FAILED"
     assert [item.name for item in report.items if item.ok is not True] == ["h_edges_real"]
-    assert report.item("h_edges_real").detail["edge"] == ["h(q=2,d=2,i=4,j=5)", "g(q=2,d=3,i=5)"]
-    assert report.item("chi_h").detail == {"colors": 5, "nodes": 66}
+    assert report.item("h_edges_real").detail["edge"] == edge
+    assert report.item("chi_h").detail == chi_h
 
 
 def test_chi_h_budget_exhaustion_is_incomplete(c5_report):

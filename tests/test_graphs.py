@@ -64,6 +64,57 @@ def test_edge_bounds_checked():
         new_graph(-1, [])
 
 
+def test_new_graph_refuses_pairs_that_are_not_integers():
+    for edges, named in [
+        ([(0.5, 1.7)], r"\(0\.5, 1\.7\)"),
+        ([(0, 1), (0.5, 1.7)], r"\(0\.5, 1\.7\)"),
+        (np.array([[0.0, 1.0]]), r"\(0\.0, 1\.0\)"),
+        (np.array([[True, False]]), r"\(True, False\)"),
+        ([("1", "2")], r"\('1', '2'\)"),
+    ]:
+        with pytest.raises(ValueError, match=f"edge {named} is not a pair of integers"):
+            new_graph(3, edges)
+    # Python ints and signed or unsigned numpy integers are read as they are
+    for edges in ([(2, 1)], [(np.uint8(2), np.int64(1))], np.array([[2, 1]], dtype=np.uint64)):
+        assert list(new_graph(3, edges).edges()) == [(1, 2)]
+    with pytest.raises(ValueError, match="out of range"):
+        new_graph(3, [(0, 2**70)])
+
+
+def test_vertex_count_is_capped_at_int32():
+    # past 2**31 vertices an endpoint would wrap in int32, so the count is
+    # refused by name, through the DIMACS reader too
+    with pytest.raises(ValueError, match=r"vertex count 3000000000 exceeds 2\*\*31"):
+        parse_dimacs("p edge 3000000000 1\ne 1 3000000000\n")
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*31"):
+        new_graph(2**31 + 1, [])
+    assert new_graph(2**31, np.zeros((0, 2), dtype=np.int32)).n == 2**31
+
+
+@pytest.mark.parametrize("n,dtype", [(65535, np.uint32), (65536, np.uint32), (65537, np.uint64)])
+def test_pair_keys_across_the_key_width(n, dtype):
+    # the pair keys switch from uint32 to uint64 once 2 * (n - 1).bit_length()
+    # passes 32; both widths give the same edge, CSR and DIMACS results
+    zero = (np.zeros(1, dtype=np.int32),)
+    assert graphs._pair_keys(n, zero, zero)[0].dtype == dtype
+    pairs = [(n - 1, 0), (n - 1, n - 1), (n - 1, n - 2)]
+    expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    g = new_graph(n, pairs)
+    eu, ev = edge_arrays(g)
+    assert eu.dtype == ev.dtype == np.int32
+    assert list(zip(eu.tolist(), ev.tolist())) == expect
+    near = {v: set() for v in range(n)}
+    for u, v in expect:
+        near[u].add(v)
+        near[v].add(u)
+    ptr, dst = neighbor_arrays(g)
+    assert ptr.dtype == dst.dtype == np.int32
+    assert np.array_equal(np.diff(ptr), [len(near[v]) for v in range(n)])
+    for v in (0, n - 2, n - 1):
+        assert dst[ptr[v] : ptr[v + 1]].tolist() == sorted(near[v])
+    assert emit_dimacs(g) == reference_dimacs(g)
+
+
 def test_loop_is_representable():
     g = new_graph(2, [(0, 0), (0, 1)])
     assert g.has_loop() and g.loops() == 1
