@@ -187,10 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as err:
-        print(f"hedcex: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"hedcex: {err}", file=sys.stderr)
         return EXIT_USAGE
 

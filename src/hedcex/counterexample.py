@@ -297,7 +297,6 @@ def _selector_valued(
 
 
 def build_special_family(
-    g: Graph,
     class_shells: list[np.ndarray],
     params: CounterexampleParams,
     q: int,
@@ -506,11 +505,11 @@ def chain_check(
     build: BuildResult,
     q: int,
     depths: range = range(1, 5),
-) -> tuple[bool, int, tuple[str, str] | None]:
+) -> tuple[int, tuple[str, str] | None]:
     """Exponential-graph adjacency between consecutive h levels whenever
     i != i', j != j' and i != j'.  Read off the build's collision matrix,
     not off H, since H keeps only one predecessor per vertex.  Returns
-    (all hold, pairs checked, first failing label pair).
+    (pairs checked, first failing label pair or None).
     """
     by_depth: dict[int, list[int]] = {}
     for idx, v in enumerate(build.vertices):
@@ -526,8 +525,8 @@ def chain_check(
                     continue
                 checked += 1
                 if build.collisions[a, b]:
-                    return False, checked, (build.vertices[a].label, build.vertices[b].label)
-    return True, checked, None
+                    return checked, (build.vertices[a].label, build.vertices[b].label)
+    return checked, None
 
 
 def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[ReportItem]]:
@@ -574,7 +573,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     ]
     vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
     for q in range(1, params.n + 1):
-        vertices.extend(build_special_family(g, class_shells, params, q))
+        vertices.extend(build_special_family(class_shells, params, q))
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices)
     edges = _skeleton_edges(params, vertices, takes)
@@ -623,7 +622,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
         ),
     ]
     if params.variant == "c5_wide":
-        _, pairs, broken = chain_check(build, q=1)
+        pairs, broken = chain_check(build, q=1)
         checks.append(
             _check(
                 "chain",

@@ -10,17 +10,18 @@ The graphs searched are the H of a counterexample (at most 165 vertices)
 and the census graphs (at most 300 at its defaults).  Every vertex keeps a
 domain bitmask; coloring a vertex removes its color from its uncolored
 neighbors' domains, an empty domain refutes the branch and a one-color
-domain is colored at once (singleton propagation).  A maximal greedy clique is pre-colored the same
-way.  The search branches on the smallest domain, ties broken by lowest
-vertex index, trying colors ascending and capped at one fresh color beyond
-those already in use (interchangeable-color symmetry), as DSATUR (Brelaz
-1979) does.  After each branch the undecided vertices of the current
-subproblem are split into connected components, each solved on its own
-(component search as in Bayardo & Pehoushek, AAAI 2000): one component with
-no coloring refutes the branch, and a component already solved is never
-searched again.  The budget is a node count, so with identical inputs and
-budgets the transcript (verdict, node count, witness, reason) is identical
-run to run, on any machine.
+domain is colored at once (singleton propagation).  A maximal greedy clique
+is pre-colored the same way.  The search branches on the smallest domain,
+ties broken by lowest vertex index, trying colors ascending and capped at
+one fresh color beyond those already in use (interchangeable-color
+symmetry), as DSATUR (Brelaz 1979) does.  Before the first branch and after
+each, the undecided vertices of the current subproblem are split into
+connected components, each solved on its own (component search as in
+Bayardo & Pehoushek, AAAI 2000): one component with no coloring refutes the
+branch, and a component already solved is never searched again.  The budget
+is a node count, so with identical inputs and budgets the transcript
+(verdict, node count, witness, reason) is identical run to run, on any
+machine.
 
 The search keeps its own explicit stack, so search depth is bounded by
 memory, not by the interpreter's recursion limit.
@@ -156,7 +157,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     # heaps[cid] keys the vertices of component cid as (domain size, index);
     # an entry goes stale once its vertex is colored, moved or re-keyed, and
     # pick() discards it when it surfaces
-    heaps: list[list[int]] = [[]]
+    heaps: list[list[int]] = [[c << shift | v for v in range(n)]]
     # trail entries: ``u << 6 | k`` removed color k from dom[u]; ``~v``
     # colored v.  splits: (cid, parent cid, members) per component peeled off
     trail: list[int] = []
@@ -255,10 +256,10 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         the rest.
 
         Every new component holds a seed (an uncolored neighbor of a newly
-        colored vertex), so searches grown from the seeds, one vertex each
-        in turn, find them all.  Two searches that meet merge, and the
-        split stops once a single search is open, so a cut costs about the
-        size of its smaller side.
+        colored vertex, or at the root any vertex), so searches grown from
+        the seeds, one vertex each in turn, find them all.  Two searches
+        that meet merge, and the split stops once a single search is open,
+        so a cut costs about the size of its smaller side.
         """
         nonlocal stamp
         stamp += 1
@@ -315,22 +316,10 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
             # only the last member can have been forced, and then to i + 1
             if not color[v] and not (dom[v] >> (i + 1) & 1 and propagate(v, i + 1)):
                 return ColoringResult(NONE, c, None, nodes, reason="search")
-        # the connected components of what the clique left, largest first
-        stamp += 1
-        parts = []
-        for s in range(n):
-            if color[s] or seen[s] == stamp:
-                continue
-            seen[s] = stamp
-            members = [s]
-            for x in members:  # grows while it is walked
-                for u in dst[ptr[x] : ptr[x + 1]]:
-                    if not color[u] and seen[u] != stamp:
-                        seen[u] = stamp
-                        members.append(u)
-            parts.append(members)
+        # every vertex seeds the root split, which finds what the clique left
+        touched[:] = range(n)
         used = max(color)
-        todo = [(peel(0, p), -1, used) for p in sorted(parts, key=len, reverse=True)]
+        todo = [(0, -1, used)] + [(k, -1, used) for k in split(0)]
 
         while todo:
             cid, parent, used = todo.pop()

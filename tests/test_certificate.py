@@ -177,6 +177,29 @@ def test_dropped_edge_fails(c5_cert):
     assert any("number of H edges" in f for f in chk.failures)
 
 
+@pytest.mark.parametrize("verdicts", [{}, {"chi_h": {}, "chi_g": {}}, ["chi_h"]])
+def test_missing_verdicts_fail(c5_cert, verdicts):
+    bad = copy.deepcopy(c5_cert)
+    bad["verdicts"] = verdicts
+    assert check_certificate(bad).failures == ["missing verdicts"]
+
+
+@pytest.mark.parametrize(
+    "edge, spurious",
+    [([3, 30], "(3, 30)"), ([-1, 3], "(-1, 3)"), ([7, 7], "(7, 7)")],
+    ids=["past-the-end", "negative", "loop"],
+)
+def test_edge_outside_h_is_spurious(c5_cert, edge, spurious):
+    # an endpoint outside H, or a loop, is an edge the rebuild does not have
+    bad = copy.deepcopy(c5_cert)
+    replaced = bad["h_edges"][40]
+    bad["h_edges"][40] = edge
+    assert check_certificate(bad).failures == [
+        f"H edges are not the canonical skeleton (spurious [{spurious}], "
+        f"missing [{tuple(replaced)}])"
+    ]
+
+
 def _flip(digest: str) -> str:
     return ("0" if digest[0] != "0" else "1") + digest[1:]
 

@@ -382,6 +382,31 @@ def test_every_item_can_fail(monkeypatch, capsys, case):
     assert str(raised.value) == detail["error"]
 
 
+def test_build_that_raises_is_the_build_item(monkeypatch, capsys, tmp_path):
+    # an exception from the build ends the run after the parameters: the
+    # report names the error and holds no build, and no certificate is written
+    def broken(*args):
+        raise RuntimeError("no skeleton")
+
+    monkeypatch.setattr(cex, "_skeleton_edges", broken)
+    report = cex.verify_counterexample(cex.params_for("c5_refined"))
+    assert [(item.name, item.ok) for item in report.items] == [
+        ("parameters", True),
+        ("build", False),
+    ]
+    assert report.item("build").detail == {"error": "no skeleton"}
+    assert (report.status, report.build) == ("FAILED", None)
+    cert = tmp_path / "c5.cert.json"
+    verify = ("verify", "counterexample", "--variant", "c5_refined", "--cert", str(cert))
+    code, out, err = run(capsys, *verify)
+    assert (code, out.splitlines()[1:], err) == (
+        1,
+        ["build: FAILED", "verify c5_refined: FAILED"],
+        "",
+    )
+    assert not cert.exists()
+
+
 def test_verify_flag_usage_errors(capsys):
     verify = ("verify", "counterexample", "--variant", "c5_refined")
     for flag, value in (
