@@ -1,5 +1,7 @@
+import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,35 @@ def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit):
     assert greedy_clique(g) == reference_greedy_clique(g)
 
 
+def _transcript_corpus():
+    """300 seeded random graphs, about one in ten with a loop, at 1 to 8
+    colors and node limits 5, 500 and 10**6; then Omega_3K_4 and Omega_5K_3
+    at chi - 1 and chi colors."""
+    rng = random.Random(23)
+    for _ in range(300):
+        n, p = rng.randint(0, 60), rng.uniform(0.05, 0.8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if n and rng.random() < 0.1:
+            v = rng.randrange(n)
+            edges.append((v, v))
+        yield new_graph(n, edges), rng.randint(1, 8), rng.choice([5, 500, 10**6])
+    for n, d in ((4, 1), (3, 2)):
+        g = omega_tuples(n, d).graph
+        for c in (n - 1, n):
+            yield g, c, 10**6
+
+
+def test_search_transcript_corpus_pinned():
+    # the branch order, propagation order, fresh-color cap and component
+    # splits together decide every transcript; a rewrite of the search must
+    # leave this digest as it is
+    digest = hashlib.sha256()
+    for g, c, limit in _transcript_corpus():
+        res = find_coloring(g, c, SearchBudget(node_limit=limit))
+        digest.update(repr(_transcript(res)).encode())
+    assert digest.hexdigest() == "a22fef0836354fb0e9bf5d625a316f4651d229a38b196f0a6229a94d135a0f6b"
+
+
 def _larger_graph(family: str, rng: random.Random):
     """A graph of at least 20 vertices, and its parts when it is a disjoint
     union of parts small enough for ``brute_coloring`` (else None).
@@ -335,3 +366,18 @@ def test_searches_never_touch_the_recursion_limit(monkeypatch):
     col = find_coloring(path, 2)
     assert col.status == SOME and col.nodes == n
     assert verify_coloring(path, col.assignment, 2)
+    # two colors leave propagation nothing to choose; three make every
+    # vertex past the clique a branch, about 2,000 frames deep against the
+    # default recursion limit of 1,000, in memory that does not grow with
+    # the depth times the order
+    n = 2_000
+    path = new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        col = find_coloring(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.status == SOME and col.nodes == n
+    assert verify_coloring(path, col.assignment, 3)
+    assert peak < 8 * 2**20
