@@ -16,18 +16,19 @@ ties broken by lowest vertex index, trying colors ascending and capped at
 one fresh color beyond those already in use (interchangeable-color
 symmetry), as DSATUR (Brelaz 1979) does.  Before the first branch and after
 each, the undecided vertices of the current subproblem are split into
-connected components, each solved on its own (component search as in
-Bayardo & Pehoushek, AAAI 2000): one component with no coloring refutes the
-branch, and a component already solved is never searched again.  The budget
-is a node count, so with identical inputs and budgets the transcript
-(verdict, node count, witness, reason) is identical run to run, on any
-machine.
+connected components by one plain search per seed, each solved on its own
+(component search as in Bayardo & Pehoushek, AAAI 2000), smallest first: one
+component with no coloring refutes the branch, and a component already
+solved is never searched again.  The budget is a node count, so with
+identical inputs and budgets the transcript (verdict, node count, witness,
+reason) is identical run to run, on any machine.
 
 The components live in one table, a row (parent, vertices ascending) per
 component, and the branching vertex is found by scanning its component's
 row.  On graphs of a few hundred vertices that beats a priority queue; a
 long sparse graph that branches pays the component's order per branch
-(a 20,000-vertex path at 3 colors takes tens of seconds).
+(a 20,000-vertex path at 3 colors takes tens of seconds); a split walks
+the component once more, edges included.
 
 The search keeps its own explicit stack and trail, so search depth is
 bounded by memory, not by the interpreter's recursion limit, and memory
@@ -121,8 +122,6 @@ def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
     if arr.min() < 1 or arr.max() > c:
         return False
     eu, ev = edge_arrays(g)
-    if eu.size == 0:
-        return True
     return bool(np.all(np.take(arr, eu) != np.take(arr, ev)))
 
 
@@ -165,8 +164,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     # trail entries: ``u << 6 | k`` removed color k from dom[u]; ``~v``
     # colored v
     trail: list[int] = []
-    seen = [0] * n  # BFS stamp, so no per-split clearing
-    owner = [0] * n  # BFS group that reached the vertex
+    seen = [0] * n  # search stamp, so no per-split clearing
     stamp = 0
     forced: list[int] = []
     touched: list[int] = []  # uncolored neighbors of newly colored vertices
@@ -244,56 +242,39 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     def split(cid: int) -> list[int]:
         """Move the components of cid's undecided vertices that the branch
         just cut off to new ids and return those, smallest last; cid keeps
-        the rest.
+        the first largest.
 
         Every new component holds a seed (an uncolored neighbor of a newly
-        colored vertex, or at the root any vertex), so searches grown from
-        the seeds, one vertex each in turn, find them all.  Two searches
-        that meet merge, and the split stops once a single search is open,
-        so a cut costs about the size of its smaller side.
+        colored vertex, or at the root any vertex), so one search from each
+        seed not yet reached finds them all.  The split stops as soon as the
+        first search has reached every seed: there is one component and
+        nothing moves.  A split walks the component at most once, as ``pick``
+        scans it on every branch anyway.
         """
         nonlocal stamp
-        stamp += 1
-        seeds = []
-        for u in touched:
-            if not color[u] and seen[u] != stamp:
-                seen[u] = stamp
-                owner[u] = len(seeds)
-                seeds.append(u)
-        if len(seeds) <= 1:
+        seeds = [u for u in dict.fromkeys(touched) if not color[u]]
+        if len(seeds) < 2:
             return []
-        members: list[list[int] | None] = [[s] for s in seeds]
-        frontier = [[s] for s in seeds]
-        active = list(range(len(seeds)))
-        closed: list[int] = []
-        while len(active) > 1:
-            still = []
-            for r in active:
-                if members[r] is None:
-                    continue  # merged into a search that came later
-                if not frontier[r]:
-                    closed.append(r)
-                    continue
-                x = frontier[r].pop()
+        stamp += 1
+        unreached = set(seeds[1:])  # seeds the first search has not reached
+        parts: list[list[int]] = []
+        for s in seeds:
+            if seen[s] == stamp:
+                continue
+            seen[s] = stamp
+            part = [s]
+            for x in part:  # grows while it is walked
                 for u in dst[ptr[x] : ptr[x + 1]]:
-                    if color[u]:
-                        continue
-                    if seen[u] != stamp:
+                    if not color[u] and seen[u] != stamp:
                         seen[u] = stamp
-                        owner[u] = r
-                        members[r].append(u)
-                        frontier[r].append(u)
-                    elif (o := owner[u]) != r:
-                        if len(members[o]) > len(members[r]):
-                            r, o = o, r
-                        for w in members[o]:
-                            owner[w] = r
-                        members[r] += members[o]
-                        frontier[r] += frontier[o]
-                        members[o] = None
-                still.append(r)
-            active = [r for r in dict.fromkeys(still) if members[r] is not None]
-        return [peel(cid, members[r]) for r in sorted(closed, key=lambda r: -len(members[r]))]
+                        part.append(u)
+                        if not parts and u in unreached:
+                            unreached.remove(u)
+                            if not unreached:
+                                return []  # one component
+            parts.append(part)
+        parts.sort(key=len, reverse=True)  # stable: ties keep seed order
+        return [peel(cid, part) for part in parts[1:]]
 
     # One frame per branch: [vertex, untried colors, component, parent frame,
     # colors in use, trail mark, component table length, todo mark].  todo

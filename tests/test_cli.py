@@ -79,8 +79,9 @@ def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
         ('{"n": 2, "k": 1, "d": 2, "pairs": null}', "'pairs'"),
         ('{"n": 2, "k": 1, "d": 2, "pairs": [[1, null], [2, 1]]}', "'pairs'"),
         ("[[1, 1], [2, 1]]", "object"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": [[1, 1], [99999999999999999999, 1]]}', "int8"),
     ],
-    ids=["empty", "null-n", "null-pairs", "null-in-a-pair", "list"],
+    ids=["empty", "null-n", "null-pairs", "null-in-a-pair", "list", "past-int64"],
 )
 def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
     host = tmp_path / "om.col"
@@ -91,6 +92,25 @@ def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
     assert code == 2
     assert out == ""
     assert field in err and "Traceback" not in err
+
+
+def test_wide_check_sweeps_only_the_classes_that_occur(tmp_path, capsys, count_calls):
+    # the gamma declares 10**9 x 1 classes, and the 2-vertex host meets two
+    # of them; an empty class is trivially wide, so it costs no sweep
+    gamma = tmp_path / "gamma.json"
+    code, _, _ = run(
+        capsys, "wide-check", "--n", "2", "--k", "1", "--d", "2", "--gamma-out", str(gamma)
+    )
+    assert code == 0
+    doc = json.loads(gamma.read_text())
+    doc["n"] = 10**9
+    gamma.write_text(json.dumps(doc))
+    host = tmp_path / "om.col"
+    host.write_text(emit_dimacs(omega_tuples(2, 2).graph))
+    calls = count_calls(families, "n_shells")
+    code, out, _ = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma))
+    assert (code, out) == (0, "wide: True (condition 2, d=2)\n")
+    assert calls == {"n_shells": 2}
 
 
 def test_color_budget_exhaustion_exit_code(capsys):

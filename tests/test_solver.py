@@ -290,6 +290,20 @@ def test_coloring_verdicts_match_reference_on_larger_graphs(family):
         assert _transcript(find_coloring(g, c, budget)) == _transcript(ours)
 
 
+def test_split_transcripts_pinned():
+    # which component a split keeps decides the branch order after it, and
+    # the corpus above cannot see that choice; these unions of small parts
+    # split at every branch
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        g, _ = _larger_graph("split-below-8", rng)
+        c = rng.randint(2, 6)
+        res = find_coloring(g, c, SearchBudget(node_limit=1_000_000))
+        digest.update(repr(_transcript(res)).encode())
+    assert digest.hexdigest() == "aa6b034c2f047b22665ce96527e4d5b103b2a16db26e0965294ef857c4ba2536"
+
+
 def _mycielski(g):
     """Mycielski's construction: triangle-free in, triangle-free out, and
     the chromatic number goes up by one."""
