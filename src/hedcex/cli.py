@@ -54,14 +54,6 @@ def _load_graph(path: str) -> Graph:
         return parse_dimacs(fh.read())
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _emit(args, doc: dict, human: str) -> None:
     if args.json:
         print(json.dumps(doc, sort_keys=True))
@@ -104,7 +96,8 @@ def _cmd_wide_check(args) -> int:
     }
     _emit(args, doc, f"wide: {ok} (condition {args.condition}, d={wc.d})")
     if args.gamma_out:
-        _write_text(args.gamma_out, wc.to_json() + "\n")
+        with open(args.gamma_out, "w", encoding="utf-8") as fh:
+            fh.write(wc.to_json() + "\n")
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -130,7 +123,8 @@ def _cmd_verify(args) -> int:
         print(f"verify {args.variant}: {report.status}")
     if args.cert and report.status == cex.PASS:
         cert = certmod.emit_certificate(report)
-        _write_text(args.cert, certmod.certificate_to_json(cert) + "\n")
+        with open(args.cert, "w", encoding="utf-8") as fh:
+            fh.write(certmod.certificate_to_json(cert) + "\n")
     return {cex.PASS: EXIT_OK, cex.FAILED: EXIT_FAILED, cex.INCOMPLETE: EXIT_EXHAUSTED}[
         report.status
     ]

@@ -15,8 +15,8 @@
   over the graph's CSR neighbor arrays, linear in |V| + |E| per step.  The
   shells of a union of seeds are the unions of their shells, so a
   counterexample build sweeps all color classes of its wide coloring at
-  once, one bit per class.  ``n_shells`` is the one-set case, on boolean
-  arrays.
+  once, one bit per class, and stops at the first shell that repeats the
+  one two steps back.  ``n_shells`` is the one-set case, on boolean arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     gather and one ``bitwise_or.reduceat`` over the rows of
     ``neighbor_arrays(g)``, linear in |V| + |E| whatever the number of sets;
     a vertex with no neighbor ends no walk of positive length, so it stays 0.
+    Once a shell equals the one two steps back, every later one repeats the
+    last two (a step maps equal shells to equal ones): the sweep stops and
+    the remaining entries are those two arrays, shared, not copied.
     """
     if d < 0:
         raise ValueError("walk length must be nonnegative")
@@ -59,12 +62,15 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     # are reduced; each one's segment then ends where the next one starts
     starts = ptr[rows].astype(np.intp)
     shells = [seeds]
-    for _ in range(d):
+    while len(shells) <= d:
+        if len(shells) > 2 and np.array_equal(shells[-1], shells[-3]):
+            shells += shells[-2:] * ((d + 2 - len(shells)) // 2)
+            break
         step = np.zeros_like(seeds)
         if rows.size:
             step[rows] = np.bitwise_or.reduceat(np.take(shells[-1], dst), starts)
         shells.append(step)
-    return shells
+    return shells[: d + 1]
 
 
 def n_shells(g: Graph, members: np.ndarray, d: int) -> list[np.ndarray]:

@@ -218,12 +218,6 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 # -- DIMACS col format ----------------------------------------------------
 
 
-# The ASCII line breaks of ``str.splitlines`` other than "\n".  Text with
-# one of them, or with any non-ASCII character, is rejoined at "\n" before
-# ``parse_dimacs`` reads it, so that its line numbers are those of splitlines.
-_OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
-
-
 def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS ``.col`` dialect: ``p edge N M`` then ``e u v`` lines.
 
@@ -231,17 +225,64 @@ def parse_dimacs(text: str) -> Graph:
     are comments.  Duplicate edge lines collapse; ``e v v`` is a loop.
     Raises ValueError on malformed lines or endpoints outside ``1..N``.
 
-    The edge lines are read in one numpy pass over the bytes of ``text``: a
-    line whose fields, split at spaces and tabs, are ``e`` and two strings
-    of 1 to 18 ASCII digits is a plain edge line.  ``_dimacs_line`` reads
-    every other line that is not blank or a comment (the problem line and
-    anything odd) in file order, together with the plain edge lines that
-    precede the problem line or leave ``1..N``.  So the first bad line
-    raises, with its number, as in a line-by-line reading.
+    A plain file is read in one numpy pass (``_plain_dimacs``), which only
+    ever accepts.  Any other text is read here one ``str.splitlines`` line
+    at a time, and the first bad line raises with its 1-based number.
     """
-    data = text.encode("utf-8")
-    if not text.isascii() or any(c in data for c in _OTHER_BREAKS):
-        data = "\n".join(text.splitlines()).encode("utf-8")
+    g = _plain_dimacs(text)
+    if g is not None:
+        return g
+    n = None
+    edges: list[tuple[int, int]] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ValueError(f"line {ln}: repeated problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"line {ln}: malformed problem line {line!r}")
+            try:
+                n = int(parts[2])
+                int(parts[3])
+            except ValueError:
+                raise ValueError(f"line {ln}: malformed problem line {line!r}") from None
+            if n < 0:
+                raise ValueError(f"line {ln}: negative vertex count")
+        elif parts[0] == "e":
+            if n is None:
+                raise ValueError(f"line {ln}: edge before problem line")
+            if len(parts) != 3:
+                raise ValueError(f"line {ln}: malformed edge line {line!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"line {ln}: malformed edge line {line!r}") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"line {ln}: endpoint out of range in {line!r}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise ValueError(f"line {ln}: unknown line type {line!r}")
+    if n is None:
+        raise ValueError("missing problem line")
+    return new_graph(n, edges)
+
+
+def _plain_dimacs(text: str) -> Graph | None:
+    """The graph of a plain DIMACS file, read in one numpy pass, or None
+    for any other text.
+
+    Plain means: ASCII with ``\n`` as its only line break, fields split at
+    spaces and tabs; comment and blank lines; one ``p edge N M`` line before
+    any other line, then only ``e u v`` lines; N, M, u and v 1 to 18 ASCII
+    digits, u and v in ``1..N``.  The line loop of ``parse_dimacs`` reads
+    such text as the same graph.
+    """
+    data = text.encode("ascii") if text.isascii() else b""
+    if not data or any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
+        return None
     buf = np.frombuffer(data, dtype=np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
     blank = (buf == ord(" ")) | (buf == ord("\t"))
@@ -254,26 +295,22 @@ def parse_dimacs(text: str) -> Graph:
     begins[0] = True
     begins[np.searchsorted(starts, breaks)] = True
     first = np.flatnonzero(begins[:-1])
-    lines, head = np.searchsorted(breaks, starts[first]), buf[starts[first]]
-    plain = (head == ord("e")) & (width[first] == 1)
-    plain &= np.diff(first, append=starts.size) == 3
-    u, v = (_decimal(buf, starts[first[plain] + f], width[first[plain] + f]) for f in (1, 2))
-    numeric = (u >= 0) & (v >= 0)
-    plain[plain] = numeric
-    u, v = u[numeric], v[numeric]
-    odd = ~plain & (head != ord("c"))
-    problem = lines[(head == ord("p")) & (width[first] == 1)]
-    top = problem[0] if problem.size else breaks.size
-    edges: list[tuple[int, int]] = []
-    n = _dimacs_lines_at(data, breaks, lines[(odd | plain) & (lines <= top)], None, edges)
-    if n is None:
-        raise ValueError("missing problem line")
-    # every plain line is past the problem line now
-    late = odd & (lines > top)
-    late[np.flatnonzero(plain)[(u < 1) | (u > n) | (v < 1) | (v > n)]] = True
-    _dimacs_lines_at(data, breaks, lines[late], n, edges)
-    pairs = np.stack((u - 1, v - 1), axis=1)
-    return new_graph(n, np.vstack((pairs, np.array(edges, dtype=np.int64).reshape(-1, 2))))
+    # the first field and the field count of each line that is no comment
+    keep = buf[starts[first]] != ord("c")
+    first, count = first[keep], np.diff(first, append=starts.size)[keep]
+    if not first.size or count[0] != 4:
+        return None
+    at, e = first[0], first[1:]
+    p, edge = (data[s : s + w] for s, w in zip(starts[at : at + 2], width[at : at + 2]))
+    n, m = _decimal(buf, starts[at + 2 : at + 4], width[at + 2 : at + 4]).tolist()
+    if (p, edge) != (b"p", b"edge") or min(n, m) < 0 or not (
+        (count[1:] == 3).all() and (width[e] == 1).all() and (buf[starts[e]] == ord("e")).all()
+    ):
+        return None
+    ends = np.stack([_decimal(buf, starts[e + f], width[e + f]) for f in (1, 2)], axis=1)
+    if ((ends < 1) | (ends > n)).any():
+        return None
+    return new_graph(n, ends - 1)
 
 
 def _decimal(buf: np.ndarray, starts: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -288,54 +325,6 @@ def _decimal(buf: np.ndarray, starts: np.ndarray, width: np.ndarray) -> np.ndarr
         ok[live] = digit <= 9
     value[~ok] = -1
     return value
-
-
-def _dimacs_lines_at(data: bytes, breaks: np.ndarray, at: np.ndarray, n, edges: list):
-    """Read the lines ``at`` (0-based, ascending) of the newline-separated
-    ``data`` with ``_dimacs_line``, starting from problem size ``n``; return
-    the problem size after them."""
-    for i in at.tolist():
-        begin = int(breaks[i - 1]) + 1 if i else 0
-        end = int(breaks[i]) if i < breaks.size else len(data)
-        n = _dimacs_line(i + 1, data[begin:end].decode("utf-8"), n, edges)
-    return n
-
-
-def _dimacs_line(ln: int, line: str, n: int | None, edges: list) -> int | None:
-    """Read line ``ln`` of a DIMACS file, given problem size ``n`` (None
-    before the problem line): append its edge, if any, to ``edges`` and
-    return the problem size after it."""
-    line = line.strip()
-    if not line or line.startswith("c"):
-        return n
-    parts = line.split()
-    if parts[0] == "p":
-        if n is not None:
-            raise ValueError(f"line {ln}: repeated problem line")
-        if len(parts) != 4 or parts[1] != "edge":
-            raise ValueError(f"line {ln}: malformed problem line {line!r}")
-        try:
-            n = int(parts[2])
-            int(parts[3])
-        except ValueError:
-            raise ValueError(f"line {ln}: malformed problem line {line!r}") from None
-        if n < 0:
-            raise ValueError(f"line {ln}: negative vertex count")
-        return n
-    if parts[0] == "e":
-        if n is None:
-            raise ValueError(f"line {ln}: edge before problem line")
-        if len(parts) != 3:
-            raise ValueError(f"line {ln}: malformed edge line {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {ln}: malformed edge line {line!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"line {ln}: endpoint out of range in {line!r}")
-        edges.append((u - 1, v - 1))
-        return n
-    raise ValueError(f"line {ln}: unknown line type {line!r}")
 
 
 def _digit_table(n: int) -> np.ndarray:

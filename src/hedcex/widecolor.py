@@ -6,7 +6,8 @@ the pairs as one read-only (vertices, 2) int8 array.  ``check_wide`` decides
 any of four equivalent conditions; each class that occurs is a boolean
 array read off the pairs and swept by ``n_shells``, in time linear in
 |V| + |E| per class and walk step, so no condition needs a graph power and
-hosts of any size are decided.  ``zero_position_coloring`` produces the
+hosts of any size are decided; a declared d past 2|V|, where every shell
+repeats, costs no more than 2|V|.  ``zero_position_coloring`` produces the
 canonical wide coloring of an omega graph over a complete base and checks
 it by condition 2; ``wide-check`` builds it unchecked with
 ``_zero_position`` and decides only the condition asked for.  The
@@ -150,13 +151,17 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
     """Evaluate one of the four equivalent wideness conditions.
 
     Only the classes that occur are swept, in (a, b) order; an empty class
-    is trivially wide, so the declared n x k never costs time.
+    is trivially wide, so the declared n x k never costs time.  Nor does d
+    past 2|V|: ``_validate`` refuses isolated vertices, so S_t is in S_{t+2}
+    and each parity's chain of shells stops growing within 2|V| steps; d is
+    cut to 2|V| or 2|V| + 1, whichever has its parity.
     """
     _validate(g, wc)
     if condition not in CONDITION_NAMES:
         raise ValueError("condition must be 1, 2, 3 or 4")
+    d = min(wc.d, 2 * g.n + wc.d % 2)
     return all(
-        _condition_on_class(g, wc.class_set(a, b), wc.d, condition)
+        _condition_on_class(g, wc.class_set(a, b), d, condition)
         for a, b in np.unique(wc.pairs, axis=0).tolist()
     )
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,6 +112,29 @@ def test_wide_check_sweeps_only_the_classes_that_occur(tmp_path, capsys, count_c
     code, out, _ = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma))
     assert (code, out) == (0, "wide: True (condition 2, d=2)\n")
     assert calls == {"n_shells": 2}
+
+
+def test_wide_check_cuts_a_declared_d_to_the_host(tmp_path, capsys):
+    # the gamma declares d = 10**9 on the 2-vertex host; every shell past
+    # depth 2|V| repeats, so the four conditions are decided at once
+    gamma = tmp_path / "gamma.json"
+    code, _, _ = run(
+        capsys, "wide-check", "--n", "2", "--k", "1", "--d", "2", "--gamma-out", str(gamma)
+    )
+    assert code == 0
+    doc = json.loads(gamma.read_text())
+    doc["d"] = 10**9
+    gamma.write_text(json.dumps(doc))
+    host = tmp_path / "om.col"
+    host.write_text(emit_dimacs(omega_tuples(2, 2).graph))
+    start = time.perf_counter()
+    for condition in (1, 2, 3, 4):
+        code, out, _ = run(
+            capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma),
+            "--condition", str(condition),
+        )
+        assert (code, out) == (0, f"wide: True (condition {condition}, d=1000000000)\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_color_budget_exhaustion_exit_code(capsys):

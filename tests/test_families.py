@@ -135,6 +135,36 @@ def test_shell_bits_equals_one_sweep_per_set(case):
             assert np.array_equal(got, exact_shell(g, members, t)), (j, t)
 
 
+@st.composite
+def repeating_graphs(draw):
+    """A random graph on up to 8 vertices plus up to 2 isolated ones,
+    bipartite (edges only across the halves) when drawn so, and seed bits
+    for 4 vertex sets."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    if draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if (u < n // 2) != (v < n // 2)]
+    n += draw(st.integers(0, 2))
+    seeds = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+    return new_graph(n, edges), np.array(seeds, dtype=np.uint8)
+
+
+@given(repeating_graphs())
+def test_shell_bits_past_the_repeat_matches_the_walk_oracle(case):
+    # the sweep stops once a shell repeats the one two steps back; every
+    # depth up to 3|V|, and every cut d of the list, still matches the oracle
+    g, seeds = case
+    sets = [(seeds >> j & 1).astype(bool) for j in range(4)]
+    want = [[exact_shell(g, members, t) for members in sets] for t in range(3 * g.n + 1)]
+    for d in range(3 * g.n + 1):
+        shells = shell_bits(g, seeds, d)
+        assert len(shells) == d + 1
+        for t, shell in enumerate(shells):
+            for j in range(4):
+                assert np.array_equal((shell >> j & 1).astype(bool), want[t][j]), (d, t, j)
+
+
 def test_omega_formula_matches_enumeration():
     for n in range(2, 7):
         for d in range(1, 5):

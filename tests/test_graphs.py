@@ -254,24 +254,24 @@ def _parsed(parse, text):
     return g.n, list(g.edges())
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("", "missing problem line"),
-        ("c only\n\n", "missing problem line"),
-        ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
-        ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
-        ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
-        ("p edge -3 0\n", "line 1: negative vertex count"),
-        ("p edge 3 1\ne 1 2\ne 1\n", "line 3: malformed edge line 'e 1'"),
-        ("p edge 3 1\ne 1 2\ne 1 x\n", "line 3: malformed edge line 'e 1 x'"),
-        ("p edge 3 1\n\ne 0 2\n", "line 3: endpoint out of range in 'e 0 2'"),
-        ("p edge 3 1\r\ne\t2  4 \r\n", "line 2: endpoint out of range in 'e\\t2  4'"),
-        ("p edge 3 1\fe 1 2\x1ce 1 2\u2028e 1 9\n", "line 4: endpoint out of range in 'e 1 9'"),
-        ("p edge 3 1\ne 1 2\nedge 1 2\ne 1 9\n", "line 3: unknown line type 'edge 1 2'"),
-        ("p edge 3 1\ne 1 9\nx\n", "line 2: endpoint out of range in 'e 1 9'"),
-    ],
-)
+_FIRST_BAD_LINES = [
+    ("", "missing problem line"),
+    ("c only\n\n", "missing problem line"),
+    ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
+    ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
+    ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
+    ("p edge -3 0\n", "line 1: negative vertex count"),
+    ("p edge 3 1\ne 1 2\ne 1\n", "line 3: malformed edge line 'e 1'"),
+    ("p edge 3 1\ne 1 2\ne 1 x\n", "line 3: malformed edge line 'e 1 x'"),
+    ("p edge 3 1\n\ne 0 2\n", "line 3: endpoint out of range in 'e 0 2'"),
+    ("p edge 3 1\r\ne\t2  4 \r\n", "line 2: endpoint out of range in 'e\\t2  4'"),
+    ("p edge 3 1\fe 1 2\x1ce 1 2\u2028e 1 9\n", "line 4: endpoint out of range in 'e 1 9'"),
+    ("p edge 3 1\ne 1 2\nedge 1 2\ne 1 9\n", "line 3: unknown line type 'edge 1 2'"),
+    ("p edge 3 1\ne 1 9\nx\n", "line 2: endpoint out of range in 'e 1 9'"),
+]
+
+
+@pytest.mark.parametrize("text,message", _FIRST_BAD_LINES)
 def test_dimacs_names_the_first_bad_line(text, message):
     with pytest.raises(ValueError) as error:
         parse_dimacs(text)
@@ -285,6 +285,21 @@ def test_dimacs_reads_odd_edge_lines_as_int_does():
     text = "p edge 4 9\ne +1 2\ne " + "0" * 20 + "3 4\ne 2\u00a03\ne \u0661 \u0664\n\t e 4  4\t\n"
     assert _parsed(parse_dimacs, text) == (4, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 3)])
     assert _parsed(reference_parse_dimacs, text) == _parsed(parse_dimacs, text)
+    assert graphs._plain_dimacs(text) is None
+
+
+@pytest.mark.parametrize("text", [text for text, _ in _FIRST_BAD_LINES])
+def test_plain_dimacs_leaves_every_bad_file_to_the_line_loop(text):
+    assert graphs._plain_dimacs(text) is None
+
+
+@pytest.mark.parametrize("comment", [None, "a host"])
+@pytest.mark.parametrize("host", ["omega63", "omega82", "c5_wide_build"])
+def test_plain_dimacs_reads_the_three_hosts(request, host, comment):
+    built = request.getfixturevalue(host)
+    g = built.g if host == "c5_wide_build" else built.graph
+    back = graphs._plain_dimacs(emit_dimacs(g, comment=comment))
+    assert back is not None and graph_sha256(back) == graph_sha256(g)
 
 
 _DIMACS_LINES = st.one_of(

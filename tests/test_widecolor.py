@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from hedcex.families import omega_tuples
 from hedcex.graphs import graph_sha256, new_graph
-from hedcex.widecolor import WideColoring, check_wide, zero_position_coloring
-from oracles import adjunction_holds, complete_graph, cycle_graph, rows
+from hedcex.widecolor import (
+    WideColoring,
+    _condition_on_class,
+    check_wide,
+    zero_position_coloring,
+)
+from oracles import adjunction_holds, complete_graph, cycle_graph, rows, walk_matrix
 
 
 def identity_coloring(g, d):
@@ -133,6 +138,32 @@ def test_four_conditions_agree(seed):
     wc = WideColoring(n=n, k=k, d=d, pairs=pairs)
     answers = [check_wide(g, wc, condition) for condition in (1, 2, 3, 4)]
     assert len(set(answers)) == 1, answers
+
+
+@given(st.integers(2, 9), st.integers(0, 6), st.booleans())
+def test_a_declared_d_past_twice_the_order_changes_no_verdict(cycle, tail, identity):
+    # check_wide cuts d to 2|V| or 2|V| + 1.  On a cycle with a path hung on
+    # it, a class's shells keep growing for up to about 2|V| steps; past 2|V|
+    # each one equals the shell at the cut, and for all four conditions the
+    # verdicts at d and d + 2 are the uncut ones, and agree
+    n = cycle + tail
+    ring = [(v, (v + 1) % cycle) for v in range(cycle)]
+    g = new_graph(n, ring + [(v, v + 1) for v in range(cycle - 1, n - 1)])
+    pairs = tuple((v + 1, 1) if identity else (v % 2 + 1, 1) for v in range(n))
+    classes = [np.array([p == q for p in pairs]) for q in set(pairs)]
+    for d in (2 * n, 2 * n + 1):
+        cut = walk_matrix(g, d)
+        for wide in (d, d + 2):
+            walks = walk_matrix(g, wide)
+            assert all(np.array_equal(walks[c].any(axis=0), cut[c].any(axis=0)) for c in classes)
+        for condition in (1, 2, 3, 4):
+            answers = []
+            for wide in (d, d + 2):
+                wc = WideColoring(n=len(set(pairs)), k=1, d=wide, pairs=pairs)
+                uncut = all(_condition_on_class(g, c, wide, condition) for c in classes)
+                assert check_wide(g, wc, condition) == uncut, (condition, wide)
+                answers.append(uncut)
+            assert answers[0] == answers[1], (condition, d)
 
 
 def test_condition_one_decides_a_host_above_the_old_power_limit(omega63):
