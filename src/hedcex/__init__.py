@@ -14,7 +14,6 @@ from .counterexample import (
     Report,
     VARIANTS,
     build_counterexample,
-    collision_matrix,
     params_for,
     verify_counterexample,
 )

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .families import OmegaGraph, omega_tuples, shell_bits
-from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, new_graph
+from .graphs import Graph, _unique_sorted, edge_arrays, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
 
@@ -263,13 +263,6 @@ def _table_questions(
     return hit | hit.T, takes, distinct
 
 
-def collision_matrix(g: Graph, vertices: list[FunctionVertex]) -> np.ndarray:
-    """Every exponential-graph adjacency among ``vertices`` at once."""
-    if not vertices:
-        return np.zeros((0, 0), dtype=bool)
-    return _table_questions(g, vertices)[0]
-
-
 def _two_valued(
     outside: int | np.ndarray, inside: int | np.ndarray, region: np.ndarray
 ) -> np.ndarray:
@@ -401,7 +394,7 @@ class BuildResult:
     vertices: list[FunctionVertex]
     h: Graph
     g_hash: str
-    #: True where two tables collide (``collision_matrix(g, vertices)``).
+    #: True where two tables collide (``_table_questions(g, vertices)[0]``).
     collisions: np.ndarray
     #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
     takes: np.ndarray
@@ -546,7 +539,9 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     rule compares each constant's collision row with the "takes color i"
     row, and ``chain`` (``chain_check`` at q = 1) reads pairs that are not H
     edges off the collision matrix.  A table with no collision is a proper
-    c-coloring of G, so the loop check is the evidence of ``chi_g``.
+    c-coloring of G, so the loop check is the evidence of ``chi_g``.  The
+    host hash is gamma's pin, which ``_zero_position`` takes from this host: a
+    graph caches no hash, so the build hashes its host once.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
@@ -580,7 +575,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     h = new_graph(m, edges, label=f"H[{params.variant}]")
     build = BuildResult(
         params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
-        g_hash=graph_sha256(g), collisions=collisions, takes=takes,
+        g_hash=gamma.graph_sha, collisions=collisions, takes=takes,
     )
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
     # const(i) is adjacent to w exactly where w misses i: a collision row of

@@ -12,11 +12,12 @@
   against their closed forms.
 * ``shell_bits(g, seeds, t)`` sweeps the host for the endpoints of walks of
   length exactly 0..t from up to one vertex set per bit of its seed array,
-  over the graph's CSR neighbor arrays, linear in |V| + |E| per step.  The
-  shells of a union of seeds are the unions of their shells, so a
-  counterexample build sweeps all color classes of its wide coloring at
-  once, one bit per class, and stops at the first shell that repeats the
-  one two steps back.  ``n_shells`` is the one-set case, on boolean arrays.
+  over the graph's CSR neighbor arrays, built once per sweep, linear in
+  |V| + |E| per step.  The shells of a union of seeds are the unions of
+  their shells, so a counterexample build sweeps all color classes of its
+  wide coloring at once, one bit per class, and stops at the first shell
+  that repeats the one two steps back.  ``n_shells`` is the one-set case,
+  on boolean arrays.
 """
 
 from __future__ import annotations
@@ -112,13 +113,20 @@ def _omega_digits(n: int, d: int) -> np.ndarray:
     """
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
+    # refused before the (d+2)^n code space is enumerated, by the bound of
+    # ``new_graph``
+    count = omega_vertex_count(n, d)
+    if count > 1 << 31:
+        raise ValueError(
+            f"tuple adjoint at n={n} d={d} has {count} vertices, past 2**31, "
+            "the most int32 vertices can number"
+        )
     digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1).T
     valid = ((digits == 0).sum(axis=1) == 1) & (digits == 1).any(axis=1)
     digits = digits[valid]
-    expect = omega_vertex_count(n, d)
-    if len(digits) != expect:
+    if len(digits) != count:
         raise RuntimeError(
-            f"tuple enumeration produced {len(digits)} vertices, formula says {expect}"
+            f"tuple enumeration produced {len(digits)} vertices, formula says {count}"
         )
     return digits
 
@@ -192,7 +200,8 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     is proportional to the number of edges, not to the square of the order.
     Both are checked: RuntimeError if the enumeration leaves the vertex set,
     generates an edge more than once, or yields an edge count other than
-    ``omega_edge_count(n, d)``.
+    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1 or more than
+    2**31 vertices, the last before any enumeration.
     """
     digits = _omega_digits(n, d)
     edges = _omega_edges(digits, d)

@@ -7,10 +7,11 @@ checks, function tables, hashing and the coloring search all run on the
 edge arrays or on the CSR neighbor arrays read off them, in time linear in
 |V| + |E|.
 
-Graphs are treated as immutable once built; the CSR neighbor arrays of
-``neighbor_arrays`` and the hash are computed once per instance and cached
-on it.  Any labels (tuples, function names) live in side tables kept by the
-callers; this module only ever sees dense integers.
+Graphs are treated as immutable once built and hold nothing but their
+order, label and edge arrays: the CSR neighbor arrays of ``neighbor_arrays``
+and the hash are computed afresh on every call, so a caller that needs one
+twice keeps it itself.  Any labels (tuples, function names) live in side
+tables kept by the callers; this module only ever sees dense integers.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ class Graph:
     Built by ``new_graph``, which hands over the canonical edge arrays.
     """
 
-    __slots__ = ("n", "label", "_earrays", "_csr", "_sha")
+    __slots__ = ("n", "label", "_earrays")
 
     def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray, label: str | None = None):
         self.n = n
         self.label = label
         self._earrays = (eu, ev)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._sha: str | None = None
 
     def has_loop(self) -> bool:
         return self.loops() > 0
@@ -193,26 +192,23 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form.
 
     The neighbors of ``v`` are ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a
-    loop listed once; both arrays are int32.  Computed once per instance and
-    cached on it.
+    loop listed once; both arrays are int32.  Built afresh on every call.
     """
-    if g._csr is None:
-        eu, ev = edge_arrays(g)
-        inner = eu != ev
-        # the arcs v -> u of the non-loop edges and u -> v of every edge,
-        # one pair key each, sorted in place: the keys are the one
-        # arc-sized array, where an argsort would need the sources, the
-        # targets and an int64 permutation at once
-        keys, b = _pair_keys(g.n, (ev[inner], eu), (eu[inner], ev))
-        keys.sort()
-        # row v starts at the first key at or above v << b, which is below
-        # 2**(2b) for every vertex, so it fits the key dtype
-        ptr = np.empty(g.n + 1, dtype=np.int32)
-        ptr[:-1] = np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b)
-        ptr[-1] = keys.size
-        keys &= (1 << b) - 1
-        g._csr = (ptr, _low_int32(keys))
-    return g._csr
+    eu, ev = edge_arrays(g)
+    inner = eu != ev
+    # the arcs v -> u of the non-loop edges and u -> v of every edge, one
+    # pair key each, sorted in place: the keys are the one arc-sized array,
+    # where an argsort would need the sources, the targets and an int64
+    # permutation at once
+    keys, b = _pair_keys(g.n, (ev[inner], eu), (eu[inner], ev))
+    keys.sort()
+    # row v starts at the first key at or above v << b, which is below
+    # 2**(2b) for every vertex, so it fits the key dtype
+    ptr = np.empty(g.n + 1, dtype=np.int32)
+    ptr[:-1] = np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b)
+    ptr[-1] = keys.size
+    keys &= (1 << b) - 1
+    return ptr, _low_int32(keys)
 
 
 # -- DIMACS col format ----------------------------------------------------
@@ -403,14 +399,12 @@ def graph_sha256(g: Graph) -> str:
     """SHA-256 of the canonical DIMACS emission (no comments).
 
     The byte chunks of ``_dimacs_lines`` are hashed as they stream, never
-    held whole, and the digest is cached on the instance.
+    held whole; each call hashes the whole emission again.
     """
-    if g._sha is None:
-        digest = hashlib.sha256()
-        for chunk in _dimacs_lines(g):
-            digest.update(chunk)
-        g._sha = digest.hexdigest()
-    return g._sha
+    digest = hashlib.sha256()
+    for chunk in _dimacs_lines(g):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def emit_dot(g: Graph, labels: list[str] | None = None) -> str:

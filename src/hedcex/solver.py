@@ -5,7 +5,8 @@ nonexistence) or ``exhausted`` (node budget hit first).  ``exhausted`` is
 never collapsed into ``none``; callers must treat it as "no verdict".
 
 Colorability is backtracking with forward checking on int32 neighbor arrays:
-the graph's cached CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``).
+the graph's CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``), built
+once per search.
 The graphs searched are the H of a counterexample (at most 165 vertices)
 and the census graphs (at most 300 at its defaults).  Every vertex keeps a
 domain bitmask; coloring a vertex removes its color from its uncolored
@@ -50,7 +51,6 @@ __all__ = [
     "EXHAUSTED",
     "SearchBudget",
     "ColoringResult",
-    "greedy_clique",
     "find_coloring",
     "verify_coloring",
 ]
@@ -94,6 +94,8 @@ def _neighbor_arrays(g: Graph) -> tuple[array, array]:
 
 
 def _clique_from(ptr: array, dst: array) -> list[int]:
+    """Maximal clique grown greedily by descending degree, ties low index,
+    on the arrays of ``_neighbor_arrays``."""
     # a vertex joins iff every member so far is its neighbor, tracked as a
     # per-vertex count of adjacent members
     degree = np.diff(np.frombuffer(ptr, dtype=np.int32))
@@ -105,11 +107,6 @@ def _clique_from(ptr: array, dst: array) -> list[int]:
             for u in dst[ptr[v] : ptr[v + 1]]:
                 touching[u] += 1
     return clique
-
-
-def greedy_clique(g: Graph) -> list[int]:
-    """Maximal clique grown greedily by descending degree, ties low index."""
-    return _clique_from(*_neighbor_arrays(g))
 
 
 def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:

@@ -4,17 +4,17 @@ A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
 keeps its exact-distance-d neighborhood independent.  ``WideColoring`` holds
 the pairs as one read-only (vertices, 2) int8 array.  ``check_wide`` decides
 any of four equivalent conditions; each class that occurs is a boolean
-array read off the pairs and swept by ``n_shells``, in time linear in
-|V| + |E| per class and walk step, so no condition needs a graph power and
-hosts of any size are decided; a declared d past 2|V|, where every shell
-repeats, costs no more than 2|V|.  ``zero_position_coloring`` produces the
-canonical wide coloring of an omega graph over a complete base and checks
-it by condition 2; ``wide-check`` builds it unchecked with
-``_zero_position`` and decides only the condition asked for.  The
-counterexample build makes the same coloring but sweeps it itself: it gives
-every class one bit and sweeps all classes at once with ``shell_bits``,
-keeps every shell for its function tables, and checks condition 2 for all
-classes with one AND over the edge arrays.
+array read off the pairs and swept by ``n_shells``, over CSR arrays built
+for that sweep, in time linear in |V| + |E| per class and walk step, so no
+condition needs a graph power and hosts of any size are decided; a declared
+d past 2|V|, where every shell repeats, costs no more than 2|V|.
+``zero_position_coloring`` produces the canonical wide coloring of an omega
+graph over a complete base and checks it by condition 2; ``wide-check``
+builds it unchecked with ``_zero_position`` and decides only the condition
+asked for.  The counterexample build makes the same coloring but sweeps it
+itself: it gives every class one bit and sweeps all classes at once with
+``shell_bits``, keeps every shell for its function tables, and checks
+condition 2 for all classes with one AND over the edge arrays.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ bitset rows read off the edge list, plain backtracking with no ordering
 heuristics, dense numpy walk matrices, and quadratic scans.  The exception
 is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
 ``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
-that the byte emitter of ``hedcex.graphs`` must reproduce, the line-by-line
-DIMACS reader its numpy parser must match, the small named
+that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
 graphs the tests use as fixtures, the one-pair edge scan that the
 collision matrix is checked against, the set-tuple form of the adjoint
 (which the tuple form in ``hedcex.families`` is checked against), and the
@@ -50,47 +49,6 @@ def reference_dimacs(g: Graph) -> str:
     eu, ev = edge_arrays(g)
     ends = tuple((np.column_stack((eu, ev)).astype(np.int64) + 1).ravel().tolist())
     return f"p edge {g.n} {g.edge_count}\n" + "e %d %d\n" * g.edge_count % ends
-
-
-def reference_parse_dimacs(text: str) -> Graph:
-    """DIMACS ``.col`` text read one ``splitlines`` line at a time, raising
-    ValueError at the first bad line with its 1-based number."""
-    n = None
-    edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ValueError(f"line {ln}: repeated problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"line {ln}: malformed problem line {line!r}")
-            try:
-                n = int(parts[2])
-                int(parts[3])
-            except ValueError:
-                raise ValueError(f"line {ln}: malformed problem line {line!r}") from None
-            if n < 0:
-                raise ValueError(f"line {ln}: negative vertex count")
-        elif parts[0] == "e":
-            if n is None:
-                raise ValueError(f"line {ln}: edge before problem line")
-            if len(parts) != 3:
-                raise ValueError(f"line {ln}: malformed edge line {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(f"line {ln}: malformed edge line {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"line {ln}: endpoint out of range in {line!r}")
-            edges.append((u - 1, v - 1))
-        else:
-            raise ValueError(f"line {ln}: unknown line type {line!r}")
-    if n is None:
-        raise ValueError("missing problem line")
-    return new_graph(n, edges)
 
 
 # -- named graphs ---------------------------------------------------------------

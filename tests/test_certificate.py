@@ -292,7 +292,7 @@ def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
 
 
 def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
-    # the build reads loops and H edges off collision_matrix, and the
+    # the build reads loops and H edges off its collision matrix, and the
     # certificate's tables are the build's by digest; re-derive each loop and
     # stored edge with the independent one-pair scan
     build = c5_report.build

@@ -70,6 +70,15 @@ def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
     code, out, err = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma))
     assert (code, out) == (2, "")
     assert "vertex count 3000000000 exceeds 2**31" in err and "Traceback" not in err
+    # a zero-position host is named by its vertex count before the
+    # (d+2)^(nk) code space is built
+    code, out, err = run(capsys, "wide-check", "--n", "5", "--k", "4", "--d", "6")
+    assert (code, out) == (2, "")
+    count = families.omega_vertex_count(20, 6)
+    assert err == (
+        f"hedcex: tuple adjoint at n=20 d=6 has {count} vertices, past 2**31, "
+        "the most int32 vertices can number\n"
+    )
 
 
 @pytest.mark.parametrize(

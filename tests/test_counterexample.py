@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +15,12 @@ from hedcex.counterexample import (
     build_counterexample,
     chain_check,
     checked_build,
-    collision_matrix,
     parameter_check,
     params_for,
     shifted,
     verify_counterexample,
 )
-from hedcex import counterexample, families
+from hedcex import counterexample, families, graphs
 from hedcex.families import n_shells, shell_bits
 from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
@@ -146,7 +147,7 @@ def tables_on_a_loopy_graph(draw):
 @given(tables_on_a_loopy_graph())
 def test_collision_matrix_matches_oracle(case):
     g, c, vertices = case
-    hit = collision_matrix(g, vertices)
+    hit = counterexample._table_questions(g, vertices)[0]
     assert hit.shape == (len(vertices), len(vertices)) and hit.dtype == bool
     for a, f in enumerate(vertices):
         for b, w in enumerate(vertices):
@@ -236,13 +237,12 @@ def test_table_questions_refuse_a_table_that_is_not_int8():
 def test_collision_matrix_on_an_edgeless_host():
     g = new_graph(4, [])
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
-    assert not collision_matrix(g, vertices).any()
-    assert collision_matrix(g, []).shape == (0, 0)
+    assert not counterexample._table_questions(g, vertices)[0].any()
     empty = new_graph(0, [])
-    assert not collision_matrix(empty, [fv("a", []), fv("b", [])]).any()
-    assert collision_matrix(empty, [fv("a", [])]).shape == (1, 1)
+    assert not counterexample._table_questions(empty, [fv("a", []), fv("b", [])])[0].any()
+    assert counterexample._table_questions(empty, [fv("a", [])])[0].shape == (1, 1)
     with pytest.raises(ValueError):
-        collision_matrix(g, [fv("short", [1, 2])])
+        counterexample._table_questions(g, [fv("short", [1, 2])])
 
 
 # -- builds -------------------------------------------------------------------
@@ -325,11 +325,31 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
 
 
 def test_one_host_per_verify(count_calls):
-    # every report item is read off one host and one sweep
+    # every report item is read off one host and one sweep; a graph caches
+    # neither its hash nor its CSR arrays, so the build takes its host hash
+    # from gamma's pin, and CSR arrays are built once for the host's sweep
+    # and once for the search on H
     calls = count_calls(families, "omega_tuples", "shell_bits")
+    derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays")
     report = verify_counterexample(params_for("c5_refined"))
     assert report.status == "PASS"
     assert calls == {"omega_tuples": 1, "shell_bits": 1}
+    assert derived == {"_dimacs_lines": 1, "neighbor_arrays": 2}
+
+
+def test_a_c7_report_keeps_no_host_csr():
+    # the host's edge arrays (3.3 MB) and the tables stay with the report;
+    # the host CSR arrays (3.4 MB more) do not
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_counterexample(params_for("c7"))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.status == "PASS"
+    assert kept < 5 * 2**20
 
 
 def test_a_narrow_class_is_named(monkeypatch):

@@ -17,7 +17,6 @@ from hedcex.solver import (
     SOME,
     SearchBudget,
     find_coloring,
-    greedy_clique,
     verify_coloring,
 )
 from oracles import (
@@ -124,7 +123,7 @@ def test_greedy_clique_is_a_clique():
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 12), 0.5)
         adj = rows(g)
-        clique = greedy_clique(g)
+        clique = solver._clique_from(*solver._neighbor_arrays(g))
         assert len(clique) >= 1
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
@@ -174,7 +173,7 @@ def test_coloring_vs_clique_lower_bound(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10), 0.5)
     value, assignment = chromatic(g)
-    assert value >= len(greedy_clique(g))
+    assert value >= len(solver._clique_from(*solver._neighbor_arrays(g)))
     assert verify_coloring(g, assignment, value)
 
 
@@ -214,7 +213,7 @@ def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit):
         assert _transcript(ours) == _transcript(full)
     again = find_coloring(g, c, SearchBudget(node_limit=limit))
     assert _transcript(again) == _transcript(ours)
-    assert greedy_clique(g) == reference_greedy_clique(g)
+    assert solver._clique_from(*solver._neighbor_arrays(g)) == reference_greedy_clique(g)
 
 
 def _transcript_corpus():
