@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import certificate as certmod
 from . import counterexample as cex
 from .families import omega_tuples
-from .graphs import Graph, parse_dimacs
+from .graphs import Graph, graph_sha256, parse_dimacs
 from .solver import SearchBudget
 from .widecolor import WideColoring, _zero_position, check_wide
 
@@ -75,7 +76,7 @@ def _cmd_wide_check(args) -> int:
             print("wide-check: --n, --k and --d go together", file=sys.stderr)
             return EXIT_USAGE
         omega = omega_tuples(args.n * args.k, args.d)
-        # built unchecked: the requested condition below is the one decided
+        # unchecked and unpinned: only the condition asked for is decided
         wc = _zero_position(omega, args.n, args.k)
         g = omega.graph
     else:
@@ -96,6 +97,8 @@ def _cmd_wide_check(args) -> int:
     }
     _emit(args, doc, f"wide: {ok} (condition {args.condition}, d={wc.d})")
     if args.gamma_out:
+        if zero_mode:
+            wc = replace(wc, graph_sha=graph_sha256(g))
         with open(args.gamma_out, "w", encoding="utf-8") as fh:
             fh.write(wc.to_json() + "\n")
     return EXIT_OK if ok else EXIT_FAILED

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .families import OmegaGraph, omega_tuples, shell_bits
-from .graphs import Graph, _unique_sorted, edge_arrays, new_graph
+from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
 
@@ -188,9 +188,10 @@ def _table_questions(
     are found on packed columns: with b the bit width of the largest value,
     each byte holds floor(8 / b) tables, b bits apiece (two tables for
     colors up to 7, one from b = 5 on), so for up to 7 colors ``np.unique``
-    compares rows of m / 2 bytes, rounded up.  Packing is one-to-one, so
-    the classes are those of the plain columns, and ``qt`` is read back
-    from the unpacked tables at one host vertex per class.
+    compares rows of m / 2 bytes, rounded up.  Each table is shifted into
+    its byte group alone, so no (m, |V|) copy of the tables is made.
+    Packing is one-to-one, so the classes are those of the plain columns,
+    and ``qt`` is read off each table at one host vertex per class.
 
     For the matrix, the distinct class pairs that host edges realize are
     sorted by source class, coded as int32 while K^2 fits.  Each color x
@@ -208,21 +209,17 @@ def _table_questions(
             raise ValueError("function table does not match the host vertex set")
         if v.table.dtype != np.int8:
             raise ValueError(f"function table {v.label} is {v.table.dtype}, not int8")
-    # zero rows up to a multiple of 8 tables, so that every packing width
-    # below finds whole bytes
-    stack = np.zeros((-(-m // 8) * 8, g.n), dtype=np.int8)
-    rows = np.stack([v.table for v in vertices], out=stack[:m])
-    top = int(stack.view(np.uint8).max(initial=0))
+    top = max(int(v.table.view(np.uint8).max(initial=0)) for v in vertices)
     if top > np.iinfo(np.int8).max:
-        bad = vertices[int(np.argmax(rows.min(axis=1) < 0))]
+        bad = next(v for v in vertices if v.table.min() < 0)
         raise ValueError(f"function table {bad.label} takes a negative value")
     width = max(top.bit_length(), 1)
     per = 8 // width
-    lanes = stack.view(np.uint8)[: -(-m // per) * per].reshape(-(-m // per), per, g.n)
-    packed = lanes[:, 0].copy()
-    for j in range(1, per):
-        packed |= lanes[:, j] << (width * j)
-    del lanes
+    packed = np.zeros((-(-m // per), g.n), dtype=np.uint8)
+    lane = np.empty(g.n, dtype=np.uint8)
+    for a, v in enumerate(vertices):
+        np.left_shift(v.table.view(np.uint8), width * (a % per), out=lane)
+        packed[a // per] |= lane
     # packed on the rows, then transposed into one contiguous (n, bytes)
     # array whose rows np.unique compares as single void values
     cols = np.ascontiguousarray(packed.T)
@@ -233,8 +230,8 @@ def _table_questions(
         return_inverse=True,
     )
     del cols
-    qt = np.take(rows, first, axis=1)
-    del stack, rows, first
+    qt = np.stack([np.take(v.table, first) for v in vertices])
+    del first
     k = qt.shape[1]
     cls = cls.astype(np.int32 if k * k < 1 << 31 else np.int64)
     eu, ev = edge_arrays(g)
@@ -495,18 +492,16 @@ def _check(name: str, evidence: dict, error: object, **witness) -> ReportItem:
 
 
 def chain_check(
-    build: BuildResult,
-    q: int,
-    depths: range = range(1, 5),
+    build: BuildResult, depths: range = range(1, 5)
 ) -> tuple[int, tuple[str, str] | None]:
-    """Exponential-graph adjacency between consecutive h levels whenever
-    i != i', j != j' and i != j'.  Read off the build's collision matrix,
-    not off H, since H keeps only one predecessor per vertex.  Returns
-    (pairs checked, first failing label pair or None).
+    """Exponential-graph adjacency between consecutive h levels of q = 1
+    whenever i != i', j != j' and i != j'.  Read off the build's collision
+    matrix, not off H, since H keeps only one predecessor per vertex.
+    Returns (pairs checked, first failing label pair or None).
     """
     by_depth: dict[int, list[int]] = {}
     for idx, v in enumerate(build.vertices):
-        if v.role[:2] == ("h", q):
+        if v.role[:2] == ("h", 1):
             by_depth.setdefault(v.role[2], []).append(idx)
     checked = 0
     for d in depths:
@@ -537,18 +532,19 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     checks of that coloring; f ~ each level-one h and the pairwise edges of
     each g family are H edges, so that item decides them too.  The const
     rule compares each constant's collision row with the "takes color i"
-    row, and ``chain`` (``chain_check`` at q = 1) reads pairs that are not H
+    row, and ``chain`` (``chain_check``) reads pairs that are not H
     edges off the collision matrix.  A table with no collision is a proper
-    c-coloring of G, so the loop check is the evidence of ``chi_g``.  The
-    host hash is gamma's pin, which ``_zero_position`` takes from this host: a
-    graph caches no hash, so the build hashes its host once.
+    c-coloring of G, so the loop check is the evidence of ``chi_g``.  A
+    graph caches no hash, so the build hashes its host once: that hash is
+    ``g_hash`` and gamma's pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     c, d = params.c, params.d
     omega = omega_tuples(params.base, d)
     g = omega.graph
-    gamma = _zero_position(omega, params.n, params.k)
+    g_hash = graph_sha256(g)
+    gamma = replace(_zero_position(omega, params.n, params.k), graph_sha=g_hash)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
     class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), d)
@@ -575,7 +571,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     h = new_graph(m, edges, label=f"H[{params.variant}]")
     build = BuildResult(
         params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
-        g_hash=gamma.graph_sha, collisions=collisions, takes=takes,
+        g_hash=g_hash, collisions=collisions, takes=takes,
     )
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
     # const(i) is adjacent to w exactly where w misses i: a collision row of
@@ -617,7 +613,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
         ),
     ]
     if params.variant == "c5_wide":
-        pairs, broken = chain_check(build, q=1)
+        pairs, broken = chain_check(build)
         checks.append(
             _check(
                 "chain",

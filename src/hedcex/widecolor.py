@@ -9,18 +9,18 @@ for that sweep, in time linear in |V| + |E| per class and walk step, so no
 condition needs a graph power and hosts of any size are decided; a declared
 d past 2|V|, where every shell repeats, costs no more than 2|V|.
 ``zero_position_coloring`` produces the canonical wide coloring of an omega
-graph over a complete base and checks it by condition 2; ``wide-check``
-builds it unchecked with ``_zero_position`` and decides only the condition
-asked for.  The counterexample build makes the same coloring but sweeps it
-itself: it gives every class one bit and sweeps all classes at once with
-``shell_bits``, keeps every shell for its function tables, and checks
-condition 2 for all classes with one AND over the edge arrays.
+graph over a complete base, checks it by condition 2 and pins it to its
+host; ``wide-check`` builds it unchecked and unpinned with ``_zero_position``
+and decides only the condition asked for.  The build makes the same coloring
+but sweeps it itself: every class gets one bit, all are swept at once with
+``shell_bits``, whose shells feed the function tables, and condition 2 is
+one AND over the edge arrays; gamma's pin is the build's one host hash.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,13 +71,9 @@ class WideColoring:
             and np.array_equal(self.pairs, other.pairs)
         )
 
-    def class_set(self, a: int, b: int | None = None) -> np.ndarray:
-        """Boolean membership array of class (a, b), or of every class with
-        first coordinate a when ``b`` is None."""
-        members = self.pairs[:, 0] == a
-        if b is not None:
-            members &= self.pairs[:, 1] == b
-        return members
+    def class_set(self, a: int, b: int) -> np.ndarray:
+        """Boolean membership array of class (a, b)."""
+        return (self.pairs[:, 0] == a) & (self.pairs[:, 1] == b)
 
     def to_json(self) -> str:
         doc = {
@@ -167,12 +163,12 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
 
 
 def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
-    """The zero-position coloring of ``omega``, its wideness not yet checked."""
+    """The zero-position coloring of ``omega``, unchecked and unpinned."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
     zero = omega.zero_positions()
     pairs = np.column_stack((zero // k + 1, zero % k + 1))
-    return WideColoring(n=n, k=k, d=omega.d, pairs=pairs, graph_sha=graph_sha256(omega.graph))
+    return WideColoring(n=n, k=k, d=omega.d, pairs=pairs)
 
 
 def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
@@ -182,7 +178,7 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     (p // k + 1, p % k + 1): consecutive blocks of k positions share a first
     coordinate.  Wideness at half-width ``omega.d`` is a
     construction invariant, so condition 2 is asserted here rather than
-    assumed.
+    assumed.  The checked coloring is pinned to its host's hash.
     """
     wc = _zero_position(omega, n, k)
     if not check_wide(omega.graph, wc, condition=2):
@@ -190,4 +186,4 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
             "zero-position coloring failed the wideness check; "
             "the omega construction and the checker disagree"
         )
-    return wc
+    return replace(wc, graph_sha=graph_sha256(omega.graph))

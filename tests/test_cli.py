@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from hedcex import counterexample as cex
-from hedcex import families
+from hedcex import families, graphs
 from hedcex.certificate import certificate_to_json, emit_certificate
 from hedcex.cli import main
 from hedcex.families import omega_tuples
-from hedcex.graphs import emit_dimacs
+from hedcex.graphs import emit_dimacs, graph_sha256
+from hedcex.widecolor import zero_position_coloring
 
 
 def run(capsys, *argv):
@@ -38,6 +39,23 @@ def test_wide_check_zero_mode_decides_once(count_calls, capsys):
     code, out, _ = run(capsys, "wide-check", "--n", "2", "--k", "2", "--d", "1", "--condition", "2")
     assert (code, out) == (0, "wide: True (condition 2, d=1)\n")
     assert calls == {"n_shells": 4}
+
+
+def test_wide_check_zero_mode_hashes_only_to_pin(count_calls, tmp_path, capsys):
+    # the zero-position coloring is checked unpinned; its host is hashed
+    # once, and only when --gamma-out writes the pinned coloring
+    lines = count_calls(graphs, "_dimacs_lines")
+    code, _, _ = run(capsys, "wide-check", "--n", "4", "--k", "2", "--d", "2")
+    assert (code, lines) == (0, {"_dimacs_lines": 0})
+    gamma = tmp_path / "gamma.json"
+    code, _, _ = run(
+        capsys, "wide-check", "--n", "4", "--k", "2", "--d", "2", "--gamma-out", str(gamma)
+    )
+    assert (code, lines) == (0, {"_dimacs_lines": 1})
+    omega = omega_tuples(8, 2)
+    wc = zero_position_coloring(omega, 4, 2)
+    assert gamma.read_text() == wc.to_json() + "\n"
+    assert wc.graph_sha == graph_sha256(omega.graph)
 
 
 def test_wide_check_file_mode(tmp_path, capsys):

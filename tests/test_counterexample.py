@@ -352,6 +352,29 @@ def test_a_c7_report_keeps_no_host_csr():
     assert kept < 5 * 2**20
 
 
+def test_table_questions_copy_no_table_array(c5_wide_build):
+    # each of the 165 wide tables is packed straight into its byte group
+    # (peak 15.1 MB); packing off a stacked copy of them, padded to 168
+    # rows of |V| bytes (9.1 MB), peaks at 23.8 MB
+    build = c5_wide_build
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counterexample._table_questions(build.g, build.vertices)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
+
+
+def test_checked_build_hashes_its_host_once(count_calls):
+    # one hash of the host is both the build's g_hash and gamma's pin
+    lines = count_calls(graphs, "_dimacs_lines")
+    build, _ = checked_build(params_for("c5_refined"))
+    assert lines == {"_dimacs_lines": 1}
+    assert build.gamma.graph_sha == build.g_hash == graph_sha256(build.g)
+
+
 def test_a_narrow_class_is_named(monkeypatch):
     zero_position = counterexample._zero_position
 
@@ -385,7 +408,7 @@ def test_build_shells_of_q_are_its_class_shells(c5_report):
     build = c5_report.build
     d = build.params.d
     for q in range(1, build.params.n + 1):
-        shells = n_shells(build.g, build.gamma.class_set(q), d)
+        shells = n_shells(build.g, build.gamma.pairs[:, 0] == q, d)
         for v in build.vertices:
             if v.role[:2] == ("h", q):
                 _, _, depth, i, j = v.role
@@ -464,7 +487,7 @@ def test_h_is_critical(request, report, order, size):
 
 def test_chain_holds_at_every_depth(c5_wide_build):
     for depths in (range(1, 2), range(2, 3), range(3, 4), range(4, 5)):
-        pairs, bad = chain_check(c5_wide_build, q=1, depths=depths)
+        pairs, bad = chain_check(c5_wide_build, depths=depths)
         assert bad is None and pairs > 0, bad
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from hedcex import graphs
 from hedcex.families import omega_tuples
 from hedcex.graphs import graph_sha256, new_graph
 from hedcex.widecolor import (
@@ -96,6 +97,15 @@ def test_zero_position_two_vertex_host():
     assert wc.pairs.dtype == np.int8 and not wc.pairs.flags.writeable
 
 
+def test_zero_position_coloring_hashes_its_host_once(count_calls):
+    # checked unpinned, then pinned with one hash
+    lines = count_calls(graphs, "_dimacs_lines")
+    om = omega_tuples(4, 1)
+    wc = zero_position_coloring(om, 2, 2)
+    assert lines == {"_dimacs_lines": 1}
+    assert wc.graph_sha == graph_sha256(om.graph)
+
+
 def test_zero_position_shape_mismatch():
     with pytest.raises(ValueError):
         zero_position_coloring(omega_tuples(4, 1), 3, 1)
@@ -111,7 +121,7 @@ def test_zero_position_split_classes():
         [p // 2 + 1, p % 2 + 1] for p in om.zero_positions().tolist()
     ]
     # merged alpha classes are unions of the fine classes
-    assert np.array_equal(wc.class_set(1), wc.class_set(1, 1) | wc.class_set(1, 2))
+    assert np.array_equal(wc.pairs[:, 0] == 1, wc.class_set(1, 1) | wc.class_set(1, 2))
 
 
 def test_class_sets_partition():
