@@ -9,16 +9,18 @@ then of vertex 1, ...) for gamma.
 
 ``check_certificate`` refuses missing fields, a version other than
 ``CERTIFICATE_VERSION`` (naming the version) and invalid parameters, and
-then rebuilds the construction from the parameters, once.  The build raises
-the first failed of its checks: the pinned counts, wideness, pairwise
-distinct tables, every H edge being an edge of the exponential graph (which
-is the product coloring), the const rule, on c5_wide the chain between
-consecutive h levels, and no loops.  Every other comparison is made against
-that rebuild, in one pass.  Both chromatic verdicts must be about c colors,
-and the product verdict (the ``h_edges_real`` item) must count the
-rebuild's 2|E(H)||E(G)| ordered checks.  The chi(H) verdict is trusted
-together with its node count, which must be a positive integer; the chi(G)
-verdict is attributed to a published identity, and no other status is
+then rebuilds the construction from the parameters, once, with
+``build_counterexample``.  A rebuild that fails its checks (the pinned
+counts, wideness, pairwise distinct tables, every H edge being an edge of
+the exponential graph, which is the product coloring, the const rule, on
+c5_wide the chain between consecutive h levels, and no loops) is refused
+with one line per failed check, in item order, as ``verify`` prints them; an
+exception from inside the build is one such line.  Every other comparison is
+made against that rebuild, in one pass.  Both chromatic verdicts must be
+about c colors, and the product verdict (the ``h_edges_real`` item) must
+count the rebuild's 2|E(H)||E(G)| ordered checks.  The chi(H) verdict is
+trusted together with its node count, which must be a positive integer; the
+chi(G) verdict is attributed to a published identity, and no other status is
 accepted.  The H edge list must be well formed, free of duplicates, and
 equal to the rebuild's in count and as a set, so an edge out of range or a
 loop is a spurious edge.  Then come the host hash and counts, the wide
@@ -148,10 +150,12 @@ def check_certificate(cert: dict) -> CertificateCheck:
         return CertificateCheck(failures)
 
     try:
-        rebuilt = build_counterexample(params)
+        rebuilt, items = build_counterexample(params)
+        errors = [item.detail["error"] for item in items if not item.ok]
     except (RuntimeError, ValueError) as err:
-        failures.append(f"canonical rebuild failed: {err}")
-        return CertificateCheck(failures)
+        errors = [err]
+    if errors:
+        return CertificateCheck([f"canonical rebuild failed: {error}" for error in errors])
     canon = _pinned(rebuilt)
 
     verdicts = cert["verdicts"]

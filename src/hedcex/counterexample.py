@@ -7,8 +7,8 @@ projection of a wide coloring, and two-valued "h" / selector-valued "g"
 functions supported on exact-distance neighborhoods of a color class.
 Together with the host (an omega graph over a complete base) they form a
 finite pair (G, H) whose tensor product is c-colorable while both factors
-need more than c colors.  ``checked_build`` returns the pair with its
-checks as named report items, each of which can fail; the coloring
+need more than c colors.  ``build_counterexample`` returns the pair with
+its checks as named report items, each of which can fail; the coloring
 (v, f) -> f(v) of G x H is proper exactly when every edge of H is an edge
 of the exponential graph, so the product coloring is the ``h_edges_real``
 check and is not scanned again.  ``verify_counterexample`` runs the full
@@ -517,7 +517,7 @@ def chain_check(
     return checked, None
 
 
-def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[ReportItem]]:
+def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, list[ReportItem]]:
     """(the pair (G, H), its checks): the report items ``counts``,
     ``wide_coloring``, ``distinct_tables``, ``h_edges_real``,
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
@@ -568,7 +568,7 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices)
     edges = _skeleton_edges(params, vertices, takes)
-    h = new_graph(m, edges, label=f"H[{params.variant}]")
+    h = new_graph(m, edges)
     build = BuildResult(
         params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
         g_hash=g_hash, collisions=collisions, takes=takes,
@@ -638,22 +638,6 @@ def checked_build(params: CounterexampleParams) -> tuple[BuildResult, list[Repor
     return build, checks
 
 
-def build_counterexample(params: CounterexampleParams) -> BuildResult:
-    """Assemble the pair (G, H): host omega graph, wide coloring, and the
-    skeleton subgraph of the exponential graph on the named functions.
-
-    The ``error`` of the first failed check of ``checked_build`` (pinned
-    counts, wideness, table distinctness, every H edge real in the
-    exponential graph, the const rule, on c5_wide the chain, no loops) is
-    raised as a RuntimeError.
-    """
-    build, checks = checked_build(params)
-    failed = next((item for item in checks if not item.ok), None)
-    if failed is not None:
-        raise RuntimeError(failed.detail["error"])
-    return build
-
-
 # -- verification -------------------------------------------------------------
 
 
@@ -691,10 +675,10 @@ def verify_counterexample(
     """Run the whole pipeline and grade every claim.
 
     Three steps: the parameter inequalities, the checks of
-    ``checked_build`` (counts, wideness, distinct tables, every H edge an
-    exponential-graph edge, which makes the product coloring proper, the
-    const rule, on c5_wide the chain, and no loops), and the search for a
-    c-coloring of H, reported as ``chi_h`` after ``distinct_tables``.  A
+    ``build_counterexample`` (counts, wideness, distinct tables, every H
+    edge an exponential-graph edge, which makes the product coloring proper,
+    the const rule, on c5_wide the chain, and no loops), and the search for
+    a c-coloring of H, reported as ``chi_h`` after ``distinct_tables``.  A
     failed check does not stop the run; only an exception from the build is
     reported as ``build``.  The host's own chromatic excess is not searched:
     that item defers to the published identity for omega graphs over
@@ -718,7 +702,7 @@ def verify_counterexample(
     )
 
     try:
-        build, checks = checked_build(params)
+        build, checks = build_counterexample(params)
     except (RuntimeError, ValueError) as err:
         items.append(ReportItem("build", False, {"error": str(err)}))
         return Report(params, FAILED, items, budgets=budgets)

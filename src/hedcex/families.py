@@ -205,7 +205,7 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     """
     digits = _omega_digits(n, d)
     edges = _omega_edges(digits, d)
-    g = new_graph(len(digits), edges, f"omega({n},{d})")
+    g = new_graph(len(digits), edges)
     if g.edge_count < len(edges):
         raise RuntimeError(
             f"tuple adjoint enumeration generated {len(edges) - g.edge_count} edges more than once"

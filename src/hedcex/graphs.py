@@ -8,8 +8,8 @@ edge arrays or on the CSR neighbor arrays read off them, in time linear in
 |V| + |E|.
 
 Graphs are treated as immutable once built and hold nothing but their
-order, label and edge arrays: the CSR neighbor arrays of ``neighbor_arrays``
-and the hash are computed afresh on every call, so a caller that needs one
+order and edge arrays: the CSR neighbor arrays of ``neighbor_arrays`` and
+the hash are computed afresh on every call, so a caller that needs one
 twice keeps it itself.  Any labels (tuples, function names) live in side
 tables kept by the callers; this module only ever sees dense integers.
 """
@@ -48,11 +48,10 @@ class Graph:
     Built by ``new_graph``, which hands over the canonical edge arrays.
     """
 
-    __slots__ = ("n", "label", "_earrays")
+    __slots__ = ("n", "_earrays")
 
-    def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray, label: str | None = None):
+    def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray):
         self.n = n
-        self.label = label
         self._earrays = (eu, ev)
 
     def has_loop(self) -> bool:
@@ -74,8 +73,7 @@ class Graph:
             yield from zip(eu[lo : lo + _CHUNK].tolist(), ev[lo : lo + _CHUNK].tolist())
 
     def __repr__(self) -> str:
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<Graph{tag} n={self.n} m={self.edge_count}>"
+        return f"<Graph n={self.n} m={self.edge_count}>"
 
 
 def _unique_sorted(keys: np.ndarray) -> np.ndarray:
@@ -121,11 +119,7 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def new_graph(
-    n: int,
-    edges: Iterable[tuple[int, int]] | np.ndarray,
-    label: str | None = None,
-) -> Graph:
+def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from an edge list: an iterable of pairs or an (m, 2) array.
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
@@ -162,7 +156,7 @@ def new_graph(
     keys = _unique_sorted(keys)
     eu = _low_int32(keys >> b)
     keys &= (1 << b) - 1
-    return Graph(n, eu, _low_int32(keys), label)
+    return Graph(n, eu, _low_int32(keys))
 
 
 def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
@@ -241,12 +235,13 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {ln}: malformed problem line {line!r}")
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ValueError(f"line {ln}: malformed problem line {line!r}") from None
             if n < 0:
                 raise ValueError(f"line {ln}: negative vertex count")
+            if m < 0:
+                raise ValueError(f"line {ln}: negative edge count")
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {ln}: edge before problem line")

@@ -76,7 +76,6 @@ DEFAULT_BUDGET = SearchBudget()
 @dataclass
 class ColoringResult:
     status: str
-    colors: int
     assignment: list[int] | None
     nodes: int
     reason: str | None = None
@@ -135,18 +134,18 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     if c > MAX_COLORS:
         raise ValueError(f"color count above supported {MAX_COLORS}")
     if g.has_loop():
-        return ColoringResult(NONE, c, None, 0, reason="loop")
+        return ColoringResult(NONE, None, 0, reason="loop")
     if g.n == 0:
-        return ColoringResult(SOME, c, [], 0)
+        return ColoringResult(SOME, [], 0)
     if c == 0:
-        return ColoringResult(NONE, c, None, 0, reason="no-colors")
+        return ColoringResult(NONE, None, 0, reason="no-colors")
     if budget.node_limit <= 0:
-        return ColoringResult(EXHAUSTED, c, None, 0, reason="nodes")
+        return ColoringResult(EXHAUSTED, None, 0, reason="nodes")
 
     ptr, dst = _neighbor_arrays(g)
     clique = _clique_from(ptr, dst)
     if len(clique) > c:
-        return ColoringResult(NONE, c, None, 0, reason="clique")
+        return ColoringResult(NONE, None, 0, reason="clique")
 
     n = g.n
     limit = budget.node_limit
@@ -284,7 +283,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         for i, v in enumerate(clique):
             # only the last member can have been forced, and then to i + 1
             if not color[v] and not (dom[v] >> (i + 1) & 1 and propagate(v, i + 1)):
-                return ColoringResult(NONE, c, None, nodes, reason="search")
+                return ColoringResult(NONE, None, nodes, reason="search")
         # every vertex seeds the root split, which finds what the clique left
         touched[:] = range(n)
         used = max(color)
@@ -306,7 +305,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                 del todo[todo_mark:]
                 if not avail:
                     if parent < 0:
-                        return ColoringResult(NONE, c, None, nodes, reason="search")
+                        return ColoringResult(NONE, None, nodes, reason="search")
                     del stack[parent + 1 :]
                     continue
                 bit = avail & -avail
@@ -318,9 +317,9 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                     todo.extend((k, here, used) for k in split(cid))
                     break
     except _BudgetHit:
-        return ColoringResult(EXHAUSTED, c, None, nodes, reason="nodes")
+        return ColoringResult(EXHAUSTED, None, nodes, reason="nodes")
 
     witness = list(color)
     if not verify_coloring(g, witness, c):  # defensive; scan is independent
         raise RuntimeError("search produced an improper coloring")
-    return ColoringResult(SOME, c, witness, nodes)
+    return ColoringResult(SOME, witness, nodes)

@@ -100,6 +100,8 @@ class WideColoring:
             for p in pairs
         ):
             raise ValueError("wide coloring field 'pairs' must be a list of integer pairs")
+        if not isinstance(doc.get("graph_sha256"), (str, type(None))):
+            raise ValueError("wide coloring field 'graph_sha256' must be a string or null")
         return cls(
             n=doc["n"], k=doc["k"], d=doc["d"], pairs=pairs, graph_sha=doc.get("graph_sha256")
         )

@@ -17,11 +17,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def random_graph(rng: random.Random, n: int, p: float, label: str | None = None):
+def random_graph(rng: random.Random, n: int, p: float):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return new_graph(n, edges, label)
+    return new_graph(n, edges)
 
 
 @pytest.fixture

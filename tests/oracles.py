@@ -56,14 +56,14 @@ def reference_dimacs(g: Graph) -> str:
 
 def complete_graph(n: int) -> Graph:
     """K_n, loopless."""
-    return new_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)), f"K_{n}")
+    return new_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n for n >= 3; C_2 degenerates to one edge and C_1 to one loop."""
     if n < 1:
         raise ValueError("cycle needs at least one vertex")
-    return new_graph(n, ((v, (v + 1) % n) for v in range(n)), f"C_{n}")
+    return new_graph(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def kneser_graph(c: int, k: int) -> Graph:
@@ -75,7 +75,7 @@ def kneser_graph(c: int, k: int) -> Graph:
         for j in range(i + 1, len(sets))
         if not (sets[i] & sets[j])
     ]
-    return new_graph(len(sets), edges, f"KG({c},{k})")
+    return new_graph(len(sets), edges)
 
 
 def tuple_vertices(n: int, d: int) -> list[tuple[int, ...]]:
@@ -140,11 +140,11 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
         raise ValueError("color count out of range")
     adj = rows(g)
     if any(row >> v & 1 for v, row in enumerate(adj)):
-        return ColoringResult(NONE, c, None, 0, reason="loop")
+        return ColoringResult(NONE, None, 0, reason="loop")
     if g.n == 0:
-        return ColoringResult(SOME, c, [], 0)
+        return ColoringResult(SOME, [], 0)
     if c == 0:
-        return ColoringResult(NONE, c, None, 0, reason="no-colors")
+        return ColoringResult(NONE, None, 0, reason="no-colors")
 
     nodes = 0
     color = [0] * g.n
@@ -183,7 +183,7 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
 
     clique = reference_greedy_clique(g)
     if len(clique) > c:
-        return ColoringResult(NONE, c, None, 0, reason="clique")
+        return ColoringResult(NONE, None, 0, reason="clique")
 
     def solve(used: int) -> bool:
         v = int(np.argmax(score))
@@ -203,10 +203,10 @@ def reference_coloring(g: Graph, c: int, budget: SearchBudget = SearchBudget()) 
             assign(v, i + 1)
         found = solve(len(clique))
     except _Stop:
-        return ColoringResult(EXHAUSTED, c, None, nodes, reason="nodes")
+        return ColoringResult(EXHAUSTED, None, nodes, reason="nodes")
     if found:
-        return ColoringResult(SOME, c, list(color), nodes)
-    return ColoringResult(NONE, c, None, nodes, reason="search")
+        return ColoringResult(SOME, list(color), nodes)
+    return ColoringResult(NONE, None, nodes, reason="search")
 
 
 # -- homomorphisms --------------------------------------------------------------
@@ -415,7 +415,7 @@ def omega_sets(h: Graph, d: int, *, max_target: int = 5, max_half_width: int = 3
         for j in range(i, len(chains))
         if chain_edge(chains[i], chains[j])
     ]
-    g = new_graph(len(chains), edges, f"omega_sets({h.label},{d})")
+    g = new_graph(len(chains), edges)
     return OmegaSetsGraph(graph=g, tuples=chains, base=h, d=d)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from hedcex import counterexample as cex
 from hedcex import families, graphs
-from hedcex.certificate import certificate_to_json, emit_certificate
+from hedcex.certificate import certificate_to_json, check_certificate, emit_certificate
 from hedcex.cli import main
 from hedcex.families import omega_tuples
 from hedcex.graphs import emit_dimacs, graph_sha256
@@ -108,8 +108,14 @@ def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
         ('{"n": 2, "k": 1, "d": 2, "pairs": [[1, null], [2, 1]]}', "'pairs'"),
         ("[[1, 1], [2, 1]]", "object"),
         ('{"n": 2, "k": 1, "d": 2, "pairs": [[1, 1], [99999999999999999999, 1]]}', "int8"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": 7}', "'graph_sha256'"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": []}', "'graph_sha256'"),
+        ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": {}}', "'graph_sha256'"),
     ],
-    ids=["empty", "null-n", "null-pairs", "null-in-a-pair", "list", "past-int64"],
+    ids=[
+        "empty", "null-n", "null-pairs", "null-in-a-pair", "list", "past-int64",
+        "number-pin", "list-pin", "object-pin",
+    ],
 )
 def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
     host = tmp_path / "om.col"
@@ -432,8 +438,11 @@ def test_corruptions_cover_every_item(c5_report, c7_report, c5_wide_report):
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_every_item_can_fail(monkeypatch, capsys, case):
+def test_every_item_can_fail(monkeypatch, capsys, request, case):
     item, variant, corrupt, failed, evidence = CORRUPTIONS[case]
+    # a certificate of the sound build, emitted before the corruption
+    sound = {"c5_refined": "c5_report", "c5_wide": "c5_wide_report"}[variant]
+    cert = emit_certificate(request.getfixturevalue(sound))
     corrupt(monkeypatch)
     verify = ("verify", "counterexample", "--variant", variant)
     code, out, err = run(capsys, *verify)
@@ -443,14 +452,17 @@ def test_every_item_can_fail(monkeypatch, capsys, case):
     assert lines[-1] == f"verify {variant}: FAILED"
     assert {line.split(":")[0] for line in lines[:-1] if line.endswith(": FAILED")} == failed
     code, out, _ = run(capsys, *verify, "--json")
-    (detail,) = [it["detail"] for it in json.loads(out)["items"] if it["name"] == item]
+    items = json.loads(out)["items"]
+    (detail,) = [it["detail"] for it in items if it["name"] == item]
     assert {key: detail.get(key) for key in evidence} == evidence
     if item in ("parameters", "chi_h"):
         return  # checked by verify_counterexample, not by the build
-    # the build refuses with the same error, and so does a certificate's rebuild
-    with pytest.raises(RuntimeError) as raised:
-        cex.build_counterexample(cex.params_for(variant))
-    assert str(raised.value) == detail["error"]
+    # the build returns every failed check with its error, in item order,
+    # and a certificate's rebuild refuses with one line for each
+    errors = [it["detail"]["error"] for it in items if it["ok"] is False]
+    _, checks = cex.build_counterexample(cex.params_for(variant))
+    assert [check.detail["error"] for check in checks if not check.ok] == errors
+    assert check_certificate(cert).failures == [f"canonical rebuild failed: {e}" for e in errors]
 
 
 def test_build_that_raises_is_the_build_item(monkeypatch, capsys, tmp_path):

@@ -14,13 +14,13 @@ from hedcex.counterexample import (
     FunctionVertex,
     build_counterexample,
     chain_check,
-    checked_build,
     parameter_check,
     params_for,
     shifted,
     verify_counterexample,
 )
 from hedcex import counterexample, families, graphs
+from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells, shell_bits
 from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
@@ -367,15 +367,17 @@ def test_table_questions_copy_no_table_array(c5_wide_build):
     assert peak < 18 * 2**20
 
 
-def test_checked_build_hashes_its_host_once(count_calls):
+def test_build_hashes_its_host_once(count_calls):
     # one hash of the host is both the build's g_hash and gamma's pin
     lines = count_calls(graphs, "_dimacs_lines")
-    build, _ = checked_build(params_for("c5_refined"))
+    build, _ = build_counterexample(params_for("c5_refined"))
     assert lines == {"_dimacs_lines": 1}
     assert build.gamma.graph_sha == build.g_hash == graph_sha256(build.g)
 
 
-def test_a_narrow_class_is_named(monkeypatch):
+def test_a_narrow_class_is_named(monkeypatch, c5_report):
+    # a certificate of the sound build, emitted before the corruption
+    cert = emit_certificate(c5_report)
     zero_position = counterexample._zero_position
 
     def corrupted(omega, n, k):
@@ -387,7 +389,7 @@ def test_a_narrow_class_is_named(monkeypatch):
 
     monkeypatch.setattr(counterexample, "_zero_position", corrupted)
     params = params_for("c5_refined")
-    build, checks = checked_build(params)
+    build, checks = build_counterexample(params)
     omega, gamma = build.omega, build.gamma
     # the per-class reference: only the enlarged class loses wideness
     narrow = [
@@ -400,8 +402,13 @@ def test_a_narrow_class_is_named(monkeypatch):
     message = "zero-position coloring is not 3-wide on classes [(3, 2)]"
     (wide,) = [item for item in checks if item.name == "wide_coloring"]
     assert (wide.ok, wide.detail["narrow"], wide.detail["error"]) == (False, [[3, 2]], message)
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        build_counterexample(params)
+    # the moved vertex also breaks a g family; the rebuild names both checks
+    unreal = "H edge is not an edge of the exponential graph: g(q=3,d=3,i=4) ~ g(q=3,d=3,i=5)"
+    assert [item.detail["error"] for item in checks if not item.ok] == [message, unreal]
+    assert check_certificate(cert).failures == [
+        f"canonical rebuild failed: {message}",
+        f"canonical rebuild failed: {unreal}",
+    ]
 
 
 def test_build_shells_of_q_are_its_class_shells(c5_report):
@@ -496,8 +503,10 @@ def test_build_rejects_wrong_vertex_budget(monkeypatch):
     # both numbers; every other check still runs and holds
     pins = dict(counterexample.EXPECTED_COUNTS["c5_refined"], h_vertices=31)
     monkeypatch.setitem(counterexample.EXPECTED_COUNTS, "c5_refined", pins)
-    with pytest.raises(RuntimeError, match="^h_vertices is 30, expected 31$"):
-        build_counterexample(params_for("c5_refined"))
+    _, checks = build_counterexample(params_for("c5_refined"))
+    assert [(item.name, item.detail["error"]) for item in checks if not item.ok] == [
+        ("counts", "h_vertices is 30, expected 31")
+    ]
     report = verify_counterexample(params_for("c5_refined"))
     assert [item.name for item in report.items if item.ok is not True] == ["counts"]
     assert report.item("counts").detail["expected"] == pins
@@ -527,8 +536,10 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
 
     monkeypatch.setattr(counterexample, "build_special_family", corrupted)
     message = "H edge is not an edge of the exponential graph: f ~ h(q=1,d=1,i=1,j=4)"
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        build_counterexample(build.params)
+    _, checks = build_counterexample(build.params)
+    assert [(item.name, item.detail["error"]) for item in checks if not item.ok] == [
+        ("h_edges_real", message)
+    ]
     report = verify_counterexample(build.params)
     assert report.status == "FAILED"
     assert [it.name for it in report.items if it.ok is False] == ["h_edges_real"]

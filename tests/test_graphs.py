@@ -131,7 +131,7 @@ def test_is_independent():
 
 
 def test_dimacs_round_trip_small():
-    g = new_graph(4, [(0, 1), (2, 3)], label="pair")
+    g = new_graph(4, [(0, 1), (2, 3)])
     text = emit_dimacs(g, comment="pair")
     back = parse_dimacs(text)
     assert back.n == g.n
@@ -269,6 +269,7 @@ _FIRST_BAD_LINES = [
     ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
     ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
     ("p edge -3 0\n", "line 1: negative vertex count"),
+    ("p edge 3 -5\n", "line 1: negative edge count"),
     ("p edge 3 1\ne 1 2\ne 1\n", "line 3: malformed edge line 'e 1'"),
     ("p edge 3 1\ne 1 2\ne 1 x\n", "line 3: malformed edge line 'e 1 x'"),
     ("p edge 3 1\n\ne 0 2\n", "line 3: endpoint out of range in 'e 0 2'"),
