@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from hedcex.certificate import certificate_to_json, emit_certificate
@@ -55,7 +56,8 @@ def main() -> int:
             emit_dimacs(build.h, comment=f"H for {variant}")
         )
         (args.out / f"{variant}.H.dot").write_text(emit_dot(build.h, build.labels))
-        (args.out / f"{variant}.gamma.json").write_text(build.gamma.to_json())
+        gamma = replace(build.gamma, graph_sha=build.g_hash)
+        (args.out / f"{variant}.gamma.json").write_text(gamma.to_json())
     if report.status == PASS:
         cert = emit_certificate(report)
         (args.out / f"{variant}.cert.json").write_text(certificate_to_json(cert))

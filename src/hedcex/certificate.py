@@ -25,6 +25,7 @@ accepted.  The H edge list must be well formed, free of duplicates, and
 equal to the rebuild's in count and as a set, so an edge out of range or a
 loop is a spurious edge.  Then come the host hash and counts, the wide
 coloring's shape, host pin and digest, the H labels and each table digest.
+The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _pinned(build: BuildResult) -> dict:
         "g_hash": build.g_hash,
         "g_counts": {"vertices": build.g.n, "edges": build.g.edge_count},
         "gamma": {
-            "graph_sha256": gamma.graph_sha,
+            "graph_sha256": build.g_hash,
             "n": gamma.n,
             "k": gamma.k,
             "d": gamma.d,

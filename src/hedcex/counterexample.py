@@ -19,7 +19,8 @@ from __future__ import annotations
 
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -390,7 +391,6 @@ class BuildResult:
     gamma: WideColoring
     vertices: list[FunctionVertex]
     h: Graph
-    g_hash: str
     #: True where two tables collide (``_table_questions(g, vertices)[0]``).
     collisions: np.ndarray
     #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
@@ -403,6 +403,11 @@ class BuildResult:
     @property
     def labels(self) -> list[str]:
         return [v.label for v in self.vertices]
+
+    @cached_property
+    def g_hash(self) -> str:
+        """The host's hash, computed on its first read (by a pin) and kept."""
+        return graph_sha256(self.g)
 
 
 def _skeleton_edges(
@@ -534,17 +539,15 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     rule compares each constant's collision row with the "takes color i"
     row, and ``chain`` (``chain_check``) reads pairs that are not H
     edges off the collision matrix.  A table with no collision is a proper
-    c-coloring of G, so the loop check is the evidence of ``chi_g``.  A
-    graph caches no hash, so the build hashes its host once: that hash is
-    ``g_hash`` and gamma's pin.
+    c-coloring of G, so the loop check is the evidence of ``chi_g``.  It
+    hashes no host: gamma is unpinned, and ``g_hash`` waits for a pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     c, d = params.c, params.d
     omega = omega_tuples(params.base, d)
     g = omega.graph
-    g_hash = graph_sha256(g)
-    gamma = replace(_zero_position(omega, params.n, params.k), graph_sha=g_hash)
+    gamma = _zero_position(omega, params.n, params.k)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
     class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), d)
@@ -569,10 +572,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     collisions, takes, distinct = _table_questions(g, vertices)
     edges = _skeleton_edges(params, vertices, takes)
     h = new_graph(m, edges)
-    build = BuildResult(
-        params=params, omega=omega, gamma=gamma, vertices=vertices, h=h,
-        g_hash=g_hash, collisions=collisions, takes=takes,
-    )
+    build = BuildResult(params, omega, gamma, vertices, h, collisions, takes)
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
     # const(i) is adjacent to w exactly where w misses i: a collision row of
     # a constant against its "takes color i" row, each constant's own loop aside

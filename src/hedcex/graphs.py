@@ -88,23 +88,21 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _pair_keys(
-    n: int, high: tuple[np.ndarray, ...], low: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, int]:
-    """The keys ``u << b | v`` of pairs of vertices of an n-vertex graph,
-    and b = (n - 1).bit_length().
-
-    The u values are the arrays ``high`` laid end to end, the v values those
-    of ``low``.  Keys compare as the pairs do.  They are uint32 when
-    2b <= 32, as on every shipped host, and uint64 otherwise; ``new_graph``
-    caps n at 2**31, so b <= 31.  Each side is cast to the key dtype as it
-    is laid end to end, with no wider copy.
+def _pair_keys(n: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
+    """The keys ``u << b | v``, b = (n - 1).bit_length(), of pairs of vertices
+    of an n-vertex graph, which compare as the pairs do, and b.  Each
+    (u values, v values) of ``pairs`` fills the next stretch of one array in
+    place, each side cast to the key dtype as it is read.  Keys are uint32
+    when 2b <= 32, as on every shipped host, and uint64 otherwise
+    (``new_graph`` caps n at 2**31, so b <= 31).
     """
     b = max(n - 1, 0).bit_length()
-    kt = np.uint32 if 2 * b <= 32 else np.uint64
-    keys = np.concatenate(high, dtype=kt, casting="unsafe")
-    keys <<= b
-    np.bitwise_or(keys, np.concatenate(low, dtype=kt, casting="unsafe"), out=keys)
+    sizes = [u.size for u, _ in pairs]
+    keys = np.empty(sum(sizes), dtype=np.uint32 if 2 * b <= 32 else np.uint64)
+    for (u, v), part in zip(pairs, np.split(keys, np.cumsum(sizes)[:-1])):
+        np.copyto(part, u, casting="unsafe")
+        part <<= b
+        np.bitwise_or(part, v, out=part, dtype=keys.dtype, casting="unsafe")
     return keys, b
 
 
@@ -152,7 +150,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     lo, hi = pairs[:, 0], pairs[:, 1]
-    keys, b = _pair_keys(n, (np.minimum(lo, hi),), (np.maximum(lo, hi),))
+    keys, b = _pair_keys(n, (np.minimum(lo, hi), np.maximum(lo, hi)))
     keys = _unique_sorted(keys)
     eu = _low_int32(keys >> b)
     keys &= (1 << b) - 1
@@ -189,13 +187,14 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     loop listed once; both arrays are int32.  Built afresh on every call.
     """
     eu, ev = edge_arrays(g)
-    inner = eu != ev
-    # the arcs v -> u of the non-loop edges and u -> v of every edge, one
-    # pair key each, sorted in place: the keys are the one arc-sized array,
-    # where an argsort would need the sources, the targets and an int64
-    # permutation at once
-    keys, b = _pair_keys(g.n, (ev[inner], eu), (eu[inner], ev))
+    # the arcs u -> v, then v -> u, of every edge as pair keys sorted in place;
+    # a loop's second arc takes the largest key, which sorts past every arc
+    # (an arc with that key is itself a loop), and is cut off
+    keys, b = _pair_keys(g.n, (eu, ev), (ev, eu))
+    loops = eu == ev
+    keys[eu.size :][loops] = np.iinfo(keys.dtype).max
     keys.sort()
+    keys = keys[: keys.size - np.count_nonzero(loops)]
     # row v starts at the first key at or above v << b, which is below
     # 2**(2b) for every vertex, so it fits the key dtype
     ptr = np.empty(g.n + 1, dtype=np.int32)

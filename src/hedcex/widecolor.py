@@ -14,7 +14,7 @@ host; ``wide-check`` builds it unchecked and unpinned with ``_zero_position``
 and decides only the condition asked for.  The build makes the same coloring
 but sweeps it itself: every class gets one bit, all are swept at once with
 ``shell_bits``, whose shells feed the function tables, and condition 2 is
-one AND over the edge arrays; gamma's pin is the build's one host hash.
+one AND over the edge arrays; its gamma is unpinned until it is written.
 """
 
 from __future__ import annotations

@@ -325,16 +325,15 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
 
 
 def test_one_host_per_verify(count_calls):
-    # every report item is read off one host and one sweep; a graph caches
-    # neither its hash nor its CSR arrays, so the build takes its host hash
-    # from gamma's pin, and CSR arrays are built once for the host's sweep
-    # and once for the search on H
+    # every report item is read off one host and one sweep; a verify pins
+    # nothing, so it hashes no host, and CSR arrays are built once for the
+    # host's sweep and once for the search on H
     calls = count_calls(families, "omega_tuples", "shell_bits")
     derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays")
     report = verify_counterexample(params_for("c5_refined"))
     assert report.status == "PASS"
     assert calls == {"omega_tuples": 1, "shell_bits": 1}
-    assert derived == {"_dimacs_lines": 1, "neighbor_arrays": 2}
+    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 2}
 
 
 def test_a_c7_report_keeps_no_host_csr():
@@ -367,12 +366,19 @@ def test_table_questions_copy_no_table_array(c5_wide_build):
     assert peak < 18 * 2**20
 
 
-def test_build_hashes_its_host_once(count_calls):
-    # one hash of the host is both the build's g_hash and gamma's pin
-    lines = count_calls(graphs, "_dimacs_lines")
-    build, _ = build_counterexample(params_for("c5_refined"))
-    assert lines == {"_dimacs_lines": 1}
-    assert build.gamma.graph_sha == build.g_hash == graph_sha256(build.g)
+def test_a_host_is_hashed_only_for_a_pin(count_calls):
+    # a verify writes no pin and hashes no host; a certificate pins the host
+    # and gamma with one hash of it, however often g_hash is read, and its
+    # check hashes the rebuilt host once
+    calls = count_calls(graphs, "graph_sha256")
+    report = verify_counterexample(params_for("c5_refined"))
+    assert calls == {"graph_sha256": 0}
+    cert = emit_certificate(report)
+    assert report.build.g_hash == cert["g_hash"] == cert["gamma"]["graph_sha256"]
+    assert calls == {"graph_sha256": 1}
+    assert check_certificate(cert).ok
+    assert calls == {"graph_sha256": 2}
+    assert cert["gamma"]["graph_sha256"] == graph_sha256(report.build.g)
 
 
 def test_a_narrow_class_is_named(monkeypatch, c5_report):

@@ -96,8 +96,8 @@ def test_vertex_count_is_capped_at_int32():
 def test_pair_keys_across_the_key_width(n, dtype):
     # the pair keys switch from uint32 to uint64 once 2 * (n - 1).bit_length()
     # passes 32; both widths give the same edge, CSR and DIMACS results
-    zero = (np.zeros(1, dtype=np.int32),)
-    assert graphs._pair_keys(n, zero, zero)[0].dtype == dtype
+    zero = np.zeros(1, dtype=np.int32)
+    assert graphs._pair_keys(n, (zero, zero))[0].dtype == dtype
     pairs = [(n - 1, 0), (n - 1, n - 1), (n - 1, n - 2)]
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     g = new_graph(n, pairs)
