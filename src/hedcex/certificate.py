@@ -8,23 +8,25 @@ an H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0,
 then of vertex 1, ...) for gamma.
 
 ``check_certificate`` refuses missing fields, a version other than
-``CERTIFICATE_VERSION`` (naming the version) and invalid parameters, and
-then rebuilds the construction from the parameters, once, with
-``build_counterexample``.  A rebuild that fails its checks (the pinned
-counts, wideness, pairwise distinct tables, every H edge being an edge of
-the exponential graph, which is the product coloring, the const rule, on
-c5_wide the chain between consecutive h levels, and no loops) is refused
-with one line per failed check, in item order, as ``verify`` prints them; an
-exception from inside the build is one such line.  Every other comparison is
-made against that rebuild, in one pass.  Both chromatic verdicts must be
-about c colors, and the product verdict (the ``h_edges_real`` item) must
-count the rebuild's 2|E(H)||E(G)| ordered checks.  The chi(H) verdict is
-trusted together with its node count, which must be a positive integer; the
-chi(G) verdict is attributed to a published identity, and no other status is
-accepted.  The H edge list must be well formed, free of duplicates, and
-equal to the rebuild's in count and as a set, so an edge out of range or a
-loop is a spurious edge.  Then come the host hash and counts, the wide
-coloring's shape, host pin and digest, the H labels and each table digest.
+``CERTIFICATE_VERSION`` (naming the version), parameters whose keys are not
+those of ``CounterexampleParams`` (naming the missing and extra ones) and
+invalid parameters, and then rebuilds the construction from the parameters,
+once, with ``build_counterexample``.  A rebuild that fails its checks (the
+pinned counts, wideness, pairwise distinct tables, every H edge being an
+edge of the exponential graph, which is the product coloring, the const
+rule, on c5_wide the chain between consecutive h levels, and no loops) is
+refused with one line per failed check, in item order, as ``verify`` prints
+them; an exception from inside the build is one such line.  Every other
+comparison is made against that rebuild, in one pass.  Both chromatic
+verdicts must be about c colors, and the product verdict (the
+``h_edges_real`` item) must count the rebuild's 2|E(H)||E(G)| ordered
+checks.  The chi(H) verdict is trusted together with its node count, which
+must be a positive integer; the chi(G) verdict is attributed to a published
+identity, and no other status or attribution is accepted.  The H edge list
+must be well formed, free of duplicates, and equal to the rebuild's in
+count and as a set, so an edge out of range or a loop is a spurious edge.
+Then come the host hash and counts, the wide coloring's shape, host pin and
+digest, the H labels and each table digest.
 The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .counterexample import (
+    CHI_G_ATTRIBUTION,
     PASS,
     BuildResult,
     CounterexampleParams,
@@ -144,6 +147,10 @@ def check_certificate(cert: dict) -> CertificateCheck:
     ):
         return CertificateCheck(failures)
     try:
+        keys, given = {f.name for f in fields(CounterexampleParams)}, set(cert["params"])
+        if given != keys:
+            missing, extra = sorted(keys - given), sorted(given - keys)
+            raise ValueError(f"params keys missing {missing}, extra {extra}")
         params = CounterexampleParams(**cert["params"])
         params.validate()
     except (TypeError, ValueError) as err:
@@ -186,6 +193,11 @@ def check_certificate(cert: dict) -> CertificateCheck:
             need(
                 chi_g.get("status") == "external_theorem",
                 "chi_g verdict has an unknown status",
+            )
+            # the previous layout's attribution ended "at this budget"
+            need(
+                str(chi_g.get("attribution")).removesuffix(" at this budget") == CHI_G_ATTRIBUTION,
+                "chi_g verdict attribution is not the published identity",
             )
 
     h_edges = cert["h_edges"]

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .families import OmegaGraph, omega_tuples, shell_bits
-from .graphs import Graph, _unique_sorted, edge_arrays, graph_sha256, new_graph
+from .graphs import Graph, edge_arrays, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
 
@@ -170,39 +170,31 @@ class FunctionVertex:
 
 
 def _table_questions(
-    g: Graph, vertices: list[FunctionVertex]
+    g: Graph, vertices: list[FunctionVertex], groups: list[tuple[np.ndarray, list[int]]]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(collisions, takes, distinct): every question the build asks of its
-    tables, read off one quotient of the host.
+    tables, each asked within a group of tables on that group's vertex types.
 
-    Host vertices with the same column of tables are interchangeable, so
-    the tables are read on K column classes, one column of the (m, K) array
-    ``qt`` each.  ``collisions`` is (m, m): entry [a, b] is True iff some
-    edge u-v of g has a(u) = b(v) in either orientation, so a and b are
-    adjacent exactly where it is False and the diagonal is the loop check.
+    A group is (types, indices): an integer type for each host vertex and
+    the indices of the tables that depend on a vertex only through its
+    type; every table lies in some group.  ``collisions`` is (m, m): entry
+    [a, b] of two tables that share a group is True iff some edge u-v of g
+    has a(u) = b(v) in either orientation, so a and b are adjacent exactly
+    where it is False and the diagonal is the loop check.  A pair that
+    shares no group is not asked and reads True, as if it collided.
     ``takes`` [x, a] says table a takes the value x (rows 0 up to the
-    largest value), and ``distinct`` counts the distinct rows of ``qt``, so
-    the distinct tables.
+    largest value), and ``distinct`` counts the distinct tables.
 
     Tables are int8 and their values are colors 0, 1, ...; a table of
-    another dtype or with a negative value raises ValueError.  The classes
-    are found on packed columns: with b the bit width of the largest value,
-    each byte holds floor(8 / b) tables, b bits apiece (two tables for
-    colors up to 7, one from b = 5 on), so for up to 7 colors ``np.unique``
-    compares rows of m / 2 bytes, rounded up.  Each table is shifted into
-    its byte group alone, so no (m, |V|) copy of the tables is made.
-    Packing is one-to-one, so the classes are those of the plain columns,
-    and ``qt`` is read off each table at one host vertex per class.
-
-    For the matrix, the distinct class pairs that host edges realize are
-    sorted by source class, coded as int32 while K^2 fits.  Each color x
-    that some table takes is visited once, in turn, on only the T tables
-    that take it.  The ones taking x on a class are that class's row of T
-    bits, packed into whole 64-bit words; OR-ing the words of each source
-    class's partners gives the tables that take x next to it, and one
-    (T x A) by (A x T) float32 product over the A source classes finds every
-    (a, b) with a = x at a source and b = x at a partner.  Its sums never
-    exceed A, so they are exact.
+    another dtype or with a negative value raises ValueError.  In each group
+    one ``np.unique`` codes the types 0..K-1, and each table is read at one
+    vertex per type; that lookup is compared with the table at every host
+    vertex, so a table not constant on its types raises ValueError naming
+    it, and every answer is exact.  One pass over the edges, in slices of
+    2^14 read once as intp indices for all groups, marks the type pairs that
+    edges realize in each group, symmetrized into R (K x K).  For each color x,
+    with F the (tables x K) flags of taking x on each type, a and b collide
+    on x exactly where F R F^T is nonzero; its float64 sums are exact.
     """
     m = len(vertices)
     for v in vertices:
@@ -214,51 +206,29 @@ def _table_questions(
     if top > np.iinfo(np.int8).max:
         bad = next(v for v in vertices if v.table.min() < 0)
         raise ValueError(f"function table {bad.label} takes a negative value")
-    width = max(top.bit_length(), 1)
-    per = 8 // width
-    packed = np.zeros((-(-m // per), g.n), dtype=np.uint8)
-    lane = np.empty(g.n, dtype=np.uint8)
-    for a, v in enumerate(vertices):
-        np.left_shift(v.table.view(np.uint8), width * (a % per), out=lane)
-        packed[a // per] |= lane
-    # packed on the rows, then transposed into one contiguous (n, bytes)
-    # array whose rows np.unique compares as single void values
-    cols = np.ascontiguousarray(packed.T)
-    del packed
-    _, first, cls = np.unique(
-        cols.view(np.dtype((np.void, cols.shape[1]))).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    del cols
-    qt = np.stack([np.take(v.table, first) for v in vertices])
-    del first
-    k = qt.shape[1]
-    cls = cls.astype(np.int32 if k * k < 1 << 31 else np.int64)
-    eu, ev = edge_arrays(g)
-    codes = _unique_sorted(np.take(cls, eu) * k + np.take(cls, ev))
-    del cls
-    pa, pb = np.divmod(codes, k)
-    starts = np.flatnonzero(np.diff(pa, prepend=-1))
-    sources = pa[starts]
-    hit = np.zeros((m, m), dtype=bool)
+    distinct = len({v.table.tobytes() for v in vertices})
+    hit = np.ones((m, m), dtype=bool)
     takes = np.zeros((top + 1, m), dtype=bool)
-    for x in range(len(takes)):
-        flags = qt == x
-        takes[x] = flags.any(axis=1)
-        at = np.flatnonzero(takes[x])
-        if not at.size:
-            continue
-        flags = flags[at]
-        # one row of T bits per class, padded with 0 bits to whole 64-bit words
-        bits = np.zeros((k, -(-at.size // 64) * 64), dtype=bool)
-        bits[:, : at.size] = flags.T
-        packed = np.packbits(bits).view(np.uint64).reshape(k, -1)
-        partners = np.bitwise_or.reduceat(np.take(packed, pb, axis=0), starts, axis=0)
-        near = np.unpackbits(partners.view(np.uint8), axis=1, count=at.size).astype(np.float32)
-        hit[np.ix_(at, at)] |= (np.take(flags, sources, axis=1).astype(np.float32) @ near) > 0
-    distinct = len(set(map(bytes, qt)))
-    return hit | hit.T, takes, distinct
+    lookup = np.empty(g.n, dtype=np.int8)
+    asked = []
+    for types, members in groups:
+        _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        lut = np.stack([np.take(vertices[a].table, first) for a in members])
+        for a, row in zip(members, lut):
+            if not np.array_equal(np.take(row, code, out=lookup), vertices[a].table):
+                raise ValueError(f"function table {vertices[a].label} is not constant on its types")
+        asked.append((members, lut, code, np.zeros((first.size, first.size), dtype=bool)))
+    eu, ev = edge_arrays(g)
+    for lo in range(0, eu.size, 1 << 14):
+        u, v = (ends[lo : lo + (1 << 14)].astype(np.intp) for ends in (eu, ev))
+        for _, lut, code, realized in asked:
+            realized.ravel()[np.take(code, u) * len(realized) + np.take(code, v)] = True
+    for members, lut, _, realized in asked:
+        realized |= realized.T
+        flags = [(lut == x).astype(np.float64) for x in range(top + 1)]
+        takes[:, members] = [f.any(axis=1) for f in flags]
+        hit[np.ix_(members, members)] = np.any([f @ realized @ f.T for f in flags], axis=0)
+    return hit, takes, distinct
 
 
 def _two_valued(
@@ -287,6 +257,18 @@ def _selector_valued(
     return _two_valued(outside, inside, region)
 
 
+def _family_shells(
+    class_shells: list[np.ndarray], params: CounterexampleParams, q: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(shells, selectors), boolean over V(G): the shells of class q at
+    depths 0..d (walks from a union of seeds end where walks from some seed
+    end), and the depth-d shells of the subclasses of q, or of 1 ("literal")."""
+    k, sel = params.k, q if params.reading == "q" else 1
+    q_bits, deep = ((1 << k) - 1) << ((q - 1) * k), class_shells[params.d]
+    shells = [(bits & q_bits) != 0 for bits in class_shells]
+    return shells, [(deep & (1 << ((sel - 1) * k + b))) != 0 for b in range(k)]
+
+
 def build_special_family(
     class_shells: list[np.ndarray],
     params: CounterexampleParams,
@@ -306,14 +288,7 @@ def build_special_family(
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
-    # Walks from a union of seeds end where walks from some seed end, so the
-    # shells of class q are read off the bits of its k subclasses at once.
-    q_bits = ((1 << k) - 1) << ((q - 1) * k)
-    shells = [(bits & q_bits) != 0 for bits in class_shells]
-    sel = q if params.reading == "q" else 1
-    sel_shells = [
-        (class_shells[params.d] & (1 << ((sel - 1) * k + b - 1))) != 0 for b in range(1, k + 1)
-    ]
+    shells, sel_shells = _family_shells(class_shells, params, q)
 
     def h(d: int, i: int, j: int) -> FunctionVertex:
         return FunctionVertex(
@@ -391,7 +366,7 @@ class BuildResult:
     gamma: WideColoring
     vertices: list[FunctionVertex]
     h: Graph
-    #: True where two tables collide (``_table_questions(g, vertices)[0]``).
+    #: True where two tables of one family collide; a pair across families reads True.
     collisions: np.ndarray
     #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
     takes: np.ndarray
@@ -530,15 +505,18 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     One sweep (``shell_bits``) for every class of the wide coloring, one bit
     per class; wideness is one AND of the depth-d bits over the edge arrays,
     and a narrow class is named.  Loops, H edges, images and distinctness
-    are all read off one ``_table_questions``.  A failed check does not stop
-    the build: its item carries the ``error`` and what failed.  The coloring
-    (v, f) -> f(v) of G x H is proper exactly when every edge of H is an
-    edge of the exponential graph, so ``h_edges_real`` counts the ordered
-    checks of that coloring; f ~ each level-one h and the pairwise edges of
-    each g family are H edges, so that item decides them too.  The const
-    rule compares each constant's collision row with the "takes color i"
-    row, and ``chain`` (``chain_check``) reads pairs that are not H
-    edges off the collision matrix.  A table with no collision is a proper
+    are all read off one ``_table_questions``, with one group per q (the
+    constants, f and family q).  No H edge, const rule entry or ``chain``
+    pair joins two families; such a pair reads as a collision, so an H edge
+    across families would fail ``h_edges_real``.  A failed check does not
+    stop the build: its item carries the ``error`` and what failed.  The
+    coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H
+    is an edge of the exponential graph, so ``h_edges_real`` counts the
+    ordered checks of that coloring; f ~ each level-one h and the pairwise
+    edges of each g family are H edges, so that item decides them too.  The
+    const rule compares each constant's collision row with the "takes color
+    i" row, and ``chain`` (``chain_check``) reads pairs that are not H edges
+    off the collision matrix.  A table with no collision is a proper
     c-coloring of G, so the loop check is the evidence of ``chi_g``.  It
     hashes no host: gamma is unpinned, and ``g_hash`` waits for a pin.
     """
@@ -566,10 +544,17 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         for i in range(1, c + 1)
     ]
     vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
+    groups = []
     for q in range(1, params.n + 1):
-        vertices.extend(build_special_family(class_shells, params, q))
+        # a vertex's type in family q: f, then its bits in q's shells and selector shells
+        types = gamma.pairs[:, 0].astype(np.int32)
+        for flag in sum(_family_shells(class_shells, params, q), []):
+            types = types << 1 | flag
+        family = build_special_family(class_shells, params, q)
+        groups.append((types, [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]))
+        vertices.extend(family)
     m = len(vertices)
-    collisions, takes, distinct = _table_questions(g, vertices)
+    collisions, takes, distinct = _table_questions(g, vertices, groups)
     edges = _skeleton_edges(params, vertices, takes)
     h = new_graph(m, edges)
     build = BuildResult(params, omega, gamma, vertices, h, collisions, takes)

@@ -105,6 +105,41 @@ def test_machine_checked_chi_g_is_refused(c5_cert):
     assert chk.failures == ["chi_g verdict has an unknown status"]
 
 
+@pytest.mark.parametrize("attribution", ["machine-checked", None])
+def test_chi_g_attribution_is_compared(c5_cert, attribution):
+    # chi(G) > c rests on the published identity alone; a certificate that
+    # rewrites or drops its attribution is refused by name
+    bad = copy.deepcopy(c5_cert)
+    if attribution is None:
+        del bad["verdicts"]["chi_g"]["attribution"]
+    else:
+        bad["verdicts"]["chi_g"]["attribution"] = attribution
+    assert check_certificate(bad).failures == [
+        "chi_g verdict attribution is not the published identity"
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit,failure",
+    [
+        (lambda p: p.pop("reading"), "missing ['reading'], extra []"),
+        (lambda p: p.update(seed=1), "missing [], extra ['seed']"),
+        (lambda p: (p.pop("k"), p.update(K=2)), "missing ['k'], extra ['K']"),
+    ],
+    ids=["no-reading", "extra-seed", "renamed-k"],
+)
+def test_params_keys_are_exactly_the_fields(c5_cert, edit, failure):
+    # a params object without "reading" used to be read with the default "q"
+    bad = copy.deepcopy(c5_cert)
+    edit(bad["params"])
+    assert check_certificate(bad).failures == [f"bad parameters: params keys {failure}"]
+    bad["params"] = ["c5_refined"]
+    missing = "['c', 'd', 'k', 'n', 'reading', 'variant']"
+    assert check_certificate(bad).failures == [
+        f"bad parameters: params keys missing {missing}, extra ['c5_refined']"
+    ]
+
+
 @pytest.mark.parametrize(
     "verdict,key,value,failure",
     [

@@ -280,13 +280,13 @@ def test_verify_literal_reading_fails(capsys):
 
 
 def _rewire(monkeypatch, edit):
-    """Rebind the table quotient so that ``edit(collisions, takes, distinct,
+    """Rebind the table questions so that ``edit(collisions, takes, distinct,
     index)`` corrupts copies of its answers; it returns the distinct count,
     and ``index`` maps a label to its table."""
     questions = cex._table_questions
 
-    def corrupted(g, vertices):
-        collisions, takes, distinct = questions(g, vertices)
+    def corrupted(g, vertices, groups):
+        collisions, takes, distinct = questions(g, vertices, groups)
         collisions, takes = collisions.copy(), takes.copy()
         index = {v.label: i for i, v in enumerate(vertices)}
         return collisions, takes, edit(collisions, takes, distinct, index)

@@ -124,11 +124,28 @@ def test_const_vs_const_adjacency():
     assert not exp_adjacent(g, c1, fv("c1b", [1] * 5))
 
 
+def whole(n, m):
+    """One group of all m tables over the identity types of an n-vertex
+    host, under which every table is constant on its types."""
+    return [(np.arange(n), list(range(m)))]
+
+
+def asked(groups, m):
+    """(m, m) flags of the pairs of tables that share a group."""
+    share = np.zeros((m, m), dtype=bool)
+    for _, members in groups:
+        share[np.ix_(members, members)] = True
+    return share
+
+
 @st.composite
 def tables_on_a_loopy_graph(draw):
-    """A graph on 1-12 vertices, loops allowed and possibly edgeless, with
-    up to 20 tables over [c] that repeat host columns and include constants
-    (more than 8 tables span more than one byte of a packed row)."""
+    """A graph on 1-12 vertices, loops allowed and possibly edgeless, up to
+    20 tables over [c] that repeat host columns and include constants, and
+    the groups they are asked in.  Either the identity types with one group
+    of all tables, or coarse random types (arbitrary integers, a few kinds),
+    tables built constant on them, and random subsets of tables as groups,
+    each table in at least one."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(1, 6))
     slots = [(u, v) for u in range(n) for v in range(u, n)]
@@ -139,27 +156,45 @@ def tables_on_a_loopy_graph(draw):
     for x in draw(st.lists(st.integers(1, c), max_size=2)):
         rows.append([x] * n)
     t = np.array(rows, dtype=np.int8)
-    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
-        t[:, dst] = t[:, src]
-    return new_graph(n, edges), c, [fv(str(i), row) for i, row in enumerate(t)]
+    m = len(t)
+    if draw(st.booleans()):
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            t[:, dst] = t[:, src]
+        groups = whole(n, m)
+    else:
+        kind = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        names = st.integers(-(2**31), 2**31 - 1)
+        types = np.array(draw(st.lists(names, min_size=4, max_size=4, unique=True)))[kind]
+        # each table takes its value at the first vertex of a vertex's type
+        _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        t = t[:, first[code]]
+        home = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        subsets = [[a for a in range(m) if home[a] == i] for i in range(3)]
+        subsets += draw(st.lists(st.lists(st.integers(0, m - 1), unique=True), max_size=2))
+        groups = [(types, members) for members in subsets if members]
+    return new_graph(n, edges), c, [fv(str(i), row) for i, row in enumerate(t)], groups
 
 
 @given(tables_on_a_loopy_graph())
 def test_collision_matrix_matches_oracle(case):
-    g, c, vertices = case
-    hit = counterexample._table_questions(g, vertices)[0]
+    # pairs that share a group against the oracle; the rest are not asked
+    # and read True
+    g, c, vertices, groups = case
+    hit = counterexample._table_questions(g, vertices, groups)[0]
     assert hit.shape == (len(vertices), len(vertices)) and hit.dtype == bool
+    share = asked(groups, len(vertices))
     for a, f in enumerate(vertices):
         for b, w in enumerate(vertices):
-            assert hit[a, b] == (not collision_free(g, c, f.table, w.table))
+            want = not collision_free(g, c, f.table, w.table) if share[a, b] else True
+            assert hit[a, b] == want
 
 
 @given(tables_on_a_loopy_graph())
 def test_image_matches_unique(case):
-    # the "takes color x" rows and the distinct count, read off the column
-    # quotient, against each table's own values and its bytes
-    g, c, vertices = case
-    _, takes, distinct = counterexample._table_questions(g, vertices)
+    # the "takes color x" rows and the distinct count, read off the types,
+    # against each table's own values and its bytes
+    g, c, vertices, groups = case
+    _, takes, distinct = counterexample._table_questions(g, vertices, groups)
     top = max(int(v.table.max()) for v in vertices)
     assert takes.shape == (top + 1, len(vertices)) and takes.dtype == bool
     for a, v in enumerate(vertices):
@@ -169,7 +204,7 @@ def test_image_matches_unique(case):
 
 @pytest.mark.parametrize("m", [70, 131])
 def test_table_questions_on_rows_of_several_words(m):
-    # more tables than one 64-bit word holds, m not a multiple of 8, and
+    # more tables than a 64-bit word has bits, m not a multiple of 8, and
     # colors 0, 2 and 4 taken by no table
     g = new_graph(7, [*cycle_graph(7).edges(), (3, 3)])
     rng = np.random.default_rng(m)
@@ -177,7 +212,7 @@ def test_table_questions_on_rows_of_several_words(m):
     t[:3] = [[1] * 7, [3] * 7, [5] * 7]
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices)
+    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(7, m))
     assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
     for a, f in enumerate(vertices):
         assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(f.table).tolist())
@@ -189,12 +224,9 @@ def test_table_questions_on_rows_of_several_words(m):
 @pytest.mark.parametrize("m", [9, 12])
 @pytest.mark.parametrize("top", [1, 3, 15, 16, 127])
 def test_table_questions_at_every_packing_width(top, m):
-    # a byte of a packed column holds 8, 4, 2, 2 and 1 tables of values up
-    # to 1, 3, 15, 16 and 127; m = 9 and 12 leave 7 and 4 zero rows of
-    # padding at 8 tables per byte, 3 and 0 at 4, 1 and 0 at 2.  Host
+    # values up to 1, 3, 15, 16 and 127, each the top of a bit width.  Host
     # vertex 20 + j repeats the column of vertex j except in one table,
-    # where they hold 0 and the top bit alone, so a packing that drops that
-    # bit merges the two classes.
+    # where they hold 0 and the top bit alone, so the two differ only there.
     rng = np.random.default_rng(top * 100 + m)
     n = 40
     edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < 0.02]
@@ -208,13 +240,25 @@ def test_table_questions_at_every_packing_width(top, m):
         t[a, j], t[a, 20 + j] = 0, high
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices)
+    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(n, m))
     assert takes.shape == (top + 1, m) and takes.dtype == bool
     for a, f in enumerate(vertices):
         assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(f.table))
         for b, w in enumerate(vertices):
             assert hit[a, b] == (not collision_free(g, top, f.table, w.table))
     assert distinct == len({row.tobytes() for row in t}) == m - 1
+
+
+def test_table_questions_refuse_a_table_not_constant_on_its_types():
+    # b splits type 7 (vertices 0 and 2), so its lookup would misread vertex 2;
+    # on the identity types it is asked like any table
+    g = new_graph(3, [(0, 1), (1, 2)])
+    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 2]), fv("c", [3, 3, 3])]
+    types = np.array([7, -4, 7])
+    groups = [(types, [0, 2]), (np.arange(3), [1, 2])]
+    assert counterexample._table_questions(g, vertices, groups)[2] == 3
+    with pytest.raises(ValueError, match="function table b is not constant on its types"):
+        counterexample._table_questions(g, vertices, [(types, [0, 2]), (types, [1, 2])])
 
 
 def test_table_questions_refuse_a_negative_value():
@@ -224,25 +268,28 @@ def test_table_questions_refuse_a_negative_value():
     for low in (-1, -128):
         vertices = [fv("fine", [127, 2, 2]), fv("minus", [low, 2, low]), fv("also", [-1] * 3)]
         with pytest.raises(ValueError, match="minus takes a negative value"):
-            counterexample._table_questions(g, vertices)
+            counterexample._table_questions(g, vertices, whole(3, 3))
 
 
 def test_table_questions_refuse_a_table_that_is_not_int8():
     g = new_graph(3, [(0, 1), (1, 2)])
     wide = FunctionVertex("wide", ("test",), np.array([1, 2, 300], dtype=np.int16))
     with pytest.raises(ValueError, match="wide is int16, not int8"):
-        counterexample._table_questions(g, [fv("fine", [1, 2, 2]), wide])
+        counterexample._table_questions(g, [fv("fine", [1, 2, 2]), wide], whole(3, 2))
 
 
 def test_collision_matrix_on_an_edgeless_host():
     g = new_graph(4, [])
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
-    assert not counterexample._table_questions(g, vertices)[0].any()
+    assert not counterexample._table_questions(g, vertices, whole(4, 2))[0].any()
     empty = new_graph(0, [])
-    assert not counterexample._table_questions(empty, [fv("a", []), fv("b", [])])[0].any()
-    assert counterexample._table_questions(empty, [fv("a", [])])[0].shape == (1, 1)
+    pair = [fv("a", []), fv("b", [])]
+    assert not counterexample._table_questions(empty, pair, whole(0, 2))[0].any()
+    assert counterexample._table_questions(empty, pair[:1], whole(0, 1))[0].shape == (1, 1)
     with pytest.raises(ValueError):
-        counterexample._table_questions(g, [fv("short", [1, 2])])
+        counterexample._table_questions(g, [fv("short", [1, 2])], whole(4, 1))
+    with pytest.raises(ValueError):
+        counterexample._table_questions(g, vertices, whole(3, 2))
 
 
 # -- builds -------------------------------------------------------------------
@@ -285,9 +332,35 @@ def test_host_hashes_and_edge_counts_pinned(c5_report, c7_report, c5_wide_build)
         assert graph_sha256(g) == sha, variant
 
 
-# Unordered pairs of distinct H vertices the exponential graph joins, under
-# the q reading; no table is a proper coloring of its host.
-ADJACENT_PAIRS = {"c5_refined": 153, "c7": 252, "c5_wide": 4273}
+# Unordered pairs of distinct H vertices in one family (the constants and f
+# lie in each) that the exponential graph joins, under the q reading; no
+# table is a proper coloring of its host.  Pairs across families are not
+# asked and read as collisions.
+ADJACENT_PAIRS = {"c5_refined": 126, "c7": 192, "c5_wide": 1981}
+
+
+def questions_of(monkeypatch, params):
+    """The (g, vertices, groups) that a build of ``params`` asks its one
+    ``_table_questions`` call."""
+    questions = counterexample._table_questions
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        return questions(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counterexample, "_table_questions", capture)
+        build_counterexample(params)
+    (args,) = seen
+    return args
+
+
+def family_pairs(build):
+    """(m, m) flags of the pairs of tables the build asks about: both in one
+    family q, or one of them a constant or f."""
+    family = np.array([v.role[1] if v.role[0] in ("h", "g") else 0 for v in build.vertices])
+    return (family[:, None] == family) | (family[:, None] == 0) | (family == 0)
 
 
 def test_collision_matrix_counts_pinned(c5_report, c7_report, c5_wide_build):
@@ -300,11 +373,14 @@ def test_collision_matrix_counts_pinned(c5_report, c7_report, c5_wide_build):
 
 
 def test_collision_matrix_matches_scan_on_refined(c5_report):
+    # every asked pair against the one-pair scan; the others read True
     build = c5_report.build
-    hit = build.collisions
+    hit, share = build.collisions, family_pairs(build)
+    assert hit[~share].all() and (~share).any()
     for a, f in enumerate(build.vertices):
         for b, w in enumerate(build.vertices[a:], start=a):
-            assert hit[a, b] == (not exp_adjacent(build.g, f, w))
+            if share[a, b]:
+                assert hit[a, b] == (not exp_adjacent(build.g, f, w))
 
 
 @pytest.mark.parametrize("variant,classes", [("c5_refined", 6), ("c7", 8), ("c5_wide", 6)])
@@ -351,19 +427,20 @@ def test_a_c7_report_keeps_no_host_csr():
     assert kept < 5 * 2**20
 
 
-def test_table_questions_copy_no_table_array(c5_wide_build):
-    # each of the 165 wide tables is packed straight into its byte group
-    # (peak 15.1 MB); packing off a stacked copy of them, padded to 168
-    # rows of |V| bytes (9.1 MB), peaks at 23.8 MB
-    build = c5_wide_build
+def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
+    # the wide questions peak at 8.5 MB: the bytes of the 165 tables (8.9 MB
+    # together) are held at once only while they are counted, and then each
+    # group keeps its codes and one lookup table per table, not a copy of
+    # its tables over the host
+    args = questions_of(monkeypatch, c5_wide_build.params)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        counterexample._table_questions(build.g, build.vertices)
+        counterexample._table_questions(*args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_a_host_is_hashed_only_for_a_pin(count_calls):
@@ -526,14 +603,20 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
     assert first_collision(g, f.table, h1.table) is None
     # a host edge u-v with f(u) = 1 puts v in h1's inside shell (value 4);
-    # h1 set to 1 at v collides with f across u-v and keeps its image {1, 4},
-    # so the skeleton keeps the edge f ~ h1
+    # h1 set to 1 at every vertex of v's type in family 1 (so it stays
+    # constant on its types) collides with f across u-v and keeps its image
+    # {1, 4}, so the skeleton keeps the edge f ~ h1
     eu, ev = edge_arrays(g)
     at = int(np.flatnonzero(f.table[eu] == 1)[0])
     v = int(ev[at])
     assert h1.table[v] == 4
+    _, vertices, groups = questions_of(monkeypatch, build.params)
+    index = [w.label for w in vertices].index(h1.label)
+    (types,) = [t for t, members in groups if index in members]
+    same = types == types[v]
     table = h1.table.copy()
-    table[v] = 1
+    table[same] = 1
+    assert set(np.unique(table).tolist()) == {1, 4}
     bad = FunctionVertex(h1.label, h1.role, table)
     special = counterexample.build_special_family
 
@@ -551,10 +634,11 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     assert [it.name for it in report.items if it.ok is False] == ["h_edges_real"]
     real = report.item("h_edges_real").detail
     assert (real["edge"], real["error"]) == (["f", "h(q=1,d=1,i=1,j=4)"], message)
-    # the reference scan finds a G edge at v on which the two tables collide
+    # the reference scan finds a G edge at v's type on which the two tables
+    # collide
     at = first_collision(g, f.table, table)
     x, y = int(eu[at]), int(ev[at])
-    assert v in (x, y)
+    assert same[x] or same[y]
     assert f.table[x] == table[y] or f.table[y] == table[x]
 
 
