@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, omega_tuples, shell_bits
+from .families import OmegaGraph, omega_shell_bits, omega_tuples
 from .graphs import Graph, edge_arrays, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
@@ -177,11 +177,12 @@ def _table_questions(
 
     A group is (types, indices): an integer type for each host vertex and
     the indices of the tables that depend on a vertex only through its
-    type; every table lies in some group.  ``collisions`` is (m, m): entry
-    [a, b] of two tables that share a group is True iff some edge u-v of g
-    has a(u) = b(v) in either orientation, so a and b are adjacent exactly
-    where it is False and the diagonal is the loop check.  A pair that
-    shares no group is not asked and reads True, as if it collided.
+    type; a table that lies in no group raises ValueError naming it.
+    ``collisions`` is (m, m): entry [a, b] of two tables that share a group
+    is True iff some edge u-v of g has a(u) = b(v) in either orientation,
+    so a and b are adjacent exactly where it is False and the diagonal is
+    the loop check.  A pair that shares no group is not asked and reads
+    True, as if it collided.
     ``takes`` [x, a] says table a takes the value x (rows 0 up to the
     largest value), and ``distinct`` counts the distinct tables.
 
@@ -197,6 +198,11 @@ def _table_questions(
     on x exactly where F R F^T is nonzero; its float64 sums are exact.
     """
     m = len(vertices)
+    grouped = np.zeros(m, dtype=bool)
+    for _, members in groups:
+        grouped[members] = True
+    if not grouped.all():
+        raise ValueError(f"function table {vertices[np.argmin(grouped)].label} lies in no group")
     for v in vertices:
         if v.table.shape != (g.n,):
             raise ValueError("function table does not match the host vertex set")
@@ -278,7 +284,7 @@ def build_special_family(
     special function's color.
 
     ``class_shells`` holds the exact-distance shells of every class of the
-    wide coloring at depths 0..d, as ``shell_bits`` gives them: bit
+    wide coloring at depths 0..d, as ``omega_shell_bits`` gives them: bit
     ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in the depth-t
     shell of class (a, b).  Every h is two-valued (an outside color, another
     on one exact-distance shell of the class with first coordinate q); every
@@ -502,13 +508,16 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     ``wide_coloring``, ``distinct_tables``, ``h_edges_real``,
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
-    One sweep (``shell_bits``) for every class of the wide coloring, one bit
-    per class; wideness is one AND of the depth-d bits over the edge arrays,
-    and a narrow class is named.  Loops, H edges, images and distinctness
-    are all read off one ``_table_questions``, with one group per q (the
-    constants, f and family q).  No H edge, const rule entry or ``chain``
-    pair joins two families; such a pair reads as a collision, so an H edge
-    across families would fail ``h_edges_real``.  A failed check does not
+    One sweep for every class of the wide coloring, one bit per class, read
+    off the host's coordinate rule (``omega_shell_bits``), so the build
+    makes no CSR arrays; wideness is one AND of the depth-d bits over the
+    edge arrays, and a narrow class is named.  The edge arrays also serve
+    the realized type pairs of ``_table_questions``, the counts and any
+    host hash.  Loops, H edges, images and distinctness are all read off
+    one ``_table_questions``, with one group per q (the constants, f and
+    family q).  No H edge, const rule entry or ``chain`` pair joins two
+    families; such a pair reads as a collision, so an H edge across
+    families would fail ``h_edges_real``.  A failed check does not
     stop the build: its item carries the ``error`` and what failed.  The
     coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H
     is an edge of the exponential graph, so ``h_edges_real`` counts the
@@ -528,7 +537,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     gamma = _zero_position(omega, params.n, params.k)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
-    class_shells = shell_bits(g, np.left_shift(bits.type(1), bit.astype(bits)), d)
+    class_shells = omega_shell_bits(omega, np.left_shift(bits.type(1), bit.astype(bits)), d)
     eu, ev = edge_arrays(g)
     deep = class_shells[d]
     narrow_bits = int(np.bitwise_or.reduce(np.take(deep, eu) & np.take(deep, ev)))

@@ -3,25 +3,31 @@
 * ``omega_tuples(n, d)`` is the right adjoint of the (2d+1)-walk power at
   the complete graph K_n: vertices are integer tuples in ``{0..d+1}^n``
   with exactly one 0 and at least one 1, adjacent when every coordinate
-  pair differs by exactly one or both sit at ``d+1``.  Tuples and edges are
-  enumerated as numpy arrays.  An edge is taken literally from that
-  definition: two zero positions p < q, a 1 opposite each zero, and one of
-  the 2d + 1 allowed value pairs at every other coordinate; the codes of
-  both ends are outer sums over the coordinates, located by a lookup table
-  over the whole code space.  The vertex and edge counts are checked
-  against their closed forms.
-* ``shell_bits(g, seeds, t)`` sweeps the host for the endpoints of walks of
-  length exactly 0..t from up to one vertex set per bit of its seed array,
-  over the graph's CSR neighbor arrays, built once per sweep, linear in
-  |V| + |E| per step.  The shells of a union of seeds are the unions of
-  their shells, so a counterexample build sweeps all color classes of its
-  wide coloring at once, one bit per class, and stops at the first shell
-  that repeats the one two steps back.  ``n_shells`` is the one-set case,
-  on boolean arrays.
+  pair differs by exactly one or both sit at ``d+1``.  Tuples, their
+  base-(d+2) codes and edges are enumerated as numpy arrays.  An edge is
+  taken literally from that definition: two zero positions p < q, a 1
+  opposite each zero, and one of the 2d + 1 allowed value pairs at every
+  other coordinate; the codes of both ends are outer sums over the
+  coordinates, located by a lookup table over the whole code space.  The
+  vertex and edge counts are checked against their closed forms.
+* ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
+  endpoints of walks of length exactly 0..t from up to one vertex set per
+  bit of its seed array, read off the coordinate rule: a step scatters the
+  bits over the (d+2)^n code space and ORs each coordinate's neighbouring
+  values in place, one axis at a time, so it builds no adjacency lists.
+  The shells of a union of seeds are the unions of their shells, so a
+  counterexample build sweeps all color classes of its wide coloring at
+  once, one bit per class.
+* ``shell_bits(g, seeds, t)`` is the same sweep on any graph, such as one
+  read from a DIMACS file, over the graph's CSR neighbor arrays, built once
+  per sweep, linear in |V| + |E| per step.  ``n_shells`` is its one-set
+  case, on boolean arrays.  Both sweeps stop at the first shell that
+  repeats the one two steps back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +37,7 @@ from .graphs import Graph, neighbor_arrays, new_graph, vertex_flags
 __all__ = [
     "n_shells",
     "shell_bits",
+    "omega_shell_bits",
     "OmegaGraph",
     "omega_vertex_count",
     "omega_edge_count",
@@ -39,6 +46,25 @@ __all__ = [
 
 
 # -- walk shells ----------------------------------------------------------
+
+
+def _sweep(seeds: np.ndarray, d: int, step) -> list[np.ndarray]:
+    """The shells ``seeds``, ``step(seeds)``, ... at depths 0..d.
+
+    ``step`` maps a shell to the next one.  Once a shell equals the one two
+    steps back, every later one repeats the last two (a step maps equal
+    shells to equal ones): the sweep stops and the remaining entries are
+    those two arrays, shared, not copied.
+    """
+    if d < 0:
+        raise ValueError("walk length must be nonnegative")
+    shells = [seeds]
+    while len(shells) <= d:
+        if len(shells) > 2 and np.array_equal(shells[-1], shells[-3]):
+            shells += shells[-2:] * ((d + 2 - len(shells)) // 2)
+            break
+        shells.append(step(shells[-1]))
+    return shells[: d + 1]
 
 
 def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
@@ -51,27 +77,62 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     gather and one ``bitwise_or.reduceat`` over the rows of
     ``neighbor_arrays(g)``, linear in |V| + |E| whatever the number of sets;
     a vertex with no neighbor ends no walk of positive length, so it stays 0.
-    Once a shell equals the one two steps back, every later one repeats the
-    last two (a step maps equal shells to equal ones): the sweep stops and
-    the remaining entries are those two arrays, shared, not copied.
+    The sweep stops at the first repeat, as ``_sweep`` says.
     """
-    if d < 0:
-        raise ValueError("walk length must be nonnegative")
     ptr, dst = neighbor_arrays(g)
     rows = np.flatnonzero(ptr[1:] != ptr[:-1])
     # reduceat gives a[i] for an empty segment, so only rows with a neighbor
     # are reduced; each one's segment then ends where the next one starts
     starts = ptr[rows].astype(np.intp)
-    shells = [seeds]
-    while len(shells) <= d:
-        if len(shells) > 2 and np.array_equal(shells[-1], shells[-3]):
-            shells += shells[-2:] * ((d + 2 - len(shells)) // 2)
-            break
-        step = np.zeros_like(seeds)
+
+    def step(shell: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(shell)
         if rows.size:
-            step[rows] = np.bitwise_or.reduceat(np.take(shells[-1], dst), starts)
-        shells.append(step)
-    return shells[: d + 1]
+            out[rows] = np.bitwise_or.reduceat(np.take(shell, dst), starts)
+        return out
+
+    return _sweep(seeds, d, step)
+
+
+def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.ndarray]:
+    """``shell_bits(omega.graph, seeds, t)``, read off the coordinate rule.
+
+    With n = ``omega.n`` and d = ``omega.d``, two tuples are adjacent
+    exactly when every coordinate pair lies in the relation R' = {(a, a+1),
+    (a+1, a) : 1 <= a <= d} + {(d+1, d+1), (0, 1), (1, 0)}: each tuple has
+    one 0, and (0, 1) puts a 1 opposite it.  So a step scatters the shell at
+    the vertex codes into a zeroed array over the whole (d+2)^n code space,
+    where a code off the vertex set holds 0, and makes one pass per
+    coordinate, in which value a takes the OR of its R'-partners: 1 for 0,
+    a - 1 and a + 1 for 1 <= a <= d, d and d+1 for d+1.  After n passes the
+    value at a code is the OR over every code R'-related to it at each
+    coordinate, so at a vertex it is the OR over its neighbors; it is
+    gathered at the vertex codes.  A pass ORs the whole array shifted one
+    value up and one down along its coordinate, as one contiguous operation
+    in the widest unsigned words the coordinate's stride allows, then
+    rewrites the two ends of the coordinate.  Two reused buffers over the
+    code space take the place of the host's CSR arrays.
+    """
+    side, codes = omega.d + 2, omega.codes
+    buffers = np.empty((2, side**omega.n * seeds.itemsize), dtype=np.uint8)
+
+    def step(shell: np.ndarray) -> np.ndarray:
+        src, out = buffers
+        src.fill(0)
+        src.view(shell.dtype)[codes] = shell
+        for axis in range(omega.n):
+            # bytes one coordinate step apart, read in words of up to 8 bytes
+            stride = side ** (omega.n - 1 - axis) * shell.itemsize
+            word = np.dtype(f"u{math.gcd(stride, 8)}")
+            a, b, s = src.view(word), out.view(word), stride // word.itemsize
+            np.bitwise_or(a[: -2 * s], a[2 * s :], out=b[s:-s])
+            a, b = a.reshape(-1, side, s), b.reshape(-1, side, s)
+            b[:, 0] = a[:, 1]
+            np.bitwise_or(a[:, -2], a[:, -1], out=b[:, -1])
+            src, out = out, src
+        return np.take(src.view(shell.dtype), codes)
+
+    return _sweep(seeds, t, step)
 
 
 def n_shells(g: Graph, members: np.ndarray, d: int) -> list[np.ndarray]:
@@ -103,13 +164,16 @@ def omega_edge_count(n: int, d: int) -> int:
     return n * (n - 1) // 2 * (2 * d + 1) ** (n - 2)
 
 
-def _omega_digits(n: int, d: int) -> np.ndarray:
-    """The valid tuples as rows of a (vertices, n) int8 array, in
-    lexicographic order, checked against the closed-form count.
+def _omega_vertices(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, codes): the valid tuples as rows of a (vertices, n) int8
+    array, in lexicographic order, checked against the closed-form count,
+    and the base-(d+2) integer each one spells, ascending.
 
     Valid means: entries in ``0..d+1``, exactly one 0, at least one 1.  The
     lexicographic order pins vertex indices, keeping every downstream label,
-    coloring and certificate reproducible.
+    coloring and certificate reproducible.  The tuples are read off an
+    enumeration of the whole code space in numeric order, so a tuple's code
+    is its position there.
     """
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
@@ -123,12 +187,12 @@ def _omega_digits(n: int, d: int) -> np.ndarray:
         )
     digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1).T
     valid = ((digits == 0).sum(axis=1) == 1) & (digits == 1).any(axis=1)
-    digits = digits[valid]
-    if len(digits) != count:
+    codes = np.flatnonzero(valid)
+    if len(codes) != count:
         raise RuntimeError(
-            f"tuple enumeration produced {len(digits)} vertices, formula says {count}"
+            f"tuple enumeration produced {len(codes)} vertices, formula says {count}"
         )
-    return digits
+    return digits[codes], codes
 
 
 def _coordinate_pairs(d: int) -> np.ndarray:
@@ -146,11 +210,14 @@ class OmegaGraph:
     ``n`` is the complete base's order (also the color count of the
     zero-position coloring) and ``d`` the half width: the graph is the right
     adjoint of the (2d+1)-walk power at K_n.  ``digits`` holds the tuples as
-    the rows of a (vertices, n) int8 array, in vertex order.
+    the rows of a (vertices, n) int8 array, in vertex order, and ``codes``
+    the base-(d+2) integer each tuple spells (ascending, intp): its index in
+    the (d+2)^n code space.
     """
 
     graph: Graph
     digits: np.ndarray = field(repr=False)
+    codes: np.ndarray = field(repr=False)
     n: int
     d: int
 
@@ -159,23 +226,22 @@ class OmegaGraph:
         return np.argmax(self.digits == 0, axis=1)
 
 
-def _omega_edges(digits: np.ndarray, d: int) -> np.ndarray:
-    """The edges of the tuple adjoint on the tuples ``digits``, as an
-    (edges, 2) int32 array of vertex pairs, each edge generated once.
+def _omega_edges(codes: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The edges of the tuple adjoint of K_n on the vertices with base-(d+2)
+    ``codes``, as an (edges, 2) int32 array of vertex pairs, each edge
+    generated once.
 
-    Tuples are coded as base-(d+2) integers, so lexicographic order is
-    numeric order, and a dense int32 table over all (d+2)^n codes maps each
-    code to its vertex (-1 for a code that is not a valid tuple).  The ends
-    x, y of an edge have their zeros at two positions p < q, with x_q = 1
-    and y_p = 1, and every other coordinate holds one of the pairs of
+    A dense int32 table over all (d+2)^n codes maps each code to its vertex
+    (-1 for a code that is not a valid tuple).  The ends x, y of an edge
+    have their zeros at two positions p < q, with x_q = 1 and y_p = 1, and
+    every other coordinate holds one of the pairs of
     ``_coordinate_pairs``.  For each p < q the codes of both ends are outer
     sums over those coordinates, so every combination of pairs is one edge.
     """
-    n = digits.shape[1]
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # vertex index of every code in the (d+2)^n code space, -1 off the set
     index = np.full((d + 2) ** n, -1, dtype=np.int32)
-    index[digits.astype(np.int64) @ weights] = np.arange(len(digits), dtype=np.int32)
+    index[codes] = np.arange(len(codes), dtype=np.int32)
     pairs = _coordinate_pairs(d)
     ends = []
     for p in range(n):
@@ -203,9 +269,9 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1 or more than
     2**31 vertices, the last before any enumeration.
     """
-    digits = _omega_digits(n, d)
-    edges = _omega_edges(digits, d)
-    g = new_graph(len(digits), edges)
+    digits, codes = _omega_vertices(n, d)
+    edges = _omega_edges(codes, n, d)
+    g = new_graph(len(codes), edges)
     if g.edge_count < len(edges):
         raise RuntimeError(
             f"tuple adjoint enumeration generated {len(edges) - g.edge_count} edges more than once"
@@ -215,4 +281,4 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         raise RuntimeError(
             f"tuple adjoint enumeration produced {g.edge_count} edges, formula says {expect}"
         )
-    return OmegaGraph(graph=g, digits=digits, n=n, d=d)
+    return OmegaGraph(graph=g, digits=digits, codes=codes, n=n, d=d)

@@ -2,10 +2,10 @@
 
 A graph is its canonical edge list: the two int32 endpoint arrays of
 ``edge_arrays`` (ascending, ``u <= v``, a loop as ``(v, v)``).  Vertex sets
-are boolean membership arrays over ``0..n-1``.  Shell sweeps, independence
-checks, function tables, hashing and the coloring search all run on the
-edge arrays or on the CSR neighbor arrays read off them, in time linear in
-|V| + |E|.
+are boolean membership arrays over ``0..n-1``.  Independence checks,
+function tables, hashing, the shell sweeps of a graph read from a file and
+the coloring search all run on the edge arrays or on the CSR neighbor
+arrays read off them, in time linear in |V| + |E|.
 
 Graphs are treated as immutable once built and hold nothing but their
 order and edge arrays: the CSR neighbor arrays of ``neighbor_arrays`` and

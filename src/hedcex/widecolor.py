@@ -13,8 +13,9 @@ graph over a complete base, checks it by condition 2 and pins it to its
 host; ``wide-check`` builds it unchecked and unpinned with ``_zero_position``
 and decides only the condition asked for.  The build makes the same coloring
 but sweeps it itself: every class gets one bit, all are swept at once with
-``shell_bits``, whose shells feed the function tables, and condition 2 is
-one AND over the edge arrays; its gamma is unpinned until it is written.
+``omega_shell_bits``, on the host's coordinate rule with no CSR arrays,
+whose shells feed the function tables, and condition 2 is one AND over the
+edge arrays; its gamma is unpinned until it is written.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hedcex import counterexample as cex
+from hedcex import families
 from hedcex.certificate import (
     CERTIFICATE_VERSION,
     certificate_from_json,
@@ -352,9 +353,12 @@ def test_certificates_of_every_variant_are_small_and_check(c5_cert, c7_report, c
 
 
 def test_check_sweeps_and_scans_only_inside_the_rebuild(count_calls, c5_cert):
-    # count calls through every binding of the two kernels in the package, so
-    # a second sweep or table quotient anywhere on the check path shows up
-    calls = count_calls(cex, "shell_bits", "_table_questions")
+    # count calls through every binding of the sweeps and the table questions
+    # in the package, so a second one anywhere on the check path shows up
+    sweeps = count_calls(families, "shell_bits", "omega_shell_bits")
+    calls = count_calls(cex, "_table_questions")
     assert check_certificate(c5_cert)
-    # one sweep for all six classes of the 3 x 2 wide coloring, one quotient
-    assert calls == {"shell_bits": 1, "_table_questions": 1}
+    # one sweep by the coordinate rule for all six classes of the 3 x 2 wide
+    # coloring, none over CSR arrays, one set of table questions
+    assert sweeps == {"shell_bits": 0, "omega_shell_bits": 1}
+    assert calls == {"_table_questions": 1}

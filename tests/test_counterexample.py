@@ -21,7 +21,7 @@ from hedcex.counterexample import (
 )
 from hedcex import counterexample, families, graphs
 from hedcex.certificate import check_certificate, emit_certificate
-from hedcex.families import n_shells, shell_bits
+from hedcex.families import n_shells
 from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
 from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows
@@ -203,9 +203,9 @@ def test_image_matches_unique(case):
 
 
 @pytest.mark.parametrize("m", [70, 131])
-def test_table_questions_on_rows_of_several_words(m):
-    # more tables than a 64-bit word has bits, m not a multiple of 8, and
-    # colors 0, 2 and 4 taken by no table
+def test_table_questions_on_more_than_64_tables(m):
+    # more than 64 tables, m not a multiple of 8, and colors 0, 2 and 4
+    # taken by no table
     g = new_graph(7, [*cycle_graph(7).edges(), (3, 3)])
     rng = np.random.default_rng(m)
     t = rng.choice(np.array([1, 3, 5], dtype=np.int8), size=(m, 7))
@@ -259,6 +259,15 @@ def test_table_questions_refuse_a_table_not_constant_on_its_types():
     assert counterexample._table_questions(g, vertices, groups)[2] == 3
     with pytest.raises(ValueError, match="function table b is not constant on its types"):
         counterexample._table_questions(g, vertices, [(types, [0, 2]), (types, [1, 2])])
+
+
+def test_table_questions_refuse_a_table_in_no_group():
+    # b lies in no group, so nothing would be asked of it and it would read
+    # as taking no color and colliding with every table
+    g = new_graph(3, [(0, 1), (1, 2)])
+    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 2]), fv("c", [3, 3, 3])]
+    with pytest.raises(ValueError, match="function table b lies in no group"):
+        counterexample._table_questions(g, vertices, [(np.arange(3), [0, 2])])
 
 
 def test_table_questions_refuse_a_negative_value():
@@ -387,13 +396,20 @@ def test_collision_matrix_matches_scan_on_refined(c5_report):
 def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
     seeds = []
 
-    def counting(g, bits, d):
-        seeds.append(bits)
-        return shell_bits(g, bits, d)
+    def counting(sweep):
+        def counted(graph, bits, d):
+            seeds.append(bits)
+            return sweep(graph, bits, d)
+
+        return counted
 
     # n_shells sweeps through families.shell_bits, so this sees every sweep
-    for mod in (families, counterexample):
-        monkeypatch.setattr(mod, "shell_bits", counting)
+    # of either kind
+    for name in ("shell_bits", "omega_shell_bits"):
+        counted = counting(getattr(families, name))
+        for mod in (families, counterexample):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     build_counterexample(params_for(variant))
     # one sweep for the whole build, each vertex seeded with its class's bit
     (seed,) = seeds
@@ -401,15 +417,23 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
 
 
 def test_one_host_per_verify(count_calls):
-    # every report item is read off one host and one sweep; a verify pins
-    # nothing, so it hashes no host, and CSR arrays are built once for the
-    # host's sweep and once for the search on H
-    calls = count_calls(families, "omega_tuples", "shell_bits")
+    # every report item is read off one host and one sweep by its coordinate
+    # rule; a verify pins nothing, so it hashes no host, and CSR arrays are
+    # built only for the search on H
+    calls = count_calls(families, "omega_tuples", "omega_shell_bits", "shell_bits")
     derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays")
     report = verify_counterexample(params_for("c5_refined"))
     assert report.status == "PASS"
-    assert calls == {"omega_tuples": 1, "shell_bits": 1}
-    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 2}
+    assert calls == {"omega_tuples": 1, "omega_shell_bits": 1, "shell_bits": 0}
+    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 1}
+
+
+def test_build_builds_no_host_csr(count_calls):
+    # the build sweeps the host by its coordinate rule and reads wideness
+    # and the realized type pairs off the edge arrays
+    calls = count_calls(graphs, "neighbor_arrays")
+    build_counterexample(params_for("c5_refined"))
+    assert calls == {"neighbor_arrays": 0}
 
 
 def test_a_c7_report_keeps_no_host_csr():

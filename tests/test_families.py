@@ -12,6 +12,7 @@ from hedcex import families
 from hedcex.families import (
     n_shells,
     omega_edge_count,
+    omega_shell_bits,
     omega_tuples,
     omega_vertex_count,
     shell_bits,
@@ -165,6 +166,36 @@ def test_shell_bits_past_the_repeat_matches_the_walk_oracle(case):
                 assert np.array_equal((shell >> j & 1).astype(bool), want[t][j]), (d, t, j)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 6) for d in range(1, 4)])
+def test_omega_shell_bits_equal_shell_bits_at_every_depth(n, d, dtype):
+    # random seeds of every bit width on about a third of the vertices, swept
+    # to 2|V| + 3, past the depth where the shells repeat
+    om = omega_tuples(n, d)
+    rng = np.random.default_rng(100 * n + 10 * d + np.dtype(dtype).itemsize)
+    seeds = rng.integers(0, np.iinfo(dtype).max, size=om.graph.n, dtype=dtype, endpoint=True)
+    seeds[rng.random(om.graph.n) < 2 / 3] = 0
+    t = 2 * om.graph.n + 3
+    want, got = shell_bits(om.graph, seeds, t), omega_shell_bits(om, seeds, t)
+    assert len(got) == t + 1
+    for depth, (shell, expected) in enumerate(zip(got, want)):
+        assert shell.dtype == seeds.dtype and np.array_equal(shell, expected), depth
+
+
+@pytest.mark.parametrize("report", ["c5_report", "c7_report", "c5_wide_report"])
+def test_omega_shell_bits_equal_shell_bits_on_the_preset_hosts(request, report):
+    # the hosts of the three variants, seeded with one bit per class of their
+    # wide coloring as the build seeds them, to twice the half width and more
+    build = request.getfixturevalue(report).build
+    k, pairs = build.params.k, build.gamma.pairs.astype(np.uint16)
+    seeds = np.left_shift(np.uint16(1), (pairs[:, 0] - 1) * k + pairs[:, 1] - 1)
+    t = 2 * build.omega.d + 3
+    want, got = shell_bits(build.g, seeds, t), omega_shell_bits(build.omega, seeds, t)
+    assert len(got) == t + 1
+    for depth, (shell, expected) in enumerate(zip(got, want)):
+        assert np.array_equal(shell, expected), depth
+
+
 def test_omega_formula_matches_enumeration():
     for n in range(2, 7):
         for d in range(1, 5):
@@ -243,8 +274,8 @@ def test_omega_edge_count_formula(n, d):
 def test_omega_enumeration_generates_each_edge_once(monkeypatch):
     once = families._omega_edges
 
-    def from_both_ends(digits, d):
-        edges = once(digits, d)
+    def from_both_ends(codes, n, d):
+        edges = once(codes, n, d)
         return np.vstack((edges, edges[:, ::-1]))
 
     monkeypatch.setattr(families, "_omega_edges", from_both_ends)
