@@ -1,11 +1,13 @@
 """Self-contained JSON certificates for the counterexample pairs.
 
-A certificate pins the parameters, the host graph by hash and counts, the
-wide coloring and every function table of H by digest, the H edge list, the
-verdicts, and the node budget of the chi(H) search.  A digest is the SHA-256
-of the values as int8 bytes in vertex order: a function table's values for
-an H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0,
-then of vertex 1, ...) for gamma.
+A certificate is what ``_canonical`` makes of a verified build: the
+parameters, the host graph by hash and counts, the wide coloring and every
+function table of H by digest, the H edge list and the verdicts.  The
+product and chi(G) verdicts are the build's own report items; the chi(H)
+verdict carries the node count of its search.  A digest is the SHA-256 of
+the values as int8 bytes in vertex order: a function table's values for an
+H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then
+of vertex 1, ...) for gamma.
 
 ``check_certificate`` refuses missing fields, a version other than
 ``CERTIFICATE_VERSION`` (naming the version), parameters whose keys are not
@@ -16,17 +18,15 @@ pinned counts, wideness, pairwise distinct tables, every H edge being an
 edge of the exponential graph, which is the product coloring, the const
 rule, on c5_wide the chain between consecutive h levels, and no loops) is
 refused with one line per failed check, in item order, as ``verify`` prints
-them; an exception from inside the build is one such line.  Every other
-comparison is made against that rebuild, in one pass.  Both chromatic
-verdicts must be about c colors, and the product verdict (the
-``h_edges_real`` item) must count the rebuild's 2|E(H)||E(G)| ordered
-checks.  The chi(H) verdict is trusted together with its node count, which
-must be a positive integer; the chi(G) verdict is attributed to a published
-identity, and no other status or attribution is accepted.  The H edge list
-must be well formed, free of duplicates, and equal to the rebuild's in
-count and as a set, so an edge out of range or a loop is a spurious edge.
-Then come the host hash and counts, the wide coloring's shape, host pin and
-digest, the H labels and each table digest.
+them; an exception from inside the build is one such line.  Then every
+field of the canonical certificate of that rebuild is compared, in one
+pass, with the certificate's under one rule: equal as JSON values, types
+included.  There are three exceptions.  The chi(H) node count, which no
+rebuild decides, need only be a positive integer.  The H edge list is
+compared as a set with no duplicates, so an edge out of range or a loop is
+a spurious edge.  The chi(G) attribution may keep the previous layout's
+" at this budget" suffix.  A field the canonical certificate lacks, such as
+the previous layout's ``budgets``, is not read.
 The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
@@ -39,11 +39,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .counterexample import (
-    CHI_G_ATTRIBUTION,
     PASS,
     BuildResult,
     CounterexampleParams,
     Report,
+    ReportItem,
     build_counterexample,
 )
 
@@ -55,10 +55,20 @@ def _sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.int8).tobytes()).hexdigest()
 
 
-def _pinned(build: BuildResult) -> dict:
-    """The certificate fields a build determines: host, gamma, H."""
-    gamma = build.gamma
+def _same(got: object, want: object) -> bool:
+    """Equal as JSON values, types included: 1 is not 1.0 and not true."""
+    return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> dict:
+    """The certificate a build determines, given the node count of its
+    chi(H) search: the product and chi(G) verdicts are the build's own
+    ``h_edges_real`` and ``chi_g`` report items."""
+    gamma, item = build.gamma, {it.name: it for it in items}
+    real, chi_g = item["h_edges_real"], item["chi_g"].detail
     return {
+        "version": CERTIFICATE_VERSION,
+        "params": asdict(build.params),
         "g_hash": build.g_hash,
         "g_counts": {"vertices": build.g.n, "edges": build.g.edge_count},
         "gamma": {
@@ -70,30 +80,21 @@ def _pinned(build: BuildResult) -> dict:
         },
         "h": [{"label": v.label, "sha256": _sha256(v.table)} for v in build.vertices],
         "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
+        "verdicts": {
+            "chi_h": {"status": "none", "colors": build.params.c, "nodes": nodes},
+            "product": {"ok": real.ok, "ordered_checks": real.detail["ordered_checks"]},
+            "chi_g": {key: chi_g[key] for key in ("colors", "status", "attribution")},
+        },
     }
 
 
 def emit_certificate(report: Report) -> dict:
-    """Package a PASS report as a plain JSON-ready dictionary."""
+    """The certificate of a PASS report's build, as a JSON-ready dictionary."""
     if report.status != PASS:
         raise ValueError(f"only PASS reports are certifiable, got {report.status}")
     if report.build is None:
         raise ValueError("report carries no build to certify")
-    params = report.params
-    chi_h = report.item("chi_h")
-    real = report.item("h_edges_real")
-    chi_g = report.item("chi_g")
-    return {
-        "version": CERTIFICATE_VERSION,
-        "params": asdict(params),
-        **_pinned(report.build),
-        "verdicts": {
-            "chi_h": {"status": "none", "colors": params.c, "nodes": chi_h.detail["nodes"]},
-            "product": {"ok": True, "ordered_checks": real.detail["ordered_checks"]},
-            "chi_g": {key: chi_g.detail[key] for key in ("colors", "status", "attribution")},
-        },
-        "budgets": report.budgets,
-    }
+    return _canonical(report.build, report.items, report.item("chi_h").detail["nodes"])
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -112,6 +113,23 @@ def certificate_from_json(text: str) -> dict:
     return doc
 
 
+#: The failure that names each verdict field unequal to the canonical one, in
+#: the order they are reported: {0!r} is the certificate's value, {1} the
+#: canonical one.  The chi(H) node count is the one field no rebuild decides.
+_VERDICT_FAILURES = {
+    ("chi_h", "status"): "chi_h verdict is not a refusal",
+    ("chi_h", "colors"): "chi_h verdict colors {0!r} is not c = {1}",
+    ("chi_g", "colors"): "chi_g verdict colors {0!r} is not c = {1}",
+    ("chi_h", "nodes"): "chi_h verdict nodes {0!r} is not a positive integer",
+    ("product", "ok"): "product verdict is not positive",
+    ("product", "ordered_checks"): (
+        "product verdict ordered_checks {0!r} is not 2|E(H)||E(G)| = {1}"
+    ),
+    ("chi_g", "status"): "chi_g verdict has an unknown status",
+    ("chi_g", "attribution"): "chi_g verdict attribution is not the published identity",
+}
+
+
 @dataclass
 class CertificateCheck:
     failures: list[str] = field(default_factory=list)
@@ -125,10 +143,11 @@ class CertificateCheck:
 
 
 def check_certificate(cert: dict) -> CertificateCheck:
-    """Check a certificate against the canonical build of its parameters:
-    fields, version and parameters first, then the rebuild and, against it,
-    the verdicts, the H edge list, the host, the wide coloring and the H
-    vertices.
+    """Check a certificate, a JSON document as ``certificate_from_json``
+    returns it, against the canonical build of its parameters: fields,
+    version and parameters first, then the rebuild and, against the
+    certificate it would emit, the verdicts, the H edge list, the host, the
+    wide coloring and the H vertices.
     """
     failures: list[str] = []
 
@@ -164,41 +183,21 @@ def check_certificate(cert: dict) -> CertificateCheck:
         errors = [err]
     if errors:
         return CertificateCheck([f"canonical rebuild failed: {error}" for error in errors])
-    canon = _pinned(rebuilt)
 
-    verdicts = cert["verdicts"]
-    names = ("chi_h", "product", "chi_g")
+    verdicts, names = cert["verdicts"], ("chi_h", "product", "chi_g")
     if need(isinstance(verdicts, dict) and set(names) <= set(verdicts), "missing verdicts"):
         loose = [name for name in names if not isinstance(verdicts[name], dict)]
-        if need(not loose, f"verdict is not a JSON object: {', '.join(loose)}"):
-            chi_h, product, chi_g = (verdicts[name] for name in names)
-            need(chi_h.get("status") == "none", "chi_h verdict is not a refusal")
-            for name, colors in (("chi_h", chi_h.get("colors")), ("chi_g", chi_g.get("colors"))):
-                need(
-                    type(colors) is int and colors == params.c,
-                    f"{name} verdict colors {colors!r} is not c = {params.c}",
-                )
-            nodes = chi_h.get("nodes")
-            need(
-                type(nodes) is int and nodes > 0,
-                f"chi_h verdict nodes {nodes!r} is not a positive integer",
-            )
-            need(product.get("ok") is True, "product verdict is not positive")
-            checks = 2 * rebuilt.h.edge_count * rebuilt.g.edge_count
-            ordered = product.get("ordered_checks")
-            need(
-                type(ordered) is int and ordered == checks,
-                f"product verdict ordered_checks {ordered!r} is not 2|E(H)||E(G)| = {checks}",
-            )
-            need(
-                chi_g.get("status") == "external_theorem",
-                "chi_g verdict has an unknown status",
-            )
-            # the previous layout's attribution ended "at this budget"
-            need(
-                str(chi_g.get("attribution")).removesuffix(" at this budget") == CHI_G_ATTRIBUTION,
-                "chi_g verdict attribution is not the published identity",
-            )
+        need(not loose, f"verdict is not a JSON object: {', '.join(loose)}")
+    shaped = not failures
+    canon = _canonical(rebuilt, items, verdicts["chi_h"].get("nodes") if shaped else None)
+    for (name, key), message in _VERDICT_FAILURES.items() if shaped else ():
+        got, want = verdicts[name].get(key), canon["verdicts"][name][key]
+        if key == "attribution" and isinstance(got, str):
+            got = got.removesuffix(" at this budget")  # the previous layout's suffix
+        need(
+            type(got) is int and got > 0 if key == "nodes" else _same(got, want),
+            message.format(got, want),
+        )
 
     h_edges = cert["h_edges"]
     if need(
@@ -220,12 +219,8 @@ def check_certificate(cert: dict) -> CertificateCheck:
                 f"missing {missing})"
             )
 
-    need(cert["g_hash"] == canon["g_hash"], "host graph hash mismatch")
-    counts = cert["g_counts"]
-    need(
-        counts == canon["g_counts"] and all(type(v) is int for v in counts.values()),
-        "host graph counts mismatch",
-    )
+    need(_same(cert["g_hash"], canon["g_hash"]), "host graph hash mismatch")
+    need(_same(cert["g_counts"], canon["g_counts"]), "host graph counts mismatch")
 
     gamma, want = cert["gamma"], canon["gamma"]
     if need(
@@ -237,10 +232,7 @@ def check_certificate(cert: dict) -> CertificateCheck:
             (("graph_sha256",), "wide coloring pinned to a different graph"),
             (("pairs_sha256",), "wide coloring differs from the canonical zero-position coloring"),
         ):
-            need(
-                all(type(gamma[key]) is type(want[key]) and gamma[key] == want[key] for key in keys),
-                message,
-            )
+            need(all(_same(gamma[key], want[key]) for key in keys), message)
 
     try:
         labels = [entry["label"] for entry in cert["h"]]
@@ -249,9 +241,10 @@ def check_certificate(cert: dict) -> CertificateCheck:
         failures.append(f"malformed H vertex list: {err!r}")
     else:
         if need(len(labels) == len(canon["h"]), "unexpected number of H vertices"):
-            need(labels == rebuilt.labels, "H vertex labels differ from the canonical build")
+            want = [entry["label"] for entry in canon["h"]]
+            need(_same(labels, want), "H vertex labels differ from the canonical build")
             bad = next(
-                (entry["label"] for entry, got in zip(canon["h"], digests) if got != entry["sha256"]),
+                (e["label"] for e, got in zip(canon["h"], digests) if not _same(got, e["sha256"])),
                 None,
             )
             need(bad is None, f"function table of {bad} differs from the canonical build")

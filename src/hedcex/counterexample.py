@@ -268,7 +268,13 @@ def _family_shells(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(shells, selectors), boolean over V(G): the shells of class q at
     depths 0..d (walks from a union of seeds end where walks from some seed
-    end), and the depth-d shells of the subclasses of q, or of 1 ("literal")."""
+    end), and the depth-d shells of the subclasses of q, or of 1 ("literal").
+
+    ``class_shells`` holds the exact-distance shells of every class of the
+    wide coloring at depths 0..d, as ``omega_shell_bits`` gives them: bit
+    ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in the depth-t
+    shell of class (a, b).
+    """
     k, sel = params.k, q if params.reading == "q" else 1
     q_bits, deep = ((1 << k) - 1) << ((q - 1) * k), class_shells[params.d]
     shells = [(bits & q_bits) != 0 for bits in class_shells]
@@ -276,25 +282,24 @@ def _family_shells(
 
 
 def build_special_family(
-    class_shells: list[np.ndarray],
+    shells: list[np.ndarray],
+    selectors: list[np.ndarray],
     params: CounterexampleParams,
     q: int,
 ) -> list[FunctionVertex]:
     """The named non-constant functions attached to one value q of the
     special function's color.
 
-    ``class_shells`` holds the exact-distance shells of every class of the
-    wide coloring at depths 0..d, as ``omega_shell_bits`` gives them: bit
-    ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in the depth-t
-    shell of class (a, b).  Every h is two-valued (an outside color, another
-    on one exact-distance shell of the class with first coordinate q); every
-    g replaces the shell values by a per-subclass selector.  The index sets
-    follow the variant.
+    ``shells`` and ``selectors`` are family q's boolean shells over V(G), as
+    ``_family_shells`` gives them: the exact-distance shells of the class
+    with first coordinate q at depths 0..d, and the k depth-d selector
+    shells.  Every h is two-valued (an outside color, another on one of
+    ``shells``); every g replaces the shell values by a per-subclass
+    selector.  The index sets follow the variant.
     """
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
-    shells, sel_shells = _family_shells(class_shells, params, q)
 
     def h(d: int, i: int, j: int) -> FunctionVertex:
         return FunctionVertex(
@@ -304,7 +309,7 @@ def build_special_family(
         )
 
     def gv(i: int, value_of_b) -> FunctionVertex:
-        pairs = [(value_of_b(b), sel_shells[b - 1]) for b in range(1, k + 1)]
+        pairs = [(value_of_b(b), selectors[b - 1]) for b in range(1, k + 1)]
         return FunctionVertex(
             label=f"g(q={q},d={params.d},i={i})",
             role=("g", q, params.d, i),
@@ -555,13 +560,15 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
     groups = []
     for q in range(1, params.n + 1):
+        shells, selectors = _family_shells(class_shells, params, q)
         # a vertex's type in family q: f, then its bits in q's shells and selector shells
         types = gamma.pairs[:, 0].astype(np.int32)
-        for flag in sum(_family_shells(class_shells, params, q), []):
+        for flag in shells + selectors:
             types = types << 1 | flag
-        family = build_special_family(class_shells, params, q)
+        family = build_special_family(shells, selectors, params, q)
         groups.append((types, [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]))
         vertices.extend(family)
+    del shells, selectors  # the last family's, freed before the table questions
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices, groups)
     edges = _skeleton_edges(params, vertices, takes)

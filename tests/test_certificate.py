@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -35,9 +37,9 @@ def test_emit_requires_pass():
 
 # SHA-256 of each certificate file as ``verify counterexample --cert`` writes it
 CERT_SHA256 = {
-    "c5_refined": "a12f4afa5f4b31f3bd7a7d94c88e4c24481ccf3f8d1847f20c43f3b40363160d",
-    "c7": "0c80e1672e69a00741e474b6a6f66411c894f0822935adf1c25362592a52ac92",
-    "c5_wide": "ff8f14fd10ecfe9cdea31fe005f467b0e2b466f581c24027971ffa175a511092",
+    "c5_refined": "183f4e51107848e7e2bbded65c4adc0e3d6eef4f22540b3a9cea3529cf885c5e",
+    "c7": "1f42f43e43f0d8c4bd569eeff6dd89966fd8e3d57fc43eacf75ac24a4ea4b79b",
+    "c5_wide": "03bc77588c04d318b074bd8d13cda65717ece9ca2c79a9faec4cf3c99fb8a8dd",
 }
 
 
@@ -80,7 +82,7 @@ def test_json_shape(c5_cert):
         "status": "external_theorem",
         "attribution": cex.CHI_G_ATTRIBUTION,
     }
-    assert c5_cert["budgets"] == {"search": {"nodes": DEFAULT_BUDGET.node_limit}}
+    assert "budgets" not in c5_cert
 
 
 def test_certificate_in_the_previous_layout_still_checks(c5_cert):
@@ -163,6 +165,37 @@ def test_verdict_fields_are_compared(c5_cert, verdict, key, value, failure):
     bad = copy.deepcopy(c5_cert)
     bad["verdicts"][verdict][key] = value
     assert check_certificate(bad).failures == [failure]
+
+
+def _paths(doc, path=()):
+    """Every path into a JSON document but its root, each before its children."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def test_every_leaf_mutation_is_refused(c5_cert):
+    # every field is read: deleting any field, or setting it to -1 or to "x",
+    # is refused.  H's tables and edges are covered by their first three entries
+    deleted = object()
+    mutations = 0
+    for path in _paths(c5_cert):
+        if path[0] in ("h", "h_edges") and len(path) > 1 and path[1] >= 3:
+            continue
+        *where, key = path
+        for value in (deleted, -1, "x"):
+            bad = copy.deepcopy(c5_cert)
+            target = reduce(getitem, where, bad)
+            if value is deleted:
+                del target[key]
+            elif json.dumps(target[key]) == json.dumps(value):
+                continue
+            else:
+                target[key] = value
+            assert not check_certificate(bad), (path, value)
+            mutations += 1
+    assert mutations == 150
 
 
 def test_not_an_object():

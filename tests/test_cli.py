@@ -517,6 +517,45 @@ def test_usage_errors(capsys):
         assert exit_info.value.code == 2
 
 
+EITHER = "wide-check: pass either --n/--k/--d or --graph/--gamma"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], EITHER),
+        (["--n", "3", "--k", "2", "--d", "1", "--graph", "g.col", "--gamma", "g.json"], EITHER),
+        (["--graph", "g.col"], "wide-check: --graph and --gamma go together"),
+        (["--n", "2", "--k", "1"], "wide-check: --n, --k and --d go together"),
+        (
+            ["--n", "1", "--k", "1", "--d", "1"],
+            "hedcex: tuple adjoint needs n >= 2 and d >= 1, got n=1 d=1",
+        ),
+        (
+            ["--n", "2", "--k", "1", "--d", "0"],
+            "hedcex: tuple adjoint needs n >= 2 and d >= 1, got n=2 d=0",
+        ),
+    ],
+    ids=["no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0"],
+)
+def test_wide_check_refusals_are_named(capsys, argv, message):
+    # each refusal is one stderr line and exit 2, before any file is read
+    assert run(capsys, "wide-check", *argv) == (2, "", message + "\n")
+
+
+def test_certificate_of_an_unknown_variant_is_refused(tmp_path, capsys, c5_report):
+    doc = emit_certificate(c5_report)
+    doc["params"]["variant"] = "c9"
+    cert = tmp_path / "c9.cert.json"
+    cert.write_text(certificate_to_json(doc))
+    code, out, err = run(capsys, "verify", "certificate", "--cert", str(cert))
+    assert (code, out, err) == (
+        1,
+        "certificate: INVALID\n  - bad parameters: unknown variant 'c9'\n",
+        "",
+    )
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "hedcex", "wide-check", "--n", "3", "--k", "1", "--d", "1"],

@@ -416,6 +416,15 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
     assert np.unique(seed).tolist() == [1 << j for j in range(classes)]
 
 
+@pytest.mark.parametrize("variant,n_families", [("c5_refined", 3), ("c7", 4), ("c5_wide", 3)])
+def test_build_reads_each_family_shells_once(count_calls, variant, n_families):
+    # one family per value q of f; its shells and selectors serve both its
+    # vertex types and its tables
+    calls = count_calls(counterexample, "_family_shells")
+    build_counterexample(params_for(variant))
+    assert calls == {"_family_shells": n_families}
+
+
 def test_one_host_per_verify(count_calls):
     # every report item is read off one host and one sweep by its coordinate
     # rule; a verify pins nothing, so it hashes no host, and CSR arrays are
