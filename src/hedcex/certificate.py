@@ -10,23 +10,23 @@ H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then
 of vertex 1, ...) for gamma.
 
 ``check_certificate`` refuses missing fields, a version other than
-``CERTIFICATE_VERSION`` (naming the version), parameters whose keys are not
-those of ``CounterexampleParams`` (naming the missing and extra ones) and
-invalid parameters, and then rebuilds the construction from the parameters,
-once, with ``build_counterexample``.  A rebuild that fails its checks (the
-pinned counts, wideness, pairwise distinct tables, every H edge being an
-edge of the exponential graph, which is the product coloring, the const
-rule, on c5_wide the chain between consecutive h levels, and no loops) is
-refused with one line per failed check, in item order, as ``verify`` prints
-them; an exception from inside the build is one such line.  Then every
-field of the canonical certificate of that rebuild is compared, in one
-pass, with the certificate's under one rule: equal as JSON values, types
-included.  There are three exceptions.  The chi(H) node count, which no
-rebuild decides, need only be a positive integer.  The H edge list is
-compared as a set with no duplicates, so an edge out of range or a loop is
-a spurious edge.  The chi(G) attribution may keep the previous layout's
-" at this budget" suffix.  A field the canonical certificate lacks, such as
-the previous layout's ``budgets``, is not read.
+``CERTIFICATE_VERSION`` (naming the version), parameters that are not a JSON
+object or whose keys are not those of ``CounterexampleParams`` (naming the
+missing and extra ones) and invalid parameters, and then rebuilds the
+construction from the parameters, once, with ``build_counterexample``.  A
+rebuild that fails its checks (the pinned counts, wideness, pairwise
+distinct tables, every H edge being an edge of the exponential graph, which
+is the product coloring, the const rule, on c5_wide the chain between
+consecutive h levels, and no loops) is refused with one line per failed
+check, in item order, as ``verify`` prints them; an exception from inside
+the build is one such line.  Then every field of the canonical certificate
+of that rebuild is compared, in one pass, with the certificate's under one
+rule: equal as JSON values, types included.  There are three exceptions.
+The chi(H) node count, which no rebuild decides, need only be a positive
+integer.  The H edge list is compared as a set with no duplicates, so an
+edge out of range or a loop is a spurious edge.  The chi(G) attribution may
+keep the previous layout's " at this budget" suffix.  A field the canonical
+certificate lacks, such as the previous layout's ``budgets``, is not read.
 The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
@@ -51,8 +51,9 @@ CERTIFICATE_VERSION = "2"
 
 
 def _sha256(values: np.ndarray) -> str:
-    """SHA-256 of ``values`` as int8 bytes, row-major."""
-    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.int8).tobytes()).hexdigest()
+    """SHA-256 of ``values`` as int8 bytes, row-major; a contiguous int8
+    array is hashed in place, through its buffer."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.int8)).hexdigest()
 
 
 def _same(got: object, want: object) -> bool:
@@ -166,6 +167,8 @@ def check_certificate(cert: dict) -> CertificateCheck:
     ):
         return CertificateCheck(failures)
     try:
+        if not isinstance(cert["params"], dict):
+            raise ValueError("params is not a JSON object")
         keys, given = {f.name for f in fields(CounterexampleParams)}, set(cert["params"])
         if given != keys:
             missing, extra = sorted(keys - given), sorted(given - keys)
@@ -234,12 +237,14 @@ def check_certificate(cert: dict) -> CertificateCheck:
         ):
             need(all(_same(gamma[key], want[key]) for key in keys), message)
 
-    try:
-        labels = [entry["label"] for entry in cert["h"]]
-        digests = [entry["sha256"] for entry in cert["h"]]
-    except (KeyError, TypeError) as err:
-        failures.append(f"malformed H vertex list: {err!r}")
+    entries = cert["h"]
+    if not (isinstance(entries, list) and all(isinstance(entry, dict) for entry in entries)):
+        failures.append("malformed H vertex list: h is not a list of JSON objects")
+    elif lacking := [key for key in ("label", "sha256") if not all(key in e for e in entries)]:
+        failures.append(f"malformed H vertex list: an entry has no {lacking[0]!r}")
     else:
+        labels = [entry["label"] for entry in entries]
+        digests = [entry["sha256"] for entry in entries]
         if need(len(labels) == len(canon["h"]), "unexpected number of H vertices"):
             want = [entry["label"] for entry in canon["h"]]
             need(_same(labels, want), "H vertex labels differ from the canonical build")

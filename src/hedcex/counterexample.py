@@ -169,6 +169,14 @@ class FunctionVertex:
         return f"FunctionVertex({self.label})"
 
 
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """Fixed integer weights below 2^20 for host vertices 0..n-1, as float64:
+    the top 20 bits of v + 1 times 2^64 over the golden ratio, modulo 2^64
+    (Fibonacci hashing)."""
+    spread = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return (spread >> np.uint64(44)).astype(np.float64)
+
+
 def _table_questions(
     g: Graph, vertices: list[FunctionVertex], groups: list[tuple[np.ndarray, list[int]]]
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -188,10 +196,17 @@ def _table_questions(
 
     Tables are int8 and their values are colors 0, 1, ...; a table of
     another dtype or with a negative value raises ValueError.  In each group
-    one ``np.unique`` codes the types 0..K-1, and each table is read at one
-    vertex per type; that lookup is compared with the table at every host
-    vertex, so a table not constant on its types raises ValueError naming
-    it, and every answer is exact.  One pass over the edges, in slices of
+    one ``np.unique`` codes the types 0..K-1, on the narrowest integer dtype
+    that holds them (16 bits or fewer take numpy's radix sort), and each
+    table is read at one vertex per type; that lookup is compared with the
+    table at every host vertex, so a table not constant on its types raises
+    ValueError naming it, and every answer is exact.  ``distinct`` is read
+    off the lookups: a table's fingerprint is sum_v w(v) table(v) with the
+    fixed weights w(v) < 2^20 of ``_fingerprint_weights``, taken per group
+    as the lookup times the per-type weight sums.  Those sums are exact in
+    float64 (n 2^20 < 2^53) and the products in int64 (127 n 2^20 < 2^63),
+    so equal tables share a fingerprint, and tables that share one are
+    compared whole; no table is copied.  One pass over the edges, in slices of
     2^14 read once as intp indices for all groups, marks the type pairs that
     edges realize in each group, symmetrized into R (K x K).  For each color x,
     with F the (tables x K) flags of taking x on each type, a and b collide
@@ -212,18 +227,30 @@ def _table_questions(
     if top > np.iinfo(np.int8).max:
         bad = next(v for v in vertices if v.table.min() < 0)
         raise ValueError(f"function table {bad.label} takes a negative value")
-    distinct = len({v.table.tobytes() for v in vertices})
     hit = np.ones((m, m), dtype=bool)
     takes = np.zeros((top + 1, m), dtype=bool)
     lookup = np.empty(g.n, dtype=np.int8)
+    weights = _fingerprint_weights(g.n)
+    fingerprints = np.empty(m, dtype=np.int64)
     asked = []
     for types, members in groups:
-        _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        least, most = (np.min_scalar_type(x) for x in (types.min(initial=0), types.max(initial=0)))
+        narrow = types.astype(np.result_type(least, most))
+        _, first, code = np.unique(narrow, return_index=True, return_inverse=True)
         lut = np.stack([np.take(vertices[a].table, first) for a in members])
         for a, row in zip(members, lut):
             if not np.array_equal(np.take(row, code, out=lookup), vertices[a].table):
                 raise ValueError(f"function table {vertices[a].label} is not constant on its types")
+        type_weights = np.bincount(code, weights=weights, minlength=first.size).astype(np.int64)
+        fingerprints[members] = lut.astype(np.int64) @ type_weights
         asked.append((members, lut, code, np.zeros((first.size, first.size), dtype=bool)))
+    del weights  # freed before the edge pass, which sets the peak on c7
+    kept: dict[int, list[np.ndarray]] = {}
+    for v, key in zip(vertices, fingerprints.tolist()):
+        same = kept.setdefault(key, [])
+        if not any(np.array_equal(table, v.table) for table in same):
+            same.append(v.table)
+    distinct = sum(map(len, kept.values()))
     eu, ev = edge_arrays(g)
     for lo in range(0, eu.size, 1 << 14):
         u, v = (ends[lo : lo + (1 << 14)].astype(np.intp) for ends in (eu, ev))

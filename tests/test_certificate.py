@@ -136,11 +136,14 @@ def test_params_keys_are_exactly_the_fields(c5_cert, edit, failure):
     bad = copy.deepcopy(c5_cert)
     edit(bad["params"])
     assert check_certificate(bad).failures == [f"bad parameters: params keys {failure}"]
-    bad["params"] = ["c5_refined"]
-    missing = "['c', 'd', 'k', 'n', 'reading', 'variant']"
-    assert check_certificate(bad).failures == [
-        f"bad parameters: params keys missing {missing}, extra ['c5_refined']"
-    ]
+
+
+@pytest.mark.parametrize("params", [-1, "x", ["c5_refined"], None])
+def test_params_that_are_not_an_object_are_refused_by_shape(c5_cert, params):
+    # named by shape, so a string or a list is not read as a set of keys
+    bad = copy.deepcopy(c5_cert)
+    bad["params"] = params
+    assert check_certificate(bad).failures == ["bad parameters: params is not a JSON object"]
 
 
 @pytest.mark.parametrize(
@@ -314,9 +317,22 @@ def test_malformed_h_entry_fails(c5_cert):
     del bad["h"][0]["sha256"]
     chk = check_certificate(bad)
     assert not chk
-    assert any("malformed H vertex list" in f for f in chk.failures)
+    assert chk.failures == ["malformed H vertex list: an entry has no 'sha256'"]
     bad["h"] = "tables"
     assert not check_certificate(bad)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [0, "tables", {"label": "f"}, [1, 2], ["const(1)"], [{}, None]],
+    ids=["int", "string", "object", "ints", "strings", "null-entry"],
+)
+def test_h_that_is_not_a_list_of_objects_is_refused_by_shape(c5_cert, h):
+    bad = copy.deepcopy(c5_cert)
+    bad["h"] = h
+    assert check_certificate(bad).failures == [
+        "malformed H vertex list: h is not a list of JSON objects"
+    ]
 
 
 def test_duplicate_tables_fail(c5_cert):

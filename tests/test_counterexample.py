@@ -202,6 +202,25 @@ def test_image_matches_unique(case):
     assert distinct == len({v.table.tobytes() for v in vertices})
 
 
+@given(tables_on_a_loopy_graph())
+def test_distinct_tables_in_one_fingerprint_bucket(case):
+    # zero weights give every table the fingerprint 0, so the count rests on
+    # the whole-table compares alone
+    g, _, vertices, groups = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counterexample, "_fingerprint_weights", lambda n: np.zeros(n))
+        distinct = counterexample._table_questions(g, vertices, groups)[2]
+    assert distinct == len({v.table.tobytes() for v in vertices})
+
+
+def test_equal_tables_in_two_groups_are_counted_once():
+    # a and b are equal but fingerprinted in groups of different types
+    g = new_graph(3, [(0, 1), (1, 2)])
+    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
+    groups = [(np.array([7, -4, 7]), [0, 2]), (np.arange(3), [1, 2])]
+    assert counterexample._table_questions(g, vertices, groups)[2] == 2
+
+
 @pytest.mark.parametrize("m", [70, 131])
 def test_table_questions_on_more_than_64_tables(m):
     # more than 64 tables, m not a multiple of 8, and colors 0, 2 and 4
@@ -316,11 +335,16 @@ def test_c7_build_counts(c7_report):
     build = c7_report.build
     assert build.g.n == 16472
     assert build.h.n == 32 and build.h.edge_count == 168
+    distinct = c7_report.item("distinct_tables").detail
+    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 32
 
 
-def test_c5_wide_build_counts(c5_wide_build):
-    assert c5_wide_build.g.n == 54186
-    assert c5_wide_build.h.n == 165 and c5_wide_build.h.edge_count == 648
+def test_c5_wide_build_counts(c5_wide_report):
+    build = c5_wide_report.build
+    assert build.g.n == 54186
+    assert build.h.n == 165 and build.h.edge_count == 648
+    distinct = c5_wide_report.item("distinct_tables").detail
+    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 165
 
 
 # Certificates pin the host by these digests, so they must survive any change
@@ -461,10 +485,10 @@ def test_a_c7_report_keeps_no_host_csr():
 
 
 def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
-    # the wide questions peak at 8.5 MB: the bytes of the 165 tables (8.9 MB
-    # together) are held at once only while they are counted, and then each
-    # group keeps its codes and one lookup table per table, not a copy of
-    # its tables over the host
+    # the wide questions peak at about 3 MB: each group keeps its narrowed
+    # types, its codes and one lookup table per table, and the distinct
+    # tables are counted on fingerprints of those lookups, so no table is
+    # copied; the 165 tables together are 8.9 MB
     args = questions_of(monkeypatch, c5_wide_build.params)
     tracemalloc.start()
     try:
@@ -473,7 +497,7 @@ def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 5 * 2**20
 
 
 def test_a_host_is_hashed_only_for_a_pin(count_calls):
