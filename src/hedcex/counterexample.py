@@ -178,14 +178,18 @@ def _fingerprint_weights(n: int) -> np.ndarray:
 
 
 def _table_questions(
-    g: Graph, vertices: list[FunctionVertex], groups: list[tuple[np.ndarray, list[int]]]
+    g: Graph,
+    vertices: list[FunctionVertex],
+    groups: list[tuple[np.ndarray, np.ndarray, list[int]]],
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(collisions, takes, distinct): every question the build asks of its
     tables, each asked within a group of tables on that group's vertex types.
 
-    A group is (types, indices): an integer type for each host vertex and
-    the indices of the tables that depend on a vertex only through its
-    type; a table that lies in no group raises ValueError naming it.
+    A group is (code, lut, members): the type 0..K-1 of each host vertex,
+    each type taken by some vertex, the (len(members), K) int8 lookups of
+    the tables ``members`` on those types, with colors 0..127 as values, and
+    the indices of those tables.  Table members[i] is ``lut[i][code]``,
+    which is how the build makes it, so no table can differ from its lookup.
     ``collisions`` is (m, m): entry [a, b] of two tables that share a group
     is True iff some edge u-v of g has a(u) = b(v) in either orientation,
     so a and b are adjacent exactly where it is False and the diagonal is
@@ -194,56 +198,27 @@ def _table_questions(
     ``takes`` [x, a] says table a takes the value x (rows 0 up to the
     largest value), and ``distinct`` counts the distinct tables.
 
-    Tables are int8 and their values are colors 0, 1, ...; a table of
-    another dtype or with a negative value raises ValueError.  In each group
-    one ``np.unique`` codes the types 0..K-1, on the narrowest integer dtype
-    that holds them (16 bits or fewer take numpy's radix sort), and each
-    table is read at one vertex per type; that lookup is compared with the
-    table at every host vertex, so a table not constant on its types raises
-    ValueError naming it, and every answer is exact.  ``distinct`` is read
-    off the lookups: a table's fingerprint is sum_v w(v) table(v) with the
-    fixed weights w(v) < 2^20 of ``_fingerprint_weights``, taken per group
-    as the lookup times the per-type weight sums.  Those sums are exact in
-    float64 (n 2^20 < 2^53) and the products in int64 (127 n 2^20 < 2^63),
-    so equal tables share a fingerprint, and tables that share one are
-    compared whole; no table is copied.  One pass over the edges, in slices of
-    2^14 read once as intp indices for all groups, marks the type pairs that
-    edges realize in each group, symmetrized into R (K x K).  For each color x,
-    with F the (tables x K) flags of taking x on each type, a and b collide
-    on x exactly where F R F^T is nonzero; its float64 sums are exact.
+    Every answer is read off the lookups.  A table's fingerprint is
+    sum_v w(v) table(v) with the fixed weights w(v) < 2^20 of
+    ``_fingerprint_weights``, taken per group as the lookup times the
+    per-type weight sums.  Those sums are exact in float64 (n 2^20 < 2^53)
+    and the products in int64 (127 n 2^20 < 2^63), so equal tables share a
+    fingerprint, and only tables that share one are compared whole.  One
+    pass over the edges, in slices of 2^14 read once as intp indices for
+    all groups, marks the type pairs that edges realize in each group,
+    symmetrized into R (K x K).  For each color x, with F the (tables x K)
+    flags of taking x on each type, a and b collide on x exactly where
+    F R F^T is nonzero; its float64 sums are exact.
     """
     m = len(vertices)
-    grouped = np.zeros(m, dtype=bool)
-    for _, members in groups:
-        grouped[members] = True
-    if not grouped.all():
-        raise ValueError(f"function table {vertices[np.argmin(grouped)].label} lies in no group")
-    for v in vertices:
-        if v.table.shape != (g.n,):
-            raise ValueError("function table does not match the host vertex set")
-        if v.table.dtype != np.int8:
-            raise ValueError(f"function table {v.label} is {v.table.dtype}, not int8")
-    top = max(int(v.table.view(np.uint8).max(initial=0)) for v in vertices)
-    if top > np.iinfo(np.int8).max:
-        bad = next(v for v in vertices if v.table.min() < 0)
-        raise ValueError(f"function table {bad.label} takes a negative value")
+    top = max((int(lut.max(initial=0)) for _, lut, _ in groups), default=0)
     hit = np.ones((m, m), dtype=bool)
     takes = np.zeros((top + 1, m), dtype=bool)
-    lookup = np.empty(g.n, dtype=np.int8)
     weights = _fingerprint_weights(g.n)
-    fingerprints = np.empty(m, dtype=np.int64)
-    asked = []
-    for types, members in groups:
-        least, most = (np.min_scalar_type(x) for x in (types.min(initial=0), types.max(initial=0)))
-        narrow = types.astype(np.result_type(least, most))
-        _, first, code = np.unique(narrow, return_index=True, return_inverse=True)
-        lut = np.stack([np.take(vertices[a].table, first) for a in members])
-        for a, row in zip(members, lut):
-            if not np.array_equal(np.take(row, code, out=lookup), vertices[a].table):
-                raise ValueError(f"function table {vertices[a].label} is not constant on its types")
-        type_weights = np.bincount(code, weights=weights, minlength=first.size).astype(np.int64)
-        fingerprints[members] = lut.astype(np.int64) @ type_weights
-        asked.append((members, lut, code, np.zeros((first.size, first.size), dtype=bool)))
+    fingerprints = np.zeros(m, dtype=np.int64)
+    for code, lut, members in groups:
+        type_weights = np.bincount(code, weights=weights, minlength=lut.shape[1])
+        fingerprints[members] = lut.astype(np.int64) @ type_weights.astype(np.int64)
     del weights  # freed before the edge pass, which sets the peak on c7
     kept: dict[int, list[np.ndarray]] = {}
     for v, key in zip(vertices, fingerprints.tolist()):
@@ -251,16 +226,17 @@ def _table_questions(
         if not any(np.array_equal(table, v.table) for table in same):
             same.append(v.table)
     distinct = sum(map(len, kept.values()))
+    realized = [np.zeros((lut.shape[1],) * 2, dtype=bool) for _, lut, _ in groups]
     eu, ev = edge_arrays(g)
     for lo in range(0, eu.size, 1 << 14):
         u, v = (ends[lo : lo + (1 << 14)].astype(np.intp) for ends in (eu, ev))
-        for _, lut, code, realized in asked:
-            realized.ravel()[np.take(code, u) * len(realized) + np.take(code, v)] = True
-    for members, lut, _, realized in asked:
-        realized |= realized.T
+        for (code, _, _), pairs in zip(groups, realized):
+            pairs.ravel()[np.take(code, u) * len(pairs) + np.take(code, v)] = True
+    for (_, lut, members), pairs in zip(groups, realized):
+        pairs |= pairs.T
         flags = [(lut == x).astype(np.float64) for x in range(top + 1)]
         takes[:, members] = [f.any(axis=1) for f in flags]
-        hit[np.ix_(members, members)] = np.any([f @ realized @ f.T for f in flags], axis=0)
+        hit[np.ix_(members, members)] = np.any([f @ pairs @ f.T for f in flags], axis=0)
     return hit, takes, distinct
 
 
@@ -313,37 +289,31 @@ def build_special_family(
     selectors: list[np.ndarray],
     params: CounterexampleParams,
     q: int,
-) -> list[FunctionVertex]:
-    """The named non-constant functions attached to one value q of the
-    special function's color.
+) -> list[tuple[str, tuple, np.ndarray]]:
+    """(label, role, lookup) of each named non-constant function attached
+    to one value q of the special function's color.
 
-    ``shells`` and ``selectors`` are family q's boolean shells over V(G), as
-    ``_family_shells`` gives them: the exact-distance shells of the class
-    with first coordinate q at depths 0..d, and the k depth-d selector
-    shells.  Every h is two-valued (an outside color, another on one of
-    ``shells``); every g replaces the shell values by a per-subclass
-    selector.  The index sets follow the variant.
+    ``shells`` and ``selectors`` are family q's boolean shells, as
+    ``_family_shells`` gives them, read at one host vertex per type of the
+    family: the exact-distance shells of the class with first coordinate q
+    at depths 0..d, and the k depth-d selector shells.  Each lookup is then
+    the function's value on each type.  Every h is two-valued (an outside
+    color, another on one of ``shells``); every g replaces the shell values
+    by a per-subclass selector.  The index sets follow the variant.
     """
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
 
-    def h(d: int, i: int, j: int) -> FunctionVertex:
-        return FunctionVertex(
-            label=f"h(q={q},d={d},i={i},j={j})",
-            role=("h", q, d, i, j),
-            table=_two_valued(i, j, shells[d]),
-        )
+    def h(d: int, i: int, j: int) -> tuple[str, tuple, np.ndarray]:
+        return f"h(q={q},d={d},i={i},j={j})", ("h", q, d, i, j), _two_valued(i, j, shells[d])
 
-    def gv(i: int, value_of_b) -> FunctionVertex:
+    def gv(i: int, value_of_b) -> tuple[str, tuple, np.ndarray]:
         pairs = [(value_of_b(b), selectors[b - 1]) for b in range(1, k + 1)]
-        return FunctionVertex(
-            label=f"g(q={q},d={params.d},i={i})",
-            role=("g", q, params.d, i),
-            table=_selector_valued(i, shells[params.d], pairs),
-        )
+        lookup = _selector_valued(i, shells[params.d], pairs)
+        return f"g(q={q},d={params.d},i={i})", ("g", q, params.d, i), lookup
 
-    out: list[FunctionVertex] = []
+    out: list[tuple[str, tuple, np.ndarray]] = []
     if params.variant == "c7":
         minority = sorted(set(range(1, n + 1)) - {q})[:k]
         for j in range(n + 1, c + 1):
@@ -545,11 +515,15 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     makes no CSR arrays; wideness is one AND of the depth-d bits over the
     edge arrays, and a narrow class is named.  The edge arrays also serve
     the realized type pairs of ``_table_questions``, the counts and any
-    host hash.  Loops, H edges, images and distinctness are all read off
-    one ``_table_questions``, with one group per q (the constants, f and
-    family q).  No H edge, const rule entry or ``chain`` pair joins two
-    families; such a pair reads as a collision, so an H edge across
-    families would fail ``h_edges_real``.  A failed check does not
+    host hash.  A vertex's type in family q is its first coordinate under
+    gamma and its bits in q's shells and selectors; one ``np.unique`` per
+    family codes the types, ``build_special_family`` runs at one vertex per
+    type, and each table is its lookup read at each vertex's type.  Loops,
+    H edges, images and distinctness are all read off one
+    ``_table_questions``, with one group per q (the constants, f and family
+    q, each with its lookup).  No H edge, const rule entry or ``chain``
+    pair joins two families; such a pair reads as a collision, so an H edge
+    across families would fail ``h_edges_real``.  A failed check does not
     stop the build: its item carries the ``error`` and what failed.  The
     coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H
     is an edge of the exponential graph, so ``h_edges_real`` counts the
@@ -592,10 +566,17 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         types = gamma.pairs[:, 0].astype(np.int32)
         for flag in shells + selectors:
             types = types << 1 | flag
-        family = build_special_family(shells, selectors, params, q)
-        groups.append((types, [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]))
-        vertices.extend(family)
-    del shells, selectors  # the last family's, freed before the table questions
+        # coded on the narrowest dtype: 16 bits or fewer take numpy's radix sort
+        types = types.astype(np.min_scalar_type(types.max()))
+        _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        family = build_special_family(
+            [s[first] for s in shells], [s[first] for s in selectors], params, q
+        )
+        members = [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]
+        lut = np.stack([v.table[first] for v in vertices[: c + 1]] + [t for _, _, t in family])
+        groups.append((code, lut, members))
+        vertices += [FunctionVertex(label, role, np.take(t, code)) for label, role, t in family]
+    del shells, selectors, types  # the last family's, freed before the table questions
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices, groups)
     edges = _skeleton_edges(params, vertices, takes)

@@ -177,13 +177,19 @@ def _omega_vertices(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
-    # refused before the (d+2)^n code space is enumerated, by the bound of
-    # ``new_graph``
+    # refused before the (d+2)^n code space is enumerated: by the bound of
+    # ``new_graph``, then by the size of the digit array
     count = omega_vertex_count(n, d)
     if count > 1 << 31:
         raise ValueError(
             f"tuple adjoint at n={n} d={d} has {count} vertices, past 2**31, "
             "the most int32 vertices can number"
+        )
+    space = (d + 2) ** n
+    if n * space > 2 << 30:  # bytes of the int8 digit array
+        raise ValueError(
+            f"tuple adjoint at n={n} d={d} enumerates {space} codes of {n} digits, "
+            "past the 2 GiB bound on its digit array"
         )
     digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1).T
     valid = ((digits == 0).sum(axis=1) == 1) & (digits == 1).any(axis=1)
@@ -266,8 +272,9 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     is proportional to the number of edges, not to the square of the order.
     Both are checked: RuntimeError if the enumeration leaves the vertex set,
     generates an edge more than once, or yields an edge count other than
-    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1 or more than
-    2**31 vertices, the last before any enumeration.
+    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1, more than
+    2**31 vertices or a code space whose digits pass 2 GiB, the last two
+    before any enumeration.
     """
     digits, codes = _omega_vertices(n, d)
     edges = _omega_edges(codes, n, d)

@@ -535,8 +535,14 @@ EITHER = "wide-check: pass either --n/--k/--d or --graph/--gamma"
             ["--n", "2", "--k", "1", "--d", "0"],
             "hedcex: tuple adjoint needs n >= 2 and d >= 1, got n=2 d=0",
         ),
+        (
+            # 10,485,740 vertices, below 2**31, but 20 * 3**20 digit bytes
+            ["--n", "4", "--k", "5", "--d", "1"],
+            "hedcex: tuple adjoint at n=20 d=1 enumerates 3486784401 codes of 20 digits, "
+            "past the 2 GiB bound on its digit array",
+        ),
     ],
-    ids=["no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0"],
+    ids=["no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0", "code-space"],
 )
 def test_wide_check_refusals_are_named(capsys, argv, message):
     # each refusal is one stderr line and exit 2, before any file is read

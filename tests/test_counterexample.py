@@ -124,16 +124,23 @@ def test_const_vs_const_adjacency():
     assert not exp_adjacent(g, c1, fv("c1b", [1] * 5))
 
 
-def whole(n, m):
-    """One group of all m tables over the identity types of an n-vertex
-    host, under which every table is constant on its types."""
-    return [(np.arange(n), list(range(m)))]
+def group(code, vertices, members):
+    """The group of the tables ``members`` on the types ``code`` (0..K-1,
+    each taken by some vertex): each lookup is the table read at the first
+    vertex of each type."""
+    first = np.unique(code, return_index=True)[1]
+    return code, np.stack([vertices[a].table[first] for a in members]), members
+
+
+def whole(vertices):
+    """One group of all tables over the identity types of their host."""
+    return [group(np.arange(vertices[0].table.size), vertices, list(range(len(vertices))))]
 
 
 def asked(groups, m):
     """(m, m) flags of the pairs of tables that share a group."""
     share = np.zeros((m, m), dtype=bool)
-    for _, members in groups:
+    for _, _, members in groups:
         share[np.ix_(members, members)] = True
     return share
 
@@ -143,9 +150,9 @@ def tables_on_a_loopy_graph(draw):
     """A graph on 1-12 vertices, loops allowed and possibly edgeless, up to
     20 tables over [c] that repeat host columns and include constants, and
     the groups they are asked in.  Either the identity types with one group
-    of all tables, or coarse random types (arbitrary integers, a few kinds),
-    tables built constant on them, and random subsets of tables as groups,
-    each table in at least one."""
+    of all tables, or coarse random types (arbitrary integers, a few kinds)
+    coded by ``np.unique`` and random subsets of tables as groups, each
+    table in at least one.  Each table is its lookup read at the types."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(1, 6))
     slots = [(u, v) for u in range(n) for v in range(u, n)]
@@ -155,24 +162,24 @@ def tables_on_a_loopy_graph(draw):
     )
     for x in draw(st.lists(st.integers(1, c), max_size=2)):
         rows.append([x] * n)
-    t = np.array(rows, dtype=np.int8)
-    m = len(t)
+    lut = np.array(rows, dtype=np.int8)
+    m = len(lut)
     if draw(st.booleans()):
         for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
-            t[:, dst] = t[:, src]
-        groups = whole(n, m)
+            lut[:, dst] = lut[:, src]
+        code, subsets = np.arange(n), [list(range(m))]
     else:
         kind = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
         names = st.integers(-(2**31), 2**31 - 1)
         types = np.array(draw(st.lists(names, min_size=4, max_size=4, unique=True)))[kind]
-        # each table takes its value at the first vertex of a vertex's type
-        _, first, code = np.unique(types, return_index=True, return_inverse=True)
-        t = t[:, first[code]]
+        _, code = np.unique(types, return_inverse=True)
+        lut = lut[:, : code.max() + 1]
         home = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
         subsets = [[a for a in range(m) if home[a] == i] for i in range(3)]
         subsets += draw(st.lists(st.lists(st.integers(0, m - 1), unique=True), max_size=2))
-        groups = [(types, members) for members in subsets if members]
-    return new_graph(n, edges), c, [fv(str(i), row) for i, row in enumerate(t)], groups
+    groups = [(code, lut[members], members) for members in subsets if members]
+    vertices = [fv(str(a), row[code]) for a, row in enumerate(lut)]
+    return new_graph(n, edges), c, vertices, groups
 
 
 @given(tables_on_a_loopy_graph())
@@ -217,7 +224,7 @@ def test_equal_tables_in_two_groups_are_counted_once():
     # a and b are equal but fingerprinted in groups of different types
     g = new_graph(3, [(0, 1), (1, 2)])
     vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
-    groups = [(np.array([7, -4, 7]), [0, 2]), (np.arange(3), [1, 2])]
+    groups = [group(np.array([1, 0, 1]), vertices, [0, 2]), group(np.arange(3), vertices, [1, 2])]
     assert counterexample._table_questions(g, vertices, groups)[2] == 2
 
 
@@ -231,7 +238,7 @@ def test_table_questions_on_more_than_64_tables(m):
     t[:3] = [[1] * 7, [3] * 7, [5] * 7]
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(7, m))
+    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
     assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
     for a, f in enumerate(vertices):
         assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(f.table).tolist())
@@ -259,7 +266,7 @@ def test_table_questions_at_every_packing_width(top, m):
         t[a, j], t[a, 20 + j] = 0, high
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(n, m))
+    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
     assert takes.shape == (top + 1, m) and takes.dtype == bool
     for a, f in enumerate(vertices):
         assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(f.table))
@@ -268,56 +275,14 @@ def test_table_questions_at_every_packing_width(top, m):
     assert distinct == len({row.tobytes() for row in t}) == m - 1
 
 
-def test_table_questions_refuse_a_table_not_constant_on_its_types():
-    # b splits type 7 (vertices 0 and 2), so its lookup would misread vertex 2;
-    # on the identity types it is asked like any table
-    g = new_graph(3, [(0, 1), (1, 2)])
-    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 2]), fv("c", [3, 3, 3])]
-    types = np.array([7, -4, 7])
-    groups = [(types, [0, 2]), (np.arange(3), [1, 2])]
-    assert counterexample._table_questions(g, vertices, groups)[2] == 3
-    with pytest.raises(ValueError, match="function table b is not constant on its types"):
-        counterexample._table_questions(g, vertices, [(types, [0, 2]), (types, [1, 2])])
-
-
-def test_table_questions_refuse_a_table_in_no_group():
-    # b lies in no group, so nothing would be asked of it and it would read
-    # as taking no color and colliding with every table
-    g = new_graph(3, [(0, 1), (1, 2)])
-    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 2]), fv("c", [3, 3, 3])]
-    with pytest.raises(ValueError, match="function table b lies in no group"):
-        counterexample._table_questions(g, vertices, [(np.arange(3), [0, 2])])
-
-
-def test_table_questions_refuse_a_negative_value():
-    # takes[-1] would be the top color's row, so -1 has no row of its own;
-    # -128 is the byte 0x80, one above the largest value 127
-    g = new_graph(3, [(0, 1), (1, 2)])
-    for low in (-1, -128):
-        vertices = [fv("fine", [127, 2, 2]), fv("minus", [low, 2, low]), fv("also", [-1] * 3)]
-        with pytest.raises(ValueError, match="minus takes a negative value"):
-            counterexample._table_questions(g, vertices, whole(3, 3))
-
-
-def test_table_questions_refuse_a_table_that_is_not_int8():
-    g = new_graph(3, [(0, 1), (1, 2)])
-    wide = FunctionVertex("wide", ("test",), np.array([1, 2, 300], dtype=np.int16))
-    with pytest.raises(ValueError, match="wide is int16, not int8"):
-        counterexample._table_questions(g, [fv("fine", [1, 2, 2]), wide], whole(3, 2))
-
-
 def test_collision_matrix_on_an_edgeless_host():
     g = new_graph(4, [])
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
-    assert not counterexample._table_questions(g, vertices, whole(4, 2))[0].any()
+    assert not counterexample._table_questions(g, vertices, whole(vertices))[0].any()
     empty = new_graph(0, [])
     pair = [fv("a", []), fv("b", [])]
-    assert not counterexample._table_questions(empty, pair, whole(0, 2))[0].any()
-    assert counterexample._table_questions(empty, pair[:1], whole(0, 1))[0].shape == (1, 1)
-    with pytest.raises(ValueError):
-        counterexample._table_questions(g, [fv("short", [1, 2])], whole(4, 1))
-    with pytest.raises(ValueError):
-        counterexample._table_questions(g, vertices, whole(3, 2))
+    assert not counterexample._table_questions(empty, pair, whole(pair))[0].any()
+    assert counterexample._table_questions(empty, pair[:1], whole(pair[:1]))[0].shape == (1, 1)
 
 
 # -- builds -------------------------------------------------------------------
@@ -485,8 +450,8 @@ def test_a_c7_report_keeps_no_host_csr():
 
 
 def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
-    # the wide questions peak at about 3 MB: each group keeps its narrowed
-    # types, its codes and one lookup table per table, and the distinct
+    # the wide questions peak at about 1.3 MB: every answer is read off the
+    # groups' codes and lookups, which the build made, and the distinct
     # tables are counted on fingerprints of those lookups, so no table is
     # copied; the 165 tables together are 8.9 MB
     args = questions_of(monkeypatch, c5_wide_build.params)
@@ -660,25 +625,28 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
     assert first_collision(g, f.table, h1.table) is None
     # a host edge u-v with f(u) = 1 puts v in h1's inside shell (value 4);
-    # h1 set to 1 at every vertex of v's type in family 1 (so it stays
-    # constant on its types) collides with f across u-v and keeps its image
-    # {1, 4}, so the skeleton keeps the edge f ~ h1
+    # h1's lookup set to 1 at v's type in family 1 makes h1 collide with f
+    # across u-v and keeps its image {1, 4}, so the skeleton keeps the edge
+    # f ~ h1
     eu, ev = edge_arrays(g)
     at = int(np.flatnonzero(f.table[eu] == 1)[0])
     v = int(ev[at])
     assert h1.table[v] == 4
     _, vertices, groups = questions_of(monkeypatch, build.params)
     index = [w.label for w in vertices].index(h1.label)
-    (types,) = [t for t, members in groups if index in members]
-    same = types == types[v]
-    table = h1.table.copy()
-    table[same] = 1
+    ((code, lut, members),) = [grp for grp in groups if index in grp[2]]
+    assert lut[members.index(index), code[v]] == 4
+    same = code == code[v]
+    table = np.where(same, 1, h1.table)
     assert set(np.unique(table).tolist()) == {1, 4}
-    bad = FunctionVertex(h1.label, h1.role, table)
     special = counterexample.build_special_family
 
     def corrupted(*args):
-        return [bad if w.role == h1.role else w for w in special(*args)]
+        family = special(*args)
+        for _, role, lookup in family:
+            if role == h1.role:
+                lookup[code[v]] = 1
+        return family
 
     monkeypatch.setattr(counterexample, "build_special_family", corrupted)
     message = "H edge is not an edge of the exponential graph: f ~ h(q=1,d=1,i=1,j=4)"
@@ -691,6 +659,7 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     assert [it.name for it in report.items if it.ok is False] == ["h_edges_real"]
     real = report.item("h_edges_real").detail
     assert (real["edge"], real["error"]) == (["f", "h(q=1,d=1,i=1,j=4)"], message)
+    assert np.array_equal(report.build.vertices[index].table, table)
     # the reference scan finds a G edge at v's type on which the two tables
     # collide
     at = first_collision(g, f.table, table)
