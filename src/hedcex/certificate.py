@@ -7,7 +7,9 @@ product and chi(G) verdicts are the build's own report items; the chi(H)
 verdict carries the node count of its search.  A digest is the SHA-256 of
 the values as int8 bytes in vertex order: a function table's values for an
 H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then
-of vertex 1, ...) for gamma.
+of vertex 1, ...) for gamma.  An H vertex is held as its family's code and
+its lookup, so its table is read off them, one table at a time, for its
+digest alone.
 
 ``check_certificate`` refuses missing fields, a version other than
 ``CERTIFICATE_VERSION`` (naming the version), parameters that are not a JSON
@@ -79,7 +81,10 @@ def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> di
             "d": gamma.d,
             "pairs_sha256": _sha256(gamma.pairs),
         },
-        "h": [{"label": v.label, "sha256": _sha256(v.table)} for v in build.vertices],
+        "h": [
+            {"label": v.label, "sha256": _sha256(np.take(v.lookup, v.code))}
+            for v in build.vertices
+        ],
         "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
         "verdicts": {
             "chi_h": {"status": "none", "colors": build.params.c, "nodes": nodes},

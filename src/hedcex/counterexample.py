@@ -156,17 +156,29 @@ class FunctionVertex:
 
     ``role`` is the structured identity (("const", i), ("f",),
     ("h", q, d, i, j) or ("g", q, d, i)); ``label`` is its printable form.
+    The function is its lookup read at each host vertex's type:
+    ``np.take(lookup, code)``, with ``code`` the type 0..K-1 of every host
+    vertex, shared by reference with the other functions of its family,
+    and ``lookup`` the int8 value of each type.  No host-length table is
+    kept.
     """
 
     label: str
     role: tuple
-    table: np.ndarray
+    code: np.ndarray
+    lookup: np.ndarray
 
     def __post_init__(self):
-        self.table.flags.writeable = False
+        self.code.flags.writeable = False
+        self.lookup.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"FunctionVertex({self.label})"
+
+
+def _table(v: FunctionVertex) -> np.ndarray:
+    """The host-length table of ``v``, made on demand and not kept."""
+    return np.take(v.lookup, v.code)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:
@@ -189,7 +201,8 @@ def _table_questions(
     each type taken by some vertex, the (len(members), K) int8 lookups of
     the tables ``members`` on those types, with colors 0..127 as values, and
     the indices of those tables.  Table members[i] is ``lut[i][code]``,
-    which is how the build makes it, so no table can differ from its lookup.
+    and the vertex ``vertices[members[i]]`` is that function on its own
+    family's types; the build makes both from the same lookups.
     ``collisions`` is (m, m): entry [a, b] of two tables that share a group
     is True iff some edge u-v of g has a(u) = b(v) in either orientation,
     so a and b are adjacent exactly where it is False and the diagonal is
@@ -203,7 +216,8 @@ def _table_questions(
     ``_fingerprint_weights``, taken per group as the lookup times the
     per-type weight sums.  Those sums are exact in float64 (n 2^20 < 2^53)
     and the products in int64 (127 n 2^20 < 2^63), so equal tables share a
-    fingerprint, and only tables that share one are compared whole.  One
+    fingerprint, and only tables that share one are compared whole, each
+    read off its vertex's code and lookup for that compare alone.  One
     pass over the edges, in slices of 2^14 read once as intp indices for
     all groups, marks the type pairs that edges realize in each group,
     symmetrized into R (K x K).  For each color x, with F the (tables x K)
@@ -220,11 +234,11 @@ def _table_questions(
         type_weights = np.bincount(code, weights=weights, minlength=lut.shape[1])
         fingerprints[members] = lut.astype(np.int64) @ type_weights.astype(np.int64)
     del weights  # freed before the edge pass, which sets the peak on c7
-    kept: dict[int, list[np.ndarray]] = {}
+    kept: dict[int, list[FunctionVertex]] = {}
     for v, key in zip(vertices, fingerprints.tolist()):
         same = kept.setdefault(key, [])
-        if not any(np.array_equal(table, v.table) for table in same):
-            same.append(v.table)
+        if not any(np.array_equal(_table(w), _table(v)) for w in same):
+            same.append(v)
     distinct = sum(map(len, kept.values()))
     realized = [np.zeros((lut.shape[1],) * 2, dtype=bool) for _, lut, _ in groups]
     eu, ev = edge_arrays(g)
@@ -517,13 +531,15 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     the realized type pairs of ``_table_questions``, the counts and any
     host hash.  A vertex's type in family q is its first coordinate under
     gamma and its bits in q's shells and selectors; one ``np.unique`` per
-    family codes the types, ``build_special_family`` runs at one vertex per
-    type, and each table is its lookup read at each vertex's type.  Loops,
-    H edges, images and distinctness are all read off one
-    ``_table_questions``, with one group per q (the constants, f and family
-    q, each with its lookup).  No H edge, const rule entry or ``chain``
-    pair joins two families; such a pair reads as a collision, so an H edge
-    across families would fail ``h_edges_real``.  A failed check does not
+    family codes the types, and ``build_special_family`` runs at one vertex
+    per type.  An H vertex is its family's code and its lookup, so no table
+    of host length is made; the constants and f, constant on every family's
+    types, take family 1's code, and their lookups on each family's types
+    are built directly.  Loops, H edges, images and distinctness are all
+    read off one ``_table_questions``, with one group per q (the constants,
+    f and family q, each with its lookup).  No H edge, const rule entry or
+    ``chain`` pair joins two families; such a pair reads as a collision, so
+    an H edge across families would fail ``h_edges_real``.  A failed check does not
     stop the build: its item carries the ``error`` and what failed.  The
     coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H
     is an edge of the exponential graph, so ``h_edges_real`` counts the
@@ -554,11 +570,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         if (narrow_bits >> ((a - 1) * params.k + b - 1)) & 1
     ]
 
-    vertices = [
-        FunctionVertex(f"const({i})", ("const", i), np.full(g.n, i, dtype=np.int8))
-        for i in range(1, c + 1)
-    ]
-    vertices.append(FunctionVertex(label="f", role=("f",), table=gamma.pairs[:, 0].copy()))
+    vertices: list[FunctionVertex] = []
     groups = []
     for q in range(1, params.n + 1):
         shells, selectors = _family_shells(class_shells, params, q)
@@ -569,13 +581,20 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         # coded on the narrowest dtype: 16 bits or fewer take numpy's radix sort
         types = types.astype(np.min_scalar_type(types.max()))
         _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        # the constants and f are constant on the types of every family, and
+        # as vertices they take family 1's
+        fixed = [
+            (f"const({i})", ("const", i), np.full(first.size, i, dtype=np.int8))
+            for i in range(1, c + 1)
+        ] + [("f", ("f",), gamma.pairs[first, 0])]
+        if q == 1:
+            vertices += [FunctionVertex(label, role, code, t) for label, role, t in fixed]
         family = build_special_family(
             [s[first] for s in shells], [s[first] for s in selectors], params, q
         )
         members = [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]
-        lut = np.stack([v.table[first] for v in vertices[: c + 1]] + [t for _, _, t in family])
-        groups.append((code, lut, members))
-        vertices += [FunctionVertex(label, role, np.take(t, code)) for label, role, t in family]
+        groups.append((code, np.stack([t for _, _, t in fixed + family]), members))
+        vertices += [FunctionVertex(label, role, code, t) for label, role, t in family]
     del shells, selectors, types  # the last family's, freed before the table questions
     m = len(vertices)
     collisions, takes, distinct = _table_questions(g, vertices, groups)

@@ -191,14 +191,20 @@ def _omega_vertices(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
             f"tuple adjoint at n={n} d={d} enumerates {space} codes of {n} digits, "
             "past the 2 GiB bound on its digit array"
         )
-    digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1).T
-    valid = ((digits == 0).sum(axis=1) == 1) & (digits == 1).any(axis=1)
+    # one row per coordinate, tested a row at a time: beside the digits the
+    # test holds three bytes per code (a zero count, "has a 1", one compare)
+    digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1)
+    zeros, valid = np.zeros(space, dtype=np.uint8), np.zeros(space, dtype=bool)
+    for row in digits:
+        zeros += row == 0
+        valid |= row == 1
+    valid &= zeros == 1
     codes = np.flatnonzero(valid)
     if len(codes) != count:
         raise RuntimeError(
             f"tuple enumeration produced {len(codes)} vertices, formula says {count}"
         )
-    return digits[codes], codes
+    return digits.T[codes], codes
 
 
 def _coordinate_pairs(d: int) -> np.ndarray:

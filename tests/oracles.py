@@ -439,3 +439,9 @@ def adjunction_holds(g: Graph, h: Graph, d: int) -> bool:
     left = reference_homomorphism(power_graph(g, d), h)
     right = reference_homomorphism(g, right_target)
     return (left is None) == (right is None)
+
+
+def table(v) -> np.ndarray:
+    """The host-length table of an H vertex: its lookup read at every host
+    vertex's type."""
+    return np.take(v.lookup, v.code)

@@ -22,6 +22,7 @@ from oracles import (
     complete_graph,
     omega_sets,
     rows,
+    table,
     tuple_vertices,
     walk_matrix,
 )
@@ -56,7 +57,7 @@ def test_criterion_02_vertex_count_formula():
 
 def test_criterion_03_h_shapes(c5_report, c7_report):
     b5, b7 = c5_report.build, c7_report.build
-    distinct = len({v.table.tobytes() for v in b5.vertices}) == 30
+    distinct = len({table(v).tobytes() for v in b5.vertices}) == 30
     ok = (
         b5.h.n == 30
         and b5.h.edge_count == 108

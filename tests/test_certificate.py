@@ -17,7 +17,7 @@ from hedcex.certificate import (
 )
 from hedcex.counterexample import params_for, verify_counterexample
 from hedcex.solver import DEFAULT_BUDGET, SearchBudget
-from oracles import first_collision
+from oracles import first_collision, table
 
 
 @pytest.fixture(scope="module")
@@ -385,9 +385,9 @@ def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
     assert [e["label"] for e in c5_cert["h"]] == build.labels
     assert c5_cert["h_edges"]
     for a, b in c5_cert["h_edges"]:
-        assert first_collision(g, vertices[a].table, vertices[b].table) is None
+        assert first_collision(g, table(vertices[a]), table(vertices[b])) is None
     for v in vertices:
-        assert first_collision(g, v.table, v.table) is not None
+        assert first_collision(g, table(v), table(v)) is not None
 
 
 def test_certificates_of_every_variant_are_small_and_check(c5_cert, c7_report, c5_wide_report):

@@ -24,16 +24,18 @@ from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells
 from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
-from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows
+from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows, table
 
 
-def fv(label, table):
-    return FunctionVertex(label, ("test",), np.asarray(table, dtype=np.int8))
+def fv(label, values):
+    """A vertex on the identity types of its host: its lookup is its table."""
+    values = np.asarray(values, dtype=np.int8)
+    return FunctionVertex(label, ("test",), np.arange(values.size), values)
 
 
 def exp_adjacent(g, f, w):
     """Exponential-graph adjacency by the one-pair scan of E(G)."""
-    return first_collision(g, f.table, w.table) is None
+    return first_collision(g, table(f), table(w)) is None
 
 
 # -- parameters ---------------------------------------------------------------
@@ -109,12 +111,10 @@ def test_exp_adjacent_on_a_path():
 def test_exp_adjacent_matches_oracle():
     g = cycle_graph(5)
     rng = np.random.default_rng(5)
-    tables = [fv(str(i), rng.integers(1, 4, size=5)) for i in range(12)]
-    for i in range(12):
-        for j in range(12):
-            assert exp_adjacent(g, tables[i], tables[j]) == collision_free(
-                g, 3, tables[i].table, tables[j].table
-            )
+    vertices = [fv(str(i), rng.integers(1, 4, size=5)) for i in range(12)]
+    for f in vertices:
+        for w in vertices:
+            assert exp_adjacent(g, f, w) == collision_free(g, 3, table(f), table(w))
 
 
 def test_const_vs_const_adjacency():
@@ -129,12 +129,12 @@ def group(code, vertices, members):
     each taken by some vertex): each lookup is the table read at the first
     vertex of each type."""
     first = np.unique(code, return_index=True)[1]
-    return code, np.stack([vertices[a].table[first] for a in members]), members
+    return code, np.stack([table(vertices[a])[first] for a in members]), members
 
 
 def whole(vertices):
     """One group of all tables over the identity types of their host."""
-    return [group(np.arange(vertices[0].table.size), vertices, list(range(len(vertices))))]
+    return [group(np.arange(vertices[0].code.size), vertices, list(range(len(vertices))))]
 
 
 def asked(groups, m):
@@ -192,7 +192,7 @@ def test_collision_matrix_matches_oracle(case):
     share = asked(groups, len(vertices))
     for a, f in enumerate(vertices):
         for b, w in enumerate(vertices):
-            want = not collision_free(g, c, f.table, w.table) if share[a, b] else True
+            want = not collision_free(g, c, table(f), table(w)) if share[a, b] else True
             assert hit[a, b] == want
 
 
@@ -202,11 +202,11 @@ def test_image_matches_unique(case):
     # against each table's own values and its bytes
     g, c, vertices, groups = case
     _, takes, distinct = counterexample._table_questions(g, vertices, groups)
-    top = max(int(v.table.max()) for v in vertices)
+    top = max(int(table(v).max()) for v in vertices)
     assert takes.shape == (top + 1, len(vertices)) and takes.dtype == bool
     for a, v in enumerate(vertices):
-        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(v.table).tolist())
-    assert distinct == len({v.table.tobytes() for v in vertices})
+        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(table(v)).tolist())
+    assert distinct == len({table(v).tobytes() for v in vertices})
 
 
 @given(tables_on_a_loopy_graph())
@@ -217,13 +217,15 @@ def test_distinct_tables_in_one_fingerprint_bucket(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counterexample, "_fingerprint_weights", lambda n: np.zeros(n))
         distinct = counterexample._table_questions(g, vertices, groups)[2]
-    assert distinct == len({v.table.tobytes() for v in vertices})
+    assert distinct == len({table(v).tobytes() for v in vertices})
 
 
 def test_equal_tables_in_two_groups_are_counted_once():
-    # a and b are equal but fingerprinted in groups of different types
+    # a and b are equal but fingerprinted in groups of different types, and
+    # each vertex is held on its own group's types, so their lookups differ
     g = new_graph(3, [(0, 1), (1, 2)])
-    vertices = [fv("a", [1, 2, 1]), fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
+    a = FunctionVertex("a", ("test",), np.array([1, 0, 1]), np.array([2, 1], dtype=np.int8))
+    vertices = [a, fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
     groups = [group(np.array([1, 0, 1]), vertices, [0, 2]), group(np.arange(3), vertices, [1, 2])]
     assert counterexample._table_questions(g, vertices, groups)[2] == 2
 
@@ -241,15 +243,15 @@ def test_table_questions_on_more_than_64_tables(m):
     hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
     assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
     for a, f in enumerate(vertices):
-        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(f.table).tolist())
+        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(table(f)).tolist())
         for b, w in enumerate(vertices):
-            assert hit[a, b] == (not collision_free(g, 5, f.table, w.table))
+            assert hit[a, b] == (not collision_free(g, 5, table(f), table(w)))
     assert distinct == len({row.tobytes() for row in t})
 
 
 @pytest.mark.parametrize("m", [9, 12])
 @pytest.mark.parametrize("top", [1, 3, 15, 16, 127])
-def test_table_questions_at_every_packing_width(top, m):
+def test_table_questions_at_every_bit_width_top(top, m):
     # values up to 1, 3, 15, 16 and 127, each the top of a bit width.  Host
     # vertex 20 + j repeats the column of vertex j except in one table,
     # where they hold 0 and the top bit alone, so the two differ only there.
@@ -269,9 +271,9 @@ def test_table_questions_at_every_packing_width(top, m):
     hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
     assert takes.shape == (top + 1, m) and takes.dtype == bool
     for a, f in enumerate(vertices):
-        assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(f.table))
+        assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(table(f)))
         for b, w in enumerate(vertices):
-            assert hit[a, b] == (not collision_free(g, top, f.table, w.table))
+            assert hit[a, b] == (not collision_free(g, top, table(f), table(w)))
     assert distinct == len({row.tobytes() for row in t}) == m - 1
 
 
@@ -293,7 +295,7 @@ def test_c5_build_counts(c5_report):
     assert build.g.n == 4686 and build.g.edge_count == 36015
     assert build.h.n == 30 and build.h.edge_count == 108
     distinct = c5_report.item("distinct_tables").detail
-    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 30
+    assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 30
 
 
 def test_c7_build_counts(c7_report):
@@ -301,7 +303,7 @@ def test_c7_build_counts(c7_report):
     assert build.g.n == 16472
     assert build.h.n == 32 and build.h.edge_count == 168
     distinct = c7_report.item("distinct_tables").detail
-    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 32
+    assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 32
 
 
 def test_c5_wide_build_counts(c5_wide_report):
@@ -309,7 +311,7 @@ def test_c5_wide_build_counts(c5_wide_report):
     assert build.g.n == 54186
     assert build.h.n == 165 and build.h.edge_count == 648
     distinct = c5_wide_report.item("distinct_tables").detail
-    assert len({v.table.tobytes() for v in build.vertices}) == distinct["count"] == 165
+    assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 165
 
 
 # Certificates pin the host by these digests, so they must survive any change
@@ -435,8 +437,8 @@ def test_build_builds_no_host_csr(count_calls):
 
 
 def test_a_c7_report_keeps_no_host_csr():
-    # the host's edge arrays (3.3 MB) and the tables stay with the report;
-    # the host CSR arrays (3.4 MB more) do not
+    # the host's edge arrays (3.3 MB) and the four family codes (0.5 MB)
+    # stay with the report; the host CSR arrays (3.4 MB more) do not
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -449,11 +451,29 @@ def test_a_c7_report_keeps_no_host_csr():
     assert kept < 5 * 2**20
 
 
+def test_a_c5_wide_report_keeps_no_host_length_tables():
+    # an H vertex is its family's code and its lookup: the report keeps the
+    # host's edge arrays (3.4 MB) and three family codes (1.3 MB), shared
+    # by every vertex, and no table of host length (165 of them would be
+    # 8.9 MB more)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_counterexample(params_for("c5_wide"))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.status == "PASS"
+    assert len({id(v.code) for v in report.build.vertices}) == 3
+    assert kept < 8 * 2**20
+
+
 def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
     # the wide questions peak at about 1.3 MB: every answer is read off the
     # groups' codes and lookups, which the build made, and the distinct
-    # tables are counted on fingerprints of those lookups, so no table is
-    # copied; the 165 tables together are 8.9 MB
+    # tables are counted on fingerprints of those lookups, so no table of
+    # host length is made
     args = questions_of(monkeypatch, c5_wide_build.params)
     tracemalloc.start()
     try:
@@ -524,9 +544,9 @@ def test_build_shells_of_q_are_its_class_shells(c5_report):
         for v in build.vertices:
             if v.role[:2] == ("h", q):
                 _, _, depth, i, j = v.role
-                assert np.array_equal(v.table, np.where(shells[depth], j, i)), v.label
+                assert np.array_equal(table(v), np.where(shells[depth], j, i)), v.label
             elif v.role[:2] == ("g", q):
-                assert (v.table[~shells[d]] == v.role[3]).all(), v.label
+                assert (table(v)[~shells[d]] == v.role[3]).all(), v.label
 
 
 def test_wide_coloring_item_counts_checked_classes(c5_report, c7_report, c5_wide_report):
@@ -570,7 +590,7 @@ def test_const_edges_match_images(c7_report):
     adj = rows(build.h)
     assert build.takes.shape == (8, len(build.vertices))
     for idx, w in enumerate(build.vertices):
-        image = set(np.unique(w.table).tolist())
+        image = set(np.unique(table(w)).tolist())
         assert set(np.flatnonzero(build.takes[:, idx]).tolist()) == image, w.label
         if idx >= 7:
             for i in range(1, 8):
@@ -623,22 +643,22 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     build = c5_report.build
     g, f = build.g, build.vertices[build.params.c]
     (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
-    assert first_collision(g, f.table, h1.table) is None
+    assert first_collision(g, table(f), table(h1)) is None
     # a host edge u-v with f(u) = 1 puts v in h1's inside shell (value 4);
     # h1's lookup set to 1 at v's type in family 1 makes h1 collide with f
     # across u-v and keeps its image {1, 4}, so the skeleton keeps the edge
     # f ~ h1
     eu, ev = edge_arrays(g)
-    at = int(np.flatnonzero(f.table[eu] == 1)[0])
+    at = int(np.flatnonzero(table(f)[eu] == 1)[0])
     v = int(ev[at])
-    assert h1.table[v] == 4
+    assert table(h1)[v] == 4
     _, vertices, groups = questions_of(monkeypatch, build.params)
     index = [w.label for w in vertices].index(h1.label)
     ((code, lut, members),) = [grp for grp in groups if index in grp[2]]
     assert lut[members.index(index), code[v]] == 4
     same = code == code[v]
-    table = np.where(same, 1, h1.table)
-    assert set(np.unique(table).tolist()) == {1, 4}
+    corrupt = np.where(same, 1, table(h1))
+    assert set(np.unique(corrupt).tolist()) == {1, 4}
     special = counterexample.build_special_family
 
     def corrupted(*args):
@@ -659,13 +679,13 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     assert [it.name for it in report.items if it.ok is False] == ["h_edges_real"]
     real = report.item("h_edges_real").detail
     assert (real["edge"], real["error"]) == (["f", "h(q=1,d=1,i=1,j=4)"], message)
-    assert np.array_equal(report.build.vertices[index].table, table)
+    assert np.array_equal(table(report.build.vertices[index]), corrupt)
     # the reference scan finds a G edge at v's type on which the two tables
     # collide
-    at = first_collision(g, f.table, table)
+    at = first_collision(g, table(f), corrupt)
     x, y = int(eu[at]), int(ev[at])
     assert same[x] or same[y]
-    assert f.table[x] == table[y] or f.table[y] == table[x]
+    assert table(f)[x] == corrupt[y] or table(f)[y] == corrupt[x]
 
 
 def test_verify_pass_end_to_end(c5_report):

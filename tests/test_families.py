@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -214,6 +215,22 @@ def test_omega_tuples_validity():
         assert all(
             abs(xi - yi) == 1 or (xi == yi == 3) for xi, yi in zip(x, y)
         )
+
+
+def test_omega_vertices_peak_near_their_digit_array():
+    # the digits of the 4^10 codes at (n, d) = (10, 2) are 10 MiB; validity
+    # is tested one coordinate at a time, so the enumeration peaks at about
+    # 15 MiB, where zero counts summed over all coordinates at once held 28
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        digits, codes = families._omega_vertices(10, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == omega_vertex_count(10, 2) == 191710
+    assert ((digits == 0).sum(axis=1) == 1).all() and (digits == 1).any(axis=1).all()
+    assert peak < 2 * 10 * 4**10
 
 
 def test_omega_pinned_counts():
