@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .families import OmegaGraph, omega_shell_bits, omega_tuples
-from .graphs import Graph, edge_arrays, graph_sha256, new_graph
+from .graphs import Graph, edge_slices, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position
 
@@ -218,8 +218,8 @@ def _table_questions(
     and the products in int64 (127 n 2^20 < 2^63), so equal tables share a
     fingerprint, and only tables that share one are compared whole, each
     read off its vertex's code and lookup for that compare alone.  One
-    pass over the edges, in slices of 2^14 read once as intp indices for
-    all groups, marks the type pairs that edges realize in each group,
+    pass over the edges, each ``edge_slices`` slice read for all groups,
+    marks the type pairs that edges realize in each group,
     symmetrized into R (K x K).  For each color x, with F the (tables x K)
     flags of taking x on each type, a and b collide on x exactly where
     F R F^T is nonzero; its float64 sums are exact.
@@ -241,9 +241,7 @@ def _table_questions(
             same.append(v)
     distinct = sum(map(len, kept.values()))
     realized = [np.zeros((lut.shape[1],) * 2, dtype=bool) for _, lut, _ in groups]
-    eu, ev = edge_arrays(g)
-    for lo in range(0, eu.size, 1 << 14):
-        u, v = (ends[lo : lo + (1 << 14)].astype(np.intp) for ends in (eu, ev))
+    for u, v in edge_slices(g):
         for (code, _, _), pairs in zip(groups, realized):
             pairs.ravel()[np.take(code, u) * len(pairs) + np.take(code, v)] = True
     for (_, lut, members), pairs in zip(groups, realized):
@@ -526,14 +524,14 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
 
     One sweep for every class of the wide coloring, one bit per class, read
     off the host's coordinate rule (``omega_shell_bits``), so the build
-    makes no CSR arrays; wideness is one AND of the depth-d bits over the
-    edge arrays, and a narrow class is named.  The edge arrays also serve
-    the realized type pairs of ``_table_questions``, the counts and any
-    host hash.  A vertex's type in family q is its first coordinate under
-    gamma and its bits in q's shells and selectors; one ``np.unique`` per
-    family codes the types, and ``build_special_family`` runs at one vertex
-    per type.  An H vertex is its family's code and its lookup, so no table
-    of host length is made; the constants and f, constant on every family's
+    makes no CSR arrays; wideness is one AND of the depth-d bits at both
+    ends of each edge, read through ``edge_slices`` as the realized type
+    pairs of ``_table_questions`` are, and a narrow class is named.  The
+    edge arrays also serve the counts and any host hash.  A vertex's type
+    in family q is its first coordinate under gamma and its bits in q's
+    shells and selectors; one ``np.unique`` per family codes the types,
+    and ``build_special_family`` runs at one vertex per type.  An H vertex
+    is its family's code and its lookup, so no table of host length is made; the constants and f, constant on every family's
     types, take family 1's code, and their lookups on each family's types
     are built directly.  Loops, H edges, images and distinctness are all
     read off one ``_table_questions``, with one group per q (the constants,
@@ -560,9 +558,9 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
     class_shells = omega_shell_bits(omega, np.left_shift(bits.type(1), bit.astype(bits)), d)
-    eu, ev = edge_arrays(g)
-    deep = class_shells[d]
-    narrow_bits = int(np.bitwise_or.reduce(np.take(deep, eu) & np.take(deep, ev)))
+    deep, narrow_bits = class_shells[d], 0
+    for u, v in edge_slices(g):
+        narrow_bits |= int(np.bitwise_or.reduce(np.take(deep, u) & np.take(deep, v)))
     narrow = [
         (a, b)
         for a in range(1, params.n + 1)

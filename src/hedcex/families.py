@@ -8,8 +8,11 @@
   taken literally from that definition: two zero positions p < q, a 1
   opposite each zero, and one of the 2d + 1 allowed value pairs at every
   other coordinate; the codes of both ends are outer sums over the
-  coordinates, located by a lookup table over the whole code space.  The
-  vertex and edge counts are checked against their closed forms.
+  coordinates, located by a lookup table over the whole code space.  Each
+  (p, q) block writes its edges' pair keys into one array, which is sorted
+  once and split into the graph's edge arrays, with no edge list between.
+  A code off the vertex set, an edge generated twice and a vertex or edge
+  count other than its closed form are refused.
 * ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
   endpoints of walks of length exactly 0..t from up to one vertex set per
   bit of its seed array, read off the coordinate rule: a step scatters the
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, neighbor_arrays, new_graph, vertex_flags
+from .graphs import Graph, _key_array, _keyed_graph, _put_keys, neighbor_arrays, vertex_flags
 
 __all__ = [
     "n_shells",
@@ -177,8 +181,8 @@ def _omega_vertices(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
-    # refused before the (d+2)^n code space is enumerated: by the bound of
-    # ``new_graph``, then by the size of the digit array
+    # refused before the (d+2)^n code space is enumerated: by the int32
+    # bound of the edge arrays, then by the size of the digit array
     count = omega_vertex_count(n, d)
     if count > 1 << 31:
         raise ValueError(
@@ -238,60 +242,57 @@ class OmegaGraph:
         return np.argmax(self.digits == 0, axis=1)
 
 
-def _omega_edges(codes: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The edges of the tuple adjoint of K_n on the vertices with base-(d+2)
-    ``codes``, as an (edges, 2) int32 array of vertex pairs, each edge
-    generated once.
-
-    A dense int32 table over all (d+2)^n codes maps each code to its vertex
-    (-1 for a code that is not a valid tuple).  The ends x, y of an edge
-    have their zeros at two positions p < q, with x_q = 1 and y_p = 1, and
-    every other coordinate holds one of the pairs of
-    ``_coordinate_pairs``.  For each p < q the codes of both ends are outer
-    sums over those coordinates, so every combination of pairs is one edge.
-    """
-    weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # vertex index of every code in the (d+2)^n code space, -1 off the set
-    index = np.full((d + 2) ** n, -1, dtype=np.int32)
-    index[codes] = np.arange(len(codes), dtype=np.int32)
-    pairs = _coordinate_pairs(d)
-    ends = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            x, y = weights[q : q + 1], weights[p : p + 1]
-            for j in range(n):
-                if j != p and j != q:
-                    x = np.add.outer(x, pairs[:, 0] * weights[j]).ravel()
-                    y = np.add.outer(y, pairs[:, 1] * weights[j]).ravel()
-            ends.append(np.column_stack((index[x], index[y])))
-    edges = np.concatenate(ends)
-    if (edges < 0).any():
-        raise RuntimeError("tuple adjoint enumeration left the vertex set")
-    return edges
-
-
 def omega_tuples(n: int, d: int) -> OmegaGraph:
     """Build the tuple adjoint of K_n at half width d.
 
-    The edges come from ``_omega_edges``.  Every tuple it generates is a
-    valid neighbor and every edge is generated exactly once, so total work
-    is proportional to the number of edges, not to the square of the order.
-    Both are checked: RuntimeError if the enumeration leaves the vertex set,
-    generates an edge more than once, or yields an edge count other than
-    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1, more than
-    2**31 vertices or a code space whose digits pass 2 GiB, the last two
-    before any enumeration.
+    The ends x, y of an edge have their zeros at two positions p < q, with
+    x_q = 1 and y_p = 1, and every other coordinate holds one of the pairs
+    of ``_coordinate_pairs``.  For each such (p, q) block the codes of both
+    ends are outer sums over those coordinates, so every combination of
+    pairs is one edge; a dense int32 index table over all (d+2)^n codes
+    maps each code to its vertex (-1 for a code that is not a valid tuple).
+    Each block's oriented pair keys (min << b | max, as ``new_graph`` keys
+    them) are written straight into its stretch of one preallocated key
+    array, which is sorted once in place and split into the canonical edge
+    arrays, so work is proportional to the number of edges, not to the
+    square of the order.  Three refusals, each a RuntimeError: a code that
+    leaves the vertex set through the index table, a key equal to its
+    sorted neighbour (an edge generated more than once), and a key count
+    other than ``omega_edge_count(n, d)``.  Beside the vertex arrays the
+    build peaks at the index table, 4 (d+2)^n bytes, plus the keys and the
+    edge arrays split off them: for uint32 keys (up to 65,536 vertices) the
+    keys are 4 bytes an edge and ``ev`` is a view of them, so the edges cost
+    8 bytes each.  ValueError on n < 2, d < 1, more than 2**31 vertices or
+    a code space whose digits pass 2 GiB, the last two before any
+    enumeration.
     """
     digits, codes = _omega_vertices(n, d)
-    edges = _omega_edges(codes, n, d)
-    g = new_graph(len(codes), edges)
-    if g.edge_count < len(edges):
-        raise RuntimeError(
-            f"tuple adjoint enumeration generated {len(edges) - g.edge_count} edges more than once"
-        )
+    weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    index = np.full((d + 2) ** n, -1, dtype=np.int32)
+    index[codes] = np.arange(len(codes), dtype=np.int32)
+    pairs = _coordinate_pairs(d)
+    blocks = list(combinations(range(n), 2))
+    keys, b = _key_array(len(codes), len(blocks) * len(pairs) ** (n - 2))
+    for part, (p, q) in zip(keys.reshape(len(blocks), -1), blocks):
+        x, y = weights[q : q + 1], weights[p : p + 1]
+        for j in range(n):
+            if j != p and j != q:
+                x = np.add.outer(x, pairs[:, 0] * weights[j]).ravel()
+                y = np.add.outer(y, pairs[:, 1] * weights[j]).ravel()
+        x, y = np.take(index, x), np.take(index, y)
+        lo = np.minimum(x, y)
+        if lo.min() < 0:
+            raise RuntimeError("tuple adjoint enumeration left the vertex set")
+        _put_keys(part, lo, np.maximum(x, y, out=x), b)
+    del index  # freed before the sort and the split, which set the peak
+    keys.sort()
+    repeats = np.count_nonzero(keys[1:] == keys[:-1])
+    if repeats:
+        raise RuntimeError(f"tuple adjoint enumeration generated {repeats} edges more than once")
     expect = omega_edge_count(n, d)
-    if g.edge_count != expect:
+    if keys.size != expect:
         raise RuntimeError(
-            f"tuple adjoint enumeration produced {g.edge_count} edges, formula says {expect}"
+            f"tuple adjoint enumeration produced {keys.size} edges, formula says {expect}"
         )
+    g = _keyed_graph(len(codes), keys, b)
     return OmegaGraph(graph=g, digits=digits, codes=codes, n=n, d=d)

@@ -1,11 +1,16 @@
 """Loopy undirected graphs on dense integer vertices.
 
 A graph is its canonical edge list: the two int32 endpoint arrays of
-``edge_arrays`` (ascending, ``u <= v``, a loop as ``(v, v)``).  Vertex sets
-are boolean membership arrays over ``0..n-1``.  Independence checks,
-function tables, hashing, the shell sweeps of a graph read from a file and
-the coloring search all run on the edge arrays or on the CSR neighbor
-arrays read off them, in time linear in |V| + |E|.
+``edge_arrays`` (ascending, ``u <= v``, a loop as ``(v, v)``).  Both are
+split off one sorted array of pair keys ``u << b | v`` (``_keyed_graph``),
+which ``new_graph`` makes from any edge list and ``omega_tuples`` writes
+directly.  Vertex sets are boolean membership arrays over ``0..n-1``.
+Independence checks, function tables, hashing, the shell sweeps of a graph
+read from a file and the coloring search all run on the edge arrays or on
+the CSR neighbor arrays read off them, in time linear in |V| + |E|.  The
+counterexample build's gathers over every edge and ``is_independent`` read
+the arrays through ``edge_slices``, 2^14 edges at a time, each side cast to
+intp once per slice, so none of them makes a host-length intp copy.
 
 Graphs are treated as immutable once built and hold nothing but their
 order and edge arrays: the CSR neighbor arrays of ``neighbor_arrays`` and
@@ -30,6 +35,7 @@ __all__ = [
     "emit_dimacs",
     "graph_sha256",
     "edge_arrays",
+    "edge_slices",
     "neighbor_arrays",
 ]
 
@@ -41,11 +47,15 @@ __all__ = [
 # (42.0 MB at 65,536 edges per slice, 38.6 MB at 8,192).
 _CHUNK = 1 << 13
 
+# Edges per slice of ``edge_slices``: 128 KB of intp indices per side.
+_SLICE = 1 << 14
+
 
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``.
 
-    Built by ``new_graph``, which hands over the canonical edge arrays.
+    Built by ``new_graph`` or ``_keyed_graph``, which hand over the
+    canonical edge arrays.
     """
 
     __slots__ = ("n", "_earrays")
@@ -88,21 +98,34 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _pair_keys(n: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
-    """The keys ``u << b | v``, b = (n - 1).bit_length(), of pairs of vertices
-    of an n-vertex graph, which compare as the pairs do, and b.  Each
-    (u values, v values) of ``pairs`` fills the next stretch of one array in
-    place, each side cast to the key dtype as it is read.  Keys are uint32
-    when 2b <= 32, as on every shipped host, and uint64 otherwise
-    (``new_graph`` caps n at 2**31, so b <= 31).
+def _key_array(n: int, size: int) -> tuple[np.ndarray, int]:
+    """An uninitialized array for ``size`` keys ``u << b | v`` of pairs of
+    vertices of an n-vertex graph, which compare as the pairs do, and b =
+    (n - 1).bit_length().  Keys are uint32 when 2b <= 32, as on every
+    shipped host, and uint64 otherwise (``new_graph`` caps n at 2**31, so
+    b <= 31).
     """
     b = max(n - 1, 0).bit_length()
+    return np.empty(size, dtype=np.uint32 if 2 * b <= 32 else np.uint64), b
+
+
+def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
+    """Write the keys ``u << b | v`` into ``part`` in place, each side cast
+    to the key dtype as it is read (a signed side included)."""
+    np.copyto(part, u, casting="unsafe")
+    part <<= b
+    np.bitwise_or(part, v, out=part, dtype=part.dtype, casting="unsafe")
+
+
+def _pair_keys(n: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
+    """The keys of ``_key_array`` for pairs of vertices of an n-vertex
+    graph, and b.  Each (u values, v values) of ``pairs`` fills the next
+    stretch of one array with ``_put_keys``.
+    """
     sizes = [u.size for u, _ in pairs]
-    keys = np.empty(sum(sizes), dtype=np.uint32 if 2 * b <= 32 else np.uint64)
+    keys, b = _key_array(n, sum(sizes))
     for (u, v), part in zip(pairs, np.split(keys, np.cumsum(sizes)[:-1])):
-        np.copyto(part, u, casting="unsafe")
-        part <<= b
-        np.bitwise_or(part, v, out=part, dtype=keys.dtype, casting="unsafe")
+        _put_keys(part, u, v, b)
     return keys, b
 
 
@@ -151,7 +174,15 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     lo, hi = pairs[:, 0], pairs[:, 1]
     keys, b = _pair_keys(n, (np.minimum(lo, hi), np.maximum(lo, hi)))
-    keys = _unique_sorted(keys)
+    return _keyed_graph(n, _unique_sorted(keys), b)
+
+
+def _keyed_graph(n: int, keys: np.ndarray, b: int) -> Graph:
+    """The n-vertex graph whose edges have the ascending, distinct keys
+    ``keys`` of ``_key_array``, each with u <= v.  The low bits are
+    split off in place, so ``keys`` is taken over: ev is a view of it when
+    the keys are uint32.
+    """
     eu = _low_int32(keys >> b)
     keys &= (1 << b) - 1
     return Graph(n, eu, _low_int32(keys))
@@ -166,10 +197,9 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
 
 def is_independent(g: Graph, members: np.ndarray) -> bool:
     """True iff no edge, loops included, joins two vertices of ``members``,
-    a boolean array over V(g); one gather over the edge arrays."""
+    a boolean array over V(g); one gather per ``edge_slices`` slice."""
     inside = vertex_flags(g, members)
-    eu, ev = edge_arrays(g)
-    return not (np.take(inside, eu) & np.take(inside, ev)).any()
+    return not any((np.take(inside, u) & np.take(inside, v)).any() for u, v in edge_slices(g))
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +208,20 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     Ascending by ``(u, v)`` with ``u <= v``, int32, as ``new_graph`` built them.
     """
     return g._earrays
+
+
+def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The edge arrays of ``g`` in order, ``_SLICE`` edges at a time, each
+    side cast to intp once per slice.
+
+    numpy casts int32 indices to intp before it gathers with them, so a
+    whole-array ``np.take`` at ``eu`` makes a host-length intp copy (3.5 MB
+    on the c7 host) per call; a caller that gathers several arrays per
+    edge reads them all at one slice's casts.
+    """
+    eu, ev = edge_arrays(g)
+    for lo in range(0, eu.size, _SLICE):
+        yield eu[lo : lo + _SLICE].astype(np.intp), ev[lo : lo + _SLICE].astype(np.intp)
 
 
 def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -240,8 +241,8 @@ def test_omega_pinned_counts():
     assert omega_vertex_count(6, 6) == 54186
 
 
-# (vertices, edges, host SHA-256) of omega_tuples(n, d): small cases, then
-# the hosts of c5_refined, c7 and c5_wide.
+# (vertices, edges, host SHA-256) of omega_tuples(n, d): small cases, the
+# hosts of c5_refined, c7 and c5_wide, then one host on uint64 pair keys.
 OMEGA_PINS = {
     (2, 1): (2, 1, "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d"),
     (3, 1): (9, 9, "a6d17c3b191089f985865bdedd6b6726b254ed96a5b8c6bb708c96930be848e1"),
@@ -253,6 +254,8 @@ OMEGA_PINS = {
     (6, 3): (4686, 36015, "d3965243aff8c5692659b570f51e6c2f169d2ffddd660c7dead5b52ec84fc60b"),
     (8, 2): (16472, 437500, "aa35fa2974489b519a6608b39a6fae5868694e6bd71e61a982e996dd132a1701"),
     (6, 6): (54186, 428415, "957d172cca1db53129f5145f564d155fb10b7cbb1b8daee99597ee37cf19d905"),
+    # past 65,536 vertices, so its pair keys are uint64
+    (7, 4): (80703, 1240029, "4aa08eff80c06d44e1269c0a3e672cbeef1d40d8fd9e0bb0ccc2cd572e17739c"),
 }
 
 
@@ -275,6 +278,41 @@ def test_omega_edge_arrays_match_the_definition(n, d):
     assert np.array_equal(got_u, eu) and np.array_equal(got_v, ev)
 
 
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_omega_edges_satisfy_the_definition_and_its_degrees(n, d):
+    # read off the vertex tuples alone, without the enumerator: each edge is
+    # listed once with u < v, each coordinate pair differs by one or both
+    # sit at d+1, and a vertex with m 1s has exactly m 2^(n-1-m) partners
+    # (its neighbor's 0 sits opposite one of its 1s, its other 1s face 2s,
+    # and every other coordinate has two choices); with no repeats and
+    # every listed edge valid, matching degrees leave no edge out
+    om = omega_tuples(n, d)
+    eu, ev = edge_arrays(om.graph)
+    keys = eu.astype(np.int64) << 32 | ev
+    assert (eu < ev).all() and (keys[1:] > keys[:-1]).all()
+    for column in om.digits.T:
+        x, y = column[eu], column[ev]
+        assert ((np.abs(x - y) == 1) | ((x == d + 1) & (y == d + 1))).all()
+    ones = (om.digits == 1).sum(axis=1)
+    degree = np.bincount(eu, minlength=om.graph.n) + np.bincount(ev, minlength=om.graph.n)
+    assert np.array_equal(degree, ones << (n - 1 - ones))
+
+
+@pytest.mark.parametrize("n,d,bound", [(6, 6, 7_000_000), (8, 2, 6_000_000)])
+def test_omega_tuples_peak_holds_one_copy_of_the_edges(n, d, bound):
+    # traced peaks of omega_tuples: 4.54 MB on the c5_wide host (6, 6) and
+    # 3.95 MB on the c7 host (8, 2), where an (edges, 2) array beside its
+    # per-block pieces peaked at 9.98 and 9.45 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        omega_tuples(n, d)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
     # a pair table offering 0 generates tuples with two zeros, which the
     # lookup table maps to -1
@@ -289,13 +327,9 @@ def test_omega_edge_count_formula(n, d):
 
 
 def test_omega_enumeration_generates_each_edge_once(monkeypatch):
-    once = families._omega_edges
-
-    def from_both_ends(codes, n, d):
-        edges = once(codes, n, d)
-        return np.vstack((edges, edges[:, ::-1]))
-
-    monkeypatch.setattr(families, "_omega_edges", from_both_ends)
+    # every ordered pair of zero positions, not only p < q: block (q, p)
+    # generates the edges of block (p, q) from their other ends
+    monkeypatch.setattr(families, "combinations", itertools.permutations)
     with pytest.raises(RuntimeError, match="generated 9 edges more than once"):
         omega_tuples(3, 1)
 
