@@ -27,7 +27,7 @@ import numpy as np
 from .families import OmegaGraph, omega_shell_bits, omega_tuples
 from .graphs import Graph, edge_slices, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
-from .widecolor import WideColoring, _zero_position
+from .widecolor import WideColoring, _zero_position, narrow_bits
 
 PASS = "PASS"
 FAILED = "FAILED"
@@ -523,11 +523,11 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
     One sweep for every class of the wide coloring, one bit per class, read
-    off the host's coordinate rule (``omega_shell_bits``), so the build
-    makes no CSR arrays; wideness is one AND of the depth-d bits at both
-    ends of each edge, read through ``edge_slices`` as the realized type
-    pairs of ``_table_questions`` are, and a narrow class is named.  The
-    edge arrays also serve the counts and any host hash.  A vertex's type
+    off the host's coordinate rule (``omega_shell_bits``) to depth d + 1,
+    so the build makes no CSR arrays; wideness is ``narrow_bits`` of the
+    last two depths, and a narrow class is named.  ``_table_questions``
+    makes the build's one pass over the host's edges; the edge arrays also
+    serve the counts and any host hash.  A vertex's type
     in family q is its first coordinate under gamma and its bits in q's
     shells and selectors; one ``np.unique`` per family codes the types,
     and ``build_special_family`` runs at one vertex per type.  An H vertex
@@ -551,22 +551,16 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
-    c, d = params.c, params.d
+    c, d, k = params.c, params.d, params.k
     omega = omega_tuples(params.base, d)
     g = omega.graph
     gamma = _zero_position(omega, params.n, params.k)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
-    class_shells = omega_shell_bits(omega, np.left_shift(bits.type(1), bit.astype(bits)), d)
-    deep, narrow_bits = class_shells[d], 0
-    for u, v in edge_slices(g):
-        narrow_bits |= int(np.bitwise_or.reduce(np.take(deep, u) & np.take(deep, v)))
-    narrow = [
-        (a, b)
-        for a in range(1, params.n + 1)
-        for b in range(1, params.k + 1)
-        if (narrow_bits >> ((a - 1) * params.k + b - 1)) & 1
-    ]
+    class_shells = omega_shell_bits(omega, np.left_shift(bits.type(1), bit.astype(bits)), d + 1)
+    after = class_shells.pop()  # the shells one step past d serve wideness alone
+    narrow_mask = int(narrow_bits(class_shells[d], after))
+    narrow = [(j // k + 1, j % k + 1) for j in range(params.n * k) if narrow_mask >> j & 1]
 
     vertices: list[FunctionVertex] = []
     groups = []

@@ -284,7 +284,7 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         if lo.min() < 0:
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
         _put_keys(part, lo, np.maximum(x, y, out=x), b)
-    del index  # freed before the sort and the split, which set the peak
+    del index, x, y, lo  # the table and the last block, freed before the sort and the split
     keys.sort()
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:

@@ -5,12 +5,12 @@ A graph is its canonical edge list: the two int32 endpoint arrays of
 split off one sorted array of pair keys ``u << b | v`` (``_keyed_graph``),
 which ``new_graph`` makes from any edge list and ``omega_tuples`` writes
 directly.  Vertex sets are boolean membership arrays over ``0..n-1``.
-Independence checks, function tables, hashing, the shell sweeps of a graph
-read from a file and the coloring search all run on the edge arrays or on
-the CSR neighbor arrays read off them, in time linear in |V| + |E|.  The
-counterexample build's gathers over every edge and ``is_independent`` read
-the arrays through ``edge_slices``, 2^14 edges at a time, each side cast to
-intp once per slice, so none of them makes a host-length intp copy.
+Function tables, hashing, the shell sweeps of a graph read from a file
+and the coloring search all run on the edge arrays or on the CSR neighbor
+arrays read off them, in time linear in |V| + |E|.  The counterexample
+build's one pass over every edge reads the arrays through ``edge_slices``,
+2^14 edges at a time, each side cast to intp once per slice, so it makes
+no host-length intp copy.
 
 Graphs are treated as immutable once built and hold nothing but their
 order and edge arrays: the CSR neighbor arrays of ``neighbor_arrays`` and
@@ -30,7 +30,6 @@ __all__ = [
     "Graph",
     "new_graph",
     "vertex_flags",
-    "is_independent",
     "parse_dimacs",
     "emit_dimacs",
     "graph_sha256",
@@ -179,11 +178,12 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
 
 def _keyed_graph(n: int, keys: np.ndarray, b: int) -> Graph:
     """The n-vertex graph whose edges have the ascending, distinct keys
-    ``keys`` of ``_key_array``, each with u <= v.  The low bits are
-    split off in place, so ``keys`` is taken over: ev is a view of it when
-    the keys are uint32.
+    ``keys`` of ``_key_array``, each with u <= v.  The high bits are cast
+    into eu as they are shifted, the low bits split off in place, so
+    ``keys`` is taken over: ev is a view of it when the keys are uint32.
     """
-    eu = _low_int32(keys >> b)
+    eu = np.empty(keys.size, dtype=np.int32)
+    np.right_shift(keys, b, out=eu, casting="unsafe")
     keys &= (1 << b) - 1
     return Graph(n, eu, _low_int32(keys))
 
@@ -193,13 +193,6 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
     if not isinstance(members, np.ndarray) or members.dtype != bool or members.shape != (g.n,):
         raise ValueError(f"vertex set arrays are boolean of shape ({g.n},)")
     return members
-
-
-def is_independent(g: Graph, members: np.ndarray) -> bool:
-    """True iff no edge, loops included, joins two vertices of ``members``,
-    a boolean array over V(g); one gather per ``edge_slices`` slice."""
-    inside = vertex_flags(g, members)
-    return not any((np.take(inside, u) & np.take(inside, v)).any() for u, v in edge_slices(g))
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:

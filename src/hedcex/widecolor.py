@@ -6,16 +6,17 @@ the pairs as one read-only (vertices, 2) int8 array.  ``check_wide`` decides
 any of four equivalent conditions; each class that occurs is a boolean
 array read off the pairs and swept by ``n_shells``, over CSR arrays built
 for that sweep, in time linear in |V| + |E| per class and walk step, so no
-condition needs a graph power and hosts of any size are decided; a declared
-d past 2|V|, where every shell repeats, costs no more than 2|V|.
+graph power is built; a declared d past 2|V|, where every shell repeats,
+costs no more than 2|V|.  A set is independent exactly when it misses its
+next shell, so conditions 2 to 4 read independence off the shells.
 ``zero_position_coloring`` produces the canonical wide coloring of an omega
 graph over a complete base, checks it by condition 2 and pins it to its
 host; ``wide-check`` builds it unchecked and unpinned with ``_zero_position``
 and decides only the condition asked for.  The build makes the same coloring
 but sweeps it itself: every class gets one bit, all are swept at once with
-``omega_shell_bits``, on the host's coordinate rule with no CSR arrays,
-whose shells feed the function tables, and condition 2 is one AND over the
-edge arrays; its gamma is unpinned until it is written.
+``omega_shell_bits`` on the host's coordinate rule, and condition 2 is
+``narrow_bits`` of the depth-d and depth-(d + 1) bits; its gamma is
+unpinned until it is written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .families import OmegaGraph, n_shells
-from .graphs import Graph, edge_arrays, graph_sha256, is_independent
+from .graphs import Graph, edge_arrays, graph_sha256
 
 CONDITION_NAMES = {
     1: "proper on the odd power",
@@ -126,23 +127,34 @@ def _validate(g: Graph, wc: WideColoring) -> None:
         raise ValueError("coloring was built for a different graph")
 
 
+def narrow_bits(shell: np.ndarray, after: np.ndarray):
+    """The OR over V of ``shell & after``, ``after`` the next shell: set at
+    each bit of ``shell_bits`` shells (or for one set's boolean shells) whose
+    shell is not independent, as the next shell of S is N(S); condition 2."""
+    return np.bitwise_or.reduce(shell & after)
+
+
 def _condition_on_class(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
     if condition == 1:
         # no walk of length 2d+1 joins two members (or a member to itself)
         return not (n_shells(g, members, 2 * d + 1)[-1] & members).any()
-    shells = n_shells(g, members, d)
+    shells = n_shells(g, members, d + 1)
     if condition == 2:
-        return is_independent(g, shells[d])
+        return not narrow_bits(shells[d], shells[d + 1])
     if condition == 3:
-        return all(is_independent(g, s) for s in shells)
-    even = np.logical_or.reduce(shells[0::2])
-    odd = np.logical_or.reduce(shells[1::2] or [np.zeros(g.n, dtype=bool)])
+        return not any(map(narrow_bits, shells[:-1], shells[1:]))
     # The equivalent bipartiteness statement: split the reach-<=d region by
     # walk-length parity and demand a genuine bipartition.  Checking abstract
     # 2-colorability of that region instead would accept colorings the other
     # conditions reject (a 4-path with both endpoints in one class already
     # separates them at d=1), so the fixed parity split is the faithful test.
-    return not (even & odd).any() and is_independent(g, even) and is_independent(g, odd)
+    # Each half's next shell is the other parity's union one step on, which
+    # holds the other half, so both halves independent makes them disjoint.
+    def union(first: int, last: int) -> np.ndarray:  # shells first, first + 2, ..., last
+        return np.logical_or.reduce(shells[first : last + 1 : 2] or [np.zeros(g.n, dtype=bool)])
+
+    even, odd = union(0, d), union(1, d)
+    return not (narrow_bits(even, union(1, d + 1)) or narrow_bits(odd, union(2, d + 1)))
 
 
 # ``threads`` is ignored; kept because perfbench/test_perfbench.py passes it.

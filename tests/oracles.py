@@ -7,9 +7,11 @@ is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
 ``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
 that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
 graphs the tests use as fixtures, the one-pair edge scan that the
-collision matrix is checked against, the set-tuple form of the adjoint
-(which the tuple form in ``hedcex.families`` is checked against), and the
-adjunction test built on both.
+collision matrix is checked against, the edge scan that independence read
+off shells is checked against, the four wideness conditions as stated,
+the set-tuple form of the adjoint (which the tuple form in
+``hedcex.families`` is checked against), and the adjunction test built on
+both.
 """
 
 from __future__ import annotations
@@ -325,6 +327,29 @@ def power_graph(g: Graph, d: int) -> Graph:
 def exact_shell(g: Graph, members: np.ndarray, d: int) -> np.ndarray:
     """Boolean array of vertices reached from ``members`` by length-d walks."""
     return walk_matrix(g, d)[members].any(axis=0)
+
+
+def is_independent(g: Graph, members: np.ndarray) -> bool:
+    """True iff no edge, loops included, joins two vertices of ``members``,
+    a boolean array over V(g): the edge-by-edge reference that reading
+    independence off the next shell is checked against."""
+    eu, ev = edge_arrays(g)
+    return not (members[eu] & members[ev]).any()
+
+
+def wide_condition(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
+    """Wideness condition 1 to 4 of one class ``members`` at half width d,
+    as each is stated: on walk-matrix shells, with independence read off the
+    edges by ``is_independent``."""
+    if condition == 1:
+        return not exact_shell(g, members, 2 * d + 1)[members].any()
+    shells = [exact_shell(g, members, t) for t in range(d + 1)]
+    if condition == 2:
+        return is_independent(g, shells[d])
+    if condition == 3:
+        return all(is_independent(g, s) for s in shells)
+    even, odd = (np.logical_or.reduce(shells[p::2] or [np.zeros(g.n, dtype=bool)]) for p in (0, 1))
+    return not (even & odd).any() and is_independent(g, even) and is_independent(g, odd)
 
 
 def first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:

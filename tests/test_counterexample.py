@@ -22,9 +22,17 @@ from hedcex.counterexample import (
 from hedcex import counterexample, families, graphs
 from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells
-from hedcex.graphs import edge_arrays, graph_sha256, is_independent, new_graph
+from hedcex.graphs import edge_arrays, graph_sha256, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
-from oracles import collision_free, complete_graph, cycle_graph, first_collision, rows, table
+from oracles import (
+    collision_free,
+    complete_graph,
+    cycle_graph,
+    first_collision,
+    is_independent,
+    rows,
+    table,
+)
 
 
 def fv(label, values):
@@ -428,6 +436,15 @@ def test_one_host_per_verify(count_calls):
     assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 1}
 
 
+@pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
+def test_the_build_scans_the_host_edges_once(count_calls, variant):
+    # wideness is read off the shells one step past d; the realized type
+    # pairs of the table questions are the one pass over the edges
+    calls = count_calls(graphs, "edge_slices")
+    build_counterexample(params_for(variant))
+    assert calls == {"edge_slices": 1}
+
+
 def test_build_builds_no_host_csr(count_calls):
     # the build sweeps the host by its coordinate rule and reads wideness
     # and the realized type pairs off the edge arrays
@@ -500,30 +517,40 @@ def test_a_host_is_hashed_only_for_a_pin(count_calls):
     assert cert["gamma"]["graph_sha256"] == graph_sha256(report.build.g)
 
 
-def test_a_narrow_class_is_named(monkeypatch, c5_report):
-    # a certificate of the sound build, emitted before the corruption
-    cert = emit_certificate(c5_report)
+def moved_build(monkeypatch, variant, moves):
+    """The build of ``variant`` on its zero-position gamma with each vertex
+    v of ``moves`` moved into its class (a, b)."""
     zero_position = counterexample._zero_position
 
     def corrupted(omega, n, k):
-        # vertex 0 (class (1, 1)) moved into class (3, 2)
         wc = zero_position(omega, n, k)
         pairs = wc.pairs.copy()
-        pairs[0] = (3, 2)
+        for v, pair in moves.items():
+            pairs[v] = pair
         return replace(wc, pairs=pairs)
 
     monkeypatch.setattr(counterexample, "_zero_position", corrupted)
-    params = params_for("c5_refined")
-    build, checks = build_counterexample(params)
-    omega, gamma = build.omega, build.gamma
-    # the per-class reference: only the enlarged class loses wideness
-    narrow = [
+    return build_counterexample(params_for(variant))
+
+
+def narrow_reference(build):
+    """The classes whose depth-d shell the edge reference finds dependent."""
+    g, gamma, p = build.g, build.gamma, build.params
+    return [
         (a, b)
-        for a in range(1, 4)
-        for b in range(1, 3)
-        if not is_independent(omega.graph, n_shells(omega.graph, gamma.class_set(a, b), 3)[3])
+        for a in range(1, p.n + 1)
+        for b in range(1, p.k + 1)
+        if not is_independent(g, n_shells(g, gamma.class_set(a, b), p.d)[p.d])
     ]
-    assert narrow == [(3, 2)]
+
+
+def test_a_narrow_class_is_named(monkeypatch, c5_report):
+    # a certificate of the sound build, emitted before the corruption
+    cert = emit_certificate(c5_report)
+    # vertex 0 (class (1, 1)) moved into class (3, 2)
+    build, checks = moved_build(monkeypatch, "c5_refined", {0: (3, 2)})
+    # the per-class reference: only the enlarged class loses wideness
+    assert narrow_reference(build) == [(3, 2)]
     message = "zero-position coloring is not 3-wide on classes [(3, 2)]"
     (wide,) = [item for item in checks if item.name == "wide_coloring"]
     assert (wide.ok, wide.detail["narrow"], wide.detail["error"]) == (False, [[3, 2]], message)
@@ -534,6 +561,31 @@ def test_a_narrow_class_is_named(monkeypatch, c5_report):
         f"canonical rebuild failed: {message}",
         f"canonical rebuild failed: {unreal}",
     ]
+
+
+@pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
+def test_the_named_narrow_classes_are_the_per_class_reference(monkeypatch, variant):
+    # the first and the last vertex swap classes: (1, 1) and (n, k) each
+    # take a vertex of the other, and both lose wideness
+    p = params_for(variant)
+    build, checks = moved_build(monkeypatch, variant, {0: (p.n, p.k), -1: (1, 1)})
+    narrow = narrow_reference(build)
+    assert narrow == [(1, 1), (p.n, p.k)]
+    (wide,) = [item for item in checks if item.name == "wide_coloring"]
+    assert (wide.ok, wide.detail["narrow"]) == (False, [list(pair) for pair in narrow])
+    assert wide.detail["error"] == f"zero-position coloring is not {p.d}-wide on classes {narrow}"
+
+
+def test_a_class_narrow_only_at_depth_d_is_named(monkeypatch):
+    # vertex 1 moved into class (3, 2): the class's depth-2 shell stays
+    # independent and its depth-3 shell does not, so only the shells at
+    # depths d and d + 1 tell
+    build, checks = moved_build(monkeypatch, "c5_refined", {1: (3, 2)})
+    shells = n_shells(build.g, build.gamma.class_set(3, 2), 3)
+    assert is_independent(build.g, shells[2]) and not is_independent(build.g, shells[3])
+    assert narrow_reference(build) == [(3, 2)]
+    (wide,) = [item for item in checks if item.name == "wide_coloring"]
+    assert (wide.ok, wide.detail["narrow"]) == (False, [[3, 2]])
 
 
 def test_build_shells_of_q_are_its_class_shells(c5_report):

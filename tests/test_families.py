@@ -298,11 +298,15 @@ def test_omega_edges_satisfy_the_definition_and_its_degrees(n, d):
     assert np.array_equal(degree, ones << (n - 1 - ones))
 
 
-@pytest.mark.parametrize("n,d,bound", [(6, 6, 7_000_000), (8, 2, 6_000_000)])
+@pytest.mark.parametrize(
+    "n,d,bound", [(6, 6, 7_000_000), (8, 2, 6_000_000), (7, 4, 22_000_000)]
+)
 def test_omega_tuples_peak_holds_one_copy_of_the_edges(n, d, bound):
-    # traced peaks of omega_tuples: 4.54 MB on the c5_wide host (6, 6) and
-    # 3.95 MB on the c7 host (8, 2), where an (edges, 2) array beside its
-    # per-block pieces peaked at 9.98 and 9.45 MB
+    # traced peaks of omega_tuples: 4.32 MB on the c5_wide host (6, 6) and
+    # 3.80 MB on the c7 host (8, 2), where an (edges, 2) array beside its
+    # per-block pieces peaked at 9.98 and 9.45 MB; 21.06 MB on (7, 4), whose
+    # 9.9 MB of uint64 keys sit beside the two int32 edge arrays split off
+    # them, where a whole shifted uint64 copy of the keys peaked at 26.7 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

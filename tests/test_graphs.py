@@ -16,19 +16,23 @@ from hedcex.graphs import (
     emit_dimacs,
     emit_dot,
     graph_sha256,
-    is_independent,
     neighbor_arrays,
     new_graph,
     parse_dimacs,
+    vertex_flags,
 )
-from oracles import bits, reference_dimacs, rows
+from hedcex.families import n_shells
+from hedcex.widecolor import narrow_bits
+from oracles import bits, is_independent, reference_dimacs, rows
 
 
 def test_boundary_rejects_bad_vertex_sets():
     g = new_graph(3, [(0, 1)])
     for bad in (np.array([0, 1]), np.zeros(2, dtype=bool), np.zeros((3, 1), dtype=bool), 0b11):
         with pytest.raises(ValueError):
-            is_independent(g, bad)
+            vertex_flags(g, bad)
+        with pytest.raises(ValueError):
+            n_shells(g, bad, 1)
 
 
 def test_new_graph_basics():
@@ -124,10 +128,17 @@ def test_loop_is_representable():
 
 
 def test_is_independent():
-    g = new_graph(4, [(0, 1), (2, 3)])
-    assert is_independent(g, np.array([1, 0, 1, 0], dtype=bool))
-    assert not is_independent(g, np.array([1, 1, 0, 0], dtype=bool))
-    assert is_independent(g, np.zeros(4, dtype=bool))
+    # the edge reference and the shell reading, on plain edges and on a loop
+    for edges, flags, independent in (
+        ([(0, 1), (2, 3)], [1, 0, 1, 0], True),
+        ([(0, 1), (2, 3)], [1, 1, 0, 0], False),
+        ([(0, 1), (2, 3)], [0, 0, 0, 0], True),
+        ([(0, 1), (2, 2)], [1, 0, 0, 1], True),
+        ([(0, 1), (2, 2)], [0, 0, 1, 0], False),
+    ):
+        g, members = new_graph(4, edges), np.array(flags, dtype=bool)
+        assert is_independent(g, members) == independent
+        assert (not narrow_bits(*n_shells(g, members, 1))) == independent
 
 
 def test_dimacs_round_trip_small():
@@ -221,7 +232,7 @@ def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
     assert csr == [list(bits(row)) for row in adj]
     flags = np.array([rng.random() < 0.3 for _ in range(n)], dtype=bool)
     brute = not any(flags[u] and flags[v] for u, v in expect)
-    assert is_independent(g, flags) == brute
+    assert (not narrow_bits(*n_shells(g, flags, 1))) == brute
 
 
 def test_dot_output_mentions_labels():

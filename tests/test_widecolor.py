@@ -7,15 +7,25 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from hedcex import graphs
-from hedcex.families import omega_tuples
+from hedcex.families import n_shells, omega_tuples, shell_bits
 from hedcex.graphs import graph_sha256, new_graph
 from hedcex.widecolor import (
     WideColoring,
     _condition_on_class,
     check_wide,
+    narrow_bits,
     zero_position_coloring,
 )
-from oracles import adjunction_holds, complete_graph, cycle_graph, rows, walk_matrix
+from oracles import (
+    adjunction_holds,
+    complete_graph,
+    cycle_graph,
+    exact_shell,
+    is_independent,
+    rows,
+    walk_matrix,
+    wide_condition,
+)
 
 
 def identity_coloring(g, d):
@@ -148,6 +158,49 @@ def test_four_conditions_agree(seed):
     wc = WideColoring(n=n, k=k, d=d, pairs=pairs)
     answers = [check_wide(g, wc, condition) for condition in (1, 2, 3, 4)]
     assert len(set(answers)) == 1, answers
+
+
+@st.composite
+def loopy_graphs(draw):
+    """A random graph with at least one loop and at least one isolated
+    vertex (the last), seed bits for up to 8 vertex sets, and a depth."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    loop = draw(vertex)
+    sets = draw(st.integers(1, 8))
+    seeds = draw(st.lists(st.integers(0, (1 << sets) - 1), min_size=n + 1, max_size=n + 1))
+    g = new_graph(n + 1, edges + [(loop, loop)])
+    return g, np.array(seeds, dtype=np.uint8), sets, draw(st.integers(0, 4))
+
+
+@given(loopy_graphs())
+def test_a_shell_is_independent_iff_it_misses_the_next(case):
+    # read off the sweeps, of one set on boolean shells and of all at once
+    # on bits, against the edge reference on the walk-matrix shells
+    g, seeds, sets, d = case
+    swept = shell_bits(g, seeds, d + 1)
+    for j in range(sets):
+        members = (seeds >> j & 1).astype(bool)
+        shells = n_shells(g, members, d + 1)
+        for t in range(d + 1):
+            independent = is_independent(g, exact_shell(g, members, t))
+            assert (not narrow_bits(shells[t], shells[t + 1])) == independent, (j, t)
+            assert (not narrow_bits(swept[t], swept[t + 1]) >> j & 1) == independent, (j, t)
+
+
+@given(loopy_graphs())
+def test_each_condition_on_a_class_is_its_statement(case):
+    # the drawn sets and every single vertex, at every depth up to 4: a
+    # single vertex on an odd cycle of length 2d + 1 is where a missing last
+    # shell of condition 4's parity unions shows
+    g, seeds, sets, _ = case
+    classes = [(seeds >> j & 1).astype(bool) for j in range(sets)] + list(np.eye(g.n, dtype=bool))
+    for members in classes:
+        for d in range(5):
+            for condition in (1, 2, 3, 4):
+                want = wide_condition(g, members, d, condition)
+                assert _condition_on_class(g, members, d, condition) == want, (d, condition)
 
 
 @given(st.integers(2, 9), st.integers(0, 6), st.booleans())
