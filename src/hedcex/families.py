@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, _key_array, _keyed_graph, _put_keys, neighbor_arrays, vertex_flags
+from .graphs import Graph, _key_array, _put_keys, neighbor_arrays, vertex_flags
 
 __all__ = [
     "n_shells",
@@ -253,18 +253,16 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     maps each code to its vertex (-1 for a code that is not a valid tuple).
     Each block's oriented pair keys (min << b | max, as ``new_graph`` keys
     them) are written straight into its stretch of one preallocated key
-    array, which is sorted once in place and split into the canonical edge
-    arrays, so work is proportional to the number of edges, not to the
-    square of the order.  Three refusals, each a RuntimeError: a code that
-    leaves the vertex set through the index table, a key equal to its
-    sorted neighbour (an edge generated more than once), and a key count
-    other than ``omega_edge_count(n, d)``.  Beside the vertex arrays the
-    build peaks at the index table, 4 (d+2)^n bytes, plus the keys and the
-    edge arrays split off them: for uint32 keys (up to 65,536 vertices) the
-    keys are 4 bytes an edge and ``ev`` is a view of them, so the edges cost
-    8 bytes each.  ValueError on n < 2, d < 1, more than 2**31 vertices or
-    a code space whose digits pass 2 GiB, the last two before any
-    enumeration.
+    array, which is sorted once in place and becomes the graph, so work is
+    proportional to the number of edges, not to the square of the order.
+    Three refusals, each a RuntimeError: a code that leaves the vertex set
+    through the index table, a key equal to its sorted neighbour (an edge
+    generated more than once), and a key count other than
+    ``omega_edge_count(n, d)``.  Beside the vertex arrays the build peaks
+    at the index table, 4 (d+2)^n bytes, plus the keys: 4 bytes an edge up
+    to 65,536 vertices (uint32 keys), 8 past that.  ValueError on n < 2,
+    d < 1, more than 2**31 vertices or a code space whose digits pass
+    2 GiB, the last two before any enumeration.
     """
     digits, codes = _omega_vertices(n, d)
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -284,7 +282,7 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         if lo.min() < 0:
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
         _put_keys(part, lo, np.maximum(x, y, out=x), b)
-    del index, x, y, lo  # the table and the last block, freed before the sort and the split
+    del index, x, y, lo  # the table and the last block, freed before the sort
     keys.sort()
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
@@ -294,5 +292,4 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
         raise RuntimeError(
             f"tuple adjoint enumeration produced {keys.size} edges, formula says {expect}"
         )
-    g = _keyed_graph(len(codes), keys, b)
-    return OmegaGraph(graph=g, digits=digits, codes=codes, n=n, d=d)
+    return OmegaGraph(graph=Graph(len(codes), keys), digits=digits, codes=codes, n=n, d=d)

@@ -1,27 +1,25 @@
 """Loopy undirected graphs on dense integer vertices.
 
-A graph is its canonical edge list: the two int32 endpoint arrays of
-``edge_arrays`` (ascending, ``u <= v``, a loop as ``(v, v)``).  Both are
-split off one sorted array of pair keys ``u << b | v`` (``_keyed_graph``),
-which ``new_graph`` makes from any edge list and ``omega_tuples`` writes
-directly.  Vertex sets are boolean membership arrays over ``0..n-1``.
-Function tables, hashing, the shell sweeps of a graph read from a file
-and the coloring search all run on the edge arrays or on the CSR neighbor
-arrays read off them, in time linear in |V| + |E|.  The counterexample
-build's one pass over every edge reads the arrays through ``edge_slices``,
-2^14 edges at a time, each side cast to intp once per slice, so it makes
-no host-length intp copy.
+A graph is its order and one ascending, de-duplicated array of pair keys
+``u << b | v``, one per edge with ``u <= v``, which ``new_graph`` makes
+from any edge list and ``omega_tuples`` writes directly: uint32 (4 bytes
+an edge) up to 65,536 vertices, uint64 past that.  Every reader splits
+the endpoints off the keys a slice at a time with ``_halves``: the
+build's one edge pass (``edge_slices``), the hash, ``edges()`` and the
+CSR neighbor arrays, so no host-length endpoint array is kept.  Vertex
+sets are boolean membership arrays over ``0..n-1``.
 
 Graphs are treated as immutable once built and hold nothing but their
-order and edge arrays: the CSR neighbor arrays of ``neighbor_arrays`` and
-the hash are computed afresh on every call, so a caller that needs one
-twice keeps it itself.  Any labels (tuples, function names) live in side
-tables kept by the callers; this module only ever sees dense integers.
+order and keys: ``edge_arrays``, ``neighbor_arrays`` and the hash are
+computed afresh on every call, so a caller that needs one twice keeps
+it itself.  Any labels (tuples, function names) live in side tables kept
+by the callers; this module only ever sees dense integers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,33 +51,32 @@ _SLICE = 1 << 14
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``.
 
-    Built by ``new_graph`` or ``_keyed_graph``, which hand over the
-    canonical edge arrays.
+    ``keys`` holds the edges as the ascending, distinct keys of
+    ``_key_array``, each with u <= v, as ``new_graph`` and
+    ``omega_tuples`` make them; the graph takes the array over.
     """
 
-    __slots__ = ("n", "_earrays")
+    __slots__ = ("n", "keys")
 
-    def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray):
+    def __init__(self, n: int, keys: np.ndarray):
         self.n = n
-        self._earrays = (eu, ev)
+        self.keys = keys
 
     def has_loop(self) -> bool:
         return self.loops() > 0
 
     def loops(self) -> int:
-        eu, ev = edge_arrays(self)
-        return int(np.count_nonzero(eu == ev))
+        return sum(int(np.count_nonzero(u == v)) for u, v in _slices(self, _SLICE))
 
     @property
     def edge_count(self) -> int:
         """Number of edges; a loop counts once."""
-        return int(self._earrays[0].size)
+        return int(self.keys.size)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u <= v``, ascending."""
-        eu, ev = edge_arrays(self)
-        for lo in range(0, eu.size, _CHUNK):
-            yield from zip(eu[lo : lo + _CHUNK].tolist(), ev[lo : lo + _CHUNK].tolist())
+        for u, v in _slices(self, _CHUNK):
+            yield from zip(u.tolist(), v.tolist())
 
     def __repr__(self) -> str:
         return f"<Graph n={self.n} m={self.edge_count}>"
@@ -97,6 +94,11 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _key_bits(n: int) -> int:
+    """b, the bits of the low vertex of a pair key of an n-vertex graph."""
+    return max(n - 1, 0).bit_length()
+
+
 def _key_array(n: int, size: int) -> tuple[np.ndarray, int]:
     """An uninitialized array for ``size`` keys ``u << b | v`` of pairs of
     vertices of an n-vertex graph, which compare as the pairs do, and b =
@@ -104,7 +106,7 @@ def _key_array(n: int, size: int) -> tuple[np.ndarray, int]:
     shipped host, and uint64 otherwise (``new_graph`` caps n at 2**31, so
     b <= 31).
     """
-    b = max(n - 1, 0).bit_length()
+    b = _key_bits(n)
     return np.empty(size, dtype=np.uint32 if 2 * b <= 32 else np.uint64), b
 
 
@@ -116,22 +118,21 @@ def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
     np.bitwise_or(part, v, out=part, dtype=part.dtype, casting="unsafe")
 
 
-def _pair_keys(n: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
-    """The keys of ``_key_array`` for pairs of vertices of an n-vertex
-    graph, and b.  Each (u values, v values) of ``pairs`` fills the next
-    stretch of one array with ``_put_keys``.
-    """
-    sizes = [u.size for u, _ in pairs]
-    keys, b = _key_array(n, sum(sizes))
-    for (u, v), part in zip(pairs, np.split(keys, np.cumsum(sizes)[:-1])):
-        _put_keys(part, u, v, b)
-    return keys, b
+def _halves(keys: np.ndarray, b: int, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(u, v)`` of the keys ``u << b | v``: u shifted off the
+    high bits and v masked off the low b, each cast to ``dtype`` as it is
+    written (numpy's buffered cast, so no whole-width temporary is made)."""
+    u, v = np.empty(keys.size, dtype=dtype), np.empty(keys.size, dtype=dtype)
+    np.right_shift(keys, b, out=u, casting="unsafe")
+    np.bitwise_and(keys, (1 << b) - 1, out=v, casting="unsafe")
+    return u, v
 
 
-def _low_int32(keys: np.ndarray) -> np.ndarray:
-    """``keys``, each below 2**31, as int32: a view of uint32 keys, a copy
-    of uint64 ones."""
-    return keys.view(np.int32) if keys.itemsize == 4 else keys.astype(np.int32)
+def _slices(g: Graph, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_halves`` of the keys of ``g`` in order, ``size`` at a time, as intp."""
+    b = _key_bits(g.n)
+    for lo in range(0, g.keys.size, size):
+        yield _halves(g.keys[lo : lo + size], b)
 
 
 def _is_integer(x) -> bool:
@@ -146,7 +147,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     loops.  Raises ValueError on more than 2**31 vertices (the endpoints
     are int32), on a pair that is not two integers (floats, bools and
     strings are refused, not cast) and on an endpoint outside ``0..n-1``.
-    The result holds the canonical edge arrays (ascending, ``u <= v``).
+    The result holds one key per edge, ascending, each with ``u <= v``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -172,20 +173,9 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     lo, hi = pairs[:, 0], pairs[:, 1]
-    keys, b = _pair_keys(n, (np.minimum(lo, hi), np.maximum(lo, hi)))
-    return _keyed_graph(n, _unique_sorted(keys), b)
-
-
-def _keyed_graph(n: int, keys: np.ndarray, b: int) -> Graph:
-    """The n-vertex graph whose edges have the ascending, distinct keys
-    ``keys`` of ``_key_array``, each with u <= v.  The high bits are cast
-    into eu as they are shifted, the low bits split off in place, so
-    ``keys`` is taken over: ev is a view of it when the keys are uint32.
-    """
-    eu = np.empty(keys.size, dtype=np.int32)
-    np.right_shift(keys, b, out=eu, casting="unsafe")
-    keys &= (1 << b) - 1
-    return Graph(n, eu, _low_int32(keys))
+    keys, b = _key_array(n, lo.size)
+    _put_keys(keys, np.minimum(lo, hi), np.maximum(lo, hi), b)
+    return Graph(n, _unique_sorted(keys))
 
 
 def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
@@ -198,47 +188,50 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays ``(eu, ev)`` listing every edge once, loops included.
 
-    Ascending by ``(u, v)`` with ``u <= v``, int32, as ``new_graph`` built them.
+    Ascending by ``(u, v)`` with ``u <= v``, int32, split off the keys
+    whole on every call: 8 bytes an edge that the graph does not keep.
     """
-    return g._earrays
+    return _halves(g.keys, _key_bits(g.n), np.int32)
 
 
 def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The edge arrays of ``g`` in order, ``_SLICE`` edges at a time, each
-    side cast to intp once per slice.
-
-    numpy casts int32 indices to intp before it gathers with them, so a
-    whole-array ``np.take`` at ``eu`` makes a host-length intp copy (3.5 MB
-    on the c7 host) per call; a caller that gathers several arrays per
-    edge reads them all at one slice's casts.
-    """
-    eu, ev = edge_arrays(g)
-    for lo in range(0, eu.size, _SLICE):
-        yield eu[lo : lo + _SLICE].astype(np.intp), ev[lo : lo + _SLICE].astype(np.intp)
+    """The endpoints of the edges of ``g`` in order, ``_SLICE`` edges at a
+    time, split off the keys as intp, the index type numpy gathers with, so
+    a caller that gathers several arrays per edge reads them all at one
+    split and no host-length index array is made."""
+    yield from _slices(g, _SLICE)
 
 
 def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form.
 
     The neighbors of ``v`` are ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a
-    loop listed once; both arrays are int32.  Built afresh on every call.
+    loop listed once; both arrays are int32, sorted off the keys and their
+    swapped halves afresh on every call.
     """
-    eu, ev = edge_arrays(g)
-    # the arcs u -> v, then v -> u, of every edge as pair keys sorted in place;
-    # a loop's second arc takes the largest key, which sorts past every arc
-    # (an arc with that key is itself a loop), and is cut off
-    keys, b = _pair_keys(g.n, (eu, ev), (ev, eu))
-    loops = eu == ev
-    keys[eu.size :][loops] = np.iinfo(keys.dtype).max
+    # the arcs u -> v of every edge are its key, the arcs v -> u its halves
+    # swapped, and all are sorted in place; a loop's second arc takes the
+    # largest key, which sorts past every arc (an arc with that key is
+    # itself a loop), and is cut off
+    m = g.edge_count
+    keys, b = _key_array(g.n, 2 * m)
+    keys[:m] = g.keys
+    loops = 0
+    for lo, (u, v) in zip(range(m, 2 * m, _SLICE), _slices(g, _SLICE)):
+        part, loop = keys[lo : lo + u.size], u == v
+        _put_keys(part, v, u, b)
+        part[loop] = np.iinfo(keys.dtype).max
+        loops += int(np.count_nonzero(loop))
     keys.sort()
-    keys = keys[: keys.size - np.count_nonzero(loops)]
+    keys = keys[: keys.size - loops]
     # row v starts at the first key at or above v << b, which is below
     # 2**(2b) for every vertex, so it fits the key dtype
     ptr = np.empty(g.n + 1, dtype=np.int32)
     ptr[:-1] = np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b)
     ptr[-1] = keys.size
     keys &= (1 << b) - 1
-    return ptr, _low_int32(keys)
+    # each key is now its v, below 2**31: a view of uint32 keys as int32
+    return ptr, keys.view(np.int32) if keys.itemsize == 4 else keys.astype(np.int32)
 
 
 # -- DIMACS col format ----------------------------------------------------
@@ -249,7 +242,9 @@ def parse_dimacs(text: str) -> Graph:
 
     Vertices are 1-based in the file and 0-based in the result.  ``c`` lines
     are comments.  Duplicate edge lines collapse; ``e v v`` is a loop.
-    Raises ValueError on malformed lines or endpoints outside ``1..N``.
+    Raises ValueError on malformed lines or endpoints outside ``1..N``; a
+    number is ASCII ``-?[0-9]+``, so signs, underscores and other digits
+    are malformed.
 
     A plain file is read in one numpy pass (``_plain_dimacs``), which only
     ever accepts.  Any other text is read here one ``str.splitlines`` line
@@ -271,7 +266,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {ln}: malformed problem line {line!r}")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = map(_ascii_int, parts[2:])
             except ValueError:
                 raise ValueError(f"line {ln}: malformed problem line {line!r}") from None
             if n < 0:
@@ -284,7 +279,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: malformed edge line {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = map(_ascii_int, parts[1:])
             except ValueError:
                 raise ValueError(f"line {ln}: malformed edge line {line!r}") from None
             if not (1 <= u <= n and 1 <= v <= n):
@@ -295,6 +290,13 @@ def parse_dimacs(text: str) -> Graph:
     if n is None:
         raise ValueError("missing problem line")
     return new_graph(n, edges)
+
+
+def _ascii_int(field: str) -> int:
+    """The value of a field of ASCII ``-?[0-9]+``; ValueError otherwise."""
+    if not re.fullmatch("-?[0-9]+", field):
+        raise ValueError(field)
+    return int(field)
 
 
 def _plain_dimacs(text: str) -> Graph | None:
@@ -401,14 +403,13 @@ def _dimacs_lines(g: Graph) -> Iterator[bytes]:
     buffer, which leaves the bytes of ``%d``-formatting each 1-based endpoint.
     """
     yield f"p edge {g.n} {g.edge_count}\n".encode("ascii")
-    eu, ev = edge_arrays(g)
     head, tail = _line_words(g.n)
     h = head.shape[1]
-    buf = np.empty((min(_CHUNK, eu.size), h + tail.shape[1]), dtype=np.uint64)
-    for lo in range(0, eu.size, _CHUNK):
-        lines = buf[: min(_CHUNK, eu.size - lo)]
-        lines[:, :h] = np.take(head, eu[lo : lo + _CHUNK], axis=0)
-        lines[:, h:] = np.take(tail, ev[lo : lo + _CHUNK], axis=0)
+    buf = np.empty((min(_CHUNK, g.edge_count), h + tail.shape[1]), dtype=np.uint64)
+    for u, v in _slices(g, _CHUNK):
+        lines = buf[: u.size]
+        lines[:, :h] = np.take(head, u, axis=0)
+        lines[:, h:] = np.take(tail, v, axis=0)
         yield lines.tobytes().translate(None, b"\0")
 
 

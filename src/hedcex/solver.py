@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, edge_arrays, neighbor_arrays
+from .graphs import Graph, edge_slices, neighbor_arrays
 
 __all__ = [
     "SOME",
@@ -117,8 +117,7 @@ def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
     arr = np.asarray(assignment, dtype=np.int64)
     if arr.min() < 1 or arr.max() > c:
         return False
-    eu, ev = edge_arrays(g)
-    return bool(np.all(np.take(arr, eu) != np.take(arr, ev)))
+    return all(bool(np.all(np.take(arr, u) != np.take(arr, v))) for u, v in edge_slices(g))
 
 
 def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> ColoringResult:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .families import OmegaGraph, n_shells
-from .graphs import Graph, edge_arrays, graph_sha256
+from .graphs import Graph, edge_slices, graph_sha256
 
 CONDITION_NAMES = {
     1: "proper on the odd power",
@@ -119,8 +119,10 @@ def _validate(g: Graph, wc: WideColoring) -> None:
     if outside.size:
         a, b = wc.pairs[outside[0]].tolist()
         raise ValueError(f"pair ({a},{b}) out of range")
-    eu, ev = edge_arrays(g)
-    isolated = np.flatnonzero(np.bincount(np.concatenate((eu, ev)), minlength=g.n) == 0)
+    touched = np.zeros(g.n, dtype=bool)
+    for u, v in edge_slices(g):
+        touched[u] = touched[v] = True
+    isolated = np.flatnonzero(~touched)
     if isolated.size:
         raise ValueError(f"vertex {isolated[0]} is isolated")
     if wc.graph_sha is not None and wc.graph_sha != graph_sha256(g):

@@ -454,8 +454,10 @@ def test_build_builds_no_host_csr(count_calls):
 
 
 def test_a_c7_report_keeps_no_host_csr():
-    # the host's edge arrays (3.3 MB) and the four family codes (0.5 MB)
-    # stay with the report; the host CSR arrays (3.4 MB more) do not
+    # the host's pair keys (1.7 MB, 4 bytes an edge) and the four family
+    # codes (0.5 MB) stay with the report, 2.49 MiB in all (4.16 MiB when
+    # the host kept int32 endpoint arrays); the host CSR arrays (3.4 MB
+    # more) do not
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -465,14 +467,14 @@ def test_a_c7_report_keeps_no_host_csr():
     finally:
         tracemalloc.stop()
     assert report.status == "PASS"
-    assert kept < 5 * 2**20
+    assert kept < 3.5 * 2**20
 
 
 def test_a_c5_wide_report_keeps_no_host_length_tables():
     # an H vertex is its family's code and its lookup: the report keeps the
-    # host's edge arrays (3.4 MB) and three family codes (1.3 MB), shared
-    # by every vertex, and no table of host length (165 of them would be
-    # 8.9 MB more)
+    # host's pair keys (1.7 MB) and three family codes (1.3 MB), shared by
+    # every vertex, 3.82 MiB in all (5.46 MiB with int32 endpoint arrays),
+    # and no table of host length (165 of them would be 8.9 MB more)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -483,7 +485,7 @@ def test_a_c5_wide_report_keeps_no_host_length_tables():
         tracemalloc.stop()
     assert report.status == "PASS"
     assert len({id(v.code) for v in report.build.vertices}) == 3
-    assert kept < 8 * 2**20
+    assert kept < 5 * 2**20
 
 
 def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):

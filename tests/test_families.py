@@ -299,14 +299,15 @@ def test_omega_edges_satisfy_the_definition_and_its_degrees(n, d):
 
 
 @pytest.mark.parametrize(
-    "n,d,bound", [(6, 6, 7_000_000), (8, 2, 6_000_000), (7, 4, 22_000_000)]
+    "n,d,bound", [(6, 6, 7_000_000), (8, 2, 4_000_000), (7, 4, 16_000_000)]
 )
 def test_omega_tuples_peak_holds_one_copy_of_the_edges(n, d, bound):
-    # traced peaks of omega_tuples: 4.32 MB on the c5_wide host (6, 6) and
-    # 3.80 MB on the c7 host (8, 2), where an (edges, 2) array beside its
-    # per-block pieces peaked at 9.98 and 9.45 MB; 21.06 MB on (7, 4), whose
-    # 9.9 MB of uint64 keys sit beside the two int32 edge arrays split off
-    # them, where a whole shifted uint64 copy of the keys peaked at 26.7 MB
+    # traced peaks of omega_tuples, whose graph is its sorted pair keys:
+    # 4.33 MB on the c5_wide host (6, 6) and 2.75 MB on the c7 host (8, 2),
+    # where an (edges, 2) array beside its per-block pieces peaked at 9.98
+    # and 9.45 MB, and int32 endpoint arrays split off the keys at 3.80 MB
+    # on (8, 2); 13.91 MB on (7, 4), whose 9.9 MB of uint64 keys once had
+    # the two int32 endpoint arrays beside them (21.05 MB)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -323,6 +324,18 @@ def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
     monkeypatch.setattr(families, "_coordinate_pairs", lambda d: np.zeros((2 * d + 1, 2), int))
     with pytest.raises(RuntimeError, match="left the vertex set"):
         omega_tuples(3, 1)
+
+
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_omega_hosts_hold_one_key_array(n, d):
+    # a host keeps its order and its sorted pair keys, and no endpoint
+    # arrays beside them: 4 bytes an edge up to 65,536 vertices, 8 past that
+    g = omega_tuples(n, d).graph
+    held = [getattr(g, name) for name in type(g).__slots__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    width = 4 if g.n <= 1 << 16 else 8
+    assert len(arrays) == 1 and arrays[0].base is None
+    assert arrays[0].nbytes == width * g.edge_count
 
 
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))

@@ -13,6 +13,7 @@ from hedcex import graphs
 from hedcex.graphs import (
     Graph,
     edge_arrays,
+    edge_slices,
     emit_dimacs,
     emit_dot,
     graph_sha256,
@@ -100,11 +101,11 @@ def test_vertex_count_is_capped_at_int32():
 def test_pair_keys_across_the_key_width(n, dtype):
     # the pair keys switch from uint32 to uint64 once 2 * (n - 1).bit_length()
     # passes 32; both widths give the same edge, CSR and DIMACS results
-    zero = np.zeros(1, dtype=np.int32)
-    assert graphs._pair_keys(n, (zero, zero))[0].dtype == dtype
+    assert graphs._key_array(n, 1)[0].dtype == dtype
     pairs = [(n - 1, 0), (n - 1, n - 1), (n - 1, n - 2)]
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     g = new_graph(n, pairs)
+    assert g.keys.dtype == dtype
     eu, ev = edge_arrays(g)
     assert eu.dtype == ev.dtype == np.int32
     assert list(zip(eu.tolist(), ev.tolist())) == expect
@@ -125,6 +126,10 @@ def test_loop_is_representable():
     assert g.has_loop() and g.loops() == 1
     assert list(g.edges()) == [(0, 0), (0, 1)]
     assert not new_graph(2, [(0, 1)]).has_loop()
+    # a loop past the first slice of edges
+    n = graphs._SLICE + 2
+    g = new_graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 1)])
+    assert g.has_loop() and g.loops() == 1
 
 
 def test_is_independent():
@@ -171,7 +176,7 @@ def test_dimacs_and_sha_pinned_on_a_loopy_graph():
     assert emit_dimacs(g, comment="loopy\nfive") == "c loopy\nc five\n" + body
     sha = "5b6f8fe620b02df1b483c06fc824bba74307f0ab2f44c5237a99270f454b138b"
     assert graph_sha256(g) == sha
-    assert graph_sha256(Graph(g.n, *edge_arrays(g))) == sha
+    assert graph_sha256(Graph(g.n, g.keys.copy())) == sha
 
 
 def _emitter_cases():
@@ -215,10 +220,14 @@ def test_rows_match_the_bitwise_build():
         assert all(np.all(np.diff(dst[ptr[v] : ptr[v + 1]]) > 0) for v in range(n))
 
 
-@given(st.integers(0, 40), st.data())
-def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
+@given(st.integers(0, 40), st.sampled_from([0, 65_537]), st.data())
+def test_edge_lists_once_ascending_on_loopy_graphs(n, low, data):
+    # on n vertices, or on the last n of n + 65,537, whose keys are uint64
     rng = random.Random(data.draw(st.integers(0, 2**30)))
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    pairs = [
+        (low + rng.randrange(n), low + rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+    ]
+    n += low
     g = new_graph(n, pairs)
     adj = rows(g)
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
@@ -226,10 +235,14 @@ def test_edge_lists_once_ascending_on_loopy_graphs(n, data):
     assert list(g.edges()) == expect
     eu, ev = edge_arrays(g)
     assert list(zip(eu.tolist(), ev.tolist())) == expect
+    sliced = [(u.tolist(), v.tolist()) for u, v in edge_slices(g)]
+    assert [e for u, v in sliced for e in zip(u, v)] == expect
+    assert all(0 < len(u) <= graphs._SLICE for u, _ in sliced)
+    assert g.loops() == sum(u == v for u, v in expect)
     ptr, dst = neighbor_arrays(g)
     assert ptr.dtype == dst.dtype == np.int32
-    csr = [dst[ptr[v] : ptr[v + 1]].tolist() for v in range(n)]
-    assert csr == [list(bits(row)) for row in adj]
+    assert np.diff(ptr).tolist() == [row.bit_count() for row in adj]
+    assert dst.tolist() == [u for row in adj for u in bits(row)]
     flags = np.array([rng.random() < 0.3 for _ in range(n)], dtype=bool)
     brute = not any(flags[u] and flags[v] for u, v in expect)
     assert (not narrow_bits(*n_shells(g, flags, 1))) == brute
@@ -279,10 +292,15 @@ _FIRST_BAD_LINES = [
     ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
     ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
     ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
+    ("p edge 1_0 1\ne 1 2\n", "line 1: malformed problem line 'p edge 1_0 1'"),
+    ("p edge +3 1\n", "line 1: malformed problem line 'p edge +3 1'"),
+    ("p edge \u0663 1\n", "line 1: malformed problem line 'p edge \u0663 1'"),
     ("p edge -3 0\n", "line 1: negative vertex count"),
     ("p edge 3 -5\n", "line 1: negative edge count"),
     ("p edge 3 1\ne 1 2\ne 1\n", "line 3: malformed edge line 'e 1'"),
     ("p edge 3 1\ne 1 2\ne 1 x\n", "line 3: malformed edge line 'e 1 x'"),
+    ("p edge 3 1\ne +1 2\n", "line 2: malformed edge line 'e +1 2'"),
+    ("p edge 3 1\ne \u0661 2\n", "line 2: malformed edge line 'e \u0661 2'"),
     ("p edge 3 1\n\ne 0 2\n", "line 3: endpoint out of range in 'e 0 2'"),
     ("p edge 3 1\r\ne\t2  4 \r\n", "line 2: endpoint out of range in 'e\\t2  4'"),
     ("p edge 3 1\fe 1 2\x1ce 1 2\u2028e 1 9\n", "line 4: endpoint out of range in 'e 1 9'"),
@@ -298,12 +316,16 @@ def test_dimacs_names_the_first_bad_line(text, message):
     assert str(error.value) == message
 
 
-def test_dimacs_reads_odd_edge_lines_as_int_does():
-    # signs, leading zeros past 18 digits, no-break spaces and non-ASCII
-    # digits leave the numpy pass and are read by the line reader
-    text = "p edge 4 9\ne +1 2\ne " + "0" * 20 + "3 4\ne 2\u00a03\ne \u0661 \u0664\n\t e 4  4\t\n"
-    assert _parsed(parse_dimacs, text) == (4, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 3)])
+def test_dimacs_reads_odd_edge_lines_in_ascii_digits():
+    # leading zeros past 18 digits and no-break spaces leave the numpy pass
+    # and are read by the line reader; a sign, an underscore or a non-ASCII
+    # digit, which int() would take, is refused there by line
+    text = "p edge 4 9\ne " + "0" * 20 + "3 4\ne 2\u00a03\n\t e 4  4\t\n"
+    assert _parsed(parse_dimacs, text) == (4, [(1, 2), (2, 3), (3, 3)])
     assert graphs._plain_dimacs(text) is None
+    for line in ("e +1 2", "e 1_0 2", "e \u0661 \u0664"):
+        message = f"line 3: malformed edge line {line!r}"
+        assert _parsed(parse_dimacs, "p edge 4 9\ne 1 2\n" + line + "\n") == message
 
 
 @pytest.mark.parametrize("text", [text for text, _ in _FIRST_BAD_LINES])

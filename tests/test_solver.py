@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from hedcex import solver
+from hedcex import graphs, solver
 from hedcex.families import omega_tuples
 from hedcex.graphs import new_graph
 from hedcex.solver import (
@@ -49,6 +49,13 @@ def test_verify_coloring_rules():
     assert not verify_coloring(g, [1, 1, 2], 2)
     assert not verify_coloring(g, [1, 3, 1], 2)  # out of range
     assert not verify_coloring(g, [1, 2], 2)  # wrong length
+    # a path past two slices of edges, improper only at its last edge
+    n = 2 * graphs._SLICE + 3
+    path = new_graph(n, [(v, v + 1) for v in range(n - 1)])
+    colors = [1 + v % 2 for v in range(n)]
+    assert verify_coloring(path, colors, 2)
+    colors[-1] = colors[-2]
+    assert not verify_coloring(path, colors, 2)
 
 
 def test_verify_homomorphism_rules():
