@@ -36,7 +36,7 @@ def main() -> int:
             g = omega.graph
             chi = "-"
             if g.n <= CHI_MAX_VERTICES:
-                upper = verify_coloring(g, (omega.zero_positions() + 1).tolist(), m)
+                upper = verify_coloring(g, (omega.zero_positions + 1).tolist(), m)
                 lower = find_coloring(g, m - 1, SearchBudget(node_limit=100_000)).status
                 if not upper or lower not in (NONE, EXHAUSTED):
                     print(f"unexpected chromatic number for base {m}, width {d}")

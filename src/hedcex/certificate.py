@@ -113,7 +113,10 @@ def certificate_to_json(cert: dict) -> str:
 
 
 def certificate_from_json(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     return doc

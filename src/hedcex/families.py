@@ -3,16 +3,17 @@
 * ``omega_tuples(n, d)`` is the right adjoint of the (2d+1)-walk power at
   the complete graph K_n: vertices are integer tuples in ``{0..d+1}^n``
   with exactly one 0 and at least one 1, adjacent when every coordinate
-  pair differs by exactly one or both sit at ``d+1``.  Tuples, their
-  base-(d+2) codes and edges are enumerated as numpy arrays.  An edge is
-  taken literally from that definition: two zero positions p < q, a 1
-  opposite each zero, and one of the 2d + 1 allowed value pairs at every
-  other coordinate; the codes of both ends are outer sums over the
-  coordinates, located by a lookup table over the whole code space.  Each
-  (p, q) block writes its edges' pair keys into one array, which is sorted
-  once and split into the graph's edge arrays, with no edge list between.
-  A code off the vertex set, an edge generated twice and a vertex or edge
-  count other than its closed form are refused.
+  pair differs by exactly one or both sit at ``d+1``.  A tuple is held as
+  the base-(d+2) integer it spells, its code, and the position of its 0,
+  both read off slices of the code space.  An edge is taken literally from
+  that definition: two zero positions p < q, a 1 opposite each zero, and
+  one of the 2d + 1 allowed value pairs at every other coordinate; the
+  codes of both ends are outer sums over the coordinates, located by a
+  lookup table over the whole code space.  Each (p, q) block writes its
+  edges' pair keys into one array, which is sorted once and becomes the
+  graph.  A build whose closed-form footprint passes 2 GiB is refused
+  before it starts; a code off the vertex set, an edge generated twice and
+  a vertex or edge count other than its closed form are refused.
 * ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
   endpoints of walks of length exactly 0..t from up to one vertex set per
   bit of its seed array, read off the coordinate rule: a step scatters the
@@ -36,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, _key_array, _put_keys, neighbor_arrays, vertex_flags
+from .graphs import Graph, _key_array, _key_dtype, _put_keys, neighbor_arrays, vertex_flags
 
 __all__ = [
     "n_shells",
@@ -169,46 +170,32 @@ def omega_edge_count(n: int, d: int) -> int:
 
 
 def _omega_vertices(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, codes): the valid tuples as rows of a (vertices, n) int8
-    array, in lexicographic order, checked against the closed-form count,
-    and the base-(d+2) integer each one spells, ascending.
+    """(codes, zero_positions): the base-(d+2) integer each valid tuple
+    spells, ascending (intp), checked against the closed-form count, and
+    the 0-based position of its unique 0 (uint8).
 
     Valid means: entries in ``0..d+1``, exactly one 0, at least one 1.  The
-    lexicographic order pins vertex indices, keeping every downstream label,
-    coloring and certificate reproducible.  The tuples are read off an
-    enumeration of the whole code space in numeric order, so a tuple's code
-    is its position there.
+    codes whose coordinate j holds a given value are one slice of the
+    (d+2,)*n code space, so each coordinate writes two slices of a byte
+    that counts 0s in steps of 2 and sets bit 0 for a 1 (a valid code reads
+    3), and one slice of a byte that records where a 0 is.  Ascending codes
+    are the tuples in lexicographic order, which pins vertex indices,
+    keeping every downstream label, coloring and certificate reproducible.
     """
-    if n < 2 or d < 1:
-        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
-    # refused before the (d+2)^n code space is enumerated: by the int32
-    # bound of the edge arrays, then by the size of the digit array
+    shape = (d + 2,) * n
+    state, zero = np.zeros(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8)
+    for axis in range(n):
+        at = (slice(None),) * axis
+        state[at + (0,)] += 2
+        zero[at + (0,)] = axis
+        state[at + (1,)] |= 1
+    codes = np.flatnonzero(state == 3)
     count = omega_vertex_count(n, d)
-    if count > 1 << 31:
-        raise ValueError(
-            f"tuple adjoint at n={n} d={d} has {count} vertices, past 2**31, "
-            "the most int32 vertices can number"
-        )
-    space = (d + 2) ** n
-    if n * space > 2 << 30:  # bytes of the int8 digit array
-        raise ValueError(
-            f"tuple adjoint at n={n} d={d} enumerates {space} codes of {n} digits, "
-            "past the 2 GiB bound on its digit array"
-        )
-    # one row per coordinate, tested a row at a time: beside the digits the
-    # test holds three bytes per code (a zero count, "has a 1", one compare)
-    digits = np.indices((d + 2,) * n, dtype=np.int8).reshape(n, -1)
-    zeros, valid = np.zeros(space, dtype=np.uint8), np.zeros(space, dtype=bool)
-    for row in digits:
-        zeros += row == 0
-        valid |= row == 1
-    valid &= zeros == 1
-    codes = np.flatnonzero(valid)
     if len(codes) != count:
         raise RuntimeError(
             f"tuple enumeration produced {len(codes)} vertices, formula says {count}"
         )
-    return digits.T[codes], codes
+    return codes, zero.ravel()[codes]
 
 
 def _coordinate_pairs(d: int) -> np.ndarray:
@@ -225,21 +212,17 @@ class OmegaGraph:
 
     ``n`` is the complete base's order (also the color count of the
     zero-position coloring) and ``d`` the half width: the graph is the right
-    adjoint of the (2d+1)-walk power at K_n.  ``digits`` holds the tuples as
-    the rows of a (vertices, n) int8 array, in vertex order, and ``codes``
-    the base-(d+2) integer each tuple spells (ascending, intp): its index in
-    the (d+2)^n code space.
+    adjoint of the (2d+1)-walk power at K_n.  In vertex order, ``codes``
+    holds the base-(d+2) integer each tuple spells (ascending, intp), its
+    index in the (d+2)^n code space, and ``zero_positions`` the 0-based
+    position of each tuple's 0 (uint8).
     """
 
     graph: Graph
-    digits: np.ndarray = field(repr=False)
     codes: np.ndarray = field(repr=False)
+    zero_positions: np.ndarray = field(repr=False)
     n: int
     d: int
-
-    def zero_positions(self) -> np.ndarray:
-        """0-based position of the unique 0 in each tuple."""
-        return np.argmax(self.digits == 0, axis=1)
 
 
 def omega_tuples(n: int, d: int) -> OmegaGraph:
@@ -258,15 +241,25 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     Three refusals, each a RuntimeError: a code that leaves the vertex set
     through the index table, a key equal to its sorted neighbour (an edge
     generated more than once), and a key count other than
-    ``omega_edge_count(n, d)``.  Beside the vertex arrays the build peaks
-    at the index table, 4 (d+2)^n bytes, plus the keys: 4 bytes an edge up
-    to 65,536 vertices (uint32 keys), 8 past that.  ValueError on n < 2,
-    d < 1, more than 2**31 vertices or a code space whose digits pass
-    2 GiB, the last two before any enumeration.
+    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1 and, before
+    anything is allocated, a footprint past 2 GiB, read off the closed
+    forms: 7 bytes a code (the enumeration's two and its validity test,
+    then the index table) plus 4 bytes an edge up to 65,536 vertices
+    (uint32 keys), 8 past that.  So fewer than 2**31 vertices are built,
+    and n < 18 (a coordinate fits a byte).
     """
-    digits, codes = _omega_vertices(n, d)
+    if n < 2 or d < 1:
+        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
+    space, edges = (d + 2) ** n, omega_edge_count(n, d)
+    need = 7 * space + edges * _key_dtype(omega_vertex_count(n, d)).itemsize
+    if need > 2 << 30:
+        raise ValueError(
+            f"tuple adjoint at n={n} d={d} needs {need} bytes for its {space} codes "
+            f"and {edges} edge keys, past the 2 GiB bound on a host build"
+        )
+    codes, zero = _omega_vertices(n, d)
     weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    index = np.full((d + 2) ** n, -1, dtype=np.int32)
+    index = np.full(space, -1, dtype=np.int32)
     index[codes] = np.arange(len(codes), dtype=np.int32)
     pairs = _coordinate_pairs(d)
     blocks = list(combinations(range(n), 2))
@@ -287,9 +280,8 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
         raise RuntimeError(f"tuple adjoint enumeration generated {repeats} edges more than once")
-    expect = omega_edge_count(n, d)
-    if keys.size != expect:
+    if keys.size != edges:
         raise RuntimeError(
-            f"tuple adjoint enumeration produced {keys.size} edges, formula says {expect}"
+            f"tuple adjoint enumeration produced {keys.size} edges, formula says {edges}"
         )
-    return OmegaGraph(graph=Graph(len(codes), keys), digits=digits, codes=codes, n=n, d=d)
+    return OmegaGraph(graph=Graph(len(codes), keys), codes=codes, zero_positions=zero, n=n, d=d)

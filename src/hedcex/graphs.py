@@ -99,15 +99,16 @@ def _key_bits(n: int) -> int:
     return max(n - 1, 0).bit_length()
 
 
+def _key_dtype(n: int) -> np.dtype:
+    """uint32 keys when 2b <= 32, as on every shipped host, and uint64
+    otherwise (``new_graph`` caps n at 2**31, so b <= 31)."""
+    return np.dtype(np.uint32 if 2 * _key_bits(n) <= 32 else np.uint64)
+
+
 def _key_array(n: int, size: int) -> tuple[np.ndarray, int]:
-    """An uninitialized array for ``size`` keys ``u << b | v`` of pairs of
-    vertices of an n-vertex graph, which compare as the pairs do, and b =
-    (n - 1).bit_length().  Keys are uint32 when 2b <= 32, as on every
-    shipped host, and uint64 otherwise (``new_graph`` caps n at 2**31, so
-    b <= 31).
-    """
-    b = _key_bits(n)
-    return np.empty(size, dtype=np.uint32 if 2 * b <= 32 else np.uint64), b
+    """An uninitialized ``_key_dtype(n)`` array for ``size`` keys ``u << b | v``
+    of pairs of vertices of an n-vertex graph, which compare as the pairs do, and b."""
+    return np.empty(size, dtype=_key_dtype(n)), _key_bits(n)
 
 
 def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:

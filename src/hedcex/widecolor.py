@@ -90,7 +90,10 @@ class WideColoring:
     @classmethod
     def from_json(cls, text: str) -> "WideColoring":
         """Parse ``to_json`` output; ValueError names the first bad field."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("wide coloring JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("wide coloring JSON must be an object")
         for name in ("n", "k", "d"):
@@ -183,7 +186,7 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """The zero-position coloring of ``omega``, unchecked and unpinned."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    zero = omega.zero_positions()
+    zero = omega.zero_positions.astype(np.intp)  # signed, so a negative k reaches _validate
     pairs = np.column_stack((zero // k + 1, zero % k + 1))
     return WideColoring(n=n, k=k, d=omega.d, pairs=pairs)
 

@@ -107,7 +107,7 @@ def test_criterion_06_wide_colorings(omega63, omega82):
 def _chi_is_base(omega) -> bool:
     # the zero positions color with m colors; m - 1 colors are refused
     m = omega.n
-    upper = verify_coloring(omega.graph, (omega.zero_positions() + 1).tolist(), m)
+    upper = verify_coloring(omega.graph, (omega.zero_positions + 1).tolist(), m)
     return upper and find_coloring(omega.graph, m - 1).status == NONE
 
 

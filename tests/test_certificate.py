@@ -6,6 +6,7 @@ from operator import getitem
 
 import pytest
 
+from hedcex import certificate as certmod
 from hedcex import counterexample as cex
 from hedcex import families
 from hedcex.certificate import (
@@ -204,6 +205,8 @@ def test_every_leaf_mutation_is_refused(c5_cert):
 def test_not_an_object():
     with pytest.raises(ValueError):
         certificate_from_json("[1, 2]")
+    with pytest.raises(ValueError, match="^certificate JSON is nested too deeply$"):
+        certificate_from_json("[" * 200000)
 
 
 def test_missing_field_fails(c5_cert):
@@ -374,6 +377,16 @@ def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
     assert chk.failures == [
         "canonical rebuild failed: H edge is not an edge of the exponential graph: const(1) ~ f"
     ]
+
+
+def test_rebuild_that_raises_is_one_failure_line(monkeypatch, c5_cert):
+    # an exception from inside the rebuild is refused as one line, as the
+    # failed checks of a rebuild that returns are
+    def broken(params):
+        raise RuntimeError("no skeleton")
+
+    monkeypatch.setattr(certmod, "build_counterexample", broken)
+    assert check_certificate(c5_cert).failures == ["canonical rebuild failed: no skeleton"]
 
 
 def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):

@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def too_big(n, d, need, space, edges):
+    """The refusal of a tuple adjoint whose build would pass 2 GiB."""
+    return (
+        f"hedcex: tuple adjoint at n={n} d={d} needs {need} bytes for its {space} codes "
+        f"and {edges} edge keys, past the 2 GiB bound on a host build"
+    )
+
+
 def test_wide_check_zero_position(capsys):
     code, out, _ = run(
         capsys, "wide-check", "--n", "3", "--k", "2", "--d", "1", "--json"
@@ -88,15 +96,14 @@ def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
     code, out, err = run(capsys, "wide-check", "--graph", str(host), "--gamma", str(gamma))
     assert (code, out) == (2, "")
     assert "vertex count 3000000000 exceeds 2**31" in err and "Traceback" not in err
-    # a zero-position host is named by its vertex count before the
-    # (d+2)^(nk) code space is built
+    # a zero-position host past 2**31 vertices is refused by its footprint
+    # before the (d+2)^(nk) code space is built
     code, out, err = run(capsys, "wide-check", "--n", "5", "--k", "4", "--d", "6")
     assert (code, out) == (2, "")
     count = families.omega_vertex_count(20, 6)
-    assert err == (
-        f"hedcex: tuple adjoint at n=20 d=6 has {count} vertices, past 2**31, "
-        "the most int32 vertices can number\n"
-    )
+    assert count > 1 << 31 and err == too_big(
+        20, 6, 170940289017507485484912, 1152921504606846976, 21366527320871904694510
+    ) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -111,10 +118,14 @@ def test_wide_check_refuses_a_host_past_int32(tmp_path, capsys):
         ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": 7}', "'graph_sha256'"),
         ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": []}', "'graph_sha256'"),
         ('{"n": 2, "k": 1, "d": 2, "pairs": [], "graph_sha256": {}}', "'graph_sha256'"),
+        ('{"n": 0, "k": 1, "d": 2, "pairs": [[1, 1], [2, 1]]}', "bad wide-coloring parameters"),
+        ('{"n": 2, "k": 0, "d": 2, "pairs": [[1, 1], [2, 1]]}', "bad wide-coloring parameters"),
+        ('{"n": 2, "k": 1, "d": -1, "pairs": [[1, 1], [2, 1]]}', "bad wide-coloring parameters"),
+        ("[" * 200000, "wide coloring JSON is nested too deeply"),
     ],
     ids=[
         "empty", "null-n", "null-pairs", "null-in-a-pair", "list", "past-int64",
-        "number-pin", "list-pin", "object-pin",
+        "number-pin", "list-pin", "object-pin", "n-0", "k-0", "d-negative", "nested",
     ],
 )
 def test_wide_check_refuses_a_malformed_gamma(tmp_path, capsys, gamma, field):
@@ -507,10 +518,17 @@ def test_verify_flag_usage_errors(capsys):
         assert flag in err.splitlines()[-1], err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "wide-check", "--n", "3", "--k", "2")[0] == 2
     assert run(capsys, "wide-check", "--graph", "/no/such/file", "--gamma", "/no/such/file")[0] == 2
     assert run(capsys, "verify", "certificate", "--cert", "/no/such/file")[0] == 2
+    nested = tmp_path / "nested.cert.json"
+    nested.write_text("[" * 200000)
+    assert run(capsys, "verify", "certificate", "--cert", str(nested)) == (
+        2,
+        "",
+        "hedcex: certificate JSON is nested too deeply\n",
+    )
     for removed in ("construct", "color", "hom", "chromatic", "adjunction-test", "build"):
         with pytest.raises(SystemExit) as exit_info:
             main([removed])
@@ -536,13 +554,32 @@ EITHER = "wide-check: pass either --n/--k/--d or --graph/--gamma"
             "hedcex: tuple adjoint needs n >= 2 and d >= 1, got n=2 d=0",
         ),
         (
-            # 10,485,740 vertices, below 2**31, but 20 * 3**20 digit bytes
+            # 10,485,740 vertices, below 2**31, but 3**20 codes
             ["--n", "4", "--k", "5", "--d", "1"],
-            "hedcex: tuple adjoint at n=20 d=1 enumerates 3486784401 codes of 20 digits, "
-            "past the 2 GiB bound on its digit array",
+            too_big(20, 1, 613286634087, 3486784401, 73609892910),
         ),
+        (
+            # the c11 host: 4.80 GiB of uint64 keys
+            ["--n", "6", "--k", "2", "--d", "2"],
+            too_big(12, 2, 5273690512, 16777216, 644531250),
+        ),
+        (["--n", "4", "--k", "4", "--d", "1"], too_big(16, 1, 4892977287, 43046721, 573956280)),
+        (
+            # 4,803 vertices and edges, but 802**3 codes
+            ["--n", "3", "--k", "1", "--d", "800"],
+            too_big(3, 800, 3610966468, 515849608, 4803),
+        ),
+        (
+            # 2.55 GB of keys, built before the footprint bound given the memory
+            ["--n", "4", "--k", "2", "--d", "7"],
+            too_big(8, 7, 2852827047, 43046721, 318937500),
+        ),
+        (["--n", "-1", "--k", "-2", "--d", "1"], "hedcex: bad wide-coloring parameters"),
     ],
-    ids=["no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0", "code-space"],
+    ids=[
+        "no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0", "code-space",
+        "c11-keys", "n16-keys", "d800-codes", "n8-d7-keys", "negative-factors",
+    ],
 )
 def test_wide_check_refusals_are_named(capsys, argv, message):
     # each refusal is one stderr line and exit 2, before any file is read

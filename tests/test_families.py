@@ -204,10 +204,17 @@ def test_omega_formula_matches_enumeration():
             assert len(tuple_vertices(n, d)) == omega_vertex_count(n, d)
 
 
+def _tuples(om):
+    """The vertex tuples of ``om`` as the rows of an array, decoded from
+    their codes."""
+    return np.column_stack(np.unravel_index(om.codes, (om.d + 2,) * om.n))
+
+
 def test_omega_tuples_validity():
     om = omega_tuples(4, 2)
     tuples = tuple_vertices(4, 2)
-    assert om.digits.tolist() == [list(t) for t in tuples]
+    assert om.codes.tolist() == [int("".join(map(str, t)), 4) for t in tuples]
+    assert _tuples(om).tolist() == [list(t) for t in tuples]
     for t in tuples:
         assert t.count(0) == 1 and 1 in t and max(t) <= 3
     # edges satisfy the coordinate rule, both ways
@@ -218,20 +225,39 @@ def test_omega_tuples_validity():
         )
 
 
-def test_omega_vertices_peak_near_their_digit_array():
-    # the digits of the 4^10 codes at (n, d) = (10, 2) are 10 MiB; validity
-    # is tested one coordinate at a time, so the enumeration peaks at about
-    # 15 MiB, where zero counts summed over all coordinates at once held 28
+def test_omega_vertices_peak_near_their_code_space():
+    # the enumeration of the 4^10 codes at (n, d) = (10, 2) holds three
+    # bytes a code (a flag byte, a zero position and the validity test)
+    # and the codes it keeps: 4.7 MB, where a 10-byte digit row per code
+    # once peaked at 16.0 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        digits, codes = families._omega_vertices(10, 2)
+        codes, zero = families._omega_vertices(10, 2)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert len(codes) == omega_vertex_count(10, 2) == 191710
+    digits = np.column_stack(np.unravel_index(codes, (4,) * 10))
     assert ((digits == 0).sum(axis=1) == 1).all() and (digits == 1).any(axis=1).all()
-    assert peak < 2 * 10 * 4**10
+    assert np.array_equal(zero, np.argmax(digits == 0, axis=1))
+    assert peak < 5 * 4**10
+
+
+@pytest.mark.parametrize("n,d", [(10, 2), (8, 6)])
+def test_large_hosts_pass_the_build_bound(monkeypatch, n, d):
+    # footprints of 0.15 and 1.20 GB, under the 2 GiB bound that refuses
+    # (8, 7) and (12, 2): checked without building, as an enumeration that
+    # stands in for the real one is reached only past the bound
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(families, "_omega_vertices", reached)
+    with pytest.raises(Reached):
+        omega_tuples(n, d)
 
 
 def test_omega_pinned_counts():
@@ -270,7 +296,7 @@ def test_omega_tuples_pinned(n, d):
 )
 def test_omega_edge_arrays_match_the_definition(n, d):
     om = omega_tuples(n, d)
-    x = om.digits.astype(np.int64)
+    x = _tuples(om)
     step = np.abs(x[:, None, :] - x[None, :, :]) == 1
     top = (x[:, None, :] == d + 1) & (x[None, :, :] == d + 1)
     eu, ev = np.nonzero(np.triu((step | top).all(axis=2)))
@@ -290,10 +316,11 @@ def test_omega_edges_satisfy_the_definition_and_its_degrees(n, d):
     eu, ev = edge_arrays(om.graph)
     keys = eu.astype(np.int64) << 32 | ev
     assert (eu < ev).all() and (keys[1:] > keys[:-1]).all()
-    for column in om.digits.T:
+    tuples = _tuples(om)
+    for column in tuples.T:
         x, y = column[eu], column[ev]
         assert ((np.abs(x - y) == 1) | ((x == d + 1) & (y == d + 1))).all()
-    ones = (om.digits == 1).sum(axis=1)
+    ones = (tuples == 1).sum(axis=1)
     degree = np.bincount(eu, minlength=om.graph.n) + np.bincount(ev, minlength=om.graph.n)
     assert np.array_equal(degree, ones << (n - 1 - ones))
 
@@ -378,7 +405,7 @@ def test_omega_is_triangle_free():
 
 def test_zero_positions_are_proper():
     om = omega_tuples(5, 2)
-    zp = om.zero_positions()
+    zp = om.zero_positions
     assert zp.tolist() == [t.index(0) for t in tuple_vertices(5, 2)]
     for u, v in om.graph.edges():
         assert zp[u] != zp[v]

@@ -68,6 +68,8 @@ def test_edge_bounds_checked():
         new_graph(2, np.array([[0, 1], [-1, 0]], dtype=np.int32))
     with pytest.raises(ValueError):
         new_graph(-1, [])
+    with pytest.raises(ValueError, match="^edges must be pairs of vertices$"):
+        new_graph(3, np.array([[0, 1, 2]]))
 
 
 def test_new_graph_refuses_pairs_that_are_not_integers():
@@ -292,6 +294,8 @@ _FIRST_BAD_LINES = [
     ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
     ("p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
     ("c\np edge two 1\n", "line 2: malformed problem line 'p edge two 1'"),
+    ("p col 3 1\ne 1 2\n", "line 1: malformed problem line 'p col 3 1'"),
+    ("p edge 3\ne 1 2\n", "line 1: malformed problem line 'p edge 3'"),
     ("p edge 1_0 1\ne 1 2\n", "line 1: malformed problem line 'p edge 1_0 1'"),
     ("p edge +3 1\n", "line 1: malformed problem line 'p edge +3 1'"),
     ("p edge \u0663 1\n", "line 1: malformed problem line 'p edge \u0663 1'"),

@@ -121,7 +121,7 @@ def test_chromatic_range_narrowing():
     assert verify_coloring(c9, [1 + v % 2 for v in range(8)] + [3], 3)
     assert find_coloring(c9, 2).status == NONE
     om = omega_tuples(4, 1)
-    assert verify_coloring(om.graph, (om.zero_positions() + 1).tolist(), 4)
+    assert verify_coloring(om.graph, (om.zero_positions + 1).tolist(), 4)
     assert find_coloring(om.graph, 3).status == NONE
 
 

@@ -36,7 +36,7 @@ def test_pairing_round_trip():
     # position p <-> pair (a, b) = (p // k + 1, p % k + 1) is a bijection of
     # the base [n*k] onto [n] x [k], for every shape of the same base
     om = omega_tuples(6, 1)
-    zero = om.zero_positions()
+    zero = om.zero_positions
     for n, k in ((6, 1), (3, 2), (2, 3)):
         wc = zero_position_coloring(om, n, k)
         a, b = wc.pairs[:, 0].astype(int), wc.pairs[:, 1].astype(int)
@@ -128,7 +128,7 @@ def test_zero_position_split_classes():
     assert check_wide(om.graph, wc, condition=3)
     # consecutive blocks of k = 2 zero positions share a first coordinate
     assert wc.pairs.tolist() == [
-        [p // 2 + 1, p % 2 + 1] for p in om.zero_positions().tolist()
+        [p // 2 + 1, p % 2 + 1] for p in om.zero_positions.tolist()
     ]
     # merged alpha classes are unions of the fine classes
     assert np.array_equal(wc.pairs[:, 0] == 1, wc.class_set(1, 1) | wc.class_set(1, 2))
