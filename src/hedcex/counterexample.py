@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, omega_shell_bits, omega_tuples
-from .graphs import Graph, edge_slices, graph_sha256, new_graph
+from .families import OmegaGraph, omega_shell_bits, omega_type_pairs, omega_vertices
+from .graphs import Graph, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position, narrow_bits
 
@@ -156,11 +156,9 @@ class FunctionVertex:
 
     ``role`` is the structured identity (("const", i), ("f",),
     ("h", q, d, i, j) or ("g", q, d, i)); ``label`` is its printable form.
-    The function is its lookup read at each host vertex's type:
-    ``np.take(lookup, code)``, with ``code`` the type 0..K-1 of every host
-    vertex, shared by reference with the other functions of its family,
-    and ``lookup`` the int8 value of each type.  No host-length table is
-    kept.
+    The function is ``np.take(lookup, code)``: ``code`` is the type 0..K-1
+    of every host vertex, shared with the other functions of its family,
+    and ``lookup`` the int8 value of each type.
     """
 
     label: str
@@ -190,62 +188,53 @@ def _fingerprint_weights(n: int) -> np.ndarray:
 
 
 def _table_questions(
-    g: Graph,
+    realized: list[np.ndarray],
     vertices: list[FunctionVertex],
     groups: list[tuple[np.ndarray, np.ndarray, list[int]]],
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(collisions, takes, distinct): every question the build asks of its
     tables, each asked within a group of tables on that group's vertex types.
 
-    A group is (code, lut, members): the type 0..K-1 of each host vertex,
-    each type taken by some vertex, the (len(members), K) int8 lookups of
-    the tables ``members`` on those types, with colors 0..127 as values, and
-    the indices of those tables.  Table members[i] is ``lut[i][code]``,
-    and the vertex ``vertices[members[i]]`` is that function on its own
-    family's types; the build makes both from the same lookups.
-    ``collisions`` is (m, m): entry [a, b] of two tables that share a group
-    is True iff some edge u-v of g has a(u) = b(v) in either orientation,
-    so a and b are adjacent exactly where it is False and the diagonal is
-    the loop check.  A pair that shares no group is not asked and reads
-    True, as if it collided.
-    ``takes`` [x, a] says table a takes the value x (rows 0 up to the
-    largest value), and ``distinct`` counts the distinct tables.
+    A group is (code, lut, members): the type 0..K-1 of each host vertex
+    (each type taken), the (len(members), K) int8 lookups of the tables
+    ``members`` on those types, colors 0..127, and their indices; table
+    members[i] is ``lut[i][code]``, as is ``vertices[members[i]]`` on its
+    own family's types.  ``realized[i]`` is the symmetric (K, K) relation of
+    the type pairs that host edges join in group i (``omega_type_pairs``).
+    ``collisions`` [a, b] of two tables that share a group is True iff some
+    host edge u-v has a(u) = b(v) in either orientation, so a and b are
+    adjacent exactly where it is False and the diagonal is the loop check;
+    a pair that shares no group is not asked and reads True.  ``takes``
+    [x, a] says table a takes the value x (rows 0 up to the largest value),
+    and ``distinct`` counts the distinct tables.
 
     Every answer is read off the lookups.  A table's fingerprint is
-    sum_v w(v) table(v) with the fixed weights w(v) < 2^20 of
-    ``_fingerprint_weights``, taken per group as the lookup times the
-    per-type weight sums.  Those sums are exact in float64 (n 2^20 < 2^53)
-    and the products in int64 (127 n 2^20 < 2^63), so equal tables share a
-    fingerprint, and only tables that share one are compared whole, each
-    read off its vertex's code and lookup for that compare alone.  One
-    pass over the edges, each ``edge_slices`` slice read for all groups,
-    marks the type pairs that edges realize in each group,
-    symmetrized into R (K x K).  For each color x, with F the (tables x K)
-    flags of taking x on each type, a and b collide on x exactly where
-    F R F^T is nonzero; its float64 sums are exact.
+    sum_v w(v) table(v) with the weights w(v) < 2^20 of
+    ``_fingerprint_weights``: per group, the lookup times the per-type
+    weight sums, exact in float64 (n 2^20 < 2^53) and int64 (127 n 2^20 <
+    2^63).  Only tables that share a fingerprint are compared whole, each
+    read off its code and lookup for that compare alone.  For each color
+    x, with F the (tables x K) flags of taking x on each type and R a
+    group's realized pairs, a and b collide on x exactly where F R F^T is
+    nonzero; its float64 sums are exact.
     """
     m = len(vertices)
     top = max((int(lut.max(initial=0)) for _, lut, _ in groups), default=0)
     hit = np.ones((m, m), dtype=bool)
     takes = np.zeros((top + 1, m), dtype=bool)
-    weights = _fingerprint_weights(g.n)
+    # every group's code covers the same host vertices
+    weights = _fingerprint_weights(groups[0][0].size if groups else 0)
     fingerprints = np.zeros(m, dtype=np.int64)
     for code, lut, members in groups:
         type_weights = np.bincount(code, weights=weights, minlength=lut.shape[1])
         fingerprints[members] = lut.astype(np.int64) @ type_weights.astype(np.int64)
-    del weights  # freed before the edge pass, which sets the peak on c7
     kept: dict[int, list[FunctionVertex]] = {}
     for v, key in zip(vertices, fingerprints.tolist()):
         same = kept.setdefault(key, [])
         if not any(np.array_equal(_table(w), _table(v)) for w in same):
             same.append(v)
     distinct = sum(map(len, kept.values()))
-    realized = [np.zeros((lut.shape[1],) * 2, dtype=bool) for _, lut, _ in groups]
-    for u, v in edge_slices(g):
-        for (code, _, _), pairs in zip(groups, realized):
-            pairs.ravel()[np.take(code, u) * len(pairs) + np.take(code, v)] = True
     for (_, lut, members), pairs in zip(groups, realized):
-        pairs |= pairs.T
         flags = [(lut == x).astype(np.float64) for x in range(top + 1)]
         takes[:, members] = [f.any(axis=1) for f in flags]
         hit[np.ix_(members, members)] = np.any([f @ pairs @ f.T for f in flags], axis=0)
@@ -525,35 +514,34 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     One sweep for every class of the wide coloring, one bit per class, read
     off the host's coordinate rule (``omega_shell_bits``) to depth d + 1,
     so the build makes no CSR arrays; wideness is ``narrow_bits`` of the
-    last two depths, and a narrow class is named.  ``_table_questions``
-    makes the build's one pass over the host's edges; the edge arrays also
-    serve the counts and any host hash.  A vertex's type
-    in family q is its first coordinate under gamma and its bits in q's
-    shells and selectors; one ``np.unique`` per family codes the types,
-    and ``build_special_family`` runs at one vertex per type.  An H vertex
-    is its family's code and its lookup, so no table of host length is made; the constants and f, constant on every family's
-    types, take family 1's code, and their lookups on each family's types
-    are built directly.  Loops, H edges, images and distinctness are all
-    read off one ``_table_questions``, with one group per q (the constants,
-    f and family q, each with its lookup).  No H edge, const rule entry or
-    ``chain`` pair joins two families; such a pair reads as a collision, so
-    an H edge across families would fail ``h_edges_real``.  A failed check does not
-    stop the build: its item carries the ``error`` and what failed.  The
-    coloring (v, f) -> f(v) of G x H is proper exactly when every edge of H
-    is an edge of the exponential graph, so ``h_edges_real`` counts the
-    ordered checks of that coloring; f ~ each level-one h and the pairwise
-    edges of each g family are H edges, so that item decides them too.  The
-    const rule compares each constant's collision row with the "takes color
-    i" row, and ``chain`` (``chain_check``) reads pairs that are not H edges
-    off the collision matrix.  A table with no collision is a proper
-    c-coloring of G, so the loop check is the evidence of ``chi_g``.  It
-    hashes no host: gamma is unpinned, and ``g_hash`` waits for a pin.
+    last two depths, and a narrow class is named.  A vertex's type in
+    family q is its first coordinate under gamma and its bits in q's shells
+    and selectors; one ``np.unique`` per family codes the types, and
+    ``build_special_family`` runs at one vertex per type.  An H vertex is
+    its family's code and its lookup; the constants and f, constant on
+    every family's types, take family 1's code.  The host's edges are not
+    written: ``omega_type_pairs`` reads the type pairs they realize in each
+    family off the coordinate rule, with the edge count of ``counts``, and
+    ``g`` writes them only for a pin.  Loops, H edges, images and
+    distinctness are read off one ``_table_questions`` on those pairs,
+    with one group per q (the constants, f and family q).  No H edge, const
+    rule entry or ``chain`` pair joins two families; such a pair reads as a
+    collision.  A failed check does not stop the build: its item carries
+    the ``error`` and what failed.  The coloring (v, f) -> f(v) of G x H is
+    proper exactly when every edge of H is an edge of the exponential
+    graph, so ``h_edges_real`` counts the ordered checks of that coloring;
+    f ~ each level-one h and the pairwise edges of each g family are H
+    edges, so that item decides them too.  The const rule compares each
+    constant's collision row with the "takes color i" row, and ``chain``
+    (``chain_check``) reads pairs that are not H edges off the collision
+    matrix.  A table with no collision is a proper c-coloring of G, so the
+    loop check is the evidence of ``chi_g``.  It hashes no host: gamma is
+    unpinned, and ``g_hash`` waits for a pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     c, d, k = params.c, params.d, params.k
-    omega = omega_tuples(params.base, d)
-    g = omega.graph
+    omega = omega_vertices(params.base, d)
     gamma = _zero_position(omega, params.n, params.k)
     bits = np.min_scalar_type(1 << (params.n * params.k - 1))
     bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
@@ -573,6 +561,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         # coded on the narrowest dtype: 16 bits or fewer take numpy's radix sort
         types = types.astype(np.min_scalar_type(types.max()))
         _, first, code = np.unique(types, return_index=True, return_inverse=True)
+        code = code.astype(np.min_scalar_type(first.size - 1))  # uint8 sorts by radix
         # the constants and f are constant on the types of every family, and
         # as vertices they take family 1's
         fixed = [
@@ -589,7 +578,8 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         vertices += [FunctionVertex(label, role, code, t) for label, role, t in family]
     del shells, selectors, types  # the last family's, freed before the table questions
     m = len(vertices)
-    collisions, takes, distinct = _table_questions(g, vertices, groups)
+    realized, g_edges = omega_type_pairs(omega, [(code, lut.shape[1]) for code, lut, _ in groups])
+    collisions, takes, distinct = _table_questions(realized, vertices, groups)
     edges = _skeleton_edges(params, vertices, takes)
     h = new_graph(m, edges)
     build = BuildResult(params, omega, gamma, vertices, h, collisions, takes)
@@ -602,7 +592,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     bad_const = next(([i + 1, vertices[idx].label] for idx, i in first), None)
     loop = next((v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]), None)
 
-    counts = {"g_vertices": g.n, "g_edges": g.edge_count, "h_vertices": m, "h_edges": h.edge_count}
+    counts = dict(g_vertices=omega.codes.size, g_edges=g_edges, h_vertices=m, h_edges=h.edge_count)
     miscounted = [
         f"{key} is {n}, expected {expected[key]}" for key, n in counts.items() if n != expected[key]
     ]
@@ -610,7 +600,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         _check("counts", counts | {"expected": expected}, "; ".join(miscounted)),
         _check(
             "wide_coloring",
-            {"condition": 2, "d": d, "classes": params.n * params.k, "edges_checked": g.edge_count},
+            {"condition": 2, "d": d, "classes": params.n * params.k, "edges_checked": g_edges},
             narrow and f"zero-position coloring is not {d}-wide on classes {narrow}",
             narrow=[list(p) for p in narrow],
         ),
@@ -621,7 +611,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         ),
         _check(
             "h_edges_real",
-            {"count": h.edge_count, "ordered_checks": 2 * h.edge_count * g.edge_count},
+            {"count": h.edge_count, "ordered_checks": 2 * h.edge_count * g_edges},
             unreal and "H edge is not an edge of the exponential graph: " + " ~ ".join(unreal),
             edge=unreal,
         ),
@@ -692,18 +682,14 @@ def verify_counterexample(
     *,
     threads: int = 1,
 ) -> Report:
-    """Run the whole pipeline and grade every claim.
-
-    Three steps: the parameter inequalities, the checks of
-    ``build_counterexample`` (counts, wideness, distinct tables, every H
-    edge an exponential-graph edge, which makes the product coloring proper,
-    the const rule, on c5_wide the chain, and no loops), and the search for
-    a c-coloring of H, reported as ``chi_h`` after ``distinct_tables``.  A
-    failed check does not stop the run; only an exception from the build is
-    reported as ``build``.  The host's own chromatic excess is not searched:
-    that item defers to the published identity for omega graphs over
-    complete bases, so chi(H) is the one search a run makes.  ``threads`` is
-    ignored; kept because perfbench/worker.py passes it.
+    """Run the whole pipeline and grade every claim: the parameter
+    inequalities, the checks of ``build_counterexample``, and the search
+    for a c-coloring of H, reported as ``chi_h`` after ``distinct_tables``.
+    A failed check does not stop the run; only an exception from the build
+    is reported as ``build``.  The host's own chromatic excess is not
+    searched (``chi_g`` defers to the published identity), so chi(H) is the
+    one search a run makes.  ``threads`` is ignored; kept because
+    perfbench/worker.py passes it.
     """
     items: list[ReportItem] = []
     budgets = {"search": {"nodes": budget.node_limit}}

@@ -1,38 +1,32 @@
 """The tuple adjoint graphs that host the counterexamples, and shell sweeps.
 
-* ``omega_tuples(n, d)`` is the right adjoint of the (2d+1)-walk power at
+* ``omega_vertices(n, d)`` is the right adjoint of the (2d+1)-walk power at
   the complete graph K_n: vertices are integer tuples in ``{0..d+1}^n``
   with exactly one 0 and at least one 1, adjacent when every coordinate
   pair differs by exactly one or both sit at ``d+1``.  A tuple is held as
-  the base-(d+2) integer it spells, its code, and the position of its 0,
-  both read off slices of the code space.  An edge is taken literally from
-  that definition: two zero positions p < q, a 1 opposite each zero, and
-  one of the 2d + 1 allowed value pairs at every other coordinate; the
-  codes of both ends are outer sums over the coordinates, located by a
-  lookup table over the whole code space.  Each (p, q) block writes its
-  edges' pair keys into one array, which is sorted once and becomes the
-  graph.  A build whose closed-form footprint passes 2 GiB is refused
-  before it starts; a code off the vertex set, an edge generated twice and
-  a vertex or edge count other than its closed form are refused.
+  the base-(d+2) integer it spells, its code, and the position of its 0.
+  Its ``graph`` writes the edges on first read; ``omega_tuples(n, d)``
+  writes them at once.  A host past 2 GiB is refused before it is built,
+  and so is any count other than its closed form.
+* ``omega_type_pairs(omega, codings)`` reads the type pairs that the
+  edges realize without writing an edge: on each block of zero positions
+  adjacency is a tensor product of paths, swept one bit per type.
 * ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
   endpoints of walks of length exactly 0..t from up to one vertex set per
-  bit of its seed array, read off the coordinate rule: a step scatters the
-  bits over the (d+2)^n code space and ORs each coordinate's neighbouring
-  values in place, one axis at a time, so it builds no adjacency lists.
-  The shells of a union of seeds are the unions of their shells, so a
-  counterexample build sweeps all color classes of its wide coloring at
-  once, one bit per class.
-* ``shell_bits(g, seeds, t)`` is the same sweep on any graph, such as one
-  read from a DIMACS file, over the graph's CSR neighbor arrays, built once
-  per sweep, linear in |V| + |E| per step.  ``n_shells`` is its one-set
-  case, on boolean arrays.  Both sweeps stop at the first shell that
-  repeats the one two steps back.
+  bit of its seed array: a step ORs each coordinate's neighbouring values
+  over the (d+2)^n code space, one axis at a time, so a counterexample
+  build sweeps every color class of its wide coloring at once.
+* ``shell_bits(g, seeds, t)`` is the same sweep on any graph, over its CSR
+  neighbor arrays, linear in |V| + |E| per step; ``n_shells`` is its
+  one-set case.  Both stop at the first shell that repeats the one two
+  steps back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -46,8 +40,13 @@ __all__ = [
     "OmegaGraph",
     "omega_vertex_count",
     "omega_edge_count",
+    "omega_vertices",
     "omega_tuples",
+    "omega_type_pairs",
 ]
+
+# Bytes of type words per chunk of ``omega_type_pairs``, which holds about 4x.
+_GRID_BYTES = 1 << 18
 
 
 # -- walk shells ----------------------------------------------------------
@@ -100,23 +99,18 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
 
 
 def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.ndarray]:
-    """``shell_bits(omega.graph, seeds, t)``, read off the coordinate rule.
+    """``shell_bits(omega.graph, seeds, t)``, read off the coordinate rule,
+    with no edge written.
 
-    With n = ``omega.n`` and d = ``omega.d``, two tuples are adjacent
-    exactly when every coordinate pair lies in the relation R' = {(a, a+1),
-    (a+1, a) : 1 <= a <= d} + {(d+1, d+1), (0, 1), (1, 0)}: each tuple has
-    one 0, and (0, 1) puts a 1 opposite it.  So a step scatters the shell at
-    the vertex codes into a zeroed array over the whole (d+2)^n code space,
-    where a code off the vertex set holds 0, and makes one pass per
-    coordinate, in which value a takes the OR of its R'-partners: 1 for 0,
-    a - 1 and a + 1 for 1 <= a <= d, d and d+1 for d+1.  After n passes the
-    value at a code is the OR over every code R'-related to it at each
-    coordinate, so at a vertex it is the OR over its neighbors; it is
-    gathered at the vertex codes.  A pass ORs the whole array shifted one
-    value up and one down along its coordinate, as one contiguous operation
-    in the widest unsigned words the coordinate's stride allows, then
-    rewrites the two ends of the coordinate.  Two reused buffers over the
-    code space take the place of the host's CSR arrays.
+    Two tuples are adjacent exactly when every coordinate pair lies in R' =
+    {(a, a+1), (a+1, a) : 1 <= a <= d} + {(d+1, d+1), (0, 1), (1, 0)} (each
+    tuple has one 0, with a 1 opposite it).  So a step scatters the shell
+    at the vertex codes into a zeroed array over the (d+2)^n code space and
+    makes one pass per coordinate, in which value a takes the OR of its R'
+    partners; after n passes a vertex code holds the OR over its neighbors,
+    gathered at the vertex codes.  A pass ORs the array shifted one value up
+    and one down along its coordinate, one contiguous operation in the
+    widest unsigned words the stride allows, then rewrites the two ends.
     """
     side, codes = omega.d + 2, omega.codes
     buffers = np.empty((2, side**omega.n * seeds.itemsize), dtype=np.uint8)
@@ -159,13 +153,8 @@ def omega_vertex_count(n: int, d: int) -> int:
 
 
 def omega_edge_count(n: int, d: int) -> int:
-    """Closed-form size of the tuple adjoint: C(n, 2) * (2d+1)^(n-2).
-
-    An edge joins tuples with zeros at two positions p < q, a 1 opposite
-    each zero, and at each of the other n - 2 coordinates one of the 2d + 1
-    value pairs in ``1..d+1`` that differ by one or both equal d+1; the 1s
-    opposite the zeros make both ends valid.
-    """
+    """Closed-form size of the tuple adjoint: C(n, 2) * (2d+1)^(n-2), an edge
+    per pair p < q of zero positions and choice of ``_coordinate_pairs``."""
     return n * (n - 1) // 2 * (2 * d + 1) ** (n - 2)
 
 
@@ -206,6 +195,39 @@ def _coordinate_pairs(d: int) -> np.ndarray:
     return np.vstack((np.column_stack((a, a + 1)), np.column_stack((a + 1, a)), [[d + 1, d + 1]]))
 
 
+def _host_bound(n: int, d: int, grid: int | None = None) -> int:
+    """(d+2)^n, once a host build at (n, d) fits 2 GiB: 7 bytes a code (the
+    enumeration's three, an index table's four) plus its edge keys (uint32
+    up to 65,536 vertices), or ``grid`` bytes when given.  ValueError
+    otherwise, and on n < 2 or d < 1; 2**29 codes or more are refused on
+    bit lengths, before any power is computed.  So n < 18."""
+    if n < 2 or d < 1:
+        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
+    low, past = n * ((d + 2).bit_length() - 1), "past the 2 GiB bound on a host build"
+    if low >= 29:  # (d+2)^n >= 2^low
+        raise ValueError(f"tuple adjoint at n={n} d={d} has at least 2**{low} codes, {past}")
+    space, what = (d + 2) ** n, f" and a {grid}-byte grid chunk" if grid else ""
+    if grid is None:
+        edges = omega_edge_count(n, d)
+        grid = edges * _key_dtype(omega_vertex_count(n, d)).itemsize
+        what = f" and {edges} edge keys"
+    if 7 * space + grid > 2 << 30:
+        raise ValueError(
+            f"tuple adjoint at n={n} d={d} needs {7 * space + grid} bytes for its {space} "
+            f"codes{what}, {past}"
+        )
+    return space
+
+
+def _block_codes(n: int, d: int, p: int, q: int, values: np.ndarray) -> np.ndarray:
+    """Codes of the tuples with 0 at p, 1 at q and ``values`` elsewhere."""
+    codes = np.array([(d + 2) ** (n - 1 - q)])
+    for j in range(n):
+        if j != p and j != q:
+            codes = np.add.outer(codes, values * (d + 2) ** (n - 1 - j)).ravel()
+    return codes
+
+
 @dataclass
 class OmegaGraph:
     """Tuple adjoint graph plus its vertex tuples.
@@ -215,62 +237,49 @@ class OmegaGraph:
     adjoint of the (2d+1)-walk power at K_n.  In vertex order, ``codes``
     holds the base-(d+2) integer each tuple spells (ascending, intp), its
     index in the (d+2)^n code space, and ``zero_positions`` the 0-based
-    position of each tuple's 0 (uint8).
+    position of each tuple's 0 (uint8).  ``graph`` is written on first read.
     """
 
-    graph: Graph
     codes: np.ndarray = field(repr=False)
     zero_positions: np.ndarray = field(repr=False)
     n: int
     d: int
 
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(len(self.codes), _omega_keys(self))
+
+
+def omega_vertices(n: int, d: int) -> OmegaGraph:
+    """The tuple adjoint of K_n at half width d, with no edge written yet."""
+    _host_bound(n, d, 0)
+    return OmegaGraph(*_omega_vertices(n, d), n=n, d=d)
+
 
 def omega_tuples(n: int, d: int) -> OmegaGraph:
-    """Build the tuple adjoint of K_n at half width d.
+    """The tuple adjoint of K_n at half width d, with its edges written."""
+    _host_bound(n, d)
+    omega = OmegaGraph(*_omega_vertices(n, d), n=n, d=d)
+    omega.graph  # written now, not on first read
+    return omega
 
-    The ends x, y of an edge have their zeros at two positions p < q, with
-    x_q = 1 and y_p = 1, and every other coordinate holds one of the pairs
-    of ``_coordinate_pairs``.  For each such (p, q) block the codes of both
-    ends are outer sums over those coordinates, so every combination of
-    pairs is one edge; a dense int32 index table over all (d+2)^n codes
-    maps each code to its vertex (-1 for a code that is not a valid tuple).
-    Each block's oriented pair keys (min << b | max, as ``new_graph`` keys
-    them) are written straight into its stretch of one preallocated key
-    array, which is sorted once in place and becomes the graph, so work is
-    proportional to the number of edges, not to the square of the order.
-    Three refusals, each a RuntimeError: a code that leaves the vertex set
-    through the index table, a key equal to its sorted neighbour (an edge
-    generated more than once), and a key count other than
-    ``omega_edge_count(n, d)``.  ValueError on n < 2, d < 1 and, before
-    anything is allocated, a footprint past 2 GiB, read off the closed
-    forms: 7 bytes a code (the enumeration's two and its validity test,
-    then the index table) plus 4 bytes an edge up to 65,536 vertices
-    (uint32 keys), 8 past that.  So fewer than 2**31 vertices are built,
-    and n < 18 (a coordinate fits a byte).
-    """
-    if n < 2 or d < 1:
-        raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
-    space, edges = (d + 2) ** n, omega_edge_count(n, d)
-    need = 7 * space + edges * _key_dtype(omega_vertex_count(n, d)).itemsize
-    if need > 2 << 30:
-        raise ValueError(
-            f"tuple adjoint at n={n} d={d} needs {need} bytes for its {space} codes "
-            f"and {edges} edge keys, past the 2 GiB bound on a host build"
-        )
-    codes, zero = _omega_vertices(n, d)
-    weights = (d + 2) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    index = np.full(space, -1, dtype=np.int32)
+
+def _omega_keys(omega: OmegaGraph) -> np.ndarray:
+    """The sorted pair keys of the edges of ``omega``, past ``_host_bound``.
+    Block (p, q), p < q, joins x (0 at p, x_q = 1) to y (0 at q, y_p = 1)
+    for each choice of ``_coordinate_pairs`` at the other coordinates, both
+    located by an int32 index table over the code space (-1 off the vertex
+    set).  RuntimeError on a code off the vertex set, an edge generated
+    twice and a count other than ``omega_edge_count``."""
+    n, d, codes = omega.n, omega.d, omega.codes
+    index = np.full(_host_bound(n, d), -1, dtype=np.int32)
     index[codes] = np.arange(len(codes), dtype=np.int32)
     pairs = _coordinate_pairs(d)
     blocks = list(combinations(range(n), 2))
     keys, b = _key_array(len(codes), len(blocks) * len(pairs) ** (n - 2))
     for part, (p, q) in zip(keys.reshape(len(blocks), -1), blocks):
-        x, y = weights[q : q + 1], weights[p : p + 1]
-        for j in range(n):
-            if j != p and j != q:
-                x = np.add.outer(x, pairs[:, 0] * weights[j]).ravel()
-                y = np.add.outer(y, pairs[:, 1] * weights[j]).ravel()
-        x, y = np.take(index, x), np.take(index, y)
+        x = np.take(index, _block_codes(n, d, p, q, pairs[:, 0]))
+        y = np.take(index, _block_codes(n, d, q, p, pairs[:, 1]))
         lo = np.minimum(x, y)
         if lo.min() < 0:
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
@@ -280,8 +289,75 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
         raise RuntimeError(f"tuple adjoint enumeration generated {repeats} edges more than once")
-    if keys.size != edges:
+    if keys.size != omega_edge_count(n, d):
         raise RuntimeError(
-            f"tuple adjoint enumeration produced {keys.size} edges, formula says {edges}"
+            f"tuple adjoint enumeration produced {keys.size} edges, "
+            f"formula says {omega_edge_count(n, d)}"
         )
-    return OmegaGraph(graph=Graph(len(codes), keys), codes=codes, zero_positions=zero, n=n, d=d)
+    return keys
+
+
+def omega_type_pairs(
+    omega: OmegaGraph, codings: list[tuple[np.ndarray, int]]
+) -> tuple[list[np.ndarray], int]:
+    """(pairs, edges): for each coding (code, K) of the vertices into types
+    0..K-1 (sorted fastest in 16 bits or fewer), the symmetric (K, K)
+    relation of the type pairs that edges of ``omega`` join, and the edges
+    counted, with no edge written.  Both ends of block (p, q) of
+    ``_omega_keys`` range over one grid of the values of R0 =
+    ``_coordinate_pairs``, related as a tensor product of paths.  Each type
+    owns a bit of a row of uint64 words.  A chunk of blocks (at least one)
+    seeds each y with its types' bits, then per axis ORs into each value its
+    R0 partners (a slice per run at one offset), so each x holds the bits
+    of the y joined to it, ORed into its types' rows.  A block counts
+    sum_x prod_j |R0 partners of x_j| edges.  RuntimeError on a grid code off
+    the vertex set and on a count other than the closed form."""
+    n, d = omega.n, omega.d
+    pairs = _coordinate_pairs(d)
+    values = np.flatnonzero(np.bincount(pairs.ravel()))  # np.unique would import numpy.ma
+    a, b = np.searchsorted(values, pairs.T)
+    # runs (lo, hi, s): values lo..hi-1 take the OR of values lo+s..hi-1+s
+    s, a = np.array(sorted(zip((b - a).tolist(), a.tolist()))).T
+    cut = np.flatnonzero((np.diff(a) != 1) | (np.diff(s) != 0)) + 1
+    runs = [(r[0], r[-1] + 1, t[0]) for r, t in zip(np.split(a, cut), np.split(s, cut))]
+    offsets = np.cumsum([0, *(size for _, size in codings)]).tolist()
+    words = max(1, -(-offsets[-1] // 64))
+    grid, blocks = len(values) ** (n - 2), list(combinations(range(n), 2))
+    per = max(1, _GRID_BYTES // (grid * words * 8))
+    index = np.full(_host_bound(n, d, min(per, len(blocks)) * grid * words * 8), -1, np.int32)
+    index[omega.codes] = np.arange(len(omega.codes), dtype=np.int32)
+    # row t holds bit t alone; a coding's rows and bits start at its offset
+    one_hot = np.packbits(np.eye(offsets[-1], 64 * words, dtype=bool), axis=1, bitorder="little")
+    one_hot = one_hot.view("<u8")
+    rows, edges = np.zeros_like(one_hot), 0
+    coded = [(lo, hi, code) for lo, hi, (code, _) in zip(offsets, offsets[1:], codings)]
+    for start in range(0, len(blocks), per):
+        chunk = blocks[start : start + per]
+        x = np.take(index, np.concatenate([_block_codes(n, d, p, q, values) for p, q in chunk]))
+        y = np.take(index, np.concatenate([_block_codes(n, d, q, p, values) for p, q in chunk]))
+        if min(x.min(), y.min()) < 0:
+            raise RuntimeError("tuple adjoint grid left the vertex set")
+        near = np.zeros((x.size, words), dtype=np.uint64)
+        for lo, hi, code in coded:
+            near |= np.take(one_hot[lo:hi], np.take(code, y), axis=0)
+        for axis in range(n - 2):
+            near = near.reshape(len(chunk) * len(values) ** axis, len(values), -1)
+            out = np.zeros_like(near)
+            for lo, hi, step in runs:
+                out[:, lo:hi] |= near[:, lo + step : hi + step]
+            near = out
+        for lo, hi, code in coded:
+            types = np.take(code, x)
+            order = np.argsort(types, kind="stable")
+            types = types[order]
+            first = np.flatnonzero(np.concatenate(([True], types[1:] != types[:-1])))
+            rows[lo:hi][types[first]] |= np.bitwise_or.reduceat(
+                np.take(near.reshape(-1, words), order, axis=0), first, axis=0
+            )
+        edges += len(chunk) * len(pairs) ** (n - 2)  # the sum over x factors by axis
+    if edges != omega_edge_count(n, d):
+        raise RuntimeError(
+            f"tuple adjoint grid counted {edges} edges, formula says {omega_edge_count(n, d)}"
+        )
+    flags = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+    return [flags[lo:hi, lo:hi] | flags[lo:hi, lo:hi].T for lo, hi, _ in coded], edges

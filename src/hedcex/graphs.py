@@ -2,18 +2,18 @@
 
 A graph is its order and one ascending, de-duplicated array of pair keys
 ``u << b | v``, one per edge with ``u <= v``, which ``new_graph`` makes
-from any edge list and ``omega_tuples`` writes directly: uint32 (4 bytes
-an edge) up to 65,536 vertices, uint64 past that.  Every reader splits
-the endpoints off the keys a slice at a time with ``_halves``: the
-build's one edge pass (``edge_slices``), the hash, ``edges()`` and the
-CSR neighbor arrays, so no host-length endpoint array is kept.  Vertex
-sets are boolean membership arrays over ``0..n-1``.
+from any edge list and a tuple adjoint's ``graph`` writes directly: uint32
+(4 bytes an edge) up to 65,536 vertices, uint64 past that.  Every reader
+splits the endpoints off the keys a slice at a time with ``_slices``:
+``edge_slices``, the hash, ``edges()`` and the CSR neighbor arrays, so no
+host-length endpoint array is kept.  A counterexample build reads no
+edge: it takes the type pairs off the tuple adjoint's coordinate rule.
+Vertex sets are boolean membership arrays over ``0..n-1``.
 
 Graphs are treated as immutable once built and hold nothing but their
-order and keys: ``edge_arrays``, ``neighbor_arrays`` and the hash are
-computed afresh on every call, so a caller that needs one twice keeps
-it itself.  Any labels (tuples, function names) live in side tables kept
-by the callers; this module only ever sees dense integers.
+order and keys: ``neighbor_arrays`` and the hash are computed afresh on
+every call, so a caller that needs one twice keeps it itself.  Labels
+live in side tables kept by the callers.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ __all__ = [
     "parse_dimacs",
     "emit_dimacs",
     "graph_sha256",
-    "edge_arrays",
     "edge_slices",
     "neighbor_arrays",
 ]
 
 # Edges per slice when an edge list is streamed as Python tuples or as
-# DIMACS bytes; bounds the transient memory of ``edges()`` and of the line
-# buffer behind the hash (8,192 lines of two to four 8-byte words, 128 KB
-# at two words, as on every shipped host).  Larger slices hash no faster and raise the peak RSS of
-# a c5_refined verify, whose 36,015 host edges then fit in one slice
+# DIMACS bytes: the line buffer behind the hash holds 8,192 lines of two to
+# four 8-byte words (128 KB at two, as on every shipped host).  Larger
+# slices hash no faster and raise the peak RSS of a c5_refined round trip
 # (42.0 MB at 65,536 edges per slice, 38.6 MB at 8,192).
 _CHUNK = 1 << 13
 
@@ -52,8 +50,8 @@ class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``.
 
     ``keys`` holds the edges as the ascending, distinct keys of
-    ``_key_array``, each with u <= v, as ``new_graph`` and
-    ``omega_tuples`` make them; the graph takes the array over.
+    ``_key_array``, each with u <= v, as ``new_graph`` and a tuple
+    adjoint's ``graph`` make them; the graph takes the array over.
     """
 
     __slots__ = ("n", "keys")
@@ -119,21 +117,18 @@ def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
     np.bitwise_or(part, v, out=part, dtype=part.dtype, casting="unsafe")
 
 
-def _halves(keys: np.ndarray, b: int, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(u, v)`` of the keys ``u << b | v``: u shifted off the
-    high bits and v masked off the low b, each cast to ``dtype`` as it is
-    written (numpy's buffered cast, so no whole-width temporary is made)."""
-    u, v = np.empty(keys.size, dtype=dtype), np.empty(keys.size, dtype=dtype)
-    np.right_shift(keys, b, out=u, casting="unsafe")
-    np.bitwise_and(keys, (1 << b) - 1, out=v, casting="unsafe")
-    return u, v
-
-
 def _slices(g: Graph, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_halves`` of the keys of ``g`` in order, ``size`` at a time, as intp."""
+    """The pairs ``(u, v)`` of the keys ``u << b | v`` of ``g`` in order,
+    ``size`` at a time: u shifted off the high bits and v masked off the low
+    b, each cast to intp as it is written (numpy's buffered cast, so no
+    whole-width temporary is made)."""
     b = _key_bits(g.n)
     for lo in range(0, g.keys.size, size):
-        yield _halves(g.keys[lo : lo + size], b)
+        keys = g.keys[lo : lo + size]
+        u, v = np.empty(keys.size, dtype=np.intp), np.empty(keys.size, dtype=np.intp)
+        np.right_shift(keys, b, out=u, casting="unsafe")
+        np.bitwise_and(keys, (1 << b) - 1, out=v, casting="unsafe")
+        yield u, v
 
 
 def _is_integer(x) -> bool:
@@ -184,15 +179,6 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
     if not isinstance(members, np.ndarray) or members.dtype != bool or members.shape != (g.n,):
         raise ValueError(f"vertex set arrays are boolean of shape ({g.n},)")
     return members
-
-
-def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays ``(eu, ev)`` listing every edge once, loops included.
-
-    Ascending by ``(u, v)`` with ``u <= v``, int32, split off the keys
-    whole on every call: 8 bytes an edge that the graph does not keep.
-    """
-    return _halves(g.keys, _key_bits(g.n), np.int32)
 
 
 def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:

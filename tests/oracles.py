@@ -7,8 +7,10 @@ is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
 ``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
 that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
 graphs the tests use as fixtures, the one-pair edge scan that the
-collision matrix is checked against, the edge scan that independence read
-off shells is checked against, the four wideness conditions as stated,
+collision matrix is checked against, the edge pass over a host's written
+edges that the type pairs read off its grid are checked against, the edge
+scan that independence read off shells is checked against, the four
+wideness conditions as stated,
 the set-tuple form of the adjoint (which the tuple form in
 ``hedcex.families`` is checked against), and the adjunction test built on
 both.
@@ -23,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from hedcex.families import omega_tuples
-from hedcex.graphs import Graph, edge_arrays, new_graph
+from hedcex.graphs import Graph, edge_slices, new_graph
 from hedcex.solver import EXHAUSTED, MAX_COLORS, NONE, SOME, ColoringResult, SearchBudget
 
 
@@ -45,10 +47,30 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(eu, ev): both ends of every edge of ``g``, a loop listed once, in
+    the order of ``edge_slices`` (ascending, u <= v), joined into two intp
+    arrays."""
+    slices = [(np.zeros(0, dtype=np.intp),) * 2, *edge_slices(g)]
+    return np.concatenate([u for u, _ in slices]), np.concatenate([v for _, v in slices])
+
+
+def edge_type_pairs(g: Graph, codings) -> list[np.ndarray]:
+    """The explicit edge pass: for each coding (code, K) of the vertices of
+    ``g`` into types 0..K-1, the (K, K) flags of the type pairs that edges
+    join, in either orientation, marked one ``edge_slices`` slice at a
+    time."""
+    realized = [np.zeros((size, size), dtype=bool) for _, size in codings]
+    for u, v in edge_slices(g):
+        for (code, _), pairs in zip(codings, realized):
+            pairs[np.take(code, u), np.take(code, v)] = True
+    return [pairs | pairs.T for pairs in realized]
+
+
 def reference_dimacs(g: Graph) -> str:
     """The canonical DIMACS body (no comments) by ``%`` formatting, one
-    ``e u v`` line per edge of ``edge_arrays``, 1-based."""
-    eu, ev = edge_arrays(g)
+    ``e u v`` line per edge of ``edge_ends``, 1-based."""
+    eu, ev = edge_ends(g)
     ends = tuple((np.column_stack((eu, ev)).astype(np.int64) + 1).ravel().tolist())
     return f"p edge {g.n} {g.edge_count}\n" + "e %d %d\n" * g.edge_count % ends
 
@@ -333,7 +355,7 @@ def is_independent(g: Graph, members: np.ndarray) -> bool:
     """True iff no edge, loops included, joins two vertices of ``members``,
     a boolean array over V(g): the edge-by-edge reference that reading
     independence off the next shell is checked against."""
-    eu, ev = edge_arrays(g)
+    eu, ev = edge_ends(g)
     return not (members[eu] & members[ev]).any()
 
 
@@ -353,12 +375,12 @@ def wide_condition(g: Graph, members: np.ndarray, d: int, condition: int) -> boo
 
 
 def first_collision(g: Graph, ft: np.ndarray, wt: np.ndarray) -> int | None:
-    """Position in ``edge_arrays(g)`` of the first edge u-v with ft(u) = wt(v)
+    """Position in ``edge_ends(g)`` of the first edge u-v with ft(u) = wt(v)
     or ft(v) = wt(u), or None when the two tables never collide: the
     reference edge scan for one pair of tables."""
     if ft.shape[0] != g.n or wt.shape[0] != g.n:
         raise ValueError("function table does not match the host vertex set")
-    eu, ev = edge_arrays(g)
+    eu, ev = edge_ends(g)
     bad = np.flatnonzero((ft[eu] == wt[ev]) | (ft[ev] == wt[eu]))
     return int(bad[0]) if bad.size else None
 

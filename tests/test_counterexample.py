@@ -22,12 +22,14 @@ from hedcex.counterexample import (
 from hedcex import counterexample, families, graphs
 from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells
-from hedcex.graphs import edge_arrays, graph_sha256, new_graph
+from hedcex.graphs import graph_sha256, new_graph
 from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
 from oracles import (
     collision_free,
     complete_graph,
     cycle_graph,
+    edge_ends,
+    edge_type_pairs,
     first_collision,
     is_independent,
     rows,
@@ -153,6 +155,13 @@ def asked(groups, m):
     return share
 
 
+def questions(g, vertices, groups):
+    """``_table_questions`` on the type pairs that the explicit edge pass
+    (``edge_type_pairs``) reads off the edges of g in each group."""
+    realized = edge_type_pairs(g, [(code, lut.shape[1]) for code, lut, _ in groups])
+    return counterexample._table_questions(realized, vertices, groups)
+
+
 @st.composite
 def tables_on_a_loopy_graph(draw):
     """A graph on 1-12 vertices, loops allowed and possibly edgeless, up to
@@ -195,7 +204,7 @@ def test_collision_matrix_matches_oracle(case):
     # pairs that share a group against the oracle; the rest are not asked
     # and read True
     g, c, vertices, groups = case
-    hit = counterexample._table_questions(g, vertices, groups)[0]
+    hit = questions(g, vertices, groups)[0]
     assert hit.shape == (len(vertices), len(vertices)) and hit.dtype == bool
     share = asked(groups, len(vertices))
     for a, f in enumerate(vertices):
@@ -209,7 +218,7 @@ def test_image_matches_unique(case):
     # the "takes color x" rows and the distinct count, read off the types,
     # against each table's own values and its bytes
     g, c, vertices, groups = case
-    _, takes, distinct = counterexample._table_questions(g, vertices, groups)
+    _, takes, distinct = questions(g, vertices, groups)
     top = max(int(table(v).max()) for v in vertices)
     assert takes.shape == (top + 1, len(vertices)) and takes.dtype == bool
     for a, v in enumerate(vertices):
@@ -224,7 +233,7 @@ def test_distinct_tables_in_one_fingerprint_bucket(case):
     g, _, vertices, groups = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counterexample, "_fingerprint_weights", lambda n: np.zeros(n))
-        distinct = counterexample._table_questions(g, vertices, groups)[2]
+        distinct = questions(g, vertices, groups)[2]
     assert distinct == len({table(v).tobytes() for v in vertices})
 
 
@@ -235,7 +244,7 @@ def test_equal_tables_in_two_groups_are_counted_once():
     a = FunctionVertex("a", ("test",), np.array([1, 0, 1]), np.array([2, 1], dtype=np.int8))
     vertices = [a, fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
     groups = [group(np.array([1, 0, 1]), vertices, [0, 2]), group(np.arange(3), vertices, [1, 2])]
-    assert counterexample._table_questions(g, vertices, groups)[2] == 2
+    assert questions(g, vertices, groups)[2] == 2
 
 
 @pytest.mark.parametrize("m", [70, 131])
@@ -248,7 +257,7 @@ def test_table_questions_on_more_than_64_tables(m):
     t[:3] = [[1] * 7, [3] * 7, [5] * 7]
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
+    hit, takes, distinct = questions(g, vertices, whole(vertices))
     assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
     for a, f in enumerate(vertices):
         assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(table(f)).tolist())
@@ -276,7 +285,7 @@ def test_table_questions_at_every_bit_width_top(top, m):
         t[a, j], t[a, 20 + j] = 0, high
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = counterexample._table_questions(g, vertices, whole(vertices))
+    hit, takes, distinct = questions(g, vertices, whole(vertices))
     assert takes.shape == (top + 1, m) and takes.dtype == bool
     for a, f in enumerate(vertices):
         assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(table(f)))
@@ -288,11 +297,11 @@ def test_table_questions_at_every_bit_width_top(top, m):
 def test_collision_matrix_on_an_edgeless_host():
     g = new_graph(4, [])
     vertices = [fv("a", [1, 1, 2, 2]), fv("b", [1, 1, 1, 1])]
-    assert not counterexample._table_questions(g, vertices, whole(vertices))[0].any()
+    assert not questions(g, vertices, whole(vertices))[0].any()
     empty = new_graph(0, [])
     pair = [fv("a", []), fv("b", [])]
-    assert not counterexample._table_questions(empty, pair, whole(pair))[0].any()
-    assert counterexample._table_questions(empty, pair[:1], whole(pair[:1]))[0].shape == (1, 1)
+    assert not questions(empty, pair, whole(pair))[0].any()
+    assert questions(empty, pair[:1], whole(pair[:1]))[0].shape == (1, 1)
 
 
 # -- builds -------------------------------------------------------------------
@@ -347,18 +356,19 @@ def test_host_hashes_and_edge_counts_pinned(c5_report, c7_report, c5_wide_build)
 ADJACENT_PAIRS = {"c5_refined": 126, "c7": 192, "c5_wide": 1981}
 
 
-def questions_of(monkeypatch, params):
-    """The (g, vertices, groups) that a build of ``params`` asks its one
-    ``_table_questions`` call."""
-    questions = counterexample._table_questions
+def questions_of(monkeypatch, params, name="_table_questions"):
+    """The arguments that a build of ``params`` passes its one call of
+    ``name``: (realized, vertices, groups) for ``_table_questions``, and
+    (omega, codings) for ``omega_type_pairs``."""
+    inner = getattr(counterexample, name)
     seen = []
 
     def capture(*args):
         seen.append(args)
-        return questions(*args)
+        return inner(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(counterexample, "_table_questions", capture)
+        mp.setattr(counterexample, name, capture)
         build_counterexample(params)
     (args,) = seen
     return args
@@ -425,39 +435,81 @@ def test_build_reads_each_family_shells_once(count_calls, variant, n_families):
 
 
 def test_one_host_per_verify(count_calls):
-    # every report item is read off one host and one sweep by its coordinate
-    # rule; a verify pins nothing, so it hashes no host, and CSR arrays are
-    # built only for the search on H
-    calls = count_calls(families, "omega_tuples", "omega_shell_bits", "shell_bits")
-    derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays")
+    # every report item is read off one vertex enumeration, one sweep by the
+    # coordinate rule and one grid pass for the type pairs; a verify pins
+    # nothing, so it writes no host edge and hashes no host, and CSR arrays
+    # are built only for the search on H
+    names = ("omega_vertices", "omega_tuples", "_omega_keys", "omega_type_pairs")
+    calls = count_calls(families, *names, "omega_shell_bits", "shell_bits")
+    derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays", "edge_slices")
     report = verify_counterexample(params_for("c5_refined"))
     assert report.status == "PASS"
-    assert calls == {"omega_tuples": 1, "omega_shell_bits": 1, "shell_bits": 0}
-    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 1}
+    assert calls == {
+        "omega_vertices": 1,
+        "omega_tuples": 0,
+        "_omega_keys": 0,
+        "omega_type_pairs": 1,
+        "omega_shell_bits": 1,
+        "shell_bits": 0,
+    }
+    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 1, "edge_slices": 0}
 
 
 @pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
-def test_the_build_scans_the_host_edges_once(count_calls, variant):
-    # wideness is read off the shells one step past d; the realized type
-    # pairs of the table questions are the one pass over the edges
-    calls = count_calls(graphs, "edge_slices")
-    build_counterexample(params_for(variant))
-    assert calls == {"edge_slices": 1}
+def test_host_edges_are_written_only_for_a_pin(count_calls, variant):
+    # the build reads the type pairs off the coordinate rule: it writes no
+    # host edge and makes no pass over them; a certificate writes the host's
+    # edges once for its pins, and its check once for the rebuilt host
+    writes = count_calls(families, "_omega_keys")
+    passes = count_calls(graphs, "edge_slices")
+    report = verify_counterexample(params_for(variant))
+    assert report.status == "PASS"
+    assert (writes, passes) == ({"_omega_keys": 0}, {"edge_slices": 0})
+    cert = emit_certificate(report)
+    assert writes == {"_omega_keys": 1}
+    assert check_certificate(cert).ok
+    assert (writes, passes) == ({"_omega_keys": 2}, {"edge_slices": 0})
+
+
+@pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
+def test_type_pairs_match_the_edge_pass_on_the_presets(monkeypatch, variant):
+    # each family's realized pairs, read off the block grids, against the
+    # explicit pass over the host's written edges, and the edge count
+    omega, codings = questions_of(monkeypatch, params_for(variant), "omega_type_pairs")
+    got, edges = families.omega_type_pairs(omega, codings)
+    assert edges == HOST_PINS[variant][1] == omega.graph.edge_count
+    want = edge_type_pairs(omega.graph, codings)
+    assert len(got) == len(want) == params_for(variant).n
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_a_miscounted_grid_fails_the_build(monkeypatch):
+    # a pair table lacking (d+1, d+1) relates 6**4 grid pairs in each of
+    # the 15 blocks of the c5_refined host, not 7**4: the build is refused
+    pairs = families._coordinate_pairs
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: pairs(d)[:-1])
+    report = verify_counterexample(params_for("c5_refined"))
+    assert [(item.name, item.ok) for item in report.items] == [
+        ("parameters", True),
+        ("build", False),
+    ]
+    error = "tuple adjoint grid counted 19440 edges, formula says 36015"
+    assert report.item("build").detail == {"error": error}
 
 
 def test_build_builds_no_host_csr(count_calls):
     # the build sweeps the host by its coordinate rule and reads wideness
-    # and the realized type pairs off the edge arrays
+    # off the shells and the realized type pairs off the block grids
     calls = count_calls(graphs, "neighbor_arrays")
     build_counterexample(params_for("c5_refined"))
     assert calls == {"neighbor_arrays": 0}
 
 
 def test_a_c7_report_keeps_no_host_csr():
-    # the host's pair keys (1.7 MB, 4 bytes an edge) and the four family
-    # codes (0.5 MB) stay with the report, 2.49 MiB in all (4.16 MiB when
-    # the host kept int32 endpoint arrays); the host CSR arrays (3.4 MB
-    # more) do not
+    # the host's codes and the four uint8 family codes stay with the
+    # report, 0.26 MiB in all; the host's pair keys (1.7 MB), which a
+    # verify never writes, and its CSR arrays (3.4 MB more) do not (2.49
+    # MiB when the build wrote the keys and kept intp family codes)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -467,14 +519,15 @@ def test_a_c7_report_keeps_no_host_csr():
     finally:
         tracemalloc.stop()
     assert report.status == "PASS"
-    assert kept < 3.5 * 2**20
+    assert kept < 2**20
 
 
 def test_a_c5_wide_report_keeps_no_host_length_tables():
     # an H vertex is its family's code and its lookup: the report keeps the
-    # host's pair keys (1.7 MB) and three family codes (1.3 MB), shared by
-    # every vertex, 3.82 MiB in all (5.46 MiB with int32 endpoint arrays),
-    # and no table of host length (165 of them would be 8.9 MB more)
+    # host's codes and three uint8 family codes, shared by every vertex,
+    # 0.82 MiB in all (3.82 MiB when the build wrote the host's pair keys
+    # and kept intp family codes), and no table of host length (165 of them
+    # would be 8.9 MB more)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -485,19 +538,23 @@ def test_a_c5_wide_report_keeps_no_host_length_tables():
         tracemalloc.stop()
     assert report.status == "PASS"
     assert len({id(v.code) for v in report.build.vertices}) == 3
-    assert kept < 5 * 2**20
+    assert kept < 2 * 2**20
 
 
 def test_table_questions_peak_on_the_wide_build(monkeypatch, c5_wide_build):
-    # the wide questions peak at about 1.3 MB: every answer is read off the
+    # the grid pass and the wide questions peak at about 2 MB together: the
+    # grid pass holds an index table over the code space (1 MB) and chunks
+    # of about 256 KB of type words, and every answer is read off the
     # groups' codes and lookups, which the build made, and the distinct
     # tables are counted on fingerprints of those lookups, so no table of
     # host length is made
-    args = questions_of(monkeypatch, c5_wide_build.params)
+    grid = questions_of(monkeypatch, c5_wide_build.params, "omega_type_pairs")
+    _, vertices, groups = questions_of(monkeypatch, c5_wide_build.params)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        counterexample._table_questions(*args)
+        realized, _ = families.omega_type_pairs(*grid)
+        counterexample._table_questions(realized, vertices, groups)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -702,7 +759,7 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     # h1's lookup set to 1 at v's type in family 1 makes h1 collide with f
     # across u-v and keeps its image {1, 4}, so the skeleton keeps the edge
     # f ~ h1
-    eu, ev = edge_arrays(g)
+    eu, ev = edge_ends(g)
     at = int(np.flatnonzero(table(f)[eu] == 1)[0])
     v = int(ev[at])
     assert table(h1)[v] == 4

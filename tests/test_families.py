@@ -16,13 +16,17 @@ from hedcex.families import (
     omega_edge_count,
     omega_shell_bits,
     omega_tuples,
+    omega_type_pairs,
     omega_vertex_count,
+    omega_vertices,
     shell_bits,
 )
-from hedcex.graphs import edge_arrays, graph_sha256, new_graph
+from hedcex.graphs import graph_sha256, new_graph
 from oracles import (
     complete_graph,
     cycle_graph,
+    edge_ends,
+    edge_type_pairs,
     exact_shell,
     kneser_graph,
     omega_sets,
@@ -300,7 +304,7 @@ def test_omega_edge_arrays_match_the_definition(n, d):
     step = np.abs(x[:, None, :] - x[None, :, :]) == 1
     top = (x[:, None, :] == d + 1) & (x[None, :, :] == d + 1)
     eu, ev = np.nonzero(np.triu((step | top).all(axis=2)))
-    got_u, got_v = edge_arrays(om.graph)
+    got_u, got_v = edge_ends(om.graph)
     assert np.array_equal(got_u, eu) and np.array_equal(got_v, ev)
 
 
@@ -313,7 +317,7 @@ def test_omega_edges_satisfy_the_definition_and_its_degrees(n, d):
     # and every other coordinate has two choices); with no repeats and
     # every listed edge valid, matching degrees leave no edge out
     om = omega_tuples(n, d)
-    eu, ev = edge_arrays(om.graph)
+    eu, ev = edge_ends(om.graph)
     keys = eu.astype(np.int64) << 32 | ev
     assert (eu < ev).all() and (keys[1:] > keys[:-1]).all()
     tuples = _tuples(om)
@@ -394,6 +398,100 @@ def test_omega_enumeration_with_a_repeated_pair_is_caught(monkeypatch):
     monkeypatch.setattr(families, "_coordinate_pairs", lambda d: pairs(d)[[0, *range(2 * d + 1)]])
     with pytest.raises(RuntimeError, match="generated 3 edges more than once"):
         omega_tuples(3, 1)
+
+
+def _random_codings(om, rng):
+    """Codings of the vertices of ``om`` into 3, 70, 50 and 100 random
+    types, whose bits start at 0, 3, 73 and 123: more than 64 types, and
+    families that straddle the 64-bit words at 64, 128 and 192; plus the
+    identity coding on hosts of at most 1,000 vertices."""
+    size = om.codes.size
+    codings = [(rng.integers(0, k, size=size), k) for k in (3, 70, 50, 100)]
+    return codings + ([(np.arange(size), size)] if size <= 1000 else [])
+
+
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_type_pairs_match_the_edge_pass(n, d):
+    # the grid pass writes no edge and reads, in every coding, exactly the
+    # type pairs that the explicit pass over the written edges marks, and
+    # counts exactly the written edges
+    om = omega_vertices(n, d)
+    codings = _random_codings(om, np.random.default_rng(100 * n + d))
+    got, edges = omega_type_pairs(om, codings)
+    assert "graph" not in vars(om)
+    want = edge_type_pairs(om.graph, codings)
+    assert edges == om.graph.edge_count == OMEGA_PINS[n, d][1]
+    assert all(g.dtype == bool and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("grid_bytes", [1, 1 << 18, 1 << 30])
+def test_type_pairs_do_not_depend_on_the_chunk(monkeypatch, grid_bytes):
+    # one block per chunk, the default, and every block in one chunk
+    om = omega_vertices(6, 3)
+    codings = _random_codings(om, np.random.default_rng(7))
+    want = edge_type_pairs(om.graph, codings)
+    monkeypatch.setattr(families, "_GRID_BYTES", grid_bytes)
+    got, edges = omega_type_pairs(om, codings)
+    assert edges == 36015 and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_type_pairs_with_a_grid_code_off_the_vertex_set_are_refused(monkeypatch):
+    # a pair table offering 0 puts a second 0 in every grid tuple
+    om = omega_vertices(3, 1)
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: np.zeros((2 * d + 1, 2), int))
+    with pytest.raises(RuntimeError, match="tuple adjoint grid left the vertex set"):
+        omega_type_pairs(om, [(np.zeros(9, dtype=np.uint8), 1)])
+
+
+@pytest.mark.parametrize(
+    "menu,counted", [(lambda p: p[:-1], 6), (lambda p: p[[0, *range(len(p))]], 12)]
+)
+def test_type_pairs_with_a_wrong_count_are_refused(monkeypatch, menu, counted):
+    # a pair table lacking (d+1, d+1) relates two grid pairs per block
+    # where there are three; one listing (1, 2) twice counts four, though
+    # it reads the same type pairs
+    om = omega_vertices(3, 1)
+    pairs = families._coordinate_pairs
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: menu(pairs(d)))
+    with pytest.raises(RuntimeError, match=f"grid counted {counted} edges, formula says 9"):
+        omega_type_pairs(om, [(np.arange(9), 9)])
+
+
+def test_type_pairs_past_the_build_bound_are_refused():
+    # 2**40 types take 2**34 words at each of the 2 points of a block, so a
+    # chunk of one block passes 2 GiB before anything is allocated
+    om = omega_vertices(3, 1)
+    with pytest.raises(ValueError, match="for its 27 codes and a 274877906944-byte grid chunk"):
+        omega_type_pairs(om, [(np.zeros(9, dtype=np.uint8), 2**40)])
+
+
+@pytest.mark.parametrize("n", [10_000, 10_000_000])
+def test_a_huge_code_space_is_refused_on_bit_lengths(monkeypatch, n):
+    # 3**10000 has 4,772 digits, past Python's limit for formatting an
+    # int, and 3**(10**7) takes seconds: both hosts are refused before any
+    # power is computed, and no array is allocated
+    def reached(*args):
+        raise AssertionError("reached past the bit-length refusal")
+
+    for name in ("_omega_vertices", "omega_edge_count", "omega_vertex_count"):
+        monkeypatch.setattr(families, name, reached)
+    tracemalloc.start()
+    try:
+        for build in (omega_tuples, omega_vertices):
+            with pytest.raises(ValueError, match=rf"n={n} d=1 has at least 2\*\*{n} codes"):
+                build(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_a_build_bounds_its_code_space_alone():
+    # the build writes no edge, so (20, 1) is refused on its 3**20 codes,
+    # and the c11 host (12, 2), whose edge keys alone pass 2 GiB, is not
+    with pytest.raises(ValueError, match="needs 24407490807 bytes for its 3486784401 codes, past"):
+        omega_vertices(20, 1)
+    assert families._host_bound(12, 2, 0) == 4**12
 
 
 def test_omega_is_triangle_free():

@@ -12,7 +12,6 @@ from conftest import random_graph
 from hedcex import graphs
 from hedcex.graphs import (
     Graph,
-    edge_arrays,
     edge_slices,
     emit_dimacs,
     emit_dot,
@@ -24,7 +23,7 @@ from hedcex.graphs import (
 )
 from hedcex.families import n_shells
 from hedcex.widecolor import narrow_bits
-from oracles import bits, is_independent, reference_dimacs, rows
+from oracles import bits, edge_ends, is_independent, reference_dimacs, rows
 
 
 def test_boundary_rejects_bad_vertex_sets():
@@ -56,9 +55,11 @@ def test_new_graph_matches_a_set_oracle(n, data):
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     arrays = [np.array(pairs, dtype=dtype).reshape(-1, 2) for dtype in (np.int64, np.int32)]
     for edges in (pairs, *arrays):
-        eu, ev = edge_arrays(new_graph(n, edges))
-        assert eu.dtype == ev.dtype == np.int32
-        assert list(zip(eu.tolist(), ev.tolist())) == expect
+        g = new_graph(n, edges)
+        sliced = list(edge_slices(g))
+        assert all(u.dtype == v.dtype == np.intp for u, v in sliced)
+        assert [e for u, v in sliced for e in zip(u.tolist(), v.tolist())] == expect
+        assert list(g.edges()) == expect
 
 
 def test_edge_bounds_checked():
@@ -108,9 +109,9 @@ def test_pair_keys_across_the_key_width(n, dtype):
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     g = new_graph(n, pairs)
     assert g.keys.dtype == dtype
-    eu, ev = edge_arrays(g)
-    assert eu.dtype == ev.dtype == np.int32
-    assert list(zip(eu.tolist(), ev.tolist())) == expect
+    ((u, v),) = edge_slices(g)
+    assert u.dtype == v.dtype == np.intp
+    assert list(zip(u.tolist(), v.tolist())) == list(g.edges()) == expect
     near = {v: set() for v in range(n)}
     for u, v in expect:
         near[u].add(v)
@@ -235,8 +236,6 @@ def test_edge_lists_once_ascending_on_loopy_graphs(n, low, data):
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     assert g.edge_count == len(expect)
     assert list(g.edges()) == expect
-    eu, ev = edge_arrays(g)
-    assert list(zip(eu.tolist(), ev.tolist())) == expect
     sliced = [(u.tolist(), v.tolist()) for u, v in edge_slices(g)]
     assert [e for u, v in sliced for e in zip(u, v)] == expect
     assert all(0 < len(u) <= graphs._SLICE for u, _ in sliced)
@@ -267,7 +266,7 @@ def test_dimacs_round_trip_on_the_c5_refined_host(omega63):
     g = omega63.graph
     back = parse_dimacs(emit_dimacs(g, comment="c5_refined host"))
     assert back.n == g.n
-    for got, want in zip(edge_arrays(back), edge_arrays(g)):
+    for got, want in zip(edge_ends(back), edge_ends(g)):
         assert np.array_equal(got, want)
     assert graph_sha256(back) == graph_sha256(g)
 
