@@ -10,7 +10,9 @@
   and so is any count other than its closed form.
 * ``omega_type_pairs(omega, codings)`` reads the type pairs that the
   edges realize without writing an edge: on each block of zero positions
-  adjacency is a tensor product of paths, swept one bit per type.
+  adjacency is a tensor product of paths, swept one bit per type.  Both
+  it and the edge write read a block's vertices as one slice of an index
+  table shaped as the code space.
 * ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
   endpoints of walks of length exactly 0..t from up to one vertex set per
   bit of its seed array: a step ORs each coordinate's neighbouring values
@@ -111,9 +113,12 @@ def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.nd
     gathered at the vertex codes.  A pass ORs the array shifted one value up
     and one down along its coordinate, one contiguous operation in the
     widest unsigned words the stride allows, then rewrites the two ends.
+    The two code-space buffers and up to t + 1 shells over the vertices
+    are checked against ``_host_bound`` before anything is allocated.
     """
-    side, codes = omega.d + 2, omega.codes
-    buffers = np.empty((2, side**omega.n * seeds.itemsize), dtype=np.uint8)
+    side, codes, width = omega.d + 2, omega.codes, seeds.itemsize
+    _host_bound(omega.n, omega.d, width * (2 * side**omega.n + (t + 1) * codes.size), "shell sweep")
+    buffers = np.empty((2, side**omega.n * width), dtype=np.uint8)
 
     def step(shell: np.ndarray) -> np.ndarray:
         src, out = buffers
@@ -195,37 +200,62 @@ def _coordinate_pairs(d: int) -> np.ndarray:
     return np.vstack((np.column_stack((a, a + 1)), np.column_stack((a + 1, a)), [[d + 1, d + 1]]))
 
 
-def _host_bound(n: int, d: int, grid: int | None = None) -> int:
+def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk") -> int:
     """(d+2)^n, once a host build at (n, d) fits 2 GiB: 7 bytes a code (the
     enumeration's three, an index table's four) plus its edge keys (uint32
-    up to 65,536 vertices), or ``grid`` bytes when given.  ValueError
-    otherwise, and on n < 2 or d < 1; 2**29 codes or more are refused on
-    bit lengths, before any power is computed.  So n < 18."""
+    up to 65,536 vertices), or ``extra`` bytes, named by ``of``, when given.
+    ValueError otherwise, and on n < 2 or d < 1; 2**29 codes or more are
+    refused on bit lengths, before any power is computed.  So n < 18."""
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
     low, past = n * ((d + 2).bit_length() - 1), "past the 2 GiB bound on a host build"
     if low >= 29:  # (d+2)^n >= 2^low
         raise ValueError(f"tuple adjoint at n={n} d={d} has at least 2**{low} codes, {past}")
-    space, what = (d + 2) ** n, f" and a {grid}-byte grid chunk" if grid else ""
-    if grid is None:
+    space, what = (d + 2) ** n, f" and a {extra}-byte {of}" if extra else ""
+    if extra is None:
         edges = omega_edge_count(n, d)
-        grid = edges * _key_dtype(omega_vertex_count(n, d)).itemsize
+        extra = edges * _key_dtype(omega_vertex_count(n, d)).itemsize
         what = f" and {edges} edge keys"
-    if 7 * space + grid > 2 << 30:
+    if 7 * space + extra > 2 << 30:
         raise ValueError(
-            f"tuple adjoint at n={n} d={d} needs {7 * space + grid} bytes for its {space} "
+            f"tuple adjoint at n={n} d={d} needs {7 * space + extra} bytes for its {space} "
             f"codes{what}, {past}"
         )
     return space
 
 
-def _block_codes(n: int, d: int, p: int, q: int, values: np.ndarray) -> np.ndarray:
-    """Codes of the tuples with 0 at p, 1 at q and ``values`` elsewhere."""
-    codes = np.array([(d + 2) ** (n - 1 - q)])
-    for j in range(n):
-        if j != p and j != q:
-            codes = np.add.outer(codes, values * (d + 2) ** (n - 1 - j)).ravel()
-    return codes
+def _value_run(pairs: np.ndarray, d: int) -> np.ndarray:
+    """The values that the rows of ``pairs`` take, ascending.  RuntimeError
+    unless they are one run of consecutive integers in 0..d+1, the values
+    whose codes are one slice of an axis of the code space."""
+    values = np.flatnonzero(np.bincount(pairs.ravel()))  # np.unique would import numpy.ma
+    if values[-1] - values[0] != len(values) - 1 or values[-1] > d + 1:
+        raise RuntimeError(
+            f"tuple adjoint pair table takes the values {values.tolist()}, not one run in 0..{d + 1}"
+        )
+    return values
+
+
+def _block(n: int, p: int, q: int, values: np.ndarray) -> tuple:
+    """The basic index, into the code space shaped (d+2,)*n, of the tuples
+    with 0 at p, 1 at q and ``values`` (one run) elsewhere: flattened, the
+    slice lists them in code order."""
+    at = [slice(values[0], values[-1] + 1)] * n
+    at[p], at[q] = 0, 1
+    return tuple(at)
+
+
+def _grid_positions(pairs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(2, len(pairs)^(n-2)): for each choice of a row of ``pairs`` at the
+    n - 2 coordinates off a block's p and q, in code order, its position in
+    the flattened ``_block`` slice read through each column, in the
+    narrowest dtype.  The same for every block."""
+    width = len(values)
+    dtype = np.min_scalar_type(width ** (n - 2) - 1)
+    column, at = (pairs.T - values[0]).astype(dtype), np.zeros((2, 1), dtype=dtype)
+    for axis in range(n - 2):
+        at = (at[:, :, None] + column[:, None, :] * width ** (n - 3 - axis)).reshape(2, -1)
+    return at
 
 
 @dataclass
@@ -238,6 +268,9 @@ class OmegaGraph:
     holds the base-(d+2) integer each tuple spells (ascending, intp), its
     index in the (d+2)^n code space, and ``zero_positions`` the 0-based
     position of each tuple's 0 (uint8).  ``graph`` is written on first read.
+    Shaped (d+2,)*n, the code space holds each side of a (p, q) block of
+    edges as one basic slice (``_block``): the pin's key write and the grid
+    pass read the vertices there off an index table, with no code arithmetic.
     """
 
     codes: np.ndarray = field(repr=False)
@@ -267,24 +300,30 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
 def _omega_keys(omega: OmegaGraph) -> np.ndarray:
     """The sorted pair keys of the edges of ``omega``, past ``_host_bound``.
     Block (p, q), p < q, joins x (0 at p, x_q = 1) to y (0 at q, y_p = 1)
-    for each choice of ``_coordinate_pairs`` at the other coordinates, both
-    located by an int32 index table over the code space (-1 off the vertex
-    set).  RuntimeError on a code off the vertex set, an edge generated
-    twice and a count other than ``omega_edge_count``."""
+    for each choice of ``_coordinate_pairs`` at the other coordinates.  An
+    int32 index table over the code space (-1 off the vertex set), shaped
+    (d+2,)*n, gives each side's grid of the pairs' values as one basic
+    slice (``_block``), and each choice's x and y are read off those two
+    grids at positions computed once per call (``_grid_positions``).
+    RuntimeError on a pair table whose values are not one run, a code off
+    the vertex set, an edge generated twice and a count other than
+    ``omega_edge_count``."""
     n, d, codes = omega.n, omega.d, omega.codes
     index = np.full(_host_bound(n, d), -1, dtype=np.int32)
     index[codes] = np.arange(len(codes), dtype=np.int32)
-    pairs = _coordinate_pairs(d)
+    cube, pairs = index.reshape((d + 2,) * n), _coordinate_pairs(d)
+    values = _value_run(pairs, d)
+    at = _grid_positions(pairs, values, n)
     blocks = list(combinations(range(n), 2))
     keys, b = _key_array(len(codes), len(blocks) * len(pairs) ** (n - 2))
     for part, (p, q) in zip(keys.reshape(len(blocks), -1), blocks):
-        x = np.take(index, _block_codes(n, d, p, q, pairs[:, 0]))
-        y = np.take(index, _block_codes(n, d, q, p, pairs[:, 1]))
+        x = np.take(cube[_block(n, p, q, values)].ravel(), at[0])
+        y = np.take(cube[_block(n, q, p, values)].ravel(), at[1])
         lo = np.minimum(x, y)
         if lo.min() < 0:
             raise RuntimeError("tuple adjoint enumeration left the vertex set")
         _put_keys(part, lo, np.maximum(x, y, out=x), b)
-    del index, x, y, lo  # the table and the last block, freed before the sort
+    del index, cube, x, y, lo  # the table and the last block, freed before the sort
     keys.sort()
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
@@ -305,17 +344,20 @@ def omega_type_pairs(
     relation of the type pairs that edges of ``omega`` join, and the edges
     counted, with no edge written.  Both ends of block (p, q) of
     ``_omega_keys`` range over one grid of the values of R0 =
-    ``_coordinate_pairs``, related as a tensor product of paths.  Each type
+    ``_coordinate_pairs``, related as a tensor product of paths, and each
+    side's grid is one basic slice of an int32 index table shaped as the
+    code space (``_block``), copied in code order.  Each type
     owns a bit of a row of uint64 words.  A chunk of blocks (at least one)
     seeds each y with its types' bits, then per axis ORs into each value its
     R0 partners (a slice per run at one offset), so each x holds the bits
     of the y joined to it, ORed into its types' rows.  A block counts
-    sum_x prod_j |R0 partners of x_j| edges.  RuntimeError on a grid code off
-    the vertex set and on a count other than the closed form."""
+    sum_x prod_j |R0 partners of x_j| edges.  RuntimeError on a pair table
+    whose values are not one run, a grid code off the vertex set and a count
+    other than the closed form."""
     n, d = omega.n, omega.d
     pairs = _coordinate_pairs(d)
-    values = np.flatnonzero(np.bincount(pairs.ravel()))  # np.unique would import numpy.ma
-    a, b = np.searchsorted(values, pairs.T)
+    values = _value_run(pairs, d)
+    a, b = pairs.T - values[0]
     # runs (lo, hi, s): values lo..hi-1 take the OR of values lo+s..hi-1+s
     s, a = np.array(sorted(zip((b - a).tolist(), a.tolist()))).T
     cut = np.flatnonzero((np.diff(a) != 1) | (np.diff(s) != 0)) + 1
@@ -326,6 +368,7 @@ def omega_type_pairs(
     per = max(1, _GRID_BYTES // (grid * words * 8))
     index = np.full(_host_bound(n, d, min(per, len(blocks)) * grid * words * 8), -1, np.int32)
     index[omega.codes] = np.arange(len(omega.codes), dtype=np.int32)
+    cube = index.reshape((d + 2,) * n)
     # row t holds bit t alone; a coding's rows and bits start at its offset
     one_hot = np.packbits(np.eye(offsets[-1], 64 * words, dtype=bool), axis=1, bitorder="little")
     one_hot = one_hot.view("<u8")
@@ -333,8 +376,8 @@ def omega_type_pairs(
     coded = [(lo, hi, code) for lo, hi, (code, _) in zip(offsets, offsets[1:], codings)]
     for start in range(0, len(blocks), per):
         chunk = blocks[start : start + per]
-        x = np.take(index, np.concatenate([_block_codes(n, d, p, q, values) for p, q in chunk]))
-        y = np.take(index, np.concatenate([_block_codes(n, d, q, p, values) for p, q in chunk]))
+        x = np.concatenate([cube[_block(n, p, q, values)] for p, q in chunk], axis=None)
+        y = np.concatenate([cube[_block(n, q, p, values)] for p, q in chunk], axis=None)
         if min(x.min(), y.min()) < 0:
             raise RuntimeError("tuple adjoint grid left the vertex set")
         near = np.zeros((x.size, words), dtype=np.uint64)

@@ -12,8 +12,8 @@ edges that the type pairs read off its grid are checked against, the edge
 scan that independence read off shells is checked against, the four
 wideness conditions as stated,
 the set-tuple form of the adjoint (which the tuple form in
-``hedcex.families`` is checked against), and the adjunction test built on
-both.
+``hedcex.families`` is checked against), the codes of a block of the tuple
+form summed digit by digit, and the adjunction test built on both forms.
 """
 
 from __future__ import annotations
@@ -106,6 +106,17 @@ def tuple_vertices(n: int, d: int) -> list[tuple[int, ...]]:
     """The vertices of ``omega_tuples(n, d)`` in lexicographic order: tuples
     over 0..d+1 with exactly one 0 and at least one 1."""
     return [t for t in product(range(d + 2), repeat=n) if t.count(0) == 1 and 1 in t]
+
+
+def block_codes(n: int, d: int, p: int, q: int, values: np.ndarray) -> np.ndarray:
+    """Codes of the tuples with 0 at p, 1 at q and ``values`` at each other
+    coordinate, in code order, summed digit by digit: one outer sum of
+    ``values`` times the coordinate's base-(d+2) place per coordinate."""
+    codes = np.array([(d + 2) ** (n - 1 - q)])
+    for j in range(n):
+        if j != p and j != q:
+            codes = np.add.outer(codes, values * (d + 2) ** (n - 1 - j)).ravel()
+    return codes
 
 
 # -- coloring -------------------------------------------------------------------

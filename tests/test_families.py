@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -23,6 +24,7 @@ from hedcex.families import (
 )
 from hedcex.graphs import graph_sha256, new_graph
 from oracles import (
+    block_codes,
     complete_graph,
     cycle_graph,
     edge_ends,
@@ -295,6 +297,27 @@ def test_omega_tuples_pinned(n, d):
     assert (g.n, g.edge_count, graph_sha256(g)) == OMEGA_PINS[n, d]
 
 
+@pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
+def test_block_slices_match_the_code_sums(n, d):
+    # every ordered block's slice of the index table holds the vertices
+    # whose codes the digit-by-digit sums name, in the same order, for the
+    # grid's values; read at the grid positions of either pair column, it
+    # holds those of that column's values
+    om = omega_vertices(n, d)
+    index = np.full((d + 2) ** n, -1, dtype=np.int32)
+    index[om.codes] = np.arange(om.codes.size, dtype=np.int32)
+    cube, pairs = index.reshape((d + 2,) * n), families._coordinate_pairs(d)
+    values = families._value_run(pairs, d)
+    at = families._grid_positions(pairs, values, n)
+    for p, q in itertools.permutations(range(n), 2):
+        block = cube[families._block(n, p, q, values)].ravel()
+        assert block.min() >= 0
+        assert np.array_equal(block, np.take(index, block_codes(n, d, p, q, values)))
+        for column, positions in zip(pairs.T, at):
+            want = np.take(index, block_codes(n, d, p, q, column))
+            assert np.array_equal(np.take(block, positions), want)
+
+
 @pytest.mark.parametrize(
     "n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (5, 3), (6, 1)]
 )
@@ -372,6 +395,23 @@ def test_omega_hosts_hold_one_key_array(n, d):
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
 def test_omega_edge_count_formula(n, d):
     assert omega_edge_count(n, d) == OMEGA_PINS[n, d][1]
+
+
+@pytest.mark.parametrize(
+    "menu,values", [(lambda p: np.where(p == 2, 1, p), [1, 3]), (lambda p: p + 1, [2, 3, 4])]
+)
+def test_a_pair_table_off_one_run_of_values_is_refused(monkeypatch, menu, values):
+    # a block's grid is one slice of each other axis of the code space, so
+    # values with a gap, or past d+1, are refused by name, by the key write
+    # and the grid pass alike
+    om = omega_vertices(3, 2)
+    pairs = families._coordinate_pairs
+    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: menu(pairs(d)))
+    message = re.escape(f"pair table takes the values {values}, not one run in 0..3")
+    with pytest.raises(RuntimeError, match=message):
+        omega_tuples(3, 2)
+    with pytest.raises(RuntimeError, match=message):
+        omega_type_pairs(om, [(np.zeros(15, dtype=np.uint8), 1)])
 
 
 def test_omega_enumeration_generates_each_edge_once(monkeypatch):
@@ -480,6 +520,45 @@ def test_a_huge_code_space_is_refused_on_bit_lengths(monkeypatch, n):
         for build in (omega_tuples, omega_vertices):
             with pytest.raises(ValueError, match=rf"n={n} d=1 has at least 2\*\*{n} codes"):
                 build(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+def test_the_class_sweep_stays_under_the_build_bound(monkeypatch, dtype):
+    # at (10, 2), the traced peak of the enumeration and a sweep to depth
+    # d + 1, as a build makes them, stays under the bytes the bound counts
+    # for the sweep: 7 a code, the two code-space buffers and the shells
+    # (on 64-bit seeds the buffers alone take 16 bytes a code)
+    counted, bound = [], families._host_bound
+
+    def spy(n, d, extra=None, of="grid chunk"):
+        counted.append(7 * (d + 2) ** n + extra)
+        return bound(n, d, extra, of)
+
+    monkeypatch.setattr(families, "_host_bound", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        om = omega_vertices(10, 2)
+        seeds = np.left_shift(dtype(1), om.zero_positions.astype(dtype))
+        omega_shell_bits(om, seeds, 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 2 and peak < counted[1]
+
+
+def test_a_sweep_past_the_build_bound_is_refused():
+    # 64-bit seeds at (17, 1) need 16 bytes a code of buffers beside the
+    # build's 7, past 2 GiB: refused before anything is allocated
+    om = families.OmegaGraph(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8), n=17, d=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="129140163 codes and a 2066242608-byte shell sweep"):
+            omega_shell_bits(om, np.zeros(0, dtype=np.uint64), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
