@@ -14,8 +14,18 @@ those files the script writes ``BENCH_<label>.json`` per root into
 median and quartiles of every end-to-end metric the result files carry,
 the per-seed values, and the environment block of the first run.  With two
 roots it also prints, per workload and metric, both medians and the pairs
-the second root wins.  Exit status 1 when a run fails or a metric is
-missing from a result.  Standard library only.
+the second root wins, and marks the row with the rules of a gain and of a
+regression read from the first root's ``BENCHMARK.json``:
+
+* ``claim``: the second root wins at least 9 of every 10 pairs, and its
+  median is better than the first's by more than the first's interquartile
+  range;
+* ``OVER BOUND``: its median is worse than the first's by more than the
+  metric's ``bound``, relative to the first's median.
+
+Exit status 1 when a run fails, a result says ``correct: false`` (an
+operation failed; the files are still written) or a metric is missing
+from a result.  Standard library only.
 """
 
 from __future__ import annotations
@@ -72,20 +82,33 @@ def summarize(results: dict[str, list[dict]], label: str) -> dict:
     return bench
 
 
-def compare(before: dict, after: dict, better: dict[str, str]) -> list[str]:
+def compare(
+    before: dict, after: dict, better: dict[str, str], bounds: dict[str, float] | None = None
+) -> list[str]:
     """One line per workload and metric: both medians, the change, the pairs
-    (same seed) where ``after`` is strictly better, and the IQR of ``before``."""
+    (same seed) where ``after`` is strictly better, and the IQR of
+    ``before``; then ``claim`` when ``after`` wins at least 9 of every 10
+    pairs and its median gain exceeds that IQR, or ``OVER BOUND`` when its
+    median is worse by more than the metric's entry in ``bounds``, a share
+    of the ``before`` median (any worsening of a zero median)."""
     lines = []
     for workload, base in before["workloads"].items():
         for name, old in base["metrics"].items():
             new = after["workloads"][workload]["metrics"][name]
             sign = -1 if better.get(name, "lower") == "lower" else 1
             wins = sum(sign * (b - a) > 0 for a, b in zip(old["values"], new["values"]))
+            pairs, iqr = len(old["values"]), old["q3"] - old["q1"]
+            gain = sign * (new["median"] - old["median"])
             change = (new["median"] - old["median"]) / old["median"] if old["median"] else 0.0
+            mark = ""
+            if 10 * wins >= 9 * pairs and gain > iqr:
+                mark = " claim"
+            bound = (bounds or {}).get(name)
+            if bound is not None and -gain > bound * abs(old["median"]):
+                mark = " OVER BOUND"
             lines.append(
                 f"{workload:8} {name:20} {old['median']:.6g} -> {new['median']:.6g} "
-                f"({change:+.1%}) wins {wins}/{len(old['values'])} "
-                f"before-IQR {old['q3'] - old['q1']:.4g}"
+                f"({change:+.1%}) wins {wins}/{pairs} before-IQR {iqr:.4g}{mark}"
             )
     return lines
 
@@ -104,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
     roots = [root.resolve() for root in args.roots]
     results: list[dict[str, list[dict]]] = [{w: [] for w in args.workloads} for _ in roots]
+    incorrect = []
     for number, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
         for workload in args.workloads:
             order = list(enumerate(roots))
@@ -116,7 +140,14 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"bench_record: run failed with status {done.returncode}", file=sys.stderr)
                     return 1
                 with open(result_path(root, workload, seed), encoding="utf-8") as fh:
-                    results[i][workload].append(json.load(fh))
+                    record = json.load(fh)
+                results[i][workload].append(record)
+                result = record["result"]
+                if result.get("correct") is False:
+                    incorrect.append(
+                        f"{args.labels[i]} {workload} seed {seed}: "
+                        f"{result.get('failed')} of {result.get('attempted')} ops failed"
+                    )
 
     try:
         benches = [summarize(r, label) for r, label in zip(results, args.labels)]
@@ -132,9 +163,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {path}")
     if len(benches) == 2:
         with open(roots[0] / "BENCHMARK.json", encoding="utf-8") as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-        print("\n".join(compare(*benches, better)))
-    return 0
+            specs = json.load(fh)["end_to_end"]
+        better = {m["name"]: m["better"] for m in specs}
+        bounds = {m["name"]: m["bound"] for m in specs if "bound" in m}
+        print("\n".join(compare(*benches, better, bounds)))
+    for line in incorrect:
+        print(f"bench_record: not correct: {line}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

@@ -66,14 +66,15 @@ def _same(got: object, want: object) -> bool:
 def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> dict:
     """The certificate a build determines, given the node count of its
     chi(H) search: the product and chi(G) verdicts are the build's own
-    ``h_edges_real`` and ``chi_g`` report items."""
+    ``h_edges_real`` and ``chi_g`` report items, and the host's counts those
+    its ``counts`` item checked."""
     gamma, item = build.gamma, {it.name: it for it in items}
-    real, chi_g = item["h_edges_real"], item["chi_g"].detail
+    real, chi_g, counts = item["h_edges_real"], item["chi_g"].detail, item["counts"].detail
     return {
         "version": CERTIFICATE_VERSION,
         "params": asdict(build.params),
         "g_hash": build.g_hash,
-        "g_counts": {"vertices": build.g.n, "edges": build.g.edge_count},
+        "g_counts": {"vertices": counts["g_vertices"], "edges": counts["g_edges"]},
         "gamma": {
             "graph_sha256": build.g_hash,
             "n": gamma.n,

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, omega_shell_bits, omega_type_pairs, omega_vertices
+from .families import OmegaGraph, _omega_keys, omega_shell_bits, omega_type_pairs, omega_vertices
 from .graphs import Graph, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, _zero_position, narrow_bits
@@ -285,6 +285,34 @@ def _family_shells(
     return shells, [(deep & (1 << ((sel - 1) * k + b))) != 0 for b in range(k)]
 
 
+def _type_code(
+    lead: np.ndarray, flags: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(code, lead, flags) of the types of a vertex set: a vertex's type is
+    its word, its ``lead`` value (nonnegative) followed by one bit per
+    boolean array of ``flags``.  ``code`` numbers the words that occur
+    0..K-1, ascending, in the narrowest unsigned dtype, as ``np.unique``'s
+    inverse would; the lead values and the flags of the K types follow,
+    decoded from their words by shifts.
+
+    The words are built in the narrowest unsigned dtype their bits need and
+    counted, not sorted: a word occurs where its flag in a table of one
+    flag per word is set, and the cumulative sum of that table ranks it.
+    """
+    width = int(lead.max(initial=0)).bit_length() + len(flags)
+    word = lead.astype(np.min_scalar_type((1 << width) - 1))
+    for flag in flags:
+        np.left_shift(word, 1, out=word)
+        np.bitwise_or(word, flag, out=word)
+    seen = np.zeros(1 << width, dtype=bool)
+    seen[word] = True
+    words = np.flatnonzero(seen)
+    rank = np.cumsum(seen) - 1
+    code = np.take(rank.astype(np.min_scalar_type(words.size - 1)), word)
+    shifts = range(len(flags) - 1, -1, -1)
+    return code, words >> len(flags), [(words >> s & 1).astype(bool) for s in shifts]
+
+
 def build_special_family(
     shells: list[np.ndarray],
     selectors: list[np.ndarray],
@@ -390,8 +418,9 @@ class BuildResult:
 
     @cached_property
     def g_hash(self) -> str:
-        """The host's hash, computed on its first read (by a pin) and kept."""
-        return graph_sha256(self.g)
+        """The host's hash, computed on its first read (by a pin) and kept,
+        on edges written for that read alone: the build keeps no host keys."""
+        return graph_sha256(Graph(self.omega.codes.size, _omega_keys(self.omega)))
 
 
 def _skeleton_edges(
@@ -516,8 +545,9 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     so the build makes no CSR arrays; wideness is ``narrow_bits`` of the
     last two depths, and a narrow class is named.  A vertex's type in
     family q is its first coordinate under gamma and its bits in q's shells
-    and selectors; one ``np.unique`` per family codes the types, and
-    ``build_special_family`` runs at one vertex per type.  An H vertex is
+    and selectors, one word in 16 bits or fewer on every preset; the words
+    are counted, not sorted (``_type_code``), and ``build_special_family``
+    runs on each type's bits, decoded from its word.  An H vertex is
     its family's code and its lookup; the constants and f, constant on
     every family's types, take family 1's code.  The host's edges are not
     written: ``omega_type_pairs`` reads the type pairs they realize in each
@@ -555,28 +585,20 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     for q in range(1, params.n + 1):
         shells, selectors = _family_shells(class_shells, params, q)
         # a vertex's type in family q: f, then its bits in q's shells and selector shells
-        types = gamma.pairs[:, 0].astype(np.int32)
-        for flag in shells + selectors:
-            types = types << 1 | flag
-        # coded on the narrowest dtype: 16 bits or fewer take numpy's radix sort
-        types = types.astype(np.min_scalar_type(types.max()))
-        _, first, code = np.unique(types, return_index=True, return_inverse=True)
-        code = code.astype(np.min_scalar_type(first.size - 1))  # uint8 sorts by radix
+        code, f, flags = _type_code(gamma.pairs[:, 0], shells + selectors)
         # the constants and f are constant on the types of every family, and
         # as vertices they take family 1's
         fixed = [
-            (f"const({i})", ("const", i), np.full(first.size, i, dtype=np.int8))
+            (f"const({i})", ("const", i), np.full(f.size, i, dtype=np.int8))
             for i in range(1, c + 1)
-        ] + [("f", ("f",), gamma.pairs[first, 0])]
+        ] + [("f", ("f",), f.astype(np.int8))]
         if q == 1:
             vertices += [FunctionVertex(label, role, code, t) for label, role, t in fixed]
-        family = build_special_family(
-            [s[first] for s in shells], [s[first] for s in selectors], params, q
-        )
+        family = build_special_family(flags[: len(shells)], flags[len(shells) :], params, q)
         members = [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]
         groups.append((code, np.stack([t for _, _, t in fixed + family]), members))
         vertices += [FunctionVertex(label, role, code, t) for label, role, t in family]
-    del shells, selectors, types  # the last family's, freed before the table questions
+    del shells, selectors  # the last family's, freed before the table questions
     m = len(vertices)
     realized, g_edges = omega_type_pairs(omega, [(code, lut.shape[1]) for code, lut, _ in groups])
     collisions, takes, distinct = _table_questions(realized, vertices, groups)

@@ -37,14 +37,28 @@ CONDITION_NAMES = {
 }
 
 
+def _int8_pairs(pairs) -> np.ndarray:
+    """``pairs``, any sequence of (a, b) pairs, as a new (m, 2) int8 array;
+    ValueError when a value does not fit."""
+    try:
+        wide = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        fits = not wide.size or (wide.min() >= -128 and wide.max() <= 127)
+    except OverflowError:  # a value past int64
+        fits = False
+    if not fits:
+        raise ValueError("pair values do not fit the int8 pair array")
+    return wide.astype(np.int8)
+
+
 @dataclass(frozen=True, eq=False)
 class WideColoring:
     """A vertex -> (a, b) coloring claimed to be d-wide on its host graph.
 
     ``pairs`` is given as any sequence of (a, b) pairs and held as one
-    read-only (vertices, 2) int8 array.  ``graph_sha`` pins the host;
-    ``None`` means "trust the caller" (handy for throwaway colorings in
-    property tests).
+    read-only (vertices, 2) int8 array; an int8 (vertices, 2) array is held
+    as given, and made read-only.  ``graph_sha`` pins the host; ``None``
+    means "trust the caller" (handy for throwaway colorings in property
+    tests).
     """
 
     n: int
@@ -54,14 +68,10 @@ class WideColoring:
     graph_sha: str | None = None
 
     def __post_init__(self):
-        try:
-            wide = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-            fits = not wide.size or (wide.min() >= -128 and wide.max() <= 127)
-        except OverflowError:  # a value past int64
-            fits = False
-        if not fits:
-            raise ValueError("pair values do not fit the int8 pair array")
-        pairs = wide.astype(np.int8)
+        pairs = self.pairs
+        held = isinstance(pairs, np.ndarray) and pairs.dtype == np.int8 and pairs.shape[1:] == (2,)
+        if not held:
+            pairs = _int8_pairs(pairs)
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
 
@@ -186,8 +196,10 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """The zero-position coloring of ``omega``, unchecked and unpinned."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    zero = omega.zero_positions.astype(np.intp)  # signed, so a negative k reaches _validate
-    pairs = np.column_stack((zero // k + 1, zero % k + 1))
+    # the pair of each zero position, signed, so a negative k reaches _validate
+    p = np.arange(omega.n)
+    rows = _int8_pairs(np.column_stack((p // k + 1, p % k + 1)))
+    pairs = np.take(rows, omega.zero_positions, axis=0)
     return WideColoring(n=n, k=k, d=omega.d, pairs=pairs)
 
 

@@ -6,14 +6,15 @@ heuristics, dense numpy walk matrices, and quadratic scans.  The exception
 is ``reference_coloring``, a recursive DSATUR on bitset rows whose verdicts
 ``find_coloring`` must match.  Also here: the ``%``-formatted DIMACS text
 that the byte emitter of ``hedcex.graphs`` must reproduce, the small named
-graphs the tests use as fixtures, the one-pair edge scan that the
-collision matrix is checked against, the edge pass over a host's written
-edges that the type pairs read off its grid are checked against, the edge
-scan that independence read off shells is checked against, the four
-wideness conditions as stated,
-the set-tuple form of the adjoint (which the tuple form in
-``hedcex.families`` is checked against), the codes of a block of the tuple
-form summed digit by digit, and the adjunction test built on both forms.
+graphs the tests use as fixtures, the ``np.unique`` coding of vertex
+types that the build's counting coder must match, the one-pair edge scan
+that the collision matrix is checked against, the edge pass over a host's
+written edges that the type pairs read off its grid are checked against,
+the edge scan that independence read off shells is checked against, the
+four wideness conditions as stated, the set-tuple form of the adjoint
+(which the tuple form in ``hedcex.families`` is checked against), the codes
+of a block of the tuple form summed digit by digit, and the adjunction test
+built on both forms.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ def edge_type_pairs(g: Graph, codings) -> list[np.ndarray]:
         for (code, _), pairs in zip(codings, realized):
             pairs[np.take(code, u), np.take(code, v)] = True
     return [pairs | pairs.T for pairs in realized]
+
+
+def unique_type_code(lead: np.ndarray, flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(code, first): the sort-based coding of vertex types, each vertex's
+    ``lead`` value followed by one bit per array of ``flags``, as one
+    ``np.unique`` on int64 words gives it: the inverse numbers the distinct
+    words ascending, and ``first`` is the first vertex of each."""
+    words = lead.astype(np.int64)
+    for flag in flags:
+        words = words << 1 | flag
+    _, first, code = np.unique(words, return_index=True, return_inverse=True)
+    return code, first
 
 
 def reference_dimacs(g: Graph) -> str:

@@ -81,6 +81,55 @@ def test_pairs_won_follow_each_metric_direction():
     assert "wins 1/3" in ok
 
 
+def runs(workload, scales):
+    """The BENCH record of one root whose seed s run has every metric
+    ``scales[s]`` times its index + 1."""
+    return bench_record.summarize(
+        {workload: [result(workload, s, scale) for s, scale in enumerate(scales)]}, "x"
+    )
+
+
+def row(lines, name):
+    return next(line for line in lines if f" {name} " in line)
+
+
+def test_a_claim_needs_nine_of_ten_pairs_and_a_gap_past_the_iqr():
+    before = runs("wide", [1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.0, 1.1])
+    better = {"verify_ref_s": "lower", "ok_frac": "higher"}
+    # 10/10 pairs and a median gap of 0.2 against an IQR of 0.1: a claim
+    lines = bench_record.compare(before, runs("wide", [0.85] * 10), better)
+    assert row(lines, "verify_ref_s").endswith("wins 10/10 before-IQR 0.1 claim")
+    # 9/10 pairs still claim; 8/10 do not
+    nine = runs("wide", [0.85] * 9 + [1.2])
+    assert row(bench_record.compare(before, nine, better), "verify_ref_s").endswith(" claim")
+    eight = runs("wide", [0.85] * 8 + [1.2, 1.2])
+    assert not row(bench_record.compare(before, eight, better), "verify_ref_s").endswith("claim")
+    # every pair won, but by less than the IQR: no claim
+    close = runs("wide", [0.99, 1.09] * 5)
+    line = row(bench_record.compare(before, close, better), "verify_ref_s")
+    assert "wins 10/10" in line and not line.endswith("claim")
+    # a higher-is-better metric claims on the other side
+    assert row(bench_record.compare(runs("wide", [0.85] * 10), before, better), "ok_frac").endswith(
+        " claim"
+    )
+
+
+def test_a_change_worse_than_its_bound_is_marked():
+    before = runs("c7", [1.0] * 4)
+    better = {"verify_ref_s": "lower", "ok_frac": "higher"}
+    bounds = {"verify_ref_s": 0.2, "ok_frac": 0.05}
+    # 25% slower against a 20% bound; within it at 15%
+    lines = bench_record.compare(before, runs("c7", [1.25] * 4), better, bounds)
+    assert row(lines, "verify_ref_s").endswith(" OVER BOUND")
+    assert not row(lines, "setup_s").endswith("BOUND")  # no bound given
+    lines = bench_record.compare(before, runs("c7", [1.15] * 4), better, bounds)
+    assert not row(lines, "verify_ref_s").endswith("BOUND")
+    # a higher-is-better share 10% lower against a 5% bound
+    lines = bench_record.compare(before, runs("c7", [0.9] * 4), better, bounds)
+    assert row(lines, "ok_frac").endswith(" OVER BOUND")
+    assert row(lines, "verify_ref_s").endswith(" claim")
+
+
 FAKE_RUN = """
 import json, sys
 from pathlib import Path
@@ -90,17 +139,19 @@ out = root / ".perfbench"
 out.mkdir(exist_ok=True)
 scale = float((root / "scale").read_text())
 metrics = {name: {"value": scale, "unit": "s"} for name in %r}
+correct = not (root / "failing").exists()
 record = {"args": {"workload": args["--workload"], "seed": int(args["--seed"]),
                    "seconds": float(args["--seconds"]), "trace": 0},
-          "env": {"root": root.name}, "result": {"metrics": metrics}}
+          "env": {"root": root.name},
+          "result": {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                     "metrics": metrics}}
 (out / f"result-{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps(record))
 """
 
 
-def test_two_roots_alternate_seed_by_seed(tmp_path, capsys):
-    # stand-in checkouts whose perfbench/run.py writes a result file: runs
-    # go root by root in reversed order on every other seed, and each root
-    # gets its own BENCH file
+def fake_roots(tmp_path):
+    """Stand-in checkouts a (scale 2) and b (scale 1) whose perfbench/run.py
+    writes a result file, and a's BENCHMARK.json."""
     for name, scale in (("a", 2.0), ("b", 1.0)):
         root = tmp_path / name
         (root / "perfbench").mkdir(parents=True)
@@ -109,6 +160,12 @@ def test_two_roots_alternate_seed_by_seed(tmp_path, capsys):
     (tmp_path / "a" / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": [{"name": name, "better": "lower"} for name in METRICS]})
     )
+
+
+def test_two_roots_alternate_seed_by_seed(tmp_path, capsys):
+    # runs go root by root in reversed order on every other seed, and each
+    # root gets its own BENCH file
+    fake_roots(tmp_path)
     argv = [str(tmp_path / "a"), str(tmp_path / "b"), "--labels", "before", "after",
             "--seeds", "7", "8", "--workloads", "refined", "--seconds", "1", "--out",
             str(tmp_path / "out")]
@@ -126,3 +183,19 @@ def test_two_roots_alternate_seed_by_seed(tmp_path, capsys):
 def test_roots_and_labels_must_pair(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main([str(tmp_path), "--labels", "a", "b", "--seeds", "1", "1"])
+
+
+def test_a_result_with_failed_operations_fails_the_record(tmp_path, capsys):
+    # root b's runs report a failed operation: the files are written and
+    # compared, and the exit status is 1, naming each such run
+    fake_roots(tmp_path)
+    (tmp_path / "b" / "failing").write_text("")
+    argv = [str(tmp_path / "a"), str(tmp_path / "b"), "--labels", "before", "after",
+            "--seeds", "1", "2", "--workloads", "c7", "--seconds", "1", "--out",
+            str(tmp_path / "out")]
+    assert bench_record.main(argv) == 1
+    captured = capsys.readouterr()
+    assert (tmp_path / "out" / "BENCH_after.json").exists()
+    assert captured.err.splitlines() == [
+        f"bench_record: not correct: after c7 seed {seed}: 1 of 3 ops failed" for seed in (1, 2)
+    ]

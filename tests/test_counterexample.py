@@ -34,6 +34,7 @@ from oracles import (
     is_independent,
     rows,
     table,
+    unique_type_code,
 )
 
 
@@ -434,6 +435,94 @@ def test_build_reads_each_family_shells_once(count_calls, variant, n_families):
     assert calls == {"_family_shells": n_families}
 
 
+def assert_type_code_is_the_oracle(lead, flags):
+    """``_type_code`` against the ``np.unique`` coding: the same codes, in
+    the narrowest unsigned dtype, and each type's decoded lead value and
+    flags are those at every vertex of that type."""
+    code, lead_of, flags_of = counterexample._type_code(lead, flags)
+    want, first = unique_type_code(lead, flags)
+    assert np.array_equal(code, want)
+    assert code.dtype == np.min_scalar_type(first.size - 1)
+    assert np.array_equal(lead_of, lead[first]) and np.array_equal(lead_of[code], lead)
+    assert len(flags_of) == len(flags)
+    for got, flag in zip(flags_of, flags):
+        assert got.dtype == bool and np.array_equal(got[code], flag)
+
+
+@st.composite
+def typed_vertices(draw):
+    """(lead, flags): up to 300 vertices, each with a lead value (uint8 or
+    int8, up to 2**6 - 1) and 1 to 16 flags, drawn from a few kinds so that
+    types repeat."""
+    m, nflags = draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    kinds = draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from([np.uint8, np.int8]))
+    lead = np.array(draw(st.lists(st.integers(0, 63), min_size=kinds, max_size=kinds)), dtype)
+    words = np.array(
+        draw(st.lists(st.integers(0, (1 << nflags) - 1), min_size=kinds, max_size=kinds))
+    )
+    kind = np.array(draw(st.lists(st.integers(0, kinds - 1), min_size=m, max_size=m)))
+    flags = [(words[kind] >> (nflags - 1 - j) & 1).astype(bool) for j in range(nflags)]
+    return lead[kind], flags
+
+
+@given(typed_vertices())
+def test_type_codes_are_the_unique_inverse(vertices):
+    assert_type_code_is_the_oracle(*vertices)
+
+
+@pytest.mark.parametrize("nflags", [1, 5, 16])
+def test_a_family_with_one_type(nflags):
+    lead = np.full(40, 3, dtype=np.int8)
+    flags = [np.full(40, j % 2 == 0) for j in range(nflags)]
+    assert_type_code_is_the_oracle(lead, flags)
+    code, lead_of, flags_of = counterexample._type_code(lead, flags)
+    assert not code.any() and lead_of.tolist() == [3] and all(f.size == 1 for f in flags_of)
+
+
+def test_every_word_present():
+    # lead values 0..3 and three flags: all 32 words occur, shuffled and
+    # repeated, and each word's code is the word itself
+    words = np.random.default_rng(5).permutation(np.tile(np.arange(32), 3))
+    lead = (words >> 3).astype(np.uint8)
+    flags = [(words >> s & 1).astype(bool) for s in (2, 1, 0)]
+    assert_type_code_is_the_oracle(lead, flags)
+    assert np.array_equal(counterexample._type_code(lead, flags)[0], words)
+
+
+def test_the_largest_word_that_fits():
+    # a lead of 31 and eleven set flags spell 2**16 - 1, the largest uint16
+    # word; 0 beside it makes two types
+    lead = np.array([31, 0, 31], dtype=np.int8)
+    flags = [np.array([True, False, True])] * 11
+    assert_type_code_is_the_oracle(lead, flags)
+    assert counterexample._type_code(lead, flags)[0].tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("variant,types", [("c5_refined", 29), ("c7", 26), ("c5_wide", 71)])
+def test_build_codes_types_by_counting(monkeypatch, variant, types):
+    # no np.unique in a build; every family's types are the np.unique
+    # coding of f and its shells and selectors, uint8, 29 / 26 / 71 of them
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    coded = []
+    type_code = counterexample._type_code
+    monkeypatch.setattr(
+        counterexample, "_type_code", lambda *a: coded.append(a) or type_code(*a)
+    )
+    build, _ = build_counterexample(params_for(variant))
+    assert calls == []
+    monkeypatch.setattr(np, "unique", unique)
+    assert len(coded) == build.params.n
+    codes = {id(v.code): v.code for v in build.vertices}
+    assert len(codes) == build.params.n
+    for (lead, flags), code in zip(coded, codes.values()):
+        assert code.dtype == np.uint8 and int(code.max()) + 1 == types
+        assert_type_code_is_the_oracle(lead, flags)
+        assert np.array_equal(code, unique_type_code(lead, flags)[0])
+
+
 def test_one_host_per_verify(count_calls):
     # every report item is read off one vertex enumeration, one sweep by the
     # coordinate rule and one grid pass for the type pairs; a verify pins
@@ -514,6 +603,23 @@ def test_a_c7_report_keeps_no_host_csr():
     try:
         before = tracemalloc.get_traced_memory()[0]
         report = verify_counterexample(params_for("c7"))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.status == "PASS"
+    assert kept < 2**20
+
+
+def test_a_c7_report_keeps_no_host_keys_past_its_pin():
+    # emitting the certificate writes the host's pair keys (1.75 MB) for
+    # the pin and drops them with it: the report keeps its hash alone
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_counterexample(params_for("c7"))
+        cert = emit_certificate(report)
+        del cert
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:

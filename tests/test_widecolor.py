@@ -12,6 +12,7 @@ from hedcex.graphs import graph_sha256, new_graph
 from hedcex.widecolor import (
     WideColoring,
     _condition_on_class,
+    _zero_position,
     check_wide,
     narrow_bits,
     zero_position_coloring,
@@ -132,6 +133,30 @@ def test_zero_position_split_classes():
     ]
     # merged alpha classes are unions of the fine classes
     assert np.array_equal(wc.pairs[:, 0] == 1, wc.class_set(1, 1) | wc.class_set(1, 2))
+
+
+@pytest.mark.parametrize("base,d,n,k", [(4, 1, 2, 2), (6, 2, 3, 2), (8, 2, 4, 2), (2, 1, -1, -2)])
+def test_zero_position_pairs_are_the_signed_formula(base, d, n, k):
+    # read off the uint8 zero positions through one int8 row per position:
+    # (p // k + 1, p % k + 1) in signed arithmetic, so a negative k reaches
+    # _validate
+    om = omega_tuples(base, d)
+    zero = om.zero_positions.astype(np.int64)
+    wc = _zero_position(om, n, k)
+    assert np.array_equal(wc.pairs, np.column_stack((zero // k + 1, zero % k + 1)))
+    assert wc.pairs.dtype == np.int8 and wc.pairs.shape == (om.graph.n, 2)
+    assert not wc.pairs.flags.writeable
+
+
+def test_an_int8_pair_array_is_held_as_given():
+    pairs = np.array([[1, 1], [2, 1]], dtype=np.int8)
+    wc = WideColoring(n=2, k=1, d=1, pairs=pairs)
+    assert wc.pairs is pairs and not pairs.flags.writeable
+    # anything else is converted into a new int8 array, checked for fit
+    listed = WideColoring(n=2, k=1, d=1, pairs=pairs.astype(np.int64))
+    assert listed == wc and listed.pairs.dtype == np.int8
+    with pytest.raises(ValueError, match="do not fit the int8 pair array"):
+        WideColoring(n=2, k=1, d=1, pairs=[[1, 128], [2, 1]])
 
 
 def test_class_sets_partition():
