@@ -10,14 +10,14 @@
   and so is any count other than its closed form.
 * ``omega_type_pairs(omega, codings)`` reads the type pairs that the
   edges realize without writing an edge: on each block of zero positions
-  adjacency is a tensor product of paths, swept one bit per type.  Both
-  it and the edge write read a block's vertices as one slice of an index
-  table shaped as the code space.
+  adjacency is a tensor product of paths, swept one bit per type.  It
+  and the edge write walk the blocks alike (``_block_grids``).
 * ``omega_shell_bits(omega, seeds, t)`` sweeps a tuple adjoint for the
   endpoints of walks of length exactly 0..t from up to one vertex set per
   bit of its seed array: a step ORs each coordinate's neighbouring values
-  over the (d+2)^n code space, one axis at a time, so a counterexample
-  build sweeps every color class of its wide coloring at once.
+  over the (d+2)^n code space, one axis at a time (``_path_step``, the
+  grid pass's step too), so a counterexample build sweeps every color
+  class of its wide coloring at once.
 * ``shell_bits(g, seeds, t)`` is the same sweep on any graph, over its CSR
   neighbor arrays, linear in |V| + |E| per step; ``n_shells`` is its
   one-set case.  Both stop at the first shell that repeats the one two
@@ -100,6 +100,18 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     return _sweep(seeds, d, step)
 
 
+def _path_step(a: np.ndarray, b: np.ndarray, side: int, s: int) -> None:
+    """One axis step of the coordinate rule from ``a`` into ``b``, flat
+    arrays seen as (-1, side, s): value i takes the OR of values i - 1 and
+    i + 1, and the top value also its own, a path with a loop at the top.
+    That is R' on 0..d+1 (side d + 2) and ``_coordinate_pairs`` on 1..d+1
+    (side d + 1): one contiguous shifted OR, then the two ends rewritten."""
+    np.bitwise_or(a[: -2 * s], a[2 * s :], out=b[s:-s])
+    a, b = a.reshape(-1, side, s), b.reshape(-1, side, s)
+    b[:, 0] = a[:, 1]
+    np.bitwise_or(a[:, -2], a[:, -1], out=b[:, -1])
+
+
 def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.ndarray]:
     """``shell_bits(omega.graph, seeds, t)``, read off the coordinate rule,
     with no edge written.
@@ -108,11 +120,10 @@ def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.nd
     {(a, a+1), (a+1, a) : 1 <= a <= d} + {(d+1, d+1), (0, 1), (1, 0)} (each
     tuple has one 0, with a 1 opposite it).  So a step scatters the shell
     at the vertex codes into a zeroed array over the (d+2)^n code space and
-    makes one pass per coordinate, in which value a takes the OR of its R'
-    partners; after n passes a vertex code holds the OR over its neighbors,
-    gathered at the vertex codes.  A pass ORs the array shifted one value up
-    and one down along its coordinate, one contiguous operation in the
-    widest unsigned words the stride allows, then rewrites the two ends.
+    makes one ``_path_step`` per coordinate, in which value a takes the OR
+    of its R' partners; after n passes a vertex code holds the OR over its
+    neighbors, gathered at the vertex codes.  A pass reads the array in the
+    widest unsigned words the coordinate's stride allows.
     The two code-space buffers and up to t + 1 shells over the vertices
     are checked against ``_host_bound`` before anything is allocated.
     """
@@ -128,11 +139,7 @@ def omega_shell_bits(omega: OmegaGraph, seeds: np.ndarray, t: int) -> list[np.nd
             # bytes one coordinate step apart, read in words of up to 8 bytes
             stride = side ** (omega.n - 1 - axis) * shell.itemsize
             word = np.dtype(f"u{math.gcd(stride, 8)}")
-            a, b, s = src.view(word), out.view(word), stride // word.itemsize
-            np.bitwise_or(a[: -2 * s], a[2 * s :], out=b[s:-s])
-            a, b = a.reshape(-1, side, s), b.reshape(-1, side, s)
-            b[:, 0] = a[:, 1]
-            np.bitwise_or(a[:, -2], a[:, -1], out=b[:, -1])
+            _path_step(src.view(word), out.view(word), side, stride // word.itemsize)
             src, out = out, src
         return np.take(src.view(shell.dtype), codes)
 
@@ -224,38 +231,44 @@ def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk"
     return space
 
 
-def _value_run(pairs: np.ndarray, d: int) -> np.ndarray:
-    """The values that the rows of ``pairs`` take, ascending.  RuntimeError
-    unless they are one run of consecutive integers in 0..d+1, the values
-    whose codes are one slice of an axis of the code space."""
-    values = np.flatnonzero(np.bincount(pairs.ravel()))  # np.unique would import numpy.ma
-    if values[-1] - values[0] != len(values) - 1 or values[-1] > d + 1:
-        raise RuntimeError(
-            f"tuple adjoint pair table takes the values {values.tolist()}, not one run in 0..{d + 1}"
-        )
-    return values
-
-
-def _block(n: int, p: int, q: int, values: np.ndarray) -> tuple:
-    """The basic index, into the code space shaped (d+2,)*n, of the tuples
-    with 0 at p, 1 at q and ``values`` (one run) elsewhere: flattened, the
-    slice lists them in code order."""
-    at = [slice(values[0], values[-1] + 1)] * n
+def _block(n: int, p: int, q: int, d: int) -> tuple:
+    """The basic index, into the code space shaped (d+2,)*n, of a block's
+    grid: the tuples with 0 at p, 1 at q and 1..d+1 elsewhere.  Flattened,
+    the slice lists them in code order."""
+    at = [slice(1, d + 2)] * n
     at[p], at[q] = 0, 1
     return tuple(at)
 
 
-def _grid_positions(pairs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def _grid_positions(pairs: np.ndarray, d: int, n: int) -> np.ndarray:
     """(2, len(pairs)^(n-2)): for each choice of a row of ``pairs`` at the
     n - 2 coordinates off a block's p and q, in code order, its position in
     the flattened ``_block`` slice read through each column, in the
     narrowest dtype.  The same for every block."""
-    width = len(values)
-    dtype = np.min_scalar_type(width ** (n - 2) - 1)
-    column, at = (pairs.T - values[0]).astype(dtype), np.zeros((2, 1), dtype=dtype)
+    dtype = np.min_scalar_type((d + 1) ** (n - 2) - 1)
+    column, at = (pairs.T - 1).astype(dtype), np.zeros((2, 1), dtype=dtype)
     for axis in range(n - 2):
-        at = (at[:, :, None] + column[:, None, :] * width ** (n - 3 - axis)).reshape(2, -1)
+        at = (at[:, :, None] + column[:, None, :] * (d + 1) ** (n - 3 - axis)).reshape(2, -1)
     return at
+
+
+def _block_grids(omega: OmegaGraph, blocks: list[tuple[int, int]], per: int):
+    """(chunk, x, y) for each run of ``per`` blocks (p, q) of ``blocks``: x
+    holds the vertices of the grids with 0 at p and 1 at q, y those with 0
+    at q and 1 at p, block after block, each one ``_block`` slice of an
+    int32 index table shaped as the code space (-1 off the vertex set).
+    Past ``_host_bound``.  RuntimeError on a grid code off the vertex set."""
+    n, d = omega.n, omega.d
+    index = np.full((d + 2) ** n, -1, dtype=np.int32)
+    index[omega.codes] = np.arange(len(omega.codes), dtype=np.int32)
+    cube = index.reshape((d + 2,) * n)
+    for start in range(0, len(blocks), per):
+        chunk = blocks[start : start + per]
+        x = np.concatenate([cube[_block(n, p, q, d)] for p, q in chunk], axis=None)
+        y = np.concatenate([cube[_block(n, q, p, d)] for p, q in chunk], axis=None)
+        if min(x.min(), y.min()) < 0:
+            raise RuntimeError("tuple adjoint grid left the vertex set")
+        yield chunk, x, y
 
 
 @dataclass
@@ -270,7 +283,8 @@ class OmegaGraph:
     position of each tuple's 0 (uint8).  ``graph`` is written on first read.
     Shaped (d+2,)*n, the code space holds each side of a (p, q) block of
     edges as one basic slice (``_block``): the pin's key write and the grid
-    pass read the vertices there off an index table, with no code arithmetic.
+    pass walk those slices alike (``_block_grids``), with no code arithmetic,
+    and refuse a grid code missing from ``codes``.
     """
 
     codes: np.ndarray = field(repr=False)
@@ -300,30 +314,20 @@ def omega_tuples(n: int, d: int) -> OmegaGraph:
 def _omega_keys(omega: OmegaGraph) -> np.ndarray:
     """The sorted pair keys of the edges of ``omega``, past ``_host_bound``.
     Block (p, q), p < q, joins x (0 at p, x_q = 1) to y (0 at q, y_p = 1)
-    for each choice of ``_coordinate_pairs`` at the other coordinates.  An
-    int32 index table over the code space (-1 off the vertex set), shaped
-    (d+2,)*n, gives each side's grid of the pairs' values as one basic
-    slice (``_block``), and each choice's x and y are read off those two
-    grids at positions computed once per call (``_grid_positions``).
-    RuntimeError on a pair table whose values are not one run, a code off
-    the vertex set, an edge generated twice and a count other than
-    ``omega_edge_count``."""
-    n, d, codes = omega.n, omega.d, omega.codes
-    index = np.full(_host_bound(n, d), -1, dtype=np.int32)
-    index[codes] = np.arange(len(codes), dtype=np.int32)
-    cube, pairs = index.reshape((d + 2,) * n), _coordinate_pairs(d)
-    values = _value_run(pairs, d)
-    at = _grid_positions(pairs, values, n)
-    blocks = list(combinations(range(n), 2))
-    keys, b = _key_array(len(codes), len(blocks) * len(pairs) ** (n - 2))
-    for part, (p, q) in zip(keys.reshape(len(blocks), -1), blocks):
-        x = np.take(cube[_block(n, p, q, values)].ravel(), at[0])
-        y = np.take(cube[_block(n, q, p, values)].ravel(), at[1])
-        lo = np.minimum(x, y)
-        if lo.min() < 0:
-            raise RuntimeError("tuple adjoint enumeration left the vertex set")
-        _put_keys(part, lo, np.maximum(x, y, out=x), b)
-    del index, cube, x, y, lo  # the table and the last block, freed before the sort
+    for each choice of ``_coordinate_pairs`` at the other coordinates.  The
+    blocks are walked one at a time (``_block_grids``), and each choice's x
+    and y are read off the two grids at positions computed once per call
+    (``_grid_positions``).  RuntimeError on a grid code off the vertex set,
+    an edge generated twice and a count other than ``omega_edge_count``."""
+    n, d = omega.n, omega.d
+    _host_bound(n, d)
+    pairs, blocks = _coordinate_pairs(d), list(combinations(range(n), 2))
+    at = _grid_positions(pairs, d, n)
+    keys, b = _key_array(len(omega.codes), len(blocks) * len(pairs) ** (n - 2))
+    for (_, x, y), part in zip(_block_grids(omega, blocks, 1), keys.reshape(len(blocks), -1)):
+        x, y = np.take(x, at[0]), np.take(y, at[1])
+        _put_keys(part, np.minimum(x, y), np.maximum(x, y, out=x), b)
+    del x, y  # the last block (the walk, done, freed its table), freed before the sort
     keys.sort()
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
@@ -343,59 +347,47 @@ def omega_type_pairs(
     0..K-1 (sorted fastest in 16 bits or fewer), the symmetric (K, K)
     relation of the type pairs that edges of ``omega`` join, and the edges
     counted, with no edge written.  Both ends of block (p, q) of
-    ``_omega_keys`` range over one grid of the values of R0 =
-    ``_coordinate_pairs``, related as a tensor product of paths, and each
-    side's grid is one basic slice of an int32 index table shaped as the
-    code space (``_block``), copied in code order.  Each type
-    owns a bit of a row of uint64 words.  A chunk of blocks (at least one)
-    seeds each y with its types' bits, then per axis ORs into each value its
-    R0 partners (a slice per run at one offset), so each x holds the bits
-    of the y joined to it, ORed into its types' rows.  A block counts
-    sum_x prod_j |R0 partners of x_j| edges.  RuntimeError on a pair table
-    whose values are not one run, a grid code off the vertex set and a count
-    other than the closed form."""
+    ``_omega_keys`` range over one grid of the values 1..d+1, related by
+    ``_coordinate_pairs`` at each other coordinate.  Each type owns a bit
+    of a row of uint64 words.  Walking the blocks about ``_GRID_BYTES`` of
+    words at a time (``_block_grids``), a chunk seeds each y with its
+    types' bits and takes one ``_path_step`` per axis, so each x holds the
+    bits of the y joined to it, ORed into its types' rows.  The count is
+    the blocks walked times len(``_coordinate_pairs``)^(n-2): a walk that
+    skips or repeats a block, or a pair table of the wrong length, is
+    refused, as is a grid code off the vertex set.  The chunk is checked
+    against ``_host_bound`` before anything is allocated."""
     n, d = omega.n, omega.d
-    pairs = _coordinate_pairs(d)
-    values = _value_run(pairs, d)
-    a, b = pairs.T - values[0]
-    # runs (lo, hi, s): values lo..hi-1 take the OR of values lo+s..hi-1+s
-    s, a = np.array(sorted(zip((b - a).tolist(), a.tolist()))).T
-    cut = np.flatnonzero((np.diff(a) != 1) | (np.diff(s) != 0)) + 1
-    runs = [(r[0], r[-1] + 1, t[0]) for r, t in zip(np.split(a, cut), np.split(s, cut))]
+    pairs, blocks = _coordinate_pairs(d), list(combinations(range(n), 2))
     offsets = np.cumsum([0, *(size for _, size in codings)]).tolist()
     words = max(1, -(-offsets[-1] // 64))
-    grid, blocks = len(values) ** (n - 2), list(combinations(range(n), 2))
+    grid = (d + 1) ** (n - 2)
     per = max(1, _GRID_BYTES // (grid * words * 8))
-    index = np.full(_host_bound(n, d, min(per, len(blocks)) * grid * words * 8), -1, np.int32)
-    index[omega.codes] = np.arange(len(omega.codes), dtype=np.int32)
-    cube = index.reshape((d + 2,) * n)
+    size = min(per, len(blocks)) * grid * words
+    _host_bound(n, d, size * 8)
     # row t holds bit t alone; a coding's rows and bits start at its offset
     one_hot = np.packbits(np.eye(offsets[-1], 64 * words, dtype=bool), axis=1, bitorder="little")
     one_hot = one_hot.view("<u8")
     rows, edges = np.zeros_like(one_hot), 0
+    buffers = np.empty((2, size), dtype=np.uint64)
     coded = [(lo, hi, code) for lo, hi, (code, _) in zip(offsets, offsets[1:], codings)]
-    for start in range(0, len(blocks), per):
-        chunk = blocks[start : start + per]
-        x = np.concatenate([cube[_block(n, p, q, values)] for p, q in chunk], axis=None)
-        y = np.concatenate([cube[_block(n, q, p, values)] for p, q in chunk], axis=None)
-        if min(x.min(), y.min()) < 0:
-            raise RuntimeError("tuple adjoint grid left the vertex set")
-        near = np.zeros((x.size, words), dtype=np.uint64)
+    for chunk, x, y in _block_grids(omega, blocks, per):
+        src, out = buffers[:, : x.size * words]
+        near = src.reshape(-1, words)
+        near.fill(0)
         for lo, hi, code in coded:
             near |= np.take(one_hot[lo:hi], np.take(code, y), axis=0)
         for axis in range(n - 2):
-            near = near.reshape(len(chunk) * len(values) ** axis, len(values), -1)
-            out = np.zeros_like(near)
-            for lo, hi, step in runs:
-                out[:, lo:hi] |= near[:, lo + step : hi + step]
-            near = out
+            _path_step(src, out, d + 1, (d + 1) ** (n - 3 - axis) * words)
+            src, out = out, src
+        near = src.reshape(-1, words)
         for lo, hi, code in coded:
             types = np.take(code, x)
             order = np.argsort(types, kind="stable")
             types = types[order]
             first = np.flatnonzero(np.concatenate(([True], types[1:] != types[:-1])))
             rows[lo:hi][types[first]] |= np.bitwise_or.reduceat(
-                np.take(near.reshape(-1, words), order, axis=0), first, axis=0
+                np.take(near, order, axis=0), first, axis=0
             )
         edges += len(chunk) * len(pairs) ** (n - 2)  # the sum over x factors by axis
     if edges != omega_edge_count(n, d):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import re
 import tracemalloc
 
 import pytest
@@ -13,6 +12,7 @@ import numpy as np
 from conftest import random_graph
 from hedcex import families
 from hedcex.families import (
+    OmegaGraph,
     n_shells,
     omega_edge_count,
     omega_shell_bits,
@@ -174,6 +174,25 @@ def test_shell_bits_past_the_repeat_matches_the_walk_oracle(case):
                 assert np.array_equal((shell >> j & 1).astype(bool), want[t][j]), (d, t, j)
 
 
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_path_step_is_the_coordinate_pair_table(d, s):
+    # one step from bit i at value i, two rows deep and s wide, over an
+    # output filled with ones, marks in each value exactly the values it
+    # pairs with: the rows of _coordinate_pairs less one on a block's grid
+    # (values 1..d+1), and those plus 0 <-> 1 on the class sweep (0..d+1)
+    pairs = {(x, y) for x, y in families._coordinate_pairs(d).tolist()}
+    grid, sweep = {(x - 1, y - 1) for x, y in pairs}, pairs | {(0, 1), (1, 0)}
+    for side, want in ((d + 1, grid), (d + 2, sweep)):
+        a = np.repeat(np.tile(1 << np.arange(side, dtype=np.uint16), 2), s)
+        b = np.full_like(a, 0xFFFF)
+        families._path_step(a, b, side, s)
+        b = b.reshape(2, side, s)
+        assert (b == b[:1, :, :1]).all()
+        got = {(i, j) for i in range(side) for j in range(side) if b[0, i, 0] >> j & 1}
+        assert got == want
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 6) for d in range(1, 4)])
 def test_omega_shell_bits_equal_shell_bits_at_every_depth(n, d, dtype):
@@ -307,10 +326,10 @@ def test_block_slices_match_the_code_sums(n, d):
     index = np.full((d + 2) ** n, -1, dtype=np.int32)
     index[om.codes] = np.arange(om.codes.size, dtype=np.int32)
     cube, pairs = index.reshape((d + 2,) * n), families._coordinate_pairs(d)
-    values = families._value_run(pairs, d)
-    at = families._grid_positions(pairs, values, n)
+    values = np.arange(1, d + 2)
+    at = families._grid_positions(pairs, d, n)
     for p, q in itertools.permutations(range(n), 2):
-        block = cube[families._block(n, p, q, values)].ravel()
+        block = cube[families._block(n, p, q, d)].ravel()
         assert block.min() >= 0
         assert np.array_equal(block, np.take(index, block_codes(n, d, p, q, values)))
         for column, positions in zip(pairs.T, at):
@@ -372,12 +391,17 @@ def test_omega_tuples_peak_holds_one_copy_of_the_edges(n, d, bound):
     assert peak < bound
 
 
-def test_omega_enumeration_off_the_vertex_set_is_caught(monkeypatch):
-    # a pair table offering 0 generates tuples with two zeros, which the
-    # lookup table maps to -1
-    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: np.zeros((2 * d + 1, 2), int))
-    with pytest.raises(RuntimeError, match="left the vertex set"):
-        omega_tuples(3, 1)
+def _lacking_a_vertex(n, d):
+    """The vertices of the tuple adjoint at (n, d) less its first one, which
+    sits in a grid of some block, as every vertex does."""
+    om = omega_vertices(n, d)
+    return OmegaGraph(om.codes[1:], om.zero_positions[1:], n=n, d=d)
+
+
+def test_omega_enumeration_off_the_vertex_set_is_caught():
+    # the index table maps the missing vertex's code to -1
+    with pytest.raises(RuntimeError, match="tuple adjoint grid left the vertex set"):
+        _lacking_a_vertex(3, 1).graph
 
 
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
@@ -395,23 +419,6 @@ def test_omega_hosts_hold_one_key_array(n, d):
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
 def test_omega_edge_count_formula(n, d):
     assert omega_edge_count(n, d) == OMEGA_PINS[n, d][1]
-
-
-@pytest.mark.parametrize(
-    "menu,values", [(lambda p: np.where(p == 2, 1, p), [1, 3]), (lambda p: p + 1, [2, 3, 4])]
-)
-def test_a_pair_table_off_one_run_of_values_is_refused(monkeypatch, menu, values):
-    # a block's grid is one slice of each other axis of the code space, so
-    # values with a gap, or past d+1, are refused by name, by the key write
-    # and the grid pass alike
-    om = omega_vertices(3, 2)
-    pairs = families._coordinate_pairs
-    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: menu(pairs(d)))
-    message = re.escape(f"pair table takes the values {values}, not one run in 0..3")
-    with pytest.raises(RuntimeError, match=message):
-        omega_tuples(3, 2)
-    with pytest.raises(RuntimeError, match=message):
-        omega_type_pairs(om, [(np.zeros(15, dtype=np.uint8), 1)])
 
 
 def test_omega_enumeration_generates_each_edge_once(monkeypatch):
@@ -475,12 +482,10 @@ def test_type_pairs_do_not_depend_on_the_chunk(monkeypatch, grid_bytes):
     assert edges == 36015 and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_type_pairs_with_a_grid_code_off_the_vertex_set_are_refused(monkeypatch):
-    # a pair table offering 0 puts a second 0 in every grid tuple
-    om = omega_vertices(3, 1)
-    monkeypatch.setattr(families, "_coordinate_pairs", lambda d: np.zeros((2 * d + 1, 2), int))
+def test_type_pairs_with_a_grid_code_off_the_vertex_set_are_refused():
+    # the same walk as the key write, so the same refusal
     with pytest.raises(RuntimeError, match="tuple adjoint grid left the vertex set"):
-        omega_type_pairs(om, [(np.zeros(9, dtype=np.uint8), 1)])
+        omega_type_pairs(_lacking_a_vertex(3, 1), [(np.zeros(8, dtype=np.uint8), 1)])
 
 
 @pytest.mark.parametrize(
