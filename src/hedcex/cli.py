@@ -22,7 +22,7 @@ from . import counterexample as cex
 from .families import omega_tuples
 from .graphs import Graph, graph_sha256, parse_dimacs
 from .solver import SearchBudget
-from .widecolor import WideColoring, _zero_position, check_wide
+from .widecolor import WideColoring, _validate, _zero_position, check_wide, sweep_classes
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -79,6 +79,8 @@ def _cmd_wide_check(args) -> int:
         # unchecked and unpinned: only the condition asked for is decided
         wc = _zero_position(omega, args.n, args.k)
         g = omega.graph
+        _validate(g, wc)
+        ok = not sweep_classes(omega, wc, args.condition)[1]
     else:
         if None in (args.graph, args.gamma):
             print("wide-check: --graph and --gamma go together", file=sys.stderr)
@@ -86,7 +88,7 @@ def _cmd_wide_check(args) -> int:
         g = _load_graph(args.graph)
         with open(args.gamma, "r", encoding="utf-8") as fh:
             wc = WideColoring.from_json(fh.read())
-    ok = check_wide(g, wc, condition=args.condition)
+        ok = check_wide(g, wc, condition=args.condition)
     doc = {
         "wide": ok,
         "condition": args.condition,

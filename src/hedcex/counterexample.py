@@ -24,10 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, _omega_keys, omega_shell_bits, omega_type_pairs, omega_vertices
+from .families import OmegaGraph, _omega_keys, omega_type_pairs, omega_vertices
 from .graphs import Graph, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
-from .widecolor import WideColoring, _zero_position, narrow_bits
+from .widecolor import WideColoring, _zero_position, sweep_classes
 
 PASS = "PASS"
 FAILED = "FAILED"
@@ -275,9 +275,9 @@ def _family_shells(
     end), and the depth-d shells of the subclasses of q, or of 1 ("literal").
 
     ``class_shells`` holds the exact-distance shells of every class of the
-    wide coloring at depths 0..d, as ``omega_shell_bits`` gives them: bit
-    ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in the depth-t
-    shell of class (a, b).
+    wide coloring at depths 0..d, as ``widecolor.sweep_classes`` gives
+    them: bit ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in
+    the depth-t shell of class (a, b).
     """
     k, sel = params.k, q if params.reading == "q" else 1
     q_bits, deep = ((1 << k) - 1) << ((q - 1) * k), class_shells[params.d]
@@ -541,9 +541,9 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
     One sweep for every class of the wide coloring, one bit per class, read
-    off the host's coordinate rule (``omega_shell_bits``) to depth d + 1,
-    so the build makes no CSR arrays; wideness is ``narrow_bits`` of the
-    last two depths, and a narrow class is named.  A vertex's type in
+    off the host's coordinate rule (``widecolor.sweep_classes``) to depth
+    d + 1, so the build makes no CSR arrays; wideness is condition 2 on
+    those bits, and a narrow class is named.  A vertex's type in
     family q is its first coordinate under gamma and its bits in q's shells
     and selectors, one word in 16 bits or fewer on every preset; the words
     are counted, not sorted (``_type_code``), and ``build_special_family``
@@ -573,11 +573,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     c, d, k = params.c, params.d, params.k
     omega = omega_vertices(params.base, d)
     gamma = _zero_position(omega, params.n, params.k)
-    bits = np.min_scalar_type(1 << (params.n * params.k - 1))
-    bit = (gamma.pairs[:, 0] - 1) * params.k + (gamma.pairs[:, 1] - 1)
-    class_shells = omega_shell_bits(omega, np.left_shift(bits.type(1), bit.astype(bits)), d + 1)
-    after = class_shells.pop()  # the shells one step past d serve wideness alone
-    narrow_mask = int(narrow_bits(class_shells[d], after))
+    class_shells, narrow_mask = sweep_classes(omega, gamma)
     narrow = [(j // k + 1, j % k + 1) for j in range(params.n * k) if narrow_mask >> j & 1]
 
     vertices: list[FunctionVertex] = []

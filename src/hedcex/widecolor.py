@@ -2,21 +2,17 @@
 
 A coloring with pairs (a, b) in [n] x [k] is d-wide when every color class
 keeps its exact-distance-d neighborhood independent.  ``WideColoring`` holds
-the pairs as one read-only (vertices, 2) int8 array.  ``check_wide`` decides
-any of four equivalent conditions; each class that occurs is a boolean
-array read off the pairs and swept by ``n_shells``, over CSR arrays built
-for that sweep, in time linear in |V| + |E| per class and walk step, so no
-graph power is built; a declared d past 2|V|, where every shell repeats,
-costs no more than 2|V|.  A set is independent exactly when it misses its
-next shell, so conditions 2 to 4 read independence off the shells.
-``zero_position_coloring`` produces the canonical wide coloring of an omega
-graph over a complete base, checks it by condition 2 and pins it to its
-host; ``wide-check`` builds it unchecked and unpinned with ``_zero_position``
-and decides only the condition asked for.  The build makes the same coloring
-but sweeps it itself: every class gets one bit, all are swept at once with
-``omega_shell_bits`` on the host's coordinate rule, and condition 2 is
-``narrow_bits`` of the depth-d and depth-(d + 1) bits; its gamma is
-unpinned until it is written.
+the pairs as one read-only (vertices, 2) int8 array.  ``_failing_classes``
+reads any of four equivalent conditions off the shells it is given (the
+endpoints of walks of length exactly 0, 1, ...), of one class as booleans or
+of every class at once as one bit per class: a set is independent exactly
+when it misses its next shell, so no graph power is built.  On an omega
+graph, ``sweep_classes`` sweeps every class at once on the coordinate rule
+(``omega_shell_bits``); the build, ``zero_position_coloring`` and zero-mode
+``wide-check`` decide wideness that way.  ``check_wide`` decides a
+``Graph``, which has no coordinate rule, one class at a time with
+``n_shells`` over CSR arrays built for each sweep; a declared d past 2|V|
+costs no more than 2|V|.
 """
 
 from __future__ import annotations
@@ -26,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import OmegaGraph, n_shells
-from .graphs import Graph, edge_slices, graph_sha256
+from .families import OmegaGraph, n_shells, omega_shell_bits
+from .graphs import Graph, _unique_sorted, edge_slices, graph_sha256
 
 CONDITION_NAMES = {
     1: "proper on the odd power",
@@ -149,46 +145,67 @@ def narrow_bits(shell: np.ndarray, after: np.ndarray):
     return np.bitwise_or.reduce(shell & after)
 
 
-def _condition_on_class(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
-    if condition == 1:
-        # no walk of length 2d+1 joins two members (or a member to itself)
-        return not (n_shells(g, members, 2 * d + 1)[-1] & members).any()
-    shells = n_shells(g, members, d + 1)
-    if condition == 2:
-        return not narrow_bits(shells[d], shells[d + 1])
-    if condition == 3:
-        return not any(map(narrow_bits, shells[:-1], shells[1:]))
-    # The equivalent bipartiteness statement: split the reach-<=d region by
-    # walk-length parity and demand a genuine bipartition.  Checking abstract
-    # 2-colorability of that region instead would accept colorings the other
-    # conditions reject (a 4-path with both endpoints in one class already
-    # separates them at d=1), so the fixed parity split is the faithful test.
-    # Each half's next shell is the other parity's union one step on, which
-    # holds the other half, so both halves independent makes them disjoint.
-    def union(first: int, last: int) -> np.ndarray:  # shells first, first + 2, ..., last
-        return np.logical_or.reduce(shells[first : last + 1 : 2] or [np.zeros(g.n, dtype=bool)])
+def _depth(d: int, condition: int) -> int:  # the last shell ``condition`` reads
+    return 2 * d + 1 if condition == 1 else d + 1
 
-    even, odd = union(0, d), union(1, d)
-    return not (narrow_bits(even, union(1, d + 1)) or narrow_bits(odd, union(2, d + 1)))
+
+def _failing_classes(shells: list[np.ndarray], condition: int):
+    """The classes that fail ``condition``, read off their shells at depths
+    0..``_depth(d, condition)``: for one class's boolean shells, whether it
+    fails; for bit shells, a word with each failing class's bit set."""
+    if condition == 1:
+        # a walk of length 2d+1 joins two members (or a member to itself)
+        return np.bitwise_or.reduce(shells[-1] & shells[0])
+    if condition == 2:
+        return narrow_bits(shells[-2], shells[-1])
+    if condition == 3:
+        return np.bitwise_or.reduce(list(map(narrow_bits, shells[:-1], shells[1:])))
+    # The parity split of the reach-<=d region must be a genuine bipartition;
+    # abstract 2-colorability would accept what the other conditions reject
+    # (a 4-path with both endpoints in one class, at d=1).  Each half's next
+    # shell is the other parity's union one step on, which holds the other
+    # half, so both halves independent makes them disjoint.
+    def union(part: list[np.ndarray]) -> np.ndarray:
+        return np.bitwise_or.reduce(part or [np.zeros_like(shells[0])])
+
+    even, odd = union(shells[:-1:2]), union(shells[1:-1:2])
+    return narrow_bits(even, union(shells[1::2])) | narrow_bits(odd, union(shells[2::2]))
+
+
+def sweep_classes(
+    omega: OmegaGraph, wc: WideColoring, condition: int = 2
+) -> tuple[list[np.ndarray], int]:
+    """(the shells of every class of ``wc`` at depths 0..d, bit (a-1)*k + (b-1)
+    for class (a, b); the bits of the classes that fail ``condition``), in one
+    sweep on ``omega``'s coordinate rule to the depth ``condition`` reads.  A
+    host under the 2 GiB bound has a base n*k of at most 31, so the bits fit
+    one word.  The pairs must be in range, as ``_validate`` checks."""
+    bits = np.min_scalar_type(1 << (wc.n * wc.k - 1))
+    bit = (wc.pairs[:, 0] - 1) * wc.k + (wc.pairs[:, 1] - 1)
+    seeds = np.left_shift(bits.type(1), bit.astype(bits))
+    shells = omega_shell_bits(omega, seeds, _depth(wc.d, condition))
+    return shells[: wc.d + 1], int(_failing_classes(shells, condition))
 
 
 # ``threads`` is ignored; kept because perfbench/test_perfbench.py passes it.
 def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int = 1) -> bool:
     """Evaluate one of the four equivalent wideness conditions.
 
-    Only the classes that occur are swept, in (a, b) order; an empty class
-    is trivially wide, so the declared n x k never costs time.  Nor does d
-    past 2|V|: ``_validate`` refuses isolated vertices, so S_t is in S_{t+2}
-    and each parity's chain of shells stops growing within 2|V| steps; d is
-    cut to 2|V| or 2|V| + 1, whichever has its parity.
+    Only the classes that occur are swept, one at a time in (a, b) order,
+    read off one sort of the codes a << 8 | b; an empty class is trivially
+    wide, so the declared n x k never costs time.  Nor does d past 2|V|:
+    ``_validate`` refuses isolated vertices, so S_t is in S_{t+2} and each
+    parity's chain of shells stops growing within 2|V| steps; d is cut to
+    2|V| or 2|V| + 1, whichever has its parity.
     """
     _validate(g, wc)
     if condition not in CONDITION_NAMES:
         raise ValueError("condition must be 1, 2, 3 or 4")
-    d = min(wc.d, 2 * g.n + wc.d % 2)
-    return all(
-        _condition_on_class(g, wc.class_set(a, b), d, condition)
-        for a, b in np.unique(wc.pairs, axis=0).tolist()
+    depth = _depth(min(wc.d, 2 * g.n + wc.d % 2), condition)
+    code = wc.pairs[:, 0].astype(np.int16) << 8 | wc.pairs[:, 1]
+    return not any(
+        _failing_classes(n_shells(g, code == c, depth), condition)
+        for c in _unique_sorted(code).tolist()
     )
 
 
@@ -208,12 +225,13 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
 
     The 0-based position p (an element of the base [n*k]) becomes the pair
     (p // k + 1, p % k + 1): consecutive blocks of k positions share a first
-    coordinate.  Wideness at half-width ``omega.d`` is a
-    construction invariant, so condition 2 is asserted here rather than
-    assumed.  The checked coloring is pinned to its host's hash.
+    coordinate.  Wideness at half-width ``omega.d`` is a construction
+    invariant, so condition 2 is asserted here (``sweep_classes``) rather
+    than assumed.  The checked coloring is pinned to its host's hash.
     """
     wc = _zero_position(omega, n, k)
-    if not check_wide(omega.graph, wc, condition=2):
+    _validate(omega.graph, wc)
+    if sweep_classes(omega, wc)[1]:
         raise RuntimeError(
             "zero-position coloring failed the wideness check; "
             "the omega construction and the checker disagree"

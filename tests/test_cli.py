@@ -40,13 +40,45 @@ def test_wide_check_zero_position(capsys):
     assert doc["wide"] is True and doc["vertices"] == 186
 
 
-def test_wide_check_zero_mode_decides_once(count_calls, capsys):
-    # the zero-position coloring is built unchecked and swept once per class
-    # (2 x 2 classes) for the requested condition only
-    calls = count_calls(families, "n_shells")
-    code, out, _ = run(capsys, "wide-check", "--n", "2", "--k", "2", "--d", "1", "--condition", "2")
+def test_wide_check_zero_mode_decides_once(count_calls, tmp_path, capsys):
+    # the zero-position coloring is built unchecked and its 2 x 2 classes
+    # swept at once on the coordinate rule, with no CSR arrays, for the
+    # requested condition only
+    calls = count_calls(families, "n_shells", "omega_shell_bits")
+    csr = count_calls(graphs, "neighbor_arrays")
+    gamma = tmp_path / "gamma.json"
+    zero = ["--n", "2", "--k", "2", "--d", "1", "--gamma-out", str(gamma)]
+    code, out, _ = run(capsys, "wide-check", *zero, "--condition", "2")
     assert (code, out) == (0, "wide: True (condition 2, d=1)\n")
-    assert calls == {"n_shells": 4}
+    assert calls == {"n_shells": 0, "omega_shell_bits": 1}
+    assert csr == {"neighbor_arrays": 0}
+    # the same host read from DIMACS has no coordinate rule: one sweep per
+    # class, and the same verdict line
+    host = tmp_path / "om.col"
+    host.write_text(emit_dimacs(omega_tuples(4, 1).graph))
+    calls.update(n_shells=0, omega_shell_bits=0)
+    files = ["--graph", str(host), "--gamma", str(gamma)]
+    code, out, _ = run(capsys, "wide-check", *files, "--condition", "2")
+    assert (code, out) == (0, "wide: True (condition 2, d=1)\n")
+    assert calls == {"n_shells": 4, "omega_shell_bits": 0}
+
+
+def test_file_mode_wide_check_imports_no_numpy_ma(tmp_path):
+    # np.unique(..., axis=0) would import numpy.ma; a verify never does
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(zero_position_coloring(omega_tuples(4, 1), 2, 2).to_json())
+    host = tmp_path / "om.col"
+    host.write_text(emit_dimacs(omega_tuples(4, 1).graph))
+    script = (
+        "import sys\n"
+        "from hedcex.cli import main\n"
+        f"code = main(['wide-check', '--graph', {str(host)!r}, '--gamma', {str(gamma)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout == "wide: True (condition 2, d=1)\n0 False\n", proc.stderr
 
 
 def test_wide_check_zero_mode_hashes_only_to_pin(count_calls, tmp_path, capsys):

@@ -19,7 +19,7 @@ from hedcex.counterexample import (
     shifted,
     verify_counterexample,
 )
-from hedcex import counterexample, families, graphs
+from hedcex import counterexample, families, graphs, widecolor
 from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells
 from hedcex.graphs import graph_sha256, new_graph
@@ -413,11 +413,11 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
 
         return counted
 
-    # n_shells sweeps through families.shell_bits, so this sees every sweep
-    # of either kind
+    # n_shells sweeps through families.shell_bits, and the build's sweep is
+    # widecolor.sweep_classes, so this sees every sweep of either kind
     for name in ("shell_bits", "omega_shell_bits"):
         counted = counting(getattr(families, name))
-        for mod in (families, counterexample):
+        for mod in (families, widecolor):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted)
     build_counterexample(params_for(variant))

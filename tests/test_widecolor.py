@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from hedcex import graphs
-from hedcex.families import n_shells, omega_tuples, shell_bits
+from hedcex import families, graphs, widecolor
+from hedcex.families import n_shells, omega_tuples, omega_vertex_count, shell_bits
 from hedcex.graphs import graph_sha256, new_graph
 from hedcex.widecolor import (
     WideColoring,
-    _condition_on_class,
+    _depth,
+    _failing_classes,
     _zero_position,
     check_wide,
     narrow_bits,
+    sweep_classes,
     zero_position_coloring,
 )
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     walk_matrix,
     wide_condition,
 )
+from test_families import OMEGA_PINS
 
 
 def identity_coloring(g, d):
@@ -216,16 +220,21 @@ def test_a_shell_is_independent_iff_it_misses_the_next(case):
 
 @given(loopy_graphs())
 def test_each_condition_on_a_class_is_its_statement(case):
-    # the drawn sets and every single vertex, at every depth up to 4: a
-    # single vertex on an odd cycle of length 2d + 1 is where a missing last
-    # shell of condition 4's parity unions shows
+    # the drawn sets and every single vertex, at every depth up to 4, read
+    # off one class's boolean shells and off the bit shells of all of them
+    # at once: a single vertex on an odd cycle of length 2d + 1 is where a
+    # missing last shell of condition 4's parity unions shows
     g, seeds, sets, _ = case
     classes = [(seeds >> j & 1).astype(bool) for j in range(sets)] + list(np.eye(g.n, dtype=bool))
-    for members in classes:
-        for d in range(5):
-            for condition in (1, 2, 3, 4):
+    every = sum(members.astype(np.uint32) << j for j, members in enumerate(classes))
+    for d in range(5):
+        for condition in (1, 2, 3, 4):
+            failing = _failing_classes(shell_bits(g, every, _depth(d, condition)), condition)
+            for j, members in enumerate(classes):
                 want = wide_condition(g, members, d, condition)
-                assert _condition_on_class(g, members, d, condition) == want, (d, condition)
+                shells = n_shells(g, members, _depth(d, condition))
+                assert (not _failing_classes(shells, condition)) == want, (j, d, condition)
+                assert (not failing >> j & 1) == want, (j, d, condition)
 
 
 @given(st.integers(2, 9), st.integers(0, 6), st.booleans())
@@ -248,10 +257,81 @@ def test_a_declared_d_past_twice_the_order_changes_no_verdict(cycle, tail, ident
             answers = []
             for wide in (d, d + 2):
                 wc = WideColoring(n=len(set(pairs)), k=1, d=wide, pairs=pairs)
-                uncut = all(_condition_on_class(g, c, wide, condition) for c in classes)
+                uncut = not any(
+                    _failing_classes(n_shells(g, c, _depth(wide, condition)), condition)
+                    for c in classes
+                )
                 assert check_wide(g, wc, condition) == uncut, (condition, wide)
                 answers.append(uncut)
             assert answers[0] == answers[1], (condition, d)
+
+
+def test_zero_position_coloring_sweeps_by_the_rule(count_calls):
+    # every class at once on the coordinate rule: no CSR arrays, no
+    # per-class sweep
+    calls = count_calls(graphs, "neighbor_arrays")
+    sweeps = count_calls(families, "n_shells", "shell_bits", "omega_shell_bits")
+    zero_position_coloring(omega_tuples(6, 3), 3, 2)
+    assert calls == {"neighbor_arrays": 0}
+    assert sweeps == {"n_shells": 0, "shell_bits": 0, "omega_shell_bits": 1}
+
+
+def test_check_wide_lists_classes_without_np_unique(monkeypatch):
+    # np.unique(..., axis=0) imports numpy.ma; the classes are read off one
+    # sort of the packed pair codes instead, in (a, b) order
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    seen = []
+
+    def counted(g, members, d):
+        seen.append(np.flatnonzero(members).tolist())
+        return n_shells(g, members, d)
+
+    monkeypatch.setattr(widecolor, "n_shells", counted)
+    c7 = cycle_graph(7)
+    pairs = ((2, 1), (1, 3), (2, 1), (1, 1), (1, 3), (2, 1), (1, 1))
+    assert check_wide(c7, WideColoring(n=2, k=3, d=0, pairs=pairs))
+    assert seen == [[3, 6], [1, 4], [0, 2, 5]]
+
+
+# the tuple adjoints of OMEGA_PINS up to the c5_wide host, by vertex count
+RULE_HOSTS = sorted(p for p in OMEGA_PINS if OMEGA_PINS[p][0] <= omega_vertex_count(6, 6))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["zero", "moved"])
+@pytest.mark.parametrize("base,d", RULE_HOSTS)
+def test_the_rule_sweep_fails_the_classes_the_csr_sweep_and_the_oracle_fail(base, d, moved):
+    # the zero-position gamma, and the same with vertex 0 moved into the
+    # last class: for conditions 1 to 4, bit (a-1)*k + (b-1) of the rule
+    # sweep's failing word is set exactly when class (a, b) fails on a CSR
+    # sweep of the written graph, and when the oracle's statement of the
+    # condition fails (on hosts small enough for its dense walk matrices);
+    # check_wide on the written graph fails exactly when some class does
+    om = omega_tuples(base, d)
+    k = 2 if base % 2 == 0 else 1
+    n = base // k
+    wc = _zero_position(om, n, k)
+    if moved:
+        pairs = wc.pairs.copy()
+        pairs[0] = (n, k)
+        wc = replace(wc, pairs=pairs)
+    g = om.graph
+    classes = [wc.class_set(j // k + 1, j % k + 1) for j in range(base)]
+    seeds = sum(members.astype(np.uint8) << j for j, members in enumerate(classes))
+    verdicts = []
+    for condition in (1, 2, 3, 4):
+        _, failing = sweep_classes(om, wc, condition)
+        csr = int(_failing_classes(shell_bits(g, seeds, _depth(d, condition)), condition))
+        assert failing == csr, condition
+        if g.n <= 325:
+            oracle = [not wide_condition(g, members, d, condition) for members in classes]
+            assert [bool(failing >> j & 1) for j in range(base)] == oracle, condition
+        assert check_wide(g, wc, condition) == (not failing), condition
+        verdicts.append(failing)
+    # the zero-position gamma is wide, and the moved one is not
+    assert any(verdicts) == moved, verdicts
 
 
 def test_condition_one_decides_a_host_above_the_old_power_limit(omega63):
