@@ -86,7 +86,7 @@ def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> di
             {"label": v.label, "sha256": _sha256(np.take(v.lookup, v.code))}
             for v in build.vertices
         ],
-        "h_edges": sorted([min(e), max(e)] for e in build.h.edges()),
+        "h_edges": [list(e) for e in build.h.edges()],
         "verdicts": {
             "chi_h": {"status": "none", "colors": build.params.c, "nodes": nodes},
             "product": {"ok": real.ok, "ordered_checks": real.detail["ordered_checks"]},

@@ -2,8 +2,8 @@
 
 ``verify counterexample`` runs a variant's pipeline and can write a
 certificate, ``verify certificate`` re-checks one, and ``wide-check`` grades
-a wide coloring: the zero-position coloring of an adjoint host built from
-``--n/--k/--d``, or a stored host and coloring read from ``--graph/--gamma``.
+a wide coloring: the zero-position coloring of an adjoint host enumerated
+from ``--n/--k/--d``, or a stored host and coloring read from ``--graph/--gamma``.
 Exit codes: 0 success or PASS, 1 verification failed, 2 usage error, 3 a
 mandatory verdict hit its node budget.  A budget is a node count and output
 carries no wall-clock data, so identical invocations print identical bytes
@@ -19,10 +19,10 @@ from dataclasses import replace
 
 from . import certificate as certmod
 from . import counterexample as cex
-from .families import omega_tuples
-from .graphs import Graph, graph_sha256, parse_dimacs
+from .families import _host_bound, omega_vertices
+from .graphs import graph_sha256, parse_dimacs
 from .solver import SearchBudget
-from .widecolor import WideColoring, _validate, _zero_position, check_wide, sweep_classes
+from .widecolor import WideColoring, check_wide, decide_zero_position
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -50,11 +50,6 @@ def _json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dimacs(fh.read())
-
-
 def _emit(args, doc: dict, human: str) -> None:
     if args.json:
         print(json.dumps(doc, sort_keys=True))
@@ -75,32 +70,25 @@ def _cmd_wide_check(args) -> int:
         if None in (args.n, args.k, args.d):
             print("wide-check: --n, --k and --d go together", file=sys.stderr)
             return EXIT_USAGE
-        omega = omega_tuples(args.n * args.k, args.d)
-        # unchecked and unpinned: only the condition asked for is decided
-        wc = _zero_position(omega, args.n, args.k)
-        g = omega.graph
-        _validate(g, wc)
-        ok = not sweep_classes(omega, wc, args.condition)[1]
+        if args.gamma_out:  # the pin writes every edge: refused before any verdict
+            _host_bound(args.n * args.k, args.d)
+        omega = omega_vertices(args.n * args.k, args.d)
+        wc, _, failing = decide_zero_position(omega, args.n, args.k, args.condition)
+        ok = not failing
     else:
         if None in (args.graph, args.gamma):
             print("wide-check: --graph and --gamma go together", file=sys.stderr)
             return EXIT_USAGE
-        g = _load_graph(args.graph)
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            g = parse_dimacs(fh.read())
         with open(args.gamma, "r", encoding="utf-8") as fh:
             wc = WideColoring.from_json(fh.read())
         ok = check_wide(g, wc, condition=args.condition)
-    doc = {
-        "wide": ok,
-        "condition": args.condition,
-        "n": wc.n,
-        "k": wc.k,
-        "d": wc.d,
-        "vertices": g.n,
-    }
+    doc = dict(wide=ok, condition=args.condition, n=wc.n, k=wc.k, d=wc.d, vertices=len(wc.pairs))
     _emit(args, doc, f"wide: {ok} (condition {args.condition}, d={wc.d})")
     if args.gamma_out:
         if zero_mode:
-            wc = replace(wc, graph_sha=graph_sha256(g))
+            wc = replace(wc, graph_sha=graph_sha256(omega.graph))
         with open(args.gamma_out, "w", encoding="utf-8") as fh:
             fh.write(wc.to_json() + "\n")
     return EXIT_OK if ok else EXIT_FAILED

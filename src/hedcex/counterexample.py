@@ -27,7 +27,7 @@ import numpy as np
 from .families import OmegaGraph, _omega_keys, omega_type_pairs, omega_vertices
 from .graphs import Graph, graph_sha256, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
-from .widecolor import WideColoring, _zero_position, sweep_classes
+from .widecolor import WideColoring, decide_zero_position
 
 PASS = "PASS"
 FAILED = "FAILED"
@@ -541,9 +541,9 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
     One sweep for every class of the wide coloring, one bit per class, read
-    off the host's coordinate rule (``widecolor.sweep_classes``) to depth
-    d + 1, so the build makes no CSR arrays; wideness is condition 2 on
-    those bits, and a narrow class is named.  A vertex's type in
+    off the host's coordinate rule (``widecolor.decide_zero_position``) to
+    depth d + 1, so the build makes no CSR arrays; wideness is condition 2
+    on those bits, and a narrow class is named.  A vertex's type in
     family q is its first coordinate under gamma and its bits in q's shells
     and selectors, one word in 16 bits or fewer on every preset; the words
     are counted, not sorted (``_type_code``), and ``build_special_family``
@@ -572,8 +572,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     expected = EXPECTED_COUNTS[params.variant]
     c, d, k = params.c, params.d, params.k
     omega = omega_vertices(params.base, d)
-    gamma = _zero_position(omega, params.n, params.k)
-    class_shells, narrow_mask = sweep_classes(omega, gamma)
+    gamma, class_shells, narrow_mask = decide_zero_position(omega, params.n, params.k)
     narrow = [(j // k + 1, j % k + 1) for j in range(params.n * k) if narrow_mask >> j & 1]
 
     vertices: list[FunctionVertex] = []

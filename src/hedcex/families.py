@@ -5,9 +5,9 @@
   with exactly one 0 and at least one 1, adjacent when every coordinate
   pair differs by exactly one or both sit at ``d+1``.  A tuple is held as
   the base-(d+2) integer it spells, its code, and the position of its 0.
-  Its ``graph`` writes the edges on first read; ``omega_tuples(n, d)``
-  writes them at once.  A host past 2 GiB is refused before it is built,
-  and so is any count other than its closed form.
+  Its ``graph`` writes the edges on first read, for a pin or DIMACS;
+  ``omega_tuples(n, d)`` writes them at once.  A host past 2 GiB is
+  refused before it is built, and so is any count other than its closed form.
 * ``omega_type_pairs(omega, codings)`` reads the type pairs that the
   edges realize without writing an edge: on each block of zero positions
   adjacency is a tensor product of paths, swept one bit per type.  It

@@ -8,8 +8,8 @@ endpoints of walks of length exactly 0, 1, ...), of one class as booleans or
 of every class at once as one bit per class: a set is independent exactly
 when it misses its next shell, so no graph power is built.  On an omega
 graph, ``sweep_classes`` sweeps every class at once on the coordinate rule
-(``omega_shell_bits``); the build, ``zero_position_coloring`` and zero-mode
-``wide-check`` decide wideness that way.  ``check_wide`` decides a
+(``omega_shell_bits``); ``decide_zero_position`` decides the zero-position
+coloring that way, with no edge written.  ``check_wide`` decides a
 ``Graph``, which has no coordinate rule, one class at a time with
 ``n_shells`` over CSR arrays built for each sweep; a declared d past 2|V|
 costs no more than 2|V|.
@@ -213,11 +213,25 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """The zero-position coloring of ``omega``, unchecked and unpinned."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    # the pair of each zero position, signed, so a negative k reaches _validate
+    # the pair of each zero position, in signed arithmetic, so any factors give pairs
     p = np.arange(omega.n)
     rows = _int8_pairs(np.column_stack((p // k + 1, p % k + 1)))
-    pairs = np.take(rows, omega.zero_positions, axis=0)
-    return WideColoring(n=n, k=k, d=omega.d, pairs=pairs)
+    return WideColoring(n=n, k=k, d=omega.d, pairs=np.take(rows, omega.zero_positions, axis=0))
+
+
+def decide_zero_position(omega: OmegaGraph, n: int, k: int, condition: int = 2):
+    """(the zero-position coloring of ``omega`` as n x k pairs, unpinned, and
+    ``sweep_classes``'s shells and failing bits for ``condition``), for the
+    build, ``zero_position_coloring`` and zero-mode ``wide-check``.  Factors
+    below 1 and isolated vertices are refused as ``_validate`` refuses them;
+    a vertex's depth-1 word ORs its neighbours' class bits: 0 means none."""
+    if n < 1 or k < 1:
+        raise ValueError("bad wide-coloring parameters")
+    wc = _zero_position(omega, n, k)
+    shells, failing = sweep_classes(omega, wc, condition)
+    if not shells[1].all():  # argmin is the first 0
+        raise ValueError(f"vertex {shells[1].argmin()} is isolated")
+    return wc, shells, failing
 
 
 def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
@@ -226,12 +240,11 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     The 0-based position p (an element of the base [n*k]) becomes the pair
     (p // k + 1, p % k + 1): consecutive blocks of k positions share a first
     coordinate.  Wideness at half-width ``omega.d`` is a construction
-    invariant, so condition 2 is asserted here (``sweep_classes``) rather
-    than assumed.  The checked coloring is pinned to its host's hash.
+    invariant, so condition 2 is asserted here (``decide_zero_position``)
+    rather than assumed.  The checked coloring is pinned to its host's hash.
     """
-    wc = _zero_position(omega, n, k)
-    _validate(omega.graph, wc)
-    if sweep_classes(omega, wc)[1]:
+    wc, _, failing = decide_zero_position(omega, n, k)
+    if failing:
         raise RuntimeError(
             "zero-position coloring failed the wideness check; "
             "the omega construction and the checker disagree"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hedcex import counterexample as cex
-from hedcex import families, graphs
+from hedcex import families, graphs, widecolor
 from hedcex.certificate import certificate_to_json, check_certificate, emit_certificate
 from hedcex.cli import main
 from hedcex.families import omega_tuples
@@ -23,11 +23,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def too_big(n, d, need, space, edges):
-    """The refusal of a tuple adjoint whose build would pass 2 GiB."""
+def too_big(n, d, need, space, edges=None):
+    """The refusal of a tuple adjoint whose build would pass 2 GiB; ``edges``
+    is given when the host's edge keys are counted, as for a pin."""
+    keys = "" if edges is None else f" and {edges} edge keys"
     return (
-        f"hedcex: tuple adjoint at n={n} d={d} needs {need} bytes for its {space} codes "
-        f"and {edges} edge keys, past the 2 GiB bound on a host build"
+        f"hedcex: tuple adjoint at n={n} d={d} needs {need} bytes for its {space} "
+        f"codes{keys}, past the 2 GiB bound on a host build"
     )
 
 
@@ -82,20 +84,65 @@ def test_file_mode_wide_check_imports_no_numpy_ma(tmp_path):
 
 
 def test_wide_check_zero_mode_hashes_only_to_pin(count_calls, tmp_path, capsys):
-    # the zero-position coloring is checked unpinned; its host is hashed
-    # once, and only when --gamma-out writes the pinned coloring
+    # the zero-position coloring is checked unpinned; its host's edges are
+    # written and hashed once, and only when --gamma-out writes the pinned
+    # coloring
     lines = count_calls(graphs, "_dimacs_lines")
+    keys = count_calls(families, "_omega_keys")
     code, _, _ = run(capsys, "wide-check", "--n", "4", "--k", "2", "--d", "2")
-    assert (code, lines) == (0, {"_dimacs_lines": 0})
+    assert (code, lines, keys) == (0, {"_dimacs_lines": 0}, {"_omega_keys": 0})
     gamma = tmp_path / "gamma.json"
     code, _, _ = run(
         capsys, "wide-check", "--n", "4", "--k", "2", "--d", "2", "--gamma-out", str(gamma)
     )
-    assert (code, lines) == (0, {"_dimacs_lines": 1})
+    assert (code, lines, keys) == (0, {"_dimacs_lines": 1}, {"_omega_keys": 1})
     omega = omega_tuples(8, 2)
     wc = zero_position_coloring(omega, 4, 2)
     assert gamma.read_text() == wc.to_json() + "\n"
     assert wc.graph_sha == graph_sha256(omega.graph)
+
+
+# SHA-256 over the exit code, stdout, stderr and --gamma-out bytes of zero
+# mode on each (n, k, d) of ZERO_MATRIX, conditions 1 to 4, plain and --json,
+# with and without --gamma-out, in that order
+ZERO_MATRIX = [(3, 2, 3), (3, 2, 6), (4, 2, 2), (2, 2, 1), (2, 1, 2), (1, 2, 1)]
+ZERO_MATRIX_SHA256 = "9b3cdd628cc79df0bb5bcd5fef25e00894388335676430db75ff4f450662e928"
+
+
+def test_wide_check_zero_mode_matrix_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    gamma = tmp_path / "gamma.json"
+    for n, k, d in ZERO_MATRIX:
+        for condition in ("1", "2", "3", "4"):
+            for flags in ([], ["--json"]):
+                argv = ["wide-check", "--n", str(n), "--k", str(k), "--d", str(d)]
+                argv += ["--condition", condition, *flags]
+                for pin in ([], ["--gamma-out", str(gamma)]):
+                    code, out, err = run(capsys, *argv, *pin)
+                    written = gamma.read_text() if pin else ""
+                    digest.update(repr((argv, pin != [], code, out, err, written)).encode())
+    assert digest.hexdigest() == ZERO_MATRIX_SHA256
+
+
+def test_an_isolated_vertex_is_refused_on_every_zero_position_path(monkeypatch, capsys):
+    # a sweep whose depth-1 word is 0 at vertex 5: no class bit reaches it,
+    # so it has no neighbour, and every caller of the sweep names it
+    sweep = widecolor.omega_shell_bits
+
+    def cut(omega, seeds, t):
+        shells = sweep(omega, seeds, t)
+        shells[1] = shells[1].copy()
+        shells[1][5] = 0
+        return shells
+
+    monkeypatch.setattr(widecolor, "omega_shell_bits", cut)
+    message = "vertex 5 is isolated"
+    argv = ["wide-check", "--n", "3", "--k", "2", "--d", "1"]
+    assert run(capsys, *argv) == (2, "", f"hedcex: {message}\n")
+    with pytest.raises(ValueError, match=message):
+        zero_position_coloring(omega_tuples(4, 1), 2, 2)
+    with pytest.raises(ValueError, match=message):
+        cex.build_counterexample(cex.params_for("c5_refined"))
 
 
 def test_wide_check_file_mode(tmp_path, capsys):
@@ -365,7 +412,7 @@ def _pin_one_more_h_edge(monkeypatch):
 
 
 def _narrow_class(monkeypatch):
-    zero_position = cex._zero_position
+    zero_position = widecolor._zero_position
 
     def corrupted(omega, n, k):
         # vertex 0 (class (1, 1)) moved into class (3, 2)
@@ -374,7 +421,7 @@ def _narrow_class(monkeypatch):
         pairs[0] = (3, 2)
         return replace(wc, pairs=pairs)
 
-    monkeypatch.setattr(cex, "_zero_position", corrupted)
+    monkeypatch.setattr(widecolor, "_zero_position", corrupted)
 
 
 def _drop_an_h_edge(monkeypatch):
@@ -590,23 +637,12 @@ EITHER = "wide-check: pass either --n/--k/--d or --graph/--gamma"
         (
             # 10,485,740 vertices, below 2**31, but 3**20 codes
             ["--n", "4", "--k", "5", "--d", "1"],
-            too_big(20, 1, 613286634087, 3486784401, 73609892910),
+            too_big(20, 1, 24407490807, 3486784401),
         ),
         (
-            # the c11 host: 4.80 GiB of uint64 keys
-            ["--n", "6", "--k", "2", "--d", "2"],
-            too_big(12, 2, 5273690512, 16777216, 644531250),
-        ),
-        (["--n", "4", "--k", "4", "--d", "1"], too_big(16, 1, 4892977287, 43046721, 573956280)),
-        (
-            # 4,803 vertices and edges, but 802**3 codes
+            # 4,803 vertices, but 802**3 codes
             ["--n", "3", "--k", "1", "--d", "800"],
-            too_big(3, 800, 3610966468, 515849608, 4803),
-        ),
-        (
-            # 2.55 GB of keys, built before the footprint bound given the memory
-            ["--n", "4", "--k", "2", "--d", "7"],
-            too_big(8, 7, 2852827047, 43046721, 318937500),
+            too_big(3, 800, 3610947256, 515849608),
         ),
         (["--n", "-1", "--k", "-2", "--d", "1"], "hedcex: bad wide-coloring parameters"),
         (
@@ -624,13 +660,38 @@ EITHER = "wide-check: pass either --n/--k/--d or --graph/--gamma"
     ],
     ids=[
         "no-mode", "both-modes", "graph-alone", "no-d", "base-1", "d-0", "code-space",
-        "c11-keys", "n16-keys", "d800-codes", "n8-d7-keys", "negative-factors",
-        "n10000-bits", "n10m-bits",
+        "d800-codes", "negative-factors", "n10000-bits", "n10m-bits",
     ],
 )
 def test_wide_check_refusals_are_named(capsys, argv, message):
     # each refusal is one stderr line and exit 2, before any file is read
     assert run(capsys, "wide-check", *argv) == (2, "", message + "\n")
+
+
+# hosts whose edge keys alone pass 2 GiB: zero mode decides them without
+# writing an edge, and refuses only the pin, before enumerating
+KEYS_PAST_THE_BOUND = {
+    # the c11 host: 4.80 GiB of uint64 keys
+    "c11-keys": ((6, 2, 2), too_big(12, 2, 5273690512, 16777216, 644531250)),
+    "n16-keys": ((4, 4, 1), too_big(16, 1, 4892977287, 43046721, 573956280)),
+    # 2.55 GB of keys
+    "n8-d7-keys": ((4, 2, 7), too_big(8, 7, 2852827047, 43046721, 318937500)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYS_PAST_THE_BOUND))
+def test_wide_check_decides_a_host_whose_edge_keys_pass_the_bound(
+    count_calls, tmp_path, capsys, case
+):
+    (n, k, d), message = KEYS_PAST_THE_BOUND[case]
+    calls = count_calls(families, "omega_vertices", "_omega_keys")
+    argv = ["wide-check", "--n", str(n), "--k", str(k), "--d", str(d)]
+    assert run(capsys, *argv) == (0, f"wide: True (condition 2, d={d})\n", "")
+    assert calls == {"omega_vertices": 1, "_omega_keys": 0}
+    gamma = tmp_path / "gamma.json"
+    assert run(capsys, *argv, "--gamma-out", str(gamma)) == (2, "", message + "\n")
+    assert calls == {"omega_vertices": 1, "_omega_keys": 0}
+    assert not gamma.exists()
 
 
 def test_certificate_of_an_unknown_variant_is_refused(tmp_path, capsys, c5_report):

@@ -685,7 +685,7 @@ def test_a_host_is_hashed_only_for_a_pin(count_calls):
 def moved_build(monkeypatch, variant, moves):
     """The build of ``variant`` on its zero-position gamma with each vertex
     v of ``moves`` moved into its class (a, b)."""
-    zero_position = counterexample._zero_position
+    zero_position = widecolor._zero_position
 
     def corrupted(omega, n, k):
         wc = zero_position(omega, n, k)
@@ -694,7 +694,7 @@ def moved_build(monkeypatch, variant, moves):
             pairs[v] = pair
         return replace(wc, pairs=pairs)
 
-    monkeypatch.setattr(counterexample, "_zero_position", corrupted)
+    monkeypatch.setattr(widecolor, "_zero_position", corrupted)
     return build_counterexample(params_for(variant))
 
 
