@@ -5,9 +5,10 @@ certificate, ``verify certificate`` re-checks one, and ``wide-check`` grades
 a wide coloring: the zero-position coloring of an adjoint host enumerated
 from ``--n/--k/--d``, or a stored host and coloring read from ``--graph/--gamma``.
 Exit codes: 0 success or PASS, 1 verification failed, 2 usage error, 3 a
-mandatory verdict hit its node budget.  A budget is a node count and output
-carries no wall-clock data, so identical invocations print identical bytes
-on any machine.
+mandatory verdict hit its node budget.  A file a command writes is written
+before its verdict is printed, so a failed write exits 2 with no stdout.  A
+budget is a node count and output carries no wall-clock data, so identical
+invocations print identical bytes on any machine.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import replace
 from . import certificate as certmod
 from . import counterexample as cex
 from .families import _host_bound, omega_vertices
-from .graphs import graph_sha256, parse_dimacs
+from .graphs import parse_dimacs
 from .solver import SearchBudget
 from .widecolor import WideColoring, check_wide, decide_zero_position
 
@@ -84,13 +85,13 @@ def _cmd_wide_check(args) -> int:
         with open(args.gamma, "r", encoding="utf-8") as fh:
             wc = WideColoring.from_json(fh.read())
         ok = check_wide(g, wc, condition=args.condition)
-    doc = dict(wide=ok, condition=args.condition, n=wc.n, k=wc.k, d=wc.d, vertices=len(wc.pairs))
-    _emit(args, doc, f"wide: {ok} (condition {args.condition}, d={wc.d})")
-    if args.gamma_out:
+    if args.gamma_out:  # written before the verdict, so a failed write prints none
         if zero_mode:
-            wc = replace(wc, graph_sha=graph_sha256(omega.graph))
+            wc = replace(wc, graph_sha=omega.sha256)
         with open(args.gamma_out, "w", encoding="utf-8") as fh:
             fh.write(wc.to_json() + "\n")
+    doc = dict(wide=ok, condition=args.condition, n=wc.n, k=wc.k, d=wc.d, vertices=len(wc.pairs))
+    _emit(args, doc, f"wide: {ok} (condition {args.condition}, d={wc.d})")
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -108,16 +109,16 @@ def _cmd_verify(args) -> int:
 
     params = cex.params_for(args.variant, reading=args.reading)
     report = cex.verify_counterexample(params, SearchBudget(node_limit=args.budget_nodes))
+    if args.cert and report.status == cex.PASS:  # written before the report is printed
+        cert = certmod.emit_certificate(report)
+        with open(args.cert, "w", encoding="utf-8") as fh:
+            fh.write(certmod.certificate_to_json(cert) + "\n")
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         for item in report.items:
             print(item.line())
         print(f"verify {args.variant}: {report.status}")
-    if args.cert and report.status == cex.PASS:
-        cert = certmod.emit_certificate(report)
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(certmod.certificate_to_json(cert) + "\n")
     return {cex.PASS: EXIT_OK, cex.FAILED: EXIT_FAILED, cex.INCOMPLETE: EXIT_EXHAUSTED}[
         report.status
     ]

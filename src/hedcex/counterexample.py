@@ -12,7 +12,8 @@ its checks as named report items, each of which can fail; the coloring
 (v, f) -> f(v) of G x H is proper exactly when every edge of H is an edge
 of the exponential graph, so the product coloring is the ``h_edges_real``
 check and is not scanned again.  ``verify_counterexample`` runs the full
-pipeline and returns a machine-readable report.
+pipeline and returns a machine-readable report.  A build writes no host
+edge; the host's pin, ``BuildResult.g_hash``, reads ``OmegaGraph.sha256``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from __future__ import annotations
 # Unused; kept because perfbench/test_perfbench.py asserts this binding.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .families import OmegaGraph, _omega_keys, omega_type_pairs, omega_vertices
-from .graphs import Graph, graph_sha256, new_graph
+from .families import OmegaGraph, omega_type_pairs, omega_vertices
+from .graphs import Graph, new_graph
 from .solver import DEFAULT_BUDGET, NONE, SOME, SearchBudget, find_coloring
 from .widecolor import WideColoring, decide_zero_position
 
@@ -275,8 +275,8 @@ def _family_shells(
     end), and the depth-d shells of the subclasses of q, or of 1 ("literal").
 
     ``class_shells`` holds the exact-distance shells of every class of the
-    wide coloring at depths 0..d, as ``widecolor.sweep_classes`` gives
-    them: bit ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in
+    wide coloring at depths 0..d, as ``widecolor.decide_zero_position``
+    gives them: bit ``(a-1)*k + (b-1)`` of ``class_shells[t][v]`` says v is in
     the depth-t shell of class (a, b).
     """
     k, sel = params.k, q if params.reading == "q" else 1
@@ -409,18 +409,12 @@ class BuildResult:
     takes: np.ndarray
 
     @property
-    def g(self) -> Graph:
-        return self.omega.graph
-
-    @property
     def labels(self) -> list[str]:
         return [v.label for v in self.vertices]
 
-    @cached_property
-    def g_hash(self) -> str:
-        """The host's hash, computed on its first read (by a pin) and kept,
-        on edges written for that read alone: the build keeps no host keys."""
-        return graph_sha256(Graph(self.omega.codes.size, _omega_keys(self.omega)))
+    @property
+    def g_hash(self) -> str:  # the host's pin, read by certificates and the scripts
+        return self.omega.sha256
 
 
 def _skeleton_edges(
@@ -430,8 +424,8 @@ def _skeleton_edges(
 ) -> list[tuple[int, int]]:
     """Edge list of H: exactly the adjacencies the coloring argument uses.
 
-    Five deterministic rules: the constants are pairwise adjacent; const(i)
-    joins every other function whose image misses i; f joins the level-1 h's;
+    Four deterministic rules: const(i) joins every function whose image
+    misses i, so the constants are pairwise adjacent; f joins the level-1 h's;
     each deeper h joins one level-(d-1) predecessor whose inside value equals
     its own outside value (smallest admissible outside color); each g joins
     the g's sharing its q and one deepest-level h whose inside value equals
@@ -448,10 +442,7 @@ def _skeleton_edges(
     def add(a: int, b: int) -> None:
         edges.add((a, b) if a < b else (b, a))
 
-    for i in range(c):
-        for j in range(i + 1, c):
-            add(i, j)
-    for idx in range(c, len(vertices)):
+    for idx in range(len(vertices)):
         for i in range(1, c + 1):
             if not takes[i, idx]:
                 add(i - 1, idx)
@@ -551,22 +542,22 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     its family's code and its lookup; the constants and f, constant on
     every family's types, take family 1's code.  The host's edges are not
     written: ``omega_type_pairs`` reads the type pairs they realize in each
-    family off the coordinate rule, with the edge count of ``counts``, and
-    ``g`` writes them only for a pin.  Loops, H edges, images and
-    distinctness are read off one ``_table_questions`` on those pairs,
-    with one group per q (the constants, f and family q).  No H edge, const
-    rule entry or ``chain`` pair joins two families; such a pair reads as a
-    collision.  A failed check does not stop the build: its item carries
-    the ``error`` and what failed.  The coloring (v, f) -> f(v) of G x H is
-    proper exactly when every edge of H is an edge of the exponential
-    graph, so ``h_edges_real`` counts the ordered checks of that coloring;
-    f ~ each level-one h and the pairwise edges of each g family are H
-    edges, so that item decides them too.  The const rule compares each
+    family off the coordinate rule, with the edge count of ``counts``.
+    Loops, H edges, images and distinctness are read off one
+    ``_table_questions`` on those pairs, with one group per q (the
+    constants, f and family q).  No H edge, const rule entry or ``chain``
+    pair joins two families; such a pair reads as a collision.  A failed
+    check does not stop the build: its item carries the ``error`` and what
+    failed.  The coloring (v, f) -> f(v) of G x H is proper exactly when
+    every edge of H is an edge of the exponential graph, so
+    ``h_edges_real`` counts the ordered checks of that coloring; f ~ each
+    level-one h and the pairwise edges of each g family are H edges, so
+    that item decides them too.  The const rule compares each
     constant's collision row with the "takes color i" row, and ``chain``
     (``chain_check``) reads pairs that are not H edges off the collision
     matrix.  A table with no collision is a proper c-coloring of G, so the
     loop check is the evidence of ``chi_g``.  It hashes no host: gamma is
-    unpinned, and ``g_hash`` waits for a pin.
+    unpinned, and ``g_hash``, ``omega.sha256``, waits for a pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]

@@ -5,8 +5,9 @@
   with exactly one 0 and at least one 1, adjacent when every coordinate
   pair differs by exactly one or both sit at ``d+1``.  A tuple is held as
   the base-(d+2) integer it spells, its code, and the position of its 0.
-  Its ``graph`` writes the edges on first read, for a pin or DIMACS;
-  ``omega_tuples(n, d)`` writes them at once.  A host past 2 GiB is
+  Its ``sha256``, the host's one pin, hashes its DIMACS form on edges
+  written for that read alone; its ``graph`` writes and keeps the edges, for
+  DIMACS; ``omega_tuples(n, d)`` writes them at once.  A host past 2 GiB is
   refused before it is built, and so is any count other than its closed form.
 * ``omega_type_pairs(omega, codings)`` reads the type pairs that the
   edges realize without writing an edge: on each block of zero positions
@@ -33,7 +34,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, _key_array, _key_dtype, _put_keys, neighbor_arrays, vertex_flags
+from .graphs import (
+    Graph,
+    _key_array,
+    _key_dtype,
+    _put_keys,
+    graph_sha256,
+    neighbor_arrays,
+    vertex_flags,
+)
 
 __all__ = [
     "n_shells",
@@ -280,11 +289,13 @@ class OmegaGraph:
     adjoint of the (2d+1)-walk power at K_n.  In vertex order, ``codes``
     holds the base-(d+2) integer each tuple spells (ascending, intp), its
     index in the (d+2)^n code space, and ``zero_positions`` the 0-based
-    position of each tuple's 0 (uint8).  ``graph`` is written on first read.
-    Shaped (d+2,)*n, the code space holds each side of a (p, q) block of
-    edges as one basic slice (``_block``): the pin's key write and the grid
-    pass walk those slices alike (``_block_grids``), with no code arithmetic,
-    and refuse a grid code missing from ``codes``.
+    position of each tuple's 0 (uint8).  ``graph`` is written on first read
+    and kept.  ``sha256``, the host's pin, is the SHA-256 of its DIMACS
+    form, kept on first read and hashed on edge keys written for that read
+    alone.  Shaped (d+2,)*n, the code space holds each side of a (p, q)
+    block of edges as one basic slice (``_block``): the key write and the
+    grid pass walk those slices alike (``_block_grids``), with no code
+    arithmetic, and refuse a grid code missing from ``codes``.
     """
 
     codes: np.ndarray = field(repr=False)
@@ -295,6 +306,10 @@ class OmegaGraph:
     @cached_property
     def graph(self) -> Graph:
         return Graph(len(self.codes), _omega_keys(self))
+
+    @cached_property
+    def sha256(self) -> str:
+        return graph_sha256(Graph(len(self.codes), _omega_keys(self)))
 
 
 def omega_vertices(n: int, d: int) -> OmegaGraph:

@@ -7,9 +7,10 @@ reads any of four equivalent conditions off the shells it is given (the
 endpoints of walks of length exactly 0, 1, ...), of one class as booleans or
 of every class at once as one bit per class: a set is independent exactly
 when it misses its next shell, so no graph power is built.  On an omega
-graph, ``sweep_classes`` sweeps every class at once on the coordinate rule
-(``omega_shell_bits``); ``decide_zero_position`` decides the zero-position
-coloring that way, with no edge written.  ``check_wide`` decides a
+graph, ``decide_zero_position`` decides the zero-position coloring in one
+sweep of every class on the coordinate rule (``omega_shell_bits``), with no
+edge written; ``zero_position_coloring`` pins it with ``omega.sha256``,
+which keeps no edge either.  ``check_wide`` decides a
 ``Graph``, which has no coordinate rule, one class at a time with
 ``n_shells`` over CSR arrays built for each sweep; a declared d past 2|V|
 costs no more than 2|V|.
@@ -33,28 +34,15 @@ CONDITION_NAMES = {
 }
 
 
-def _int8_pairs(pairs) -> np.ndarray:
-    """``pairs``, any sequence of (a, b) pairs, as a new (m, 2) int8 array;
-    ValueError when a value does not fit."""
-    try:
-        wide = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        fits = not wide.size or (wide.min() >= -128 and wide.max() <= 127)
-    except OverflowError:  # a value past int64
-        fits = False
-    if not fits:
-        raise ValueError("pair values do not fit the int8 pair array")
-    return wide.astype(np.int8)
-
-
 @dataclass(frozen=True, eq=False)
 class WideColoring:
     """A vertex -> (a, b) coloring claimed to be d-wide on its host graph.
 
     ``pairs`` is given as any sequence of (a, b) pairs and held as one
-    read-only (vertices, 2) int8 array; an int8 (vertices, 2) array is held
-    as given, and made read-only.  ``graph_sha`` pins the host; ``None``
-    means "trust the caller" (handy for throwaway colorings in property
-    tests).
+    read-only (vertices, 2) int8 array, or ValueError when a value does not
+    fit; an int8 (vertices, 2) array is held as given, and made read-only.
+    ``graph_sha`` pins the host; ``None`` means "trust the caller" (handy
+    for throwaway colorings in property tests).
     """
 
     n: int
@@ -67,7 +55,14 @@ class WideColoring:
         pairs = self.pairs
         held = isinstance(pairs, np.ndarray) and pairs.dtype == np.int8 and pairs.shape[1:] == (2,)
         if not held:
-            pairs = _int8_pairs(pairs)
+            try:
+                pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+                fits = not pairs.size or (pairs.min() >= -128 and pairs.max() <= 127)
+            except OverflowError:  # a value past int64
+                fits = False
+            if not fits:
+                raise ValueError("pair values do not fit the int8 pair array")
+            pairs = pairs.astype(np.int8)
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
 
@@ -172,21 +167,6 @@ def _failing_classes(shells: list[np.ndarray], condition: int):
     return narrow_bits(even, union(shells[1::2])) | narrow_bits(odd, union(shells[2::2]))
 
 
-def sweep_classes(
-    omega: OmegaGraph, wc: WideColoring, condition: int = 2
-) -> tuple[list[np.ndarray], int]:
-    """(the shells of every class of ``wc`` at depths 0..d, bit (a-1)*k + (b-1)
-    for class (a, b); the bits of the classes that fail ``condition``), in one
-    sweep on ``omega``'s coordinate rule to the depth ``condition`` reads.  A
-    host under the 2 GiB bound has a base n*k of at most 31, so the bits fit
-    one word.  The pairs must be in range, as ``_validate`` checks."""
-    bits = np.min_scalar_type(1 << (wc.n * wc.k - 1))
-    bit = (wc.pairs[:, 0] - 1) * wc.k + (wc.pairs[:, 1] - 1)
-    seeds = np.left_shift(bits.type(1), bit.astype(bits))
-    shells = omega_shell_bits(omega, seeds, _depth(wc.d, condition))
-    return shells[: wc.d + 1], int(_failing_classes(shells, condition))
-
-
 # ``threads`` is ignored; kept because perfbench/test_perfbench.py passes it.
 def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int = 1) -> bool:
     """Evaluate one of the four equivalent wideness conditions.
@@ -213,25 +193,32 @@ def _zero_position(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     """The zero-position coloring of ``omega``, unchecked and unpinned."""
     if n * k != omega.n:
         raise ValueError(f"pairing shape {n}x{k} does not match base size {omega.n}")
-    # the pair of each zero position, in signed arithmetic, so any factors give pairs
+    # one int8 row per zero position p, taken at each vertex's own p
     p = np.arange(omega.n)
-    rows = _int8_pairs(np.column_stack((p // k + 1, p % k + 1)))
+    rows = np.column_stack((p // k + 1, p % k + 1)).astype(np.int8)
     return WideColoring(n=n, k=k, d=omega.d, pairs=np.take(rows, omega.zero_positions, axis=0))
 
 
 def decide_zero_position(omega: OmegaGraph, n: int, k: int, condition: int = 2):
-    """(the zero-position coloring of ``omega`` as n x k pairs, unpinned, and
-    ``sweep_classes``'s shells and failing bits for ``condition``), for the
-    build, ``zero_position_coloring`` and zero-mode ``wide-check``.  Factors
-    below 1 and isolated vertices are refused as ``_validate`` refuses them;
-    a vertex's depth-1 word ORs its neighbours' class bits: 0 means none."""
+    """(the zero-position coloring of ``omega`` as n x k pairs, unpinned; the
+    shells of its classes at depths 0..d, bit (a-1)*k + (b-1) for class (a,
+    b); the bits of the classes that fail ``condition``), for the build,
+    ``zero_position_coloring`` and zero-mode ``wide-check``.  One sweep on
+    ``omega``'s coordinate rule, seeded from the coloring's pairs, reaches the
+    depth ``condition`` reads.  A host under the 2 GiB bound has a base n*k
+    of at most 17, so the bits fit one word.  Factors below 1 and isolated
+    vertices are refused as ``_validate`` refuses them; a vertex's depth-1
+    word ORs its neighbours' class bits: 0 means none."""
     if n < 1 or k < 1:
         raise ValueError("bad wide-coloring parameters")
     wc = _zero_position(omega, n, k)
-    shells, failing = sweep_classes(omega, wc, condition)
+    bits = np.min_scalar_type(1 << (n * k - 1))
+    bit = (wc.pairs[:, 0] - 1) * k + (wc.pairs[:, 1] - 1)
+    seeds = np.left_shift(bits.type(1), bit.astype(bits))
+    shells = omega_shell_bits(omega, seeds, _depth(wc.d, condition))
     if not shells[1].all():  # argmin is the first 0
         raise ValueError(f"vertex {shells[1].argmin()} is isolated")
-    return wc, shells, failing
+    return wc, shells[: wc.d + 1], int(_failing_classes(shells, condition))
 
 
 def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
@@ -241,7 +228,8 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
     (p // k + 1, p % k + 1): consecutive blocks of k positions share a first
     coordinate.  Wideness at half-width ``omega.d`` is a construction
     invariant, so condition 2 is asserted here (``decide_zero_position``)
-    rather than assumed.  The checked coloring is pinned to its host's hash.
+    rather than assumed.  The checked coloring is pinned by ``omega.sha256``,
+    which leaves no edge keys on ``omega``.
     """
     wc, _, failing = decide_zero_position(omega, n, k)
     if failing:
@@ -249,4 +237,4 @@ def zero_position_coloring(omega: OmegaGraph, n: int, k: int) -> WideColoring:
             "zero-position coloring failed the wideness check; "
             "the omega construction and the checker disagree"
         )
-    return replace(wc, graph_sha=graph_sha256(omega.graph))
+    return replace(wc, graph_sha=omega.sha256)

@@ -394,7 +394,7 @@ def test_stored_edges_and_loops_agree_with_the_scan(c5_report, c5_cert):
     # certificate's tables are the build's by digest; re-derive each loop and
     # stored edge with the independent one-pair scan
     build = c5_report.build
-    g, vertices = build.g, build.vertices
+    g, vertices = build.omega.graph, build.vertices
     assert [e["label"] for e in c5_cert["h"]] == build.labels
     assert c5_cert["h_edges"]
     for a, b in c5_cert["h_edges"]:

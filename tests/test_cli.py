@@ -582,6 +582,32 @@ def test_build_that_raises_is_the_build_item(monkeypatch, capsys, tmp_path):
     assert not cert.exists()
 
 
+def test_an_unwritable_gamma_out_prints_no_verdict(tmp_path, capsys):
+    # the gamma is written before the verdict: a path in a missing directory
+    # exits 2 with the OSError alone, in zero mode and in file mode
+    path = tmp_path / "missing" / "g.json"
+    refusal = f"hedcex: [Errno 2] No such file or directory: '{path}'\n"
+    zero = ["--n", "3", "--k", "1", "--d", "1"]
+    assert run(capsys, "wide-check", *zero, "--gamma-out", str(path)) == (2, "", refusal)
+    host, gamma = tmp_path / "om.col", tmp_path / "gamma.json"
+    host.write_text(emit_dimacs(omega_tuples(3, 1).graph))
+    gamma.write_text(zero_position_coloring(omega_tuples(3, 1), 3, 1).to_json())
+    files = ["--graph", str(host), "--gamma", str(gamma)]
+    assert run(capsys, "wide-check", *files, "--gamma-out", str(path)) == (2, "", refusal)
+    assert not path.parent.exists()
+
+
+def test_an_unwritable_certificate_prints_no_report(tmp_path, capsys):
+    # the certificate of a PASS is written before the report: a path in a
+    # missing directory exits 2 with the OSError alone, plain and --json
+    path = tmp_path / "missing" / "c.json"
+    refusal = f"hedcex: [Errno 2] No such file or directory: '{path}'\n"
+    verify = ["verify", "counterexample", "--variant", "c5_refined", "--cert", str(path)]
+    for flags in ([], ["--json"]):
+        assert run(capsys, *verify, *flags) == (2, "", refusal)
+    assert not path.parent.exists()
+
+
 def test_verify_flag_usage_errors(capsys):
     verify = ("verify", "counterexample", "--variant", "c5_refined")
     for flag, value in (

@@ -310,7 +310,7 @@ def test_collision_matrix_on_an_edgeless_host():
 
 def test_c5_build_counts(c5_report):
     build = c5_report.build
-    assert build.g.n == 4686 and build.g.edge_count == 36015
+    assert build.omega.graph.n == 4686 and build.omega.graph.edge_count == 36015
     assert build.h.n == 30 and build.h.edge_count == 108
     distinct = c5_report.item("distinct_tables").detail
     assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 30
@@ -318,7 +318,7 @@ def test_c5_build_counts(c5_report):
 
 def test_c7_build_counts(c7_report):
     build = c7_report.build
-    assert build.g.n == 16472
+    assert build.omega.graph.n == 16472
     assert build.h.n == 32 and build.h.edge_count == 168
     distinct = c7_report.item("distinct_tables").detail
     assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 32
@@ -326,7 +326,7 @@ def test_c7_build_counts(c7_report):
 
 def test_c5_wide_build_counts(c5_wide_report):
     build = c5_wide_report.build
-    assert build.g.n == 54186
+    assert build.omega.graph.n == 54186
     assert build.h.n == 165 and build.h.edge_count == 648
     distinct = c5_wide_report.item("distinct_tables").detail
     assert len({table(v).tobytes() for v in build.vertices}) == distinct["count"] == 165
@@ -344,7 +344,7 @@ HOST_PINS = {
 def test_host_hashes_and_edge_counts_pinned(c5_report, c7_report, c5_wide_build):
     builds = {"c5_refined": c5_report.build, "c7": c7_report.build, "c5_wide": c5_wide_build}
     for variant, (sha, edges) in HOST_PINS.items():
-        g = builds[variant].g
+        g = builds[variant].omega.graph
         assert g.edge_count == edges, variant
         assert builds[variant].g_hash == sha, variant
         assert graph_sha256(g) == sha, variant
@@ -399,7 +399,7 @@ def test_collision_matrix_matches_scan_on_refined(c5_report):
     for a, f in enumerate(build.vertices):
         for b, w in enumerate(build.vertices[a:], start=a):
             if share[a, b]:
-                assert hit[a, b] == (not exp_adjacent(build.g, f, w))
+                assert hit[a, b] == (not exp_adjacent(build.omega.graph, f, w))
 
 
 @pytest.mark.parametrize("variant,classes", [("c5_refined", 6), ("c7", 8), ("c5_wide", 6)])
@@ -414,7 +414,7 @@ def test_build_sweeps_each_class_once(monkeypatch, variant, classes):
         return counted
 
     # n_shells sweeps through families.shell_bits, and the build's sweep is
-    # widecolor.sweep_classes, so this sees every sweep of either kind
+    # widecolor.decide_zero_position, so this sees every sweep of either kind
     for name in ("shell_bits", "omega_shell_bits"):
         counted = counting(getattr(families, name))
         for mod in (families, widecolor):
@@ -679,7 +679,7 @@ def test_a_host_is_hashed_only_for_a_pin(count_calls):
     assert calls == {"graph_sha256": 1}
     assert check_certificate(cert).ok
     assert calls == {"graph_sha256": 2}
-    assert cert["gamma"]["graph_sha256"] == graph_sha256(report.build.g)
+    assert cert["gamma"]["graph_sha256"] == graph_sha256(report.build.omega.graph)
 
 
 def moved_build(monkeypatch, variant, moves):
@@ -700,7 +700,7 @@ def moved_build(monkeypatch, variant, moves):
 
 def narrow_reference(build):
     """The classes whose depth-d shell the edge reference finds dependent."""
-    g, gamma, p = build.g, build.gamma, build.params
+    g, gamma, p = build.omega.graph, build.gamma, build.params
     return [
         (a, b)
         for a in range(1, p.n + 1)
@@ -746,8 +746,9 @@ def test_a_class_narrow_only_at_depth_d_is_named(monkeypatch):
     # independent and its depth-3 shell does not, so only the shells at
     # depths d and d + 1 tell
     build, checks = moved_build(monkeypatch, "c5_refined", {1: (3, 2)})
-    shells = n_shells(build.g, build.gamma.class_set(3, 2), 3)
-    assert is_independent(build.g, shells[2]) and not is_independent(build.g, shells[3])
+    g = build.omega.graph
+    shells = n_shells(g, build.gamma.class_set(3, 2), 3)
+    assert is_independent(g, shells[2]) and not is_independent(g, shells[3])
     assert narrow_reference(build) == [(3, 2)]
     (wide,) = [item for item in checks if item.name == "wide_coloring"]
     assert (wide.ok, wide.detail["narrow"]) == (False, [[3, 2]])
@@ -757,7 +758,7 @@ def test_build_shells_of_q_are_its_class_shells(c5_report):
     build = c5_report.build
     d = build.params.d
     for q in range(1, build.params.n + 1):
-        shells = n_shells(build.g, build.gamma.pairs[:, 0] == q, d)
+        shells = n_shells(build.omega.graph, build.gamma.pairs[:, 0] == q, d)
         for v in build.vertices:
             if v.role[:2] == ("h", q):
                 _, _, depth, i, j = v.role
@@ -772,14 +773,14 @@ def test_wide_coloring_item_counts_checked_classes(c5_report, c7_report, c5_wide
             "condition": 2,
             "d": report.params.d,
             "classes": classes,
-            "edges_checked": report.build.g.edge_count,
+            "edges_checked": report.build.omega.graph.edge_count,
         }
 
 
 def test_h_edges_are_exponential_edges(c5_report):
     build = c5_report.build
     for a, b in build.h.edges():
-        assert exp_adjacent(build.g, build.vertices[a], build.vertices[b])
+        assert exp_adjacent(build.omega.graph, build.vertices[a], build.vertices[b])
 
 
 def test_level_one_h_meet_f(c5_report):
@@ -858,7 +859,7 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     # the product coloring is proper exactly when every H edge is an edge of
     # the exponential graph, so a colliding H edge fails h_edges_real
     build = c5_report.build
-    g, f = build.g, build.vertices[build.params.c]
+    g, f = build.omega.graph, build.vertices[build.params.c]
     (h1,) = [v for v in build.vertices if v.label == "h(q=1,d=1,i=1,j=4)"]
     assert first_collision(g, table(f), table(h1)) is None
     # a host edge u-v with f(u) = 1 puts v in h1's inside shell (value 4);

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from conftest import random_graph
-from hedcex import families
+from hedcex import families, graphs
 from hedcex.families import (
     OmegaGraph,
     n_shells,
@@ -217,7 +217,7 @@ def test_omega_shell_bits_equal_shell_bits_on_the_preset_hosts(request, report):
     k, pairs = build.params.k, build.gamma.pairs.astype(np.uint16)
     seeds = np.left_shift(np.uint16(1), (pairs[:, 0] - 1) * k + pairs[:, 1] - 1)
     t = 2 * build.omega.d + 3
-    want, got = shell_bits(build.g, seeds, t), omega_shell_bits(build.omega, seeds, t)
+    want, got = shell_bits(build.omega.graph, seeds, t), omega_shell_bits(build.omega, seeds, t)
     assert len(got) == t + 1
     for depth, (shell, expected) in enumerate(zip(got, want)):
         assert np.array_equal(shell, expected), depth
@@ -312,8 +312,20 @@ OMEGA_PINS = {
 
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))
 def test_omega_tuples_pinned(n, d):
+    # the written host's hash, and the pin of a host with no edge written
     g = omega_tuples(n, d).graph
     assert (g.n, g.edge_count, graph_sha256(g)) == OMEGA_PINS[n, d]
+    assert omega_vertices(n, d).sha256 == OMEGA_PINS[n, d][2]
+
+
+def test_the_pin_writes_the_edge_keys_once_and_keeps_none(count_calls):
+    # the digest is kept; the keys are written for the first read alone
+    keys = count_calls(families, "_omega_keys")
+    lines = count_calls(graphs, "_dimacs_lines")
+    omega = omega_vertices(6, 3)
+    assert omega.sha256 == omega.sha256 == OMEGA_PINS[6, 3][2]
+    assert (keys, lines) == ({"_omega_keys": 1}, {"_dimacs_lines": 1})
+    assert "graph" not in vars(omega)
 
 
 @pytest.mark.parametrize("n,d", sorted(OMEGA_PINS))

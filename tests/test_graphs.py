@@ -340,7 +340,7 @@ def test_plain_dimacs_leaves_every_bad_file_to_the_line_loop(text):
 @pytest.mark.parametrize("host", ["omega63", "omega82", "c5_wide_build"])
 def test_plain_dimacs_reads_the_three_hosts(request, host, comment):
     built = request.getfixturevalue(host)
-    g = built.g if host == "c5_wide_build" else built.graph
+    g = built.omega.graph if host == "c5_wide_build" else built.graph
     back = graphs._plain_dimacs(emit_dimacs(g, comment=comment))
     assert back is not None and graph_sha256(back) == graph_sha256(g)
 

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from hedcex import families, graphs, widecolor
-from hedcex.families import n_shells, omega_tuples, omega_vertex_count, shell_bits
+from hedcex.families import (
+    n_shells,
+    omega_shell_bits,
+    omega_tuples,
+    omega_vertex_count,
+    omega_vertices,
+    shell_bits,
+)
 from hedcex.graphs import graph_sha256, new_graph
 from hedcex.widecolor import (
     WideColoring,
@@ -17,7 +24,6 @@ from hedcex.widecolor import (
     _zero_position,
     check_wide,
     narrow_bits,
-    sweep_classes,
     zero_position_coloring,
 )
 from oracles import (
@@ -113,12 +119,13 @@ def test_zero_position_two_vertex_host():
 
 
 def test_zero_position_coloring_hashes_its_host_once(count_calls):
-    # checked unpinned, then pinned with one hash
+    # checked unpinned, then pinned with one hash by omega.sha256, which
+    # writes the edge keys for the pin alone and leaves none on the host
     lines = count_calls(graphs, "_dimacs_lines")
-    om = omega_tuples(4, 1)
+    om = omega_vertices(4, 1)
     wc = zero_position_coloring(om, 2, 2)
-    assert lines == {"_dimacs_lines": 1}
-    assert wc.graph_sha == graph_sha256(om.graph)
+    assert lines == {"_dimacs_lines": 1} and "graph" not in vars(om)
+    assert wc.graph_sha == om.sha256 == graph_sha256(omega_tuples(4, 1).graph)
 
 
 def test_zero_position_shape_mismatch():
@@ -304,11 +311,12 @@ RULE_HOSTS = sorted(p for p in OMEGA_PINS if OMEGA_PINS[p][0] <= omega_vertex_co
 @pytest.mark.parametrize("base,d", RULE_HOSTS)
 def test_the_rule_sweep_fails_the_classes_the_csr_sweep_and_the_oracle_fail(base, d, moved):
     # the zero-position gamma, and the same with vertex 0 moved into the
-    # last class: for conditions 1 to 4, bit (a-1)*k + (b-1) of the rule
-    # sweep's failing word is set exactly when class (a, b) fails on a CSR
-    # sweep of the written graph, and when the oracle's statement of the
-    # condition fails (on hosts small enough for its dense walk matrices);
-    # check_wide on the written graph fails exactly when some class does
+    # last class: for conditions 1 to 4, bit (a-1)*k + (b-1) of the failing
+    # word read off the rule sweep of every class is set exactly when class
+    # (a, b) fails on a CSR sweep of the written graph, and when the oracle's
+    # statement of the condition fails (on hosts small enough for its dense
+    # walk matrices); check_wide on the written graph fails exactly when
+    # some class does
     om = omega_tuples(base, d)
     k = 2 if base % 2 == 0 else 1
     n = base // k
@@ -322,8 +330,9 @@ def test_the_rule_sweep_fails_the_classes_the_csr_sweep_and_the_oracle_fail(base
     seeds = sum(members.astype(np.uint8) << j for j, members in enumerate(classes))
     verdicts = []
     for condition in (1, 2, 3, 4):
-        _, failing = sweep_classes(om, wc, condition)
-        csr = int(_failing_classes(shell_bits(g, seeds, _depth(d, condition)), condition))
+        depth = _depth(d, condition)
+        failing = int(_failing_classes(omega_shell_bits(om, seeds, depth), condition))
+        csr = int(_failing_classes(shell_bits(g, seeds, depth), condition))
         assert failing == csr, condition
         if g.n <= 325:
             oracle = [not wide_condition(g, members, d, condition) for members in classes]
