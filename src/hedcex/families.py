@@ -98,7 +98,7 @@ def shell_bits(g: Graph, seeds: np.ndarray, d: int) -> list[np.ndarray]:
     rows = np.flatnonzero(ptr[1:] != ptr[:-1])
     # reduceat gives a[i] for an empty segment, so only rows with a neighbor
     # are reduced; each one's segment then ends where the next one starts
-    starts = ptr[rows].astype(np.intp)
+    starts = ptr[rows]
 
     def step(shell: np.ndarray) -> np.ndarray:
         out = np.zeros_like(shell)

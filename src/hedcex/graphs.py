@@ -5,7 +5,7 @@ A graph is its order and one ascending, de-duplicated array of pair keys
 from any edge list and a tuple adjoint's ``graph`` writes directly: uint32
 (4 bytes an edge) up to 65,536 vertices, uint64 past that.  Every reader
 splits the endpoints off the keys a slice at a time with ``_slices``:
-``edge_slices``, the hash, ``edges()`` and the CSR neighbor arrays, so no
+``edge_slices``, the hash, ``edges()`` and the class sweep's CSR, so no
 host-length endpoint array is kept.  A counterexample build reads no
 edge: it takes the type pairs off the tuple adjoint's coordinate rule.
 Vertex sets are boolean membership arrays over ``0..n-1``.
@@ -190,35 +190,26 @@ def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form.
+    """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form, for
+    the class sweep of ``families.shell_bits``, its one caller.
 
-    The neighbors of ``v`` are ``dst[ptr[v]:ptr[v + 1]]``, ascending, with a
-    loop listed once; both arrays are int32, sorted off the keys and their
-    swapped halves afresh on every call.
+    The neighbors of ``v`` are ``dst[ptr[v]:ptr[v + 1]]``, non-decreasing,
+    with a loop listed twice, which the sweep's OR reads as once; ``ptr`` is
+    intp and ``dst`` has the key dtype.  Both are sorted off the keys and
+    their swapped halves afresh on every call.
     """
     # the arcs u -> v of every edge are its key, the arcs v -> u its halves
-    # swapped, and all are sorted in place; a loop's second arc takes the
-    # largest key, which sorts past every arc (an arc with that key is
-    # itself a loop), and is cut off
+    # swapped, and all are sorted in place
     m = g.edge_count
     keys, b = _key_array(g.n, 2 * m)
     keys[:m] = g.keys
-    loops = 0
     for lo, (u, v) in zip(range(m, 2 * m, _SLICE), _slices(g, _SLICE)):
-        part, loop = keys[lo : lo + u.size], u == v
-        _put_keys(part, v, u, b)
-        part[loop] = np.iinfo(keys.dtype).max
-        loops += int(np.count_nonzero(loop))
+        _put_keys(keys[lo : lo + u.size], v, u, b)
     keys.sort()
-    keys = keys[: keys.size - loops]
-    # row v starts at the first key at or above v << b, which is below
-    # 2**(2b) for every vertex, so it fits the key dtype
-    ptr = np.empty(g.n + 1, dtype=np.int32)
-    ptr[:-1] = np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b)
-    ptr[-1] = keys.size
+    # row v starts at the first key at or above v << b
+    ptr = np.append(np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b), keys.size)
     keys &= (1 << b) - 1
-    # each key is now its v, below 2**31: a view of uint32 keys as int32
-    return ptr, keys.view(np.int32) if keys.itemsize == 4 else keys.astype(np.int32)
+    return ptr, keys
 
 
 # -- DIMACS col format ----------------------------------------------------

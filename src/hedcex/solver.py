@@ -4,9 +4,8 @@ Every search answers ``some`` (witness found), ``none`` (exhaustive proof of
 nonexistence) or ``exhausted`` (node budget hit first).  ``exhausted`` is
 never collapsed into ``none``; callers must treat it as "no verdict".
 
-Colorability is backtracking with forward checking on int32 neighbor arrays:
-the graph's CSR form (``ptr``/``dst`` of ``graphs.neighbor_arrays``), built
-once per search.
+Colorability is backtracking with forward checking on plain adjacency
+lists, each vertex's neighbors ascending, built once per search.
 The graphs searched are the H of a counterexample (at most 165 vertices)
 and the census graphs (at most 300 at its defaults).  Every vertex keeps a
 domain bitmask; coloring a vertex removes its color from its uncolored
@@ -38,12 +37,9 @@ grows with the trail, not with depth times order.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import Graph, edge_slices, neighbor_arrays
+from .graphs import Graph
 
 __all__ = [
     "SOME",
@@ -85,39 +81,39 @@ class _BudgetHit(Exception):
     """The node count passed the budget's limit."""
 
 
-def _neighbor_arrays(g: Graph) -> tuple[array, array]:
-    """``neighbor_arrays(g)`` as int32 ``array`` objects, whose items index
-    faster from Python than numpy scalars do."""
-    ptr, dst = neighbor_arrays(g)
-    return array("i", ptr.tobytes()), array("i", dst.tobytes())
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    """The neighbors of each vertex of ``g``, ascending, a loop listed once.
+
+    The edges come ascending with u <= v, so each list is appended in order.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].append(v)
+        if u != v:
+            adj[v].append(u)
+    return adj
 
 
-def _clique_from(ptr: array, dst: array) -> list[int]:
+def _clique_from(adj: list[list[int]]) -> list[int]:
     """Maximal clique grown greedily by descending degree, ties low index,
-    on the arrays of ``_neighbor_arrays``."""
+    on the lists of ``_neighbor_lists``."""
     # a vertex joins iff every member so far is its neighbor, tracked as a
     # per-vertex count of adjacent members
-    degree = np.diff(np.frombuffer(ptr, dtype=np.int32))
-    touching = [0] * degree.size
+    touching = [0] * len(adj)
     clique: list[int] = []
-    for v in np.argsort(-degree, kind="stable").tolist():
+    for v in sorted(range(len(adj)), key=lambda v: -len(adj[v])):
         if touching[v] == len(clique):
             clique.append(v)
-            for u in dst[ptr[v] : ptr[v + 1]]:
+            for u in adj[v]:
                 touching[u] += 1
     return clique
 
 
 def verify_coloring(g: Graph, assignment: list[int], c: int) -> bool:
     """Linear scan, independent of the search: proper c-coloring or not."""
-    if len(assignment) != g.n:
+    if len(assignment) != g.n or not all(1 <= col <= c for col in assignment):
         return False
-    if g.n == 0:
-        return True
-    arr = np.asarray(assignment, dtype=np.int64)
-    if arr.min() < 1 or arr.max() > c:
-        return False
-    return all(bool(np.all(np.take(arr, u) != np.take(arr, v))) for u, v in edge_slices(g))
+    return all(assignment[u] != assignment[v] for u, v in g.edges())
 
 
 def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> ColoringResult:
@@ -141,8 +137,8 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     if budget.node_limit <= 0:
         return ColoringResult(EXHAUSTED, None, 0, reason="nodes")
 
-    ptr, dst = _neighbor_arrays(g)
-    clique = _clique_from(ptr, dst)
+    adj = _neighbor_lists(g)
+    clique = _clique_from(adj)
     if len(clique) > c:
         return ColoringResult(NONE, None, 0, reason="clique")
 
@@ -174,7 +170,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         color[v] = col
         trail.append(~v)
         bit = 1 << col
-        for u in dst[ptr[v] : ptr[v + 1]]:
+        for u in adj[v]:
             if color[u]:
                 continue
             touched.append(u)
@@ -259,7 +255,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
             seen[s] = stamp
             part = [s]
             for x in part:  # grows while it is walked
-                for u in dst[ptr[x] : ptr[x + 1]]:
+                for u in adj[x]:
                     if not color[u] and seen[u] != stamp:
                         seen[u] = stamp
                         part.append(u)

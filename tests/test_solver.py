@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from hedcex import graphs, solver
+from hedcex import counterexample, graphs, solver
 from hedcex.families import omega_tuples
 from hedcex.graphs import new_graph
 from hedcex.solver import (
@@ -20,6 +20,7 @@ from hedcex.solver import (
     verify_coloring,
 )
 from oracles import (
+    bits,
     brute_coloring,
     brute_homomorphism,
     complete_graph,
@@ -125,12 +126,46 @@ def test_chromatic_range_narrowing():
     assert find_coloring(om.graph, 3).status == NONE
 
 
+@given(st.integers(0, 40), st.sampled_from([0, 65_537]), st.integers(1, 4), st.data())
+def test_neighbor_lists_and_verify_coloring_match_the_oracles(n, low, c, data):
+    # random loopy graphs on n vertices, or on the last n of n + 65,537,
+    # whose keys are uint64
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    pairs = [
+        (low + rng.randrange(n), low + rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+    ]
+    g = new_graph(low + n, pairs)
+    assert solver._neighbor_lists(g) == [list(bits(row)) for row in rows(g)]
+    # the pairs whose ends differ in color, and now and then one whose ends
+    # do not (a loop more often), so the colors are often proper and a color
+    # out of 1..c or a list of the wrong length decides
+    colors = [1] * low + [rng.randint(1, c) for _ in range(n)]
+    kept = [
+        (u, v)
+        for u, v in pairs
+        if colors[u] != colors[v] or rng.random() < (0.2 if u == v else 0.02)
+    ]
+    h = new_graph(g.n, kept)
+    for _ in range(4):
+        assignment = list(colors)
+        for v in rng.sample(range(low, g.n), min(n, rng.choice([0, 0, 1]))):
+            assignment[v] = rng.choice([0, c + 1])
+        size = rng.choice([g.n, g.n, g.n, g.n - 1, g.n + 1])
+        assignment = (assignment + [1])[: max(size, 0)]
+        brute = (
+            len(assignment) == g.n
+            and all(1 <= col <= c for col in assignment)
+            and all(assignment[u] != assignment[v] for u, v in kept)
+        )
+        assert verify_coloring(h, assignment, c) == brute
+
+
 def test_greedy_clique_is_a_clique():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 12), 0.5)
         adj = rows(g)
-        clique = solver._clique_from(*solver._neighbor_arrays(g))
+        clique = solver._clique_from(solver._neighbor_lists(g))
         assert len(clique) >= 1
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
@@ -180,7 +215,7 @@ def test_coloring_vs_clique_lower_bound(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10), 0.5)
     value, assignment = chromatic(g)
-    assert value >= len(solver._clique_from(*solver._neighbor_arrays(g)))
+    assert value >= len(solver._clique_from(solver._neighbor_lists(g)))
     assert verify_coloring(g, assignment, value)
 
 
@@ -220,7 +255,7 @@ def test_coloring_verdicts_match_references(seed, n, p, loop_p, c, limit):
         assert _transcript(ours) == _transcript(full)
     again = find_coloring(g, c, SearchBudget(node_limit=limit))
     assert _transcript(again) == _transcript(ours)
-    assert solver._clique_from(*solver._neighbor_arrays(g)) == reference_greedy_clique(g)
+    assert solver._clique_from(solver._neighbor_lists(g)) == reference_greedy_clique(g)
 
 
 def _transcript_corpus():
@@ -361,9 +396,9 @@ def test_only_the_last_component_has_no_coloring(interleave):
 
 def test_zero_node_budget_does_no_work(monkeypatch):
     def refuse(g):
-        raise AssertionError("a zero-node search built neighbor arrays")
+        raise AssertionError("a zero-node search built neighbor lists")
 
-    monkeypatch.setattr(solver, "_neighbor_arrays", refuse)
+    monkeypatch.setattr(solver, "_neighbor_lists", refuse)
     res = find_coloring(complete_graph(7), 5, SearchBudget(node_limit=0))
     assert (res.status, res.nodes, res.reason) == (EXHAUSTED, 0, "nodes")
     # loops and empty graphs are still decided before the budget matters
@@ -374,6 +409,18 @@ def test_zero_node_budget_does_no_work(monkeypatch):
 def test_search_transcripts_pinned(c5_report, c7_report, c5_wide_report):
     for report, nodes in ((c5_report, 66), (c7_report, 473), (c5_wide_report, 366)):
         assert report.item("chi_h").detail == {"colors": report.params.c, "nodes": nodes}
+
+
+def test_c9_search_transcript_pinned(monkeypatch):
+    # the c9 pair (k=2, c=9, n=5, d=2) under the c7 name, whose inequality
+    # set it meets: 9,607 nodes refute chi(H) <= 9, the one search on a real
+    # H past the presets' 473
+    monkeypatch.setitem(counterexample.VARIANTS, "c7", dict(k=2, c=9, n=5, d=2))
+    counts = dict(g_vertices=191_710, g_edges=17_578_125, h_vertices=50, h_edges=370)
+    monkeypatch.setitem(counterexample.EXPECTED_COUNTS, "c7", counts)
+    report = counterexample.verify_counterexample(counterexample.params_for("c7"))
+    assert report.status == counterexample.PASS
+    assert report.item("chi_h").detail == {"colors": 9, "nodes": 9607}
 
 
 def test_searches_never_touch_the_recursion_limit(monkeypatch):
