@@ -23,7 +23,7 @@ from . import counterexample as cex
 from .families import _host_bound, omega_vertices
 from .graphs import parse_dimacs
 from .solver import SearchBudget
-from .widecolor import WideColoring, check_wide, decide_zero_position
+from .widecolor import CONDITION_NAMES, WideColoring, check_wide, decide_zero_position
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="half-width (zero-position mode)")
     p.add_argument("--graph", help="host DIMACS (file mode)")
     p.add_argument("--gamma", help="coloring JSON (file mode)")
-    p.add_argument("--condition", type=int, choices=[1, 2, 3, 4], default=2)
+    p.add_argument("--condition", type=int, choices=sorted(CONDITION_NAMES), default=2)
     p.add_argument("--gamma-out", help="write the checked coloring as JSON")
     _json_flag(p)
     p.set_defaults(handler=_cmd_wide_check)

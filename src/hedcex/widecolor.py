@@ -13,7 +13,9 @@ edge written; ``zero_position_coloring`` pins it with ``omega.sha256``,
 which keeps no edge either.  ``check_wide`` decides a
 ``Graph``, which has no coordinate rule, one class at a time with
 ``n_shells`` over CSR arrays built for each sweep; a declared d past 2|V|
-costs no more than 2|V|.
+costs no more than 2|V|.  The conditions are the keys of ``CONDITION_NAMES``:
+each decider asks ``_depth`` how deep to sweep, and ``_depth`` refuses any
+other value, a bool or a string of a digit included, before a shell is made.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ def narrow_bits(shell: np.ndarray, after: np.ndarray):
 
 
 def _depth(d: int, condition: int) -> int:  # the last shell ``condition`` reads
+    if type(condition) is not int or condition not in CONDITION_NAMES:  # True too
+        raise ValueError("condition must be 1, 2, 3 or 4")
     return 2 * d + 1 if condition == 1 else d + 1
 
 
@@ -179,8 +183,6 @@ def check_wide(g: Graph, wc: WideColoring, condition: int = 2, *, threads: int =
     2|V| or 2|V| + 1, whichever has its parity.
     """
     _validate(g, wc)
-    if condition not in CONDITION_NAMES:
-        raise ValueError("condition must be 1, 2, 3 or 4")
     depth = _depth(min(wc.d, 2 * g.n + wc.d % 2), condition)
     code = wc.pairs[:, 0].astype(np.int16) << 8 | wc.pairs[:, 1]
     return not any(
@@ -206,9 +208,11 @@ def decide_zero_position(omega: OmegaGraph, n: int, k: int, condition: int = 2):
     ``zero_position_coloring`` and zero-mode ``wide-check``.  One sweep on
     ``omega``'s coordinate rule, seeded from the coloring's pairs, reaches the
     depth ``condition`` reads.  A host under the 2 GiB bound has a base n*k
-    of at most 17, so the bits fit one word.  Factors below 1 and isolated
-    vertices are refused as ``_validate`` refuses them; a vertex's depth-1
-    word ORs its neighbours' class bits: 0 means none."""
+    of at most 17, so the bits fit one word.  A ``condition`` that is not
+    1, 2, 3 or 4 is refused by ``_depth`` before the sweep, as ``check_wide``
+    refuses it.  Factors below 1 and isolated vertices are refused as
+    ``_validate`` refuses them; a vertex's depth-1 word ORs its neighbours'
+    class bits: 0 means none."""
     if n < 1 or k < 1:
         raise ValueError("bad wide-coloring parameters")
     wc = _zero_position(omega, n, k)

@@ -733,6 +733,28 @@ def test_certificate_of_an_unknown_variant_is_refused(tmp_path, capsys, c5_repor
     )
 
 
+def test_import_hedcex_loads_the_verifier_and_binds_only_its_modules():
+    # every name is imported from its module; the package only loads them,
+    # so ``import hedcex`` costs what a command-line call's imports cost
+    script = (
+        "import sys\n"
+        "import hedcex\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'hedcex'))\n"
+        "loader = {'__builtins__', '__cached__', '__doc__', '__file__', '__loader__',\n"
+        "          '__name__', '__package__', '__path__', '__spec__'}\n"
+        "print(sorted((name, value is sys.modules.get('hedcex.' + name))\n"
+        "             for name, value in vars(hedcex).items() if name not in loader))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    layers = ["certificate", "counterexample", "families", "graphs", "solver", "widecolor"]
+    assert proc.stdout.splitlines() == [
+        str(["hedcex"] + [f"hedcex.{name}" for name in layers]),
+        str([(name, True) for name in layers]),
+    ], proc.stderr
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "hedcex", "wide-check", "--n", "3", "--k", "1", "--d", "1"],

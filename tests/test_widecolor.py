@@ -23,6 +23,7 @@ from hedcex.widecolor import (
     _failing_classes,
     _zero_position,
     check_wide,
+    decide_zero_position,
     narrow_bits,
     zero_position_coloring,
 )
@@ -93,6 +94,24 @@ def test_validation_rejects_bad_shapes():
     isolated = new_graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         check_wide(isolated, WideColoring(n=1, k=1, d=1, pairs=((1, 1),) * 3))
+
+
+@pytest.mark.parametrize("condition", [0, 5, "2", True])
+def test_every_decider_refuses_a_condition_outside_the_four_before_it_sweeps(
+    omega63, count_calls, condition
+):
+    # a condition is an int key of CONDITION_NAMES; anything else would be
+    # read as condition 4 by _failing_classes, or as condition 1 if True
+    wc = _zero_position(omega63, 3, 2)
+    calls = count_calls(families, "omega_shell_bits", "n_shells")
+    refused = pytest.raises(ValueError, match=r"^condition must be 1, 2, 3 or 4$")
+    with refused:
+        decide_zero_position(omega63, 3, 2, condition)
+    with refused:
+        check_wide(omega63.graph, wc, condition)
+    with refused:
+        _depth(omega63.d, condition)
+    assert calls == {"omega_shell_bits": 0, "n_shells": 0}
 
 
 def test_hash_pinning():
