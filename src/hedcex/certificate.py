@@ -11,24 +11,28 @@ of vertex 1, ...) for gamma.  An H vertex is held as its family's code and
 its lookup, so its table is read off them, one table at a time, for its
 digest alone.
 
-``check_certificate`` refuses missing fields, a version other than
-``CERTIFICATE_VERSION`` (naming the version), parameters that are not a JSON
-object or whose keys are not those of ``CounterexampleParams`` (naming the
-missing and extra ones) and invalid parameters, and then rebuilds the
-construction from the parameters, once, with ``build_counterexample``.  A
-rebuild that fails its checks (the pinned counts, wideness, pairwise
-distinct tables, every H edge being an edge of the exponential graph, which
-is the product coloring, the const rule, on c5_wide the chain between
-consecutive h levels, and no loops) is refused with one line per failed
-check, in item order, as ``verify`` prints them; an exception from inside
-the build is one such line.  Then every field of the canonical certificate
-of that rebuild is compared, in one pass, with the certificate's under one
-rule: equal as JSON values, types included.  There are three exceptions.
-The chi(H) node count, which no rebuild decides, need only be a positive
-integer.  The H edge list is compared as a set with no duplicates, so an
-edge out of range or a loop is a spurious edge.  The chi(G) attribution may
-keep the previous layout's " at this budget" suffix.  A field the canonical
-certificate lacks, such as the previous layout's ``budgets``, is not read.
+``check_certificate`` has three gates, each of which ends the check: the
+version must be ``CERTIFICATE_VERSION`` (a refusal names it); the parameters
+must be a JSON object with the keys of ``CounterexampleParams`` (a refusal
+names the missing and extra ones) and valid; and the construction is rebuilt
+from them, once, with ``build_counterexample``.  A rebuild that fails its
+checks (the pinned counts, wideness, pairwise distinct tables, every H edge
+being an edge of the exponential graph, which is the product coloring, the
+const rule, on c5_wide the chain between consecutive h levels, and no loops)
+is refused with one line per failed check, in item order, as ``verify``
+prints them; an exception from inside the build is one such line.  Then each
+top-level field of the canonical certificate of that rebuild is compared
+whole, in ``_canonical``'s key order, under one rule, ``_same``: equal as
+JSON values, types included.  A field that differs is walked and gives one
+line, the path of its first difference (``h[7].sha256: ... is not the
+rebuild's ...``, ``gamma.pairs_sha256 is missing``).  A key the canonical
+certificate lacks, at any depth, such as the previous layout's ``budgets``,
+is not read.  There are three exceptions.  The chi(H) node count, which no
+rebuild decides, need only be a positive integer; any other value is one
+line naming its path, last.  The chi(G) attribution may keep the previous
+layout's " at this budget" suffix.  An H edge list of pairs of integers is
+compared sorted, each pair as (min, max): order and orientation are free,
+and a duplicate, a loop or an edge outside H is a difference.
 The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
@@ -61,6 +65,40 @@ def _sha256(values: np.ndarray) -> str:
 def _same(got: object, want: object) -> bool:
     """Equal as JSON values, types included: 1 is not 1.0 and not true."""
     return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+#: The value of a key that a JSON object lacks.
+_ABSENT = object()
+
+
+def _at(doc: object, *path: str) -> object:
+    """The value at ``path`` in a JSON document, or ``_ABSENT`` where the path does not lead."""
+    for key in path:
+        doc = doc.get(key, _ABSENT) if isinstance(doc, dict) else _ABSENT
+    return doc
+
+
+def _difference(path: str, got: object, want: object) -> str | None:
+    """The first difference of ``got`` from ``want``, in ``want``'s key and
+    item order, as one line naming its path; None if there is none.  A key
+    ``want`` lacks is not read."""
+    if got is _ABSENT:
+        return f"{path} is missing"
+    if _same(got, want):
+        return None
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            return f"{path}: {json.dumps(got)} is not a JSON object"
+        pairs = [(f"{path}.{key}", got.get(key, _ABSENT), value) for key, value in want.items()]
+    elif isinstance(want, list):
+        if not isinstance(got, list):
+            return f"{path}: {json.dumps(got)} is not a JSON array"
+        if len(got) != len(want):
+            return f"{path} has {len(got)} entries, the rebuild's has {len(want)}"
+        pairs = [(f"{path}[{i}]", *pair) for i, pair in enumerate(zip(got, want))]
+    else:
+        return f"{path}: {json.dumps(got)} is not the rebuild's {json.dumps(want)}"
+    return next(filter(None, (_difference(*pair) for pair in pairs)), None)
 
 
 def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> dict:
@@ -123,23 +161,6 @@ def certificate_from_json(text: str) -> dict:
     return doc
 
 
-#: The failure that names each verdict field unequal to the canonical one, in
-#: the order they are reported: {0!r} is the certificate's value, {1} the
-#: canonical one.  The chi(H) node count is the one field no rebuild decides.
-_VERDICT_FAILURES = {
-    ("chi_h", "status"): "chi_h verdict is not a refusal",
-    ("chi_h", "colors"): "chi_h verdict colors {0!r} is not c = {1}",
-    ("chi_g", "colors"): "chi_g verdict colors {0!r} is not c = {1}",
-    ("chi_h", "nodes"): "chi_h verdict nodes {0!r} is not a positive integer",
-    ("product", "ok"): "product verdict is not positive",
-    ("product", "ordered_checks"): (
-        "product verdict ordered_checks {0!r} is not 2|E(H)||E(G)| = {1}"
-    ),
-    ("chi_g", "status"): "chi_g verdict has an unknown status",
-    ("chi_g", "attribution"): "chi_g verdict attribution is not the published identity",
-}
-
-
 @dataclass
 class CertificateCheck:
     failures: list[str] = field(default_factory=list)
@@ -154,40 +175,25 @@ class CertificateCheck:
 
 def check_certificate(cert: dict) -> CertificateCheck:
     """Check a certificate, a JSON document as ``certificate_from_json``
-    returns it, against the canonical build of its parameters: fields,
-    version and parameters first, then the rebuild and, against the
-    certificate it would emit, the verdicts, the H edge list, the host, the
-    wide coloring and the H vertices.
+    returns it, against the canonical build of its parameters: the version,
+    the parameters and the rebuild first, then every field of the
+    certificate that rebuild would emit.
     """
-    failures: list[str] = []
-
-    def need(ok: bool, message: str) -> bool:
-        if not ok:
-            failures.append(message)
-        return ok
-
-    required = ["version", "params", "g_hash", "g_counts", "gamma", "h", "h_edges", "verdicts"]
-    if not need(all(key in cert for key in required), "missing required fields"):
-        return CertificateCheck(failures)
-    if not need(
-        cert["version"] == CERTIFICATE_VERSION,
-        f"unsupported certificate version {cert['version']!r}; "
-        f"this checker reads version {CERTIFICATE_VERSION!r}",
-    ):
-        return CertificateCheck(failures)
+    if (version := cert.get("version")) != CERTIFICATE_VERSION:
+        reads = f"this checker reads version {CERTIFICATE_VERSION!r}"
+        return CertificateCheck([f"unsupported certificate version {version!r}; {reads}"])
     try:
-        if not isinstance(cert["params"], dict):
+        given = cert.get("params")
+        if not isinstance(given, dict):
             raise ValueError("params is not a JSON object")
-        keys, given = {f.name for f in fields(CounterexampleParams)}, set(cert["params"])
-        if given != keys:
-            missing, extra = sorted(keys - given), sorted(given - keys)
+        keys = {f.name for f in fields(CounterexampleParams)}
+        if set(given) != keys:
+            missing, extra = sorted(keys - set(given)), sorted(set(given) - keys)
             raise ValueError(f"params keys missing {missing}, extra {extra}")
-        params = CounterexampleParams(**cert["params"])
+        params = CounterexampleParams(**given)
         params.validate()
     except (TypeError, ValueError) as err:
-        failures.append(f"bad parameters: {err}")
-        return CertificateCheck(failures)
-
+        return CertificateCheck([f"bad parameters: {err}"])
     try:
         rebuilt, items = build_counterexample(params)
         errors = [item.detail["error"] for item in items if not item.ok]
@@ -196,71 +202,19 @@ def check_certificate(cert: dict) -> CertificateCheck:
     if errors:
         return CertificateCheck([f"canonical rebuild failed: {error}" for error in errors])
 
-    verdicts, names = cert["verdicts"], ("chi_h", "product", "chi_g")
-    if need(isinstance(verdicts, dict) and set(names) <= set(verdicts), "missing verdicts"):
-        loose = [name for name in names if not isinstance(verdicts[name], dict)]
-        need(not loose, f"verdict is not a JSON object: {', '.join(loose)}")
-    shaped = not failures
-    canon = _canonical(rebuilt, items, verdicts["chi_h"].get("nodes") if shaped else None)
-    for (name, key), message in _VERDICT_FAILURES.items() if shaped else ():
-        got, want = verdicts[name].get(key), canon["verdicts"][name][key]
-        if key == "attribution" and isinstance(got, str):
-            got = got.removesuffix(" at this budget")  # the previous layout's suffix
-        need(
-            type(got) is int and got > 0 if key == "nodes" else _same(got, want),
-            message.format(got, want),
-        )
-
-    h_edges = cert["h_edges"]
-    if need(
-        isinstance(h_edges, list)
-        and all(
-            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in h_edges
-        ),
-        "malformed H edge list",
+    nodes = _at(cert, "verdicts", "chi_h", "nodes")
+    canon = _canonical(rebuilt, items, None if nodes is _ABSENT else nodes)
+    chi_g = canon["verdicts"]["chi_g"]
+    if _at(cert, "verdicts", "chi_g", "attribution") == chi_g["attribution"] + " at this budget":
+        chi_g["attribution"] += " at this budget"  # the previous layout's suffix
+    edges = cert.get("h_edges")
+    if isinstance(edges, list) and all(
+        type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges
     ):
-        stored = {(min(e), max(e)) for e in h_edges}
-        canonical = {tuple(e) for e in canon["h_edges"]}
-        need(len(stored) == len(h_edges), "duplicate H edges")
-        need(len(stored) == len(canonical), "unexpected number of H edges")
-        if stored != canonical:
-            extra = sorted(stored - canonical)[:3]
-            missing = sorted(canonical - stored)[:3]
-            failures.append(
-                f"H edges are not the canonical skeleton (spurious {extra}, "
-                f"missing {missing})"
-            )
+        cert = {**cert, "h_edges": sorted([min(e), max(e)] for e in edges)}
 
-    need(_same(cert["g_hash"], canon["g_hash"]), "host graph hash mismatch")
-    need(_same(cert["g_counts"], canon["g_counts"]), "host graph counts mismatch")
-
-    gamma, want = cert["gamma"], canon["gamma"]
-    if need(
-        isinstance(gamma, dict) and set(want) <= set(gamma),
-        "bad wide coloring: fields missing",
-    ):
-        for keys, message in (
-            (("n", "k", "d"), "wide coloring shape differs from the parameters"),
-            (("graph_sha256",), "wide coloring pinned to a different graph"),
-            (("pairs_sha256",), "wide coloring differs from the canonical zero-position coloring"),
-        ):
-            need(all(_same(gamma[key], want[key]) for key in keys), message)
-
-    entries = cert["h"]
-    if not (isinstance(entries, list) and all(isinstance(entry, dict) for entry in entries)):
-        failures.append("malformed H vertex list: h is not a list of JSON objects")
-    elif lacking := [key for key in ("label", "sha256") if not all(key in e for e in entries)]:
-        failures.append(f"malformed H vertex list: an entry has no {lacking[0]!r}")
-    else:
-        labels = [entry["label"] for entry in entries]
-        digests = [entry["sha256"] for entry in entries]
-        if need(len(labels) == len(canon["h"]), "unexpected number of H vertices"):
-            want = [entry["label"] for entry in canon["h"]]
-            need(_same(labels, want), "H vertex labels differ from the canonical build")
-            bad = next(
-                (e["label"] for e, got in zip(canon["h"], digests) if not _same(got, e["sha256"])),
-                None,
-            )
-            need(bad is None, f"function table of {bad} differs from the canonical build")
-
+    lines = (_difference(key, cert.get(key, _ABSENT), want) for key, want in canon.items())
+    failures = [line for line in lines if line is not None]
+    if nodes is not _ABSENT and not (type(nodes) is int and nodes > 0):
+        failures.append(f"verdicts.chi_h.nodes: {json.dumps(nodes)} is not a positive integer")
     return CertificateCheck(failures)

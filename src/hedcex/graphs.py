@@ -140,17 +140,18 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from an edge list: an iterable of pairs or an (m, 2) array.
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
-    loops.  Raises ValueError on more than 2**31 vertices (the endpoints
-    are int32), on a pair that is not two integers (floats, bools and
-    strings are refused, not cast) and on an endpoint outside ``0..n-1``.
+    loops.  Raises ValueError on more than 2**31 vertices (the key width
+    ``_key_dtype`` assumes: b <= 31), on a pair that is not two integers
+    (floats, bools and strings are refused, not cast) and on an endpoint
+    outside ``0..n-1``.
     The result holds one key per edge, ascending, each with ``u <= v``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 1 << 31:
-        raise ValueError(f"vertex count {n} exceeds 2**31, the most int32 vertices can number")
+        raise ValueError(f"vertex count {n} exceeds 2**31, the most the edge keys are sized for")
     listed = None if isinstance(edges, np.ndarray) else list(edges)
-    # an integer array is read as it is (the hosts pass int32 edges)
+    # an integer array is read as it is (``_plain_dimacs`` passes int64 edges)
     pairs = np.asarray(edges if listed is None else listed)
     if pairs.size == 0:
         pairs = np.zeros((0, 2), dtype=np.int32)

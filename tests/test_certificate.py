@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 from functools import reduce
 from operator import getitem
 
@@ -99,6 +100,36 @@ def test_certificate_in_the_previous_layout_still_checks(c5_cert):
     assert check_certificate(old)
 
 
+def test_edge_order_and_orientation_are_free(c5_cert):
+    # the H edge list is a set: reversed, with every edge written (v, u), it
+    # is the same skeleton
+    turned = copy.deepcopy(c5_cert)
+    turned["h_edges"] = [[v, u] for u, v in reversed(c5_cert["h_edges"])]
+    assert turned["h_edges"] != c5_cert["h_edges"]
+    assert check_certificate(turned)
+
+
+def test_keys_the_rebuild_does_not_emit_are_not_read(c5_cert):
+    # only the rebuild's fields are compared, at every depth
+    extra = copy.deepcopy(c5_cert)
+    extra["gamma"]["note"] = "x"
+    extra["h"][3]["note"] = -1
+    extra["verdicts"]["product"]["note"] = None
+    assert check_certificate(extra)
+
+
+def test_an_extra_key_in_g_counts_is_not_read(c5_cert):
+    # g_counts follows the same rule as every other field: its two counts
+    # are compared and a key beside them is not read
+    extra = copy.deepcopy(c5_cert)
+    extra["g_counts"]["loops"] = 0
+    assert check_certificate(extra)
+    extra["g_counts"]["edges"] += 1
+    assert check_certificate(extra).failures == [
+        "g_counts.edges: 36016 is not the rebuild's 36015"
+    ]
+
+
 def test_machine_checked_chi_g_is_refused(c5_cert):
     # no run searches chi(G), so a certificate claiming a search is not taken
     # on faith
@@ -106,11 +137,24 @@ def test_machine_checked_chi_g_is_refused(c5_cert):
     bad["verdicts"]["chi_g"]["status"] = "machine_checked"
     bad["verdicts"]["chi_g"]["nodes"] = 123
     chk = check_certificate(bad)
-    assert chk.failures == ["chi_g verdict has an unknown status"]
+    assert chk.failures == [
+        'verdicts.chi_g.status: "machine_checked" is not the rebuild\'s "external_theorem"'
+    ]
 
 
-@pytest.mark.parametrize("attribution", ["machine-checked", None])
-def test_chi_g_attribution_is_compared(c5_cert, attribution):
+@pytest.mark.parametrize(
+    "attribution,failure",
+    [
+        (
+            "machine-checked",
+            'verdicts.chi_g.attribution: "machine-checked" is not the rebuild\'s '
+            + json.dumps(cex.CHI_G_ATTRIBUTION),
+        ),
+        (None, "verdicts.chi_g.attribution is missing"),
+    ],
+    ids=["machine-checked", "None"],
+)
+def test_chi_g_attribution_is_compared(c5_cert, attribution, failure):
     # chi(G) > c rests on the published identity alone; a certificate that
     # rewrites or drops its attribution is refused by name
     bad = copy.deepcopy(c5_cert)
@@ -118,9 +162,7 @@ def test_chi_g_attribution_is_compared(c5_cert, attribution):
         del bad["verdicts"]["chi_g"]["attribution"]
     else:
         bad["verdicts"]["chi_g"]["attribution"] = attribution
-    assert check_certificate(bad).failures == [
-        "chi_g verdict attribution is not the published identity"
-    ]
+    assert check_certificate(bad).failures == [failure]
 
 
 @pytest.mark.parametrize(
@@ -150,15 +192,15 @@ def test_params_that_are_not_an_object_are_refused_by_shape(c5_cert, params):
 @pytest.mark.parametrize(
     "verdict,key,value,failure",
     [
-        ("chi_h", "colors", 2, "chi_h verdict colors 2 is not c = 5"),
-        ("chi_h", "nodes", -7, "chi_h verdict nodes -7 is not a positive integer"),
-        ("chi_h", "nodes", "lots", "chi_h verdict nodes 'lots' is not a positive integer"),
-        ("chi_g", "colors", 99, "chi_g verdict colors 99 is not c = 5"),
+        ("chi_h", "colors", 2, "verdicts.chi_h.colors: 2 is not the rebuild's 5"),
+        ("chi_h", "nodes", -7, "verdicts.chi_h.nodes: -7 is not a positive integer"),
+        ("chi_h", "nodes", "lots", 'verdicts.chi_h.nodes: "lots" is not a positive integer'),
+        ("chi_g", "colors", 99, "verdicts.chi_g.colors: 99 is not the rebuild's 5"),
         (
             "product",
             "ordered_checks",
             "x",
-            "product verdict ordered_checks 'x' is not 2|E(H)||E(G)| = 7779240",
+            'verdicts.product.ordered_checks: "x" is not the rebuild\'s 7779240',
         ),
     ],
     ids=["chi-h-colors", "negative-nodes", "string-nodes", "chi-g-colors", "string-checks"],
@@ -179,9 +221,20 @@ def _paths(doc, path=()):
             yield from _paths(value, path + (key,))
 
 
+#: The prefix of the refusal lines of the gates that read these fields.
+GATES = {"version": "unsupported certificate version ", "params": "bad parameters: "}
+
+
+def _top_key(line: str) -> str:
+    """The top-level key of the path that a failure line names."""
+    return re.match(r"[^.\[: ]*", line).group()
+
+
 def test_every_leaf_mutation_is_refused(c5_cert):
     # every field is read: deleting any field, or setting it to -1 or to "x",
-    # is refused.  H's tables and edges are covered by their first three entries
+    # is refused by name, each line naming a path under the mutated field (or
+    # coming from the gate that reads it).  H's tables and edges are covered
+    # by their first three entries
     deleted = object()
     mutations = 0
     for path in _paths(c5_cert):
@@ -197,9 +250,29 @@ def test_every_leaf_mutation_is_refused(c5_cert):
                 continue
             else:
                 target[key] = value
-            assert not check_certificate(bad), (path, value)
+            failures = check_certificate(bad).failures
+            assert failures, (path, value)
+            if path[0] in GATES:
+                assert all(line.startswith(GATES[path[0]]) for line in failures), failures
+            else:
+                assert {_top_key(line) for line in failures} == {path[0]}, failures
             mutations += 1
     assert mutations == 150
+
+
+def test_each_field_that_differs_is_one_line_in_key_order(c5_cert):
+    # a table digest and a host count: two lines, g_counts before h as
+    # _canonical orders them; a second fault inside h adds no line
+    bad = copy.deepcopy(c5_cert)
+    digest = bad["h"][6]["sha256"] = _flip(c5_cert["h"][6]["sha256"])
+    bad["g_counts"]["vertices"] = 4687
+    failures = [
+        "g_counts.vertices: 4687 is not the rebuild's 4686",
+        f'h[6].sha256: "{digest}" is not the rebuild\'s "{c5_cert["h"][6]["sha256"]}"',
+    ]
+    assert check_certificate(bad).failures == failures
+    bad["h"][9]["label"] = "x"
+    assert check_certificate(bad).failures == failures
 
 
 def test_not_an_object():
@@ -212,8 +285,7 @@ def test_not_an_object():
 def test_missing_field_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
     del bad["gamma"]
-    chk = check_certificate(bad)
-    assert not chk and "missing required fields" in chk.failures
+    assert check_certificate(bad).failures == ["gamma is missing"]
 
 
 def test_wrong_version_fails(c5_cert):
@@ -239,40 +311,49 @@ def test_flipped_edge_fails(c5_cert):
         else:
             continue
         break
-    chk = check_certificate(bad)
-    assert not chk
-    assert any("skeleton" in f or "realized" in f or "image" in f for f in chk.failures)
+    # (0, 5) is the first pair that is no H edge; sorted, it comes fifth
+    assert bad["h_edges"][40] == [0, 5]
+    assert check_certificate(bad).failures == ["h_edges[4][1]: 5 is not the rebuild's 8"]
 
 
 def test_dropped_edge_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
     bad["h_edges"] = bad["h_edges"][:-1]
-    chk = check_certificate(bad)
-    assert not chk
-    assert any("number of H edges" in f for f in chk.failures)
-
-
-@pytest.mark.parametrize("verdicts", [{}, {"chi_h": {}, "chi_g": {}}, ["chi_h"]])
-def test_missing_verdicts_fail(c5_cert, verdicts):
-    bad = copy.deepcopy(c5_cert)
-    bad["verdicts"] = verdicts
-    assert check_certificate(bad).failures == ["missing verdicts"]
+    assert check_certificate(bad).failures == ["h_edges has 107 entries, the rebuild's has 108"]
 
 
 @pytest.mark.parametrize(
-    "edge, spurious",
-    [([3, 30], "(3, 30)"), ([-1, 3], "(-1, 3)"), ([7, 7], "(7, 7)")],
+    "verdicts,failure",
+    [
+        ({}, "verdicts.chi_h is missing"),
+        ({"chi_h": {}, "chi_g": {}}, "verdicts.chi_h.status is missing"),
+        (["chi_h"], 'verdicts: ["chi_h"] is not a JSON object'),
+    ],
+    ids=["verdicts0", "verdicts1", "verdicts2"],
+)
+def test_missing_verdicts_fail(c5_cert, verdicts, failure):
+    bad = copy.deepcopy(c5_cert)
+    bad["verdicts"] = verdicts
+    assert check_certificate(bad).failures == [failure]
+
+
+@pytest.mark.parametrize(
+    "edge, failure",
+    [
+        ([3, 30], "h_edges[40][1]: 11 is not the rebuild's 9"),
+        ([-1, 3], "h_edges[0][0]: -1 is not the rebuild's 0"),
+        ([7, 7], "h_edges[40][1]: 11 is not the rebuild's 9"),
+    ],
     ids=["past-the-end", "negative", "loop"],
 )
-def test_edge_outside_h_is_spurious(c5_cert, edge, spurious):
-    # an endpoint outside H, or a loop, is an edge the rebuild does not have
+def test_edge_outside_h_is_spurious(c5_cert, edge, failure):
+    # an endpoint outside H, or a loop, is an edge the rebuild does not have.
+    # The list is compared sorted: [2, 9] is the 41st edge, so with it gone
+    # the 41st is [2, 11], and a negative endpoint sorts first
     bad = copy.deepcopy(c5_cert)
-    replaced = bad["h_edges"][40]
+    assert bad["h_edges"][40:42] == [[2, 9], [2, 11]]
     bad["h_edges"][40] = edge
-    assert check_certificate(bad).failures == [
-        f"H edges are not the canonical skeleton (spurious [{spurious}], "
-        f"missing [{tuple(replaced)}])"
-    ]
+    assert check_certificate(bad).failures == [failure]
 
 
 def _flip(digest: str) -> str:
@@ -280,31 +361,28 @@ def _flip(digest: str) -> str:
 
 
 def test_corrupt_gamma_fails(c5_cert):
+    gamma = c5_cert["gamma"]
     for key, message in (
-        ("pairs_sha256", "wide coloring differs from the canonical zero-position coloring"),
-        ("graph_sha256", "wide coloring pinned to a different graph"),
-        ("d", "wide coloring shape differs from the parameters"),
-        (None, "bad wide coloring: fields missing"),
+        ("pairs_sha256", "gamma.pairs_sha256: {} is not the rebuild's {}"),
+        ("graph_sha256", "gamma.graph_sha256: {} is not the rebuild's {}"),
+        ("d", "gamma.d: {} is not the rebuild's {}"),
+        (None, "gamma.pairs_sha256 is missing"),
     ):
         bad = copy.deepcopy(c5_cert)
-        gamma = bad["gamma"]
         if key is None:
-            del gamma["pairs_sha256"]
-        elif key == "d":
-            gamma["d"] += 1
+            del bad["gamma"]["pairs_sha256"]
         else:
-            gamma[key] = _flip(gamma[key])
-        chk = check_certificate(bad)
-        assert chk.failures == [message]
+            bad["gamma"][key] = gamma[key] + 1 if key == "d" else _flip(gamma[key])
+            message = message.format(*map(json.dumps, (bad["gamma"][key], gamma[key])))
+        assert check_certificate(bad).failures == [message]
 
 
 def test_corrupt_table_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
-    bad["h"][6]["sha256"] = _flip(bad["h"][6]["sha256"])
-    chk = check_certificate(bad)
-    assert not chk
-    label = c5_cert["h"][6]["label"]
-    assert chk.failures == [f"function table of {label} differs from the canonical build"]
+    digest = bad["h"][6]["sha256"] = _flip(bad["h"][6]["sha256"])
+    assert check_certificate(bad).failures == [
+        f'h[6].sha256: "{digest}" is not the rebuild\'s "{c5_cert["h"][6]["sha256"]}"'
+    ]
 
 
 def test_wrong_host_hash_fails(c5_cert):
@@ -318,41 +396,47 @@ def test_wrong_host_hash_fails(c5_cert):
 def test_malformed_h_entry_fails(c5_cert):
     bad = copy.deepcopy(c5_cert)
     del bad["h"][0]["sha256"]
-    chk = check_certificate(bad)
-    assert not chk
-    assert chk.failures == ["malformed H vertex list: an entry has no 'sha256'"]
+    assert check_certificate(bad).failures == ["h[0].sha256 is missing"]
     bad["h"] = "tables"
     assert not check_certificate(bad)
 
 
 @pytest.mark.parametrize(
-    "h",
-    [0, "tables", {"label": "f"}, [1, 2], ["const(1)"], [{}, None]],
-    ids=["int", "string", "object", "ints", "strings", "null-entry"],
+    "h,failure",
+    [
+        (0, "h: 0 is not a JSON array"),
+        ("tables", 'h: "tables" is not a JSON array'),
+        ({"label": "f"}, 'h: {"label": "f"} is not a JSON array'),
+        ([1, 2], "h has 2 entries, the rebuild's has 30"),
+        (["const(1)"], "h has 1 entries, the rebuild's has 30"),
+        ([{}, None], "h has 2 entries, the rebuild's has 30"),
+        (["const(1)"] * 30, 'h[0]: "const(1)" is not a JSON object'),
+        ([{}, None] * 15, "h[0].label is missing"),
+    ],
+    ids=["int", "string", "object", "ints", "strings", "null-entry", "30-strings", "30-entries"],
 )
-def test_h_that_is_not_a_list_of_objects_is_refused_by_shape(c5_cert, h):
+def test_h_that_is_not_a_list_of_objects_is_refused_by_shape(c5_cert, h, failure):
     bad = copy.deepcopy(c5_cert)
     bad["h"] = h
-    assert check_certificate(bad).failures == [
-        "malformed H vertex list: h is not a list of JSON objects"
-    ]
+    assert check_certificate(bad).failures == [failure]
 
 
 def test_duplicate_tables_fail(c5_cert):
     bad = copy.deepcopy(c5_cert)
     bad["h"][8]["sha256"] = bad["h"][7]["sha256"]
-    chk = check_certificate(bad)
-    assert not chk
-    label = c5_cert["h"][8]["label"]
-    assert chk.failures == [f"function table of {label} differs from the canonical build"]
+    assert check_certificate(bad).failures == [
+        f'h[8].sha256: "{c5_cert["h"][7]["sha256"]}" is not the rebuild\'s '
+        f'"{c5_cert["h"][8]["sha256"]}"'
+    ]
 
 
 def test_relabelled_vertices_fail(c5_cert):
     bad = copy.deepcopy(c5_cert)
     bad["h"][5], bad["h"][6] = bad["h"][6], bad["h"][5]
-    chk = check_certificate(bad)
-    assert not chk
-    assert "H vertex labels differ from the canonical build" in chk.failures
+    assert check_certificate(bad).failures == [
+        f'h[5].label: "{c5_cert["h"][6]["label"]}" is not the rebuild\'s '
+        f'"{c5_cert["h"][5]["label"]}"'
+    ]
 
 
 def test_bad_parameters_fail(c5_cert):
