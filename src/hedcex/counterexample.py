@@ -14,6 +14,16 @@ of the exponential graph, so the product coloring is the ``h_edges_real``
 check and is not scanned again.  ``verify_counterexample`` runs the full
 pipeline and returns a machine-readable report.  A build writes no host
 edge; the host's pin, ``BuildResult.g_hash``, reads ``OmegaGraph.sha256``.
+
+The c7 recipe gives each family q the functions h(q,1,q,j) and g(q,2,j)
+only for the k + 1 colors j = n+1..n+k+1 past n, which c >= n + k + 1
+provides, because the argument walks no more.  In a c-coloring of H the
+constants are a c-clique, so const(i) may be taken to have color i, and
+every function, joined to each constant its image misses, has a color of
+its image.  f takes [n], so it has some color q <= n; each h(q,1,q,j)
+takes {q, j} and joins f, so it has color j; each g(q,2,j) takes j and q's
+k minority colors and joins h(q,1,q,j), so it has a minority color; and
+family q's k + 1 g's are pairwise adjacent, one more than k colors hold.
 """
 
 from __future__ import annotations
@@ -345,9 +355,9 @@ def build_special_family(
     out: list[tuple[str, tuple, np.ndarray]] = []
     if params.variant == "c7":
         minority = sorted(set(range(1, n + 1)) - {q})[:k]
-        for j in range(n + 1, c + 1):
+        for j in range(n + 1, n + k + 2):
             out.append(h(1, q, j))
-        for j in range(n + 1, c + 1):
+        for j in range(n + 1, n + k + 2):
             out.append(gv(j, lambda b: minority[b - 1]))
     elif params.variant == "c5_refined":
         out.append(h(1, q, 4))

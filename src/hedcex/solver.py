@@ -23,12 +23,14 @@ solved is never searched again.  The budget is a node count, so with
 identical inputs and budgets the transcript (verdict, node count, witness,
 reason) is identical run to run, on any machine.
 
-The components live in one table, a row (parent, vertices ascending) per
-component, and the branching vertex is found by scanning its component's
-row.  On graphs of a few hundred vertices that beats a priority queue; a
-long sparse graph that branches pays the component's order per branch
-(a 20,000-vertex path at 3 colors takes tens of seconds); a split walks
-the component once more, edges included.
+A component is carried as its vertex list, ascending, and the branching
+vertex is found by scanning that list; a split that leaves one part hands
+the list on unchanged, colored vertices and all.  On graphs of a few
+hundred vertices that beats a priority queue; a long sparse graph that
+branches pays the component's order per branch, so its cost is quadratic
+(a 20,000-vertex path at 3 colors takes 13 to 20 s on one core of a
+2-vCPU machine); a split walks the part once more, edges included, and
+sorts each part it finds.
 
 The search keeps its own explicit stack and trail, so search depth is
 bounded by memory, not by the interpreter's recursion limit, and memory
@@ -37,6 +39,7 @@ grows with the trail, not with depth times order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -147,11 +150,6 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
     nodes = 0
     color = [0] * n
     dom = [(1 << (c + 1)) - 2] * n  # bit k set iff color k is still allowed
-    comp = [0] * n  # component of each uncolored vertex
-    # comps[cid] = (parent cid, vertices ascending): row 0 is the whole graph
-    # and every split appends one row per component it peels off; undo
-    # truncates the table, handing each dropped row's vertices back
-    comps: list[tuple[int, list[int]]] = [(0, list(range(n)))]
     # trail entries: ``u << 6 | k`` removed color k from dom[u]; ``~v``
     # colored v
     trail: list[int] = []
@@ -201,51 +199,38 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                 top = max(top, k)
         return top
 
-    def undo(trail_mark: int, comp_mark: int) -> None:
+    def undo(trail_mark: int) -> None:
         while len(trail) > trail_mark:
             e = trail.pop()
             if e < 0:
                 color[~e] = 0
             else:
                 dom[e >> 6] |= 1 << (e & 63)
-        while len(comps) > comp_mark:
-            parent, members = comps.pop()
-            for u in members:
-                comp[u] = parent
 
-    def pick(cid: int) -> int:
+    def pick(members: list[int]) -> int:
         # smallest domain, lowest index: the members ascend, so the first
         # vertex of the smallest size wins; -1 once all are colored
         best, size = -1, c + 1
-        for v in comps[cid][1]:
-            if not color[v] and comp[v] == cid and (k := dom[v].bit_count()) < size:
+        for v in members:
+            if not color[v] and (k := dom[v].bit_count()) < size:
                 best, size = v, k
         return best
 
-    def peel(cid: int, members: list[int]) -> int:
-        new = len(comps)
-        for u in members:
-            comp[u] = new
-        members.sort()
-        comps.append((cid, members))
-        return new
+    def split(members: list[int], seeds: Iterable[int]) -> list[list[int]]:
+        """The parts the uncolored vertices of component ``members`` fall
+        into, each ascending, largest first (ties in seed order); the list
+        ``[members]`` itself when they form one part.
 
-    def split(cid: int) -> list[int]:
-        """Move the components of cid's undecided vertices that the branch
-        just cut off to new ids and return those, smallest last; cid keeps
-        the first largest.
-
-        Every new component holds a seed (an uncolored neighbor of a newly
-        colored vertex, or at the root any vertex), so one search from each
-        seed not yet reached finds them all.  The split stops as soon as the
-        first search has reached every seed: there is one component and
-        nothing moves.  A split walks the component at most once, as ``pick``
-        scans it on every branch anyway.
+        Every part holds a seed (an uncolored neighbor of a newly colored
+        vertex, or at the root any vertex), so one search from each seed not
+        yet reached finds them all.  The split stops as soon as the first
+        search has reached every seed: there is one part.  A split walks the
+        component at most once, as ``pick`` scans it on every branch anyway.
         """
         nonlocal stamp
-        seeds = [u for u in dict.fromkeys(touched) if not color[u]]
+        seeds = [u for u in dict.fromkeys(seeds) if not color[u]]
         if len(seeds) < 2:
-            return []
+            return [members]
         stamp += 1
         unreached = set(seeds[1:])  # seeds the first search has not reached
         parts: list[list[int]] = []
@@ -262,41 +247,38 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                         if not parts and u in unreached:
                             unreached.remove(u)
                             if not unreached:
-                                return []  # one component
-            parts.append(part)
+                                return [members]  # one part
+            parts.append(sorted(part))
         parts.sort(key=len, reverse=True)  # stable: ties keep seed order
-        return [peel(cid, part) for part in parts[1:]]
+        return parts
 
     # One frame per branch: [vertex, untried colors, component, parent frame,
-    # colors in use, trail mark, component table length, todo mark].  todo
-    # holds the components still to solve as (component, frame that split it
-    # off, colors in use there); a component that fails sends the search back
-    # to that frame, past any sibling already solved.
-    stack: list[list[int]] = []
-    todo: list[tuple[int, int, int]] = []
+    # colors in use, trail mark, todo mark].  todo holds the components still
+    # to solve as (component, frame that split it off, colors in use there);
+    # a component that fails sends the search back to that frame, past any
+    # sibling already solved.
+    stack: list[list] = []
+    todo: list[tuple[list[int], int, int]] = []
     try:
         for i, v in enumerate(clique):
             # only the last member can have been forced, and then to i + 1
             if not color[v] and not (dom[v] >> (i + 1) & 1 and propagate(v, i + 1)):
                 return ColoringResult(NONE, None, nodes, reason="search")
         # every vertex seeds the root split, which finds what the clique left
-        touched[:] = range(n)
         used = max(color)
-        todo = [(0, -1, used)] + [(k, -1, used) for k in split(0)]
+        todo = [(part, -1, used) for part in split(list(range(n)), range(n))]
 
         while todo:
-            cid, parent, used = todo.pop()
-            v = pick(cid)
+            members, parent, used = todo.pop()
+            v = pick(members)
             if v < 0:
                 continue  # nothing left to color
             cap = min(c, used + 1)
-            stack.append(
-                [v, dom[v] & ((2 << cap) - 2), cid, parent, used, len(trail), len(comps), len(todo)]
-            )
+            stack.append([v, dom[v] & ((2 << cap) - 2), members, parent, used, len(trail), len(todo)])
             while True:
                 frame = stack[-1]
-                v, avail, cid, parent, used, trail_mark, comp_mark, todo_mark = frame
-                undo(trail_mark, comp_mark)
+                v, avail, members, parent, used, trail_mark, todo_mark = frame
+                undo(trail_mark)
                 del todo[todo_mark:]
                 if not avail:
                     if parent < 0:
@@ -308,8 +290,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                 top = propagate(v, bit.bit_length() - 1)
                 if top:
                     here, used = len(stack) - 1, max(used, top)
-                    todo.append((cid, here, used))
-                    todo.extend((k, here, used) for k in split(cid))
+                    todo.extend((part, here, used) for part in split(members, touched))
                     break
     except _BudgetHit:
         return ColoringResult(EXHAUSTED, None, nodes, reason="nodes")

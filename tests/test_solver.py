@@ -413,14 +413,18 @@ def test_search_transcripts_pinned(c5_report, c7_report, c5_wide_report):
 
 def test_c9_search_transcript_pinned(monkeypatch):
     # the c9 pair (k=2, c=9, n=5, d=2) under the c7 name, whose inequality
-    # set it meets: 9,607 nodes refute chi(H) <= 9, the one search on a real
+    # set it meets: 3,310 nodes refute chi(H) <= 9, the one search on a real
     # H past the presets' 473
-    monkeypatch.setitem(counterexample.VARIANTS, "c7", dict(k=2, c=9, n=5, d=2))
-    counts = dict(g_vertices=191_710, g_edges=17_578_125, h_vertices=50, h_edges=370)
+    k, c, n = 2, 9, 5
+    monkeypatch.setitem(counterexample.VARIANTS, "c7", dict(k=k, c=c, n=n, d=2))
+    counts = dict(g_vertices=191_710, g_edges=17_578_125, h_vertices=40, h_edges=280)
     monkeypatch.setitem(counterexample.EXPECTED_COUNTS, "c7", counts)
     report = counterexample.verify_counterexample(counterexample.params_for("c7"))
     assert report.status == counterexample.PASS
-    assert report.item("chi_h").detail == {"colors": 9, "nodes": 9607}
+    assert report.item("chi_h").detail == {"colors": 9, "nodes": 3310}
+    # the constants, f, and per family q the k + 1 colors past n of its
+    # h(q,1,q,j) and g(q,2,j): no more than the argument needs
+    assert report.build.h.n == c + 1 + 2 * n * (k + 1)
 
 
 def test_searches_never_touch_the_recursion_limit(monkeypatch):
