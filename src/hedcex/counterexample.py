@@ -14,6 +14,8 @@ of the exponential graph, so the product coloring is the ``h_edges_real``
 check and is not scanned again.  ``verify_counterexample`` runs the full
 pipeline and returns a machine-readable report.  A build writes no host
 edge; the host's pin, ``BuildResult.g_hash``, reads ``OmegaGraph.sha256``.
+Each recipe states the image of every function it writes: H's edges are
+read off those statements, and ``const_adjacency`` checks each on the host.
 
 The c7 recipe gives each family q the functions h(q,1,q,j) and g(q,2,j)
 only for the k + 1 colors j = n+1..n+k+1 past n, which c >= n + k + 1
@@ -165,14 +167,16 @@ class FunctionVertex:
     """One vertex of the exponential graph: a total function V(G) -> [c].
 
     ``role`` is the structured identity (("const", i), ("f",),
-    ("h", q, d, i, j) or ("g", q, d, i)); ``label`` is its printable form.
-    The function is ``np.take(lookup, code)``: ``code`` is the type 0..K-1
-    of every host vertex, shared with the other functions of its family,
-    and ``lookup`` the int8 value of each type.
+    ("h", q, d, i, j) or ("g", q, d, i)); ``label`` is its printable form;
+    ``image`` is the set of colors its recipe states it takes.  The function
+    is ``np.take(lookup, code)``: ``code`` is the type 0..K-1 of every host
+    vertex, shared with the other functions of its family, and ``lookup``
+    the int8 value of each type.
     """
 
     label: str
     role: tuple
+    image: frozenset[int]
     code: np.ndarray
     lookup: np.ndarray
 
@@ -201,8 +205,8 @@ def _table_questions(
     realized: list[np.ndarray],
     vertices: list[FunctionVertex],
     groups: list[tuple[np.ndarray, np.ndarray, list[int]]],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(collisions, takes, distinct): every question the build asks of its
+) -> tuple[np.ndarray, int]:
+    """(collisions, distinct): every question the build asks of its
     tables, each asked within a group of tables on that group's vertex types.
 
     A group is (code, lut, members): the type 0..K-1 of each host vertex
@@ -214,9 +218,8 @@ def _table_questions(
     ``collisions`` [a, b] of two tables that share a group is True iff some
     host edge u-v has a(u) = b(v) in either orientation, so a and b are
     adjacent exactly where it is False and the diagonal is the loop check;
-    a pair that shares no group is not asked and reads True.  ``takes``
-    [x, a] says table a takes the value x (rows 0 up to the largest value),
-    and ``distinct`` counts the distinct tables.
+    a pair that shares no group is not asked and reads True.  ``distinct``
+    counts the distinct tables.
 
     Every answer is read off the lookups.  A table's fingerprint is
     sum_v w(v) table(v) with the weights w(v) < 2^20 of
@@ -231,7 +234,6 @@ def _table_questions(
     m = len(vertices)
     top = max((int(lut.max(initial=0)) for _, lut, _ in groups), default=0)
     hit = np.ones((m, m), dtype=bool)
-    takes = np.zeros((top + 1, m), dtype=bool)
     # every group's code covers the same host vertices
     weights = _fingerprint_weights(groups[0][0].size if groups else 0)
     fingerprints = np.zeros(m, dtype=np.int64)
@@ -246,9 +248,8 @@ def _table_questions(
     distinct = sum(map(len, kept.values()))
     for (_, lut, members), pairs in zip(groups, realized):
         flags = [(lut == x).astype(np.float64) for x in range(top + 1)]
-        takes[:, members] = [f.any(axis=1) for f in flags]
         hit[np.ix_(members, members)] = np.any([f @ pairs @ f.T for f in flags], axis=0)
-    return hit, takes, distinct
+    return hit, distinct
 
 
 def _two_valued(
@@ -328,37 +329,40 @@ def build_special_family(
     selectors: list[np.ndarray],
     params: CounterexampleParams,
     q: int,
-) -> list[tuple[str, tuple, np.ndarray]]:
-    """(label, role, lookup) of each named non-constant function attached
-    to one value q of the special function's color.
+) -> list[tuple[str, tuple, frozenset, np.ndarray]]:
+    """(label, role, image, lookup) of each named non-constant function
+    attached to one value q of the special function's color.
 
     ``shells`` and ``selectors`` are family q's boolean shells, as
     ``_family_shells`` gives them, read at one host vertex per type of the
     family: the exact-distance shells of the class with first coordinate q
     at depths 0..d, and the k depth-d selector shells.  Each lookup is then
-    the function's value on each type.  Every h is two-valued (an outside
-    color, another on one of ``shells``); every g replaces the shell values
-    by a per-subclass selector.  The index sets follow the variant.
+    the function's value on each type.  Every h(q,d,i,j) is two-valued, i
+    outside and j on one of ``shells``, and states the image {i, j}; every
+    g replaces the shell values by the k values of a per-subclass
+    selector and states those and its outside color.  The index sets
+    follow the variant.
     """
     if not 1 <= q <= params.n:
         raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
 
-    def h(d: int, i: int, j: int) -> tuple[str, tuple, np.ndarray]:
-        return f"h(q={q},d={d},i={i},j={j})", ("h", q, d, i, j), _two_valued(i, j, shells[d])
+    def h(d: int, i: int, j: int) -> tuple[str, tuple, frozenset, np.ndarray]:
+        label = f"h(q={q},d={d},i={i},j={j})"
+        return label, ("h", q, d, i, j), frozenset({i, j}), _two_valued(i, j, shells[d])
 
-    def gv(i: int, value_of_b) -> tuple[str, tuple, np.ndarray]:
-        pairs = [(value_of_b(b), selectors[b - 1]) for b in range(1, k + 1)]
-        lookup = _selector_valued(i, shells[params.d], pairs)
-        return f"g(q={q},d={params.d},i={i})", ("g", q, params.d, i), lookup
+    def gv(i: int, values: list[int]) -> tuple[str, tuple, frozenset, np.ndarray]:
+        lookup = _selector_valued(i, shells[params.d], list(zip(values, selectors)))
+        label = f"g(q={q},d={params.d},i={i})"
+        return label, ("g", q, params.d, i), frozenset({i, *values}), lookup
 
-    out: list[tuple[str, tuple, np.ndarray]] = []
+    out: list[tuple[str, tuple, frozenset, np.ndarray]] = []
     if params.variant == "c7":
         minority = sorted(set(range(1, n + 1)) - {q})[:k]
         for j in range(n + 1, n + k + 2):
             out.append(h(1, q, j))
         for j in range(n + 1, n + k + 2):
-            out.append(gv(j, lambda b: minority[b - 1]))
+            out.append(gv(j, minority))
     elif params.variant == "c5_refined":
         out.append(h(1, q, 4))
         out.append(h(1, q, 5))
@@ -366,7 +370,7 @@ def build_special_family(
         out.append(h(2, 5, 4))
         out.append(h(2, 5, shifted(q, 2, n)))
         for i in (4, 5, shifted(q, 2, n)):
-            out.append(gv(i, lambda b: shifted(q, b - 1, n)))
+            out.append(gv(i, [shifted(q, b, n) for b in range(k)]))
     else:
         for j in range(n + 1, c + 1):
             out.append(h(1, q, j))
@@ -382,7 +386,7 @@ def build_special_family(
             for i in sorted(set(range(1, c + 1)) - {ell}):
                 out.append(h(5, ell, i))
         for i in range(k + 1, c + 1):
-            out.append(gv(i, lambda b: b))
+            out.append(gv(i, list(range(1, k + 1))))
     return out
 
 
@@ -405,8 +409,7 @@ class ReportItem:
 
 @dataclass
 class BuildResult:
-    """The pair (G, H) of one variant and reading, with what the H checks
-    read off its tables."""
+    """The pair (G, H) of one variant and reading, and its tables' collisions."""
 
     params: CounterexampleParams
     omega: OmegaGraph
@@ -415,8 +418,6 @@ class BuildResult:
     h: Graph
     #: True where two tables of one family collide; a pair across families reads True.
     collisions: np.ndarray
-    #: (c+1, m): entry [i, a] says table a takes color i; row 0 is unused.
-    takes: np.ndarray
 
     @property
     def labels(self) -> list[str]:
@@ -428,9 +429,7 @@ class BuildResult:
 
 
 def _skeleton_edges(
-    params: CounterexampleParams,
-    vertices: list[FunctionVertex],
-    takes: np.ndarray,
+    params: CounterexampleParams, vertices: list[FunctionVertex]
 ) -> list[tuple[int, int]]:
     """Edge list of H: exactly the adjacencies the coloring argument uses.
 
@@ -440,7 +439,7 @@ def _skeleton_edges(
     its own outside value (smallest admissible outside color); each g joins
     the g's sharing its q and one deepest-level h whose inside value equals
     its own outside value and whose outside value avoids im(g).  Images are
-    read off ``takes``, the build's "takes color i" array.
+    the recipes' statements (``FunctionVertex.image``), not the host's.
 
     H is deliberately a spanning subgraph of what the exponential graph
     induces on these functions; the build verifies each listed edge against
@@ -452,10 +451,9 @@ def _skeleton_edges(
     def add(a: int, b: int) -> None:
         edges.add((a, b) if a < b else (b, a))
 
-    for idx in range(len(vertices)):
-        for i in range(1, c + 1):
-            if not takes[i, idx]:
-                add(i - 1, idx)
+    for idx, v in enumerate(vertices):
+        for i in set(range(1, c + 1)) - v.image:
+            add(i - 1, idx)
 
     f_idx = c
     hs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
@@ -492,7 +490,7 @@ def _skeleton_edges(
             partner = [
                 (i1, idx1)
                 for i1, j1, idx1 in hs[(q, top)]
-                if j1 == i and not takes[i1, idx]
+                if j1 == i and i1 not in vertices[idx].image
             ]
             if not partner:
                 raise RuntimeError(f"no pinned neighbor for {vertices[idx].label}")
@@ -553,7 +551,7 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     every family's types, take family 1's code.  The host's edges are not
     written: ``omega_type_pairs`` reads the type pairs they realize in each
     family off the coordinate rule, with the edge count of ``counts``.
-    Loops, H edges, images and distinctness are read off one
+    Loops, H edges and distinctness are read off one
     ``_table_questions`` on those pairs, with one group per q (the
     constants, f and family q).  No H edge, const rule entry or ``chain``
     pair joins two families; such a pair reads as a collision.  A failed
@@ -562,12 +560,15 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     every edge of H is an edge of the exponential graph, so
     ``h_edges_real`` counts the ordered checks of that coloring; f ~ each
     level-one h and the pairwise edges of each g family are H edges, so
-    that item decides them too.  The const rule compares each
-    constant's collision row with the "takes color i" row, and ``chain``
-    (``chain_check``) reads pairs that are not H edges off the collision
-    matrix.  A table with no collision is a proper c-coloring of G, so the
-    loop check is the evidence of ``chi_g``.  It hashes no host: gamma is
-    unpinned, and ``g_hash``, ``omega.sha256``, waits for a pin.
+    that item decides them too.  H's skeleton reads the images the recipes
+    state, and ``const_adjacency`` decides each statement: it compares each
+    constant's collision row with them, and const(i) collides with w
+    exactly where w takes i, as ``decide_zero_position`` refuses a host with
+    an isolated vertex.  ``chain`` (``chain_check``) reads pairs that are
+    not H edges off the collision matrix.  A table with no collision is a
+    proper c-coloring of G, so the loop check is the evidence of ``chi_g``.
+    It hashes no host: gamma is unpinned, and ``g_hash``,
+    ``omega.sha256``, waits for a pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
@@ -585,28 +586,26 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         # the constants and f are constant on the types of every family, and
         # as vertices they take family 1's
         fixed = [
-            (f"const({i})", ("const", i), np.full(f.size, i, dtype=np.int8))
+            (f"const({i})", ("const", i), frozenset({i}), np.full(f.size, i, dtype=np.int8))
             for i in range(1, c + 1)
-        ] + [("f", ("f",), f.astype(np.int8))]
-        if q == 1:
-            vertices += [FunctionVertex(label, role, code, t) for label, role, t in fixed]
+        ] + [("f", ("f",), frozenset(range(1, params.n + 1)), f.astype(np.int8))]
+        vertices += [FunctionVertex(*named, code, t) for *named, t in fixed if q == 1]
         family = build_special_family(flags[: len(shells)], flags[len(shells) :], params, q)
         members = [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]
-        groups.append((code, np.stack([t for _, _, t in fixed + family]), members))
-        vertices += [FunctionVertex(label, role, code, t) for label, role, t in family]
+        groups.append((code, np.stack([t for *_, t in fixed + family]), members))
+        vertices += [FunctionVertex(*named, code, t) for *named, t in family]
     del shells, selectors  # the last family's, freed before the table questions
     m = len(vertices)
     realized, g_edges = omega_type_pairs(omega, [(code, lut.shape[1]) for code, lut, _ in groups])
-    collisions, takes, distinct = _table_questions(realized, vertices, groups)
-    edges = _skeleton_edges(params, vertices, takes)
+    collisions, distinct = _table_questions(realized, vertices, groups)
+    edges = _skeleton_edges(params, vertices)
     h = new_graph(m, edges)
-    build = BuildResult(params, omega, gamma, vertices, h, collisions, takes)
+    build = BuildResult(params, omega, gamma, vertices, h, collisions)
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
-    # const(i) is adjacent to w exactly where w misses i: a collision row of
-    # a constant against its "takes color i" row, each constant's own loop aside
-    wrong = collisions[:c] != takes[1:]
-    np.fill_diagonal(wrong, False)
-    first = np.argwhere(wrong.T)[:1].tolist()
+    # const(i) collides with w exactly where w takes i, itself included:
+    # each constant's collision row against the images the recipes state
+    stated = np.array([[i in w.image for i in range(1, c + 1)] for w in vertices])
+    first = np.argwhere(collisions[:c].T != stated)[:1].tolist()
     bad_const = next(([i + 1, vertices[idx].label] for idx, i in first), None)
     loop = next((v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]), None)
 

@@ -374,16 +374,16 @@ def test_verify_literal_reading_fails(capsys):
 
 
 def _rewire(monkeypatch, edit):
-    """Rebind the table questions so that ``edit(collisions, takes, distinct,
-    index)`` corrupts copies of its answers; it returns the distinct count,
+    """Rebind the table questions so that ``edit(collisions, distinct,
+    index)`` corrupts a copy of its answers; it returns the distinct count,
     and ``index`` maps a label to its table."""
     questions = cex._table_questions
 
     def corrupted(g, vertices, groups):
-        collisions, takes, distinct = questions(g, vertices, groups)
-        collisions, takes = collisions.copy(), takes.copy()
+        collisions, distinct = questions(g, vertices, groups)
+        collisions = collisions.copy()
         index = {v.label: i for i, v in enumerate(vertices)}
-        return collisions, takes, edit(collisions, takes, distinct, index)
+        return collisions, edit(collisions, distinct, index)
 
     monkeypatch.setattr(cex, "_table_questions", corrupted)
 
@@ -391,7 +391,7 @@ def _rewire(monkeypatch, edit):
 def _collide(*pairs, value=True):
     """An ``edit`` that sets the collision entries of each label pair."""
 
-    def edit(collisions, takes, distinct, index):
+    def edit(collisions, distinct, index):
         for a, b in pairs:
             collisions[index[a], index[b]] = collisions[index[b], index[a]] = value
         return distinct
@@ -431,11 +431,6 @@ def _drop_an_h_edge(monkeypatch):
     monkeypatch.setattr(cex, "_skeleton_edges", lambda *args: skeleton(*args)[1:])
 
 
-def _flip_takes_bit(collisions, takes, distinct, index):
-    takes[2, index["const(1)"]] = True
-    return distinct
-
-
 H1, H2 = "h(q=1,d=1,i=1,j=4)", "h(q=1,d=2,i=4,j=5)"
 G4, G5 = "g(q=1,d=3,i=4)", "g(q=1,d=3,i=5)"
 
@@ -470,7 +465,7 @@ CORRUPTIONS = {
     "distinct_tables": (
         "distinct_tables",
         "c5_refined",
-        lambda mp: _rewire(mp, lambda collisions, takes, distinct, index: distinct - 1),
+        lambda mp: _rewire(mp, lambda collisions, distinct, index: distinct - 1),
         {"distinct_tables"},
         {"tables": 30, "count": 29},
     ),
@@ -499,13 +494,14 @@ CORRUPTIONS = {
         {"h_edges_real"},
         {"edge": [G4, G5]},
     ),
-    # const(1) claims color 2, and const(2) is adjacent to it
+    # const(1) no longer collides with f, which takes 1; the pair is not an
+    # H edge, so only the const rule sees it
     "const_adjacency": (
         "const_adjacency",
         "c5_refined",
-        lambda mp: _rewire(mp, _flip_takes_bit),
+        lambda mp: _rewire(mp, _collide(("const(1)", "f"), value=False)),
         {"const_adjacency"},
-        {"witness": [2, "const(1)"]},
+        {"witness": [1, "f"]},
     ),
     # a chain pair that is not an H edge
     "chain": (

@@ -39,9 +39,12 @@ from oracles import (
 
 
 def fv(label, values):
-    """A vertex on the identity types of its host: its lookup is its table."""
+    """A vertex on the identity types of its host: its lookup is its table,
+    and its stated image the values the table takes."""
     values = np.asarray(values, dtype=np.int8)
-    return FunctionVertex(label, ("test",), np.arange(values.size), values)
+    return FunctionVertex(
+        label, ("test",), frozenset(values.tolist()), np.arange(values.size), values
+    )
 
 
 def exp_adjacent(g, f, w):
@@ -216,15 +219,29 @@ def test_collision_matrix_matches_oracle(case):
 
 @given(tables_on_a_loopy_graph())
 def test_image_matches_unique(case):
-    # the "takes color x" rows and the distinct count, read off the types,
-    # against each table's own values and its bytes
+    # the identity behind stated images: on a host with no isolated vertex
+    # (a loop counts), const(x) collides with a table exactly where the
+    # table takes x, so the constants' collision rows are the tables'
+    # images; and the distinct count against each table's bytes
     g, c, vertices, groups = case
-    _, takes, distinct = questions(g, vertices, groups)
-    top = max(int(table(v).max()) for v in vertices)
-    assert takes.shape == (top + 1, len(vertices)) and takes.dtype == bool
-    for a, v in enumerate(vertices):
-        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(table(v)).tolist())
-    assert distinct == len({table(v).tobytes() for v in vertices})
+    touched = {x for edge in g.edges() for x in edge}
+    host = new_graph(g.n, [*g.edges(), *((u, u) for u in range(g.n) if u not in touched)])
+    constants = [fv(f"const({x})", [x] * g.n) for x in range(1, c + 1)]
+    tables = constants + vertices
+    hit = questions(host, tables, whole(tables))[0]
+    for b, w in enumerate(tables):
+        image = set(np.unique(table(w)).tolist())
+        assert {x for x in range(1, c + 1) if hit[x - 1, b]} == image
+    assert questions(g, vertices, groups)[1] == len({table(v).tobytes() for v in vertices})
+
+
+def test_an_isolated_vertex_breaks_the_identity():
+    # vertex 1 has no edge, so const(2) meets no 2 of w across an edge, though
+    # w takes 2: the build refuses such a host before any table exists
+    # (test_cli.py::test_an_isolated_vertex_is_refused_on_every_zero_position_path)
+    tables = [fv("const(1)", [1, 1]), fv("const(2)", [2, 2]), fv("w", [1, 2])]
+    hit = questions(new_graph(2, [(0, 0)]), tables, whole(tables))[0]
+    assert hit[0, 2] and not hit[1, 2]
 
 
 @given(tables_on_a_loopy_graph())
@@ -234,7 +251,7 @@ def test_distinct_tables_in_one_fingerprint_bucket(case):
     g, _, vertices, groups = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counterexample, "_fingerprint_weights", lambda n: np.zeros(n))
-        distinct = questions(g, vertices, groups)[2]
+        distinct = questions(g, vertices, groups)[1]
     assert distinct == len({table(v).tobytes() for v in vertices})
 
 
@@ -242,10 +259,11 @@ def test_equal_tables_in_two_groups_are_counted_once():
     # a and b are equal but fingerprinted in groups of different types, and
     # each vertex is held on its own group's types, so their lookups differ
     g = new_graph(3, [(0, 1), (1, 2)])
-    a = FunctionVertex("a", ("test",), np.array([1, 0, 1]), np.array([2, 1], dtype=np.int8))
+    lookup = np.array([2, 1], dtype=np.int8)
+    a = FunctionVertex("a", ("test",), frozenset({1, 2}), np.array([1, 0, 1]), lookup)
     vertices = [a, fv("b", [1, 2, 1]), fv("c", [3, 3, 3])]
     groups = [group(np.array([1, 0, 1]), vertices, [0, 2]), group(np.arange(3), vertices, [1, 2])]
-    assert questions(g, vertices, groups)[2] == 2
+    assert questions(g, vertices, groups)[1] == 2
 
 
 @pytest.mark.parametrize("m", [70, 131])
@@ -258,10 +276,8 @@ def test_table_questions_on_more_than_64_tables(m):
     t[:3] = [[1] * 7, [3] * 7, [5] * 7]
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = questions(g, vertices, whole(vertices))
-    assert takes.shape == (6, m) and not takes[[0, 2, 4]].any()
+    hit, distinct = questions(g, vertices, whole(vertices))
     for a, f in enumerate(vertices):
-        assert set(np.flatnonzero(takes[:, a]).tolist()) == set(np.unique(table(f)).tolist())
         for b, w in enumerate(vertices):
             assert hit[a, b] == (not collision_free(g, 5, table(f), table(w)))
     assert distinct == len({row.tobytes() for row in t})
@@ -286,10 +302,8 @@ def test_table_questions_at_every_bit_width_top(top, m):
         t[a, j], t[a, 20 + j] = 0, high
     t[-1] = t[-2]
     vertices = [fv(str(a), row) for a, row in enumerate(t)]
-    hit, takes, distinct = questions(g, vertices, whole(vertices))
-    assert takes.shape == (top + 1, m) and takes.dtype == bool
+    hit, distinct = questions(g, vertices, whole(vertices))
     for a, f in enumerate(vertices):
-        assert np.array_equal(np.flatnonzero(takes[:, a]), np.unique(table(f)))
         for b, w in enumerate(vertices):
             assert hit[a, b] == (not collision_free(g, top, table(f), table(w)))
     assert distinct == len({row.tobytes() for row in t}) == m - 1
@@ -803,16 +817,40 @@ def test_g_families_are_cliques(c5_report):
                 assert adj[a] >> b & 1
 
 
-def test_const_edges_match_images(c7_report):
-    build = c7_report.build
-    adj = rows(build.h)
-    assert build.takes.shape == (8, len(build.vertices))
-    for idx, w in enumerate(build.vertices):
-        image = set(np.unique(table(w)).tolist())
-        assert set(np.flatnonzero(build.takes[:, idx]).tolist()) == image, w.label
-        if idx >= 7:
-            for i in range(1, 8):
-                assert bool(adj[i - 1] >> idx & 1) == (i not in image)
+def test_const_edges_match_images():
+    # on every preset and under both readings, each table takes exactly the
+    # image its recipe states, and const(i) ~ w in H exactly where w misses i
+    for variant in counterexample.VARIANTS:
+        for reading in ("q", "literal"):
+            build, _ = build_counterexample(params_for(variant, reading))
+            adj, c = rows(build.h), build.params.c
+            for idx, w in enumerate(build.vertices):
+                assert w.image == set(np.unique(table(w)).tolist()), (variant, reading, w.label)
+                for i in set(range(1, c + 1)) - {idx + 1}:
+                    assert bool(adj[i - 1] >> idx & 1) == (i not in w.image), (variant, w.label)
+
+
+def test_a_misstated_image_fails_const_adjacency(monkeypatch):
+    # h(q=1,d=1,i=1,j=4) stating {1}: const_adjacency names the table, and
+    # the skeleton, which reads the statement, joins it to const(4) across
+    # a collision and adds one H edge
+    label = "h(q=1,d=1,i=1,j=4)"
+    special = counterexample.build_special_family
+
+    def misstated(*args):
+        return [
+            (name, role, frozenset({1}) if name == label else image, lookup)
+            for name, role, image, lookup in special(*args)
+        ]
+
+    monkeypatch.setattr(counterexample, "build_special_family", misstated)
+    _, checks = build_counterexample(params_for("c5_refined"))
+    failed = {item.name: item.detail for item in checks if not item.ok}
+    assert sorted(failed) == ["const_adjacency", "counts", "h_edges_real"]
+    assert failed["const_adjacency"]["witness"] == [4, label]
+    error = f"const(4) adjacency to {label} disagrees with its image"
+    assert failed["const_adjacency"]["error"] == error
+    assert failed["h_edges_real"]["edge"] == ["const(4)", label]
 
 
 @pytest.mark.parametrize(
@@ -881,7 +919,7 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
 
     def corrupted(*args):
         family = special(*args)
-        for _, role, lookup in family:
+        for _, role, _, lookup in family:
             if role == h1.role:
                 lookup[code[v]] = 1
         return family
