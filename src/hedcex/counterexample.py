@@ -14,8 +14,9 @@ of the exponential graph, so the product coloring is the ``h_edges_real``
 check and is not scanned again.  ``verify_counterexample`` runs the full
 pipeline and returns a machine-readable report.  A build writes no host
 edge; the host's pin, ``BuildResult.g_hash``, reads ``OmegaGraph.sha256``.
-Each recipe states the image of every function it writes: H's edges are
-read off those statements, and ``const_adjacency`` checks each on the host.
+H comes from its recipe alone, before any host: each function's role and
+stated image (``_recipe``) give H's edges, a host's types then fill in each
+role's lookup (``_lookup``), and ``const_adjacency`` checks each image.
 
 The c7 recipe gives each family q the functions h(q,1,q,j) and g(q,2,j)
 only for the k + 1 colors j = n+1..n+k+1 past n, which c >= n + k + 1
@@ -167,7 +168,8 @@ class FunctionVertex:
     """One vertex of the exponential graph: a total function V(G) -> [c].
 
     ``role`` is the structured identity (("const", i), ("f",),
-    ("h", q, d, i, j) or ("g", q, d, i)); ``label`` is its printable form;
+    ("h", q, d, i, j) or ("g", q, d, i, values), values its k selector
+    values in selector order); ``label`` is its printable form;
     ``image`` is the set of colors its recipe states it takes.  The function
     is ``np.take(lookup, code)``: ``code`` is the type 0..K-1 of every host
     vertex, shared with the other functions of its family, and ``lookup``
@@ -261,23 +263,6 @@ def _two_valued(
     return outside + (inside - outside) * region.view(np.int8)
 
 
-def _selector_valued(
-    outside: int,
-    region: np.ndarray,
-    selector_shells: list[tuple[int, np.ndarray]],
-) -> np.ndarray:
-    """Outside color off the region; on it, the value attached to the least
-    selector shell containing the vertex.  ``selector_shells`` is a list of
-    (value, boolean shell) in selector order; later entries are laid down
-    first so the least one wins.  Region vertices left uncovered keep the
-    outside color.
-    """
-    inside = outside
-    for value, shell in reversed(selector_shells):
-        inside = _two_valued(inside, value, shell)
-    return _two_valued(outside, inside, region)
-
-
 def _family_shells(
     class_shells: list[np.ndarray], params: CounterexampleParams, q: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -325,38 +310,28 @@ def _type_code(
 
 
 def build_special_family(
-    shells: list[np.ndarray],
-    selectors: list[np.ndarray],
-    params: CounterexampleParams,
-    q: int,
-) -> list[tuple[str, tuple, frozenset, np.ndarray]]:
-    """(label, role, image, lookup) of each named non-constant function
-    attached to one value q of the special function's color.
+    params: CounterexampleParams, q: int
+) -> list[tuple[str, tuple, frozenset]]:
+    """(label, role, image) of each named non-constant function attached to
+    one value q of the special function's color, stated with no host.
 
-    ``shells`` and ``selectors`` are family q's boolean shells, as
-    ``_family_shells`` gives them, read at one host vertex per type of the
-    family: the exact-distance shells of the class with first coordinate q
-    at depths 0..d, and the k depth-d selector shells.  Each lookup is then
-    the function's value on each type.  Every h(q,d,i,j) is two-valued, i
-    outside and j on one of ``shells``, and states the image {i, j}; every
-    g replaces the shell values by the k values of a per-subclass
-    selector and states those and its outside color.  The index sets
-    follow the variant.
+    Every h(q,d,i,j) is two-valued, i outside and j on the depth-d shell of
+    the class with first coordinate q, and states the image {i, j}; every
+    g(q,d,i) replaces the depth-d shell's values by the k values of a
+    per-subclass selector, carried in order in its role ("g", q, d, i,
+    values), and states those and its outside color i.  ``_lookup`` reads
+    a role on a host's types.  The index sets follow the variant.
     """
-    if not 1 <= q <= params.n:
-        raise ValueError("q out of range")
     c, n, k = params.c, params.n, params.k
 
-    def h(d: int, i: int, j: int) -> tuple[str, tuple, frozenset, np.ndarray]:
-        label = f"h(q={q},d={d},i={i},j={j})"
-        return label, ("h", q, d, i, j), frozenset({i, j}), _two_valued(i, j, shells[d])
+    def h(d: int, i: int, j: int) -> tuple[str, tuple, frozenset]:
+        return f"h(q={q},d={d},i={i},j={j})", ("h", q, d, i, j), frozenset({i, j})
 
-    def gv(i: int, values: list[int]) -> tuple[str, tuple, frozenset, np.ndarray]:
-        lookup = _selector_valued(i, shells[params.d], list(zip(values, selectors)))
+    def gv(i: int, values: list[int]) -> tuple[str, tuple, frozenset]:
         label = f"g(q={q},d={params.d},i={i})"
-        return label, ("g", q, params.d, i), frozenset({i, *values}), lookup
+        return label, ("g", q, params.d, i, tuple(values)), frozenset({i, *values})
 
-    out: list[tuple[str, tuple, frozenset, np.ndarray]] = []
+    out: list[tuple[str, tuple, frozenset]] = []
     if params.variant == "c7":
         minority = sorted(set(range(1, n + 1)) - {q})[:k]
         for j in range(n + 1, n + k + 2):
@@ -364,11 +339,7 @@ def build_special_family(
         for j in range(n + 1, n + k + 2):
             out.append(gv(j, minority))
     elif params.variant == "c5_refined":
-        out.append(h(1, q, 4))
-        out.append(h(1, q, 5))
-        out.append(h(2, 4, 5))
-        out.append(h(2, 5, 4))
-        out.append(h(2, 5, shifted(q, 2, n)))
+        out += [h(1, q, 4), h(1, q, 5), h(2, 4, 5), h(2, 5, 4), h(2, 5, shifted(q, 2, n))]
         for i in (4, 5, shifted(q, 2, n)):
             out.append(gv(i, [shifted(q, b, n) for b in range(k)]))
     else:
@@ -388,6 +359,34 @@ def build_special_family(
         for i in range(k + 1, c + 1):
             out.append(gv(i, list(range(1, k + 1))))
     return out
+
+
+def _recipe(params: CounterexampleParams) -> list[tuple[str, tuple, frozenset]]:
+    """(label, role, image) of every H vertex, in vertex order: the
+    constants, f, then the families q = 1..n (``build_special_family``)."""
+    fixed = [(f"const({i})", ("const", i), frozenset({i})) for i in range(1, params.c + 1)]
+    fixed.append(("f", ("f",), frozenset(range(1, params.n + 1))))
+    return fixed + [v for q in range(1, params.n + 1) for v in build_special_family(params, q)]
+
+
+def _lookup(
+    role: tuple, f: np.ndarray, shells: list[np.ndarray], selectors: list[np.ndarray]
+) -> np.ndarray:
+    """The int8 value of the function ``role`` names on each type of a
+    family, given each type's first coordinate ``f`` and its bits in the
+    family's shells and selectors (``_family_shells``).  On its shell a g
+    takes the value of the least selector holding the type (later ones are
+    laid down first), or its outside color where none does."""
+    if role[0] == "const":
+        return np.full(f.size, role[1], dtype=np.int8)
+    if role[0] == "f":
+        return f.astype(np.int8)
+    if role[0] == "h":
+        return _two_valued(role[3], role[4], shells[role[2]])
+    inside = outside = role[3]
+    for value, shell in reversed(list(zip(role[4], selectors))):
+        inside = _two_valued(inside, value, shell)
+    return _two_valued(outside, inside, shells[role[2]])
 
 
 # -- assembly -----------------------------------------------------------------
@@ -429,9 +428,11 @@ class BuildResult:
 
 
 def _skeleton_edges(
-    params: CounterexampleParams, vertices: list[FunctionVertex]
+    params: CounterexampleParams, recipe: list[tuple[str, tuple, frozenset]]
 ) -> list[tuple[int, int]]:
-    """Edge list of H: exactly the adjacencies the coloring argument uses.
+    """Edge list of H, read off the (label, role, image) of each vertex in
+    vertex order (``_recipe``) with no host: exactly the adjacencies the
+    coloring argument uses.
 
     Four deterministic rules: const(i) joins every function whose image
     misses i, so the constants are pairwise adjacent; f joins the level-1 h's;
@@ -439,7 +440,7 @@ def _skeleton_edges(
     its own outside value (smallest admissible outside color); each g joins
     the g's sharing its q and one deepest-level h whose inside value equals
     its own outside value and whose outside value avoids im(g).  Images are
-    the recipes' statements (``FunctionVertex.image``), not the host's.
+    the recipes' statements, not the host's.
 
     H is deliberately a spanning subgraph of what the exponential graph
     induces on these functions; the build verifies each listed edge against
@@ -451,20 +452,17 @@ def _skeleton_edges(
     def add(a: int, b: int) -> None:
         edges.add((a, b) if a < b else (b, a))
 
-    for idx, v in enumerate(vertices):
-        for i in set(range(1, c + 1)) - v.image:
-            add(i - 1, idx)
-
     f_idx = c
     hs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     gs: dict[int, list[tuple[int, int]]] = {}
-    for idx, v in enumerate(vertices):
-        if v.role[0] == "h":
-            _, q, depth, i, j = v.role
+    for idx, (_, role, image) in enumerate(recipe):
+        for i in set(range(1, c + 1)) - image:
+            add(i - 1, idx)
+        if role[0] == "h":
+            _, q, depth, i, j = role
             hs.setdefault((q, depth), []).append((i, j, idx))
-        elif v.role[0] == "g":
-            _, q, _, i = v.role
-            gs.setdefault(q, []).append((i, idx))
+        elif role[0] == "g":
+            gs.setdefault(role[1], []).append((role[3], idx))
 
     for (q, depth), entries in sorted(hs.items()):
         if depth == 1:
@@ -478,7 +476,7 @@ def _skeleton_edges(
                 if j1 == i2 and i1 != j2
             ]
             if not prev:
-                raise RuntimeError(f"no chain predecessor for {vertices[idx].label}")
+                raise RuntimeError(f"no chain predecessor for {recipe[idx][0]}")
             add(min(prev)[1], idx)
 
     for q, entries in sorted(gs.items()):
@@ -490,10 +488,10 @@ def _skeleton_edges(
             partner = [
                 (i1, idx1)
                 for i1, j1, idx1 in hs[(q, top)]
-                if j1 == i and i1 not in vertices[idx].image
+                if j1 == i and i1 not in recipe[idx][2]
             ]
             if not partner:
-                raise RuntimeError(f"no pinned neighbor for {vertices[idx].label}")
+                raise RuntimeError(f"no pinned neighbor for {recipe[idx][0]}")
             add(min(partner)[1], idx)
 
     return sorted(edges)
@@ -539,67 +537,68 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     ``wide_coloring``, ``distinct_tables``, ``h_edges_real``,
     ``const_adjacency``, on c5_wide ``chain``, and ``chi_g``.
 
-    One sweep for every class of the wide coloring, one bit per class, read
-    off the host's coordinate rule (``widecolor.decide_zero_position``) to
-    depth d + 1, so the build makes no CSR arrays; wideness is condition 2
-    on those bits, and a narrow class is named.  A vertex's type in
-    family q is its first coordinate under gamma and its bits in q's shells
-    and selectors, one word in 16 bits or fewer on every preset; the words
-    are counted, not sorted (``_type_code``), and ``build_special_family``
-    runs on each type's bits, decoded from its word.  An H vertex is
-    its family's code and its lookup; the constants and f, constant on
-    every family's types, take family 1's code.  The host's edges are not
-    written: ``omega_type_pairs`` reads the type pairs they realize in each
-    family off the coordinate rule, with the edge count of ``counts``.
-    Loops, H edges and distinctness are read off one
-    ``_table_questions`` on those pairs, with one group per q (the
-    constants, f and family q).  No H edge, const rule entry or ``chain``
-    pair joins two families; such a pair reads as a collision.  A failed
-    check does not stop the build: its item carries the ``error`` and what
-    failed.  The coloring (v, f) -> f(v) of G x H is proper exactly when
-    every edge of H is an edge of the exponential graph, so
-    ``h_edges_real`` counts the ordered checks of that coloring; f ~ each
-    level-one h and the pairwise edges of each g family are H edges, so
-    that item decides them too.  H's skeleton reads the images the recipes
-    state, and ``const_adjacency`` decides each statement: it compares each
-    constant's collision row with them, and const(i) collides with w
-    exactly where w takes i, as ``decide_zero_position`` refuses a host with
-    an isolated vertex.  ``chain`` (``chain_check``) reads pairs that are
-    not H edges off the collision matrix.  A table with no collision is a
-    proper c-coloring of G, so the loop check is the evidence of ``chi_g``.
+    H comes first, from the parameters alone: ``_skeleton_edges`` reads the
+    roles and stated images of ``_recipe``, so a recipe that cannot make H
+    is refused before the host is enumerated.  Then one sweep for every
+    class of the wide coloring, one bit per class, read off the host's
+    coordinate rule (``widecolor.decide_zero_position``) to depth d + 1, so
+    the build makes no CSR arrays; wideness is condition 2 on those bits,
+    and a narrow class is named.  A vertex's type in family q is its first
+    coordinate under gamma and its bits in q's shells and selectors, one
+    word in 16 bits or fewer on every preset; the words are counted, not
+    sorted (``_type_code``), and ``_lookup`` reads each role on each type's
+    bits, decoded from its word.  An H vertex is its family's code and its
+    lookup; the constants and f, constant on every family's types, take
+    family 1's code.  The host's edges are not written:
+    ``omega_type_pairs`` reads the type pairs they realize in each family
+    off the coordinate rule, with the edge count of ``counts``.  Loops, H
+    edges and distinctness are read off one ``_table_questions`` on those
+    pairs, with one group per q (the constants, f and family q).  No H
+    edge, const rule entry or ``chain`` pair joins two families; such a
+    pair reads as a collision.  A failed check does not stop the build: its
+    item carries the ``error`` and what failed.  The coloring (v, f) ->
+    f(v) of G x H is proper exactly when every edge of H is an edge of the
+    exponential graph, so ``h_edges_real`` counts the ordered checks of
+    that coloring; f ~ each level-one h and the pairwise edges of each g
+    family are H edges, so that item decides them too.  ``const_adjacency``
+    decides each stated image: it compares each constant's collision row
+    with them, and const(i) collides with w exactly where w takes i, as
+    ``decide_zero_position`` refuses a host with an isolated vertex.
+    ``chain`` (``chain_check``) reads pairs that are not H edges off the
+    collision matrix.  A table with no collision is a proper c-coloring of
+    G, so the loop check is the evidence of ``chi_g``.
     It hashes no host: gamma is unpinned, and ``g_hash``,
     ``omega.sha256``, waits for a pin.
     """
     params.validate()
     expected = EXPECTED_COUNTS[params.variant]
     c, d, k = params.c, params.d, params.k
+    recipe = _recipe(params)
+    m = len(recipe)
+    edges = _skeleton_edges(params, recipe)
+    h = new_graph(m, edges)
     omega = omega_vertices(params.base, d)
     gamma, class_shells, narrow_mask = decide_zero_position(omega, params.n, params.k)
     narrow = [(j // k + 1, j % k + 1) for j in range(params.n * k) if narrow_mask >> j & 1]
 
-    vertices: list[FunctionVertex] = []
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     groups = []
     for q in range(1, params.n + 1):
         shells, selectors = _family_shells(class_shells, params, q)
         # a vertex's type in family q: f, then its bits in q's shells and selector shells
         code, f, flags = _type_code(gamma.pairs[:, 0], shells + selectors)
+        bits = flags[: len(shells)], flags[len(shells) :]
         # the constants and f are constant on the types of every family, and
         # as vertices they take family 1's
-        fixed = [
-            (f"const({i})", ("const", i), frozenset({i}), np.full(f.size, i, dtype=np.int8))
-            for i in range(1, c + 1)
-        ] + [("f", ("f",), frozenset(range(1, params.n + 1)), f.astype(np.int8))]
-        vertices += [FunctionVertex(*named, code, t) for *named, t in fixed if q == 1]
-        family = build_special_family(flags[: len(shells)], flags[len(shells) :], params, q)
-        members = [*range(c + 1), *range(len(vertices), len(vertices) + len(family))]
-        groups.append((code, np.stack([t for *_, t in fixed + family]), members))
-        vertices += [FunctionVertex(*named, code, t) for *named, t in family]
+        members = [x for x, (_, role, _) in enumerate(recipe) if x <= c or role[1] == q]
+        lookups = [_lookup(recipe[x][1], f, *bits) for x in members]
+        groups.append((code, np.stack(lookups), members))
+        for x, lookup in zip(members, lookups):
+            tables.setdefault(x, (code, lookup))
     del shells, selectors  # the last family's, freed before the table questions
-    m = len(vertices)
+    vertices = [FunctionVertex(*entry, *tables[x]) for x, entry in enumerate(recipe)]
     realized, g_edges = omega_type_pairs(omega, [(code, lut.shape[1]) for code, lut, _ in groups])
     collisions, distinct = _table_questions(realized, vertices, groups)
-    edges = _skeleton_edges(params, vertices)
-    h = new_graph(m, edges)
     build = BuildResult(params, omega, gamma, vertices, h, collisions)
     unreal = next(([vertices[x].label for x in e] for e in edges if collisions[e]), None)
     # const(i) collides with w exactly where w takes i, itself included:

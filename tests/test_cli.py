@@ -555,14 +555,17 @@ def test_every_item_can_fail(monkeypatch, capsys, request, case):
     assert check_certificate(cert).failures == [f"canonical rebuild failed: {e}" for e in errors]
 
 
-def test_build_that_raises_is_the_build_item(monkeypatch, capsys, tmp_path):
+def test_build_that_raises_is_the_build_item(monkeypatch, capsys, tmp_path, count_calls):
     # an exception from the build ends the run after the parameters: the
     # report names the error and holds no build, and no certificate is written
     def broken(*args):
         raise RuntimeError("no skeleton")
 
     monkeypatch.setattr(cex, "_skeleton_edges", broken)
+    # H is stated before the host: the refusal enumerates no host
+    calls = count_calls(cex, "omega_vertices")
     report = cex.verify_counterexample(cex.params_for("c5_refined"))
+    assert calls == {"omega_vertices": 0}
     assert [(item.name, item.ok) for item in report.items] == [
         ("parameters", True),
         ("build", False),

@@ -23,7 +23,14 @@ from hedcex import counterexample, families, graphs, widecolor
 from hedcex.certificate import check_certificate, emit_certificate
 from hedcex.families import n_shells
 from hedcex.graphs import graph_sha256, new_graph
-from hedcex.solver import DEFAULT_BUDGET, SOME, SearchBudget, find_coloring, verify_coloring
+from hedcex.solver import (
+    DEFAULT_BUDGET,
+    NONE,
+    SOME,
+    SearchBudget,
+    find_coloring,
+    verify_coloring,
+)
 from oracles import (
     collision_free,
     complete_graph,
@@ -830,6 +837,40 @@ def test_const_edges_match_images():
                     assert bool(adj[i - 1] >> idx & 1) == (i not in w.image), (variant, w.label)
 
 
+@pytest.mark.parametrize("reading", ["q", "literal"])
+@pytest.mark.parametrize("variant", list(counterexample.VARIANTS))
+def test_h_needs_no_host(count_calls, variant, reading):
+    # H is stated by its recipe alone: the roles and images of _recipe give
+    # the build's H key for key, in vertex order, with no host enumerated
+    params = params_for(variant, reading)
+    calls = count_calls(counterexample, "omega_vertices")
+    recipe = counterexample._recipe(params)
+    h = new_graph(len(recipe), counterexample._skeleton_edges(params, recipe))
+    assert calls == {"omega_vertices": 0}
+    build, _ = build_counterexample(params)
+    assert [label for label, _, _ in recipe] == build.labels
+    assert h.n == build.h.n and np.array_equal(h.keys, build.h.keys)
+
+
+@pytest.mark.parametrize(
+    "args,order,size,nodes",
+    [
+        (("c7", 2, 9, 5, 2), 40, 280, 3310),
+        (("c7", 3, 11, 4, 2), 44, 374, 2921),
+        (("c5_wide", 2, 7, 4, 6), 472, 2828, 5073),
+    ],
+    ids=["c9", "c11", "c7_wide"],
+)
+def test_h_at_scale_from_its_recipe(args, order, size, nodes):
+    # the scale points' H, from unvalidated parameters and no host: its
+    # order, size and the nodes that refute a c-coloring
+    params = CounterexampleParams(*args)
+    recipe = counterexample._recipe(params)
+    h = new_graph(len(recipe), counterexample._skeleton_edges(params, recipe))
+    found = find_coloring(h, params.c)
+    assert (h.n, h.edge_count, found.status, found.nodes) == (order, size, NONE, nodes)
+
+
 def test_a_misstated_image_fails_const_adjacency(monkeypatch):
     # h(q=1,d=1,i=1,j=4) stating {1}: const_adjacency names the table, and
     # the skeleton, which reads the statement, joins it to const(4) across
@@ -839,8 +880,8 @@ def test_a_misstated_image_fails_const_adjacency(monkeypatch):
 
     def misstated(*args):
         return [
-            (name, role, frozenset({1}) if name == label else image, lookup)
-            for name, role, image, lookup in special(*args)
+            (name, role, frozenset({1}) if name == label else image)
+            for name, role, image in special(*args)
         ]
 
     monkeypatch.setattr(counterexample, "build_special_family", misstated)
@@ -915,16 +956,15 @@ def test_product_coloring_and_corruption(c5_report, monkeypatch):
     same = code == code[v]
     corrupt = np.where(same, 1, table(h1))
     assert set(np.unique(corrupt).tolist()) == {1, 4}
-    special = counterexample.build_special_family
+    read = counterexample._lookup
 
-    def corrupted(*args):
-        family = special(*args)
-        for _, role, _, lookup in family:
-            if role == h1.role:
-                lookup[code[v]] = 1
-        return family
+    def corrupted(role, *args):
+        lookup = read(role, *args)
+        if role == h1.role:
+            lookup[code[v]] = 1
+        return lookup
 
-    monkeypatch.setattr(counterexample, "build_special_family", corrupted)
+    monkeypatch.setattr(counterexample, "_lookup", corrupted)
     message = "H edge is not an edge of the exponential graph: f ~ h(q=1,d=1,i=1,j=4)"
     _, checks = build_counterexample(build.params)
     assert [(item.name, item.detail["error"]) for item in checks if not item.ok] == [
