@@ -563,7 +563,8 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     family are H edges, so that item decides them too.  ``const_adjacency``
     decides each stated image: it compares each constant's collision row
     with them, and const(i) collides with w exactly where w takes i, as
-    ``decide_zero_position`` refuses a host with an isolated vertex.
+    ``decide_zero_position`` refuses a host with an isolated vertex; it
+    also refuses a lookup value outside 1..c, which no constant's row sees.
     ``chain`` (``chain_check``) reads pairs that are not H edges off the
     collision matrix.  A table with no collision is a proper c-coloring of
     G, so the loop check is the evidence of ``chi_g``.
@@ -606,6 +607,21 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
     stated = np.array([[i in w.image for i in range(1, c + 1)] for w in vertices])
     first = np.argwhere(collisions[:c].T != stated)[:1].tolist()
     bad_const = next(([i + 1, vertices[idx].label] for idx, i in first), None)
+    # a value outside 1..c leaves the product coloring no c-coloring, and
+    # the constants' rows cannot see it
+    outside = next(
+        (
+            [int(lut[r, t]), vertices[members[r]].label]
+            for _, lut, members in groups
+            for r, t in np.argwhere((lut < 1) | (lut > c))[:1].tolist()
+        ),
+        None,
+    )
+    const_error = None
+    if outside:
+        const_error = "{1} takes {0}, outside 1..{2}".format(*outside, c)
+    elif bad_const:
+        const_error = "const({0}) adjacency to {1} disagrees with its image".format(*bad_const)
     loop = next((v.label for idx, v in enumerate(vertices) if not collisions[idx, idx]), None)
 
     counts = dict(g_vertices=omega.codes.size, g_edges=g_edges, h_vertices=m, h_edges=h.edge_count)
@@ -634,8 +650,8 @@ def build_counterexample(params: CounterexampleParams) -> tuple[BuildResult, lis
         _check(
             "const_adjacency",
             {"rule": "const(i) exp-adjacent to w iff i not in im(w)"},
-            bad_const and "const({0}) adjacency to {1} disagrees with its image".format(*bad_const),
-            witness=bad_const,
+            const_error,
+            witness=outside or bad_const,
         ),
     ]
     if params.variant == "c5_wide":

@@ -11,17 +11,18 @@ and the census graphs (at most 300 at its defaults).  Every vertex keeps a
 domain bitmask; coloring a vertex removes its color from its uncolored
 neighbors' domains, an empty domain refutes the branch and a one-color
 domain is colored at once (singleton propagation).  A maximal greedy clique
-is pre-colored the same way.  The search branches on the smallest domain,
-ties broken by lowest vertex index, trying colors ascending and capped at
-one fresh color beyond those already in use (interchangeable-color
-symmetry), as DSATUR (Brelaz 1979) does.  Before the first branch and after
-each, the undecided vertices of the current subproblem are split into
-connected components by one plain search per seed, each solved on its own
-(component search as in Bayardo & Pehoushek, AAAI 2000), smallest first: one
-component with no coloring refutes the branch, and a component already
-solved is never searched again.  The budget is a node count, so with
-identical inputs and budgets the transcript (verdict, node count, witness,
-reason) is identical run to run, on any machine.
+is pre-colored the same way; that is the one place interchangeable-color
+symmetry is broken.  The search branches on the smallest domain, ties
+broken by lowest vertex index, as DSATUR (Brelaz 1979) does, and each
+branch tries every color left in its vertex's domain, ascending.  Before
+the first branch and after each, the undecided vertices of the current
+subproblem are split into connected components by one plain search per
+seed, each solved on its own (component search as in Bayardo & Pehoushek,
+AAAI 2000), smallest first: one component with no coloring refutes the
+branch, and a component already solved is never searched again.  The
+budget is a node count, so with identical inputs and budgets the transcript
+(verdict, node count, witness, reason) is identical run to run, on any
+machine.
 
 A component is carried as its vertex list, ascending, and the branching
 vertex is found by scanning that list; a split that leaves one part hands
@@ -183,21 +184,17 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                     forced.append(u)
         return True
 
-    def propagate(v: int, col: int) -> int:
-        # assign v, then every singleton domain that follows; returns the
-        # highest color placed, or 0 on a wipe-out
+    def propagate(v: int, col: int) -> bool:
+        # assign v, then every singleton domain that follows; False on a
+        # wipe-out
         forced.clear()
         touched.clear()
         if not assign(v, col):
-            return 0
-        top = col
+            return False
         for u in forced:  # grows while it is walked
-            if not color[u]:
-                k = dom[u].bit_length() - 1
-                if not assign(u, k):
-                    return 0
-                top = max(top, k)
-        return top
+            if not color[u] and not assign(u, dom[u].bit_length() - 1):
+                return False
+        return True
 
     def undo(trail_mark: int) -> None:
         while len(trail) > trail_mark:
@@ -253,31 +250,29 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         return parts
 
     # One frame per branch: [vertex, untried colors, component, parent frame,
-    # colors in use, trail mark, todo mark].  todo holds the components still
-    # to solve as (component, frame that split it off, colors in use there);
-    # a component that fails sends the search back to that frame, past any
-    # sibling already solved.
+    # trail mark, todo mark]; the untried colors start as the vertex's whole
+    # domain.  todo holds the components still to solve as (component, frame
+    # that split it off); a component that fails sends the search back to
+    # that frame, past any sibling already solved.
     stack: list[list] = []
-    todo: list[tuple[list[int], int, int]] = []
+    todo: list[tuple[list[int], int]] = []
     try:
         for i, v in enumerate(clique):
             # only the last member can have been forced, and then to i + 1
             if not color[v] and not (dom[v] >> (i + 1) & 1 and propagate(v, i + 1)):
                 return ColoringResult(NONE, None, nodes, reason="search")
         # every vertex seeds the root split, which finds what the clique left
-        used = max(color)
-        todo = [(part, -1, used) for part in split(list(range(n)), range(n))]
+        todo = [(part, -1) for part in split(list(range(n)), range(n))]
 
         while todo:
-            members, parent, used = todo.pop()
+            members, parent = todo.pop()
             v = pick(members)
             if v < 0:
                 continue  # nothing left to color
-            cap = min(c, used + 1)
-            stack.append([v, dom[v] & ((2 << cap) - 2), members, parent, used, len(trail), len(todo)])
+            stack.append([v, dom[v], members, parent, len(trail), len(todo)])
             while True:
                 frame = stack[-1]
-                v, avail, members, parent, used, trail_mark, todo_mark = frame
+                v, avail, members, parent, trail_mark, todo_mark = frame
                 undo(trail_mark)
                 del todo[todo_mark:]
                 if not avail:
@@ -287,10 +282,8 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
                     continue
                 bit = avail & -avail
                 frame[1] = avail ^ bit
-                top = propagate(v, bit.bit_length() - 1)
-                if top:
-                    here, used = len(stack) - 1, max(used, top)
-                    todo.extend((part, here, used) for part in split(members, touched))
+                if propagate(v, bit.bit_length() - 1):
+                    todo.extend((part, len(stack) - 1) for part in split(members, touched))
                     break
     except _BudgetHit:
         return ColoringResult(EXHAUSTED, None, nodes, reason="nodes")

@@ -858,8 +858,10 @@ def test_h_needs_no_host(count_calls, variant, reading):
         (("c7", 2, 9, 5, 2), 40, 280, 3310),
         (("c7", 3, 11, 4, 2), 44, 374, 2921),
         (("c5_wide", 2, 7, 4, 6), 472, 2828, 5073),
+        (("c7", 2, 13, 7, 2), 56, 588, 162_074),
+        (("c7", 3, 14, 5, 2), 55, 610, 43_769),
     ],
-    ids=["c9", "c11", "c7_wide"],
+    ids=["c9", "c11", "c7_wide", "c13", "c14"],
 )
 def test_h_at_scale_from_its_recipe(args, order, size, nodes):
     # the scale points' H, from unvalidated parameters and no host: its
@@ -892,6 +894,29 @@ def test_a_misstated_image_fails_const_adjacency(monkeypatch):
     error = f"const(4) adjacency to {label} disagrees with its image"
     assert failed["const_adjacency"]["error"] == error
     assert failed["h_edges_real"]["edge"] == ["const(4)", label]
+
+
+@pytest.mark.parametrize("value", [6, 0])
+def test_a_table_value_outside_the_colors_fails_const_adjacency(monkeypatch, value):
+    # h(q=1,d=1,i=1,j=4) taking a value outside 1..5 on one type of its
+    # inside shell: no constant's collision row sees it, yet (v, f) -> f(v)
+    # is then no 5-coloring of the product
+    label = "h(q=1,d=1,i=1,j=4)"
+    lookup = counterexample._lookup
+
+    def corrupted(role, f, shells, selectors):
+        table = lookup(role, f, shells, selectors)
+        if role == ("h", 1, 1, 1, 4):
+            table[np.flatnonzero(shells[1])[0]] = value
+        return table
+
+    monkeypatch.setattr(counterexample, "_lookup", corrupted)
+    report = verify_counterexample(params_for("c5_refined"))
+    assert report.status == "FAILED"
+    assert [item.name for item in report.items if not item.ok] == ["const_adjacency"]
+    detail = report.item("const_adjacency").detail
+    assert detail["witness"] == [value, label]
+    assert detail["error"] == f"{label} takes {value}, outside 1..5"
 
 
 @pytest.mark.parametrize(

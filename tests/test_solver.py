@@ -123,7 +123,8 @@ def test_chromatic_range_narrowing():
     assert find_coloring(c9, 2).status == NONE
     om = omega_tuples(4, 1)
     assert verify_coloring(om.graph, (om.zero_positions + 1).tolist(), 4)
-    assert find_coloring(om.graph, 3).status == NONE
+    res = find_coloring(om.graph, 3)
+    assert (res.status, res.nodes) == (NONE, 8586)
 
 
 @given(st.integers(0, 40), st.sampled_from([0, 65_537]), st.integers(1, 4), st.data())
@@ -277,14 +278,14 @@ def _transcript_corpus():
 
 
 def test_search_transcript_corpus_pinned():
-    # the branch order, propagation order, fresh-color cap and component
-    # splits together decide every transcript; a rewrite of the search must
-    # leave this digest as it is
+    # the branch order, propagation order and component splits together
+    # decide every transcript; a rewrite of the search must leave this
+    # digest as it is
     digest = hashlib.sha256()
     for g, c, limit in _transcript_corpus():
         res = find_coloring(g, c, SearchBudget(node_limit=limit))
         digest.update(repr(_transcript(res)).encode())
-    assert digest.hexdigest() == "a22fef0836354fb0e9bf5d625a316f4651d229a38b196f0a6229a94d135a0f6b"
+    assert digest.hexdigest() == "4f347219871d4b26d24cbbee0939ca3a237ccc8f0955d8ec4a4a25607f31d8ff"
 
 
 def _larger_graph(family: str, rng: random.Random):
@@ -392,6 +393,23 @@ def test_only_the_last_component_has_no_coloring(interleave):
     assert verify_coloring(g, find_coloring(g, 4).assignment, 4)
     res = find_coloring(alone, 3)
     assert res.status == SOME and verify_coloring(alone, res.assignment, 3)
+
+
+@pytest.mark.parametrize(
+    "rounds,c,nodes", [(1, 3, 26), (2, 4, 1432)], ids=["groetzsch", "m(groetzsch)"]
+)
+def test_each_branch_tries_its_whole_domain(rounds, c, nodes):
+    # triangle-free graphs one color short: the greedy clique is an edge, so
+    # the pre-coloring fixes only two colors and, at 4 colors, a fresh-color
+    # cap would prune branches these counts pin; one color up, a verified
+    # coloring
+    g = cycle_graph(5)
+    for _ in range(rounds):
+        g = _mycielski(g)
+    res = find_coloring(g, c)
+    assert (res.status, res.nodes, res.reason) == (NONE, nodes, "search")
+    res = find_coloring(g, c + 1)
+    assert res.status == SOME and verify_coloring(g, res.assignment, c + 1)
 
 
 def test_zero_node_budget_does_no_work(monkeypatch):
