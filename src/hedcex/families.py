@@ -36,8 +36,7 @@ import numpy as np
 
 from .graphs import (
     Graph,
-    _key_array,
-    _key_dtype,
+    _key_layout,
     _put_keys,
     graph_sha256,
     neighbor_arrays,
@@ -230,7 +229,7 @@ def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk"
     space, what = (d + 2) ** n, f" and a {extra}-byte {of}" if extra else ""
     if extra is None:
         edges = omega_edge_count(n, d)
-        extra = edges * _key_dtype(omega_vertex_count(n, d)).itemsize
+        extra = edges * _key_layout(omega_vertex_count(n, d))[0].itemsize
         what = f" and {edges} edge keys"
     if 7 * space + extra > 2 << 30:
         raise ValueError(
@@ -338,7 +337,8 @@ def _omega_keys(omega: OmegaGraph) -> np.ndarray:
     _host_bound(n, d)
     pairs, blocks = _coordinate_pairs(d), list(combinations(range(n), 2))
     at = _grid_positions(pairs, d, n)
-    keys, b = _key_array(len(omega.codes), len(blocks) * len(pairs) ** (n - 2))
+    dtype, b = _key_layout(len(omega.codes))
+    keys = np.empty(len(blocks) * len(pairs) ** (n - 2), dtype=dtype)
     for (_, x, y), part in zip(_block_grids(omega, blocks, 1), keys.reshape(len(blocks), -1)):
         x, y = np.take(x, at[0]), np.take(y, at[1])
         _put_keys(part, np.minimum(x, y), np.maximum(x, y, out=x), b)

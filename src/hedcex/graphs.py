@@ -2,10 +2,11 @@
 
 A graph is its order and one ascending, de-duplicated array of pair keys
 ``u << b | v``, one per edge with ``u <= v``, which ``new_graph`` makes
-from any edge list and a tuple adjoint's ``graph`` writes directly: uint32
-(4 bytes an edge) up to 65,536 vertices, uint64 past that.  Every reader
-splits the endpoints off the keys a slice at a time with ``_slices``:
-``edge_slices``, the hash, ``edges()`` and the class sweep's CSR, so no
+from any edge list and a tuple adjoint's ``graph`` writes directly.
+``_key_layout`` gives their dtype and b: uint32 (4 bytes an edge) up to
+65,536 vertices, uint64 past that.  Every reader splits the endpoints off
+the keys ``_CHUNK`` edges at a time with ``_slices``: ``edge_slices``, the
+hash, ``edges()``, ``loops()`` and the class sweep's CSR, so no
 host-length endpoint array is kept.  A counterexample build reads no
 edge: it takes the type pairs off the tuple adjoint's coordinate rule.
 Vertex sets are boolean membership arrays over ``0..n-1``.
@@ -35,22 +36,20 @@ __all__ = [
     "neighbor_arrays",
 ]
 
-# Edges per slice when an edge list is streamed as Python tuples or as
-# DIMACS bytes: the line buffer behind the hash holds 8,192 lines of two to
-# four 8-byte words (128 KB at two, as on every shipped host).  Larger
-# slices hash no faster and raise the peak RSS of a c5_refined round trip
-# (42.0 MB at 65,536 edges per slice, 38.6 MB at 8,192).
+# Edges per slice of ``_slices``, for every reader of the ``_key_layout``
+# keys: 64 KB of intp endpoints per side, and the line buffer behind the
+# hash holds 8,192 lines of two to four 8-byte words (128 KB at two, as on
+# every shipped host).  Larger slices hash no faster and raise the peak RSS
+# of a c5_refined round trip (42.0 MB at 65,536 edges per slice, 38.6 MB at
+# 8,192).
 _CHUNK = 1 << 13
-
-# Edges per slice of ``edge_slices``: 128 KB of intp indices per side.
-_SLICE = 1 << 14
 
 
 class Graph:
     """Undirected graph, loops allowed, vertices ``0..n-1``.
 
-    ``keys`` holds the edges as the ascending, distinct keys of
-    ``_key_array``, each with u <= v, as ``new_graph`` and a tuple
+    ``keys`` holds the edges as the ascending, distinct pair keys of
+    ``_key_layout``, each with u <= v, as ``new_graph`` and a tuple
     adjoint's ``graph`` make them; the graph takes the array over.
     """
 
@@ -64,7 +63,7 @@ class Graph:
         return self.loops() > 0
 
     def loops(self) -> int:
-        return sum(int(np.count_nonzero(u == v)) for u, v in _slices(self, _SLICE))
+        return sum(int(np.count_nonzero(u == v)) for u, v in _slices(self))
 
     @property
     def edge_count(self) -> int:
@@ -73,7 +72,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u <= v``, ascending."""
-        for u, v in _slices(self, _CHUNK):
+        for u, v in _slices(self):
             yield from zip(u.tolist(), v.tolist())
 
     def __repr__(self) -> str:
@@ -92,21 +91,13 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _key_bits(n: int) -> int:
-    """b, the bits of the low vertex of a pair key of an n-vertex graph."""
-    return max(n - 1, 0).bit_length()
-
-
-def _key_dtype(n: int) -> np.dtype:
-    """uint32 keys when 2b <= 32, as on every shipped host, and uint64
+def _key_layout(n: int) -> tuple[np.dtype, int]:
+    """The dtype and b of the pair keys ``u << b | v`` of an n-vertex graph,
+    which compare as the pairs do: b is the bits of the low vertex, and the
+    keys are uint32 when 2b <= 32, as on every shipped host, and uint64
     otherwise (``new_graph`` caps n at 2**31, so b <= 31)."""
-    return np.dtype(np.uint32 if 2 * _key_bits(n) <= 32 else np.uint64)
-
-
-def _key_array(n: int, size: int) -> tuple[np.ndarray, int]:
-    """An uninitialized ``_key_dtype(n)`` array for ``size`` keys ``u << b | v``
-    of pairs of vertices of an n-vertex graph, which compare as the pairs do, and b."""
-    return np.empty(size, dtype=_key_dtype(n)), _key_bits(n)
+    b = max(n - 1, 0).bit_length()
+    return np.dtype(np.uint32 if 2 * b <= 32 else np.uint64), b
 
 
 def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
@@ -117,14 +108,14 @@ def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
     np.bitwise_or(part, v, out=part, dtype=part.dtype, casting="unsafe")
 
 
-def _slices(g: Graph, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs ``(u, v)`` of the keys ``u << b | v`` of ``g`` in order,
-    ``size`` at a time: u shifted off the high bits and v masked off the low
-    b, each cast to intp as it is written (numpy's buffered cast, so no
+    ``_CHUNK`` at a time: u shifted off the high bits and v masked off the
+    low b, each cast to intp as it is written (numpy's buffered cast, so no
     whole-width temporary is made)."""
-    b = _key_bits(g.n)
-    for lo in range(0, g.keys.size, size):
-        keys = g.keys[lo : lo + size]
+    _, b = _key_layout(g.n)
+    for lo in range(0, g.keys.size, _CHUNK):
+        keys = g.keys[lo : lo + _CHUNK]
         u, v = np.empty(keys.size, dtype=np.intp), np.empty(keys.size, dtype=np.intp)
         np.right_shift(keys, b, out=u, casting="unsafe")
         np.bitwise_and(keys, (1 << b) - 1, out=v, casting="unsafe")
@@ -141,7 +132,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
 
     The list is symmetrized and de-duplicated; ``(v, v)`` entries become
     loops.  Raises ValueError on more than 2**31 vertices (the key width
-    ``_key_dtype`` assumes: b <= 31), on a pair that is not two integers
+    ``_key_layout`` assumes: b <= 31), on a pair that is not two integers
     (floats, bools and strings are refused, not cast) and on an endpoint
     outside ``0..n-1``.
     The result holds one key per edge, ascending, each with ``u <= v``.
@@ -170,7 +161,8 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
         u, v = pairs[outside[0]].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     lo, hi = pairs[:, 0], pairs[:, 1]
-    keys, b = _key_array(n, lo.size)
+    dtype, b = _key_layout(n)
+    keys = np.empty(lo.size, dtype=dtype)
     _put_keys(keys, np.minimum(lo, hi), np.maximum(lo, hi), b)
     return Graph(n, _unique_sorted(keys))
 
@@ -183,11 +175,11 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
 
 
 def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The endpoints of the edges of ``g`` in order, ``_SLICE`` edges at a
+    """The endpoints of the edges of ``g`` in order, ``_CHUNK`` edges at a
     time, split off the keys as intp, the index type numpy gathers with, so
     a caller that gathers several arrays per edge reads them all at one
     split and no host-length index array is made."""
-    yield from _slices(g, _SLICE)
+    yield from _slices(g)
 
 
 def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +192,14 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     their swapped halves afresh on every call.
     """
     # the arcs u -> v of every edge are its key, the arcs v -> u its halves
-    # swapped, and all are sorted in place
-    m = g.edge_count
-    keys, b = _key_array(g.n, 2 * m)
-    keys[:m] = g.keys
-    for lo, (u, v) in zip(range(m, 2 * m, _SLICE), _slices(g, _SLICE)):
+    # swapped, written after them a slice at a time, and all are sorted in place
+    dtype, b = _key_layout(g.n)
+    lo = g.edge_count
+    keys = np.empty(2 * lo, dtype=dtype)
+    keys[:lo] = g.keys
+    for u, v in _slices(g):
         _put_keys(keys[lo : lo + u.size], v, u, b)
+        lo += u.size
     keys.sort()
     # row v starts at the first key at or above v << b
     ptr = np.append(np.searchsorted(keys, np.arange(g.n, dtype=keys.dtype) << b), keys.size)
@@ -385,7 +379,7 @@ def _dimacs_lines(g: Graph) -> Iterator[bytes]:
     head, tail = _line_words(g.n)
     h = head.shape[1]
     buf = np.empty((min(_CHUNK, g.edge_count), h + tail.shape[1]), dtype=np.uint64)
-    for u, v in _slices(g, _CHUNK):
+    for u, v in _slices(g):
         lines = buf[: u.size]
         lines[:, :h] = np.take(head, u, axis=0)
         lines[:, h:] = np.take(tail, v, axis=0)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import re
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -27,7 +28,7 @@ def c5_cert(c5_report):
     return emit_certificate(c5_report)
 
 
-def test_emit_requires_pass():
+def test_emit_requires_pass(c5_report):
     report = verify_counterexample(
         params_for("c5_refined"),
         budget=SearchBudget(node_limit=10),
@@ -35,6 +36,9 @@ def test_emit_requires_pass():
     assert report.status == "INCOMPLETE"
     with pytest.raises(ValueError):
         emit_certificate(report)
+    # a PASS report is certified from its build, so one without it is refused
+    with pytest.raises(ValueError, match="^report carries no build to certify$"):
+        emit_certificate(replace(c5_report, build=None))
 
 
 # SHA-256 of each certificate file as ``verify counterexample --cert`` writes it

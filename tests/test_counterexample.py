@@ -109,6 +109,9 @@ def test_validate_requires_exact_types():
     report = verify_counterexample(replace(params_for("c5_refined"), k=2.0))
     assert report.status == "FAILED"
     assert report.item("parameters").detail == {"error": "k must be an integer, got 2.0"}
+    # no item past the parameters is graded, and asking for one names it
+    with pytest.raises(KeyError, match="chi_h"):
+        report.item("chi_h")
 
 
 def test_shifted_wraps():

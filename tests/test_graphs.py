@@ -22,7 +22,7 @@ from hedcex.graphs import (
     parse_dimacs,
     vertex_flags,
 )
-from hedcex.families import n_shells
+from hedcex.families import n_shells, shell_bits
 from hedcex.widecolor import narrow_bits
 from oracles import edge_ends, is_independent, reference_dimacs
 
@@ -34,6 +34,8 @@ def test_boundary_rejects_bad_vertex_sets():
             vertex_flags(g, bad)
         with pytest.raises(ValueError):
             n_shells(g, bad, 1)
+    with pytest.raises(ValueError, match="^walk length must be nonnegative$"):
+        shell_bits(g, np.ones(3, dtype=np.uint8), -1)
 
 
 def test_new_graph_basics():
@@ -105,7 +107,7 @@ def test_vertex_count_is_capped_at_int32():
 def test_pair_keys_across_the_key_width(n, dtype):
     # the pair keys switch from uint32 to uint64 once 2 * (n - 1).bit_length()
     # passes 32; both widths give the same edge, CSR and DIMACS results
-    assert graphs._key_array(n, 1)[0].dtype == dtype
+    assert graphs._key_layout(n)[0] == dtype
     pairs = [(n - 1, 0), (n - 1, n - 1), (n - 1, n - 2)]
     expect = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     g = new_graph(n, pairs)
@@ -132,7 +134,7 @@ def test_loop_is_representable():
     assert list(g.edges()) == [(0, 0), (0, 1)]
     assert not new_graph(2, [(0, 1)]).has_loop()
     # a loop past the first slice of edges
-    n = graphs._SLICE + 2
+    n = graphs._CHUNK + 2
     g = new_graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 1)])
     assert g.has_loop() and g.loops() == 1
 
@@ -242,7 +244,7 @@ def test_edge_lists_once_ascending_on_loopy_graphs(n, low, data):
     assert list(g.edges()) == expect
     sliced = [(u.tolist(), v.tolist()) for u, v in edge_slices(g)]
     assert [e for u, v in sliced for e in zip(u, v)] == expect
-    assert all(0 < len(u) <= graphs._SLICE for u, _ in sliced)
+    assert all(0 < len(u) <= graphs._CHUNK for u, _ in sliced)
     assert g.loops() == sum(u == v for u, v in expect)
     ptr, dst = neighbor_arrays(g)
     assert ptr.dtype == np.intp and dst.dtype == g.keys.dtype
@@ -260,6 +262,9 @@ def test_dot_output_mentions_labels():
     g = new_graph(2, [(0, 1)])
     dot = emit_dot(g, ["left", "right"])
     assert "left" in dot and "right" in dot and "0 -- 1" in dot
+    for labels in (["left"], ["left", "right", "extra"]):
+        with pytest.raises(ValueError, match="^label list does not match the vertex count$"):
+            emit_dot(g, labels)
 
 
 @given(st.integers(0, 60), st.data())

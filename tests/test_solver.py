@@ -51,7 +51,7 @@ def test_verify_coloring_rules():
     assert not verify_coloring(g, [1, 3, 1], 2)  # out of range
     assert not verify_coloring(g, [1, 2], 2)  # wrong length
     # a path past two slices of edges, improper only at its last edge
-    n = 2 * graphs._SLICE + 3
+    n = 2 * graphs._CHUNK + 3
     path = new_graph(n, [(v, v + 1) for v in range(n - 1)])
     colors = [1 + v % 2 for v in range(n)]
     assert verify_coloring(path, colors, 2)
