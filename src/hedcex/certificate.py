@@ -1,38 +1,37 @@
 """Self-contained JSON certificates for the counterexample pairs.
 
-A certificate is what ``_canonical`` makes of a verified build: the
+A certificate is what ``emit_certificate`` makes of a PASS report: the
 parameters, the host graph by hash and counts, the wide coloring and every
 function table of H by digest, the H edge list and the verdicts.  The
-product and chi(G) verdicts are the build's own report items; the chi(H)
+chi(H), product and chi(G) verdicts are the report's own items; the chi(H)
 verdict carries the node count of its search.  A digest is the SHA-256 of
 the values as int8 bytes in vertex order: a function table's values for an
-H vertex, the wide coloring's pairs taken row-major (a, b of vertex 0, then
-of vertex 1, ...) for gamma.  An H vertex is held as its family's code and
-its lookup, so its table is read off them, one table at a time, for its
-digest alone.
+H vertex (``_table``, read off its code and lookup for its digest alone),
+the wide coloring's pairs taken row-major (a, b of vertex 0, then of vertex
+1, ...) for gamma.
 
 ``check_certificate`` has three gates, each of which ends the check: the
 version must be ``CERTIFICATE_VERSION`` (a refusal names it); the parameters
 must be a JSON object with the keys of ``CounterexampleParams`` (a refusal
-names the missing and extra ones) and valid; and the construction is rebuilt
-from them, once, with ``build_counterexample``.  A rebuild that fails its
-checks (the pinned counts, wideness, pairwise distinct tables, every H edge
-being an edge of the exponential graph, which is the product coloring, the
-const rule, on c5_wide the chain between consecutive h levels, and no loops)
-is refused with one line per failed check, in item order, as ``verify``
-prints them; an exception from inside the build is one such line.  Then each
-top-level field of the canonical certificate of that rebuild is compared
-whole, in ``_canonical``'s key order, under one rule, ``_same``: equal as
-JSON values, types included.  A field that differs is walked and gives one
-line, the path of its first difference (``h[7].sha256: ... is not the
-rebuild's ...``, ``gamma.pairs_sha256 is missing``).  A key the canonical
-certificate lacks, at any depth, such as the previous layout's ``budgets``,
-is not read.  There are three exceptions.  The chi(H) node count, which no
-rebuild decides, need only be a positive integer; any other value is one
-line naming its path, last.  The chi(G) attribution may keep the previous
-layout's " at this budget" suffix.  An H edge list of pairs of integers is
-compared sorted, each pair as (min, max): order and orientation are free,
-and a duplicate, a loop or an edge outside H is a difference.
+names the missing and extra ones) and valid; and ``verify_counterexample``
+of them, run once, must PASS.  So the rebuild is graded as ``verify`` grades
+it, and chi(H) is decided by its search, not read off the certificate.  A
+report that is not PASS is refused with one ``canonical rebuild failed:``
+line per item that is not ok, in item order: the item's error, or its line
+as ``verify`` prints it (``chi_h: FAILED``, ``chi_h: exhausted``).  Then each
+top-level field of that report's certificate is compared whole, in
+``emit_certificate``'s key order, under one rule, ``_same``: equal as JSON
+values, types included.  A field that differs is walked and gives one line,
+the path of its first difference (``h[7].sha256: ... is not the rebuild's
+...``, ``gamma.pairs_sha256 is missing``).  A key the rebuild's certificate
+lacks, at any depth, such as the previous layout's ``budgets``, is not read.
+There are three exceptions.  The chi(H) node count, which depends on the
+search that wrote the certificate, need only be a positive integer; any
+other value is one line naming its path, last.  The chi(G) attribution may
+keep the previous layout's " at this budget" suffix.  An H edge list of
+pairs of integers is compared sorted, each pair as (min, max): order and
+orientation are free, and a duplicate, a loop or an edge outside H is a
+difference.
 The host hash is ``g_hash``, also gamma's pin: one per emission or check.
 """
 
@@ -44,14 +43,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .counterexample import (
-    PASS,
-    BuildResult,
-    CounterexampleParams,
-    Report,
-    ReportItem,
-    build_counterexample,
-)
+from .counterexample import PASS, CounterexampleParams, Report, _table, verify_counterexample
 
 CERTIFICATE_VERSION = "2"
 
@@ -101,13 +93,17 @@ def _difference(path: str, got: object, want: object) -> str | None:
     return next(filter(None, (_difference(*pair) for pair in pairs)), None)
 
 
-def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> dict:
-    """The certificate a build determines, given the node count of its
-    chi(H) search: the product and chi(G) verdicts are the build's own
-    ``h_edges_real`` and ``chi_g`` report items, and the host's counts those
-    its ``counts`` item checked."""
-    gamma, item = build.gamma, {it.name: it for it in items}
-    real, chi_g, counts = item["h_edges_real"], item["chi_g"].detail, item["counts"].detail
+def emit_certificate(report: Report) -> dict:
+    """The certificate a PASS report determines, as a JSON-ready dictionary:
+    the chi(H), product and chi(G) verdicts are its ``chi_h``,
+    ``h_edges_real`` and ``chi_g`` items, and the host's counts those its
+    ``counts`` item checked."""
+    if report.status != PASS:
+        raise ValueError(f"only PASS reports are certifiable, got {report.status}")
+    if (build := report.build) is None:
+        raise ValueError("report carries no build to certify")
+    gamma, real = build.gamma, report.item("h_edges_real")
+    chi_h, chi_g, counts = (report.item(name).detail for name in ("chi_h", "chi_g", "counts"))
     return {
         "version": CERTIFICATE_VERSION,
         "params": asdict(build.params),
@@ -120,26 +116,14 @@ def _canonical(build: BuildResult, items: list[ReportItem], nodes: object) -> di
             "d": gamma.d,
             "pairs_sha256": _sha256(gamma.pairs),
         },
-        "h": [
-            {"label": v.label, "sha256": _sha256(np.take(v.lookup, v.code))}
-            for v in build.vertices
-        ],
+        "h": [{"label": v.label, "sha256": _sha256(_table(v))} for v in build.vertices],
         "h_edges": [list(e) for e in build.h.edges()],
         "verdicts": {
-            "chi_h": {"status": "none", "colors": build.params.c, "nodes": nodes},
+            "chi_h": {"status": "none", "colors": chi_h["colors"], "nodes": chi_h["nodes"]},
             "product": {"ok": real.ok, "ordered_checks": real.detail["ordered_checks"]},
             "chi_g": {key: chi_g[key] for key in ("colors", "status", "attribution")},
         },
     }
-
-
-def emit_certificate(report: Report) -> dict:
-    """The certificate of a PASS report's build, as a JSON-ready dictionary."""
-    if report.status != PASS:
-        raise ValueError(f"only PASS reports are certifiable, got {report.status}")
-    if report.build is None:
-        raise ValueError("report carries no build to certify")
-    return _canonical(report.build, report.items, report.item("chi_h").detail["nodes"])
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -175,9 +159,9 @@ class CertificateCheck:
 
 def check_certificate(cert: dict) -> CertificateCheck:
     """Check a certificate, a JSON document as ``certificate_from_json``
-    returns it, against the canonical build of its parameters: the version,
-    the parameters and the rebuild first, then every field of the
-    certificate that rebuild would emit.
+    returns it, against ``verify_counterexample`` of its parameters: the
+    version, the parameters and the report's status first, then every field
+    of the certificate that report determines.
     """
     if (version := cert.get("version")) != CERTIFICATE_VERSION:
         reads = f"this checker reads version {CERTIFICATE_VERSION!r}"
@@ -194,16 +178,14 @@ def check_certificate(cert: dict) -> CertificateCheck:
         params.validate()
     except (TypeError, ValueError) as err:
         return CertificateCheck([f"bad parameters: {err}"])
-    try:
-        rebuilt, items = build_counterexample(params)
-        errors = [item.detail["error"] for item in items if not item.ok]
-    except (RuntimeError, ValueError) as err:
-        errors = [err]
-    if errors:
-        return CertificateCheck([f"canonical rebuild failed: {error}" for error in errors])
+    report = verify_counterexample(params)
+    if report.status != PASS:
+        lines = (item.detail.get("error") or item.line() for item in report.items if not item.ok)
+        return CertificateCheck([f"canonical rebuild failed: {line}" for line in lines])
 
     nodes = _at(cert, "verdicts", "chi_h", "nodes")
-    canon = _canonical(rebuilt, items, None if nodes is _ABSENT else nodes)
+    canon = emit_certificate(report)
+    canon["verdicts"]["chi_h"]["nodes"] = None if nodes is _ABSENT else nodes
     chi_g = canon["verdicts"]["chi_g"]
     if _at(cert, "verdicts", "chi_g", "attribution") == chi_g["attribution"] + " at this budget":
         chi_g["attribution"] += " at this budget"  # the previous layout's suffix

@@ -8,9 +8,8 @@ from operator import getitem
 
 import pytest
 
-from hedcex import certificate as certmod
 from hedcex import counterexample as cex
-from hedcex import families
+from hedcex import families, solver
 from hedcex.certificate import (
     CERTIFICATE_VERSION,
     certificate_from_json,
@@ -454,7 +453,8 @@ def test_bad_parameters_fail(c5_cert):
 def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
     # the rebuild refuses an H edge whose tables collide; f takes the value 1,
     # so const(1) ~ f is not an edge of the exponential graph.  It replaces
-    # const(1) ~ const(2), so the H edge count still meets its pin
+    # const(1) ~ const(2), so the H edge count still meets its pin.  Without
+    # that clique edge H is 5-colorable, and the rebuild's search says so first
     skeleton = cex._skeleton_edges
     f_idx = c5_cert["params"]["c"]
     monkeypatch.setattr(
@@ -463,8 +463,17 @@ def test_unreal_edge_in_the_rebuild_is_named(monkeypatch, c5_cert):
     chk = check_certificate(c5_cert)
     assert not chk
     assert chk.failures == [
-        "canonical rebuild failed: H edge is not an edge of the exponential graph: const(1) ~ f"
+        "canonical rebuild failed: chi_h: FAILED",
+        "canonical rebuild failed: H edge is not an edge of the exponential graph: const(1) ~ f",
     ]
+
+
+def test_rebuild_whose_search_is_undecided_is_refused(monkeypatch, c5_cert):
+    # chi(H) is decided by the rebuild's own search, not read off the
+    # certificate: a search that runs out of nodes is refused by its line
+    undecided = solver.ColoringResult(solver.EXHAUSTED, None, 7, reason="nodes")
+    monkeypatch.setattr(cex, "find_coloring", lambda h, c, budget: undecided)
+    assert check_certificate(c5_cert).failures == ["canonical rebuild failed: chi_h: exhausted"]
 
 
 def test_rebuild_that_raises_is_one_failure_line(monkeypatch, c5_cert):
@@ -473,7 +482,7 @@ def test_rebuild_that_raises_is_one_failure_line(monkeypatch, c5_cert):
     def broken(params):
         raise RuntimeError("no skeleton")
 
-    monkeypatch.setattr(certmod, "build_counterexample", broken)
+    monkeypatch.setattr(cex, "build_counterexample", broken)
     assert check_certificate(c5_cert).failures == ["canonical rebuild failed: no skeleton"]
 
 
@@ -507,8 +516,11 @@ def test_check_sweeps_and_scans_only_inside_the_rebuild(count_calls, c5_cert):
     # in the package, so a second one anywhere on the check path shows up
     sweeps = count_calls(families, "shell_bits", "omega_shell_bits")
     calls = count_calls(cex, "_table_questions")
+    searches = count_calls(solver, "find_coloring")
     assert check_certificate(c5_cert)
     # one sweep by the coordinate rule for all six classes of the 3 x 2 wide
-    # coloring, none over CSR arrays, one set of table questions
+    # coloring, none over CSR arrays, one set of table questions, and one
+    # search that decides chi(H) rather than reading it off the certificate
     assert sweeps == {"shell_bits": 0, "omega_shell_bits": 1}
     assert calls == {"_table_questions": 1}
+    assert searches == {"find_coloring": 1}

@@ -876,6 +876,24 @@ def test_h_at_scale_from_its_recipe(args, order, size, nodes):
     assert (h.n, h.edge_count, found.status, found.nodes) == (order, size, NONE, nodes)
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("c5_refined", 2, 7, 4, 3), "no chain predecessor for h(q=4,d=2,i=5,j=4)"),
+        (("c5_wide", 4, 5, 2, 1), "no pinned neighbor for g(q=1,d=1,i=5)"),
+    ],
+    ids=["chain", "pinned"],
+)
+def test_a_recipe_outside_its_range_has_no_skeleton(args, error):
+    # unvalidated parameters the recipes were not written for: c5_refined's
+    # hard-coded colors 4 and 5 leave a deep h with no level below it, and
+    # c5_wide at d = 1 leaves a g with no deepest h to pin it
+    params = CounterexampleParams(*args)
+    recipe = counterexample._recipe(params)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(error)}$"):
+        counterexample._skeleton_edges(params, recipe)
+
+
 def test_a_misstated_image_fails_const_adjacency(monkeypatch):
     # h(q=1,d=1,i=1,j=4) stating {1}: const_adjacency names the table, and
     # the skeleton, which reads the statement, joins it to const(4) across

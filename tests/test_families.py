@@ -269,6 +269,16 @@ def test_omega_vertices_peak_near_their_code_space():
     assert peak < 5 * 4**10
 
 
+def test_omega_vertices_refuse_a_count_off_the_formula(monkeypatch):
+    # the enumeration checks itself against the closed form: a formula one
+    # higher than the 9 codes it finds at (n, d) = (3, 1) is refused
+    count = families.omega_vertex_count
+    monkeypatch.setattr(families, "omega_vertex_count", lambda n, d: count(n, d) + 1)
+    error = "^tuple enumeration produced 9 vertices, formula says 10$"
+    with pytest.raises(RuntimeError, match=error):
+        families._omega_vertices(3, 1)
+
+
 @pytest.mark.parametrize("n,d", [(10, 2), (8, 6)])
 def test_large_hosts_pass_the_build_bound(monkeypatch, n, d):
     # footprints of 0.15 and 1.20 GB, under the 2 GiB bound that refuses

@@ -76,6 +76,14 @@ def test_find_coloring_odd_cycle():
     assert verify_coloring(c7, res.assignment, 3)
 
 
+def test_find_coloring_refuses_a_coloring_the_scan_rejects(monkeypatch):
+    # the search's coloring is checked by the independent edge scan before
+    # it is returned; a scan that rejects it ends the search with an error
+    monkeypatch.setattr(solver, "verify_coloring", lambda g, assignment, c: False)
+    with pytest.raises(RuntimeError, match="^search produced an improper coloring$"):
+        find_coloring(new_graph(3, [(0, 1), (1, 2)]), 2)
+
+
 def test_find_coloring_loop_never_colors():
     g = new_graph(2, [(0, 0), (0, 1)])
     assert find_coloring(g, 5).status == NONE

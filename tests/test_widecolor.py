@@ -147,6 +147,14 @@ def test_zero_position_coloring_hashes_its_host_once(count_calls):
     assert wc.graph_sha == om.sha256 == graph_sha256(omega_tuples(4, 1).graph)
 
 
+def test_zero_position_coloring_refuses_a_class_the_sweep_fails(monkeypatch):
+    # wideness of the zero-position coloring is a construction invariant:
+    # a sweep that fails a class means the host and the checker disagree
+    monkeypatch.setattr(widecolor, "_failing_classes", lambda shells, condition: 1)
+    with pytest.raises(RuntimeError, match="^zero-position coloring failed the wideness check; "):
+        zero_position_coloring(omega_vertices(4, 1), 2, 2)
+
+
 def test_zero_position_shape_mismatch():
     with pytest.raises(ValueError):
         zero_position_coloring(omega_tuples(4, 1), 3, 1)
