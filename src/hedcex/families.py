@@ -215,11 +215,11 @@ def _coordinate_pairs(d: int) -> np.ndarray:
     return np.vstack((np.column_stack((a, a + 1)), np.column_stack((a + 1, a)), [[d + 1, d + 1]]))
 
 
-def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk") -> int:
-    """(d+2)^n, once a host build at (n, d) fits 2 GiB: 7 bytes a code (the
-    enumeration's three, an index table's four) plus its edge keys (uint32
-    up to 65,536 vertices), or ``extra`` bytes, named by ``of``, when given.
-    ValueError otherwise, and on n < 2 or d < 1; 2**29 codes or more are
+def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk") -> None:
+    """Refuse (ValueError) a host build at (n, d) past 2 GiB: 7 bytes a
+    code (the enumeration's three, an index table's four) plus its edge
+    keys (uint32 up to 65,536 vertices), or ``extra`` bytes, named by
+    ``of``, when given; and n < 2 or d < 1.  2**29 codes or more are
     refused on bit lengths, before any power is computed.  So n < 18."""
     if n < 2 or d < 1:
         raise ValueError(f"tuple adjoint needs n >= 2 and d >= 1, got n={n} d={d}")
@@ -236,7 +236,6 @@ def _host_bound(n: int, d: int, extra: int | None = None, of: str = "grid chunk"
             f"tuple adjoint at n={n} d={d} needs {7 * space + extra} bytes for its {space} "
             f"codes{what}, {past}"
         )
-    return space
 
 
 def _block(n: int, p: int, q: int, d: int) -> tuple:

@@ -5,10 +5,11 @@ A graph is its order and one ascending, de-duplicated array of pair keys
 from any edge list and a tuple adjoint's ``graph`` writes directly.
 ``_key_layout`` gives their dtype and b: uint32 (4 bytes an edge) up to
 65,536 vertices, uint64 past that.  Every reader splits the endpoints off
-the keys ``_CHUNK`` edges at a time with ``_slices``: ``edge_slices``, the
-hash, ``edges()``, ``loops()`` and the class sweep's CSR, so no
-host-length endpoint array is kept.  A counterexample build reads no
-edge: it takes the type pairs off the tuple adjoint's coordinate rule.
+the keys ``_CHUNK`` edges at a time with ``edge_slices``: the isolation
+check of ``widecolor``, the hash, ``edges()``, ``loops()`` and the class
+sweep's CSR, so no host-length endpoint array is kept.  A counterexample
+build reads no edge: it takes the type pairs off the tuple adjoint's
+coordinate rule.
 Vertex sets are boolean membership arrays over ``0..n-1``.
 
 Graphs are treated as immutable once built and hold nothing but their
@@ -36,7 +37,7 @@ __all__ = [
     "neighbor_arrays",
 ]
 
-# Edges per slice of ``_slices``, for every reader of the ``_key_layout``
+# Edges per slice of ``edge_slices``, for every reader of the ``_key_layout``
 # keys: 64 KB of intp endpoints per side, and the line buffer behind the
 # hash holds 8,192 lines of two to four 8-byte words (128 KB at two, as on
 # every shipped host).  Larger slices hash no faster and raise the peak RSS
@@ -59,11 +60,8 @@ class Graph:
         self.n = n
         self.keys = keys
 
-    def has_loop(self) -> bool:
-        return self.loops() > 0
-
     def loops(self) -> int:
-        return sum(int(np.count_nonzero(u == v)) for u, v in _slices(self))
+        return sum(int(np.count_nonzero(u == v)) for u, v in edge_slices(self))
 
     @property
     def edge_count(self) -> int:
@@ -72,7 +70,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u <= v``, ascending."""
-        for u, v in _slices(self):
+        for u, v in edge_slices(self):
             yield from zip(u.tolist(), v.tolist())
 
     def __repr__(self) -> str:
@@ -108,11 +106,13 @@ def _put_keys(part: np.ndarray, u: np.ndarray, v: np.ndarray, b: int) -> None:
     np.bitwise_or(part, v, out=part, dtype=part.dtype, casting="unsafe")
 
 
-def _slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs ``(u, v)`` of the keys ``u << b | v`` of ``g`` in order,
-    ``_CHUNK`` at a time: u shifted off the high bits and v masked off the
-    low b, each cast to intp as it is written (numpy's buffered cast, so no
-    whole-width temporary is made)."""
+def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The endpoints ``(u, v)`` of the edges of ``g`` in order, ``_CHUNK``
+    edges at a time: u shifted off the high bits of the keys ``u << b | v``
+    and v masked off the low b, each cast to intp, the index type numpy
+    gathers with, as it is written (numpy's buffered cast, so no whole-width
+    temporary is made).  A caller that gathers several arrays per edge
+    reads them all at one split, and no host-length index array is made."""
     _, b = _key_layout(g.n)
     for lo in range(0, g.keys.size, _CHUNK):
         keys = g.keys[lo : lo + _CHUNK]
@@ -174,14 +174,6 @@ def vertex_flags(g: Graph, members: np.ndarray) -> np.ndarray:
     return members
 
 
-def edge_slices(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The endpoints of the edges of ``g`` in order, ``_CHUNK`` edges at a
-    time, split off the keys as intp, the index type numpy gathers with, so
-    a caller that gathers several arrays per edge reads them all at one
-    split and no host-length index array is made."""
-    yield from _slices(g)
-
-
 def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric adjacency of ``g`` in CSR (compressed sparse row) form, for
     the class sweep of ``families.shell_bits``, its one caller.
@@ -197,7 +189,7 @@ def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     lo = g.edge_count
     keys = np.empty(2 * lo, dtype=dtype)
     keys[:lo] = g.keys
-    for u, v in _slices(g):
+    for u, v in edge_slices(g):
         _put_keys(keys[lo : lo + u.size], v, u, b)
         lo += u.size
     keys.sort()
@@ -379,7 +371,7 @@ def _dimacs_lines(g: Graph) -> Iterator[bytes]:
     head, tail = _line_words(g.n)
     h = head.shape[1]
     buf = np.empty((min(_CHUNK, g.edge_count), h + tail.shape[1]), dtype=np.uint64)
-    for u, v in _slices(g):
+    for u, v in edge_slices(g):
         lines = buf[: u.size]
         lines[:, :h] = np.take(head, u, axis=0)
         lines[:, h:] = np.take(tail, v, axis=0)

@@ -132,7 +132,7 @@ def find_coloring(g: Graph, c: int, budget: SearchBudget = DEFAULT_BUDGET) -> Co
         raise ValueError("color count must be nonnegative")
     if c > MAX_COLORS:
         raise ValueError(f"color count above supported {MAX_COLORS}")
-    if g.has_loop():
+    if g.loops():
         return ColoringResult(NONE, None, 0, reason="loop")
     if g.n == 0:
         return ColoringResult(SOME, [], 0)

@@ -76,10 +76,6 @@ class WideColoring:
             and np.array_equal(self.pairs, other.pairs)
         )
 
-    def class_set(self, a: int, b: int) -> np.ndarray:
-        """Boolean membership array of class (a, b)."""
-        return (self.pairs[:, 0] == a) & (self.pairs[:, 1] == b)
-
     def to_json(self) -> str:
         doc = {
             "graph_sha256": self.graph_sha,

@@ -383,6 +383,11 @@ def is_independent(g: Graph, members: np.ndarray) -> bool:
     return not (members[eu] & members[ev]).any()
 
 
+def class_set(wc, a: int, b: int) -> np.ndarray:
+    """Boolean membership array of class (a, b) of the wide coloring ``wc``."""
+    return (wc.pairs[:, 0] == a) & (wc.pairs[:, 1] == b)
+
+
 def wide_condition(g: Graph, members: np.ndarray, d: int, condition: int) -> bool:
     """Wideness condition 1 to 4 of one class ``members`` at half width d,
     as each is stated: on walk-matrix shells, with independence read off the
@@ -503,7 +508,7 @@ def adjunction_holds(g: Graph, h: Graph, d: int) -> bool:
     half = (d - 1) // 2
     if half == 0:
         right_target = h
-    elif not h.has_loop() and h.edge_count == h.n * (h.n - 1) // 2:
+    elif not h.loops() and h.edge_count == h.n * (h.n - 1) // 2:
         right_target = omega_tuples(h.n, half).graph
     else:
         right_target = omega_sets(h, half).graph

@@ -32,6 +32,7 @@ from hedcex.solver import (
     verify_coloring,
 )
 from oracles import (
+    class_set,
     collision_free,
     complete_graph,
     cycle_graph,
@@ -112,6 +113,23 @@ def test_validate_requires_exact_types():
     # no item past the parameters is graded, and asking for one names it
     with pytest.raises(KeyError, match="chi_h"):
         report.item("chi_h")
+
+
+@pytest.mark.parametrize(
+    "k,c,n,d,message",
+    [
+        # n*k = 6 is not the base c + 1 = 8
+        (2, 7, 3, 2, "pairing shape must cover the base exactly"),
+        # n*k = 8 covers the base, but c >= n + k + 1 fails: 7 < 10
+        (1, 7, 8, 2, "parameter inequalities violated"),
+    ],
+)
+def test_validate_refuses_a_variant_table_off_the_construction(monkeypatch, k, c, n, d, message):
+    # the shipped tables pass both guards, so each is reached through a
+    # rewritten c7 entry, which the variant check then matches
+    monkeypatch.setitem(counterexample.VARIANTS, "c7", dict(k=k, c=c, n=n, d=d))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        params_for("c7")
 
 
 def test_shifted_wraps():
@@ -551,7 +569,9 @@ def test_one_host_per_verify(count_calls):
     # every report item is read off one vertex enumeration, one sweep by the
     # coordinate rule and one grid pass for the type pairs; a verify pins
     # nothing, so it writes no host edge and hashes no host, and the search
-    # on H reads plain neighbor lists, so no CSR arrays are built at all
+    # on H reads plain neighbor lists, so no CSR arrays are built at all;
+    # the only edge passes are the search's two on H (its loop count and
+    # its neighbor lists)
     names = ("omega_vertices", "omega_tuples", "_omega_keys", "omega_type_pairs")
     calls = count_calls(families, *names, "omega_shell_bits", "shell_bits")
     derived = count_calls(graphs, "_dimacs_lines", "neighbor_arrays", "edge_slices")
@@ -565,23 +585,32 @@ def test_one_host_per_verify(count_calls):
         "omega_shell_bits": 1,
         "shell_bits": 0,
     }
-    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 0, "edge_slices": 0}
+    assert derived == {"_dimacs_lines": 0, "neighbor_arrays": 0, "edge_slices": 2}
+    assert "graph" not in vars(report.build.omega)
 
 
 @pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
 def test_host_edges_are_written_only_for_a_pin(count_calls, variant):
-    # the build reads the type pairs off the coordinate rule: it writes no
-    # host edge and makes no pass over them; a certificate writes the host's
-    # edges once for its pins, and its check once for the rebuilt host
+    # the build reads the type pairs off the coordinate rule: it writes,
+    # hashes and sweeps no host edge; a certificate writes the host's edges
+    # once for its one hash and keeps none, and its check once more for the
+    # rebuilt host; neither sweeps them.  Every edge pass is counted: a
+    # verify makes two on H (the search's loop count and neighbor lists), an
+    # emit one on the host (its hash) and one on H (its edge list), and a
+    # check one verify and one emit
     writes = count_calls(families, "_omega_keys")
-    passes = count_calls(graphs, "edge_slices")
+    passes = count_calls(graphs, "_dimacs_lines", "neighbor_arrays", "edge_slices")
     report = verify_counterexample(params_for(variant))
     assert report.status == "PASS"
-    assert (writes, passes) == ({"_omega_keys": 0}, {"edge_slices": 0})
+    assert writes == {"_omega_keys": 0}
+    assert passes == {"_dimacs_lines": 0, "neighbor_arrays": 0, "edge_slices": 2}
     cert = emit_certificate(report)
     assert writes == {"_omega_keys": 1}
+    assert passes == {"_dimacs_lines": 1, "neighbor_arrays": 0, "edge_slices": 4}
+    assert "graph" not in vars(report.build.omega)
     assert check_certificate(cert).ok
-    assert (writes, passes) == ({"_omega_keys": 2}, {"edge_slices": 0})
+    assert writes == {"_omega_keys": 2}
+    assert passes == {"_dimacs_lines": 2, "neighbor_arrays": 0, "edge_slices": 8}
 
 
 @pytest.mark.parametrize("variant", ["c5_refined", "c7", "c5_wide"])
@@ -729,7 +758,7 @@ def narrow_reference(build):
         (a, b)
         for a in range(1, p.n + 1)
         for b in range(1, p.k + 1)
-        if not is_independent(g, n_shells(g, gamma.class_set(a, b), p.d)[p.d])
+        if not is_independent(g, n_shells(g, class_set(gamma, a, b), p.d)[p.d])
     ]
 
 
@@ -771,7 +800,7 @@ def test_a_class_narrow_only_at_depth_d_is_named(monkeypatch):
     # depths d and d + 1 tell
     build, checks = moved_build(monkeypatch, "c5_refined", {1: (3, 2)})
     g = build.omega.graph
-    shells = n_shells(g, build.gamma.class_set(3, 2), 3)
+    shells = n_shells(g, class_set(build.gamma, 3, 2), 3)
     assert is_independent(g, shells[2]) and not is_independent(g, shells[3])
     assert narrow_reference(build) == [(3, 2)]
     (wide,) = [item for item in checks if item.name == "wide_coloring"]

@@ -29,6 +29,7 @@ from hedcex.widecolor import (
 )
 from oracles import (
     adjunction_holds,
+    class_set,
     complete_graph,
     cycle_graph,
     exact_shell,
@@ -170,7 +171,7 @@ def test_zero_position_split_classes():
         [p // 2 + 1, p % 2 + 1] for p in om.zero_positions.tolist()
     ]
     # merged alpha classes are unions of the fine classes
-    assert np.array_equal(wc.pairs[:, 0] == 1, wc.class_set(1, 1) | wc.class_set(1, 2))
+    assert np.array_equal(wc.pairs[:, 0] == 1, class_set(wc, 1, 1) | class_set(wc, 1, 2))
 
 
 @pytest.mark.parametrize("base,d,n,k", [(4, 1, 2, 2), (6, 2, 3, 2), (8, 2, 4, 2), (2, 1, -1, -2)])
@@ -203,7 +204,7 @@ def test_class_sets_partition():
     cover = np.zeros(om.graph.n, dtype=np.int64)
     for a in range(1, wc.n + 1):
         for b in range(1, wc.k + 1):
-            cover += wc.class_set(a, b)
+            cover += class_set(wc, a, b)
     assert (cover == 1).all()
 
 
@@ -353,7 +354,7 @@ def test_the_rule_sweep_fails_the_classes_the_csr_sweep_and_the_oracle_fail(base
         pairs[0] = (n, k)
         wc = replace(wc, pairs=pairs)
     g = om.graph
-    classes = [wc.class_set(j // k + 1, j % k + 1) for j in range(base)]
+    classes = [class_set(wc, j // k + 1, j % k + 1) for j in range(base)]
     seeds = sum(members.astype(np.uint8) << j for j, members in enumerate(classes))
     verdicts = []
     for condition in (1, 2, 3, 4):
